@@ -21,7 +21,7 @@
 use crate::report::{fmt_ns, write_json, Table};
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all, FrontDoor};
-use mqx::{Error, PolyOp, PolyRing, PolymulRequest, Priority, RequestHandle, Ring, RingExecutor};
+use mqx::{Error, PolyOp, PolyRing, Priority, RequestHandle, Ring, RingExecutor, RingRequest};
 use mqx_json::impl_to_json;
 use std::sync::Arc;
 use std::time::Instant;
@@ -183,7 +183,7 @@ impl_to_json!(ServeReport {
     admission_summary,
 });
 
-fn requests(n: usize, batch: usize, seed: u64) -> Vec<PolymulRequest> {
+fn requests(n: usize, batch: usize, seed: u64) -> Vec<RingRequest> {
     let mut state = seed ^ 0x5EED;
     let mut poly = move || -> Vec<u128> {
         (0..n)
@@ -202,7 +202,7 @@ fn requests(n: usize, batch: usize, seed: u64) -> Vec<PolymulRequest> {
             } else {
                 PolyOp::Cyclic
             };
-            PolymulRequest::new(op, poly().into(), poly().into())
+            RingRequest::polymul(op, poly().into(), poly().into())
         })
         .collect()
 }
@@ -269,7 +269,7 @@ fn qos_scenario(ring: &Arc<dyn PolyRing>, n: usize, quick: bool) -> Vec<QosRow> 
     let reqs = requests(n, per_class * 3, 0x0905);
     let sequential: Vec<_> = reqs
         .iter()
-        .map(|r| ring.polymul(r.op, &r.a, &r.b).expect("valid request"))
+        .map(|r| ring.apply(r.op(), r.a(), r.b()).expect("valid request"))
         .collect();
     // Interleave Low → Normal → High on submission: the injector (not
     // submission order) must produce the class separation.
@@ -310,7 +310,7 @@ fn qos_scenario(ring: &Arc<dyn PolyRing>, n: usize, quick: bool) -> Vec<QosRow> 
     // saturated pool must shed the stale tail instead of serving it.
     let reqs = requests(n, per_class * 3, 0xDEAD);
     let probe = Instant::now();
-    ring.polymul(reqs[0].op, &reqs[0].a, &reqs[0].b)
+    ring.apply(reqs[0].op(), reqs[0].a(), reqs[0].b())
         .expect("valid request");
     let budget = probe.elapsed() * (reqs.len() as u32) / (2 * workers as u32);
     let total = reqs.len();
@@ -361,7 +361,7 @@ fn admission_scenario(
     let reqs = requests(n, per_class * 3, 0xAD);
     let sequential: Vec<_> = reqs
         .iter()
-        .map(|r| ring.polymul(r.op, &r.a, &r.b).expect("valid request"))
+        .map(|r| ring.apply(r.op(), r.a(), r.b()).expect("valid request"))
         .collect();
     let classes = [Priority::Low, Priority::Normal, Priority::High];
     let tagged: Vec<(usize, Priority)> = (0..reqs.len())
@@ -436,7 +436,7 @@ pub fn run(quick: bool) -> ServeReport {
         // the sequential products bit for bit.
         let sequential: Vec<_> = reqs
             .iter()
-            .map(|r| ring.polymul(r.op, &r.a, &r.b).expect("valid request"))
+            .map(|r| ring.apply(r.op(), r.a(), r.b()).expect("valid request"))
             .collect();
         for &workers in worker_counts {
             let pool = RingExecutor::new(workers).expect("non-zero workers");

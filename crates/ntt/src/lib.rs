@@ -56,9 +56,8 @@
 //! Pease stage tables and their lane-expanded forms, plus the merged
 //! negacyclic twist tables — about `6n` constants per plan), paid once
 //! per (modulus, size) and amortized by the facade's plan cache. The
-//! facade's `MQX_LAZY=off` escape hatch (same grammar as
-//! `MQX_CALIBRATE`) reroutes products to the canonical kernels for
-//! A/B measurement and bisecting.
+//! facade's `RingBuilder::lazy(false)` builds a ring on the canonical
+//! kernels — the oracle the fused default is compared against.
 //!
 //! # Example
 //!

@@ -18,7 +18,7 @@
 
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all, FrontDoor};
-use mqx::{Error, PolyOp, PolyRing, PolymulRequest, Priority, Ring};
+use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut request = |op: PolyOp| {
         let a = random_words(n, primes::Q124, &mut seed);
         let b = random_words(n, primes::Q124, &mut seed);
-        PolymulRequest::new(op, a.into(), b.into())
+        RingRequest::polymul(op, a.into(), b.into())
     };
 
     // --- Leg 1: async batch, generous limits ---------------------------------

@@ -16,7 +16,7 @@
 use mqx::bignum::BigUint;
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all, FrontDoor};
-use mqx::{Error, PolyOp, PolyRing, PolymulRequest, Priority, Ring, RingExecutor, RnsRing};
+use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest, RnsRing};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut seed = 0xB47C_5EED_u64;
-    let requests: Vec<PolymulRequest> = (0..batch)
+    let requests: Vec<RingRequest> = (0..batch)
         .map(|i| {
             let op = if i % 2 == 0 {
                 PolyOp::Negacyclic
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             let a = random_words(n, primes::Q124, &mut seed);
             let b = random_words(n, primes::Q124, &mut seed);
-            PolymulRequest::new(op, a.into(), b.into())
+            RingRequest::polymul(op, a.into(), b.into())
         })
         .collect();
 
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let sequential: Vec<_> = requests
         .iter()
-        .map(|r| ring.polymul(r.op, &r.a, &r.b).expect("valid request"))
+        .map(|r| ring.apply(r.op(), r.a(), r.b()).expect("valid request"))
         .collect();
     let seq_elapsed = t0.elapsed();
 
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let q = BigUint::one() << 185_u64; // keep operands comfortably reduced
     let wide_batch: usize = 16;
-    let wide_requests: Vec<PolymulRequest> = (0..wide_batch as u64)
+    let wide_requests: Vec<RingRequest> = (0..wide_batch as u64)
         .map(|i| {
             let a: Vec<BigUint> = (0..n as u64)
                 .map(|j| &BigUint::from(j * 31 + i + 1) % &q)
@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let b: Vec<BigUint> = (0..n as u64)
                 .map(|j| &BigUint::from(j * 17 + i + 3) % &q)
                 .collect();
-            PolymulRequest::new(PolyOp::Negacyclic, a.into(), b.into())
+            RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into())
         })
         .collect();
     let t0 = Instant::now();
@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|_| {
             pool.submit(
                 &ring,
-                PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), b.clone().into())
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), b.clone().into())
                     .with_priority(Priority::Low),
             )
         })
@@ -137,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = Instant::now();
     let urgent = pool.submit(
         &ring,
-        PolymulRequest::new(PolyOp::Negacyclic, a.clone().into(), b.clone().into())
+        RingRequest::polymul(PolyOp::Negacyclic, a.clone().into(), b.clone().into())
             .with_priority(Priority::High),
     )?;
     // A bounded wait: hand the handle back on timeout instead of
@@ -157,7 +157,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Already past its deadline: resolved at submit, zero channels run.
     let stale = pool.submit(
         &ring,
-        PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), b.clone().into())
+        RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), b.clone().into())
             .with_deadline(Instant::now()),
     )?;
     assert!(matches!(stale.wait(), Err(Error::DeadlineExceeded)));
@@ -199,7 +199,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             let a = random_words(n, primes::Q124, &mut seed);
             let b = random_words(n, primes::Q124, &mut seed);
-            door.submit(&ring, PolymulRequest::new(op, a.into(), b.into()))
+            door.submit(&ring, RingRequest::polymul(op, a.into(), b.into()))
         })
         .collect::<Result<_, _>>()?;
     let t0 = Instant::now();

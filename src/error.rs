@@ -97,17 +97,17 @@ pub enum Error {
         channel: usize,
     },
     /// An executor worker panicked while joining a request's channel
-    /// products (the [`PolyRing::join`](crate::PolyRing::join) step);
+    /// products (the [`PolyRing::join_at`](crate::PolyRing::join_at) step);
     /// the request is completed with this error instead of deadlocking
     /// its handle.
     JoinPanicked,
     /// A channel index passed to
-    /// [`PolyRing::channel_polymul`](crate::PolyRing::channel_polymul)
-    /// is out of range for the ring.
+    /// [`PolyRing::channel_apply_at_into`](crate::PolyRing::channel_apply_at_into)
+    /// is out of range for the op's output channels.
     ChannelOutOfRange {
         /// The offending channel index.
         channel: usize,
-        /// The ring's channel count.
+        /// The number of output channels the op has at that width.
         channels: usize,
     },
     /// The requested [`RingOp`](crate::RingOp) is not supported by this

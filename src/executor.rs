@@ -15,32 +15,27 @@
 //! plus one deque per worker, with idle workers stealing from busy
 //! ones.
 //!
-//! Each submitted request ([`RingRequest`], or a [`PolymulRequest`] for
-//! source compatibility) is fanned out through the ring's channel
+//! Each submitted [`RingRequest`] is a *dependency graph* of
+//! [`RingOp`] nodes with its external operands (a single op is the
+//! one-node graph), fanned out through the ring's channel
 //! decomposition ([`PolyRing::split`] /
-//! [`PolyRing::op_output_channels`]): a single-modulus [`Ring`] is one
-//! work item, a `k`-channel [`RnsRing`] becomes one independent
-//! word-sized item per *output* channel (`k` for polymul/add/sub,
-//! `k − 1` for rescale, `k + extra` for basis extension) that different
-//! workers pick up — `channels × batch` items in flight for a batch,
-//! replacing the scoped threads `RnsRing` spawns per one-shot call. The
-//! worker that finishes a request's last channel performs the op's join
-//! ([`PolyRing::op_join`] — CRT recombination only for the ops that
-//! need it) and wakes the caller's [`RequestHandle`].
+//! [`PolyRing::op_output_channels_at`]): a single-modulus [`Ring`] is
+//! one work item per node, a `k`-channel [`RnsRing`] becomes one
+//! independent word-sized item per *output* channel (`k` for
+//! polymul/add/sub, `k − 1` for rescale, `k + extra` for basis
+//! extension) that different workers pick up — `channels × batch`
+//! items in flight for a batch, replacing the scoped threads `RnsRing`
+//! spawns per one-shot call.
 //!
-//! # Op-graph requests
-//!
-//! The unit of work is a *dependency graph*, not a single op: a
-//! [`RingRequest::graph`] carries an [`OpGraph`] of [`RingOp`] nodes
-//! (a single op compiles to the one-node graph — behavior identical to
-//! the paragraph above). Fan-out is per `(node × output channel)` with
-//! an atomic indegree countdown per node: a node's channels enter the
-//! stealing deques the moment its last graph predecessor completes, so
-//! stage `s + 1` of request A overlaps stage `s` of request B on the
-//! same pool. Between nodes nothing is recombined — intermediates stay
-//! channel-major residues ([`PolyRing::channel_apply_at`]), and the
-//! single CRT join runs at the graph's output node
-//! ([`PolyRing::join_at`]). QoS is per-graph: one priority class, one
+//! Fan-out is per `(node × output channel)` with an atomic indegree
+//! countdown per node: a node's channels enter the stealing deques the
+//! moment its last graph predecessor completes, so stage `s + 1` of
+//! request A overlaps stage `s` of request B on the same pool. Between
+//! nodes nothing is recombined — intermediates stay channel-major
+//! residues ([`PolyRing::channel_apply_at_into`]) — and the worker that
+//! finishes the output node's last channel performs the request's
+//! single CRT join ([`PolyRing::join_at`]) and wakes the caller's
+//! [`RequestHandle`]. QoS is per-request: one priority class, one
 //! deadline, one handle; a shed (deadline or cancel) skips every
 //! unstarted node.
 //!
@@ -72,17 +67,17 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use mqx::{core::primes, Coefficients, PolyOp, PolyRing, PolymulRequest, Priority, Ring,
-//!           RingExecutor};
+//! use mqx::{core::primes, Coefficients, PolyOp, PolyRing, Priority, Ring, RingExecutor,
+//!           RingRequest};
 //!
 //! let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, 64)?);
 //! let pool = RingExecutor::new(4)?;
 //!
 //! // Queue a small batch and collect results in submission order.
-//! let requests: Vec<PolymulRequest> = (0..8_u64)
+//! let requests: Vec<RingRequest> = (0..8_u64)
 //!     .map(|i| {
 //!         let a: Vec<u128> = (0..64).map(|j| u128::from(i + j)).collect();
-//!         PolymulRequest::new(PolyOp::Negacyclic, a.clone().into(), a.into())
+//!         RingRequest::polymul(PolyOp::Negacyclic, a.clone().into(), a.into())
 //!     })
 //!     .collect();
 //! let products = pool.serve(&ring, requests)?;
@@ -90,7 +85,7 @@
 //!
 //! // An interactive request overtakes queued bulk work.
 //! let a: Vec<u128> = (0..64_u64).map(u128::from).collect();
-//! let urgent = PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.into())
+//! let urgent = RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into())
 //!     .with_priority(Priority::High);
 //! let product = pool.submit(&ring, urgent)?.wait()?;
 //! assert_eq!(product.len(), 64);
@@ -100,7 +95,7 @@
 use crate::error::Error;
 use crate::graph::{OpGraph, Operand};
 use crate::ops::RingOp;
-use crate::poly::{Coefficients, PolyOp, PolyRing};
+use crate::poly::{split_and_plan, Coefficients, PolyOp, PolyRing};
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -201,65 +196,11 @@ impl SubmitOptions {
     }
 }
 
-/// One queued polynomial product: the operation, both operands in the
-/// ring's native [`Coefficients`] representation, and the scheduling
-/// [`SubmitOptions`].
-#[derive(Clone, Debug)]
-pub struct PolymulRequest {
-    /// Cyclic or negacyclic.
-    pub op: PolyOp,
-    /// Left operand.
-    pub a: Coefficients,
-    /// Right operand.
-    pub b: Coefficients,
-    /// Scheduling options (normal priority, no deadline, unless set via
-    /// the `with_*` builders).
-    pub options: SubmitOptions,
-}
-
-impl PolymulRequest {
-    /// Bundles an operation and its operands with default scheduling
-    /// (normal priority, no deadline).
-    pub fn new(op: PolyOp, a: Coefficients, b: Coefficients) -> Self {
-        PolymulRequest {
-            op,
-            a,
-            b,
-            options: SubmitOptions::default(),
-        }
-    }
-
-    /// Replaces the scheduling options wholesale.
-    pub fn with_options(mut self, options: SubmitOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Sets the scheduling class.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.options.priority = priority;
-        self
-    }
-
-    /// Sets the absolute deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.options.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the deadline relative to now.
-    pub fn with_timeout(self, budget: Duration) -> Self {
-        self.with_deadline(Instant::now() + budget)
-    }
-}
-
-/// One queued unit of ring work: a single [`RingOp`] with its
-/// operand(s), or a whole [`OpGraph`] with the graph's external
-/// operands — plus the scheduling [`SubmitOptions`]. The general form
-/// of [`PolymulRequest`] — which converts [`Into`] this type, so every
-/// existing polymul call site keeps working unchanged. A single op is
-/// exactly the one-node graph ([`OpGraph::single`]): both forms take
-/// the same path through the pool.
+/// One queued unit of ring work: an [`OpGraph`] with the graph's
+/// external operands, plus the scheduling [`SubmitOptions`]. A single
+/// [`RingOp`] is exactly the one-node graph ([`OpGraph::single`]) — the
+/// per-op constructors are sugar for it — so every request takes the
+/// same path through the pool.
 ///
 /// ```
 /// use mqx::{OpGraph, PolyOp, Priority, RingOp, RingRequest};
@@ -281,37 +222,13 @@ impl PolymulRequest {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RingRequest {
-    kind: RequestKind,
+    graph: OpGraph,
+    /// One per [`OpGraph::inputs`] (checked at submit).
+    operands: Vec<Coefficients>,
     options: SubmitOptions,
 }
 
-/// What a [`RingRequest`] carries: one op, or one dependency graph.
-#[derive(Clone, Debug)]
-enum RequestKind {
-    /// A single ring operation (compiles to [`OpGraph::single`]).
-    Op {
-        op: RingOp,
-        a: Coefficients,
-        b: Option<Coefficients>,
-    },
-    /// A dependency graph over `operands` (one per [`OpGraph::inputs`]).
-    Graph {
-        graph: OpGraph,
-        operands: Vec<Coefficients>,
-    },
-}
-
 impl RingRequest {
-    /// Bundles an operation with its operand(s) and default scheduling.
-    /// Binary ops take `Some(b)`, unary ops `None` — checked against
-    /// the op's arity at submit.
-    pub fn new(op: RingOp, a: Coefficients, b: Option<Coefficients>) -> Self {
-        RingRequest {
-            kind: RequestKind::Op { op, a, b },
-            options: SubmitOptions::default(),
-        }
-    }
-
     /// Bundles a whole dependency graph with its external operands
     /// (`operands[i]` feeds `Operand::Input(i)`; the count is checked
     /// against [`OpGraph::inputs`] at submit). The graph executes as
@@ -320,9 +237,17 @@ impl RingRequest {
     /// channel-major residues.
     pub fn graph(graph: OpGraph, operands: Vec<Coefficients>) -> Self {
         RingRequest {
-            kind: RequestKind::Graph { graph, operands },
+            graph,
+            operands,
             options: SubmitOptions::default(),
         }
+    }
+
+    /// One operation with its operand(s) and default scheduling: the
+    /// one-node graph of `op`. Binary ops take `Some(b)`, unary ops
+    /// `None` — checked against the op's arity at submit.
+    pub fn new(op: RingOp, a: Coefficients, b: Option<Coefficients>) -> Self {
+        RingRequest::graph(OpGraph::single(op), std::iter::once(a).chain(b).collect())
     }
 
     /// A polynomial product (cyclic or negacyclic).
@@ -350,13 +275,10 @@ impl RingRequest {
         RingRequest::new(RingOp::BasisExtend { extra_channels }, a, None)
     }
 
-    /// The requested operation — for a graph request, the *output*
-    /// node's op (what the request resolves to at its root).
+    /// The *output* node's op — what the request resolves to at its
+    /// root (a single-op request's only op).
     pub fn op(&self) -> &RingOp {
-        match &self.kind {
-            RequestKind::Op { op, .. } => op,
-            RequestKind::Graph { graph, .. } => graph.output_op(),
-        }
+        self.graph.output_op()
     }
 
     /// The first operand.
@@ -367,29 +289,20 @@ impl RingRequest {
     /// submit would reject, since every valid graph names at least one
     /// input).
     pub fn a(&self) -> &Coefficients {
-        match &self.kind {
-            RequestKind::Op { a, .. } => a,
-            RequestKind::Graph { operands, .. } => operands
-                .first()
-                .expect("a graph request names at least one operand"),
-        }
+        self.operands
+            .first()
+            .expect("a request names at least one operand")
     }
 
-    /// The second operand: `Some` for binary ops, and for graph
-    /// requests with at least two external inputs.
+    /// The second operand, when the request carries at least two.
     pub fn b(&self) -> Option<&Coefficients> {
-        match &self.kind {
-            RequestKind::Op { b, .. } => b.as_ref(),
-            RequestKind::Graph { operands, .. } => operands.get(1),
-        }
+        self.operands.get(1)
     }
 
-    /// The dependency graph, for graph requests.
+    /// The dependency graph — always `Some`: a single-op request
+    /// carries its one-node graph.
     pub fn op_graph(&self) -> Option<&OpGraph> {
-        match &self.kind {
-            RequestKind::Op { .. } => None,
-            RequestKind::Graph { graph, .. } => Some(graph),
-        }
+        Some(&self.graph)
     }
 
     /// The scheduling options.
@@ -418,19 +331,6 @@ impl RingRequest {
     /// Sets the deadline relative to now.
     pub fn with_timeout(self, budget: Duration) -> Self {
         self.with_deadline(Instant::now() + budget)
-    }
-}
-
-impl From<PolymulRequest> for RingRequest {
-    fn from(request: PolymulRequest) -> Self {
-        RingRequest {
-            kind: RequestKind::Op {
-                op: RingOp::Polymul(request.op),
-                a: request.a,
-                b: Some(request.b),
-            },
-            options: request.options,
-        }
     }
 }
 
@@ -930,10 +830,8 @@ impl Shared {
                 // The join runs under the same panic guard as the
                 // channel kernels: a panicking `PolyRing` join must
                 // surface as a request error, not a dead worker and a
-                // poisoned handle. Single-node graphs join through
-                // `op_join` — exactly the pre-graph behavior — while
-                // multi-node chains join over the width the chain
-                // reached.
+                // poisoned handle. It recombines over the width the
+                // chain reached at the output node.
                 catch_unwind(AssertUnwindSafe(|| {
                     let parts: Vec<Vec<u128>> = node
                         .slots
@@ -942,11 +840,7 @@ impl Shared {
                         .iter_mut()
                         .map(|slot| slot.take().expect("every channel landed"))
                         .collect();
-                    if state.graph.len() == 1 {
-                        state.ring.op_join(state.graph.output_op(), parts)
-                    } else {
-                        state.ring.join_at(node.tasks, parts)
-                    }
+                    state.ring.join_at(node.tasks, parts)
                 }))
                 .unwrap_or(Err(Error::JoinPanicked))
             };
@@ -1149,10 +1043,9 @@ impl RingExecutor {
         self.shared.injector.lock().expect("injector poisoned")[priority.class()].len()
     }
 
-    /// Queues one ring operation against `ring` and returns a handle to
-    /// its eventual result. Accepts anything [`Into`] a [`RingRequest`]
-    /// — a [`PolymulRequest`] included. Operands are validated (arity,
-    /// length, coefficient range, representation) up front, so errors
+    /// Queues one request against `ring` and returns a handle to its
+    /// eventual result. Operands are validated (count, length,
+    /// coefficient range, representation) up front, so errors
     /// surface here rather than inside the pool. The request's
     /// [`SubmitOptions`] govern its injector class and deadline; a
     /// deadline already expired at submit resolves the handle to
@@ -1172,9 +1065,9 @@ impl RingExecutor {
     pub fn submit(
         &self,
         ring: &Arc<dyn PolyRing>,
-        request: impl Into<RingRequest>,
+        request: RingRequest,
     ) -> Result<RequestHandle, Error> {
-        self.submit_with_hook(ring, request.into(), None)
+        self.submit_with_hook(ring, request, None)
     }
 
     /// [`submit`](RingExecutor::submit) with an optional publish
@@ -1190,83 +1083,14 @@ impl RingExecutor {
         request: RingRequest,
         on_publish: Option<PublishHook>,
     ) -> Result<RequestHandle, Error> {
-        let options = request.options;
-        // Compile both request forms to the graph shape: a single op is
-        // its one-node graph over its own operands, so everything past
-        // this match is one path.
-        let (graph, operands) = match request.kind {
-            RequestKind::Op { op, a, b } => {
-                if op == RingOp::Polymul(PolyOp::Negacyclic) && !ring.supports_negacyclic() {
-                    return Err(Error::NoNegacyclicSupport { n: ring.size() });
-                }
-                // Arity before anything touches the operands: binary ops
-                // need exactly two, unary ops exactly one.
-                let got = 1 + usize::from(b.is_some());
-                if got != op.arity() {
-                    return Err(Error::OperandCountMismatch {
-                        op: op.name(),
-                        expected: op.arity(),
-                        got,
-                    });
-                }
-                let mut operands = vec![a];
-                operands.extend(b);
-                (OpGraph::single(op), operands)
-            }
-            RequestKind::Graph { graph, operands } => {
-                if operands.len() != graph.inputs() {
-                    return Err(Error::OperandCountMismatch {
-                        op: "op-graph",
-                        expected: graph.inputs(),
-                        got: operands.len(),
-                    });
-                }
-                if !ring.supports_negacyclic()
-                    && graph
-                        .nodes()
-                        .iter()
-                        .any(|n| n.op() == &RingOp::Polymul(PolyOp::Negacyclic))
-                {
-                    return Err(Error::NoNegacyclicSupport { n: ring.size() });
-                }
-                (graph, operands)
-            }
-        };
-        // Mismatched operand lengths are a submit-time error with a
-        // dedicated variant — never a panic inside a worker.
-        for pair in operands.windows(2) {
-            if pair[0].len() != pair[1].len() {
-                return Err(Error::OperandLengthMismatch {
-                    a: pair[0].len(),
-                    b: pair[1].len(),
-                });
-            }
-        }
-        let inputs = operands
-            .iter()
-            .map(|c| ring.split(c))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Defend against degenerate PolyRing impls: a zero-channel or
-        // uneven split would wrap a remaining-items counter (or index
-        // out of range) and leave the handle waiting forever.
-        let channels = inputs.first().map_or(0, Vec::len);
-        if channels == 0 || inputs.iter().any(|i| i.len() != channels) {
-            return Err(Error::ChannelCountMismatch {
-                expected: ring.channels().max(1),
-                got: inputs.iter().map(Vec::len).min().unwrap_or(0),
-            });
-        }
-        // Resolve every node's channel widths against this ring — the
-        // fan-out plan. This also rejects ops the ring cannot execute
-        // (at the width the chain reaches them) before anything is
-        // queued.
-        let plan = graph.plan_widths(ring.channels(), |op, w| ring.op_output_channels_at(op, w))?;
-        if plan.iter().any(|w| w.output == 0) {
-            return Err(Error::ChannelCountMismatch {
-                expected: ring.channels().max(1),
-                got: 0,
-            });
-        }
+        let RingRequest {
+            graph,
+            operands,
+            options,
+        } = request;
+        // The fan-out plan: split operands plus every node's channel
+        // widths on this ring, validated before anything is queued.
+        let (inputs, plan) = split_and_plan(&**ring, &graph, &operands)?;
         // Scheduling topology: indegrees count *distinct* predecessor
         // nodes (a node consuming the same predecessor twice still waits
         // for one completion), successors mirror them.
@@ -1356,7 +1180,7 @@ impl RingExecutor {
     pub fn serve(
         &self,
         ring: &Arc<dyn PolyRing>,
-        requests: Vec<impl Into<RingRequest>>,
+        requests: Vec<RingRequest>,
     ) -> Result<Vec<Coefficients>, Error> {
         let mut handles = Vec::with_capacity(requests.len());
         for request in requests {
@@ -1467,7 +1291,7 @@ mod tests {
         assert_eq!(opts.priority, Priority::Low);
         assert_eq!(opts.deadline, Some(at));
 
-        let req = PolymulRequest::new(
+        let req = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; 4].into(),
             vec![0_u128; 4].into(),
@@ -1497,7 +1321,7 @@ mod tests {
         let handle = pool
             .submit(
                 &dyn_ring,
-                PolymulRequest::new(PolyOp::Negacyclic, a.into(), b.into()),
+                RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into()),
             )
             .unwrap();
         assert_eq!(handle.wait().unwrap().into_words().unwrap(), expected);
@@ -1518,7 +1342,7 @@ mod tests {
         let out = pool
             .serve(
                 &dyn_ring,
-                vec![PolymulRequest::new(PolyOp::Negacyclic, a.into(), b.into())],
+                vec![RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into())],
             )
             .unwrap();
         assert_eq!(out[0].as_bigs().unwrap(), expected.as_slice());
@@ -1529,7 +1353,7 @@ mod tests {
         let dyn_ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
         let pool = RingExecutor::new(1).unwrap();
         // Wrong length (both operands agree, but not with the ring).
-        let short = PolymulRequest::new(
+        let short = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; N - 1].into(),
             vec![0_u128; N - 1].into(),
@@ -1540,7 +1364,7 @@ mod tests {
         ));
         // Mismatched binary operands get the dedicated variant, before
         // any split runs.
-        let uneven = PolymulRequest::new(
+        let uneven = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; N - 1].into(),
             vec![0_u128; N].into(),
@@ -1580,7 +1404,7 @@ mod tests {
             Error::UnsupportedOp { op: "rescale", .. }
         ));
         // Wrong representation.
-        let big = PolymulRequest::new(
+        let big = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![BigUint::zero(); N].into(),
             vec![BigUint::zero(); N].into(),
@@ -1591,7 +1415,7 @@ mod tests {
         ));
         // Negacyclic on a ring without a 2n-th root.
         let no_nega: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q14, 1024).unwrap());
-        let req = PolymulRequest::new(
+        let req = RingRequest::polymul(
             PolyOp::Negacyclic,
             vec![0_u128; 1024].into(),
             vec![0_u128; 1024].into(),
@@ -1619,7 +1443,7 @@ mod tests {
             handles.push(
                 pool.submit(
                     &dyn_ring,
-                    PolymulRequest::new(PolyOp::Cyclic, a.into(), b.into()),
+                    RingRequest::polymul(PolyOp::Cyclic, a.into(), b.into()),
                 )
                 .unwrap(),
             );
@@ -1650,7 +1474,8 @@ mod tests {
             handles.push(
                 pool.submit(
                     &dyn_ring,
-                    PolymulRequest::new(PolyOp::Cyclic, a.into(), b.into()).with_priority(priority),
+                    RingRequest::polymul(PolyOp::Cyclic, a.into(), b.into())
+                        .with_priority(priority),
                 )
                 .unwrap(),
             );
@@ -1668,7 +1493,7 @@ mod tests {
         let handle = pool
             .submit(
                 &dyn_ring,
-                PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.into())
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into())
                     .with_deadline(Instant::now()),
             )
             .unwrap();
@@ -1690,14 +1515,14 @@ mod tests {
         let word_handle = pool
             .submit(
                 &word,
-                PolymulRequest::new(PolyOp::Cyclic, wa.clone().into(), wa.clone().into()),
+                RingRequest::polymul(PolyOp::Cyclic, wa.clone().into(), wa.clone().into()),
             )
             .unwrap();
         let ba: Vec<BigUint> = (0..N as u64).map(BigUint::from).collect();
         let wide_handle = pool
             .submit(
                 &wide,
-                PolymulRequest::new(PolyOp::Cyclic, ba.clone().into(), ba.clone().into()),
+                RingRequest::polymul(PolyOp::Cyclic, ba.clone().into(), ba.clone().into()),
             )
             .unwrap();
         assert_eq!(
@@ -1733,16 +1558,18 @@ mod tests {
             fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
                 PolyRing::split(&self.0, coeffs)
             }
-            fn channel_polymul(
+            fn channel_apply_at_into(
                 &self,
+                op: &RingOp,
+                width: usize,
                 channel: usize,
-                op: PolyOp,
-                a: &[u128],
-                b: &[u128],
-            ) -> Result<Vec<u128>, Error> {
-                PolyRing::channel_polymul(&self.0, channel, op, a, b)
+                a: &[Vec<u128>],
+                b: Option<&[Vec<u128>]>,
+                out: &mut Vec<u128>,
+            ) -> Result<(), Error> {
+                self.0.channel_apply_at_into(op, width, channel, a, b, out)
             }
-            fn join(&self, _: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+            fn join_at(&self, _: usize, _: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
                 panic!("join bomb")
             }
         }
@@ -1753,7 +1580,7 @@ mod tests {
         let handle = pool
             .submit(
                 &bad,
-                PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
             )
             .unwrap();
         assert!(matches!(handle.wait().unwrap_err(), Error::JoinPanicked));
@@ -1764,7 +1591,7 @@ mod tests {
         let handle = pool
             .submit(
                 &good,
-                PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.into()),
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
             )
             .unwrap();
         assert!(handle.wait().is_ok());
@@ -1792,26 +1619,28 @@ mod tests {
             fn split(&self, _: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
                 Ok(Vec::new())
             }
-            fn channel_polymul(
+            fn channel_apply_at_into(
                 &self,
+                _: &RingOp,
+                _: usize,
                 channel: usize,
-                _: PolyOp,
-                _: &[u128],
-                _: &[u128],
-            ) -> Result<Vec<u128>, Error> {
+                _: &[Vec<u128>],
+                _: Option<&[Vec<u128>]>,
+                _: &mut Vec<u128>,
+            ) -> Result<(), Error> {
                 Err(Error::ChannelOutOfRange {
                     channel,
                     channels: 0,
                 })
             }
-            fn join(&self, _: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+            fn join_at(&self, _: usize, _: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
                 Ok(Coefficients::Word(Vec::new()))
             }
         }
 
         let ring: Arc<dyn PolyRing> = Arc::new(NoChannels);
         let pool = RingExecutor::new(1).unwrap();
-        let req = PolymulRequest::new(
+        let req = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; 4].into(),
             vec![0_u128; 4].into(),
@@ -1831,7 +1660,7 @@ mod tests {
             let _ = pool
                 .submit(
                     &dyn_ring,
-                    PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
+                    RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
                 )
                 .unwrap();
         }
@@ -1839,7 +1668,7 @@ mod tests {
         let handle = pool
             .submit(
                 &dyn_ring,
-                PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
             )
             .unwrap();
         assert!(handle.wait().is_ok());

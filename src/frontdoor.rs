@@ -49,7 +49,7 @@
 //! use std::sync::Arc;
 //! use mqx::core::primes;
 //! use mqx::frontdoor::{block_on, join_all, FrontDoor};
-//! use mqx::{PolyOp, PolyRing, PolymulRequest, Ring};
+//! use mqx::{PolyOp, PolyRing, Ring, RingRequest};
 //!
 //! let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, 64)?);
 //! let door = FrontDoor::builder(2).queue_depth(64).build()?;
@@ -60,7 +60,7 @@
 //!         let a: Vec<u128> = (0..64).map(|j| u128::from(i + j)).collect();
 //!         door.submit(
 //!             &ring,
-//!             PolymulRequest::new(PolyOp::Negacyclic, a.clone().into(), a.into()),
+//!             RingRequest::polymul(PolyOp::Negacyclic, a.clone().into(), a.into()),
 //!         )
 //!     })
 //!     .collect::<Result<_, _>>()?;
@@ -577,9 +577,8 @@ impl FrontDoor {
     pub fn submit(
         &self,
         ring: &Arc<dyn PolyRing>,
-        request: impl Into<RingRequest>,
+        request: RingRequest,
     ) -> Result<AsyncRequestHandle, Error> {
-        let request: RingRequest = request.into();
         let class = request.options().priority;
         let idx = class.class();
         let guard = self.admission.lock().expect("admission lock poisoned");
@@ -692,11 +691,11 @@ impl FrontDoor {
         &self,
         permit: Permit<'_>,
         ring: &Arc<dyn PolyRing>,
-        request: impl Into<RingRequest>,
+        request: RingRequest,
     ) -> Result<AsyncRequestHandle, Error> {
         let class = permit.class;
         let idx = class.class();
-        let request: RingRequest = request.into().with_priority(class);
+        let request = request.with_priority(class);
         let mut reserved = self.admission.lock().expect("admission lock poisoned");
         let queued = self.pool.queue_depth(class);
         let result = self
@@ -796,7 +795,7 @@ impl std::fmt::Debug for Permit<'_> {
 mod tests {
     use super::*;
     use crate::poly::PolyOp;
-    use crate::{PolymulRequest, Ring};
+    use crate::Ring;
     use mqx_core::primes;
 
     const N: usize = 64;
@@ -805,12 +804,12 @@ mod tests {
         Arc::new(Ring::auto(primes::Q124, N).unwrap())
     }
 
-    fn request(seed: u64) -> PolymulRequest {
+    fn request(seed: u64) -> RingRequest {
         let a: Vec<u128> = (0..N as u64).map(|i| u128::from(i * 3 + seed)).collect();
         let b: Vec<u128> = (0..N as u64)
             .map(|i| u128::from(i + 2 * seed + 1))
             .collect();
-        PolymulRequest::new(PolyOp::Cyclic, a.into(), b.into())
+        RingRequest::polymul(PolyOp::Cyclic, a.into(), b.into())
     }
 
     #[test]
@@ -872,7 +871,7 @@ mod tests {
     fn validation_errors_surface_and_are_uncounted() {
         let ring = ring();
         let door = FrontDoor::new(1).unwrap();
-        let uneven = PolymulRequest::new(
+        let uneven = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; N - 1].into(),
             vec![0_u128; N].into(),
@@ -957,7 +956,7 @@ mod tests {
             .build()
             .unwrap();
         let permit = door.try_reserve(Priority::Normal).unwrap();
-        let uneven = PolymulRequest::new(
+        let uneven = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; N - 1].into(),
             vec![0_u128; N].into(),

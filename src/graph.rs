@@ -125,8 +125,8 @@ impl OpGraph {
     }
 
     /// The single-node graph of `op` over its own arity of fresh inputs
-    /// — the shape every pre-graph [`RingRequest`](crate::RingRequest)
-    /// compiles to, preserving today's one-op behavior exactly.
+    /// — what the per-op [`RingRequest`](crate::RingRequest)
+    /// constructors build.
     pub fn single(op: RingOp) -> OpGraph {
         let arity = op.arity();
         OpGraph {
@@ -335,6 +335,16 @@ impl OpGraph {
     /// single-node graph's only op).
     pub fn output_op(&self) -> &RingOp {
         &self.nodes[self.output].op
+    }
+
+    /// What operand-count errors call this graph: a single-node graph
+    /// reads as its op (a one-op request is reported as that op),
+    /// anything larger as `"op-graph"`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.nodes.as_slice() {
+            [only] => only.op.name(),
+            _ => "op-graph",
+        }
     }
 
     /// Symbolic channel-count flow: each node's basis, tracked as a

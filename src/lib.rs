@@ -28,14 +28,16 @@
 //! * [`RingOp`] — the executor-facing ciphertext-pipeline vocabulary
 //!   (polymul, add, sub, modulus rescale, RNS basis extension), each op
 //!   decomposed into independent per-channel work items through the
-//!   [`PolyRing`] `channel_apply`/`op_join` contract;
+//!   [`PolyRing::channel_apply_at_into`] / [`PolyRing::join_at`]
+//!   contract;
 //! * [`OpGraph`] — dependency graphs of [`RingOp`] nodes executed as
 //!   *one* request with resident residues: intermediates stay
 //!   channel-major between nodes and the CRT join runs exactly once, at
 //!   the graph output (canned composite kernels:
 //!   [`OpGraph::relinearize`], [`OpGraph::multiply_accumulate`]);
 //! * [`RingExecutor`] — a work-stealing thread-pool serving queues of
-//!   [`RingRequest`]s (any [`RingOp`]) against any shared
+//!   [`RingRequest`]s (an [`OpGraph`] plus [`SubmitOptions`]; a single
+//!   [`RingOp`] is the one-node graph) against any shared
 //!   `Arc<dyn PolyRing>`, with serving QoS: [`Priority`] classes drained
 //!   strictly High → Normal → Low, per-request deadlines shed at
 //!   dequeue, and cooperative cancellation ([`SubmitOptions`] /
@@ -121,14 +123,12 @@ mod scratch;
 
 pub use backend::{Backend, Tier};
 pub use error::Error;
-pub use executor::{
-    Canceller, PolymulRequest, Priority, RequestHandle, RingExecutor, RingRequest, SubmitOptions,
-};
+pub use executor::{Canceller, Priority, RequestHandle, RingExecutor, RingRequest, SubmitOptions};
 pub use graph::{GraphNode, OpGraph, OpGraphBuilder, Operand};
 pub use ops::RingOp;
 pub use plan_cache::PlanCache;
 pub use poly::{Coefficients, PolyOp, PolyRing};
-pub use ring::{lazy_enabled, Ring, RingBuilder};
+pub use ring::{Ring, RingBuilder};
 pub use rns::{RnsRing, RnsRingBuilder};
 
 pub use mqx_baseline as baseline;

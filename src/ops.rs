@@ -6,7 +6,8 @@
 //! traffic is a *graph* of ring operations: keyswitching-style polymul
 //! chains, ciphertext addition, modulus rescaling, RNS basis extension.
 //! [`RingOp`] names that vocabulary, and the
-//! [`PolyRing`](crate::PolyRing) `channel_apply`/`op_join` contract
+//! [`PolyRing::channel_apply_at_into`](crate::PolyRing::channel_apply_at_into)
+//! / [`PolyRing::join_at`](crate::PolyRing::join_at) contract
 //! decomposes every op into independent per-channel work items so the
 //! executor's fan-out/steal/join path handles them all uniformly.
 //!
@@ -55,11 +56,12 @@ use std::fmt;
 /// One operation in the executor's ciphertext-pipeline vocabulary.
 ///
 /// Each variant carries a per-channel decomposition contract (see
-/// [`PolyRing::channel_apply`](crate::PolyRing::channel_apply)): the
-/// executor splits the operands once, fans one work item per *output*
-/// channel into the work-stealing deques, and joins the channel results
-/// with [`PolyRing::op_join`](crate::PolyRing::op_join) — CRT
-/// recombination only for the ops that need it.
+/// [`PolyRing::channel_apply_at_into`](crate::PolyRing::channel_apply_at_into)):
+/// the executor splits the operands once, fans one work item per
+/// *output* channel into the work-stealing deques, and joins the
+/// channel results with
+/// [`PolyRing::join_at`](crate::PolyRing::join_at) — CRT recombination
+/// over the basis the op produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RingOp {

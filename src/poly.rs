@@ -6,10 +6,11 @@
 //! batch executors, benches, generic tests — program against
 //! `Arc<dyn PolyRing>` and stop caring whether the modulus fits a
 //! machine word. The trait also exposes the *channel* structure
-//! (`channels`, [`PolyRing::split`], [`PolyRing::channel_polymul`],
-//! [`PolyRing::join`]) so a scheduler can fan one request out into
-//! independent word-sized work items: a `Ring` is one channel, an
-//! `RnsRing` is `k` channels joined by CRT recombination. That is
+//! (`channels`, [`PolyRing::split`],
+//! [`PolyRing::channel_apply_at_into`], [`PolyRing::join_at`]) so a
+//! scheduler can fan one request out into independent word-sized work
+//! items: a `Ring` is one channel, an `RnsRing` is `k` channels joined
+//! by CRT recombination. That is
 //! exactly how [`RingExecutor`](crate::RingExecutor) turns a queue of
 //! requests into `channels × batch` work-stealing items.
 //!
@@ -35,9 +36,10 @@
 //! ```
 
 use crate::error::Error;
-use crate::graph::{OpGraph, Operand};
+use crate::graph::{NodeWidths, OpGraph, Operand};
 use crate::ops::RingOp;
 use mqx_bignum::BigUint;
+use std::borrow::Borrow;
 
 /// Which quotient ring a polynomial product runs in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -144,18 +146,25 @@ impl From<Vec<BigUint>> for Coefficients {
 /// `Arc<dyn PolyRing>` can be driven from any number of threads — the
 /// contract [`RingExecutor`](crate::RingExecutor) is built on.
 ///
-/// The channel methods decompose one product into independent
-/// word-sized work items:
+/// An implementor provides seven methods: four shape queries
+/// ([`size`](PolyRing::size), [`modulus_bits`](PolyRing::modulus_bits),
+/// [`supports_negacyclic`](PolyRing::supports_negacyclic),
+/// [`channels`](PolyRing::channels)) and the three steps every request
+/// decomposes into:
 ///
 /// 1. [`split`](PolyRing::split) each operand into `channels()` residue
 ///    vectors (validating length and range once, up front);
-/// 2. run [`channel_polymul`](PolyRing::channel_polymul) for every
-///    channel — independently, on any thread, in any order;
-/// 3. [`join`](PolyRing::join) the per-channel products back into
-///    coefficients.
+/// 2. run [`channel_apply_at_into`](PolyRing::channel_apply_at_into) —
+///    the one evaluation primitive — for every output channel of every
+///    node, independently, on any thread, in any order;
+/// 3. [`join_at`](PolyRing::join_at) the output node's channels back
+///    into coefficients: the single join of a request.
 ///
-/// The provided [`polymul`](PolyRing::polymul) runs the three steps
-/// sequentially; schedulers distribute step 2.
+/// Everything else is provided on top of those:
+/// [`apply_graph`](PolyRing::apply_graph) runs the three steps
+/// sequentially for a whole [`OpGraph`], [`apply`](PolyRing::apply) and
+/// the `polymul*` conveniences are its one-node case, and schedulers
+/// distribute step 2.
 pub trait PolyRing: Send + Sync {
     /// The transform size `n` (and required coefficient count).
     fn size(&self) -> usize;
@@ -168,7 +177,8 @@ pub trait PolyRing: Send + Sync {
     fn supports_negacyclic(&self) -> bool;
 
     /// Number of independent residue channels a product decomposes
-    /// into: 1 for a single-modulus ring, `k` for an RNS ring.
+    /// into: 1 for a single-modulus ring, `k` for an RNS ring — the
+    /// ring's *native width*.
     fn channels(&self) -> usize;
 
     /// Decomposes one operand into `channels()` word-sized residue
@@ -181,255 +191,34 @@ pub trait PolyRing: Send + Sync {
     /// [`Error::CoefficientOutOfRange`] from the underlying validation.
     fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error>;
 
-    /// Runs one channel's product over residues produced by
-    /// [`split`](PolyRing::split). Pure with respect to the ring: safe
-    /// to call for different channels concurrently.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelOutOfRange`] when `channel >= channels()`, plus
-    /// the single-ring polymul errors.
-    fn channel_polymul(
-        &self,
-        channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error>;
-
-    /// [`channel_polymul`](PolyRing::channel_polymul) writing into a
-    /// caller-owned vector, so a scheduler draining many requests can
-    /// reuse one output buffer per worker instead of allocating a fresh
-    /// `Vec` per work item. `out` is cleared and overwritten; on error
-    /// its contents are unspecified.
-    ///
-    /// The default delegates to the allocating form — implementors with
-    /// a pooled-scratch fast path (both [`Ring`](crate::Ring) and
-    /// [`RnsRing`](crate::RnsRing)) override it to write directly.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`channel_polymul`](PolyRing::channel_polymul).
-    fn channel_polymul_into(
-        &self,
-        channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-        out: &mut Vec<u128>,
-    ) -> Result<(), Error> {
-        *out = self.channel_polymul(channel, op, a, b)?;
-        Ok(())
-    }
-
-    /// Recombines per-channel products (channel-major, as produced by
-    /// running [`channel_polymul`](PolyRing::channel_polymul) on every
-    /// channel) into coefficients in the ring's native representation.
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error>;
-
-    /// Number of *output* channels a [`RingOp`] decomposes into — the
-    /// fan-out width a scheduler uses. Equal to [`channels`] for
-    /// basis-preserving ops; one less for [`RingOp::Rescale`]; larger
-    /// for [`RingOp::BasisExtend`].
-    ///
-    /// The default supports the basis-preserving ops and rejects the
-    /// basis-changing ones, matching the default
-    /// [`channel_apply`](PolyRing::channel_apply).
-    ///
-    /// [`channels`]: PolyRing::channels
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnsupportedOp`] when the ring cannot execute `op`.
-    fn op_output_channels(&self, op: &RingOp) -> Result<usize, Error> {
-        match op {
-            RingOp::Polymul(_) | RingOp::Add | RingOp::Sub => Ok(self.channels()),
-            _ => Err(Error::UnsupportedOp {
-                op: op.name(),
-                reason: "this ring only provides the basis-preserving ops",
-            }),
-        }
-    }
-
-    /// Runs one *output* channel of `op` over full channel-major operand
-    /// splits (as produced by [`split`](PolyRing::split)). Binary ops
-    /// take the second operand in `b`; unary ops pass `None`.
+    /// The evaluation primitive: runs one *output* channel of `op` over
+    /// operands `width` channels wide, writing into a caller-owned
+    /// vector. `a` (and `b`, for binary ops; unary ops pass `None`) hold
+    /// `width` channel-major residue vectors over the basis an op chain
+    /// has reached — the ring's native basis (as produced by
+    /// [`split`](PolyRing::split)), truncated by rescales and/or
+    /// extended by the ring's deterministic fresh primes. Intermediate
+    /// results of a graph stay channel-major and feed the next node's
+    /// call directly, with no CRT join in between.
     ///
     /// Work items receive the *whole* split — not just their own channel
     /// — because basis-changing ops need cross-channel inputs: a
     /// [`RingOp::Rescale`] output channel reads the dropped last channel,
     /// and a fresh [`RingOp::BasisExtend`] channel folds Garner digits of
-    /// every input channel. Like
-    /// [`channel_polymul`](PolyRing::channel_polymul), this is pure with
-    /// respect to the ring: safe to call for different channels
-    /// concurrently and in any order.
-    ///
-    /// The default delegates [`RingOp::Polymul`] to `channel_polymul`
-    /// and rejects everything else, so trait implementors that predate
-    /// the op vocabulary keep working unchanged.
+    /// every input channel. The call is pure with respect to the ring:
+    /// safe to make for different channels concurrently and in any
+    /// order. `out` is cleared and overwritten — its allocation is
+    /// reused, so a scheduler keeps one output buffer per worker — and
+    /// on error its contents are unspecified.
     ///
     /// # Errors
     ///
-    /// [`Error::UnsupportedOp`] for ops the ring cannot execute,
-    /// [`Error::OperandCountMismatch`] when `b` does not match the op's
-    /// arity, [`Error::ChannelOutOfRange`] for a bad channel index, plus
-    /// the per-channel kernel errors.
-    fn channel_apply(
-        &self,
-        op: &RingOp,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        match op {
-            RingOp::Polymul(p) => {
-                let b = b.ok_or(Error::OperandCountMismatch {
-                    op: op.name(),
-                    expected: 2,
-                    got: 1,
-                })?;
-                let ra = a.get(channel).ok_or(Error::ChannelOutOfRange {
-                    channel,
-                    channels: a.len(),
-                })?;
-                let rb = b.get(channel).ok_or(Error::ChannelOutOfRange {
-                    channel,
-                    channels: b.len(),
-                })?;
-                self.channel_polymul(channel, *p, ra, rb)
-            }
-            _ => Err(Error::UnsupportedOp {
-                op: op.name(),
-                reason: "this ring only provides the basis-preserving ops",
-            }),
-        }
-    }
-
-    /// [`channel_apply`](PolyRing::channel_apply) writing into a
-    /// caller-owned vector — the form the executor's fan-out path uses,
-    /// so steady-state serving reuses one output buffer per worker.
-    /// `out` is cleared and overwritten; on error its contents are
-    /// unspecified.
-    ///
-    /// The default routes [`RingOp::Polymul`] through
-    /// [`channel_polymul_into`](PolyRing::channel_polymul_into) (with
-    /// the same arity/channel validation as `channel_apply`) and falls
-    /// back to the allocating `channel_apply` for every other op.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`channel_apply`](PolyRing::channel_apply).
-    fn channel_apply_into(
-        &self,
-        op: &RingOp,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-        out: &mut Vec<u128>,
-    ) -> Result<(), Error> {
-        match op {
-            RingOp::Polymul(p) => {
-                let b = b.ok_or(Error::OperandCountMismatch {
-                    op: op.name(),
-                    expected: 2,
-                    got: 1,
-                })?;
-                let ra = a.get(channel).ok_or(Error::ChannelOutOfRange {
-                    channel,
-                    channels: a.len(),
-                })?;
-                let rb = b.get(channel).ok_or(Error::ChannelOutOfRange {
-                    channel,
-                    channels: b.len(),
-                })?;
-                self.channel_polymul_into(channel, *p, ra, rb, out)
-            }
-            _ => {
-                *out = self.channel_apply(op, channel, a, b)?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Recombines the per-channel results of `op` (channel-major, one
-    /// entry per [`op_output_channels`](PolyRing::op_output_channels))
-    /// into coefficients — CRT recombination over the op's *output*
-    /// basis, which differs from the input basis for the basis-changing
-    /// ops.
-    ///
-    /// The default joins over the input basis, which is correct for
-    /// every basis-preserving op.
-    fn op_join(&self, op: &RingOp, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        let _ = op;
-        self.join(channels)
-    }
-
-    /// [`op_output_channels`](PolyRing::op_output_channels) at an
-    /// explicit operand `width` — the resident form an
-    /// [`OpGraph`](crate::OpGraph) needs, where a mid-chain node's
-    /// operands may sit in a narrower (post-rescale) or wider
-    /// (post-extend) basis than the ring's native one.
-    ///
-    /// The default only accepts the native width and delegates, so
-    /// implementors that predate op graphs keep working for single-node
-    /// graphs unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnsupportedOp`] when the ring cannot execute `op` at
-    /// `width` channels.
-    fn op_output_channels_at(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
-        if width == self.channels() {
-            return self.op_output_channels(op);
-        }
-        Err(Error::UnsupportedOp {
-            op: op.name(),
-            reason: "this ring only executes ops at its native channel width",
-        })
-    }
-
-    /// [`channel_apply`](PolyRing::channel_apply) at an explicit operand
-    /// `width`: `a` (and `b`, for binary ops) hold `width` channel-major
-    /// residue vectors over the basis an op chain has reached — the
-    /// ring's native basis truncated by rescales and/or extended by the
-    /// ring's deterministic fresh primes. This is how graph execution
-    /// keeps residues resident between nodes: intermediate results stay
-    /// channel-major and feed the next node's `channel_apply_at`
-    /// directly, with no CRT join in between.
-    ///
-    /// The default only accepts the native width and delegates to
-    /// [`channel_apply`](PolyRing::channel_apply).
-    ///
-    /// # Errors
-    ///
-    /// Those of [`channel_apply`](PolyRing::channel_apply), plus
-    /// [`Error::UnsupportedOp`] when the ring cannot execute `op` at
-    /// `width` channels.
-    fn channel_apply_at(
-        &self,
-        op: &RingOp,
-        width: usize,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        if width == self.channels() {
-            return self.channel_apply(op, channel, a, b);
-        }
-        Err(Error::UnsupportedOp {
-            op: op.name(),
-            reason: "this ring only executes ops at its native channel width",
-        })
-    }
-
-    /// [`channel_apply_at`](PolyRing::channel_apply_at) writing into a
-    /// caller-owned vector — the executor's graph fan-out form. `out`
-    /// is cleared and overwritten; on error its contents are
-    /// unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`channel_apply_at`](PolyRing::channel_apply_at).
+    /// [`Error::UnsupportedOp`] for ops the ring cannot execute at
+    /// `width` channels, [`Error::OperandCountMismatch`] when `b` does
+    /// not match the op's arity, [`Error::ChannelCountMismatch`] for an
+    /// operand that is not `width` channels wide,
+    /// [`Error::ChannelOutOfRange`] for a bad channel index, plus the
+    /// per-channel kernel errors.
     fn channel_apply_at_into(
         &self,
         op: &RingOp,
@@ -438,84 +227,80 @@ pub trait PolyRing: Send + Sync {
         a: &[Vec<u128>],
         b: Option<&[Vec<u128>]>,
         out: &mut Vec<u128>,
-    ) -> Result<(), Error> {
-        if width == self.channels() {
-            return self.channel_apply_into(op, channel, a, b, out);
-        }
-        *out = self.channel_apply_at(op, width, channel, a, b)?;
-        Ok(())
-    }
+    ) -> Result<(), Error>;
 
-    /// [`join`](PolyRing::join) over an explicit basis `width`: CRT
-    /// recombination of `width` channel-major vectors over the first
+    /// Recombines `width` channel-major vectors into coefficients in the
+    /// ring's native representation: CRT recombination over the first
     /// `width` moduli of the ring's prefix chain (native primes,
     /// truncated or extended as an op chain rescaled/extended). This is
-    /// the *single* join an [`OpGraph`](crate::OpGraph) performs, at its
-    /// output node only.
-    ///
-    /// The default only accepts the native width and delegates.
+    /// the *single* join a request performs, at its output node only.
     ///
     /// # Errors
     ///
-    /// Those of [`join`](PolyRing::join), plus [`Error::UnsupportedOp`]
-    /// for a non-native width the ring cannot recombine.
-    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        if width == self.channels() {
-            return self.join(channels);
+    /// [`Error::ChannelCountMismatch`] when `channels.len() != width`,
+    /// [`Error::UnsupportedOp`] for a width the ring cannot recombine.
+    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error>;
+
+    /// Number of *output* channels `op` decomposes into when its
+    /// operands are `width` channels wide — the fan-out a scheduler
+    /// uses. Equal to `width` for basis-preserving ops; one less for
+    /// [`RingOp::Rescale`]; larger for [`RingOp::BasisExtend`].
+    ///
+    /// The default supports the basis-preserving ops at the native
+    /// width and rejects everything else; rings with a channel
+    /// structure to drop or extend ([`RnsRing`](crate::RnsRing))
+    /// override it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnsupportedOp`] when the ring cannot execute `op` at
+    /// `width` channels.
+    fn op_output_channels_at(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
+        match op {
+            RingOp::Polymul(_) | RingOp::Add | RingOp::Sub if width == self.channels() => Ok(width),
+            _ => Err(Error::UnsupportedOp {
+                op: op.name(),
+                reason: "this ring only provides the basis-preserving ops at its native width",
+            }),
         }
-        Err(Error::UnsupportedOp {
-            op: "join",
-            reason: "this ring only recombines its native channel width",
-        })
     }
 
-    /// Whole-request convenience for any [`RingOp`]: validate arity and
-    /// operand lengths, split, run every output channel sequentially on
-    /// the calling thread, join. This is the sequential oracle the
-    /// executor's fan-out path is checked against.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::OperandCountMismatch`] when the operand count does not
-    /// match the op's arity, [`Error::OperandLengthMismatch`] for
-    /// unequal binary operands, plus the split/apply/join errors.
-    fn apply(
+    /// [`channel_apply_at_into`](PolyRing::channel_apply_at_into)
+    /// returning a fresh vector.
+    fn channel_apply_at(
         &self,
         op: &RingOp,
-        a: &Coefficients,
-        b: Option<&Coefficients>,
-    ) -> Result<Coefficients, Error> {
-        let got = 1 + usize::from(b.is_some());
-        if got != op.arity() {
-            return Err(Error::OperandCountMismatch {
-                op: op.name(),
-                expected: op.arity(),
-                got,
-            });
-        }
-        if let Some(b) = b {
-            if a.len() != b.len() {
-                return Err(Error::OperandLengthMismatch {
-                    a: a.len(),
-                    b: b.len(),
-                });
-            }
-        }
-        let sa = self.split(a)?;
-        let sb = b.map(|b| self.split(b)).transpose()?;
-        let parts = (0..self.op_output_channels(op)?)
-            .map(|ch| self.channel_apply(op, ch, &sa, sb.as_deref()))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.op_join(op, parts)
+        width: usize,
+        channel: usize,
+        a: &[Vec<u128>],
+        b: Option<&[Vec<u128>]>,
+    ) -> Result<Vec<u128>, Error> {
+        let mut out = Vec::new();
+        self.channel_apply_at_into(op, width, channel, a, b, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`channel_apply_at_into`](PolyRing::channel_apply_at_into) at the
+    /// ring's native width.
+    fn channel_apply_into(
+        &self,
+        op: &RingOp,
+        channel: usize,
+        a: &[Vec<u128>],
+        b: Option<&[Vec<u128>]>,
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
+        self.channel_apply_at_into(op, self.channels(), channel, a, b, out)
     }
 
     /// Evaluates a whole [`OpGraph`] sequentially on the calling thread
     /// with *resident residues*: operands are split once, every node
     /// chains over channel-major residue state via
-    /// [`channel_apply_at`](PolyRing::channel_apply_at), and exactly one
-    /// CRT join runs — at the output node. This is the sequential
-    /// oracle the executor's dependency-aware fan-out is checked
-    /// against, and the cheap path for callers without an executor.
+    /// [`channel_apply_at_into`](PolyRing::channel_apply_at_into), and
+    /// exactly one CRT join runs — at the output node. This is the
+    /// sequential oracle the executor's dependency-aware fan-out is
+    /// checked against, and the cheap path for callers without an
+    /// executor.
     ///
     /// # Errors
     ///
@@ -529,84 +314,35 @@ pub trait PolyRing: Send + Sync {
         graph: &OpGraph,
         operands: &[Coefficients],
     ) -> Result<Coefficients, Error> {
-        if operands.len() != graph.inputs() {
-            return Err(Error::OperandCountMismatch {
-                op: "op-graph",
-                expected: graph.inputs(),
-                got: operands.len(),
-            });
-        }
-        for pair in operands.windows(2) {
-            if pair[0].len() != pair[1].len() {
-                return Err(Error::OperandLengthMismatch {
-                    a: pair[0].len(),
-                    b: pair[1].len(),
-                });
-            }
-        }
-        let inputs = operands
-            .iter()
-            .map(|c| self.split(c))
-            .collect::<Result<Vec<_>, _>>()?;
-        let plan = graph.plan_widths(self.channels(), |op, w| self.op_output_channels_at(op, w))?;
-        let mut results: Vec<Option<Vec<Vec<u128>>>> = (0..graph.len()).map(|_| None).collect();
-        let dangling = |node| Error::InvalidGraph {
-            node,
-            reason: "operand references a value the graph evaluation has not produced",
-        };
-        for (id, node) in graph.nodes().iter().enumerate() {
-            let widths = plan.get(id).copied().ok_or_else(|| dangling(id))?;
-            let resolve = |operand: &Operand| -> Result<&[Vec<u128>], Error> {
-                match *operand {
-                    Operand::Input(i) => {
-                        inputs.get(i).map(Vec::as_slice).ok_or_else(|| dangling(id))
-                    }
-                    Operand::Node(j) => results
-                        .get(j)
-                        .and_then(|r| r.as_deref())
-                        .ok_or_else(|| dangling(id)),
-                }
-            };
-            let a = resolve(node.operands().first().ok_or_else(|| dangling(id))?)?;
-            let b = node.operands().get(1).map(resolve).transpose()?;
-            let parts = (0..widths.output)
-                .map(|ch| self.channel_apply_at(node.op(), widths.input, ch, a, b))
-                .collect::<Result<Vec<_>, _>>()?;
-            if let Some(slot) = results.get_mut(id) {
-                *slot = Some(parts);
-            }
-        }
-        let out_width = plan
-            .get(graph.output())
-            .map_or(self.channels(), |w| w.output);
-        let parts = results
-            .get_mut(graph.output())
-            .and_then(Option::take)
-            .ok_or_else(|| dangling(graph.output()))?;
-        if graph.len() == 1 {
-            self.op_join(graph.output_op(), parts)
-        } else {
-            self.join_at(out_width, parts)
-        }
+        evaluate(self, graph, operands)
     }
 
-    /// Whole-request convenience: split both operands, run every
-    /// channel sequentially on the calling thread, join.
+    /// Whole-request convenience for one [`RingOp`]: the one-node case
+    /// of [`apply_graph`](PolyRing::apply_graph). Binary ops take the
+    /// second operand in `b`; unary ops pass `None`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`apply_graph`](PolyRing::apply_graph), with
+    /// [`Error::OperandCountMismatch`] naming the op.
+    fn apply(
+        &self,
+        op: &RingOp,
+        a: &Coefficients,
+        b: Option<&Coefficients>,
+    ) -> Result<Coefficients, Error> {
+        let operands: Vec<&Coefficients> = std::iter::once(a).chain(b).collect();
+        evaluate(self, &OpGraph::single(*op), &operands)
+    }
+
+    /// Whole-request convenience for one polynomial product.
     fn polymul(
         &self,
         op: PolyOp,
         a: &Coefficients,
         b: &Coefficients,
     ) -> Result<Coefficients, Error> {
-        let a = self.split(a)?;
-        let b = self.split(b)?;
-        let parts = a
-            .iter()
-            .zip(&b)
-            .enumerate()
-            .map(|(i, (ra, rb))| self.channel_polymul(i, op, ra, rb))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.join(parts)
+        self.apply(&RingOp::Polymul(op), a, Some(b))
     }
 
     /// Cyclic product in `ℤ_Q[x]/(xⁿ − 1)` over the coefficient enum.
@@ -628,6 +364,100 @@ pub trait PolyRing: Send + Sync {
     ) -> Result<Coefficients, Error> {
         self.polymul(PolyOp::Negacyclic, a, b)
     }
+}
+
+/// One operand's residues, channel-major: `width` vectors of `n`.
+type Split = Vec<Vec<u128>>;
+
+/// The submit-time half of every evaluation, shared by the sequential
+/// walk below and the executor: check the operand count against the
+/// graph, reject negacyclic products the ring cannot run and unequal
+/// operand lengths, split every operand once, and resolve each node's
+/// channel widths against this ring — which also rejects ops the ring
+/// cannot execute at the width the chain reaches them, before any work
+/// item runs.
+pub(crate) fn split_and_plan<R: PolyRing + ?Sized, C: Borrow<Coefficients>>(
+    ring: &R,
+    graph: &OpGraph,
+    operands: &[C],
+) -> Result<(Vec<Split>, Vec<NodeWidths>), Error> {
+    let negacyclic = RingOp::Polymul(PolyOp::Negacyclic);
+    if !ring.supports_negacyclic() && graph.nodes().iter().any(|n| n.op() == &negacyclic) {
+        return Err(Error::NoNegacyclicSupport { n: ring.size() });
+    }
+    if operands.len() != graph.inputs() {
+        return Err(Error::OperandCountMismatch {
+            op: graph.name(),
+            expected: graph.inputs(),
+            got: operands.len(),
+        });
+    }
+    // Mismatched operand lengths get a dedicated variant before any
+    // split runs — never a panic inside a kernel.
+    for pair in operands.windows(2) {
+        let (a, b) = (pair[0].borrow().len(), pair[1].borrow().len());
+        if a != b {
+            return Err(Error::OperandLengthMismatch { a, b });
+        }
+    }
+    let inputs = operands
+        .iter()
+        .map(|c| ring.split(c.borrow()))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Defend against degenerate PolyRing impls: a zero-channel or
+    // uneven split would index out of range here, and wrap the
+    // executor's remaining-items counter, leaving a handle waiting
+    // forever.
+    let channels = inputs.first().map_or(0, Vec::len);
+    if channels == 0 || inputs.iter().any(|i| i.len() != channels) {
+        return Err(Error::ChannelCountMismatch {
+            expected: ring.channels().max(1),
+            got: inputs.iter().map(Vec::len).min().unwrap_or(0),
+        });
+    }
+    let plan = graph.plan_widths(ring.channels(), |op, w| ring.op_output_channels_at(op, w))?;
+    if plan.iter().any(|w| w.output == 0) {
+        return Err(Error::ChannelCountMismatch {
+            expected: ring.channels().max(1),
+            got: 0,
+        });
+    }
+    Ok((inputs, plan))
+}
+
+/// The resident walk behind [`PolyRing::apply`] and
+/// [`PolyRing::apply_graph`]: nodes in topological order, every output
+/// channel on the calling thread, one join at the output node.
+fn evaluate<R: PolyRing + ?Sized, C: Borrow<Coefficients>>(
+    ring: &R,
+    graph: &OpGraph,
+    operands: &[C],
+) -> Result<Coefficients, Error> {
+    let (inputs, plan) = split_and_plan(ring, graph, operands)?;
+    let dangling = |node| Error::InvalidGraph {
+        node,
+        reason: "operand references a value the graph evaluation has not produced",
+    };
+    let mut results: Vec<Split> = Vec::with_capacity(graph.len());
+    for (id, (node, widths)) in graph.nodes().iter().zip(&plan).enumerate() {
+        let resolve = |operand: &Operand| -> Result<&[Vec<u128>], Error> {
+            match *operand {
+                Operand::Input(i) => inputs.get(i),
+                Operand::Node(j) => results.get(j),
+            }
+            .map(Vec::as_slice)
+            .ok_or_else(|| dangling(id))
+        };
+        let a = resolve(node.operands().first().ok_or_else(|| dangling(id))?)?;
+        let b = node.operands().get(1).map(resolve).transpose()?;
+        let parts = (0..widths.output)
+            .map(|ch| ring.channel_apply_at(node.op(), widths.input, ch, a, b))
+            .collect::<Result<Vec<_>, _>>()?;
+        results.push(parts);
+    }
+    let out = graph.output();
+    let width = plan.get(out).ok_or_else(|| dangling(out))?.output;
+    ring.join_at(width, results.swap_remove(out))
 }
 
 #[cfg(test)]
@@ -699,10 +529,10 @@ mod tests {
         let mut parts = vec![Vec::new(); 3];
         for ch in [2, 0, 1] {
             parts[ch] = ring
-                .channel_polymul(ch, PolyOp::Negacyclic, &sa[ch], &sb[ch])
+                .channel_apply_at(&RingOp::Polymul(PolyOp::Negacyclic), 3, ch, &sa, Some(&sb))
                 .unwrap();
         }
-        let joined = ring.join(parts).unwrap();
+        let joined = ring.join_at(3, parts).unwrap();
         assert_eq!(joined, ring.polymul(PolyOp::Negacyclic, &ca, &cb).unwrap());
         assert!(joined.as_bigs().unwrap().iter().all(|c| c < &q));
     }
@@ -733,16 +563,21 @@ mod tests {
     fn out_of_range_channel_is_rejected() {
         let ring = Ring::auto(primes::Q124, N).unwrap();
         let a = poly(N, primes::Q124, 3);
+        let op = RingOp::Polymul(PolyOp::Cyclic);
+        let one = [a.clone()];
         assert!(matches!(
-            ring.channel_polymul(1, PolyOp::Cyclic, &a, &a).unwrap_err(),
+            ring.channel_apply_at(&op, 1, 1, &one, Some(&one))
+                .unwrap_err(),
             Error::ChannelOutOfRange {
                 channel: 1,
                 channels: 1
             }
         ));
         let rns = RnsRing::auto(2, N).unwrap();
+        let two = [a.clone(), a];
         assert!(matches!(
-            rns.channel_polymul(5, PolyOp::Cyclic, &a, &a).unwrap_err(),
+            rns.channel_apply_at(&op, 2, 5, &two, Some(&two))
+                .unwrap_err(),
             Error::ChannelOutOfRange {
                 channel: 5,
                 channels: 2

@@ -34,26 +34,6 @@ use mqx_simd::ResidueSoa;
 use std::fmt;
 use std::sync::Arc;
 
-/// Returns `true` unless `MQX_LAZY` is set to `off`, `false` or `0`
-/// (case-insensitive, surrounding whitespace ignored — the same grammar
-/// as `MQX_CALIBRATE`). When enabled (the default), rings route
-/// polynomial products through the lazy-reduction fused NTT pipeline
-/// ([`Backend::polymul_cyclic_fused`]); when disabled they use the
-/// canonical per-stage-reduced kernels. Both paths are bit-identical —
-/// the escape hatch exists for benchmarking the delta and for
-/// bisecting, not for correctness.
-pub fn lazy_enabled() -> bool {
-    match std::env::var("MQX_LAZY") {
-        Ok(value) => {
-            let value = value.trim();
-            !(value.eq_ignore_ascii_case("off")
-                || value.eq_ignore_ascii_case("false")
-                || value == "0")
-        }
-        _ => true,
-    }
-}
-
 /// How a [`RingBuilder`] picks its backend.
 enum BackendChoice {
     /// The process's auto selection: the `MQX_BACKEND` pin when set,
@@ -84,7 +64,7 @@ pub struct RingBuilder {
     choice: BackendChoice,
     cache: Arc<PlanCache>,
     scratch_workers: Option<usize>,
-    lazy: Option<bool>,
+    lazy: bool,
 }
 
 impl RingBuilder {
@@ -97,7 +77,7 @@ impl RingBuilder {
             choice: BackendChoice::Auto,
             cache: Arc::clone(plan_cache::global()),
             scratch_workers: None,
-            lazy: None,
+            lazy: true,
         }
     }
 
@@ -141,12 +121,13 @@ impl RingBuilder {
         self
     }
 
-    /// Forces the lazy-reduction fused polymul pipeline on (`true`) or
-    /// off (`false`) for this ring, overriding the process-wide
-    /// [`lazy_enabled`] default (`MQX_LAZY`). The two paths are
-    /// bit-identical; this knob exists for A/B measurement.
+    /// Routes polynomial products through the lazy-reduction fused
+    /// pipeline (`true`, the default) or the canonical
+    /// per-stage-reduced kernels (`false`). The two paths are
+    /// bit-identical; the canonical one is the oracle the tests and the
+    /// benchmark's reference ring compare the default against.
     pub fn lazy(mut self, lazy: bool) -> Self {
-        self.lazy = Some(lazy);
+        self.lazy = lazy;
         self
     }
 
@@ -171,13 +152,12 @@ impl RingBuilder {
             Some(workers) => ScratchPool::with_concurrency(n, workers),
             None => ScratchPool::new(n),
         };
-        let lazy = self.lazy.unwrap_or_else(lazy_enabled);
         Ok(Ring {
             modulus,
             plan,
             backend,
             scratch,
-            lazy,
+            lazy: self.lazy,
         })
     }
 }
@@ -204,7 +184,7 @@ pub struct Ring {
     scratch: ScratchPool,
     /// Route polynomial products through the lazy-reduction fused
     /// pipeline ([`Backend::polymul_cyclic_fused`]). Bit-identical to
-    /// the canonical path; see [`lazy_enabled`].
+    /// the canonical path; see [`RingBuilder::lazy`].
     lazy: bool,
 }
 
@@ -286,8 +266,8 @@ impl Ring {
     }
 
     /// Whether this ring routes polynomial products through the
-    /// lazy-reduction fused pipeline (the default; see [`lazy_enabled`]
-    /// and [`RingBuilder::lazy`]).
+    /// lazy-reduction fused pipeline (the default; see
+    /// [`RingBuilder::lazy`]).
     pub fn is_lazy(&self) -> bool {
         self.lazy
     }
@@ -481,11 +461,47 @@ impl Ring {
         sa.write_u128s(out);
         Ok(())
     }
+
+    /// `out[i] = a[i] ± b[i] mod q` over scalar residue slices:
+    /// [`Ring::vadd`] / [`Ring::vsub`] on pooled SoA scratch, written
+    /// into a caller-owned vector — like the `polymul_*_into` forms,
+    /// allocation-free once `out` and the pool are warm. The operands
+    /// must be `n` long, because the pooled buffers they are staged in
+    /// keep the ring's geometry.
+    pub(crate) fn add_sub_into(
+        &self,
+        subtract: bool,
+        a: &[u128],
+        b: &[u128],
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
+        if a.len() != b.len() {
+            return Err(Error::OperandLengthMismatch {
+                a: a.len(),
+                b: b.len(),
+            });
+        }
+        self.check_len(a.len())?;
+        let mut sa = self.scratch.checkout();
+        let mut sb = self.scratch.checkout();
+        let mut sum = self.scratch.checkout();
+        sa.copy_from_u128s(a);
+        sb.copy_from_u128s(b);
+        if subtract {
+            self.vsub(&sa, &sb, &mut sum);
+        } else {
+            self.vadd(&sa, &sb, &mut sum);
+        }
+        out.clear();
+        out.resize(a.len(), 0);
+        sum.write_u128s(out);
+        Ok(())
+    }
 }
 
 /// A [`Ring`] is the one-channel case of the generic polynomial-ring
 /// interface: `split` validates and clones the word-sized residues,
-/// `join` wraps channel 0's product back up.
+/// `join_at` wraps channel 0's result back up.
 impl crate::PolyRing for Ring {
     fn size(&self) -> usize {
         self.plan.size()
@@ -516,130 +532,65 @@ impl crate::PolyRing for Ring {
         Ok(vec![words.to_vec()])
     }
 
-    fn channel_polymul(
+    fn channel_apply_at_into(
         &self,
+        op: &crate::RingOp,
+        width: usize,
         channel: usize,
-        op: crate::PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        if channel != 0 {
-            return Err(Error::ChannelOutOfRange {
-                channel,
-                channels: 1,
-            });
-        }
-        match op {
-            crate::PolyOp::Cyclic => self.polymul_cyclic(a, b),
-            crate::PolyOp::Negacyclic => self.polymul_negacyclic(a, b),
-        }
-    }
-
-    fn channel_polymul_into(
-        &self,
-        channel: usize,
-        op: crate::PolyOp,
-        a: &[u128],
-        b: &[u128],
+        a: &[Vec<u128>],
+        b: Option<&[Vec<u128>]>,
         out: &mut Vec<u128>,
     ) -> Result<(), Error> {
+        use crate::{PolyOp, RingOp};
+        if width != 1 || !op.is_binary() {
+            return Err(Error::UnsupportedOp {
+                op: op.name(),
+                reason: "a single-modulus ring has no RNS channel structure to drop or extend",
+            });
+        }
         if channel != 0 {
             return Err(Error::ChannelOutOfRange {
                 channel,
                 channels: 1,
             });
         }
+        let b = b.ok_or(Error::OperandCountMismatch {
+            op: op.name(),
+            expected: 2,
+            got: 1,
+        })?;
+        let (ra, rb) = a
+            .first()
+            .zip(b.first())
+            .ok_or(Error::ChannelCountMismatch {
+                expected: 1,
+                got: 0,
+            })?;
         match op {
-            crate::PolyOp::Cyclic => self.polymul_cyclic_into(a, b, out),
-            crate::PolyOp::Negacyclic => self.polymul_negacyclic_into(a, b, out),
+            RingOp::Polymul(PolyOp::Cyclic) => self.polymul_cyclic_into(ra, rb, out),
+            RingOp::Polymul(PolyOp::Negacyclic) => self.polymul_negacyclic_into(ra, rb, out),
+            _ => self.add_sub_into(matches!(op, RingOp::Sub), ra, rb, out),
         }
     }
 
-    fn join(&self, mut channels: Vec<Vec<u128>>) -> Result<crate::Coefficients, Error> {
+    fn join_at(
+        &self,
+        width: usize,
+        mut channels: Vec<Vec<u128>>,
+    ) -> Result<crate::Coefficients, Error> {
+        if width != 1 {
+            return Err(Error::UnsupportedOp {
+                op: "join",
+                reason: "a single-modulus ring recombines exactly one channel",
+            });
+        }
         if channels.len() != 1 {
             return Err(Error::ChannelCountMismatch {
                 expected: 1,
                 got: channels.len(),
             });
         }
-        Ok(crate::Coefficients::Word(
-            channels.pop().expect("one channel"),
-        ))
-    }
-
-    fn op_output_channels(&self, op: &crate::RingOp) -> Result<usize, Error> {
-        use crate::RingOp;
-        match op {
-            RingOp::Polymul(_) | RingOp::Add | RingOp::Sub => Ok(1),
-            _ => Err(Error::UnsupportedOp {
-                op: op.name(),
-                reason: "a single-modulus ring has no RNS channel structure to drop or extend",
-            }),
-        }
-    }
-
-    fn channel_apply(
-        &self,
-        op: &crate::RingOp,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        use crate::RingOp;
-        if channel != 0 {
-            return Err(Error::ChannelOutOfRange {
-                channel,
-                channels: 1,
-            });
-        }
-        let ra = a.first().ok_or(Error::ChannelCountMismatch {
-            expected: 1,
-            got: 0,
-        })?;
-        match op {
-            RingOp::Polymul(p) => {
-                let b = b.ok_or(Error::OperandCountMismatch {
-                    op: op.name(),
-                    expected: 2,
-                    got: 1,
-                })?;
-                let rb = b.first().ok_or(Error::ChannelCountMismatch {
-                    expected: 1,
-                    got: 0,
-                })?;
-                self.channel_polymul(0, *p, ra, rb)
-            }
-            RingOp::Add | RingOp::Sub => {
-                let b = b.ok_or(Error::OperandCountMismatch {
-                    op: op.name(),
-                    expected: 2,
-                    got: 1,
-                })?;
-                let rb = b.first().ok_or(Error::ChannelCountMismatch {
-                    expected: 1,
-                    got: 0,
-                })?;
-                if ra.len() != rb.len() {
-                    return Err(Error::OperandLengthMismatch {
-                        a: ra.len(),
-                        b: rb.len(),
-                    });
-                }
-                let sa = ResidueSoa::from_u128s(ra);
-                let sb = ResidueSoa::from_u128s(rb);
-                let mut out = ResidueSoa::zeros(ra.len());
-                if matches!(op, RingOp::Add) {
-                    self.vadd(&sa, &sb, &mut out);
-                } else {
-                    self.vsub(&sa, &sb, &mut out);
-                }
-                Ok(out.to_u128s())
-            }
-            _ => Err(Error::UnsupportedOp {
-                op: op.name(),
-                reason: "a single-modulus ring has no RNS channel structure to drop or extend",
-            }),
-        }
+        Ok(crate::Coefficients::Word(channels.swap_remove(0)))
     }
 }
 

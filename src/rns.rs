@@ -48,14 +48,16 @@ use crate::ring::{Ring, RingBuilder};
 use mqx_bignum::crt::CrtContext;
 use mqx_bignum::BigUint;
 use mqx_core::{primes, Modulus, MulAlgorithm};
-use mqx_simd::ResidueSoa;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Default channel width for generated bases: the widest prime that
 /// still fits the 62-bit single-word fast path of the engine tiers.
 const DEFAULT_BASIS_BITS: u32 = 62;
+
+/// Why a zero-channel width is rejected.
+const NO_CHANNELS: &str = "an op chain rescaled the basis away (zero channels left)";
 
 /// How an [`RnsRingBuilder`] obtains its basis.
 enum BasisChoice {
@@ -257,81 +259,20 @@ impl RnsRingBuilder {
             rings,
             crt,
             n: self.n,
-            rescale: OnceLock::new(),
-            extend: Mutex::new(HashMap::new()),
-            resident: Mutex::new(HashMap::new()),
-            fresh: Mutex::new(Vec::new()),
+            widths: Mutex::new(HashMap::new()),
         })
     }
 }
 
-/// Precomputed constants for [`RingOp::Rescale`]: built once per ring on
-/// first use and memoized (the same cached-constants discipline as
-/// [`PlanCache`] entries — pay the inversions at setup, never per
-/// coefficient).
-struct RescaleCtx {
-    /// `h = ⌊q_last / 2⌋` — the divide-and-round bias, reduced mod
-    /// `q_last`.
-    half: u128,
-    /// `h mod q_i` for every surviving channel `i < k − 1`.
-    half_mod: Vec<u128>,
-    /// `(q_last mod q_i)⁻¹ mod q_i` for every surviving channel.
-    q_inv: Vec<u128>,
-    /// Garner constants over the surviving basis `q_0, …, q_{k−2}` (the
-    /// op's output basis).
-    crt: CrtContext,
-}
-
-impl RescaleCtx {
-    fn new(ring: &RnsRing) -> Self {
-        let k = ring.channels();
-        debug_assert!(k >= 2, "rescale context needs a channel to drop");
-        let q_last = ring.moduli()[k - 1];
-        let half = q_last / 2;
-        let survivors = &ring.rings[..k - 1];
-        let half_mod = survivors.iter().map(|r| r.modulus().reduce(half)).collect();
-        let q_inv = survivors
-            .iter()
-            .map(|r| {
-                r.modulus()
-                    .inv_mod(q_last)
-                    .expect("pairwise-coprime basis makes q_last invertible in every channel")
-            })
-            .collect();
-        let crt = CrtContext::new(&ring.moduli()[..k - 1])
-            .expect("a prefix of a validated basis is a validated basis");
-        RescaleCtx {
-            half,
-            half_mod,
-            q_inv,
-            crt,
-        }
-    }
-}
-
-/// Precomputed constants for one [`RingOp::BasisExtend`] width: the
-/// generated extension primes, the per-target Garner prefix fold tables,
-/// and the extended-basis CRT constants. Cached per `extra_channels` in
-/// the ring (again the [`PlanCache`] discipline: keyed, built once,
-/// shared by every request).
-struct BasisExtendCtx {
-    /// Barrett contexts for the appended primes, in channel order.
-    extra: Vec<Modulus>,
-    /// `tables[t][i] = (m_0 ⋯ m_{i−1}) mod p_t` — the word-level fold
-    /// table for target prime `t` over the source basis digits.
-    tables: Vec<Vec<u128>>,
-    /// Garner constants over the extended basis (the op's output basis).
-    crt: CrtContext,
-}
-
-/// Precomputed constants for one *resident width* `m`: the basis an op
-/// chain reaches after rescales (`m < k`, a prefix of the ring's own
-/// primes) or basis extensions (`m > k`, the ring's primes followed by
-/// its deterministic fresh primes). Width uniquely determines the basis
-/// because every basis in a graph is a prefix of one chain —
-/// [`RingOp::BasisExtend`] appends to the end, [`RingOp::Rescale`] drops
-/// from the end. Cached per width in the ring ([`PlanCache`]
-/// discipline: keyed, built once, shared by every graph).
+/// Precomputed constants for one *width* `m`: the ring's own basis
+/// (`m = k`), or the basis an op chain reaches after rescales (`m < k`,
+/// a prefix of the ring's own primes) or basis extensions (`m > k`, the
+/// ring's primes followed by its deterministic fresh primes). Width
+/// uniquely determines the basis because every basis in a graph is a
+/// prefix of one chain — [`RingOp::BasisExtend`] appends to the end,
+/// [`RingOp::Rescale`] drops from the end. Cached per width in the ring
+/// ([`PlanCache`] discipline: keyed, built once, shared by every
+/// request — pay the inversions at setup, never per coefficient).
 struct WidthCtx {
     /// Barrett contexts for the width's primes, in channel order.
     mods: Vec<Modulus>,
@@ -345,6 +286,12 @@ struct WidthCtx {
     half_mod: Vec<u128>,
     /// `(q_last mod q_i)⁻¹ mod q_i` for every surviving channel.
     q_inv: Vec<u128>,
+    /// `fold[c][i] = (m_0 ⋯ m_{i−1}) mod m_c` — the word-level table a
+    /// basis extension *into* channel `c` of this width folds the
+    /// source basis's Garner digits against. A source of width `w ≤ c`
+    /// reads the first `w` entries, which only involve primes before
+    /// `c`.
+    fold: Vec<Vec<u128>>,
 }
 
 impl WidthCtx {
@@ -371,12 +318,14 @@ impl WidthCtx {
         } else {
             (0, Vec::new(), Vec::new())
         };
+        let fold = moduli.iter().map(|&p| crt.prefixes_mod(p)).collect();
         Ok(WidthCtx {
             mods,
             crt,
             half,
             half_mod,
             q_inv,
+            fold,
         })
     }
 }
@@ -430,19 +379,9 @@ pub struct RnsRing {
     rings: Vec<Ring>,
     crt: CrtContext,
     n: usize,
-    /// Lazily-built [`RingOp::Rescale`] constants (valid once `k ≥ 2`).
-    rescale: OnceLock<RescaleCtx>,
-    /// Lazily-built [`RingOp::BasisExtend`] constants, keyed by
-    /// `extra_channels`.
-    extend: Mutex<HashMap<usize, Arc<BasisExtendCtx>>>,
-    /// Lazily-built resident-width constants for op-graph chains, keyed
-    /// by channel width.
-    resident: Mutex<HashMap<usize, Arc<WidthCtx>>>,
-    /// The deterministic fresh-prime suffix of the ring's basis chain
-    /// (the primes [`RingOp::BasisExtend`] extends into), grown on
-    /// demand; a prefix of this list is *the* extension basis for every
-    /// width.
-    fresh: Mutex<Vec<u128>>,
+    /// Lazily-built constants for the basis-changing ops and the join,
+    /// keyed by channel width (the native width `k` included).
+    widths: Mutex<HashMap<usize, Arc<WidthCtx>>>,
 }
 
 impl fmt::Debug for RnsRing {
@@ -630,91 +569,38 @@ impl RnsRing {
         self.recombine(&per_channel)
     }
 
-    /// The rescale constants, built on first use. Errors when the basis
-    /// has no channel to drop.
-    fn rescale_ctx(&self) -> Result<&RescaleCtx, Error> {
-        if self.channels() < 2 {
-            return Err(Error::UnsupportedOp {
-                op: "rescale",
-                reason: "needs at least two RNS channels (one to drop, one to keep)",
-            });
-        }
-        Ok(self.rescale.get_or_init(|| RescaleCtx::new(self)))
-    }
-
-    /// The basis-extension constants for this width, built on first use
-    /// and cached per `extra_channels`.
-    fn basis_extend_ctx(&self, extra_channels: usize) -> Result<Arc<BasisExtendCtx>, Error> {
-        if extra_channels == 0 {
-            return Err(Error::UnsupportedOp {
-                op: "basis-extend",
-                reason: "needs at least one extra channel to extend into",
-            });
-        }
-        let mut cache = self.extend.lock().expect("basis-extension cache poisoned");
-        if let Some(ctx) = cache.get(&extra_channels) {
-            return Ok(Arc::clone(ctx));
-        }
-
-        let fresh = self.fresh_primes(extra_channels)?;
-        let mut extended = self.moduli().to_vec();
-        extended.extend_from_slice(&fresh);
-        let crt = CrtContext::new(&extended)?;
-        let tables = fresh.iter().map(|&p| self.crt.prefixes_mod(p)).collect();
-        let extra = fresh
-            .iter()
-            .map(|&p| Modulus::new(p).map_err(Error::from))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let ctx = Arc::new(BasisExtendCtx { extra, tables, crt });
-        cache.insert(extra_channels, Arc::clone(&ctx));
-        Ok(ctx)
-    }
-
     /// The first `count` fresh NTT primes of the ring's deterministic
-    /// extension chain: walk the same descending 62-bit chain the
-    /// generated bases use, skipping any prime already in this basis.
-    /// Each retry asks for a longer chain, so the walk either finds
-    /// enough fresh primes or the chain itself runs out
-    /// (→ `BasisGeneration`). The result is memoized, and a shorter
-    /// request is always a prefix of a longer one — the property that
-    /// lets a channel *width* uniquely name a basis in op-graph chains.
+    /// extension chain: the same descending 62-bit chain the generated
+    /// bases use, minus any prime already in this basis. At most `k` of
+    /// the chain's primes sit in the basis, so `k + count` candidates
+    /// always hold `count` fresh ones (or the chain itself runs out →
+    /// `BasisGeneration`). A shorter request is always a prefix of a
+    /// longer one — the property that lets a channel *width* uniquely
+    /// name a basis in op-graph chains.
     fn fresh_primes(&self, count: usize) -> Result<Vec<u128>, Error> {
-        let mut cache = self.fresh.lock().expect("fresh-prime cache poisoned");
-        if cache.len() >= count {
-            return Ok(cache[..count].to_vec());
-        }
         let two_adicity = self.n.trailing_zeros() + 1;
-        let mut want = self.channels() + count;
-        let fresh = loop {
-            let chain = primes::ntt_prime_chain(DEFAULT_BASIS_BITS, two_adicity, want).ok_or(
-                Error::BasisGeneration {
-                    bits: DEFAULT_BASIS_BITS,
-                    two_adicity,
-                    count: want,
-                },
-            )?;
-            let fresh: Vec<u128> = chain
-                .into_iter()
-                .filter(|q| !self.moduli().contains(q))
-                .collect();
-            if fresh.len() >= count {
-                break fresh[..count].to_vec();
-            }
-            want += count - fresh.len();
-        };
-        *cache = fresh;
-        Ok(cache.clone())
+        let want = self.channels() + count;
+        let chain = primes::ntt_prime_chain(DEFAULT_BASIS_BITS, two_adicity, want).ok_or(
+            Error::BasisGeneration {
+                bits: DEFAULT_BASIS_BITS,
+                two_adicity,
+                count: want,
+            },
+        )?;
+        Ok(chain
+            .into_iter()
+            .filter(|q| !self.moduli().contains(q))
+            .take(count)
+            .collect())
     }
 
-    /// The moduli of resident width `m`: a prefix of the ring's basis
-    /// chain (own primes, then deterministic fresh primes). See
-    /// [`WidthCtx`].
+    /// The moduli of width `m`: a prefix of the ring's basis chain (own
+    /// primes, then deterministic fresh primes). See [`WidthCtx`].
     fn width_moduli(&self, width: usize) -> Result<Vec<u128>, Error> {
         if width == 0 {
             return Err(Error::UnsupportedOp {
                 op: "op-graph",
-                reason: "an op chain rescaled the basis away (zero channels left)",
+                reason: NO_CHANNELS,
             });
         }
         let k = self.channels();
@@ -726,30 +612,55 @@ impl RnsRing {
         Ok(moduli)
     }
 
-    /// The resident-width constants for `width` channels, built on
-    /// first use and cached. Warmed at submit so graph validation
-    /// errors surface before any work item runs.
+    /// The constants for `width` channels, built on first use and
+    /// cached. Warmed at submit so graph validation errors surface
+    /// before any work item runs.
     fn width_ctx(&self, width: usize) -> Result<Arc<WidthCtx>, Error> {
         if let Some(ctx) = self
-            .resident
+            .widths
             .lock()
-            .expect("resident-width cache poisoned")
+            .expect("width cache poisoned")
             .get(&width)
         {
             return Ok(Arc::clone(ctx));
         }
-        // Build outside the lock (fresh_primes takes its own); racing
-        // builders produce identical contexts, first insert wins.
+        // Build outside the lock (the prime search is the slow part);
+        // racing builders produce identical contexts, first insert wins.
         let ctx = Arc::new(WidthCtx::new(&self.width_moduli(width)?)?);
-        let mut cache = self.resident.lock().expect("resident-width cache poisoned");
+        let mut cache = self.widths.lock().expect("width cache poisoned");
         Ok(Arc::clone(cache.entry(width).or_insert(ctx)))
+    }
+
+    /// How many channels `op` produces from `width`-channel operands,
+    /// or why this ring cannot run it at that width.
+    fn output_width(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
+        let unsupported = |reason| {
+            Err(Error::UnsupportedOp {
+                op: op.name(),
+                reason,
+            })
+        };
+        match op {
+            _ if width == 0 => unsupported(NO_CHANNELS),
+            RingOp::Polymul(_) if width > self.channels() => {
+                unsupported("extension channels have no NTT plans; multiply before extending")
+            }
+            RingOp::Rescale if width < 2 => {
+                unsupported("needs at least two RNS channels (one to drop, one to keep)")
+            }
+            RingOp::BasisExtend { extra_channels: 0 } => {
+                unsupported("needs at least one extra channel to extend into")
+            }
+            RingOp::Rescale => Ok(width - 1),
+            RingOp::BasisExtend { extra_channels } => Ok(width + extra_channels),
+            RingOp::Polymul(_) | RingOp::Add | RingOp::Sub => Ok(width),
+        }
     }
 
     /// The basis a [`RingOp::BasisExtend`] with this width targets: the
     /// ring's own primes followed by `extra_channels` freshly generated
-    /// coprime NTT primes (deterministic per ring — the constants are
-    /// cached, so every request extending by the same width lands in the
-    /// same basis).
+    /// coprime NTT primes (deterministic per ring, so every request
+    /// extending by the same width lands in the same basis).
     ///
     /// # Errors
     ///
@@ -757,7 +668,8 @@ impl RnsRing {
     /// [`Error::BasisGeneration`] when the prime chain cannot supply
     /// enough fresh primes.
     pub fn extended_moduli(&self, extra_channels: usize) -> Result<Vec<u128>, Error> {
-        Ok(self.basis_extend_ctx(extra_channels)?.crt.moduli().to_vec())
+        let op = RingOp::BasisExtend { extra_channels };
+        self.width_moduli(self.output_width(&op, self.channels())?)
     }
 }
 
@@ -794,9 +706,11 @@ fn recombine_with(
 }
 
 /// An [`RnsRing`] exposes its residue channels directly: `split` is CRT
-/// decomposition, `join` is Garner recombination, and each channel's
-/// product is an independent word-sized work item — the decomposition
-/// [`RingExecutor`](crate::RingExecutor) schedules.
+/// decomposition, `join_at` is Garner recombination, and each output
+/// channel of an op is an independent word-sized work item — the
+/// decomposition [`RingExecutor`](crate::RingExecutor) schedules. The
+/// native width `k` is one width among the others: the basis-changing
+/// ops and the join read the same per-width constants at every width.
 impl crate::PolyRing for RnsRing {
     fn size(&self) -> usize {
         self.n
@@ -822,452 +736,148 @@ impl crate::PolyRing for RnsRing {
         self.to_residues(bigs)
     }
 
-    fn channel_polymul(
-        &self,
-        channel: usize,
-        op: crate::PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        let ring = self.rings.get(channel).ok_or(Error::ChannelOutOfRange {
-            channel,
-            channels: self.rings.len(),
-        })?;
-        match op {
-            crate::PolyOp::Cyclic => ring.polymul_cyclic(a, b),
-            crate::PolyOp::Negacyclic => ring.polymul_negacyclic(a, b),
-        }
-    }
-
-    fn channel_polymul_into(
-        &self,
-        channel: usize,
-        op: crate::PolyOp,
-        a: &[u128],
-        b: &[u128],
-        out: &mut Vec<u128>,
-    ) -> Result<(), Error> {
-        let ring = self.rings.get(channel).ok_or(Error::ChannelOutOfRange {
-            channel,
-            channels: self.rings.len(),
-        })?;
-        match op {
-            crate::PolyOp::Cyclic => ring.polymul_cyclic_into(a, b, out),
-            crate::PolyOp::Negacyclic => ring.polymul_negacyclic_into(a, b, out),
-        }
-    }
-
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<crate::Coefficients, Error> {
-        self.recombine(&channels).map(crate::Coefficients::Big)
-    }
-
-    fn op_output_channels(&self, op: &RingOp) -> Result<usize, Error> {
-        match op {
-            RingOp::Polymul(_) | RingOp::Add | RingOp::Sub => Ok(self.channels()),
-            RingOp::Rescale => self.rescale_ctx().map(|ctx| ctx.crt.channels()),
-            RingOp::BasisExtend { extra_channels } => self
-                .basis_extend_ctx(*extra_channels)
-                .map(|ctx| ctx.crt.channels()),
-        }
-    }
-
-    fn channel_apply(
-        &self,
-        op: &RingOp,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        let k = self.channels();
-        if a.len() != k {
-            return Err(Error::ChannelCountMismatch {
-                expected: k,
-                got: a.len(),
-            });
-        }
-        let binary = || {
-            let b = b.ok_or(Error::OperandCountMismatch {
-                op: op.name(),
-                expected: 2,
-                got: 1,
-            })?;
-            if b.len() != k {
-                return Err(Error::ChannelCountMismatch {
-                    expected: k,
-                    got: b.len(),
-                });
-            }
-            Ok(b)
-        };
-        match op {
-            RingOp::Polymul(p) => {
-                let b = binary()?;
-                let (ra, rb) =
-                    a.get(channel)
-                        .zip(b.get(channel))
-                        .ok_or(Error::ChannelOutOfRange {
-                            channel,
-                            channels: k,
-                        })?;
-                self.channel_polymul(channel, *p, ra, rb)
-            }
-            RingOp::Add | RingOp::Sub => {
-                let b = binary()?;
-                let ring = self.rings.get(channel).ok_or(Error::ChannelOutOfRange {
-                    channel,
-                    channels: k,
-                })?;
-                let (ra, rb) = (&a[channel], &b[channel]);
-                if ra.len() != rb.len() {
-                    return Err(Error::OperandLengthMismatch {
-                        a: ra.len(),
-                        b: rb.len(),
-                    });
-                }
-                let sa = ResidueSoa::from_u128s(ra);
-                let sb = ResidueSoa::from_u128s(rb);
-                let mut out = ResidueSoa::zeros(ra.len());
-                if matches!(op, RingOp::Add) {
-                    ring.vadd(&sa, &sb, &mut out);
-                } else {
-                    ring.vsub(&sa, &sb, &mut out);
-                }
-                Ok(out.to_u128s())
-            }
-            RingOp::Rescale => {
-                if b.is_some() {
-                    return Err(Error::OperandCountMismatch {
-                        op: op.name(),
-                        expected: 1,
-                        got: 2,
-                    });
-                }
-                let ctx = self.rescale_ctx()?;
-                if channel >= k - 1 {
-                    return Err(Error::ChannelOutOfRange {
-                        channel,
-                        channels: k - 1,
-                    });
-                }
-                let (ai, last) = (&a[channel], &a[k - 1]);
-                if ai.len() != last.len() {
-                    return Err(Error::LengthMismatch {
-                        expected: last.len(),
-                        got: ai.len(),
-                    });
-                }
-                // out = round(x / q_last) mod q_i, entirely word-level:
-                // with v = (x + h) mod q_last (computable from the last
-                // channel alone), round(x / q_last) = (x + h − v)/q_last,
-                // so out_i = (a_i + h − v) · q_last⁻¹ mod q_i.
-                let m_last = self.rings[k - 1].modulus();
-                let m_i = self.rings[channel].modulus();
-                let (h_i, q_inv) = (ctx.half_mod[channel], ctx.q_inv[channel]);
-                Ok(ai
-                    .iter()
-                    .zip(last)
-                    .map(|(&a_i, &a_last)| {
-                        let v = m_last.add_mod(a_last, ctx.half);
-                        let t = m_i.sub_mod(m_i.add_mod(a_i, h_i), m_i.reduce(v));
-                        m_i.mul_mod(t, q_inv)
-                    })
-                    .collect())
-            }
-            RingOp::BasisExtend { extra_channels } => {
-                if b.is_some() {
-                    return Err(Error::OperandCountMismatch {
-                        op: op.name(),
-                        expected: 1,
-                        got: 2,
-                    });
-                }
-                let n = a[0].len();
-                if let Some(bad) = a.iter().find(|ch| ch.len() != n) {
-                    return Err(Error::LengthMismatch {
-                        expected: n,
-                        got: bad.len(),
-                    });
-                }
-                // Channels inside the source basis pass through
-                // unchanged; fresh channels fold the Garner mixed-radix
-                // digits of each coefficient against the precomputed
-                // `prefix mod p_t` table — word arithmetic only.
-                if channel < k {
-                    return Ok(a[channel].clone());
-                }
-                let ctx = self.basis_extend_ctx(*extra_channels)?;
-                let t = channel - k;
-                let m_t = ctx.extra.get(t).ok_or(Error::ChannelOutOfRange {
-                    channel,
-                    channels: ctx.crt.channels(),
-                })?;
-                let table = &ctx.tables[t];
-                let mut residues = vec![0_u128; k];
-                Ok((0..n)
-                    .map(|j| {
-                        for (r, ch) in residues.iter_mut().zip(a) {
-                            *r = ch[j];
-                        }
-                        self.crt
-                            .digits(&residues)
-                            .iter()
-                            .zip(table)
-                            .fold(0_u128, |acc, (&d, &pre)| {
-                                m_t.add_mod(acc, m_t.mul_mod(m_t.reduce(d), pre))
-                            })
-                    })
-                    .collect())
-            }
-        }
-    }
-
-    fn op_join(&self, op: &RingOp, channels: Vec<Vec<u128>>) -> Result<crate::Coefficients, Error> {
-        match op {
-            RingOp::Rescale => {
-                let ctx = self.rescale_ctx()?;
-                recombine_with(&ctx.crt, &channels, self.n).map(crate::Coefficients::Big)
-            }
-            RingOp::BasisExtend { extra_channels } => {
-                let ctx = self.basis_extend_ctx(*extra_channels)?;
-                recombine_with(&ctx.crt, &channels, self.n).map(crate::Coefficients::Big)
-            }
-            _ => self.join(channels),
-        }
-    }
-
     fn op_output_channels_at(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
-        let k = self.channels();
-        if width == k {
-            return self.op_output_channels(op);
+        let outputs = self.output_width(op, width)?;
+        // Work items on the ring's own channels read no width
+        // constants. Every other op's are warmed here — at submit — so
+        // a basis error surfaces before any work item runs.
+        if outputs > self.channels() || !op.is_binary() {
+            self.width_ctx(width)?;
+            self.width_ctx(outputs)?;
         }
-        match op {
-            RingOp::Polymul(_) => {
-                if width < k {
-                    Ok(width)
-                } else {
-                    Err(Error::UnsupportedOp {
-                        op: op.name(),
-                        reason: "extension channels have no NTT plans; multiply before extending",
-                    })
-                }
-            }
-            RingOp::Add | RingOp::Sub => {
-                if width > k {
-                    self.width_ctx(width)?;
-                }
-                Ok(width)
-            }
-            RingOp::Rescale => {
-                if width < 2 {
-                    return Err(Error::UnsupportedOp {
-                        op: op.name(),
-                        reason: "needs at least two RNS channels (one to drop, one to keep)",
-                    });
-                }
-                self.width_ctx(width)?;
-                Ok(width - 1)
-            }
-            RingOp::BasisExtend { extra_channels } => {
-                if *extra_channels == 0 {
-                    return Err(Error::UnsupportedOp {
-                        op: op.name(),
-                        reason: "needs at least one extra channel to extend into",
-                    });
-                }
-                self.width_ctx(width)?;
-                self.width_ctx(width + extra_channels)?;
-                Ok(width + extra_channels)
-            }
-        }
+        Ok(outputs)
     }
 
-    fn channel_apply_at(
+    fn channel_apply_at_into(
         &self,
         op: &RingOp,
         width: usize,
         channel: usize,
         a: &[Vec<u128>],
         b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        let k = self.channels();
-        if width == k {
-            return self.channel_apply(op, channel, a, b);
-        }
-        if a.len() != width {
-            return Err(Error::ChannelCountMismatch {
-                expected: width,
-                got: a.len(),
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
+        // Everything the arms below index by is checked here, once:
+        // the width, the arity, both operand splits against the width,
+        // and the output channel.
+        let outputs = self.output_width(op, width)?;
+        let got = 1 + usize::from(b.is_some());
+        if got != op.arity() {
+            return Err(Error::OperandCountMismatch {
+                op: op.name(),
+                expected: op.arity(),
+                got,
             });
         }
-        let binary = || {
-            let b = b.ok_or(Error::OperandCountMismatch {
-                op: op.name(),
-                expected: 2,
-                got: 1,
-            })?;
-            if b.len() != width {
-                return Err(Error::ChannelCountMismatch {
-                    expected: width,
-                    got: b.len(),
-                });
-            }
-            Ok(b)
-        };
-        let unary = || {
-            if b.is_some() {
-                return Err(Error::OperandCountMismatch {
-                    op: op.name(),
-                    expected: 1,
-                    got: 2,
-                });
-            }
-            Ok(())
-        };
+        if let Some(short) = [Some(a), b]
+            .into_iter()
+            .flatten()
+            .find(|s| s.len() != width)
+        {
+            return Err(Error::ChannelCountMismatch {
+                expected: width,
+                got: short.len(),
+            });
+        }
+        if channel >= outputs {
+            return Err(Error::ChannelOutOfRange {
+                channel,
+                channels: outputs,
+            });
+        }
+        let n = a[0].len();
+        if let Some(bad) = a.iter().find(|ch| ch.len() != n) {
+            return Err(Error::LengthMismatch {
+                expected: n,
+                got: bad.len(),
+            });
+        }
+        if let Some(bad) = b.and_then(|b| b.iter().find(|ch| ch.len() != n)) {
+            return Err(Error::OperandLengthMismatch { a: n, b: bad.len() });
+        }
+        // A binary op's `b` passed the same checks as `a`; unary ops
+        // never read it.
+        let b = b.unwrap_or_default();
+        out.clear();
         match op {
             RingOp::Polymul(p) => {
-                if width > k {
-                    return Err(Error::UnsupportedOp {
-                        op: op.name(),
-                        reason: "extension channels have no NTT plans; multiply before extending",
-                    });
+                // `channel < width ≤ k`: one of the ring's own channels,
+                // which carry the NTT plans.
+                let ring = &self.rings[channel];
+                match p {
+                    crate::PolyOp::Cyclic => {
+                        ring.polymul_cyclic_into(&a[channel], &b[channel], out)
+                    }
+                    crate::PolyOp::Negacyclic => {
+                        ring.polymul_negacyclic_into(&a[channel], &b[channel], out)
+                    }
                 }
-                let b = binary()?;
-                let (ra, rb) =
-                    a.get(channel)
-                        .zip(b.get(channel))
-                        .ok_or(Error::ChannelOutOfRange {
-                            channel,
-                            channels: width,
-                        })?;
-                // Channel `channel < width < k` is one of the ring's own
-                // primes — the native kernel applies.
-                self.channel_polymul(channel, *p, ra, rb)
             }
             RingOp::Add | RingOp::Sub => {
-                let b = binary()?;
-                let (ra, rb) =
-                    a.get(channel)
-                        .zip(b.get(channel))
-                        .ok_or(Error::ChannelOutOfRange {
-                            channel,
-                            channels: width,
-                        })?;
-                if ra.len() != rb.len() {
-                    return Err(Error::OperandLengthMismatch {
-                        a: ra.len(),
-                        b: rb.len(),
-                    });
-                }
-                if channel < k {
+                let subtract = matches!(op, RingOp::Sub);
+                let (ra, rb) = (&a[channel], &b[channel]);
+                match self.rings.get(channel) {
                     // One of the ring's own channels: the SIMD engine
-                    // path, exactly as at native width.
-                    let ring = &self.rings[channel];
-                    let sa = ResidueSoa::from_u128s(ra);
-                    let sb = ResidueSoa::from_u128s(rb);
-                    let mut out = ResidueSoa::zeros(ra.len());
-                    if matches!(op, RingOp::Add) {
-                        ring.vadd(&sa, &sb, &mut out);
-                    } else {
-                        ring.vsub(&sa, &sb, &mut out);
-                    }
-                    Ok(out.to_u128s())
-                } else {
+                    // path, whatever the width.
+                    Some(ring) => ring.add_sub_into(subtract, ra, rb, out),
                     // An extension channel: scalar Barrett arithmetic
                     // over the fresh prime.
-                    let ctx = self.width_ctx(width)?;
-                    let m = &ctx.mods[channel];
-                    Ok(ra
-                        .iter()
-                        .zip(rb)
-                        .map(|(&x, &y)| {
-                            if matches!(op, RingOp::Add) {
-                                m.add_mod(x, y)
-                            } else {
+                    None => {
+                        let ctx = self.width_ctx(width)?;
+                        let m = &ctx.mods[channel];
+                        out.extend(ra.iter().zip(rb).map(|(&x, &y)| {
+                            if subtract {
                                 m.sub_mod(x, y)
+                            } else {
+                                m.add_mod(x, y)
                             }
-                        })
-                        .collect())
+                        }));
+                        Ok(())
+                    }
                 }
             }
             RingOp::Rescale => {
-                unary()?;
-                if width < 2 {
-                    return Err(Error::UnsupportedOp {
-                        op: op.name(),
-                        reason: "needs at least two RNS channels (one to drop, one to keep)",
-                    });
-                }
+                // out = round(x / q_last) mod q_i, entirely word-level:
+                // with v = (x + h) mod q_last (computable from the last
+                // channel alone), round(x / q_last) = (x + h − v)/q_last,
+                // so out_i = (a_i + h − v) · q_last⁻¹ mod q_i.
                 let ctx = self.width_ctx(width)?;
-                if channel >= width - 1 {
-                    return Err(Error::ChannelOutOfRange {
-                        channel,
-                        channels: width - 1,
-                    });
-                }
-                let (ai, last) = (&a[channel], &a[width - 1]);
-                if ai.len() != last.len() {
-                    return Err(Error::LengthMismatch {
-                        expected: last.len(),
-                        got: ai.len(),
-                    });
-                }
-                // Same word-level divide-and-round as the native-width
-                // path, against this width's chain constants.
-                let m_last = &ctx.mods[width - 1];
-                let m_i = &ctx.mods[channel];
+                let (m_last, m_i) = (&ctx.mods[width - 1], &ctx.mods[channel]);
                 let (h_i, q_inv) = (ctx.half_mod[channel], ctx.q_inv[channel]);
-                Ok(ai
-                    .iter()
-                    .zip(last)
-                    .map(|(&a_i, &a_last)| {
-                        let v = m_last.add_mod(a_last, ctx.half);
-                        let t = m_i.sub_mod(m_i.add_mod(a_i, h_i), m_i.reduce(v));
-                        m_i.mul_mod(t, q_inv)
-                    })
-                    .collect())
+                out.extend(a[channel].iter().zip(&a[width - 1]).map(|(&a_i, &a_last)| {
+                    let v = m_last.add_mod(a_last, ctx.half);
+                    let t = m_i.sub_mod(m_i.add_mod(a_i, h_i), m_i.reduce(v));
+                    m_i.mul_mod(t, q_inv)
+                }));
+                Ok(())
             }
-            RingOp::BasisExtend { extra_channels } => {
-                unary()?;
-                let n = a[0].len();
-                if let Some(bad) = a.iter().find(|ch| ch.len() != n) {
-                    return Err(Error::LengthMismatch {
-                        expected: n,
-                        got: bad.len(),
-                    });
-                }
-                let target = width + extra_channels;
-                if channel >= target {
-                    return Err(Error::ChannelOutOfRange {
-                        channel,
-                        channels: target,
-                    });
-                }
-                if channel < width {
-                    return Ok(a[channel].clone());
-                }
-                // A fresh channel: fold the Garner digits of the
-                // source-width basis against its prefix table mod the
-                // target prime (table built per work item, O(width) —
-                // amortized over the n-coefficient fold below).
+            // Channels inside the source basis pass through unchanged.
+            RingOp::BasisExtend { .. } if channel < width => {
+                out.extend_from_slice(&a[channel]);
+                Ok(())
+            }
+            RingOp::BasisExtend { .. } => {
+                // A fresh channel: fold the Garner mixed-radix digits of
+                // each coefficient over the source-width basis against
+                // the target channel's precomputed `prefix mod p` table
+                // — word arithmetic only.
                 let src = self.width_ctx(width)?;
-                let tgt = self.width_ctx(target)?;
-                let m_t = &tgt.mods[channel];
-                let table = src.crt.prefixes_mod(tgt.crt.moduli()[channel]);
+                let tgt = self.width_ctx(outputs)?;
+                let (m_t, table) = (&tgt.mods[channel], &tgt.fold[channel]);
                 let mut residues = vec![0_u128; width];
-                Ok((0..n)
-                    .map(|j| {
-                        for (r, ch) in residues.iter_mut().zip(a) {
-                            *r = ch[j];
-                        }
-                        src.crt
-                            .digits(&residues)
-                            .iter()
-                            .zip(&table)
-                            .fold(0_u128, |acc, (&d, &pre)| {
-                                m_t.add_mod(acc, m_t.mul_mod(m_t.reduce(d), pre))
-                            })
-                    })
-                    .collect())
+                out.extend((0..n).map(|j| {
+                    for (r, ch) in residues.iter_mut().zip(a) {
+                        *r = ch[j];
+                    }
+                    src.crt
+                        .digits(&residues)
+                        .iter()
+                        .zip(table)
+                        .fold(0_u128, |acc, (&d, &pre)| {
+                            m_t.add_mod(acc, m_t.mul_mod(m_t.reduce(d), pre))
+                        })
+                }));
+                Ok(())
             }
         }
     }
@@ -1277,9 +887,6 @@ impl crate::PolyRing for RnsRing {
         width: usize,
         channels: Vec<Vec<u128>>,
     ) -> Result<crate::Coefficients, Error> {
-        if width == self.channels() {
-            return self.join(channels);
-        }
         let ctx = self.width_ctx(width)?;
         recombine_with(&ctx.crt, &channels, self.n).map(crate::Coefficients::Big)
     }

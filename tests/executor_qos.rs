@@ -9,147 +9,17 @@
 //! whole batch is queued, so the order the instrumented ring logs
 //! executions in is exactly the order the injector released them.
 
+mod common;
+
+use common::{occupy_worker, spin_until, tagged, Gate, GatedRing, BLOCKER_TAG, N};
 use mqx::core::primes;
 use mqx::{
-    Coefficients, Error, PolyOp, PolyRing, PolymulRequest, Priority, Ring, RingExecutor,
+    Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingOp, RingRequest,
     SubmitOptions,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const N: usize = 64;
-/// `a[0]` value marking the request that parks on the gate.
-const BLOCKER_TAG: u128 = 999_999;
-
-/// A one-way gate: closed until `open()`, then open forever.
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Gate {
-        Gate {
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.cv.wait(open).unwrap();
-        }
-    }
-}
-
-/// Spins until `cond` holds, panicking after a generous timeout so a
-/// regression fails instead of hanging the suite.
-fn spin_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::yield_now();
-    }
-}
-
-/// Wraps a real [`Ring`], logging every executed channel's `a[0]` tag
-/// and parking requests tagged [`BLOCKER_TAG`] on a gate until the test
-/// releases them.
-struct GatedRing {
-    inner: Ring,
-    gate: Gate,
-    /// Set once the blocker request has reached the worker (so the
-    /// test knows the only worker is occupied before it queues more).
-    blocker_started: AtomicBool,
-    executed: AtomicUsize,
-    log: Mutex<Vec<u128>>,
-}
-
-impl GatedRing {
-    fn new() -> GatedRing {
-        GatedRing {
-            inner: Ring::auto(primes::Q124, N).unwrap(),
-            gate: Gate::new(),
-            blocker_started: AtomicBool::new(false),
-            executed: AtomicUsize::new(0),
-            log: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn executed(&self) -> usize {
-        self.executed.load(Ordering::Acquire)
-    }
-
-    fn log(&self) -> Vec<u128> {
-        self.log.lock().unwrap().clone()
-    }
-}
-
-impl PolyRing for GatedRing {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn modulus_bits(&self) -> u64 {
-        PolyRing::modulus_bits(&self.inner)
-    }
-    fn supports_negacyclic(&self) -> bool {
-        self.inner.supports_negacyclic()
-    }
-    fn channels(&self) -> usize {
-        1
-    }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        PolyRing::split(&self.inner, coeffs)
-    }
-    fn channel_polymul(
-        &self,
-        channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        if a[0] == BLOCKER_TAG {
-            self.blocker_started.store(true, Ordering::Release);
-            self.gate.wait();
-        }
-        self.log.lock().unwrap().push(a[0]);
-        self.executed.fetch_add(1, Ordering::AcqRel);
-        PolyRing::channel_polymul(&self.inner, channel, op, a, b)
-    }
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        PolyRing::join(&self.inner, channels)
-    }
-}
-
-/// A request whose `a[0]` carries `tag` (the rest zeros): enough to be
-/// a valid product, and enough to identify it in the execution log.
-fn tagged(tag: u128) -> PolymulRequest {
-    let mut a = vec![0_u128; N];
-    a[0] = tag;
-    PolymulRequest::new(PolyOp::Cyclic, a.into(), vec![1_u128; N].into())
-}
-
-/// Occupies the pool's single worker with the gated blocker and waits
-/// until it is actually executing, so everything submitted afterwards
-/// piles up in the injector.
-fn occupy_worker(
-    pool: &RingExecutor,
-    ring: &Arc<dyn PolyRing>,
-    gated: &Arc<GatedRing>,
-) -> mqx::RequestHandle {
-    let handle = pool.submit(ring, tagged(BLOCKER_TAG)).unwrap();
-    spin_until("blocker to reach the worker", || {
-        gated.blocker_started.load(Ordering::Acquire)
-    });
-    handle
-}
 
 #[test]
 fn saturated_mixed_priority_batch_completes_high_normal_low() {
@@ -276,7 +146,7 @@ fn cancel_after_completion_is_a_noop_returning_the_product() {
     let handle = pool
         .submit(
             &ring,
-            PolymulRequest::new(PolyOp::Cyclic, a.into(), b.into()),
+            RingRequest::polymul(PolyOp::Cyclic, a.into(), b.into()),
         )
         .unwrap();
     spin_until("request to finish", || handle.is_finished());
@@ -342,19 +212,22 @@ impl PolyRing for SleepyRing {
     fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
         PolyRing::split(&self.inner, coeffs)
     }
-    fn channel_polymul(
+    fn channel_apply_at_into(
         &self,
+        op: &RingOp,
+        width: usize,
         channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
+        a: &[Vec<u128>],
+        b: Option<&[Vec<u128>]>,
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
         std::thread::sleep(self.delay);
         self.executed.fetch_add(1, Ordering::AcqRel);
-        PolyRing::channel_polymul(&self.inner, channel, op, a, b)
+        self.inner
+            .channel_apply_at_into(op, width, channel, a, b, out)
     }
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        PolyRing::join(&self.inner, channels)
+    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+        self.inner.join_at(width, channels)
     }
 }
 
@@ -369,8 +242,8 @@ fn serve_mid_batch_error_cancels_queued_work_and_leaves_the_pool_idle() {
     let pool = RingExecutor::new(1).unwrap();
 
     // Six valid requests, then one that fails validation at submit.
-    let mut batch: Vec<PolymulRequest> = (0..6).map(|i| tagged(u128::from(i as u32))).collect();
-    batch.push(PolymulRequest::new(
+    let mut batch: Vec<RingRequest> = (0..6).map(|i| tagged(u128::from(i as u32))).collect();
+    batch.push(RingRequest::polymul(
         PolyOp::Cyclic,
         vec![0_u128; N - 1].into(),
         vec![0_u128; N].into(),
@@ -413,7 +286,7 @@ fn serve_mid_batch_shed_cancels_the_rest_of_the_batch() {
     let ring: Arc<dyn PolyRing> = Arc::clone(&sleepy) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
 
-    let mut batch: Vec<PolymulRequest> = vec![
+    let mut batch: Vec<RingRequest> = vec![
         tagged(0),
         tagged(1).with_deadline(Instant::now()), // resolves DeadlineExceeded at submit
     ];
@@ -462,19 +335,22 @@ impl PolyRing for SlowJoinRing {
     fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
         PolyRing::split(&self.inner, coeffs)
     }
-    fn channel_polymul(
+    fn channel_apply_at_into(
         &self,
+        op: &RingOp,
+        width: usize,
         channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        PolyRing::channel_polymul(&self.inner, channel, op, a, b)
+        a: &[Vec<u128>],
+        b: Option<&[Vec<u128>]>,
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
+        self.inner
+            .channel_apply_at_into(op, width, channel, a, b, out)
     }
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
         self.join_entered.store(true, Ordering::Release);
         self.gate.wait();
-        PolyRing::join(&self.inner, channels)
+        self.inner.join_at(width, channels)
     }
 }
 
@@ -493,11 +369,11 @@ fn is_finished_stays_false_through_a_slow_join() {
     let handle = pool
         .submit(
             &ring,
-            PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.into()),
+            RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
         )
         .unwrap();
 
-    // The worker is inside join(): every channel has executed (the old
+    // The worker is inside join_at(): every channel has executed (the old
     // remaining-counter definition would say "finished"), but the
     // outcome is not published, so a wait *would* block.
     spin_until("the join to start", || {

@@ -11,149 +11,19 @@
 //! submitted behind it piles up in the injector at depths the test
 //! controls exactly.
 
+mod common;
+
+use common::{occupy_worker, spin_until, tagged, GatedRing, N};
 use mqx::bignum::BigUint;
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all, AsyncRequestHandle, FrontDoor};
-use mqx::{
-    Coefficients, Error, PolyOp, PolyRing, PolymulRequest, Priority, Ring, RingRequest, RnsRing,
-};
+use mqx::{Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingRequest, RnsRing};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
-
-const N: usize = 64;
-/// `a[0]` value marking the request that parks on the gate.
-const BLOCKER_TAG: u128 = 999_999;
-
-/// A one-way gate: closed until `open()`, then open forever.
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Gate {
-        Gate {
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.cv.wait(open).unwrap();
-        }
-    }
-}
-
-/// Spins until `cond` holds, panicking after a generous timeout so a
-/// regression fails instead of hanging the suite.
-fn spin_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::yield_now();
-    }
-}
-
-/// Wraps a real [`Ring`], logging every executed channel's `a[0]` tag
-/// and parking requests tagged [`BLOCKER_TAG`] on a gate until the test
-/// releases them.
-struct GatedRing {
-    inner: Ring,
-    gate: Gate,
-    blocker_started: AtomicBool,
-    executed: AtomicUsize,
-    log: Mutex<Vec<u128>>,
-}
-
-impl GatedRing {
-    fn new() -> GatedRing {
-        GatedRing {
-            inner: Ring::auto(primes::Q124, N).unwrap(),
-            gate: Gate::new(),
-            blocker_started: AtomicBool::new(false),
-            executed: AtomicUsize::new(0),
-            log: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn executed(&self) -> usize {
-        self.executed.load(Ordering::Acquire)
-    }
-
-    fn log(&self) -> Vec<u128> {
-        self.log.lock().unwrap().clone()
-    }
-}
-
-impl PolyRing for GatedRing {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn modulus_bits(&self) -> u64 {
-        PolyRing::modulus_bits(&self.inner)
-    }
-    fn supports_negacyclic(&self) -> bool {
-        self.inner.supports_negacyclic()
-    }
-    fn channels(&self) -> usize {
-        1
-    }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        PolyRing::split(&self.inner, coeffs)
-    }
-    fn channel_polymul(
-        &self,
-        channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        if a[0] == BLOCKER_TAG {
-            self.blocker_started.store(true, Ordering::Release);
-            self.gate.wait();
-        }
-        self.log.lock().unwrap().push(a[0]);
-        self.executed.fetch_add(1, Ordering::AcqRel);
-        PolyRing::channel_polymul(&self.inner, channel, op, a, b)
-    }
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        PolyRing::join(&self.inner, channels)
-    }
-}
-
-/// A request whose `a[0]` carries `tag` (the rest zeros).
-fn tagged(tag: u128) -> PolymulRequest {
-    let mut a = vec![0_u128; N];
-    a[0] = tag;
-    PolymulRequest::new(PolyOp::Cyclic, a.into(), vec![1_u128; N].into())
-}
-
-/// Occupies the door's single worker with the gated blocker (submitted
-/// straight to the executor, outside admission) and waits until it is
-/// actually executing, so everything submitted afterwards piles up in
-/// the injector.
-fn occupy_worker(
-    door: &FrontDoor,
-    ring: &Arc<dyn PolyRing>,
-    gated: &Arc<GatedRing>,
-) -> mqx::RequestHandle {
-    let handle = door.executor().submit(ring, tagged(BLOCKER_TAG)).unwrap();
-    spin_until("blocker to reach the worker", || {
-        gated.blocker_started.load(Ordering::Acquire)
-    });
-    handle
-}
 
 fn big_coeffs(n: usize, product: &BigUint, seed: u64) -> Vec<BigUint> {
     let mut state = seed;
@@ -255,7 +125,7 @@ fn saturated_low_queue_sheds_overloaded_with_zero_channels_executed() {
         .queue_depth_for(Priority::Low, 2)
         .build()
         .unwrap();
-    let blocker = occupy_worker(&door, &ring, &gated);
+    let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     // Two Low requests fill the depth-2 class while the worker is held.
     let queued: Vec<_> = (0..2)
@@ -321,7 +191,7 @@ fn parked_future_is_woken_exactly_once_with_no_busy_poll() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let door = FrontDoor::new(1).unwrap();
-    let blocker = occupy_worker(&door, &ring, &gated);
+    let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     let mut future = door.submit(&ring, tagged(7)).unwrap();
     let counter = Arc::new(CountingWaker {
@@ -354,7 +224,7 @@ fn dropping_the_future_then_cancelling_sheds_the_queued_work() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let door = FrontDoor::new(1).unwrap();
-    let blocker = occupy_worker(&door, &ring, &gated);
+    let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     let victim = door.submit(&ring, tagged(7)).unwrap();
     let canceller = victim.canceller().expect("in-flight request");
@@ -382,7 +252,7 @@ fn deadline_sheds_are_counted_at_publication() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let door = FrontDoor::new(1).unwrap();
-    let blocker = occupy_worker(&door, &ring, &gated);
+    let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     // Dead on arrival: admitted (it passed admission), then shed by its
     // deadline before reaching a kernel — and dropped unawaited.
@@ -407,7 +277,7 @@ fn reserve_blocks_through_saturation_and_its_submit_cannot_be_shed() {
         .queue_depth_for(Priority::Normal, 2)
         .build()
         .unwrap();
-    let blocker = occupy_worker(&door, &ring, &gated);
+    let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     let queued: Vec<_> = (0..2)
         .map(|i| door.submit(&ring, tagged(i)).unwrap())

@@ -9,6 +9,9 @@
 //! and `RnsRing` for k ∈ {1, 2, 3}. Queue accounting and QoS (deadline
 //! sheds, front-door admission) are re-checked at graph granularity.
 
+mod common;
+
+use common::{occupy_worker, GatedRing, N};
 use mqx::baseline::fhe::FheRnsNtt;
 use mqx::bignum::BigUint;
 use mqx::core::{nt, primes, Modulus};
@@ -17,11 +20,9 @@ use mqx::{
     Coefficients, Error, OpGraph, Operand, PolyOp, PolyRing, Ring, RingExecutor, RingOp,
     RingRequest, RnsRing,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const N: usize = 64;
 
 /// The k = 1, 2, 3 bases the seeded sweep shards (all NTT-friendly at
 /// `N` for cyclic products).
@@ -95,51 +96,24 @@ impl PolyRing for JoinCountingRing {
     fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
         self.inner.split(coeffs)
     }
-    fn channel_polymul(
-        &self,
-        channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        self.inner.channel_polymul(channel, op, a, b)
-    }
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        self.joins.fetch_add(1, Ordering::AcqRel);
-        self.inner.join(channels)
-    }
-    fn op_output_channels(&self, op: &RingOp) -> Result<usize, Error> {
-        self.inner.op_output_channels(op)
-    }
-    fn channel_apply(
-        &self,
-        op: &RingOp,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        self.inner.channel_apply(op, channel, a, b)
-    }
-    fn op_join(&self, op: &RingOp, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        self.joins.fetch_add(1, Ordering::AcqRel);
-        self.inner.op_join(op, channels)
-    }
-    fn op_output_channels_at(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
-        self.inner.op_output_channels_at(op, width)
-    }
-    fn channel_apply_at(
+    fn channel_apply_at_into(
         &self,
         op: &RingOp,
         width: usize,
         channel: usize,
         a: &[Vec<u128>],
         b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        self.inner.channel_apply_at(op, width, channel, a, b)
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
+        self.inner
+            .channel_apply_at_into(op, width, channel, a, b, out)
     }
     fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
         self.joins.fetch_add(1, Ordering::AcqRel);
         self.inner.join_at(width, channels)
+    }
+    fn op_output_channels_at(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
+        self.inner.op_output_channels_at(op, width)
     }
 }
 
@@ -489,92 +463,6 @@ fn graph_requests_are_validated_at_submit() {
     ));
 }
 
-/// A gate-blocked ring (as in the QoS suite) so requests pile up in the
-/// injector while the single worker is parked.
-struct GatedRing {
-    inner: Ring,
-    open: Mutex<bool>,
-    cv: Condvar,
-    blocker_started: AtomicBool,
-    executed: AtomicUsize,
-}
-
-const BLOCKER_TAG: u128 = 999_999;
-
-impl GatedRing {
-    fn new() -> GatedRing {
-        GatedRing {
-            inner: Ring::auto(primes::Q124, N).unwrap(),
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-            blocker_started: AtomicBool::new(false),
-            executed: AtomicUsize::new(0),
-        }
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-}
-
-impl PolyRing for GatedRing {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn modulus_bits(&self) -> u64 {
-        PolyRing::modulus_bits(&self.inner)
-    }
-    fn supports_negacyclic(&self) -> bool {
-        self.inner.supports_negacyclic()
-    }
-    fn channels(&self) -> usize {
-        1
-    }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        PolyRing::split(&self.inner, coeffs)
-    }
-    fn channel_polymul(
-        &self,
-        channel: usize,
-        op: PolyOp,
-        a: &[u128],
-        b: &[u128],
-    ) -> Result<Vec<u128>, Error> {
-        if a[0] == BLOCKER_TAG {
-            self.blocker_started.store(true, Ordering::Release);
-            let mut open = self.open.lock().unwrap();
-            while !*open {
-                open = self.cv.wait(open).unwrap();
-            }
-        }
-        self.executed.fetch_add(1, Ordering::AcqRel);
-        PolyRing::channel_polymul(&self.inner, channel, op, a, b)
-    }
-    fn join(&self, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        PolyRing::join(&self.inner, channels)
-    }
-    fn op_output_channels(&self, op: &RingOp) -> Result<usize, Error> {
-        PolyRing::op_output_channels(&self.inner, op)
-    }
-    fn channel_apply(
-        &self,
-        op: &RingOp,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-    ) -> Result<Vec<u128>, Error> {
-        // Route products through the gated counter; everything else
-        // counts here and runs on the real ring.
-        if let RingOp::Polymul(p) = op {
-            let b = b.expect("polymul is binary");
-            return self.channel_polymul(channel, *p, &a[channel], &b[channel]);
-        }
-        self.executed.fetch_add(1, Ordering::AcqRel);
-        PolyRing::channel_apply(&self.inner, op, channel, a, b)
-    }
-}
-
 /// A three-node graph over the gated word ring (no blocker tag in the
 /// operands).
 fn three_node_graph_request(seed: u64) -> RingRequest {
@@ -603,22 +491,7 @@ fn queue_depths_count_multi_node_requests_once() {
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
 
-    let mut a = vec![0_u128; N];
-    a[0] = BLOCKER_TAG;
-    let blocker = pool
-        .submit(
-            &ring,
-            RingRequest::polymul(PolyOp::Cyclic, a.into(), vec![1_u128; N].into()),
-        )
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !gated.blocker_started.load(Ordering::Acquire) {
-        assert!(
-            Instant::now() < deadline,
-            "blocker never reached the worker"
-        );
-        std::thread::yield_now();
-    }
+    let blocker = occupy_worker(&pool, &ring, &gated);
 
     let handles: Vec<_> = (0..4_u64)
         .map(|i| {
@@ -629,7 +502,7 @@ fn queue_depths_count_multi_node_requests_once() {
     // Four queued graphs of three nodes each: the depth is 4, not 12.
     assert_eq!(pool.queue_depths(), [0, 4, 0]);
 
-    gated.open();
+    gated.gate.open();
     blocker.wait().unwrap();
     for handle in handles {
         handle.wait().unwrap();
@@ -645,22 +518,7 @@ fn shed_graph_requests_run_no_nodes() {
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
 
-    let mut a = vec![0_u128; N];
-    a[0] = BLOCKER_TAG;
-    let blocker = pool
-        .submit(
-            &ring,
-            RingRequest::polymul(PolyOp::Cyclic, a.into(), vec![1_u128; N].into()),
-        )
-        .unwrap();
-    let wait_deadline = Instant::now() + Duration::from_secs(10);
-    while !gated.blocker_started.load(Ordering::Acquire) {
-        assert!(
-            Instant::now() < wait_deadline,
-            "blocker never reached the worker"
-        );
-        std::thread::yield_now();
-    }
+    let blocker = occupy_worker(&pool, &ring, &gated);
 
     let doomed = pool
         .submit(
@@ -670,10 +528,10 @@ fn shed_graph_requests_run_no_nodes() {
         .unwrap();
     assert!(matches!(doomed.wait(), Err(Error::DeadlineExceeded)));
 
-    gated.open();
+    gated.gate.open();
     blocker.wait().unwrap();
     // Only the blocker's single channel ever executed.
-    assert_eq!(gated.executed.load(Ordering::Acquire), 1);
+    assert_eq!(gated.executed(), 1);
 }
 
 /// The front door admits, completes, and reconciles graphs exactly like
@@ -701,4 +559,59 @@ fn graphs_flow_through_the_front_door_unchanged() {
     assert_eq!(stats.admitted, 1, "one admission for the whole graph");
     assert_eq!(stats.submitted, 1);
     assert!(stats.reconciles());
+}
+
+/// The trait's required surface is enough to serve: [`GatedRing`]
+/// implements exactly the seven required methods around a `Ring`, and
+/// every provided method and both serving layers build on them
+/// bit-identically to the wrapped ring.
+#[test]
+fn minimal_ring_serves_through_executor_and_front_door() {
+    let gated = Arc::new(GatedRing::new());
+    let minimal: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
+    let pool = RingExecutor::new(2).unwrap();
+    let door = FrontDoor::new(2).unwrap();
+
+    let operands: Vec<Coefficients> = (0..4_u64)
+        .map(|i| Coefficients::Word(word_coeffs(N, primes::Q124, 0x3141 + i)))
+        .collect();
+    let (a, b) = (&operands[0], &operands[1]);
+    let mut requests: Vec<RingRequest> = [
+        RingOp::Polymul(PolyOp::Cyclic),
+        RingOp::Polymul(PolyOp::Negacyclic),
+        RingOp::Add,
+        RingOp::Sub,
+    ]
+    .into_iter()
+    .map(|op| RingRequest::new(op, a.clone(), Some(b.clone())))
+    .collect();
+    requests.push(RingRequest::graph(
+        OpGraph::multiply_accumulate(PolyOp::Negacyclic, 2).unwrap(),
+        operands.clone(),
+    ));
+
+    for request in requests {
+        let graph = request.op_graph().unwrap();
+        let inputs = &operands[..graph.inputs()];
+        let expected = gated.inner.apply_graph(graph, inputs).unwrap();
+        assert_eq!(minimal.apply_graph(graph, inputs).unwrap(), expected);
+        let served = pool.submit(&minimal, request.clone()).unwrap().wait();
+        assert_eq!(served.unwrap(), expected, "executor: {graph}");
+        let awaited = block_on(door.submit(&minimal, request.clone()).unwrap());
+        assert_eq!(awaited.unwrap(), expected, "front door: {graph}");
+    }
+
+    // The provided width query only knows the basis-preserving ops, so
+    // a basis-changing request never reaches a worker.
+    let before = gated.executed();
+    let rescale = RingRequest::rescale(a.clone());
+    assert!(matches!(
+        pool.submit(&minimal, rescale.clone()).unwrap_err(),
+        Error::UnsupportedOp { op: "rescale", .. }
+    ));
+    assert!(matches!(
+        door.submit(&minimal, rescale).unwrap_err(),
+        Error::UnsupportedOp { op: "rescale", .. }
+    ));
+    assert_eq!(gated.executed(), before);
 }

@@ -3,9 +3,11 @@
 //! arithmetic inside the ring; here their outputs are pinned against
 //! (a) big-integer schoolbook evaluation of the same definition and
 //! (b) the OpenFHE-style `FheRnsNtt` baseline, over seeded loops and
-//! every basis size k ∈ {1, 2, 3}. A final pair of tests drives
-//! mixed-op priority batches through the executor and demands
-//! bit-identity with sequential `apply` execution.
+//! every basis size k ∈ {1, 2, 3}. A pair of tests drives mixed-op
+//! priority batches through the executor and demands bit-identity with
+//! sequential `apply` execution, and a last pair pins the evaluation
+//! primitive's own contract: malformed direct calls error instead of
+//! panicking, and `out` is reused for every op at every width.
 
 use mqx::baseline::fhe::FheRnsNtt;
 use mqx::bignum::BigUint;
@@ -59,7 +61,10 @@ fn rescale_matches_schoolbook_and_baseline_oracle() {
     for basis in [BASES[1], BASES[2]] {
         let k = basis.len();
         let ring = RnsRing::with_moduli(basis, N).unwrap();
-        assert_eq!(ring.op_output_channels(&RingOp::Rescale).unwrap(), k - 1);
+        assert_eq!(
+            ring.op_output_channels_at(&RingOp::Rescale, k).unwrap(),
+            k - 1
+        );
         let product = ring.product_modulus().clone();
         let fhe = oracle(basis);
         let q_last = BigUint::from(basis[k - 1]);
@@ -127,7 +132,7 @@ fn basis_extend_roundtrips_and_matches_baseline_oracle() {
             let op = RingOp::BasisExtend {
                 extra_channels: extra,
             };
-            assert_eq!(ring.op_output_channels(&op).unwrap(), k + extra);
+            assert_eq!(ring.op_output_channels_at(&op, k).unwrap(), k + extra);
             let extended = ring.extended_moduli(extra).unwrap();
             assert_eq!(extended.len(), k + extra);
             assert_eq!(&extended[..k], basis, "source channels pass through");
@@ -147,7 +152,7 @@ fn basis_extend_roundtrips_and_matches_baseline_oracle() {
                 let rows = fhe.basis_extend(&a, &extended);
                 for (t, row) in rows.iter().enumerate() {
                     assert_eq!(
-                        &ring.channel_apply(&op, t, &residues, None).unwrap(),
+                        &ring.channel_apply_at(&op, k, t, &residues, None).unwrap(),
                         row,
                         "k={k} extra={extra} channel={t}"
                     );
@@ -240,4 +245,129 @@ fn mixed_op_priority_batch_matches_sequential_word_ring() {
 
     let served = pool.serve(&ring, requests).expect("mixed-op batch");
     assert_eq!(served, expected, "pool must match sequential apply");
+}
+
+const EVERY_OP: [RingOp; 6] = [
+    RingOp::Polymul(PolyOp::Cyclic),
+    RingOp::Polymul(PolyOp::Negacyclic),
+    RingOp::Add,
+    RingOp::Sub,
+    RingOp::Rescale,
+    RingOp::BasisExtend { extra_channels: 1 },
+];
+
+/// Channel-major residues over `moduli`, as an op chain would hold them
+/// at that width.
+fn residues(moduli: &[u128], seed: u64) -> Vec<Vec<u128>> {
+    let mut state = seed;
+    moduli
+        .iter()
+        .map(|&q| {
+            (0..N)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    u128::from(state) % q
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A direct trait call with no channels at all, or with a second
+/// operand narrower than the first, is an error for every op — the
+/// primitive checks the splits before it indexes them.
+#[test]
+fn zero_width_and_short_operands_error_instead_of_panicking() {
+    let rns = RnsRing::with_moduli(BASES[2], N).unwrap();
+    let word = Ring::auto(primes::Q124, N).unwrap();
+    let a = residues(BASES[2], 0x0DD);
+    let mut out = Vec::new();
+    for op in EVERY_OP {
+        for ring in [&rns as &dyn PolyRing, &word] {
+            for b in [None, Some(&[][..])] {
+                assert!(
+                    ring.channel_apply_at_into(&op, 0, 0, &[], b, &mut out)
+                        .is_err(),
+                    "{op} at width 0"
+                );
+            }
+        }
+        let err = rns
+            .channel_apply_at_into(&op, 3, 0, &a, Some(&a[..2]), &mut out)
+            .unwrap_err();
+        if op.is_binary() {
+            assert!(
+                matches!(
+                    err,
+                    Error::ChannelCountMismatch {
+                        expected: 3,
+                        got: 2
+                    }
+                ),
+                "{op}: {err}"
+            );
+        } else {
+            assert!(
+                matches!(err, Error::OperandCountMismatch { got: 2, .. }),
+                "{op}: {err}"
+            );
+        }
+        assert!(
+            rns.channel_apply_at_into(&op, 3, 0, &a[..2], None, &mut out)
+                .is_err(),
+            "{op} with a narrower than the width"
+        );
+    }
+}
+
+/// Runs every output channel of `op` twice into the same vector: the
+/// second call must keep the allocation (capacity and pointer) and
+/// still produce what the allocating form does.
+fn assert_out_is_reused(ring: &dyn PolyRing, op: &RingOp, a: &[Vec<u128>]) {
+    let width = a.len();
+    let b = op.is_binary().then_some(a);
+    for channel in 0..ring.op_output_channels_at(op, width).unwrap() {
+        let mut out = Vec::new();
+        ring.channel_apply_at_into(op, width, channel, a, b, &mut out)
+            .unwrap();
+        let (pointer, capacity) = (out.as_ptr(), out.capacity());
+        ring.channel_apply_at_into(op, width, channel, a, b, &mut out)
+            .unwrap();
+        assert_eq!(
+            (out.as_ptr(), out.capacity()),
+            (pointer, capacity),
+            "{op} width={width} channel={channel} reallocated"
+        );
+        assert_eq!(
+            out,
+            ring.channel_apply_at(op, width, channel, a, b).unwrap(),
+            "{op} width={width} channel={channel}"
+        );
+    }
+}
+
+#[test]
+fn second_call_with_the_same_out_keeps_its_capacity_and_pointer() {
+    let word = Ring::auto(primes::Q124, N).unwrap();
+    let a = residues(&[primes::Q124], 0xA110C);
+    for op in EVERY_OP.iter().filter(|op| op.is_binary()) {
+        assert_out_is_reused(&word, op, &a);
+    }
+
+    let rns = RnsRing::with_moduli(BASES[2], N).unwrap();
+    let k = rns.channels();
+    let chain = rns.extended_moduli(1).unwrap();
+    for width in [2, 3, 4] {
+        let a = residues(&chain[..width], 0xA110C + width as u64);
+        for op in EVERY_OP {
+            if matches!(op, RingOp::Polymul(_)) && width > k {
+                // Extension channels have no NTT plans.
+                assert!(rns.op_output_channels_at(&op, width).is_err());
+                continue;
+            }
+            assert_out_is_reused(&rns, &op, &a);
+        }
+    }
 }

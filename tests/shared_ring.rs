@@ -9,7 +9,7 @@
 
 use mqx::bignum::BigUint;
 use mqx::core::primes;
-use mqx::{PolyOp, PolyRing, PolymulRequest, Ring, RingExecutor, RnsRing};
+use mqx::{PolyOp, PolyRing, Ring, RingExecutor, RingRequest, RnsRing};
 use std::sync::Arc;
 
 const N: usize = 64;
@@ -126,7 +126,7 @@ fn executor_serves_256_mixed_requests_bit_identical_to_sequential() {
     const WORKERS: usize = 4;
 
     let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
-    let requests: Vec<PolymulRequest> = (0..BATCH as u64)
+    let requests: Vec<RingRequest> = (0..BATCH as u64)
         .map(|i| {
             let op = if i % 2 == 0 {
                 PolyOp::Negacyclic
@@ -135,14 +135,14 @@ fn executor_serves_256_mixed_requests_bit_identical_to_sequential() {
             };
             let a = poly(N, primes::Q124, i * 2 + 101);
             let b = poly(N, primes::Q124, i * 2 + 102);
-            PolymulRequest::new(op, a.into(), b.into())
+            RingRequest::polymul(op, a.into(), b.into())
         })
         .collect();
 
     // Sequential reference on the calling thread.
     let sequential: Vec<_> = requests
         .iter()
-        .map(|r| ring.polymul(r.op, &r.a, &r.b).unwrap())
+        .map(|r| ring.apply(r.op(), r.a(), r.b()).unwrap())
         .collect();
 
     let pool = RingExecutor::new(WORKERS).unwrap();
@@ -162,7 +162,7 @@ fn executor_serves_rns_batches_bit_identical_to_sequential() {
     let ring: Arc<dyn PolyRing> = Arc::new(RnsRing::auto(3, N).unwrap());
     assert_eq!(ring.channels(), 3);
     let modulus = BigUint::one() << 120_u64;
-    let requests: Vec<PolymulRequest> = (0..BATCH as u64)
+    let requests: Vec<RingRequest> = (0..BATCH as u64)
         .map(|i| {
             let a: Vec<BigUint> = (0..N as u64)
                 .map(|j| &BigUint::from((j + 2) * (i + 5) * 0xDEAD_BEEF) % &modulus)
@@ -175,13 +175,13 @@ fn executor_serves_rns_batches_bit_identical_to_sequential() {
             } else {
                 PolyOp::Negacyclic
             };
-            PolymulRequest::new(op, a.into(), b.into())
+            RingRequest::polymul(op, a.into(), b.into())
         })
         .collect();
 
     let sequential: Vec<_> = requests
         .iter()
-        .map(|r| ring.polymul(r.op, &r.a, &r.b).unwrap())
+        .map(|r| ring.apply(r.op(), r.a(), r.b()).unwrap())
         .collect();
 
     let pool = RingExecutor::new(4).unwrap();
@@ -210,15 +210,15 @@ fn wide_pool_drip_fed_single_submits_never_lose_wakeups() {
         let handle = pool
             .submit(
                 &ring,
-                PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
             )
             .unwrap();
         assert_eq!(handle.wait().unwrap(), expected);
     }
     // Burst right after the drip: queued items outnumber wakeups per
     // submit, so idle workers must still drain the backlog.
-    let requests: Vec<PolymulRequest> = (0..64)
-        .map(|_| PolymulRequest::new(PolyOp::Cyclic, a.clone().into(), a.clone().into()))
+    let requests: Vec<RingRequest> = (0..64)
+        .map(|_| RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()))
         .collect();
     let served = pool.serve(&ring, requests).unwrap();
     assert!(served.iter().all(|p| *p == expected));
@@ -244,7 +244,7 @@ fn concurrent_submitters_get_their_own_results() {
                     let handle = pool
                         .submit(
                             &ring,
-                            PolymulRequest::new(PolyOp::Cyclic, a.into(), b.into()),
+                            RingRequest::polymul(PolyOp::Cyclic, a.into(), b.into()),
                         )
                         .unwrap();
                     assert_eq!(handle.wait().unwrap(), expected);
