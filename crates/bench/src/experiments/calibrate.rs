@@ -4,9 +4,8 @@
 //!
 //! The paper's thesis is that kernel cost must be *measured* on the
 //! machine at hand, not assumed from the ISA matrix — the fastest
-//! engine shifts with the host and with how the binary was compiled
-//! (an AVX tier built without `-C target-cpu=native` loses to the
-//! fully-inlined portable engine). This experiment reports the
+//! engine shifts with the host (a wide tier can be throttled or
+//! emulated, two tiers can tie). This experiment reports the
 //! facade's startup micro-calibration: per-backend ns/butterfly of the
 //! forward-NTT + `vmul` burst, the resulting ranking, the winner auto
 //! selection picks, and the rule in force for this process (`measured`

@@ -4,6 +4,9 @@
 //! by looping over scalar or SIMD modular arithmetic", §3.2. The paper
 //! assumes lane-multiple lengths; the tail handling here just removes
 //! that assumption.)
+//!
+//! Every kernel runs its loop inside [`SimdEngine::vectorize`], so the
+//! hardware engines execute inlined intrinsics in an ordinary build.
 
 use mqx_core::Modulus;
 use mqx_simd::{addmod, mulmod, submod, ResidueSoa, SimdEngine, VDword, VModulus};
@@ -14,7 +17,15 @@ use mqx_simd::{addmod, mulmod, submod, ResidueSoa, SimdEngine, VDword, VModulus}
 ///
 /// Panics if lengths differ.
 pub fn vadd<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
-    binary_kernel::<E>(x, y, out, m, addmod::<E>, |m, a, b| m.add_mod(a, b));
+    binary_kernel::<E>(
+        x,
+        y,
+        out,
+        m,
+        #[inline(always)]
+        |a, b, vm| addmod::<E>(a, b, vm),
+        |m, a, b| m.add_mod(a, b),
+    );
 }
 
 /// Vector subtraction into `out`.
@@ -23,7 +34,15 @@ pub fn vadd<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa,
 ///
 /// Panics if lengths differ.
 pub fn vsub<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
-    binary_kernel::<E>(x, y, out, m, submod::<E>, |m, a, b| m.sub_mod(a, b));
+    binary_kernel::<E>(
+        x,
+        y,
+        out,
+        m,
+        #[inline(always)]
+        |a, b, vm| submod::<E>(a, b, vm),
+        |m, a, b| m.sub_mod(a, b),
+    );
 }
 
 /// Point-wise vector multiplication into `out`.
@@ -32,7 +51,15 @@ pub fn vsub<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa,
 ///
 /// Panics if lengths differ.
 pub fn vmul<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
-    binary_kernel::<E>(x, y, out, m, mulmod::<E>, |m, a, b| m.mul_mod(a, b));
+    binary_kernel::<E>(
+        x,
+        y,
+        out,
+        m,
+        #[inline(always)]
+        |a, b, vm| mulmod::<E>(a, b, vm),
+        |m, a, b| m.mul_mod(a, b),
+    );
 }
 
 /// `axpy`: `y[i] ← a·x[i] + y[i] mod q` with broadcast scalar `a`.
@@ -43,22 +70,27 @@ pub fn vmul<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa,
 pub fn axpy<E: SimdEngine>(a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus) {
     assert_eq!(x.len(), y.len());
     debug_assert!(a < m.value());
-    let vm = VModulus::<E>::new(m);
-    let av = VDword::<E>::broadcast(a);
-    let n = x.len();
-    let lanes = E::LANES;
-    let mut i = 0;
-    while i + lanes <= n {
-        let xv = x.load_vector::<E>(i);
-        let yv = y.load_vector::<E>(i);
-        y.store_vector::<E>(i, addmod::<E>(mulmod::<E>(av, xv, &vm), yv, &vm));
-        i += lanes;
-    }
-    while i < n {
-        let v = m.add_mod(m.mul_mod(a, x.get(i)), y.get(i));
-        y.set(i, v);
-        i += 1;
-    }
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let vm = VModulus::<E>::new(m);
+            let av = VDword::<E>::broadcast(a);
+            let n = x.len();
+            let lanes = E::LANES;
+            let mut i = 0;
+            while i + lanes <= n {
+                let xv = x.load_vector::<E>(i);
+                let yv = y.load_vector::<E>(i);
+                y.store_vector::<E>(i, addmod::<E>(mulmod::<E>(av, xv, &vm), yv, &vm));
+                i += lanes;
+            }
+            while i < n {
+                let v = m.add_mod(m.mul_mod(a, x.get(i)), y.get(i));
+                y.set(i, v);
+                i += 1;
+            }
+        },
+    );
 }
 
 /// Dot product `Σ x[i]·y[i] mod q`: lane-parallel multiply-accumulate,
@@ -69,26 +101,31 @@ pub fn axpy<E: SimdEngine>(a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modu
 /// Panics if lengths differ.
 pub fn dot<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, m: &Modulus) -> u128 {
     assert_eq!(x.len(), y.len());
-    let vm = VModulus::<E>::new(m);
-    let n = x.len();
-    let lanes = E::LANES;
-    let mut acc = VDword::<E>::broadcast(0);
-    let mut i = 0;
-    while i + lanes <= n {
-        let xv = x.load_vector::<E>(i);
-        let yv = y.load_vector::<E>(i);
-        acc = addmod::<E>(acc, mulmod::<E>(xv, yv, &vm), &vm);
-        i += lanes;
-    }
-    let mut total = 0_u128;
-    for lane in 0..lanes {
-        total = m.add_mod(total, acc.extract(lane));
-    }
-    while i < n {
-        total = m.add_mod(total, m.mul_mod(x.get(i), y.get(i)));
-        i += 1;
-    }
-    total
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let vm = VModulus::<E>::new(m);
+            let n = x.len();
+            let lanes = E::LANES;
+            let mut acc = VDword::<E>::broadcast(0);
+            let mut i = 0;
+            while i + lanes <= n {
+                let xv = x.load_vector::<E>(i);
+                let yv = y.load_vector::<E>(i);
+                acc = addmod::<E>(acc, mulmod::<E>(xv, yv, &vm), &vm);
+                i += lanes;
+            }
+            let mut total = 0_u128;
+            for lane in 0..lanes {
+                total = m.add_mod(total, acc.extract(lane));
+            }
+            while i < n {
+                total = m.add_mod(total, m.mul_mod(x.get(i), y.get(i)));
+                i += 1;
+            }
+            total
+        },
+    )
 }
 
 /// Matrix–vector product `out = A·x mod q`, `A` row-major (`rows` rows of
@@ -112,6 +149,11 @@ pub fn gemv<E: SimdEngine>(a: &ResidueSoa, rows: usize, x: &ResidueSoa, m: &Modu
 
 /// Shared shape of the three element-wise kernels: vector body over full
 /// lanes, scalar tail for the remainder.
+///
+/// `vector_op` must be an `#[inline(always)]` closure, never a fn item
+/// such as `addmod::<E>`: a fn item is called through a compiler shim
+/// that stays outside the target-feature frame (see
+/// [`SimdEngine::vectorize`]).
 fn binary_kernel<E: SimdEngine>(
     x: &ResidueSoa,
     y: &ResidueSoa,
@@ -122,20 +164,25 @@ fn binary_kernel<E: SimdEngine>(
 ) {
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), out.len());
-    let vm = VModulus::<E>::new(m);
-    let n = x.len();
-    let lanes = E::LANES;
-    let mut i = 0;
-    while i + lanes <= n {
-        let xv = x.load_vector::<E>(i);
-        let yv = y.load_vector::<E>(i);
-        out.store_vector::<E>(i, vector_op(xv, yv, &vm));
-        i += lanes;
-    }
-    while i < n {
-        out.set(i, scalar_op(m, x.get(i), y.get(i)));
-        i += 1;
-    }
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let vm = VModulus::<E>::new(m);
+            let n = x.len();
+            let lanes = E::LANES;
+            let mut i = 0;
+            while i + lanes <= n {
+                let xv = x.load_vector::<E>(i);
+                let yv = y.load_vector::<E>(i);
+                out.store_vector::<E>(i, vector_op(xv, yv, &vm));
+                i += lanes;
+            }
+            while i < n {
+                out.set(i, scalar_op(m, x.get(i), y.get(i)));
+                i += 1;
+            }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -13,6 +13,10 @@
 //! unit-stride from two halves, and the paired store is the element-wise
 //! interleave that AVX-512 expresses with `vpunpcklqdq`/`vpunpckhqdq`/
 //! `vpermt2q` (`SimdEngine::interleave_lo`/`interleave_hi`).
+//!
+//! Every `*_simd` kernel here runs its loop inside
+//! [`SimdEngine::vectorize`], the engine's target-feature frame; see its
+//! docs for what code inside such a closure must keep true.
 
 use crate::plan::{NttPlan, StageTwiddles};
 use mqx_core::shoup;
@@ -55,55 +59,60 @@ pub(crate) fn pease_simd<E: SimdEngine>(
     stages: &[StageTwiddles],
     vm: &VModulus<E>,
 ) {
-    let n = x.len();
-    let half = n / 2;
-    let m = plan.modulus();
-    for stage in stages {
-        if half < E::LANES {
-            // Tiny transform: scalar butterflies keep the dataflow
-            // identical without partial vectors.
-            for i in 0..half {
-                let u = x.get(i);
-                let v = x.get(i + half);
-                let w = stage.at(i);
-                y.set(2 * i, m.add_mod(u, v));
-                y.set(2 * i + 1, m.mul_mod(m.sub_mod(u, v), w));
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let n = x.len();
+            let half = n / 2;
+            let m = plan.modulus();
+            for stage in stages {
+                if half < E::LANES {
+                    // Tiny transform: scalar butterflies keep the dataflow
+                    // identical without partial vectors.
+                    for i in 0..half {
+                        let u = x.get(i);
+                        let v = x.get(i + half);
+                        let w = stage.at(i);
+                        y.set(2 * i, m.add_mod(u, v));
+                        y.set(2 * i + 1, m.mul_mod(m.sub_mod(u, v), w));
+                    }
+                    std::mem::swap(x, y);
+                    continue;
+                }
+
+                let lanes = E::LANES;
+                let repeat = 1_usize << stage.shift;
+                for i in (0..half).step_by(lanes) {
+                    let u = x.load_vector::<E>(i);
+                    let v = x.load_vector::<E>(i + half);
+                    // Twiddles repeat in runs of 2^s: early stages load the
+                    // per-index expanded table (pattern varies inside the
+                    // vector); later stages broadcast the single value the whole
+                    // vector shares.
+                    let w = if repeat < lanes {
+                        stage
+                            .expanded
+                            .as_ref()
+                            .expect("expanded table exists when repeat < 8")
+                            .load_vector::<E>(i)
+                    } else {
+                        VDword::<E>::broadcast(stage.at(i))
+                    };
+                    let sum = addmod::<E>(u, v, vm);
+                    let diff = mulmod::<E>(submod::<E>(u, v, vm), w, vm);
+
+                    // Interleaved store: y[2i..2i+2L] = [sum0, diff0, sum1, …].
+                    let (yh, yl) = y.parts_mut();
+                    let base = 2 * i;
+                    E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
+                    E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
+                    E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
+                    E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
+                }
+                std::mem::swap(x, y);
             }
-            std::mem::swap(x, y);
-            continue;
-        }
-
-        let lanes = E::LANES;
-        let repeat = 1_usize << stage.shift;
-        for i in (0..half).step_by(lanes) {
-            let u = x.load_vector::<E>(i);
-            let v = x.load_vector::<E>(i + half);
-            // Twiddles repeat in runs of 2^s: early stages load the
-            // per-index expanded table (pattern varies inside the
-            // vector); later stages broadcast the single value the whole
-            // vector shares.
-            let w = if repeat < lanes {
-                stage
-                    .expanded
-                    .as_ref()
-                    .expect("expanded table exists when repeat < 8")
-                    .load_vector::<E>(i)
-            } else {
-                VDword::<E>::broadcast(stage.at(i))
-            };
-            let sum = addmod::<E>(u, v, vm);
-            let diff = mulmod::<E>(submod::<E>(u, v, vm), w, vm);
-
-            // Interleaved store: y[2i..2i+2L] = [sum0, diff0, sum1, …].
-            let (yh, yl) = y.parts_mut();
-            let base = 2 * i;
-            E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
-            E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
-            E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
-            E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
-        }
-        std::mem::swap(x, y);
-    }
+        },
+    );
 }
 
 /// Runs all Pease stages with *lazy* Gentleman–Sande butterflies: the
@@ -126,61 +135,67 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
     let q = plan.modulus().value();
     let two_q = 2 * q;
     crate::plan::debug_assert_domain_soa(x, two_q, "pease_lazy input");
-    for stage in stages {
-        if half < E::LANES {
-            // Tiny transform: scalar lazy butterflies keep the dataflow
-            // (and the lazy domain) identical without partial vectors.
-            for i in 0..half {
-                let u = x.get(i);
-                let v = x.get(i + half);
-                let mut sum = u + v;
-                if sum >= two_q {
-                    sum -= two_q;
+    E::vectorize(
+        #[inline(always)]
+        || {
+            for stage in stages {
+                if half < E::LANES {
+                    // Tiny transform: scalar lazy butterflies keep the dataflow
+                    // (and the lazy domain) identical without partial vectors.
+                    for i in 0..half {
+                        let u = x.get(i);
+                        let v = x.get(i + half);
+                        let mut sum = u + v;
+                        if sum >= two_q {
+                            sum -= two_q;
+                        }
+                        let diff =
+                            shoup::mul_lazy(u + two_q - v, stage.at(i), stage.at_shoup(i), q);
+                        y.set(2 * i, sum);
+                        y.set(2 * i + 1, diff);
+                    }
+                    std::mem::swap(x, y);
+                    continue;
                 }
-                let diff = shoup::mul_lazy(u + two_q - v, stage.at(i), stage.at_shoup(i), q);
-                y.set(2 * i, sum);
-                y.set(2 * i + 1, diff);
+
+                let lanes = E::LANES;
+                let repeat = 1_usize << stage.shift;
+                for i in (0..half).step_by(lanes) {
+                    let u = x.load_vector::<E>(i);
+                    let v = x.load_vector::<E>(i + half);
+                    let (w, w_shoup) = if repeat < lanes {
+                        (
+                            stage
+                                .expanded
+                                .as_ref()
+                                .expect("expanded table exists when repeat < 8")
+                                .load_vector::<E>(i),
+                            stage
+                                .expanded_shoup
+                                .as_ref()
+                                .expect("expanded Shoup table exists when repeat < 8")
+                                .load_vector::<E>(i),
+                        )
+                    } else {
+                        (
+                            VDword::<E>::broadcast(stage.at(i)),
+                            VDword::<E>::broadcast(stage.at_shoup(i)),
+                        )
+                    };
+                    let sum = addmod_lazy::<E>(u, v, vm);
+                    let diff = mulmod_shoup_lazy::<E>(submod_lazy::<E>(u, v, vm), w, w_shoup, vm);
+
+                    let (yh, yl) = y.parts_mut();
+                    let base = 2 * i;
+                    E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
+                    E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
+                    E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
+                    E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
+                }
+                std::mem::swap(x, y);
             }
-            std::mem::swap(x, y);
-            continue;
-        }
-
-        let lanes = E::LANES;
-        let repeat = 1_usize << stage.shift;
-        for i in (0..half).step_by(lanes) {
-            let u = x.load_vector::<E>(i);
-            let v = x.load_vector::<E>(i + half);
-            let (w, w_shoup) = if repeat < lanes {
-                (
-                    stage
-                        .expanded
-                        .as_ref()
-                        .expect("expanded table exists when repeat < 8")
-                        .load_vector::<E>(i),
-                    stage
-                        .expanded_shoup
-                        .as_ref()
-                        .expect("expanded Shoup table exists when repeat < 8")
-                        .load_vector::<E>(i),
-                )
-            } else {
-                (
-                    VDword::<E>::broadcast(stage.at(i)),
-                    VDword::<E>::broadcast(stage.at_shoup(i)),
-                )
-            };
-            let sum = addmod_lazy::<E>(u, v, vm);
-            let diff = mulmod_shoup_lazy::<E>(submod_lazy::<E>(u, v, vm), w, w_shoup, vm);
-
-            let (yh, yl) = y.parts_mut();
-            let base = 2 * i;
-            E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
-            E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
-            E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
-            E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
-        }
-        std::mem::swap(x, y);
-    }
+        },
+    );
 }
 
 /// Lazy point-wise multiply `a[i] ← a[i]·b[i] mod q` between the fused
@@ -193,22 +208,27 @@ pub(crate) fn pointwise_fold_mul_simd<E: SimdEngine>(
     b: &ResidueSoa,
     vm: &VModulus<E>,
 ) {
-    let n = a.len();
-    let lanes = E::LANES;
-    let mut i = 0;
-    while i + lanes <= n {
-        let x = reduce_2q_to_q::<E>(a.load_vector::<E>(i), vm);
-        let y = reduce_2q_to_q::<E>(b.load_vector::<E>(i), vm);
-        a.store_vector::<E>(i, mulmod::<E>(x, y, vm));
-        i += lanes;
-    }
-    let m = vm.scalar;
-    let q = m.value();
-    while i < n {
-        let fold = |v: u128| if v >= q { v - q } else { v };
-        a.set(i, m.mul_mod(fold(a.get(i)), fold(b.get(i))));
-        i += 1;
-    }
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let n = a.len();
+            let lanes = E::LANES;
+            let mut i = 0;
+            while i + lanes <= n {
+                let x = reduce_2q_to_q::<E>(a.load_vector::<E>(i), vm);
+                let y = reduce_2q_to_q::<E>(b.load_vector::<E>(i), vm);
+                a.store_vector::<E>(i, mulmod::<E>(x, y, vm));
+                i += lanes;
+            }
+            let m = vm.scalar;
+            let q = m.value();
+            while i < n {
+                let fold = |v: u128| if v >= q { v - q } else { v };
+                a.set(i, m.mul_mod(fold(a.get(i)), fold(b.get(i))));
+                i += 1;
+            }
+        },
+    );
 }
 
 /// The fused inverse's final pass: multiply every residue by the
@@ -221,23 +241,28 @@ pub(crate) fn scale_shoup_canonical_simd<E: SimdEngine>(
     c_shoup: u128,
     vm: &VModulus<E>,
 ) {
-    let n = x.len();
-    let cv = VDword::<E>::broadcast(c);
-    let csv = VDword::<E>::broadcast(c_shoup);
-    let lanes = E::LANES;
-    let mut i = 0;
-    while i + lanes <= n {
-        let v = x.load_vector::<E>(i);
-        let r = mulmod_shoup_lazy::<E>(v, cv, csv, vm);
-        x.store_vector::<E>(i, reduce_2q_to_q::<E>(r, vm));
-        i += lanes;
-    }
-    let q = vm.scalar.value();
-    while i < n {
-        let r = shoup::mul_lazy(x.get(i), c, c_shoup, q);
-        x.set(i, if r >= q { r - q } else { r });
-        i += 1;
-    }
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let n = x.len();
+            let cv = VDword::<E>::broadcast(c);
+            let csv = VDword::<E>::broadcast(c_shoup);
+            let lanes = E::LANES;
+            let mut i = 0;
+            while i + lanes <= n {
+                let v = x.load_vector::<E>(i);
+                let r = mulmod_shoup_lazy::<E>(v, cv, csv, vm);
+                x.store_vector::<E>(i, reduce_2q_to_q::<E>(r, vm));
+                i += lanes;
+            }
+            let q = vm.scalar.value();
+            while i < n {
+                let r = shoup::mul_lazy(x.get(i), c, c_shoup, q);
+                x.set(i, if r >= q { r - q } else { r });
+                i += 1;
+            }
+        },
+    );
 }
 
 /// Element-wise lazy Shoup multiply by a per-index table — the ψ twist
@@ -251,46 +276,60 @@ pub(crate) fn twist_shoup_simd<E: SimdEngine>(
     vm: &VModulus<E>,
     canonicalize: bool,
 ) {
-    let n = x.len();
-    let lanes = E::LANES;
-    let mut i = 0;
-    while i + lanes <= n {
-        let v = x.load_vector::<E>(i);
-        let mut r =
-            mulmod_shoup_lazy::<E>(v, w.load_vector::<E>(i), w_shoup.load_vector::<E>(i), vm);
-        if canonicalize {
-            r = reduce_2q_to_q::<E>(r, vm);
-        }
-        x.store_vector::<E>(i, r);
-        i += lanes;
-    }
-    let q = vm.scalar.value();
-    while i < n {
-        let mut r = shoup::mul_lazy(x.get(i), w.get(i), w_shoup.get(i), q);
-        if canonicalize && r >= q {
-            r -= q;
-        }
-        x.set(i, r);
-        i += 1;
-    }
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let n = x.len();
+            let lanes = E::LANES;
+            let mut i = 0;
+            while i + lanes <= n {
+                let v = x.load_vector::<E>(i);
+                let mut r = mulmod_shoup_lazy::<E>(
+                    v,
+                    w.load_vector::<E>(i),
+                    w_shoup.load_vector::<E>(i),
+                    vm,
+                );
+                if canonicalize {
+                    r = reduce_2q_to_q::<E>(r, vm);
+                }
+                x.store_vector::<E>(i, r);
+                i += lanes;
+            }
+            let q = vm.scalar.value();
+            while i < n {
+                let mut r = shoup::mul_lazy(x.get(i), w.get(i), w_shoup.get(i), q);
+                if canonicalize && r >= q {
+                    r -= q;
+                }
+                x.set(i, r);
+                i += 1;
+            }
+        },
+    );
 }
 
 /// Scales every residue by a constant (the inverse transform's `n⁻¹`).
 pub(crate) fn scale_simd<E: SimdEngine>(x: &mut ResidueSoa, c: u128, vm: &VModulus<E>) {
-    let n = x.len();
-    let cv = VDword::<E>::broadcast(c);
-    let lanes = E::LANES;
-    let mut i = 0;
-    while i + lanes <= n {
-        let v = x.load_vector::<E>(i);
-        x.store_vector::<E>(i, mulmod::<E>(v, cv, vm));
-        i += lanes;
-    }
-    let m = vm.scalar;
-    while i < n {
-        x.set(i, m.mul_mod(x.get(i), c));
-        i += 1;
-    }
+    E::vectorize(
+        #[inline(always)]
+        || {
+            let n = x.len();
+            let cv = VDword::<E>::broadcast(c);
+            let lanes = E::LANES;
+            let mut i = 0;
+            while i + lanes <= n {
+                let v = x.load_vector::<E>(i);
+                x.store_vector::<E>(i, mulmod::<E>(v, cv, vm));
+                i += lanes;
+            }
+            let m = vm.scalar;
+            while i < n {
+                x.set(i, m.mul_mod(x.get(i), c));
+                i += 1;
+            }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -5,6 +5,10 @@
 //! signed compares, and 64-bit `mullo` must itself be emulated from
 //! `vpmuludq` partials — the "more instructions and additional handling"
 //! the paper describes for this tier (§3.2).
+//!
+//! As for the AVX-512 engine, no build flag is needed for speed: the
+//! shims are `#[inline(always)]` and become single instructions inside
+//! the `avx2` frame that [`SimdEngine::vectorize`] opens.
 
 #![allow(unsafe_code)]
 
@@ -20,7 +24,8 @@ impl sealed::Sealed for Avx2 {}
 /// Panic-guards the engine's data-entry points (see the identical
 /// guard in the AVX-512 engine): execution on a host without AVX2
 /// fails fast in safe code instead of faulting. Free when the build
-/// enables the feature statically.
+/// enables the feature statically; [`SimdEngine::vectorize`] runs it once
+/// per frame.
 #[inline(always)]
 fn require_avx2() {
     assert!(
@@ -30,7 +35,7 @@ fn require_avx2() {
     );
 }
 
-#[inline]
+#[inline(always)]
 fn sign_flip(a: __m256i) -> __m256i {
     // SAFETY: xor/set1 are lane-wise AVX2 ops with no memory access;
     // callers pass vectors built by the guarded entry points below.
@@ -45,7 +50,21 @@ impl SimdEngine for Avx2 {
     /// Lane-wide boolean vector: each 64-bit lane is all-ones or all-zeros.
     type M = __m256i;
 
-    #[inline]
+    #[inline(always)]
+    fn vectorize<R>(f: impl FnOnce() -> R) -> R {
+        /// The frame: the only function in the workspace compiled with
+        /// the AVX2 feature, one instance per kernel closure.
+        #[target_feature(enable = "avx2")]
+        fn frame<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        require_avx2();
+        // SAFETY: `require_avx2` above proved this CPU has avx2, the only
+        // feature `frame` enables.
+        unsafe { frame(f) }
+    }
+
+    #[inline(always)]
     fn splat(x: u64) -> Self::V {
         require_avx2();
         // SAFETY: the `require_avx2` guard above proved the feature;
@@ -53,7 +72,7 @@ impl SimdEngine for Avx2 {
         unsafe { _mm256_set1_epi64x(x as i64) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn load(src: &[u64]) -> Self::V {
         require_avx2();
         assert!(src.len() >= 4, "avx2 load needs 4 lanes");
@@ -62,7 +81,7 @@ impl SimdEngine for Avx2 {
         unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn store(v: Self::V, dst: &mut [u64]) {
         assert!(dst.len() >= 4, "avx2 store needs 4 lanes");
         // SAFETY: `v` exists only on a guarded host (`splat`/`load`); the
@@ -70,7 +89,7 @@ impl SimdEngine for Avx2 {
         unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn extract(v: Self::V, lane: usize) -> u64 {
         assert!(lane < 4);
         let mut buf = [0_u64; 4];
@@ -78,21 +97,21 @@ impl SimdEngine for Avx2 {
         buf[lane]
     }
 
-    #[inline]
+    #[inline(always)]
     fn add(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_add_epi64(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn sub(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_sub_epi64(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mullo(a: Self::V, b: Self::V) -> Self::V {
         // No vpmullq below AVX-512DQ: assemble the low 64 bits from three
         // vpmuludq partials: lo = ll + ((lh + hl) << 32).
@@ -107,56 +126,56 @@ impl SimdEngine for Avx2 {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mul32_wide(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_mul_epu32(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mullo32(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_mullo_epi32(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn shl(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_sll_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn shr(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_srl_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn and(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_and_si256(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn or(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_or_si256(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn xor(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_xor_si256(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn cmp_lt(a: Self::V, b: Self::V) -> Self::M {
         // Unsigned a < b via signed compare on sign-flipped operands.
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
@@ -164,54 +183,54 @@ impl SimdEngine for Avx2 {
         unsafe { _mm256_cmpgt_epi64(sign_flip(b), sign_flip(a)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn cmp_le(a: Self::V, b: Self::V) -> Self::M {
         Self::mask_not(Self::cmp_lt(b, a))
     }
 
-    #[inline]
+    #[inline(always)]
     fn cmp_eq(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_cmpeq_epi64(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_zero() -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_setzero_si256() }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_and(a: Self::M, b: Self::M) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_and_si256(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_or(a: Self::M, b: Self::M) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_or_si256(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_not(a: Self::M) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_xor_si256(a, _mm256_set1_epi64x(-1)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_to_bits(m: Self::M) -> u64 {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_movemask_pd(_mm256_castsi256_pd(m)) as u64 }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_from_bits(bits: u64) -> Self::M {
         let lane = |i: u64| -> i64 {
             if (bits >> i) & 1 == 1 {
@@ -225,24 +244,24 @@ impl SimdEngine for Avx2 {
         unsafe { _mm256_setr_epi64x(lane(0), lane(1), lane(2), lane(3)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.
         unsafe { _mm256_blendv_epi8(a, b, m) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_add(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         Self::blend(m, src, Self::add(a, b))
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_sub(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         Self::blend(m, src, Self::sub(a, b))
     }
 
-    #[inline]
+    #[inline(always)]
     fn interleave_lo(a: Self::V, b: Self::V) -> Self::V {
         // Pre-permute both operands so in-lane unpack produces the true
         // element-wise interleave: [a0, b0, a1, b1].
@@ -255,7 +274,7 @@ impl SimdEngine for Avx2 {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
         // exist only via `splat`/`load`, whose `require_avx2` guard ran.

@@ -5,8 +5,13 @@
 //! Compiled into every x86-64 build so that the `mqx` facade can select
 //! it at **runtime**; callers must check [`crate::avx512_detected`]
 //! before executing any of its operations (the backend registry does).
-//! Building with `-C target-cpu=native` on an AVX-512 host additionally
-//! lets the intrinsics inline into the kernels.
+//!
+//! No build flag is needed for speed: the shims below are all
+//! `#[inline(always)]`, and a kernel that runs its vector loop inside
+//! [`SimdEngine::vectorize`] has them inlined into the one function this
+//! file compiles with `avx512f,avx512dq` — each shim is then the single
+//! instruction it names. Outside a frame the shims still compute the
+//! same values, one out-of-line intrinsic call each.
 
 #![allow(unsafe_code)]
 
@@ -25,8 +30,10 @@ impl sealed::Sealed for Avx512 {}
 /// instead of an illegal-instruction fault from safe code. The check
 /// constant-folds to nothing when the build already enables the
 /// features (`is_x86_feature_detected!` short-circuits at compile
-/// time), and costs one cached atomic load otherwise — noise next to
-/// the out-of-line intrinsic calls such builds already make.
+/// time), and costs one cached atomic load and a predictable branch
+/// otherwise. [`SimdEngine::vectorize`] runs the same check once per
+/// frame; the per-vector checks stay because the engine type is public
+/// and its ops are safe to call outside any frame.
 #[inline(always)]
 fn require_avx512() {
     assert!(
@@ -43,7 +50,21 @@ impl SimdEngine for Avx512 {
     type V = __m512i;
     type M = __mmask8;
 
-    #[inline]
+    #[inline(always)]
+    fn vectorize<R>(f: impl FnOnce() -> R) -> R {
+        /// The frame: the only function in the workspace compiled with
+        /// the AVX-512 features, one instance per kernel closure.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        fn frame<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        require_avx512();
+        // SAFETY: `require_avx512` above proved this CPU has avx512f and
+        // avx512dq, the only features `frame` enables.
+        unsafe { frame(f) }
+    }
+
+    #[inline(always)]
     fn splat(x: u64) -> Self::V {
         require_avx512();
         // SAFETY: the `require_avx512` guard above proved the features;
@@ -51,7 +72,7 @@ impl SimdEngine for Avx512 {
         unsafe { _mm512_set1_epi64(x as i64) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn load(src: &[u64]) -> Self::V {
         require_avx512();
         assert!(src.len() >= 8, "avx512 load needs 8 lanes");
@@ -60,7 +81,7 @@ impl SimdEngine for Avx512 {
         unsafe { _mm512_loadu_si512(src.as_ptr().cast()) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn store(v: Self::V, dst: &mut [u64]) {
         assert!(dst.len() >= 8, "avx512 store needs 8 lanes");
         // SAFETY: `v` exists only on a guarded host (`splat`/`load`); the
@@ -68,7 +89,7 @@ impl SimdEngine for Avx512 {
         unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn extract(v: Self::V, lane: usize) -> u64 {
         assert!(lane < 8);
         let mut buf = [0_u64; 8];
@@ -76,149 +97,149 @@ impl SimdEngine for Avx512 {
         buf[lane]
     }
 
-    #[inline]
+    #[inline(always)]
     fn add(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_add_epi64(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn sub(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_sub_epi64(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mullo(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_mullo_epi64(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mul32_wide(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_mul_epu32(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mullo32(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_mullo_epi32(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn shl(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_sll_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn shr(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_srl_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn and(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_and_si512(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn or(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_or_si512(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn xor(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_xor_si512(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn cmp_lt(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_cmplt_epu64_mask(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn cmp_le(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_cmple_epu64_mask(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn cmp_eq(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_cmpeq_epi64_mask(a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_zero() -> Self::M {
         0
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_and(a: Self::M, b: Self::M) -> Self::M {
         a & b
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_or(a: Self::M, b: Self::M) -> Self::M {
         a | b
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_not(a: Self::M) -> Self::M {
         !a
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_to_bits(m: Self::M) -> u64 {
         u64::from(m)
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_from_bits(bits: u64) -> Self::M {
         bits as u8
     }
 
-    #[inline]
+    #[inline(always)]
     fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_mask_blend_epi64(m, a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_add(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_mask_add_epi64(src, m, a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_sub(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
         unsafe { _mm512_mask_sub_epi64(src, m, a, b) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn interleave_lo(a: Self::V, b: Self::V) -> Self::V {
         // One vpermt2q: indices 0..3 of a interleaved with 8..11 of b.
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
@@ -229,7 +250,7 @@ impl SimdEngine for Avx512 {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
         // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.

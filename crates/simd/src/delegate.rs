@@ -5,19 +5,25 @@
 
 macro_rules! delegate_data {
     ($base:ty) => {
-        #[inline]
+        /// A wrapper's intrinsics are its base engine's, so it runs in
+        /// the base engine's target-feature frame.
+        #[inline(always)]
+        fn vectorize<R>(f: impl FnOnce() -> R) -> R {
+            <$base as crate::engine::SimdEngine>::vectorize(f)
+        }
+        #[inline(always)]
         fn splat(x: u64) -> Self::V {
             <$base as crate::engine::SimdEngine>::splat(x)
         }
-        #[inline]
+        #[inline(always)]
         fn load(src: &[u64]) -> Self::V {
             <$base as crate::engine::SimdEngine>::load(src)
         }
-        #[inline]
+        #[inline(always)]
         fn store(v: Self::V, dst: &mut [u64]) {
             <$base as crate::engine::SimdEngine>::store(v, dst)
         }
-        #[inline]
+        #[inline(always)]
         fn extract(v: Self::V, lane: usize) -> u64 {
             <$base as crate::engine::SimdEngine>::extract(v, lane)
         }
@@ -26,43 +32,43 @@ macro_rules! delegate_data {
 
 macro_rules! delegate_arith {
     ($base:ty) => {
-        #[inline]
+        #[inline(always)]
         fn add(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::add(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn sub(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::sub(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mullo(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::mullo(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mul32_wide(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::mul32_wide(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mullo32(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::mullo32(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn shl(a: Self::V, n: u32) -> Self::V {
             <$base as crate::engine::SimdEngine>::shl(a, n)
         }
-        #[inline]
+        #[inline(always)]
         fn shr(a: Self::V, n: u32) -> Self::V {
             <$base as crate::engine::SimdEngine>::shr(a, n)
         }
-        #[inline]
+        #[inline(always)]
         fn and(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::and(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn or(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::or(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn xor(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::xor(a, b)
         }
@@ -71,15 +77,15 @@ macro_rules! delegate_arith {
 
 macro_rules! delegate_cmp {
     ($base:ty) => {
-        #[inline]
+        #[inline(always)]
         fn cmp_lt(a: Self::V, b: Self::V) -> Self::M {
             <$base as crate::engine::SimdEngine>::cmp_lt(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn cmp_le(a: Self::V, b: Self::V) -> Self::M {
             <$base as crate::engine::SimdEngine>::cmp_le(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn cmp_eq(a: Self::V, b: Self::V) -> Self::M {
             <$base as crate::engine::SimdEngine>::cmp_eq(a, b)
         }
@@ -88,27 +94,27 @@ macro_rules! delegate_cmp {
 
 macro_rules! delegate_masks {
     ($base:ty) => {
-        #[inline]
+        #[inline(always)]
         fn mask_zero() -> Self::M {
             <$base as crate::engine::SimdEngine>::mask_zero()
         }
-        #[inline]
+        #[inline(always)]
         fn mask_and(a: Self::M, b: Self::M) -> Self::M {
             <$base as crate::engine::SimdEngine>::mask_and(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mask_or(a: Self::M, b: Self::M) -> Self::M {
             <$base as crate::engine::SimdEngine>::mask_or(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mask_not(a: Self::M) -> Self::M {
             <$base as crate::engine::SimdEngine>::mask_not(a)
         }
-        #[inline]
+        #[inline(always)]
         fn mask_to_bits(m: Self::M) -> u64 {
             <$base as crate::engine::SimdEngine>::mask_to_bits(m)
         }
-        #[inline]
+        #[inline(always)]
         fn mask_from_bits(bits: u64) -> Self::M {
             <$base as crate::engine::SimdEngine>::mask_from_bits(bits)
         }
@@ -117,15 +123,15 @@ macro_rules! delegate_masks {
 
 macro_rules! delegate_select {
     ($base:ty) => {
-        #[inline]
+        #[inline(always)]
         fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::blend(m, a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mask_add(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::mask_add(src, m, a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn mask_sub(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::mask_sub(src, m, a, b)
         }
@@ -134,11 +140,11 @@ macro_rules! delegate_select {
 
 macro_rules! delegate_perm {
     ($base:ty) => {
-        #[inline]
+        #[inline(always)]
         fn interleave_lo(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::interleave_lo(a, b)
         }
-        #[inline]
+        #[inline(always)]
         fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::interleave_hi(a, b)
         }

@@ -43,6 +43,7 @@ impl<E: SimdEngine> std::fmt::Debug for VDword<E> {
 
 impl<E: SimdEngine> VDword<E> {
     /// Broadcasts one 128-bit value to all lanes.
+    #[inline(always)]
     pub fn broadcast(x: u128) -> Self {
         VDword {
             hi: E::splat((x >> 64) as u64),
@@ -55,6 +56,7 @@ impl<E: SimdEngine> VDword<E> {
     /// # Panics
     ///
     /// Panics if either slice is shorter than `E::LANES`.
+    #[inline(always)]
     pub fn load(hi: &[u64], lo: &[u64]) -> Self {
         VDword {
             hi: E::load(hi),
@@ -67,6 +69,7 @@ impl<E: SimdEngine> VDword<E> {
     /// # Panics
     ///
     /// Panics if either slice is shorter than `E::LANES`.
+    #[inline(always)]
     pub fn store(self, hi: &mut [u64], lo: &mut [u64]) {
         E::store(self.hi, hi);
         E::store(self.lo, lo);
@@ -95,6 +98,7 @@ impl<E: SimdEngine> VDword<E> {
     /// # Panics
     ///
     /// Panics if `lane >= E::LANES`.
+    #[inline(always)]
     pub fn extract(self, lane: usize) -> u128 {
         (u128::from(E::extract(self.hi, lane)) << 64) | u128::from(E::extract(self.lo, lane))
     }
@@ -141,6 +145,7 @@ impl<E: SimdEngine> std::fmt::Debug for VModulus<E> {
 
 impl<E: SimdEngine> VModulus<E> {
     /// Broadcasts a scalar [`Modulus`] across the engine's lanes.
+    #[inline(always)]
     pub fn new(m: &Modulus) -> Self {
         VModulus {
             q: VDword::broadcast(m.value()),
@@ -162,7 +167,7 @@ impl<E: SimdEngine> VModulus<E> {
 /// tests only `mh < eh` and misses the `eh = mh, el ≥ ml` boundary — see
 /// [`addmod_listing3_faithful`]), this form is exact for every input; the
 /// instruction count is identical.
-#[inline]
+#[inline(always)]
 pub fn addmod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     // e = a + b via the carry chain (Eq. 6).
     let (el, elc) = E::adc0(a.lo, b.lo);
@@ -198,7 +203,7 @@ pub fn addmod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDw
 ///
 /// Kept for side-by-side study and for the regression test that documents
 /// the discrepancy; use [`addmod`] for exact reduction at the same cost.
-#[inline]
+#[inline(always)]
 pub fn addmod_listing3_faithful<E: SimdEngine>(
     a: VDword<E>,
     b: VDword<E>,
@@ -218,7 +223,7 @@ pub fn addmod_listing3_faithful<E: SimdEngine>(
 
 /// Vectorized double-word modular subtraction (Eq. 3/7): raw borrow chain,
 /// then conditional add-back of `q` on underflow.
-#[inline]
+#[inline(always)]
 pub fn submod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     let (dl, dlb) = E::sbb0(a.lo, b.lo);
     let (dh, dhb) = E::sbb(a.hi, b.hi, dlb); // dhb ⇔ a < b
@@ -243,7 +248,7 @@ pub fn submod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDw
 /// The 256-bit product of two lane vectors as four 64-bit limb vectors
 /// `[x0, x1, x2, x3]` (least significant first), via the schoolbook
 /// method (Eq. 8): four widening multiplies and a carry tree.
-#[inline]
+#[inline(always)]
 fn mul_256_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
     let (p00h, p00l) = E::mul_wide(a.lo, b.lo);
     let (p01h, p01l) = E::mul_wide(a.lo, b.hi);
@@ -266,7 +271,7 @@ fn mul_256_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
 
 /// As [`mul_256_schoolbook`] but with the Karatsuba identity (Eq. 9):
 /// three widening multiplies plus carry fix-ups.
-#[inline]
+#[inline(always)]
 fn mul_256_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
     let one = E::splat(1);
     // z0 = a.lo·b.lo, z2 = a.hi·b.hi.
@@ -319,7 +324,7 @@ fn mul_256_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
 /// `t = ⌊x·µ/2^k⌋` (a 4×2-limb product and a long shift), `c = x − t·q`,
 /// one conditional subtraction. Mirrors [`mqx_core::Modulus::reduce_wide`]
 /// limb for limb.
-#[inline]
+#[inline(always)]
 fn barrett_reduce<E: SimdEngine>(x: [E::V; 4], m: &VModulus<E>) -> VDword<E> {
     let one = E::splat(1);
     let zero = E::splat(0);
@@ -403,7 +408,7 @@ fn barrett_reduce<E: SimdEngine>(x: [E::V; 4], m: &VModulus<E>) -> VDword<E> {
 /// Karatsuba (Eq. 9, the §5.5 alternative). Kernels built on this —
 /// NTT butterflies, BLAS `vmul`/`axpy` — therefore follow the modulus'
 /// setting, which is how the §5.5 sensitivity study swaps algorithms.
-#[inline]
+#[inline(always)]
 pub fn mulmod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     match m.scalar.algorithm() {
         mqx_core::MulAlgorithm::Schoolbook => mulmod_schoolbook::<E>(a, b, m),
@@ -413,16 +418,29 @@ pub fn mulmod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDw
 
 /// Vectorized modular multiplication with the schoolbook product
 /// (Eq. 8): four widening multiplies.
+///
+/// Opens its own [`SimdEngine::vectorize`] frame and is *not* force-
+/// inlined: every kernel of an engine then shares one compiled copy of
+/// the Barrett chain (the largest body in the crate) instead of
+/// carrying its own, and the compiler inlines it into a calling frame
+/// where that pays.
 #[inline]
 pub fn mulmod_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
-    barrett_reduce::<E>(mul_256_schoolbook::<E>(a, b), m)
+    E::vectorize(
+        #[inline(always)]
+        || barrett_reduce::<E>(mul_256_schoolbook::<E>(a, b), m),
+    )
 }
 
 /// Vectorized modular multiplication with the Karatsuba product
 /// (Eq. 9): three widening multiplies plus carry fix-ups.
+/// Frames like [`mulmod_schoolbook`].
 #[inline]
 pub fn mulmod_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
-    barrett_reduce::<E>(mul_256_karatsuba::<E>(a, b), m)
+    E::vectorize(
+        #[inline(always)]
+        || barrett_reduce::<E>(mul_256_karatsuba::<E>(a, b), m),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +456,7 @@ pub fn mulmod_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<
 /// `a + b mod 2^128` per lane — raw carry chain, no reduction. Safe for
 /// lazy values: both operands stay below `2^126`, so the sum never
 /// carries out.
-#[inline]
+#[inline(always)]
 fn add_wrap<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
     let (lo, c) = E::adc0(a.lo, b.lo);
     let (hi, _) = E::adc(a.hi, b.hi, c);
@@ -446,7 +464,7 @@ fn add_wrap<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
 }
 
 /// `a − b mod 2^128` per lane — raw borrow chain, wrapping.
-#[inline]
+#[inline(always)]
 fn sub_wrap<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
     let (lo, b0) = E::sbb0(a.lo, b.lo);
     let (hi, _) = E::sbb(a.hi, b.hi, b0);
@@ -454,7 +472,7 @@ fn sub_wrap<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
 }
 
 /// Low 128 bits of the 256-bit lane product `a·b`.
-#[inline]
+#[inline(always)]
 fn mullo_128<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
     let (h, l) = E::mul_wide(a.lo, b.lo);
     let hi = E::add(h, E::add(E::mullo(a.lo, b.hi), E::mullo(a.hi, b.lo)));
@@ -464,7 +482,7 @@ fn mullo_128<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
 /// One conditional correction: `x − c` where the trial subtraction's
 /// borrow selects between `x` and `x − c`. The single compare-subtract
 /// the lazy butterflies are allowed.
-#[inline]
+#[inline(always)]
 fn fold_once<E: SimdEngine>(x: VDword<E>, c: VDword<E>) -> VDword<E> {
     let (sl, b0) = E::sbb0(x.lo, c.lo);
     let (sh, b1) = E::sbb(x.hi, c.hi, b0);
@@ -479,7 +497,7 @@ fn fold_once<E: SimdEngine>(x: VDword<E>, c: VDword<E>) -> VDword<E> {
 /// followed by a single conditional subtraction of `2q`. Inputs `< 2q`
 /// produce an output `< 2q` — one correction where [`addmod`] needs a
 /// full trial-subtract select against `q`.
-#[inline]
+#[inline(always)]
 pub fn addmod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     fold_once::<E>(add_wrap::<E>(a, b), m.two_q)
 }
@@ -488,7 +506,7 @@ pub fn addmod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -
 /// corrections). Inputs `< 2q` produce an output `< 4q`, which
 /// [`mulmod_shoup_lazy`] accepts directly — the Gentleman–Sande butterfly
 /// therefore pays no correction at all on its difference leg.
-#[inline]
+#[inline(always)]
 pub fn submod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     sub_wrap::<E>(add_wrap::<E>(a, m.two_q), b)
 }
@@ -498,7 +516,7 @@ pub fn submod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -
 /// `x`, reduced or not (see `mqx_core::shoup::mul_lazy` for the bound).
 /// Three low-half multiplies and one widening multiply replace the
 /// eight-multiply Barrett sequence, with no correction step.
-#[inline]
+#[inline(always)]
 pub fn mulmod_shoup_lazy<E: SimdEngine>(
     x: VDword<E>,
     w: VDword<E>,
@@ -513,14 +531,14 @@ pub fn mulmod_shoup_lazy<E: SimdEngine>(
 
 /// Canonicalizes a `[0, 2q)` lazy value into `[0, q)` with one
 /// conditional subtraction.
-#[inline]
+#[inline(always)]
 pub fn reduce_2q_to_q<E: SimdEngine>(x: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     fold_once::<E>(x, m.q)
 }
 
 /// Folds a `[0, 4q)` value into `[0, 2q)` with one conditional
 /// subtraction of `2q`.
-#[inline]
+#[inline(always)]
 pub fn reduce_4q_to_2q<E: SimdEngine>(x: VDword<E>, m: &VModulus<E>) -> VDword<E> {
     fold_once::<E>(x, m.two_q)
 }

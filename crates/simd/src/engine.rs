@@ -37,6 +37,80 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// A per-lane mask (one bit of predicate per lane).
     type M: Copy + Debug + Send + Sync;
 
+    // ---- the target-feature frame ---------------------------------------
+
+    /// Runs `f` inside this engine's **target-feature frame** and returns
+    /// its result.
+    ///
+    /// The hardware engines are compiled into every x86-64 build, but an
+    /// ordinary build enables none of their target features, so an
+    /// intrinsic reached from ordinary code is an out-of-line call per
+    /// instruction. `vectorize` is the one place the features are turned
+    /// on: [`Avx512`](crate::Avx512) / [`Avx2`](crate::Avx2) check the
+    /// running CPU **once** (panicking on a host without the features,
+    /// like `splat`/`load` do) and then run `f` in a function compiled
+    /// with `avx512f,avx512dq` / `avx2`, where every intrinsic that was
+    /// inlined into `f` becomes the single instruction it names.
+    /// [`Portable`](crate::Portable) has no features to enable and uses
+    /// this default, whose frame is a plain out-of-line function: still a
+    /// real call boundary, so each engine keeps one compiled copy of each
+    /// kernel — the same code shape the hardware engines get — instead of
+    /// the force-inlined arithmetic beneath it being duplicated into
+    /// every caller. The wrapper engines ([`Mqx`](crate::Mqx), the
+    /// [`proxy`](crate::proxy) engines) delegate to their base engine.
+    /// The result is the same with or without the frame — only the cost
+    /// differs — so every kernel is written once, over the whole
+    /// vector loop:
+    ///
+    /// ```
+    /// use mqx_simd::{Portable, SimdEngine};
+    ///
+    /// fn sum_lanes<E: SimdEngine>(xs: &[u64]) -> u64 {
+    ///     E::vectorize(
+    ///         #[inline(always)]
+    ///         || {
+    ///             let mut acc = E::splat(0);
+    ///             for chunk in xs.chunks_exact(E::LANES) {
+    ///                 acc = E::add(acc, E::load(chunk));
+    ///             }
+    ///             (0..E::LANES).map(|i| E::extract(acc, i)).sum()
+    ///         },
+    ///     )
+    /// }
+    /// assert_eq!(sum_lanes::<Portable>(&[1; 16]), 16);
+    /// ```
+    ///
+    /// # What a kernel author must keep true
+    ///
+    /// The features reach only code that is **inlined into the frame**:
+    ///
+    /// * the closure itself and every function between it and the
+    ///   intrinsics must be `#[inline(always)]` (as every engine op,
+    ///   [`VDword`](crate::VDword) / [`ResidueSoa`](crate::ResidueSoa)
+    ///   accessor and modular op in this crate is). A plain `#[inline]`
+    ///   is a hint; one frame that stays out of line is compiled without
+    ///   the features and puts every intrinsic beneath it back out of
+    ///   line;
+    /// * never pass a **fn item** (`addmod::<E>`) where an `impl Fn` is
+    ///   expected inside the frame: the call goes through a
+    ///   compiler-generated shim that `#[inline(always)]` does not reach,
+    ///   and the whole callee lands in that shim without the features.
+    ///   Pass `#[inline(always)] |a, b, m| addmod::<E>(a, b, m)` instead.
+    ///
+    /// Frames nest for free: a function that opens its own frame (as
+    /// [`mulmod_schoolbook`](crate::mulmod_schoolbook) does, so each
+    /// engine carries one copy of the Barrett chain) may be called from
+    /// inside another, and the compiler may inline one into the other
+    /// because their features match.
+    #[inline(always)]
+    fn vectorize<R>(f: impl FnOnce() -> R) -> R {
+        #[inline(never)]
+        fn frame<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        frame(f)
+    }
+
     // ---- data movement ------------------------------------------------
 
     /// Broadcasts a scalar to all lanes (`vpbroadcastq`).
@@ -98,7 +172,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// `a = b` per lane (`vpcmpeqq`).
     fn cmp_eq(a: Self::V, b: Self::V) -> Self::M;
     /// `a > b` per lane, unsigned.
-    #[inline]
+    #[inline(always)]
     fn cmp_gt(a: Self::V, b: Self::V) -> Self::M {
         Self::cmp_lt(b, a)
     }
@@ -118,7 +192,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Builds a mask from one bit per lane.
     fn mask_from_bits(bits: u64) -> Self::M;
     /// `true` if any lane is set (test support).
-    #[inline]
+    #[inline(always)]
     fn mask_any(m: Self::M) -> bool {
         Self::mask_to_bits(m) != 0
     }
@@ -154,7 +228,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// with `WIDENING_MUL` override this with the proposed
     /// `_mm512_mul_epi64` (Table 2), or with a mul-lo/mul-hi pair when
     /// `MULHI_ONLY` (§5.5).
-    #[inline]
+    #[inline(always)]
     fn mul_wide(a: Self::V, b: Self::V) -> (Self::V, Self::V) {
         let mask32 = Self::splat(0xFFFF_FFFF);
         let a_hi = Self::shr(a, 32);
@@ -186,7 +260,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// cryptographic domain (see [`mqx_core::word::adc_cmp`] for the
     /// boundary case). MQX profiles with `CARRY` override this with the
     /// proposed one-instruction `_mm512_adc_epi64`.
-    #[inline]
+    #[inline(always)]
     fn adc(a: Self::V, b: Self::V, carry_in: Self::M) -> (Self::V, Self::M) {
         let one = Self::splat(1);
         let t0 = Self::add(a, b);
@@ -201,7 +275,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// `vpcmpuq`); MQX profiles with `CARRY` override it with
     /// `_mm512_adc_epi64` fed the zero mask, exactly as Listing 3 passes
     /// `z_mask`.
-    #[inline]
+    #[inline(always)]
     fn adc0(a: Self::V, b: Self::V) -> (Self::V, Self::M) {
         let t0 = Self::add(a, b);
         (t0, Self::cmp_lt(t0, a))
@@ -214,7 +288,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// (`borrow = (a < b) ∨ (borrow_in ∧ a = b)`, exact for all inputs).
     /// MQX profiles with `CARRY` override this with the proposed
     /// `_mm512_sbb_epi64`.
-    #[inline]
+    #[inline(always)]
     fn sbb(a: Self::V, b: Self::V, borrow_in: Self::M) -> (Self::V, Self::M) {
         let one = Self::splat(1);
         let t0 = Self::sub(a, b);
@@ -227,7 +301,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Subtract-with-borrow with a known-zero borrow-in. Two instructions
     /// in the baseline (`vpsubq` + `vpcmpuq`); MQX profiles with `CARRY`
     /// override it with `_mm512_sbb_epi64` fed the zero mask.
-    #[inline]
+    #[inline(always)]
     fn sbb0(a: Self::V, b: Self::V) -> (Self::V, Self::M) {
         (Self::sub(a, b), Self::cmp_lt(a, b))
     }
@@ -237,7 +311,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     ///
     /// Default: [`adc`](Self::adc) followed by a blend. MQX profiles with
     /// `PREDICATED` override this with the proposed single instruction.
-    #[inline]
+    #[inline(always)]
     fn padc(a: Self::V, b: Self::V, carry_in: Self::M, pred: Self::M) -> Self::V {
         let (sum, _) = Self::adc(a, b, carry_in);
         Self::blend(pred, a, sum)
@@ -246,7 +320,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Predicated subtract-with-borrow (§5.5 "+P"): lanes where `pred` is
     /// set get `a − b − borrow_in`, others pass `a` through; no
     /// borrow-out.
-    #[inline]
+    #[inline(always)]
     fn psbb(a: Self::V, b: Self::V, borrow_in: Self::M, pred: Self::M) -> Self::V {
         let (diff, _) = Self::sbb(a, b, borrow_in);
         Self::blend(pred, a, diff)

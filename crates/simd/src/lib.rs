@@ -28,12 +28,19 @@
 //! check passes. The `mqx` facade's backend registry performs that check
 //! and is the supported way to reach these engines. As a safety net the
 //! engines also guard their own data-entry operations (`splat`/`load`)
-//! with the same detection check — free in natively-compiled builds —
-//! so running one on an unsupported host panics deterministically
-//! instead of faulting.
-//! Building with `RUSTFLAGS="-C target-cpu=native"` additionally lets the
-//! compiler inline the intrinsics into the kernels for peak throughput;
-//! [`tier_summary`] reports both axes.
+//! and every [`SimdEngine::vectorize`] frame with the same detection
+//! check, so running one on an unsupported host panics
+//! deterministically instead of faulting.
+//!
+//! An ordinary `cargo build --release` serves the vector tiers at full
+//! speed: kernels run their vector loops inside
+//! [`SimdEngine::vectorize`], the one function per engine that is
+//! compiled with the engine's target features, and every engine op,
+//! [`VDword`] / [`ResidueSoa`] accessor and modular op in this crate is
+//! `#[inline(always)]` so the intrinsics inline into that frame. No
+//! `-C target-cpu` flag is involved; the *compiled* column of
+//! [`tier_summary`] only says whether the whole build happened to enable
+//! the features and no longer predicts speed.
 //!
 //! # MQX modes
 //!
@@ -113,10 +120,12 @@ pub mod tiers {
 }
 
 /// Returns `true` when this build was *compiled with* the AVX-512 target
-/// features enabled (e.g. via `-C target-cpu=native` on an AVX-512
-/// host), which lets the compiler inline the AVX-512 intrinsics into the
-/// kernels. The engine itself is compiled into every x86-64 build; see
-/// [`avx512_detected`] for whether this machine can execute it.
+/// features enabled for every function (e.g. via `-C target-cpu=native`
+/// on an AVX-512 host). Kernels do not need it — their
+/// [`SimdEngine::vectorize`] frames enable the features themselves — so
+/// this is a build diagnostic, not a speed predictor. The engine itself
+/// is compiled into every x86-64 build; see [`avx512_detected`] for
+/// whether this machine can execute it.
 pub const fn avx512_compiled() -> bool {
     cfg!(all(
         target_arch = "x86_64",
@@ -162,11 +171,11 @@ pub fn avx2_detected() -> bool {
 
 /// One-line description of the vector tiers, for benchmark reports.
 ///
-/// Distinguishes the two failure modes a missing tier can have:
-/// *not compiled* (the binary was built without `-C target-cpu=native`,
-/// so the intrinsics cannot be inlined — the tier still runs, just
-/// slower) versus *not detected* (this CPU cannot execute the tier at
-/// all, and the backend registry will not offer it).
+/// Reports two axes per tier: *compiled* (the whole binary was built
+/// with the tier's features, e.g. `-C target-cpu=native`; irrelevant to
+/// kernel speed, which comes from the [`SimdEngine::vectorize`] frames)
+/// and *detected* (this CPU can execute the tier; when it cannot, the
+/// backend registry does not offer it).
 pub fn tier_summary() -> String {
     let axis = |compiled: bool, detected: bool| {
         format!(

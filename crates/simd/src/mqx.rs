@@ -43,7 +43,7 @@ impl<E: SimdEngine, P: MqxProfile> sealed::Sealed for Mqx<E, P> {}
 
 /// Applies an exact two-output word function lane-by-lane (the Table 2
 /// emulation loop).
-#[inline]
+#[inline(always)]
 fn lanewise2<E: SimdEngine>(a: E::V, b: E::V, f: impl Fn(u64, u64) -> (u64, u64)) -> (E::V, E::V) {
     let mut ab = [0_u64; 8];
     let mut bb = [0_u64; 8];
@@ -61,7 +61,7 @@ fn lanewise2<E: SimdEngine>(a: E::V, b: E::V, f: impl Fn(u64, u64) -> (u64, u64)
 
 /// Applies an exact carry-style word function lane-by-lane: value plus
 /// flag in, value plus flag out.
-#[inline]
+#[inline(always)]
 fn lanewise_carry<E: SimdEngine>(
     a: E::V,
     b: E::V,
@@ -99,7 +99,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     delegate_perm!(E);
 
     /// `_mm512_mul_epi64` (Table 2) or the `+Mh` mul-lo/mul-hi pair.
-    #[inline]
+    #[inline(always)]
     fn mul_wide(a: Self::V, b: Self::V) -> (Self::V, Self::V) {
         if P::FUNCTIONAL {
             if P::WIDENING_MUL || P::MULHI_ONLY {
@@ -125,7 +125,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     }
 
     /// `_mm512_adc_epi64` (Table 2 / Table 3).
-    #[inline]
+    #[inline(always)]
     fn adc(a: Self::V, b: Self::V, carry_in: Self::M) -> (Self::V, Self::M) {
         if !P::CARRY {
             // Profile without carry support: baseline emulation.
@@ -145,7 +145,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn adc0(a: Self::V, b: Self::V) -> (Self::V, Self::M) {
         if !P::CARRY {
             let t0 = Self::add(a, b);
@@ -162,7 +162,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     }
 
     /// `_mm512_sbb_epi64` (Table 2 / Table 3).
-    #[inline]
+    #[inline(always)]
     fn sbb(a: Self::V, b: Self::V, borrow_in: Self::M) -> (Self::V, Self::M) {
         if !P::CARRY {
             let one = Self::splat(1);
@@ -179,7 +179,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn sbb0(a: Self::V, b: Self::V) -> (Self::V, Self::M) {
         if !P::CARRY {
             return (Self::sub(a, b), Self::cmp_lt(a, b));
@@ -193,7 +193,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     }
 
     /// Predicated add-with-carry (§5.5 `+P`).
-    #[inline]
+    #[inline(always)]
     fn padc(a: Self::V, b: Self::V, carry_in: Self::M, pred: Self::M) -> Self::V {
         if !P::PREDICATED {
             let (sum, _) = Self::adc(a, b, carry_in);
@@ -209,7 +209,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     }
 
     /// Predicated subtract-with-borrow (§5.5 `+P`).
-    #[inline]
+    #[inline(always)]
     fn psbb(a: Self::V, b: Self::V, borrow_in: Self::M, pred: Self::M) -> Self::V {
         if !P::PREDICATED {
             let (diff, _) = Self::sbb(a, b, borrow_in);

@@ -73,7 +73,7 @@ impl<E: SimdEngine> SimdEngine for ProxyMul32<E> {
     /// The default widening-multiply decomposition with each `vpmuludq`
     /// replaced by its `vpmulld` proxy. Same instruction count, same
     /// recombination arithmetic; the partial products are wrong.
-    #[inline]
+    #[inline(always)]
     fn mul_wide(a: Self::V, b: Self::V) -> (Self::V, Self::V) {
         let mask32 = Self::splat(0xFFFF_FFFF);
         let a_hi = Self::shr(a, 32);
@@ -109,7 +109,7 @@ impl<E: SimdEngine> SimdEngine for ProxyMaskAdd<E> {
     delegate_masks!(E);
     delegate_perm!(E);
 
-    #[inline]
+    #[inline(always)]
     fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         E::blend(m, a, b)
     }
@@ -117,13 +117,13 @@ impl<E: SimdEngine> SimdEngine for ProxyMaskAdd<E> {
     /// Plain add; the mask register is kept live through a compiler
     /// barrier (the paper's "guard the output with `volatile`") so its
     /// producing instructions are not dead-code-eliminated.
-    #[inline]
+    #[inline(always)]
     fn mask_add(_src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         std::hint::black_box(m);
         E::add(a, b)
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_sub(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         E::mask_sub(src, m, a, b)
     }
@@ -142,18 +142,18 @@ impl<E: SimdEngine> SimdEngine for ProxyMaskSub<E> {
     delegate_masks!(E);
     delegate_perm!(E);
 
-    #[inline]
+    #[inline(always)]
     fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         E::blend(m, a, b)
     }
 
-    #[inline]
+    #[inline(always)]
     fn mask_add(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         E::mask_add(src, m, a, b)
     }
 
     /// Plain sub with the same dependency-preserving barrier.
-    #[inline]
+    #[inline(always)]
     fn mask_sub(_src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         std::hint::black_box(m);
         E::sub(a, b)

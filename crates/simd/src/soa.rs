@@ -78,6 +78,7 @@ impl ResidueSoa {
     }
 
     /// Number of residues.
+    #[inline(always)]
     pub fn len(&self) -> usize {
         self.hi.len()
     }
@@ -92,6 +93,7 @@ impl ResidueSoa {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline(always)]
     pub fn get(&self, i: usize) -> u128 {
         (u128::from(self.hi[i]) << 64) | u128::from(self.lo[i])
     }
@@ -101,6 +103,7 @@ impl ResidueSoa {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline(always)]
     pub fn set(&mut self, i: usize, x: u128) {
         self.hi[i] = (x >> 64) as u64;
         self.lo[i] = x as u64;
@@ -117,6 +120,7 @@ impl ResidueSoa {
     }
 
     /// Mutable views of both arrays (for kernel stores).
+    #[inline(always)]
     pub fn parts_mut(&mut self) -> (&mut [u64], &mut [u64]) {
         (&mut self.hi, &mut self.lo)
     }
@@ -126,6 +130,7 @@ impl ResidueSoa {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
+    #[inline(always)]
     pub fn load_vector<E: SimdEngine>(&self, i: usize) -> VDword<E> {
         VDword::load(&self.hi[i..], &self.lo[i..])
     }
@@ -135,6 +140,7 @@ impl ResidueSoa {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
+    #[inline(always)]
     pub fn store_vector<E: SimdEngine>(&mut self, i: usize, v: VDword<E>) {
         v.store(&mut self.hi[i..], &mut self.lo[i..]);
     }

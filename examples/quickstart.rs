@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    build runs a one-shot micro-calibration (NTT + vmul burst on
     //    every consumable backend) and memoizes the ranking.
     //    MQX_BACKEND=<name> pins a tier; MQX_CALIBRATE=off restores
-    //    the static detected+compiled rule.
+    //    the static widest-detected-tier rule.
     let n = 1024;
     let ring = Ring::auto(primes::Q124, n)?;
     println!(
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let ranking: Vec<&str> = cal.ranking().iter().map(|b| b.name()).collect();
     // Under MQX_CALIBRATE=off nothing was measured: the ranking is the
-    // static detected+compiled order, and the label must say so.
+    // static widest-detected-first order, and the label must say so.
     let label = if cal.measurements().is_empty() {
         "static ranking"
     } else {

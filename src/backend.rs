@@ -10,7 +10,11 @@
 //! [`default_backend`]) discovers tiers with
 //! `std::arch::is_x86_feature_detected!` at **runtime** — the same binary
 //! picks AVX-512 on a server and falls back to the portable engine in a
-//! container, with no rebuild.
+//! container, with no rebuild. The vector tiers run at full speed in
+//! that same ordinary build: every kernel a backend calls runs its
+//! vector loop inside [`SimdEngine::vectorize`], the engine's
+//! target-feature frame, so the intrinsics inline without any
+//! `-C target-cpu` flag.
 //!
 //! The registry is built **once per process** (an [`OnceLock`]-backed
 //! memo): every [`available`] / [`by_name`] / [`names`] call borrows
@@ -25,7 +29,7 @@
 //! backend and ranks the tiers by observed ns/butterfly (see
 //! [`calibration`]). `MQX_BACKEND=<name>` pins a registry backend for
 //! every auto selection, and `MQX_CALIBRATE=off` falls back to the
-//! static detected+compiled rule ([`default_backend`]).
+//! static rule — the widest detected tier ([`default_backend`]).
 //!
 //! Most code should go through [`Ring`](crate::Ring), which pairs a
 //! backend with an [`NttPlan`] and reusable scratch buffers; the raw
@@ -401,38 +405,25 @@ pub fn by_name(name: &str) -> Option<Arc<dyn Backend>> {
     registry().iter().find(|b| b.name() == name).cloned()
 }
 
-/// The **static rule**: the fastest hardware tier that is both
-/// *detected* on this CPU and *compiled with its target features
-/// enabled* (AVX-512 → AVX2 → portable). MQX backends are never
-/// auto-selected: functional mode is a slow bit-exact emulation and
-/// PISA mode is non-consumable.
+/// The **static rule**: the widest hardware tier *detected* on this CPU
+/// (AVX-512 → AVX2 → portable, the registry's order). MQX backends are
+/// never auto-selected: functional mode is a slow bit-exact emulation
+/// and PISA mode is non-consumable.
 ///
-/// This is no longer what [`Ring::auto`](crate::Ring::auto) uses by
-/// default — auto selection goes through the measured
-/// [`calibration`] ranking (see [`selected_backend`]) and only falls
-/// back to this rule when `MQX_CALIBRATE=off` disables the startup
-/// measurement. The rule remains useful as the measurement-free
-/// prediction the calibration is validated against.
+/// This is not what [`Ring::auto`](crate::Ring::auto) uses by default —
+/// auto selection goes through the measured [`calibration`] ranking
+/// (see [`selected_backend`]) and only falls back to this rule when
+/// `MQX_CALIBRATE=off` disables the startup measurement. The rule
+/// remains useful as the measurement-free prediction the calibration is
+/// validated against.
 ///
-/// The compiled-axis condition matters: in a build without
-/// `-C target-cpu=native` the AVX engines still *run* (their
-/// `#[target_feature]` intrinsics execute correctly), but none of the
-/// calls inline, and the measured cost is several times *worse* than
-/// the fully-optimized portable engine — so this rule falls back to
-/// portable there. Pinning an AVX backend explicitly (by name or
-/// instance) remains available for measurement and agreement testing.
+/// Detection alone decides: the kernels enable each tier's target
+/// features themselves ([`SimdEngine::vectorize`]), so a wider detected
+/// tier is the faster one however the binary was built.
 pub fn default_backend() -> Arc<dyn Backend> {
     registry()
         .iter()
-        .find(|b| {
-            b.consumable()
-                && match b.tier() {
-                    Tier::Avx512 => mqx_simd::avx512_compiled(),
-                    Tier::Avx2 => mqx_simd::avx2_compiled(),
-                    Tier::Portable => true,
-                    Tier::Mqx => false,
-                }
-        })
+        .find(|b| b.consumable() && b.tier() != Tier::Mqx)
         .cloned()
         .expect("the portable backend is always available")
 }
@@ -706,16 +697,13 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_fastest_compiled_and_detected_tier() {
+    fn default_backend_is_widest_detected_tier() {
         let d = default_backend();
         assert!(d.consumable());
         assert_ne!(d.tier(), Tier::Mqx);
-        // Hardware tiers are auto-selected only when the build can
-        // inline them (compiled) AND the host can execute them
-        // (detected); otherwise portable wins on measured speed.
-        let expected = if mqx_simd::avx512_detected() && mqx_simd::avx512_compiled() {
+        let expected = if mqx_simd::avx512_detected() {
             "avx512"
-        } else if mqx_simd::avx2_detected() && mqx_simd::avx2_compiled() {
+        } else if mqx_simd::avx2_detected() {
             "avx2"
         } else {
             "portable"

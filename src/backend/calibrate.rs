@@ -1,15 +1,15 @@
 //! Startup micro-calibration: rank the consumable backends by
 //! *measured* ns/butterfly on the running machine instead of trusting
-//! the static detected+compiled rule.
+//! the static widest-detected-tier rule.
 //!
 //! The paper's argument rests on measured cost per kernel on the host
 //! at hand, and the fastest engine for a kernel shifts with problem
-//! size and machine — a binary compiled without `-C target-cpu=native`
-//! can see its AVX tiers lose to the fully-inlined portable engine,
-//! and two hardware tiers can land within noise of each other. The
-//! static rule in [`default_backend`](super::default_backend) papers
-//! over that with a compile-time heuristic; this module replaces it
-//! with a one-shot measurement:
+//! size and machine — a wide tier can be throttled or emulated on the
+//! host at hand, and two hardware tiers can land within noise of each
+//! other. The static rule in
+//! [`default_backend`](super::default_backend) predicts from detection
+//! alone; this module replaces the prediction with a one-shot
+//! measurement:
 //!
 //! 1. [`run`] times a short burst — one forward NTT plus one `vmul`,
 //!    the polymul inner shape — on **every consumable backend** in the
@@ -35,7 +35,7 @@
 //!   wrong numbers by design — as [`Error::NonConsumableBackend`]);
 //! * `MQX_CALIBRATE=off` (`0` and `false` work too, any casing — see
 //!   [`calibration_enabled`]) skips the measurement and restores the
-//!   static detected+compiled rule bit for bit.
+//!   static widest-detected-tier rule.
 //!
 //! ```
 //! use mqx::backend;
@@ -86,7 +86,7 @@ const COMPETITIVE_MARGIN: f64 = 1.05;
 pub enum Rule {
     /// Ranked by the measured ns/butterfly of the startup burst.
     Measured,
-    /// The static detected+compiled rule
+    /// The static widest-detected-tier rule
     /// ([`default_backend`](super::default_backend)) — the
     /// `MQX_CALIBRATE=off` fallback; nothing was measured.
     Static,
@@ -226,7 +226,7 @@ pub fn median_ns(total: usize, keep: usize, mut f: impl FnMut()) -> f64 {
 /// Runs one calibration pass under the given rule. [`Rule::Measured`]
 /// times the burst on every consumable backend and ranks by score;
 /// [`Rule::Static`] skips measurement and reproduces the static
-/// detected+compiled ordering. Callers normally want the memoized
+/// widest-detected-first ordering. Callers normally want the memoized
 /// [`calibration`](super::calibration) instead; this entry point is for
 /// tooling (the `calibrate` bench experiment re-measures explicitly)
 /// and tests.
@@ -327,20 +327,18 @@ pub fn calibration_enabled() -> bool {
     }
 }
 
-/// The static fallback: the detected+compiled winner first, then the
-/// remaining consumable non-MQX registry entries in registry order.
+/// The static fallback: the consumable non-MQX registry entries in
+/// registry order — widest detected tier first, so the winner is
+/// [`default_backend`](super::default_backend).
 fn static_calibration() -> Calibration {
-    let winner = super::default_backend();
-    let mut ranking = vec![Arc::clone(&winner)];
-    for backend in super::registry() {
-        if backend.consumable() && backend.tier() != Tier::Mqx && !Arc::ptr_eq(backend, &winner) {
-            ranking.push(Arc::clone(backend));
-        }
-    }
     Calibration {
         rule: Rule::Static,
         measurements: Vec::new(),
-        ranking,
+        ranking: super::registry()
+            .iter()
+            .filter(|b| b.consumable() && b.tier() != Tier::Mqx)
+            .cloned()
+            .collect(),
     }
 }
 

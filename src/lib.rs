@@ -16,7 +16,7 @@
 //!   consumable backend by observed ns/butterfly (memoized; see
 //!   [`backend::calibration`]), with `MQX_BACKEND=<name>` pinning a
 //!   tier and `MQX_CALIBRATE=off` restoring the static
-//!   detected+compiled rule;
+//!   widest-detected-tier rule;
 //! * [`Ring::with_backend_name`] / [`RingBuilder`] — pins a tier;
 //! * [`backend::available`] — enumerates what this host offers (the
 //!   registry is built once per process and memoized);

@@ -208,7 +208,7 @@ impl Ring {
     /// `MQX_BACKEND=<name>` pins a registry backend (unknown names
     /// fail with [`Error::UnknownBackend`]), and `MQX_CALIBRATE=off`
     /// skips the measurement and restores the static
-    /// detected+compiled rule ([`backend::default_backend`]).
+    /// widest-detected-tier rule ([`backend::default_backend`]).
     pub fn auto(modulus: u128, n: usize) -> Result<Ring, Error> {
         RingBuilder::new(modulus, n).build()
     }

@@ -75,8 +75,8 @@ fn static_rule_fallback_matches_default_backend() {
         cal.measurements().is_empty(),
         "static rule measures nothing"
     );
-    // Bit-for-bit the old behavior: the static winner IS
-    // default_backend's pick (same memoized instance).
+    // The static winner IS default_backend's pick (same memoized
+    // instance).
     assert!(Arc::ptr_eq(&cal.winner(), &backend::default_backend()));
     // And per-channel assignment degenerates to the uniform winner.
     for b in cal.channel_backends(3) {

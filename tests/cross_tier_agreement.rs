@@ -213,6 +213,110 @@ fn blas_tiers_agree_with_baselines() {
     assert_eq!(ring.lower(&ring.vmul(&ba, &bb)), scalar_prod);
 }
 
+/// Deterministic residues below `q` for the edge-shape tests, with the
+/// wrap-around extremes `q − 1` and `0` up front.
+fn residues(len: usize, q: u128, seed: u64) -> Vec<u128> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match i {
+                0 => q - 1,
+                1 => 0,
+                _ => ((u128::from(state) << 64) | u128::from(!state)) % q,
+            }
+        })
+        .collect()
+}
+
+/// The element-wise kernels run a vector body inside the engine's
+/// target-feature frame and finish with a scalar tail: lengths below,
+/// at and just past one vector (4 lanes on AVX2, 8 elsewhere), and a
+/// long body with a 3-element tail, must all match the scalar oracle
+/// on every consumable backend — the wide word modulus and one
+/// word-sized RNS channel prime.
+#[test]
+fn elementwise_kernels_match_scalar_at_ragged_lengths() {
+    for q in [primes::Q124, primes::Q62] {
+        let m = Modulus::new(q).unwrap();
+        for len in [1, 7, 8, 9, 17, 4096 + 3] {
+            let x = residues(len, q, 0xA11CE);
+            let y = residues(len, q, 0xB0B);
+            let scale = q - 2;
+            let sum = mqx::blas::scalar::vadd(&x, &y, &m);
+            let diff = mqx::blas::scalar::vsub(&x, &y, &m);
+            let prod = mqx::blas::scalar::vmul(&x, &y, &m);
+            let mut fma = y.clone();
+            mqx::blas::scalar::axpy(scale, &x, &mut fma, &m);
+
+            let (sx, sy) = (ResidueSoa::from_u128s(&x), ResidueSoa::from_u128s(&y));
+            for backend in backend::available() {
+                if !backend.consumable() {
+                    continue;
+                }
+                let what = format!("{} q={q:#x} len={len}", backend.name());
+                let mut out = ResidueSoa::zeros(len);
+                backend.vadd(&sx, &sy, &mut out, &m);
+                assert_eq!(out.to_u128s(), sum, "{what} vadd");
+                backend.vsub(&sx, &sy, &mut out, &m);
+                assert_eq!(out.to_u128s(), diff, "{what} vsub");
+                backend.vmul(&sx, &sy, &mut out, &m);
+                assert_eq!(out.to_u128s(), prod, "{what} vmul");
+                let mut acc = sy.clone();
+                backend.axpy(scale, &sx, &mut acc, &m);
+                assert_eq!(acc.to_u128s(), fma, "{what} axpy");
+            }
+        }
+    }
+}
+
+/// Transforms with `n/2` below the lane count take the scalar-butterfly
+/// branch of the Pease kernels *inside* the frame (n ≤ 8 on 8-lane
+/// engines, n ≤ 4 on AVX2); n = 16 is the first all-vector size.
+/// Forward, inverse and both fused products must match the scalar
+/// references on every consumable backend.
+#[test]
+fn tiny_transforms_match_scalar_on_every_backend() {
+    for q in [primes::Q124, primes::Q62] {
+        let m = Modulus::new_prime(q).unwrap();
+        for n in [2, 4, 8, 16] {
+            let plan = NttPlan::new(&m, n).unwrap();
+            let a = residues(n, q, 0xFACE);
+            let b = residues(n, q, 0xFEED);
+            let mut spectrum = a.clone();
+            plan.forward_scalar(&mut spectrum);
+            let cyclic = polymul::schoolbook_cyclic(&a, &b, &m);
+            let negacyclic = polymul::schoolbook_negacyclic(&a, &b, &m);
+
+            for backend in backend::available() {
+                if !backend.consumable() {
+                    continue;
+                }
+                let what = format!("{} q={q:#x} n={n}", backend.name());
+                let mut scratch = ResidueSoa::zeros(n);
+
+                let mut x = ResidueSoa::from_u128s(&a);
+                backend.forward_ntt(&plan, &mut x, &mut scratch);
+                assert_eq!(x.to_u128s(), spectrum, "{what} forward");
+                backend.inverse_ntt(&plan, &mut x, &mut scratch);
+                assert_eq!(x.to_u128s(), a, "{what} inverse");
+
+                let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
+                backend.polymul_cyclic_fused(&plan, &mut sa, &mut sb, &mut scratch);
+                assert_eq!(sa.to_u128s(), cyclic, "{what} fused cyclic");
+
+                let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
+                backend
+                    .polymul_negacyclic_fused(&plan, &mut sa, &mut sb, &mut scratch)
+                    .unwrap();
+                assert_eq!(sa.to_u128s(), negacyclic, "{what} fused negacyclic");
+            }
+        }
+    }
+}
+
 /// The calibrated auto pick must be a real engine whose products are
 /// bit-identical to the portable reference — whatever tier the startup
 /// measurement ranked first on this host (and however `MQX_CALIBRATE`
