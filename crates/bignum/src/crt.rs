@@ -13,6 +13,11 @@
 //! per basis, so decomposing ([`CrtContext::to_residues`]) and
 //! recombining ([`CrtContext::recombine`]) a long vector of
 //! coefficients pays the `mod_inverse` cost only at construction.
+//! Those routines run in `BigUint` arithmetic throughout and double as
+//! the oracle for word-level CRT code; a caller that computes the
+//! mixed-radix digits itself (as the `mqx` facade's RNS rings do, from
+//! word-sized constants) needs only [`CrtContext::assemble`] to sum
+//! them into the wide result, in one allocation.
 //!
 //! # Example
 //!
@@ -172,17 +177,77 @@ impl CrtContext {
     /// each digit `v_i < m_i` (word-sized).
     ///
     /// This is [`recombine`](CrtContext::recombine) stopped one step
-    /// short of the final summation. The digits are the natural
-    /// interface for *basis extension*: re-expressing `x` modulo a new
-    /// coprime prime `p` is the word-level fold
-    /// `x mod p = Σ v_i · (prefix_i mod p) mod p` — no wide arithmetic
-    /// in the per-coefficient loop.
+    /// short of the final summation, computed in `BigUint` arithmetic —
+    /// the *reference* that word-level Garner implementations (the
+    /// `mqx` facade's RNS rings compute the same digits from
+    /// precomputed word constants) are tested against, not a hot-path
+    /// routine: every call builds and discards the recombined value.
+    /// The digits are what *basis extension* folds: re-expressing `x`
+    /// modulo a new coprime prime `p` is
+    /// `x mod p = Σ v_i · (prefix_i mod p) mod p`, and
+    /// [`assemble`](CrtContext::assemble) sums them back into `x`.
     ///
     /// # Panics
     ///
     /// Panics if `residues.len() != self.channels()`.
     pub fn digits(&self, residues: &[u128]) -> Vec<u128> {
         self.mixed_radix(residues).0
+    }
+
+    /// Assembles the value from its mixed-radix digits:
+    /// `x = Σ digits[i] · prefix_i`, the final summation of Garner's
+    /// algorithm for callers that computed the digits themselves in
+    /// word arithmetic. The sum is accumulated straight into the
+    /// result's limb vector, sized for [`CrtContext::product`]: exactly
+    /// one allocation and no `BigUint` temporaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits.len() != self.channels()` or a digit is not
+    /// below its radix `m_i` (the bound that keeps `x < M`).
+    ///
+    /// ```
+    /// use mqx_bignum::{crt::CrtContext, BigUint};
+    ///
+    /// let ctx = CrtContext::new(&[3, 5, 7]).unwrap();
+    /// // 23 = 2 + 2·3 + 1·(3·5)
+    /// assert_eq!(ctx.digits(&[2, 3, 2]), [2, 2, 1]);
+    /// assert_eq!(ctx.assemble(&[2, 2, 1]), BigUint::from(23_u64));
+    /// ```
+    pub fn assemble(&self, digits: &[u128]) -> BigUint {
+        assert_eq!(
+            digits.len(),
+            self.channels(),
+            "one digit per basis modulus required"
+        );
+        let mut limbs = vec![0_u64; self.product.limbs.len()];
+        for ((&digit, &m), prefix) in digits.iter().zip(&self.moduli).zip(&self.prefixes) {
+            assert!(digit < m, "mixed-radix digit must be below its radix");
+            // digit · prefix_i, one 64-bit half of the digit at a time.
+            // Every partial sum is below M, so it fits `limbs`: a
+            // non-zero high half means the term alone spans
+            // `prefix_i.limbs + 1` limbs.
+            for (shift, half) in [digit as u64, (digit >> 64) as u64].into_iter().enumerate() {
+                if half == 0 {
+                    continue;
+                }
+                let (low, high) = limbs[shift..].split_at_mut(prefix.limbs.len());
+                let mut carry = 0_u64;
+                for (limb, &p) in low.iter_mut().zip(&prefix.limbs) {
+                    let t =
+                        u128::from(*limb) + u128::from(p) * u128::from(half) + u128::from(carry);
+                    *limb = t as u64;
+                    carry = (t >> 64) as u64;
+                }
+                for limb in high {
+                    let (sum, overflow) = limb.overflowing_add(carry);
+                    *limb = sum;
+                    carry = u64::from(overflow);
+                }
+                debug_assert_eq!(carry, 0, "partial sums stay below the product");
+            }
+        }
+        BigUint::from_limbs(limbs)
     }
 
     /// `prefix_i = m_0 ⋯ m_{i−1}` reduced modulo `p` for every channel
@@ -381,6 +446,44 @@ mod tests {
             .zip(&prefixes)
             .fold(0_u128, |acc, (&d, &pre)| (acc + (d % p) * pre % p) % p);
         assert_eq!(BigUint::from(folded), &x % &BigUint::from(p));
+    }
+
+    #[test]
+    fn assemble_sums_digits_back_to_the_value() {
+        // Every value of a tiny basis…
+        let ctx = CrtContext::new(&[4, 9, 25]).unwrap();
+        for v in 0..900_u64 {
+            let residues = ctx.to_residues(&BigUint::from(v));
+            assert_eq!(ctx.assemble(&ctx.digits(&residues)), BigUint::from(v));
+        }
+        // …and the extremes of wide ones (two-word digits, carries
+        // across every limb), in a limb vector no larger than M's.
+        let q124 = (1_u128 << 124) - 95_420_033;
+        let q62 = 4_611_686_018_427_387_847_u128;
+        for moduli in [&[q124, q62, 1_073_741_789][..], &[q62, q124], &[q124]] {
+            let ctx = CrtContext::new(moduli).unwrap();
+            let top: Vec<u128> = moduli.iter().map(|m| m - 1).collect();
+            let max = ctx.assemble(&top);
+            assert_eq!(&max + &BigUint::one(), *ctx.product());
+            assert_eq!(max.limbs.capacity(), ctx.product().limbs().len());
+            assert_eq!(ctx.assemble(&vec![0; moduli.len()]), BigUint::zero());
+            let x = &(&BigUint::from(u128::MAX) * &BigUint::from(u128::MAX - 58)) % ctx.product();
+            assert_eq!(ctx.assemble(&ctx.digits(&ctx.to_residues(&x))), x);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below its radix")]
+    fn assemble_rejects_a_digit_at_its_radix() {
+        let ctx = CrtContext::new(&[3, 5]).unwrap();
+        let _ = ctx.assemble(&[2, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one digit per basis modulus")]
+    fn assemble_length_mismatch_panics() {
+        let ctx = CrtContext::new(&[3, 5]).unwrap();
+        let _ = ctx.assemble(&[1]);
     }
 
     #[test]

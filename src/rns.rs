@@ -12,7 +12,17 @@
 //! channel, each independently dispatched through the backend registry
 //! (so channels can land on different vector tiers), fans channel
 //! execution out across scoped threads, and recombines results by
-//! Garner's algorithm ([`mqx_bignum::crt`]).
+//! Garner's algorithm.
+//!
+//! Everything per coefficient is word arithmetic over constants
+//! precomputed once per basis width: CRT decomposition is a dot product
+//! of a coefficient's limbs with `2^(64j) mod q_i`, the Garner
+//! mixed-radix digits come from a table of `(q_0 ⋯ q_{j−1}) mod q_i`
+//! Shoup multipliers, a basis extension folds those digits onto the
+//! fresh prime, and the join hands them to
+//! [`CrtContext::assemble`] — the one place a wide integer is written.
+//! [`mqx_bignum::crt`]'s `BigUint` routines are the oracle the tests
+//! pin this to, not the request path.
 //!
 //! Plans for every channel come from the shared
 //! [`plan_cache`](crate::plan_cache), so opening a second ring over the
@@ -47,7 +57,7 @@ use crate::plan_cache::{self, PlanCache};
 use crate::ring::{Ring, RingBuilder};
 use mqx_bignum::crt::CrtContext;
 use mqx_bignum::BigUint;
-use mqx_core::{primes, Modulus, MulAlgorithm};
+use mqx_core::{primes, Modulus, MulAlgorithm, ShoupMul};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -214,7 +224,9 @@ impl RnsRingBuilder {
             }
             BasisChoice::TargetBits(bits) => auto_basis(bits, two_adicity)?,
         };
-        let crt = CrtContext::new(&moduli)?;
+        // The native width's constants double as the basis validation;
+        // they seed the width cache, so no request builds them.
+        let native = Arc::new(WidthCtx::new(&moduli)?);
 
         if let ChannelBackends::PerChannel(ref backends) = self.backends {
             if backends.len() != moduli.len() {
@@ -255,11 +267,12 @@ impl RnsRingBuilder {
             })
             .collect::<Result<_, _>>()?;
 
+        let widths = Mutex::new(HashMap::from([(moduli.len(), Arc::clone(&native))]));
         Ok(RnsRing {
             rings,
-            crt,
+            native,
             n: self.n,
-            widths: Mutex::new(HashMap::new()),
+            widths,
         })
     }
 }
@@ -273,11 +286,15 @@ impl RnsRingBuilder {
 /// [`RingOp::Rescale`] drops from the end. Cached per width in the ring
 /// ([`PlanCache`] discipline: keyed, built once, shared by every
 /// request — pay the inversions at setup, never per coefficient).
+/// Every table a per-coefficient loop reads is word-sized ([`Modulus`],
+/// [`ShoupMul`]), for any channel width [`Modulus`] accepts.
 struct WidthCtx {
     /// Barrett contexts for the width's primes, in channel order.
     mods: Vec<Modulus>,
-    /// Garner constants over the width's basis — the single join an op
-    /// graph runs at its output when the chain ends at this width.
+    /// The validated basis: moduli, product and the prefix products the
+    /// join's assembler sums digits against. Set-up and the final
+    /// assembly only — nothing per coefficient runs its `BigUint`
+    /// arithmetic.
     crt: CrtContext,
     /// `h = ⌊q_last / 2⌋` for rescaling *from* this width (0 when the
     /// width has no channel to drop).
@@ -285,17 +302,24 @@ struct WidthCtx {
     /// `h mod q_i` for every surviving channel `i < m − 1`.
     half_mod: Vec<u128>,
     /// `(q_last mod q_i)⁻¹ mod q_i` for every surviving channel.
-    q_inv: Vec<u128>,
-    /// `fold[c][i] = (m_0 ⋯ m_{i−1}) mod m_c` — the word-level table a
-    /// basis extension *into* channel `c` of this width folds the
-    /// source basis's Garner digits against. A source of width `w ≤ c`
-    /// reads the first `w` entries, which only involve primes before
-    /// `c`.
-    fold: Vec<Vec<u128>>,
+    q_inv: Vec<ShoupMul>,
+    /// `fold[c][j] = (m_0 ⋯ m_{j−1}) mod m_c` — the word-level table
+    /// both Garner steps read. Digit `c` of this basis subtracts
+    /// `Σ_{j<c} v_j · fold[c][j]`; a basis extension *into* channel `c`
+    /// of this width folds a width-`w ≤ c` source's digits against the
+    /// first `w` entries, which only involve primes before `c`.
+    fold: Vec<Vec<ShoupMul>>,
+    /// Garner constants: `inv[i] = fold[i][i]⁻¹ mod m_i`.
+    inv: Vec<ShoupMul>,
+    /// `radix[c][j] = 2^(64j) mod m_c`, one entry per limb of a
+    /// coefficient below the product: CRT decomposition is the dot
+    /// product of a coefficient's limbs with row `c`.
+    radix: Vec<Vec<ShoupMul>>,
 }
 
 impl WidthCtx {
     fn new(moduli: &[u128]) -> Result<Self, Error> {
+        const COPRIME: &str = "pairwise-coprime basis makes every prefix invertible";
         let crt = CrtContext::new(moduli)?;
         let mods = moduli
             .iter()
@@ -309,16 +333,36 @@ impl WidthCtx {
             let half_mod = survivors.iter().map(|md| md.reduce(half)).collect();
             let q_inv = survivors
                 .iter()
-                .map(|md| {
-                    md.inv_mod(q_last)
-                        .expect("pairwise-coprime basis makes q_last invertible in every channel")
-                })
+                .map(|md| ShoupMul::new(md.inv_mod(q_last).expect(COPRIME), md))
                 .collect();
             (half, half_mod, q_inv)
         } else {
             (0, Vec::new(), Vec::new())
         };
-        let fold = moduli.iter().map(|&p| crt.prefixes_mod(p)).collect();
+        let shoup_row = |md: &Modulus, row: Vec<u128>| -> Vec<ShoupMul> {
+            row.into_iter().map(|w| ShoupMul::new(w, md)).collect()
+        };
+        let fold: Vec<Vec<ShoupMul>> = mods
+            .iter()
+            .map(|md| shoup_row(md, crt.prefixes_mod(md.value())))
+            .collect();
+        let inv = mods
+            .iter()
+            .zip(&fold)
+            .enumerate()
+            .map(|(i, (md, row))| {
+                ShoupMul::new(md.inv_mod(row[i].multiplier()).expect(COPRIME), md)
+            })
+            .collect();
+        let limbs = crt.product().limbs().len();
+        let radix = mods
+            .iter()
+            .map(|md| {
+                let step = md.reduce(1 << 64);
+                let powers = std::iter::successors(Some(1), |&w| Some(md.mul_mod(w, step)));
+                shoup_row(md, powers.take(limbs).collect())
+            })
+            .collect();
         Ok(WidthCtx {
             mods,
             crt,
@@ -326,7 +370,83 @@ impl WidthCtx {
             half_mod,
             q_inv,
             fold,
+            inv,
+            radix,
         })
+    }
+
+    /// The Garner mixed-radix digits of coefficient `index` of a
+    /// channel-major residue matrix over this basis:
+    /// `v_i = (r_i − Σ_{j<i} v_j·fold[i][j]) · inv_i mod m_i`, so that
+    /// `x = Σ v_i · (m_0 ⋯ m_{i−1})` with every `v_i < m_i`. Residues
+    /// at or above their modulus alias their reduction.
+    fn digits_at(&self, channels: &[Vec<u128>], index: usize, digits: &mut [u128]) {
+        debug_assert!(channels.len() == self.mods.len() && digits.len() == self.mods.len());
+        for (i, (m, channel)) in self.mods.iter().zip(channels).enumerate() {
+            let r = reduce_word(m, channel[index]);
+            let known = dot_mod(m, &self.fold[i][..i], digits[..i].iter().copied());
+            digits[i] = self.inv[i].mul(m.sub_mod(r, known));
+            debug_assert!(digits[i] < m.value(), "Garner digit {i} outside [0, m_i)");
+        }
+    }
+
+    /// `x mod m_c` for channel `c` of this basis, from the mixed-radix
+    /// digits of `x` over a narrower source basis (a prefix of this one
+    /// ending before `c`): the basis-extension fold
+    /// `Σ v_j · fold[c][j] mod m_c`.
+    fn fold_onto(&self, channel: usize, digits: &[u128]) -> u128 {
+        debug_assert!(
+            digits.len() <= channel,
+            "source basis must end before the target"
+        );
+        let row = &self.fold[channel][..digits.len()];
+        dot_mod(&self.mods[channel], row, digits.iter().copied())
+    }
+
+    /// `x mod m_c` for a coefficient `x` below the product: the dot
+    /// product of its limbs with `2^(64j) mod m_c`.
+    fn residue(&self, channel: usize, x: &BigUint) -> u128 {
+        debug_assert!(x < self.crt.product());
+        let limbs = x.limbs().iter().map(|&l| u128::from(l));
+        dot_mod(&self.mods[channel], &self.radix[channel], limbs)
+    }
+}
+
+/// `x mod m` for a word that is almost always already reduced (a residue
+/// of this channel, or of a neighbouring prime of the same width): the
+/// 128-bit division runs only when it has to.
+#[inline]
+fn reduce_word(m: &Modulus, x: u128) -> u128 {
+    if x < m.value() {
+        x
+    } else {
+        m.reduce(x)
+    }
+}
+
+/// `Σ xs[j] · row[j] mod m` — the one word-level kernel under CRT
+/// decomposition (limbs against powers of `2^64`), the Garner recurrence
+/// and the basis-extension fold (digits against prefix products).
+/// [`ShoupMul::mul_lazy`] takes any `u128` — a digit of another channel,
+/// a raw limb — so no input is reduced before its multiply; the running
+/// sum stays in `[0, 2q)` and is reduced once at the end.
+#[inline]
+fn dot_mod(m: &Modulus, row: &[ShoupMul], xs: impl Iterator<Item = u128>) -> u128 {
+    let q = m.value();
+    let sum = row.iter().zip(xs).fold(0_u128, |acc, (w, x)| {
+        // Both below 2q ≤ 2^125: the sum cannot wrap.
+        let t = acc + w.mul_lazy(x);
+        debug_assert!(t < 4 * q, "lazy sum outside [0, 4q)");
+        if t >= 2 * q {
+            t - 2 * q
+        } else {
+            t
+        }
+    });
+    if sum >= q {
+        sum - q
+    } else {
+        sum
     }
 }
 
@@ -377,17 +497,19 @@ fn auto_basis(target_bits: u32, two_adicity: u32) -> Result<Vec<u128>, Error> {
 /// channel execution fanned out across scoped threads.
 pub struct RnsRing {
     rings: Vec<Ring>,
-    crt: CrtContext,
+    /// The native width's constants (also `widths[k]`).
+    native: Arc<WidthCtx>,
     n: usize,
-    /// Lazily-built constants for the basis-changing ops and the join,
-    /// keyed by channel width (the native width `k` included).
+    /// Constants for the basis-changing ops and the join, keyed by
+    /// channel width: the native width from construction, the others
+    /// built on first use.
     widths: Mutex<HashMap<usize, Arc<WidthCtx>>>,
 }
 
 impl fmt::Debug for RnsRing {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RnsRing")
-            .field("moduli", &self.crt.moduli())
+            .field("moduli", &self.moduli())
             .field("n", &self.n)
             .field("backends", &self.backend_names())
             .finish()
@@ -429,12 +551,12 @@ impl RnsRing {
 
     /// The channel moduli, in channel order.
     pub fn moduli(&self) -> &[u128] {
-        self.crt.moduli()
+        self.native.crt.moduli()
     }
 
     /// The product modulus `Q = ∏ q_i` the ring emulates.
     pub fn product_modulus(&self) -> &BigUint {
-        self.crt.product()
+        self.native.crt.product()
     }
 
     /// The per-channel rings, in channel order.
@@ -475,21 +597,14 @@ impl RnsRing {
     /// can never silently change a value).
     pub fn to_residues(&self, coeffs: &[BigUint]) -> Result<Vec<Vec<u128>>, Error> {
         self.check_len(coeffs.len())?;
-        if let Some(index) = coeffs.iter().position(|c| c >= self.crt.product()) {
+        let ctx = &self.native;
+        if let Some(index) = coeffs.iter().position(|c| c >= ctx.crt.product()) {
             return Err(Error::CoefficientOutOfRange { index });
         }
         // Channel-major: one output vector per channel, no
         // per-coefficient allocation on this serial boundary path.
-        Ok(self
-            .moduli()
-            .iter()
-            .map(|&q| {
-                let q = BigUint::from(q);
-                coeffs
-                    .iter()
-                    .map(|c| (c % &q).to_u128().expect("word-sized residue"))
-                    .collect()
-            })
+        Ok((0..self.channels())
+            .map(|channel| coeffs.iter().map(|c| ctx.residue(channel, c)).collect())
             .collect())
     }
 
@@ -503,7 +618,7 @@ impl RnsRing {
     /// [`Error::LengthMismatch`] when any channel vector is not
     /// `n`-long.
     pub fn recombine(&self, channels: &[Vec<u128>]) -> Result<Vec<BigUint>, Error> {
-        recombine_with(&self.crt, channels, self.n)
+        recombine_with(&self.native, channels, self.n)
     }
 
     /// Negacyclic product in `ℤ_Q[x]/(xⁿ + 1)` — the RLWE workhorse
@@ -674,15 +789,12 @@ impl RnsRing {
 }
 
 /// Garner recombination of channel-major residues against an arbitrary
-/// basis context (the ring's own, or an op's output basis).
-fn recombine_with(
-    crt: &CrtContext,
-    channels: &[Vec<u128>],
-    n: usize,
-) -> Result<Vec<BigUint>, Error> {
-    if channels.len() != crt.channels() {
+/// basis context (the ring's own, or an op's output basis): word-level
+/// digits, then one limb-vector assembly per coefficient.
+fn recombine_with(ctx: &WidthCtx, channels: &[Vec<u128>], n: usize) -> Result<Vec<BigUint>, Error> {
+    if channels.len() != ctx.mods.len() {
         return Err(Error::ChannelCountMismatch {
-            expected: crt.channels(),
+            expected: ctx.mods.len(),
             got: channels.len(),
         });
     }
@@ -694,13 +806,11 @@ fn recombine_with(
             });
         }
     }
-    let mut digits = vec![0_u128; crt.channels()];
+    let mut digits = vec![0_u128; channels.len()];
     Ok((0..n)
         .map(|j| {
-            for (digit, channel) in digits.iter_mut().zip(channels) {
-                *digit = channel[j];
-            }
-            crt.recombine(&digits)
+            ctx.digits_at(channels, j, &mut digits);
+            ctx.crt.assemble(&digits)
         })
         .collect())
 }
@@ -717,7 +827,7 @@ impl crate::PolyRing for RnsRing {
     }
 
     fn modulus_bits(&self) -> u64 {
-        self.crt.product().bits()
+        self.product_modulus().bits()
     }
 
     fn supports_negacyclic(&self) -> bool {
@@ -843,11 +953,11 @@ impl crate::PolyRing for RnsRing {
                 // so out_i = (a_i + h − v) · q_last⁻¹ mod q_i.
                 let ctx = self.width_ctx(width)?;
                 let (m_last, m_i) = (&ctx.mods[width - 1], &ctx.mods[channel]);
-                let (h_i, q_inv) = (ctx.half_mod[channel], ctx.q_inv[channel]);
+                let (h_i, q_inv) = (ctx.half_mod[channel], &ctx.q_inv[channel]);
                 out.extend(a[channel].iter().zip(&a[width - 1]).map(|(&a_i, &a_last)| {
                     let v = m_last.add_mod(a_last, ctx.half);
-                    let t = m_i.sub_mod(m_i.add_mod(a_i, h_i), m_i.reduce(v));
-                    m_i.mul_mod(t, q_inv)
+                    let t = m_i.sub_mod(m_i.add_mod(a_i, h_i), reduce_word(m_i, v));
+                    q_inv.mul(t)
                 }));
                 Ok(())
             }
@@ -860,22 +970,13 @@ impl crate::PolyRing for RnsRing {
                 // A fresh channel: fold the Garner mixed-radix digits of
                 // each coefficient over the source-width basis against
                 // the target channel's precomputed `prefix mod p` table
-                // — word arithmetic only.
+                // — word arithmetic only, one digit buffer per call.
                 let src = self.width_ctx(width)?;
                 let tgt = self.width_ctx(outputs)?;
-                let (m_t, table) = (&tgt.mods[channel], &tgt.fold[channel]);
-                let mut residues = vec![0_u128; width];
+                let mut digits = vec![0_u128; width];
                 out.extend((0..n).map(|j| {
-                    for (r, ch) in residues.iter_mut().zip(a) {
-                        *r = ch[j];
-                    }
-                    src.crt
-                        .digits(&residues)
-                        .iter()
-                        .zip(table)
-                        .fold(0_u128, |acc, (&d, &pre)| {
-                            m_t.add_mod(acc, m_t.mul_mod(m_t.reduce(d), pre))
-                        })
+                    src.digits_at(a, j, &mut digits);
+                    tgt.fold_onto(channel, &digits)
                 }));
                 Ok(())
             }
@@ -888,7 +989,7 @@ impl crate::PolyRing for RnsRing {
         channels: Vec<Vec<u128>>,
     ) -> Result<crate::Coefficients, Error> {
         let ctx = self.width_ctx(width)?;
-        recombine_with(&ctx.crt, &channels, self.n).map(crate::Coefficients::Big)
+        recombine_with(&ctx, &channels, self.n).map(crate::Coefficients::Big)
     }
 }
 
@@ -1075,6 +1176,57 @@ mod tests {
         let expected =
             mqx_ntt::polymul::schoolbook_negacyclic_big(&a, &b, &ring.product_modulus().clone());
         assert_eq!(ring.polymul_negacyclic(&a, &b).unwrap(), expected);
+    }
+
+    /// Every value of a small basis through the word path and the
+    /// `BigUint` oracle: digits, assembly, decomposition, and the fold
+    /// onto `fresh` (coprime to the basis).
+    fn pin_word_crt_to_oracle(basis: [u128; 3], fresh: u128) {
+        let ctx = WidthCtx::new(&basis).unwrap();
+        let mut extended = basis.to_vec();
+        extended.push(fresh);
+        let tgt = WidthCtx::new(&extended).unwrap();
+        let mut digits = [0_u128; 3];
+        let mut cases = 0_u64;
+        for r0 in 0..basis[0] {
+            for r1 in 0..basis[1] {
+                for r2 in 0..basis[2] {
+                    let residues = [r0, r1, r2];
+                    let channels = residues.map(|r| vec![r]);
+                    ctx.digits_at(&channels, 0, &mut digits);
+                    assert_eq!(digits[..], ctx.crt.digits(&residues), "{residues:?}");
+                    let x = ctx.crt.assemble(&digits);
+                    assert_eq!(x, ctx.crt.recombine(&residues), "{residues:?}");
+                    let split: Vec<u128> = (0..3).map(|c| ctx.residue(c, &x)).collect();
+                    assert_eq!(split, ctx.crt.to_residues(&x), "{x}");
+                    assert_eq!(split, residues, "{x}");
+                    let folded = BigUint::from(tgt.fold_onto(3, &digits));
+                    assert_eq!(folded, &x % &BigUint::from(fresh), "{x} mod {fresh}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(BigUint::from(cases), *ctx.crt.product(), "every value once");
+    }
+
+    #[test]
+    fn word_crt_matches_oracle_on_every_value_of_a_prime_basis() {
+        pin_word_crt_to_oracle([13, 17, 19], 23); // 4199 values
+    }
+
+    #[test]
+    fn word_crt_matches_oracle_on_every_value_of_a_composite_basis() {
+        pin_word_crt_to_oracle([4, 9, 25], 49); // coprime, not prime: 900 values
+    }
+
+    #[test]
+    fn native_width_constants_are_built_once_at_construction() {
+        let ring = RnsRing::auto(3, N).unwrap();
+        let cached = ring.width_ctx(3).unwrap();
+        assert!(
+            Arc::ptr_eq(&cached, &ring.native),
+            "cache seeded by build()"
+        );
     }
 
     #[test]

@@ -1,0 +1,102 @@
+//! Regression gate: the RNS request path allocates per *call*, not per
+//! coefficient. With `BigUint` arithmetic under the CRT ends and the
+//! basis extension, one relinearize request at n = 2048 made ~132 000
+//! allocator calls; the word-level path makes the `n` result values of
+//! the join plus a handful of buffers. The bounds below do not depend
+//! on `n` apart from those `n` values.
+//!
+//! One `#[test]` only: the allocator is process-wide. It counts per
+//! thread, so the harness's own threads do not disturb the numbers.
+
+use mqx::bignum::BigUint;
+use mqx::{Coefficients, PolyRing, RingOp, RnsRing};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocation calls made by this thread. Const-initialised and
+    /// without a destructor, so touching it inside the allocator
+    /// allocates nothing.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // A thread past its TLS teardown is not one the test measures.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: delegates every operation to `System` unchanged; the counter
+// is a side effect only.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: same contract as `System::alloc`, to which this forwards
+    // with `layout` unchanged.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    // SAFETY: same contract as `System::alloc_zeroed`, to which this
+    // forwards with `layout` unchanged.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: same contract as `System::realloc`; all three arguments
+    // pass through unchanged.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    // SAFETY: same contract as `System::dealloc`; `ptr`/`layout` pass
+    // through unchanged.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls this thread makes while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.with(Cell::get);
+    let value = f();
+    (CALLS.with(Cell::get) - before, value)
+}
+
+#[test]
+fn rns_request_path_allocates_per_call_not_per_coefficient() {
+    const N: usize = 256;
+    const K: usize = 3;
+    let ring = RnsRing::auto(K, N).unwrap();
+    let extend = RingOp::BasisExtend { extra_channels: 1 };
+    let coeffs = Coefficients::Big(
+        (0..N as u64)
+            .map(|i| &(ring.product_modulus() - &BigUint::from(i * i + 1)) / &BigUint::from(i + 1))
+            .collect(),
+    );
+
+    // Warm: the extended width's constants are built on first use.
+    let mut fresh = Vec::with_capacity(N);
+    let warm = ring.split(&coeffs).unwrap();
+    ring.channel_apply_at_into(&extend, K, K, &warm, None, &mut fresh)
+        .unwrap();
+    assert_eq!(ring.join_at(K, warm).unwrap(), coeffs);
+
+    let (calls, channels) = allocations(|| ring.split(&coeffs).unwrap());
+    assert!(calls <= K as u64 + 2, "split: {calls} allocations");
+
+    let (calls, result) =
+        allocations(|| ring.channel_apply_at_into(&extend, K, K, &channels, None, &mut fresh));
+    result.unwrap();
+    assert_eq!(fresh.len(), N);
+    assert!(calls <= 2, "fresh BasisExtend channel: {calls} allocations");
+
+    let (calls, joined) = allocations(|| ring.join_at(K, channels).unwrap());
+    assert!(calls <= N as u64 + 4, "join_at: {calls} allocations");
+    assert_eq!(joined, coeffs);
+}
