@@ -2,8 +2,8 @@
 //!
 //! The paper compares against two CPU baselines, neither of which is
 //! available to a pure-Rust offline build, so this crate substitutes
-//! behaviour-faithful stand-ins (see DESIGN.md §1 for the substitution
-//! argument):
+//! behaviour-faithful stand-ins (the README's "Layout" table lists
+//! every in-tree substitute):
 //!
 //! * [`fhe`] — **OpenFHE's default math backend** stand-in: modular
 //!   arithmetic on native-width integers with *division-based* reduction

@@ -1,7 +1,7 @@
 //! Backend auto-tuning calibration: the measured ns/butterfly ranking
 //! behind `Ring::auto`, as a reproducible JSON artifact.
 //!
-//! Exits non-zero on either of two regressions, so CI fails loudly
+//! Exits non-zero on any of three regressions, so CI fails loudly
 //! instead of shipping a slower default:
 //!
 //! * the lazy-reduction fused polymul path measures more than 10%
@@ -11,7 +11,13 @@
 //!   lazy fused polymul is not faster than `portable`'s, or that tier
 //!   does not head the measured ranking — the vector kernels must pay
 //!   off in this ordinary release build, with no `-C target-cpu` flag
-//!   (the margin is several-fold, so this is not a noise-sized gate).
+//!   (the margin is several-fold, so this is not a noise-sized gate);
+//! * `NttPlan::new(Q124, 4096)` costs more than 10× one lazy fused
+//!   negacyclic polymul on that plan on the widest detected tier —
+//!   opening a ring (and every `PlanCache` miss) must stay in the
+//!   order of what one request costs (≈ 1.3× here; ≈ 40× with a
+//!   bit-serial long division per Shoup constant, ≈ 70× when every
+//!   reference table was built up front as well).
 fn main() {
     let report = mqx_bench::experiments::calibrate::run(mqx_bench::quick_mode());
     let mut failed = false;
@@ -57,6 +63,21 @@ fn main() {
             );
             failed = true;
         }
+    }
+
+    let pb = &report.plan_build;
+    if pb.regression {
+        eprintln!(
+            "error: NttPlan::new(Q124, {}) at {:.0} µs is {:.1}× one lazy fused negacyclic \
+             polymul on {} ({:.0} µs); the gate is {}×",
+            pb.n,
+            pb.plan_build_us,
+            pb.ratio,
+            pb.backend,
+            pb.polymul_us,
+            mqx_bench::experiments::calibrate::PLAN_BUILD_MARGIN
+        );
+        failed = true;
     }
 
     if failed {

@@ -85,6 +85,43 @@ impl_to_json!(LazyRow {
 /// slower default path.
 pub const LAZY_REGRESSION_MARGIN: f64 = 1.10;
 
+/// What opening a ring costs against using it once: `NttPlan::new` next
+/// to one lazy fused negacyclic polymul on that plan, on the widest
+/// detected tier. A ratio, so host speed cancels.
+#[derive(Clone, Debug)]
+pub struct PlanBuildRow {
+    /// Registry name of the backend the polymul ran on.
+    pub backend: String,
+    /// Transform size of the plan.
+    pub n: usize,
+    /// Median µs of one `NttPlan::new(Q124, n)`.
+    pub plan_build_us: f64,
+    /// Median µs of one lazy fused negacyclic polymul on that plan.
+    pub polymul_us: f64,
+    /// `plan_build_us / polymul_us`.
+    pub ratio: f64,
+    /// Whether the ratio exceeds [`PLAN_BUILD_MARGIN`] (a result the
+    /// `calibrate` bin turns into a non-zero exit).
+    pub regression: bool,
+}
+
+impl_to_json!(PlanBuildRow {
+    backend,
+    n,
+    plan_build_us,
+    polymul_us,
+    ratio,
+    regression,
+});
+
+/// A plan may cost at most this many served polymuls to build: a
+/// `PlanCache` miss stalls a worker for that long. With a bit-serial
+/// division per Shoup constant and every reference table built up
+/// front the ratio was ≈ 70; exact division
+/// (`mqx_core::shoup::ShoupCtx`) and one eager table family bring it
+/// to ≈ 1.3.
+pub const PLAN_BUILD_MARGIN: f64 = 10.0;
+
 /// The full calibration artifact.
 #[derive(Clone, Debug)]
 pub struct CalibrateReport {
@@ -103,6 +140,8 @@ pub struct CalibrateReport {
     /// Lazy-vs-canonical polymul pipeline deltas, one row per
     /// consumable backend (same registry order as `backends`).
     pub lazy: Vec<LazyRow>,
+    /// Plan build cost against one served polymul.
+    pub plan_build: PlanBuildRow,
 }
 
 impl_to_json!(CalibrateReport {
@@ -112,6 +151,7 @@ impl_to_json!(CalibrateReport {
     ranking,
     backends,
     lazy,
+    plan_build,
 });
 
 /// Reports the process calibration (running a fresh measured pass when
@@ -217,6 +257,17 @@ pub fn run(_quick: bool) -> CalibrateReport {
     }
     lazy_table.print();
 
+    let plan_build = measure_plan_build();
+    println!(
+        "plan build: NttPlan::new(Q124, {}) {:.0} µs = {:.1}× one lazy fused negacyclic polymul \
+         on '{}' ({:.0} µs; gate ≤ {PLAN_BUILD_MARGIN}×)",
+        plan_build.n,
+        plan_build.plan_build_us,
+        plan_build.ratio,
+        plan_build.backend,
+        plan_build.polymul_us,
+    );
+
     let report = CalibrateReport {
         rule: process.rule().to_string(),
         selected,
@@ -224,9 +275,57 @@ pub fn run(_quick: bool) -> CalibrateReport {
         ranking,
         backends: rows,
         lazy,
+        plan_build,
     };
     write_json("calibration", &report);
     report
+}
+
+/// `n` xorshift residues below `q`.
+fn seeded_poly(seed: u64, n: usize, q: u128) -> Vec<u128> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            u128::from(state) % q
+        })
+        .collect()
+}
+
+/// Times `NttPlan::new` at the `word_polymul` workload's shape (Q124,
+/// n = 4096) against one lazy fused negacyclic polymul on that plan,
+/// on the backend the static rule names (the widest detected tier).
+fn measure_plan_build() -> PlanBuildRow {
+    const N: usize = 4096;
+    let m = Modulus::new_prime(primes::Q124).expect("Q124 is prime");
+    let build = || NttPlan::new(&m, N).expect("Q124 supports n = 4096");
+    let plan_build_us = calibrate::median_ns(7, 5, || {
+        std::hint::black_box(build());
+    }) / 1e3;
+
+    let backend = backend::default_backend();
+    let plan = build();
+    let mut sa = ResidueSoa::from_u128s(&seeded_poly(0xCA11_B8A7E, N, m.value()));
+    let mut sb = ResidueSoa::from_u128s(&seeded_poly(0x5E1EC7, N, m.value()));
+    let mut tmp = ResidueSoa::zeros(N);
+    // The product leaves `a` canonical and `b` in the lazy domain, both
+    // valid inputs for the next round.
+    let polymul_us = calibrate::median_ns(20, 10, || {
+        backend
+            .polymul_negacyclic_fused(&plan, &mut sa, &mut sb, &mut tmp)
+            .expect("Q124 has a 2n-th root at n = 4096");
+    }) / 1e3;
+    let ratio = plan_build_us / polymul_us;
+    PlanBuildRow {
+        backend: backend.name().to_string(),
+        n: N,
+        plan_build_us,
+        polymul_us,
+        ratio,
+        regression: ratio > PLAN_BUILD_MARGIN,
+    }
 }
 
 /// Times a full cyclic polymul through the canonical and lazy-fused
@@ -240,19 +339,8 @@ fn measure_lazy_rows() -> Vec<LazyRow> {
     let plan = NttPlan::new(&m, N).expect("Q124 supports the calibration size");
     // One cyclic polymul = forward(a) + forward(b) + inverse.
     let butterflies = 3.0 * (N / 2) as f64 * f64::from(N.trailing_zeros());
-    let poly = |seed: u64| -> Vec<u128> {
-        let mut state = seed | 1;
-        (0..N)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                u128::from(state) % m.value()
-            })
-            .collect()
-    };
-    let a = poly(0xCA11_B8A7E);
-    let b = poly(0x5E1EC7);
+    let a = seeded_poly(0xCA11_B8A7E, N, m.value());
+    let b = seeded_poly(0x5E1EC7, N, m.value());
 
     backend::available()
         .into_iter()

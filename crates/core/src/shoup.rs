@@ -1,5 +1,5 @@
 //! Shoup modular multiplication by a fixed operand — an extension
-//! beyond the paper (DESIGN.md §7).
+//! beyond the paper (README, "How fast is it": the lazy fused pipeline).
 //!
 //! NTT butterflies always multiply by *precomputed* twiddles, so the
 //! per-multiplier constant `w' = ⌊w·2^128 / q⌋` can be stored next to
@@ -15,8 +15,89 @@
 //! This is the standard trick in 64-bit NTT libraries (HEXL, SEAL),
 //! lifted to the double-word setting; it gives the ablation "how much of
 //! Barrett's cost is the µ multiply" a concrete answer.
+//!
+//! The constants themselves come from [`ShoupCtx`]: an *exact* division
+//! (one Barrett multiply plus one wrapping multiply by a 2-adic
+//! inverse) instead of a 256-step long division per table entry, so
+//! building a twiddle table costs about what using it once does.
 
 use crate::{DWord, Modulus};
+
+/// Per-modulus state for computing Shoup constants `⌊w·2^128 / q⌋`:
+/// the two values that do not depend on `w`, hoisted so a table of
+/// twiddles pays for them once.
+///
+/// With `r = w·2^128 mod q = w·(2^128 mod q) mod q`, the numerator
+/// `w·2^128 − r` is an exact multiple of `q`, and an exact quotient
+/// below `2^128` is its low half times `q⁻¹ mod 2^128` — no trial
+/// subtraction anywhere. An even modulus `q = 2^e·q_odd` (the composite
+/// RNS test bases) has no such inverse, so the 256-bit numerator is
+/// first shifted right by `e` (still exact) and then multiplied by
+/// `q_odd⁻¹`.
+///
+/// ```
+/// use mqx_core::{primes, shoup::ShoupCtx, Modulus, ShoupMul};
+///
+/// let m = Modulus::new(primes::Q124)?;
+/// let ctx = ShoupCtx::new(&m);
+/// let w = 0xDEAD_BEEF_u128;
+/// assert_eq!(ctx.constant(w), ShoupMul::new(w, &m).constant());
+/// # Ok::<(), mqx_core::ModulusError>(())
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShoupCtx {
+    m: Modulus,
+    /// `2^128 mod q`.
+    r128: u128,
+    /// `e`, the number of trailing zero bits of `q`.
+    shift: u32,
+    /// `(q >> e)⁻¹ mod 2^128`.
+    q_odd_inv: u128,
+}
+
+impl ShoupCtx {
+    /// Precomputes `2^128 mod q` and the 2-adic inverse of `q`'s odd
+    /// part.
+    pub fn new(m: &Modulus) -> Self {
+        let q = m.value();
+        let shift = q.trailing_zeros();
+        let q_odd = q >> shift;
+        // Newton–Hensel: q·q ≡ 1 (mod 8) for odd q, and each step
+        // x ← x·(2 − q·x) doubles the correct low bits: 3 → 192 in six.
+        let mut inv = q_odd;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2_u128.wrapping_sub(q_odd.wrapping_mul(inv)));
+        }
+        ShoupCtx {
+            m: *m,
+            // 2^128 = u128::MAX + 1, and q ≥ 2 so the sum cannot wrap.
+            r128: (u128::MAX % q + 1) % q,
+            shift,
+            q_odd_inv: inv,
+        }
+    }
+
+    /// `⌊w·2^128 / q⌋` for a reduced multiplier `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w ≥ q`.
+    #[inline]
+    pub fn constant(&self, w: u128) -> u128 {
+        assert!(w < self.m.value(), "multiplier must be reduced");
+        let r = self.m.mul_mod(w, self.r128);
+        // The exact numerator w·2^128 − r as (hi, lo) 128-bit halves.
+        let lo = r.wrapping_neg();
+        let lo = if self.shift == 0 {
+            lo
+        } else {
+            let hi = w - u128::from(r > 0);
+            (lo >> self.shift) | (hi << (128 - self.shift))
+        };
+        // The quotient is below 2^128 (w < q), so its low half is all of it.
+        lo.wrapping_mul(self.q_odd_inv)
+    }
+}
 
 /// A fixed multiplier `w < q` with its Shoup constant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,18 +109,22 @@ pub struct ShoupMul {
 }
 
 impl ShoupMul {
-    /// Precomputes the constant for multiplier `w` in ring `m`.
+    /// Precomputes the constant `w' = ⌊w·2^128 / q⌋` for multiplier `w`
+    /// in ring `m`, by exact division: `r = w·(2^128 mod q) mod q` makes
+    /// `w·2^128 − r` a multiple of `q`, so for odd `q`
+    /// `w' = (−r mod 2^128)·q⁻¹ mod 2^128` with `q⁻¹` the 2-adic inverse;
+    /// for even `q = 2^e·q_odd` the 256-bit numerator is shifted right
+    /// by `e` before the multiply by `q_odd⁻¹` (see [`ShoupCtx`], which
+    /// callers building a whole table should hold instead).
     ///
     /// # Panics
     ///
     /// Panics if `w ≥ q`.
     pub fn new(w: u128, m: &Modulus) -> Self {
-        let q = m.value();
-        assert!(w < q, "multiplier must be reduced");
         ShoupMul {
             w,
-            w_shoup: div_shifted_128(w, q),
-            q,
+            w_shoup: ShoupCtx::new(m).constant(w),
+            q: m.value(),
         }
     }
 
@@ -97,8 +182,9 @@ pub fn mul_lazy(x: u128, w: u128, w_shoup: u128, q: u128) -> u128 {
     xw_lo.wrapping_sub(qq_lo)
 }
 
-/// `⌊w·2^128 / q⌋` by restoring long division over 256 bits (runs once
-/// per precomputed multiplier).
+/// `⌊w·2^128 / q⌋` by restoring long division over 256 bits — the
+/// oracle [`ShoupCtx::constant`] is tested against.
+#[cfg(test)]
 fn div_shifted_128(w: u128, q: u128) -> u128 {
     let mut rem: u128 = 0;
     let mut quot: u128 = 0;
@@ -132,6 +218,70 @@ mod tests {
                 .to_u128()
                 .unwrap();
             assert_eq!(s.constant(), expected, "w={w:#x}");
+        }
+    }
+
+    /// 128-bit LCG step shared by the seeded sweeps below.
+    fn next(state: &mut u128) -> u128 {
+        *state = state
+            .wrapping_mul(0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645)
+            .wrapping_add(0x5851_F42D_4C95_7F2D_1405_7B7E_F767_814F);
+        *state ^ (*state >> 64)
+    }
+
+    fn assert_matches_oracle(ctx: &ShoupCtx, q: u128, w: u128) {
+        let expected = div_shifted_128(w, q);
+        assert_eq!(ctx.constant(w), expected, "q={q:#x} w={w:#x}");
+    }
+
+    #[test]
+    fn exact_division_matches_long_division_for_every_w_under_small_moduli() {
+        // Primes, composites, powers of two and other even moduli alike
+        // (2, 4, 6, 9, 12, 25, … — the [4, 9, 25] RNS tests build
+        // ShoupMuls over 4).
+        for q in 2..=257_u128 {
+            let m = Modulus::new(q).unwrap();
+            let ctx = ShoupCtx::new(&m);
+            for w in 0..q {
+                assert_matches_oracle(&ctx, q, w);
+                assert_eq!(ShoupMul::new(w, &m).constant(), ctx.constant(w));
+            }
+        }
+    }
+
+    #[test]
+    fn exact_division_matches_long_division_under_wide_moduli() {
+        let mut moduli = vec![
+            primes::Q124,
+            primes::Q120,
+            primes::Q62,
+            primes::Q30,
+            (1 << 124) - 1, // the widest modulus, odd composite
+            (1 << 123) + 2, // even, odd part 123 bits
+            3 << 98,        // even, 98 trailing zeros
+            1 << 123,       // odd part 1
+        ];
+        // The basis `RnsRing::auto(3, 2048)` generates.
+        moduli.extend(primes::ntt_prime_chain(62, 12, 3).unwrap());
+        let mut state: u128 = 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210;
+        for i in 0..240_u32 {
+            // Every width from 2 bits to the 124-bit cap, odd and even.
+            let bits = 2 + (next(&mut state) % 123) as u32;
+            let top = 1_u128 << (bits - 1);
+            let mut q = top | (next(&mut state) & (top - 1));
+            if i % 3 == 0 {
+                q &= !((1_u128 << (next(&mut state) % u128::from(bits))) - 1) | top;
+            }
+            moduli.push(q);
+        }
+        for q in moduli {
+            let ctx = ShoupCtx::new(&Modulus::new(q).unwrap());
+            for w in [0, 1 % q, q / 2, q - 1] {
+                assert_matches_oracle(&ctx, q, w);
+            }
+            for _ in 0..48 {
+                assert_matches_oracle(&ctx, q, next(&mut state) % q);
+            }
         }
     }
 

@@ -7,6 +7,8 @@
 //! * [`NttPlan`] — per-(modulus, size) precomputation: Barrett constants,
 //!   per-stage twiddle tables (scalar and structure-of-arrays forms),
 //!   bit-reversal permutation, `n⁻¹`, and the ψ tables for negacyclic use.
+//!   The tables the SIMD kernels read are built with the plan; those
+//!   only the scalar reference transforms read, on their first use.
 //! * Three dataflows, all verified against each other and the naive DFT:
 //!   - [`naive::dft`] — the O(n²) oracle, a direct transcription of
 //!     Eq. 11;

@@ -3,8 +3,11 @@
 
 use crate::error::NttError;
 use crate::pease;
-use mqx_core::{nt, shoup, Modulus, RootError, ShoupMul};
+use mqx_core::shoup::{self, ShoupCtx};
+use mqx_core::{nt, Modulus, RootError};
 use mqx_simd::{ResidueSoa, SimdEngine, VModulus};
+use std::mem::size_of;
+use std::sync::OnceLock;
 
 /// Per-stage twiddle table for the Pease dataflow.
 ///
@@ -42,25 +45,72 @@ impl StageTwiddles {
     pub fn at_shoup(&self, i: usize) -> u128 {
         self.values_shoup[i >> self.shift]
     }
+
+    /// Residues held, for [`NttPlan::table_bytes`].
+    fn residues(&self) -> usize {
+        let soa = |t: &Option<ResidueSoa>| t.as_ref().map_or(0, ResidueSoa::len);
+        self.values.len()
+            + self.values_shoup.len()
+            + soa(&self.expanded)
+            + soa(&self.expanded_shoup)
+    }
 }
 
 /// Precomputed ψ twist tables for the fused negacyclic pipeline: the
 /// forward twist `ψ^i` and the *merged* untwist-and-scale `ψ^{−i}·n⁻¹`,
 /// each with its Shoup constant so both element-wise passes run as lazy
-/// Shoup multiplies.
+/// Shoup multiplies. Those four planes are what serving reads and are
+/// built with the plan; the tables only the canonical reference paths
+/// read sit in cells filled on first use.
 #[derive(Clone, Debug)]
 pub(crate) struct FusedTwist {
+    /// ψ⁻¹, the seed of the on-first-use `ψ^{−i}` tables (ψ itself is
+    /// `psi[1]`).
+    psi0_inv: u128,
     /// `ψ^i`, canonical, SoA layout.
     pub psi: ResidueSoa,
     /// Shoup constants of `ψ^i`.
     pub psi_shoup: ResidueSoa,
-    /// `ψ^{−i}`, canonical — the *unmerged* untwist used by the canonical
-    /// (non-lazy) pipeline, whose inverse NTT already applies `n⁻¹`.
-    pub psi_inv: ResidueSoa,
     /// `ψ^{−i}·n⁻¹`, canonical — the fused pipeline's single final pass.
     pub psi_inv_n: ResidueSoa,
     /// Shoup constants of `ψ^{−i}·n⁻¹`.
     pub psi_inv_n_shoup: ResidueSoa,
+    /// `ψ^{−i}`, canonical — the *unmerged* untwist used by the canonical
+    /// (non-lazy) pipeline, whose inverse NTT already applies `n⁻¹`.
+    psi_inv: OnceLock<ResidueSoa>,
+    /// `ψ^i` and `ψ^{−i}` as plain slices, for the scalar reference
+    /// `polymul_negacyclic`.
+    psi_vec: OnceLock<Vec<u128>>,
+    psi_inv_vec: OnceLock<Vec<u128>>,
+}
+
+impl FusedTwist {
+    /// Residues held so far, for [`NttPlan::table_bytes`].
+    fn residues(&self) -> usize {
+        self.psi.len()
+            + self.psi_shoup.len()
+            + self.psi_inv_n.len()
+            + self.psi_inv_n_shoup.len()
+            + self.psi_inv.get().map_or(0, ResidueSoa::len)
+            + self.psi_vec.get().map_or(0, Vec::len)
+            + self.psi_inv_vec.get().map_or(0, Vec::len)
+    }
+}
+
+/// One direction's Cooley–Tukey per-stage tables: the stage with
+/// butterfly span `len` holds `len/2` twiddles `ω^{(n/len)·j}`, and
+/// `shoup` holds their Shoup constants in the same shapes.
+#[derive(Clone, Debug)]
+struct CtTables {
+    twiddles: Vec<Vec<u128>>,
+    shoup: Vec<Vec<u128>>,
+}
+
+impl CtTables {
+    /// Residues held, for [`NttPlan::table_bytes`].
+    fn residues(&self) -> usize {
+        self.twiddles.iter().chain(&self.shoup).map(Vec::len).sum()
+    }
 }
 
 /// Debug-asserts the lazy coefficient-domain contract: every value below
@@ -91,16 +141,38 @@ pub fn debug_assert_domain_soa(x: &ResidueSoa, bound: u128, what: &str) {
     }
 }
 
-fn shoup_constants(m: &Modulus, ws: &[u128]) -> Vec<u128> {
-    ws.iter().map(|&w| ShoupMul::new(w, m).constant()).collect()
+fn shoup_constants(ctx: &ShoupCtx, ws: &[u128]) -> Vec<u128> {
+    ws.iter().map(|&w| ctx.constant(w)).collect()
 }
 
-/// A reusable NTT plan: Barrett constants, twiddle tables for every
-/// dataflow, the bit-reversal permutation, and `n⁻¹`.
+/// The geometric sequence `first·base^i` for `0 ≤ i < n`.
+fn geometric(m: &Modulus, first: u128, base: u128, n: usize) -> Vec<u128> {
+    let mut out = Vec::with_capacity(n);
+    let mut p = first;
+    for _ in 0..n {
+        out.push(p);
+        p = m.mul_mod(p, base);
+    }
+    out
+}
+
+/// A reusable NTT plan: Barrett constants, twiddle tables, the
+/// bit-reversal permutation, and `n⁻¹`.
 ///
-/// Building a plan costs O(n log n) modular multiplications and is done
-/// once per (modulus, size); the paper's kernels precompute the same
-/// state (§5.1 warms it before timing).
+/// Building a plan costs O(n) modular multiplications (every table is a
+/// geometric sequence; a Shoup constant is one more multiply, see
+/// [`ShoupCtx`]) and is done once per (modulus, size); the paper's
+/// kernels precompute the same state (§5.1 warms it before timing).
+///
+/// [`NttPlan::new`] builds **one** table family: the Pease
+/// constant-geometry stages with their Shoup constants and
+/// lane-expanded copies, plus the fused negacyclic twist — what the
+/// SIMD kernels, and so every served request, read. The Cooley–Tukey
+/// tables of the `*_scalar` reference transforms and the unmerged
+/// ψ / ψ⁻¹ tables of the canonical negacyclic paths are built on their
+/// first use, so opening a ring does not pay for tables only baselines,
+/// benches and tests read. [`NttPlan::table_bytes`] reports what is
+/// resident.
 #[derive(Clone, Debug)]
 pub struct NttPlan {
     m: Modulus,
@@ -113,25 +185,18 @@ pub struct NttPlan {
     n_inv: u128,
     /// Shoup constant of `n_inv`, for the fused lazy scale.
     n_inv_shoup: u128,
-    /// Cooley–Tukey per-stage tables: stage with butterfly span `len`
-    /// holds `len/2` twiddles `ω^{(n/len)·j}`.
-    ct_fwd: Vec<Vec<u128>>,
-    ct_inv: Vec<Vec<u128>>,
-    /// Shoup constants of the Cooley–Tukey tables, same shapes.
-    ct_fwd_shoup: Vec<Vec<u128>>,
-    ct_inv_shoup: Vec<Vec<u128>>,
     /// Pease per-stage tables (forward and inverse).
     pub(crate) pease_fwd: Vec<StageTwiddles>,
     pub(crate) pease_inv: Vec<StageTwiddles>,
     /// Bit-reversal permutation of 0..n.
     bitrev: Vec<u32>,
-    /// ψ tables for negacyclic use, when the field supports a 2n-th root:
-    /// `psi[i] = ψ^i` and `psi_inv[i] = ψ^{−i}`.
-    psi: Option<Vec<u128>>,
-    psi_inv: Option<Vec<u128>>,
-    /// Twist tables (SoA + Shoup constants) for the fused negacyclic
-    /// pipeline; present exactly when `psi` is.
+    /// Twist tables for negacyclic use, when the field supports a 2n-th
+    /// root.
     twist: Option<FusedTwist>,
+    /// Cooley–Tukey tables (forward and inverse), built by the first
+    /// scalar transform in that direction.
+    ct_fwd: OnceLock<CtTables>,
+    ct_inv: OnceLock<CtTables>,
 }
 
 impl NttPlan {
@@ -160,12 +225,9 @@ impl NttPlan {
         let omega_inv = m.inv_mod(omega).expect("root invertible");
         let n_inv = m.inv_mod(n as u128).expect("n < q invertible");
 
-        let ct_fwd = build_ct_tables(m, n, omega);
-        let ct_inv = build_ct_tables(m, n, omega_inv);
-        let ct_fwd_shoup: Vec<Vec<u128>> = ct_fwd.iter().map(|t| shoup_constants(m, t)).collect();
-        let ct_inv_shoup: Vec<Vec<u128>> = ct_inv.iter().map(|t| shoup_constants(m, t)).collect();
-        let pease_fwd = build_pease_tables(m, n, omega);
-        let pease_inv = build_pease_tables(m, n, omega_inv);
+        let ctx = ShoupCtx::new(m);
+        let pease_fwd = build_pease_tables(m, &ctx, n, omega);
+        let pease_inv = build_pease_tables(m, &ctx, n, omega_inv);
 
         let mut bitrev = vec![0_u32; n];
         for (i, slot) in bitrev.iter_mut().enumerate() {
@@ -173,52 +235,38 @@ impl NttPlan {
         }
 
         // Negacyclic tables if ψ (a 2n-th root with ψ² = ω) exists.
-        let (psi, psi_inv) = match nt::root_of_unity(m, 2 * n as u64) {
-            Err(_) => (None, None),
-            Ok(mut psi0) => {
-                // Pick the square root of ω among ψ, so the twist matches
-                // the forward tables exactly.
-                if m.mul_mod(psi0, psi0) != omega {
-                    // Any primitive 2n-th root squares to *a* primitive
-                    // n-th root; adjust by an odd power to hit ours.
-                    let mut k = 1_u128;
-                    loop {
-                        let cand = m.pow_mod(psi0, 2 * k + 1);
-                        if m.mul_mod(cand, cand) == omega {
-                            psi0 = cand;
-                            break;
-                        }
-                        k += 1;
-                        assert!(k < 2 * n as u128, "no compatible ψ found");
+        let twist = nt::root_of_unity(m, 2 * n as u64).ok().map(|mut psi0| {
+            // Pick the square root of ω among ψ, so the twist matches
+            // the forward tables exactly.
+            if m.mul_mod(psi0, psi0) != omega {
+                // Any primitive 2n-th root squares to *a* primitive
+                // n-th root; adjust by an odd power to hit ours.
+                let mut k = 1_u128;
+                loop {
+                    let cand = m.pow_mod(psi0, 2 * k + 1);
+                    if m.mul_mod(cand, cand) == omega {
+                        psi0 = cand;
+                        break;
                     }
+                    k += 1;
+                    assert!(k < 2 * n as u128, "no compatible ψ found");
                 }
-                let psi_inv0 = m.inv_mod(psi0).expect("psi invertible");
-                let mut fwd = Vec::with_capacity(n);
-                let mut inv = Vec::with_capacity(n);
-                let mut p = 1_u128;
-                let mut pi = 1_u128;
-                for _ in 0..n {
-                    fwd.push(p);
-                    inv.push(pi);
-                    p = m.mul_mod(p, psi0);
-                    pi = m.mul_mod(pi, psi_inv0);
-                }
-                (Some(fwd), Some(inv))
             }
-        };
-
-        // Twist tables for the fused lazy pipeline: merge ψ^{−i} with the
-        // n⁻¹ scale so the untwist is the *only* pass after the lazy
-        // inverse transform.
-        let twist = psi.as_ref().map(|fwd| {
-            let inv = psi_inv.as_ref().expect("psi and psi_inv built together");
-            let psi_inv_n: Vec<u128> = inv.iter().map(|&w| m.mul_mod(w, n_inv)).collect();
+            let psi0_inv = m.inv_mod(psi0).expect("psi invertible");
+            // Merge ψ^{−i} with the n⁻¹ scale so the untwist is the
+            // *only* pass after the lazy inverse transform:
+            // ψ^{−i}·n⁻¹ is the geometric sequence that starts at n⁻¹.
+            let psi = geometric(m, 1, psi0, n);
+            let psi_inv_n = geometric(m, n_inv, psi0_inv, n);
             FusedTwist {
-                psi: ResidueSoa::from_u128s(fwd),
-                psi_shoup: ResidueSoa::from_u128s(&shoup_constants(m, fwd)),
-                psi_inv: ResidueSoa::from_u128s(inv),
-                psi_inv_n_shoup: ResidueSoa::from_u128s(&shoup_constants(m, &psi_inv_n)),
+                psi0_inv,
+                psi_shoup: ResidueSoa::from_u128s(&shoup_constants(&ctx, &psi)),
+                psi: ResidueSoa::from_u128s(&psi),
+                psi_inv_n_shoup: ResidueSoa::from_u128s(&shoup_constants(&ctx, &psi_inv_n)),
                 psi_inv_n: ResidueSoa::from_u128s(&psi_inv_n),
+                psi_inv: OnceLock::new(),
+                psi_vec: OnceLock::new(),
+                psi_inv_vec: OnceLock::new(),
             }
         });
 
@@ -229,17 +277,13 @@ impl NttPlan {
             omega,
             omega_inv,
             n_inv,
-            n_inv_shoup: ShoupMul::new(n_inv, m).constant(),
-            ct_fwd,
-            ct_inv,
-            ct_fwd_shoup,
-            ct_inv_shoup,
+            n_inv_shoup: ctx.constant(n_inv),
             pease_fwd,
             pease_inv,
             bitrev,
-            psi,
-            psi_inv,
             twist,
+            ct_fwd: OnceLock::new(),
+            ct_inv: OnceLock::new(),
         })
     }
 
@@ -276,20 +320,26 @@ impl NttPlan {
     /// Whether negacyclic (x^n + 1) operations are available — requires a
     /// `2n`-th root of unity in the field.
     pub fn supports_negacyclic(&self) -> bool {
-        self.psi.is_some()
+        self.twist.is_some()
     }
 
     /// ψ powers (`ψ^i`, `0 ≤ i < n`), if negacyclic support is
-    /// available. Public so that higher layers (the facade `Ring`) can
-    /// run the ψ-twist through vectorized element-wise kernels instead
-    /// of scalar loops.
+    /// available — the plain-slice form the scalar reference
+    /// `polymul_negacyclic` reads, built on the first call. Vectorized
+    /// callers want [`NttPlan::psi_soa`].
     pub fn psi(&self) -> Option<&[u128]> {
-        self.psi.as_deref()
+        let t = self.twist.as_ref()?;
+        Some(t.psi_vec.get_or_init(|| t.psi.to_u128s()))
     }
 
-    /// ψ^{−i} powers, if negacyclic support is available.
+    /// ψ^{−i} powers, if negacyclic support is available (built on the
+    /// first call).
     pub fn psi_inv(&self) -> Option<&[u128]> {
-        self.psi_inv.as_deref()
+        let t = self.twist.as_ref()?;
+        Some(
+            t.psi_inv_vec
+                .get_or_init(|| geometric(&self.m, 1, t.psi0_inv, self.n)),
+        )
     }
 
     /// `ψ^i` in SoA layout, ready for vectorized element-wise twists —
@@ -298,10 +348,15 @@ impl NttPlan {
         self.twist.as_ref().map(|t| &t.psi)
     }
 
-    /// `ψ^{−i}` in SoA layout (the unmerged untwist; the fused pipeline
-    /// uses the merged `ψ^{−i}·n⁻¹` table internally).
+    /// `ψ^{−i}` in SoA layout (the unmerged untwist, built on the first
+    /// call; the fused pipeline uses the merged `ψ^{−i}·n⁻¹` table
+    /// internally).
     pub fn psi_inv_soa(&self) -> Option<&ResidueSoa> {
-        self.twist.as_ref().map(|t| &t.psi_inv)
+        let t = self.twist.as_ref()?;
+        Some(
+            t.psi_inv
+                .get_or_init(|| ResidueSoa::from_u128s(&geometric(&self.m, 1, t.psi0_inv, self.n))),
+        )
     }
 
     /// The Shoup constant `⌊n⁻¹·2^128/q⌋` of the inverse scale factor.
@@ -309,8 +364,32 @@ impl NttPlan {
         self.n_inv_shoup
     }
 
+    /// Bytes of precomputed tables this plan currently holds: what
+    /// [`NttPlan::new`] built plus whichever on-first-use tables have
+    /// been filled since.
+    pub fn table_bytes(&self) -> usize {
+        let pease = self.pease_fwd.iter().chain(&self.pease_inv);
+        let ct = [&self.ct_fwd, &self.ct_inv]
+            .into_iter()
+            .filter_map(OnceLock::get);
+        let residues = pease.map(StageTwiddles::residues).sum::<usize>()
+            + ct.map(CtTables::residues).sum::<usize>()
+            + self.twist.as_ref().map_or(0, FusedTwist::residues);
+        residues * size_of::<u128>() + self.bitrev.len() * size_of::<u32>()
+    }
+
     pub(crate) fn fused_twist(&self) -> Option<&FusedTwist> {
         self.twist.as_ref()
+    }
+
+    fn ct_fwd(&self) -> &CtTables {
+        self.ct_fwd
+            .get_or_init(|| build_ct_tables(&self.m, self.n, self.omega))
+    }
+
+    fn ct_inv(&self) -> &CtTables {
+        self.ct_inv
+            .get_or_init(|| build_ct_tables(&self.m, self.n, self.omega_inv))
     }
 
     fn no_negacyclic_root(&self) -> NttError {
@@ -330,7 +409,7 @@ impl NttPlan {
     pub fn forward_scalar(&self, x: &mut [u128]) {
         assert_eq!(x.len(), self.n, "input length must match plan size");
         self.bit_reverse_permute(x);
-        self.ct_butterflies(x, &self.ct_fwd);
+        self.ct_butterflies(x, &self.ct_fwd().twiddles);
     }
 
     /// In-place inverse NTT, natural order in and out (includes the
@@ -342,7 +421,7 @@ impl NttPlan {
     pub fn inverse_scalar(&self, x: &mut [u128]) {
         assert_eq!(x.len(), self.n, "input length must match plan size");
         self.bit_reverse_permute(x);
-        self.ct_butterflies(x, &self.ct_inv);
+        self.ct_butterflies(x, &self.ct_inv().twiddles);
         for v in x.iter_mut() {
             *v = self.m.mul_mod(*v, self.n_inv);
         }
@@ -391,7 +470,7 @@ impl NttPlan {
         assert_eq!(x.len(), self.n, "input length must match plan size");
         debug_assert_domain(x, 2 * self.m.value(), "forward_lazy input");
         self.bit_reverse_permute(x);
-        self.ct_butterflies_lazy(x, &self.ct_fwd, &self.ct_fwd_shoup);
+        self.ct_butterflies_lazy(x, self.ct_fwd());
     }
 
     /// In-place lazy inverse NTT **without** the `n⁻¹` scale — the fused
@@ -407,25 +486,20 @@ impl NttPlan {
         assert_eq!(x.len(), self.n, "input length must match plan size");
         debug_assert_domain(x, 4 * self.m.value(), "inverse_lazy input");
         self.bit_reverse_permute(x);
-        self.ct_butterflies_lazy(x, &self.ct_inv, &self.ct_inv_shoup);
+        self.ct_butterflies_lazy(x, self.ct_inv());
     }
 
     /// Harvey lazy Cooley–Tukey butterflies: `u` is folded from `[0, 4q)`
     /// into `[0, 2q)` (the single conditional), `t = v·w` comes out of the
     /// lazy Shoup multiply already `< 2q`, and the outputs `u + t` /
     /// `u − t + 2q` stay `< 4q` without further correction.
-    fn ct_butterflies_lazy(
-        &self,
-        x: &mut [u128],
-        tables: &[Vec<u128>],
-        shoup_tables: &[Vec<u128>],
-    ) {
+    fn ct_butterflies_lazy(&self, x: &mut [u128], tables: &CtTables) {
         let q = self.m.value();
         let two_q = 2 * q;
         // Widest domain either caller feeds: the lazy inverse passes
         // `[0, 4q)`; the `u` fold below assumes nothing more.
         debug_assert_domain(x, 4 * q, "ct_butterflies_lazy input");
-        for (s, (tw, tws)) in tables.iter().zip(shoup_tables).enumerate() {
+        for (s, (tw, tws)) in tables.twiddles.iter().zip(&tables.shoup).enumerate() {
             let half = 1_usize << s;
             let len = half * 2;
             for block in (0..self.n).step_by(len) {
@@ -632,37 +706,27 @@ impl NttPlan {
     }
 }
 
-fn build_ct_tables(m: &Modulus, n: usize, omega: u128) -> Vec<Vec<u128>> {
-    let log_n = n.trailing_zeros();
-    let mut tables = Vec::with_capacity(log_n as usize);
-    for s in 0..log_n {
-        let half = 1_usize << s;
-        let step = m.pow_mod(omega, (n >> (s + 1)) as u128); // ω^{n/len}
-        let mut tw = Vec::with_capacity(half);
-        let mut w = 1_u128;
-        for _ in 0..half {
-            tw.push(w);
-            w = m.mul_mod(w, step);
-        }
-        tables.push(tw);
-    }
-    tables
+fn build_ct_tables(m: &Modulus, n: usize, omega: u128) -> CtTables {
+    let ctx = ShoupCtx::new(m);
+    let twiddles: Vec<Vec<u128>> = (0..n.trailing_zeros())
+        .map(|s| {
+            let step = m.pow_mod(omega, (n >> (s + 1)) as u128); // ω^{n/len}
+            geometric(m, 1, step, 1 << s)
+        })
+        .collect();
+    let shoup = twiddles.iter().map(|t| shoup_constants(&ctx, t)).collect();
+    CtTables { twiddles, shoup }
 }
 
-fn build_pease_tables(m: &Modulus, n: usize, omega: u128) -> Vec<StageTwiddles> {
+fn build_pease_tables(m: &Modulus, ctx: &ShoupCtx, n: usize, omega: u128) -> Vec<StageTwiddles> {
     let log_n = n.trailing_zeros();
     let half = n / 2;
     let mut stages = Vec::with_capacity(log_n as usize);
     for s in 0..log_n {
         let distinct = 1_usize << (log_n - 1 - s);
         let step = m.pow_mod(omega, 1_u128 << s); // ω^{2^s}
-        let mut values = Vec::with_capacity(distinct);
-        let mut w = 1_u128;
-        for _ in 0..distinct {
-            values.push(w);
-            w = m.mul_mod(w, step);
-        }
-        let values_shoup = shoup_constants(m, &values);
+        let values = geometric(m, 1, step, distinct);
+        let values_shoup = shoup_constants(ctx, &values);
         // Expand per-index for stages whose repeat run (2^s) is shorter
         // than the widest vector, so SIMD loads see the right pattern.
         let (expanded, expanded_shoup) = if (1_usize << s) < 8 {
@@ -890,5 +954,171 @@ mod tests {
         let m = p.modulus();
         assert_eq!(m.mul_mod(p.n_inv(), 64), 1);
         assert_eq!(m.pow_mod(p.omega(), 64), 1);
+    }
+
+    /// `⌊w·2^128/q⌋` through `BigUint` — the oracle
+    /// `mqx_core::shoup`'s own tests pin the long division to.
+    fn shoup_oracle(w: u128, q: u128) -> u128 {
+        use mqx_bignum::BigUint;
+        (&(&BigUint::from(w) << 128) / &BigUint::from(q))
+            .to_u128()
+            .unwrap()
+    }
+
+    /// Q124 and the basis `RnsRing::auto(3, n)` generates.
+    fn serving_moduli(n: usize) -> Vec<u128> {
+        let mut qs = vec![primes::Q124];
+        qs.extend(primes::ntt_prime_chain(62, n.trailing_zeros() + 1, 3).unwrap());
+        qs
+    }
+
+    fn assert_pease_stages(p: &NttPlan, stages: &[StageTwiddles], root: u128) {
+        let (m, q) = (p.modulus(), p.modulus().value());
+        assert_eq!(stages.len(), p.log_size() as usize);
+        for (s, st) in stages.iter().enumerate() {
+            assert_eq!(st.shift as usize, s);
+            assert_eq!(st.values.len(), p.size() >> (s + 1));
+            for (j, (&w, &ws)) in st.values.iter().zip(&st.values_shoup).enumerate() {
+                assert_eq!(
+                    w,
+                    m.pow_mod(root, (j as u128) << s),
+                    "stage {s} twiddle {j}"
+                );
+                assert_eq!(ws, shoup_oracle(w, q), "stage {s} shoup {j}");
+            }
+            assert_eq!(st.expanded.is_some(), (1_usize << s) < 8);
+            if let (Some(full), Some(full_shoup)) = (&st.expanded, &st.expanded_shoup) {
+                assert_eq!(full.len(), p.size() / 2);
+                assert_eq!(full_shoup.len(), p.size() / 2);
+                for i in 0..full.len() {
+                    assert_eq!(full.get(i), st.values[i >> s], "stage {s} expanded {i}");
+                    assert_eq!(full_shoup.get(i), st.values_shoup[i >> s]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eager_tables_match_pow_mod_and_the_shoup_oracle() {
+        for n in [256_usize, 2048, 4096] {
+            for q in serving_moduli(n) {
+                let p = plan(q, n);
+                let m = p.modulus();
+                assert_eq!(m.mul_mod(p.omega(), p.omega_inv()), 1);
+                assert_eq!(m.pow_mod(p.omega(), n as u128 / 2), q - 1, "ω primitive");
+                assert_pease_stages(&p, &p.pease_fwd, p.omega());
+                assert_pease_stages(&p, &p.pease_inv, p.omega_inv());
+                assert_eq!(m.mul_mod(p.n_inv(), n as u128), 1);
+                assert_eq!(p.n_inv_shoup(), shoup_oracle(p.n_inv(), q));
+
+                let t = p
+                    .fused_twist()
+                    .expect("2n | q − 1 for every serving modulus");
+                let psi0 = t.psi.get(1);
+                assert_eq!(m.mul_mod(psi0, psi0), p.omega(), "ψ² = ω");
+                assert_eq!(m.mul_mod(psi0, t.psi0_inv), 1);
+                for i in 0..n {
+                    let w = t.psi.get(i);
+                    assert_eq!(w, m.pow_mod(psi0, i as u128), "ψ^{i}");
+                    assert_eq!(t.psi_shoup.get(i), shoup_oracle(w, q));
+                    let w = t.psi_inv_n.get(i);
+                    let expected = m.mul_mod(m.pow_mod(t.psi0_inv, i as u128), p.n_inv());
+                    assert_eq!(w, expected, "ψ^-{i}·n⁻¹");
+                    assert_eq!(t.psi_inv_n_shoup.get(i), shoup_oracle(w, q));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn on_first_use_tables_match_pow_mod_and_the_shoup_oracle() {
+        let (q, n) = (primes::Q124, 256);
+        let p = plan(q, n);
+        let m = p.modulus();
+        for (tables, root) in [(p.ct_fwd(), p.omega()), (p.ct_inv(), p.omega_inv())] {
+            for (s, (tw, tws)) in tables.twiddles.iter().zip(&tables.shoup).enumerate() {
+                assert_eq!((tw.len(), tws.len()), (1 << s, 1 << s));
+                for (j, (&w, &ws)) in tw.iter().zip(tws).enumerate() {
+                    assert_eq!(w, m.pow_mod(root, (j * (n >> (s + 1))) as u128));
+                    assert_eq!(ws, shoup_oracle(w, q));
+                }
+            }
+        }
+        let (psi, psi_inv) = (p.psi().unwrap(), p.psi_inv().unwrap());
+        assert_eq!(psi, p.psi_soa().unwrap().to_u128s());
+        assert_eq!(psi_inv, p.psi_inv_soa().unwrap().to_u128s());
+        for i in 0..n {
+            assert_eq!(m.mul_mod(psi[i], psi_inv[i]), 1, "ψ^{i}·ψ^-{i}");
+        }
+    }
+
+    #[test]
+    fn serving_kernels_leave_the_on_first_use_tables_unbuilt() {
+        use mqx_simd::Portable;
+        let (q, n) = (primes::Q124, 4096);
+        let p = plan(q, n);
+        let eager = p.table_bytes();
+
+        let x = ramp(n, q);
+        let mut a = ResidueSoa::from_u128s(&x);
+        let mut b = ResidueSoa::from_u128s(&x);
+        let mut scratch = ResidueSoa::zeros(n);
+        p.polymul_fused_cyclic_simd::<Portable>(&mut a, &mut b, &mut scratch);
+        b.copy_from_u128s(&x);
+        p.polymul_fused_negacyclic_simd::<Portable>(&mut a, &mut b, &mut scratch)
+            .unwrap();
+        p.forward_lazy_simd::<Portable>(&mut a, &mut scratch);
+        assert!(p.supports_negacyclic() && p.psi_soa().is_some());
+        assert_eq!(p.table_bytes(), eager, "serving built a reference table");
+
+        let mut grown = eager;
+        let mut assert_grew = |p: &NttPlan, what: &str| {
+            assert!(p.table_bytes() > grown, "{what} built nothing");
+            grown = p.table_bytes();
+        };
+        let mut y = x.clone();
+        p.forward_scalar(&mut y);
+        assert_grew(&p, "forward_scalar");
+        p.inverse_scalar(&mut y);
+        assert_grew(&p, "inverse_scalar");
+        assert_eq!(y, x);
+        p.psi();
+        assert_grew(&p, "psi()");
+        p.psi_inv();
+        assert_grew(&p, "psi_inv()");
+        p.psi_inv_soa();
+        assert_grew(&p, "psi_inv_soa()");
+
+        // Nothing is left to build, and a second call builds nothing.
+        p.forward_lazy_scalar(&mut y);
+        p.psi();
+        assert_eq!(p.table_bytes(), grown);
+        assert!(
+            eager * 10 <= grown * 7,
+            "eager {eager} B is more than 0.7× of the fully built {grown} B"
+        );
+    }
+
+    #[test]
+    fn threads_racing_the_first_scalar_call_agree_with_naive() {
+        use std::sync::{Arc, Barrier};
+        let (q, n) = (primes::Q124, 256);
+        let p = Arc::new(plan(q, n));
+        let x = ramp(n, q);
+        let expected = naive::dft(&x, p.omega(), p.modulus());
+        let start = Arc::new(Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let (p, start, mut y) = (Arc::clone(&p), Arc::clone(&start), x.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    p.forward_scalar(&mut y);
+                    y
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), expected);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Accelerator reference series for Figures 1 and 7.
 //!
-//! **Substitution note (DESIGN.md §1.5):** RPU and FPMM are ASICs and
-//! MoMA runs on an RTX 4090; none can execute here. Their 128-bit NTT
-//! runtimes are encoded as fixed reference series whose *relationships*
+//! **Substitution note:** RPU and FPMM are ASICs and MoMA runs on an
+//! RTX 4090; none can execute here. Their 128-bit NTT runtimes are
+//! encoded as fixed reference series whose *relationships*
 //! reproduce everything the paper states quantitatively:
 //!
 //! * RPU is 545–1,485× faster than OpenFHE on 32 cores of an EPYC 7502

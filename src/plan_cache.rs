@@ -1,5 +1,5 @@
 //! A keyed cache of [`NttPlan`]s, so rings can be opened per-request
-//! without re-paying the `O(n log n)` twiddle-table build.
+//! without re-paying the `O(n)` twiddle-table build.
 //!
 //! Plans are immutable once built and independent of the executing
 //! backend, so one plan can back any number of [`Ring`](crate::Ring)s

@@ -167,7 +167,7 @@ impl RingBuilder {
 ///
 /// The ring holds a shared handle to its [`NttPlan`] (served by the
 /// [`plan_cache`](crate::plan_cache), so per-request ring opens skip
-/// the `O(n log n)` table build) plus a lock-free pool of `n`-residue
+/// the `O(n)` table build) plus a lock-free pool of `n`-residue
 /// scratch sets, so repeated transforms and polynomial products
 /// allocate nothing once the pool has warmed up (beyond the caller's
 /// own output, for the slice-based conveniences).

@@ -329,6 +329,16 @@ fn calibrate_reports_a_measured_ranking_and_winner() {
                     * mqx_bench::experiments::calibrate::LAZY_REGRESSION_MARGIN
         );
     }
+    // Plan build against one served polymul: shape only, for the same
+    // reason — the ratio gate is the release `calibrate` binary's.
+    let pb = &report.plan_build;
+    assert_eq!(pb.backend, mqx::backend::default_backend().name());
+    assert!(pb.plan_build_us > 0.0 && pb.polymul_us > 0.0);
+    assert_eq!(pb.ratio, pb.plan_build_us / pb.polymul_us);
+    assert_eq!(
+        pb.regression,
+        pb.ratio > mqx_bench::experiments::calibrate::PLAN_BUILD_MARGIN
+    );
 }
 
 /// The `polymul_fused` smoke leg: one end-to-end mixed-size burst
