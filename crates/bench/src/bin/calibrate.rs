@@ -36,7 +36,8 @@ fn main() {
         failed = true;
     }
 
-    // The static rule names the widest detected tier.
+    // The prediction the measurement must confirm: the widest detected
+    // tier.
     let widest = mqx::backend::default_backend().name();
     if widest != "portable" {
         let lazy_of = |name: &str| {

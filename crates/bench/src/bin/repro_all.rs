@@ -22,8 +22,4 @@ fn main() {
     mqx_bench::experiments::fig1::run(quick);
     println!("\n## RNS channel scaling (extension)\n");
     mqx_bench::experiments::rns::run(quick);
-    println!("\n## Batched serving throughput (extension)\n");
-    mqx_bench::experiments::serve::run(quick);
-    println!("\n## Mixed-op ciphertext pipelines (extension)\n");
-    mqx_bench::experiments::pipeline::run(quick);
 }

@@ -7,10 +7,9 @@
 //! engine shifts with the host (a wide tier can be throttled or
 //! emulated, two tiers can tie). This experiment reports the
 //! facade's startup micro-calibration: per-backend ns/butterfly of the
-//! forward-NTT + `vmul` burst, the resulting ranking, the winner auto
-//! selection picks, and the rule in force for this process (`measured`
-//! by default, `static` under `MQX_CALIBRATE=off`, plus any
-//! `MQX_BACKEND` pin).
+//! forward-NTT + `vmul` burst, the resulting ranking, the winner, and
+//! the backend auto selection resolves to in this process (the winner
+//! unless `MQX_BACKEND` pins another).
 
 use crate::report::{fmt_ns, write_json, Table};
 use mqx::backend::{self, calibrate};
@@ -125,9 +124,6 @@ pub const PLAN_BUILD_MARGIN: f64 = 10.0;
 /// The full calibration artifact.
 #[derive(Clone, Debug)]
 pub struct CalibrateReport {
-    /// Rule the *process* selection runs under (`"measured"` or
-    /// `"static"`, per `MQX_CALIBRATE`).
-    pub rule: String,
     /// The backend auto selection resolves to in this process
     /// (honors an `MQX_BACKEND` pin).
     pub selected: String,
@@ -145,7 +141,6 @@ pub struct CalibrateReport {
 }
 
 impl_to_json!(CalibrateReport {
-    rule,
     selected,
     winner,
     ranking,
@@ -154,26 +149,15 @@ impl_to_json!(CalibrateReport {
     plan_build,
 });
 
-/// Reports the process calibration (running a fresh measured pass when
-/// `MQX_CALIBRATE=off` left the memoized one empty), prints the table,
-/// and archives the `calibration` JSON artifact.
+/// Reports the process calibration, prints the table, and archives the
+/// `calibration` JSON artifact.
 ///
 /// The `_quick` flag is accepted for signature uniformity with the
 /// other experiments but does not shrink anything here: the burst is
 /// already startup-sized (milliseconds). Quick mode still suppresses
 /// the JSON write, via `write_json`'s own `MQX_QUICK` check.
 pub fn run(_quick: bool) -> CalibrateReport {
-    let process = backend::calibration();
-    // Under MQX_CALIBRATE=off the memoized calibration carries no
-    // measurements; re-measure explicitly so the artifact always lists
-    // per-backend numbers alongside the rule actually in force.
-    let measured_owned;
-    let measured = if process.measurements().is_empty() {
-        measured_owned = calibrate::run(calibrate::Rule::Measured);
-        &measured_owned
-    } else {
-        process
-    };
+    let measured = backend::calibration();
 
     // A bad MQX_BACKEND pin (unknown or non-consumable name) must not
     // abort the experiment — repro_all runs this first, so panicking
@@ -229,8 +213,7 @@ pub fn run(_quick: bool) -> CalibrateReport {
     }
     table.print();
     println!(
-        "process rule: {} — auto selection resolves to '{}' (measured winner '{}')",
-        process.rule(),
+        "auto selection resolves to '{}' (measured winner '{}')",
         selected,
         winner.name(),
     );
@@ -269,7 +252,6 @@ pub fn run(_quick: bool) -> CalibrateReport {
     );
 
     let report = CalibrateReport {
-        rule: process.rule().to_string(),
         selected,
         winner: winner.name().to_string(),
         ranking,
@@ -296,7 +278,8 @@ fn seeded_poly(seed: u64, n: usize, q: u128) -> Vec<u128> {
 
 /// Times `NttPlan::new` at the `word_polymul` workload's shape (Q124,
 /// n = 4096) against one lazy fused negacyclic polymul on that plan,
-/// on the backend the static rule names (the widest detected tier).
+/// on [`default_backend`](backend::default_backend) (the widest
+/// detected tier).
 fn measure_plan_build() -> PlanBuildRow {
     const N: usize = 4096;
     let m = Modulus::new_prime(primes::Q124).expect("Q124 is prime");

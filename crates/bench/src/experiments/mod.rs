@@ -8,10 +8,8 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod listing4;
-pub mod pipeline;
 pub mod rns;
 pub mod sensitivity;
-pub mod serve;
 pub mod table6;
 mod tiers;
 

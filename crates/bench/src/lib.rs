@@ -3,17 +3,19 @@
 //! figure/table of the evaluation.
 //!
 //! Each reproduction binary (`fig1`, `fig4`, `fig5`, `fig6`, `fig7`,
-//! `table6`, `listing4`, `sensitivity_mul`, `calibrate`) is a thin `main` over the
-//! corresponding [`experiments`] module, so the logic is testable and
-//! `repro_all` can chain everything. Results print as aligned text
-//! tables and are also written as JSON under `repro_results/`.
+//! `table6`, `listing4`, `sensitivity_mul`, `calibrate`, `rns`) is a
+//! thin `main` over the corresponding [`experiments`] module, so the
+//! logic is testable and `repro_all` can chain everything; `sol_probe`
+//! checks §6's linear multi-core scaling assumption. Results print
+//! as aligned text tables and are also written as JSON under
+//! `repro_results/`. Serving throughput, latency and allocation are
+//! measured by the `benchmark/` package, not here.
 //!
 //! Set `MQX_QUICK=1` to shrink sizes and iteration counts (used by the
 //! integration tests; numbers are then *not* publication-grade).
 
 #![warn(missing_docs)]
 
-pub mod alloc_count;
 pub mod experiments;
 pub mod report;
 pub mod timing;

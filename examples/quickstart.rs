@@ -42,8 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    fastest tier *as measured on this machine* — the first auto
     //    build runs a one-shot micro-calibration (NTT + vmul burst on
     //    every consumable backend) and memoizes the ranking.
-    //    MQX_BACKEND=<name> pins a tier; MQX_CALIBRATE=off restores
-    //    the static widest-detected-tier rule.
+    //    MQX_BACKEND=<name> pins a tier.
     let n = 1024;
     let ring = Ring::auto(primes::Q124, n)?;
     println!(
@@ -51,19 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ring.backend().name()
     );
     let cal = backend::calibration();
-    println!("calibration rule: {}", cal.rule());
     for m in cal.measurements() {
         println!("  {:<16} {:>10.3} ns/butterfly", m.name, m.ns_per_butterfly);
     }
     let ranking: Vec<&str> = cal.ranking().iter().map(|b| b.name()).collect();
-    // Under MQX_CALIBRATE=off nothing was measured: the ranking is the
-    // static widest-detected-first order, and the label must say so.
-    let label = if cal.measurements().is_empty() {
-        "static ranking"
-    } else {
-        "measured ranking"
-    };
-    println!("{label}: {}", ranking.join(" > "));
+    println!("measured ranking: {}", ranking.join(" > "));
 
     let data: Vec<u128> = (0..n as u64).map(|i| u128::from(i * i + 1)).collect();
     let mut soa = ResidueSoa::from_u128s(&data);

@@ -28,8 +28,7 @@
 //! *measures* a short forward-NTT + `vmul` burst on every consumable
 //! backend and ranks the tiers by observed ns/butterfly (see
 //! [`calibration`]). `MQX_BACKEND=<name>` pins a registry backend for
-//! every auto selection, and `MQX_CALIBRATE=off` falls back to the
-//! static rule — the widest detected tier ([`default_backend`]).
+//! every auto selection.
 //!
 //! Most code should go through [`Ring`](crate::Ring), which pairs a
 //! backend with an [`NttPlan`] and reusable scratch buffers; the raw
@@ -405,17 +404,15 @@ pub fn by_name(name: &str) -> Option<Arc<dyn Backend>> {
     registry().iter().find(|b| b.name() == name).cloned()
 }
 
-/// The **static rule**: the widest hardware tier *detected* on this CPU
-/// (AVX-512 → AVX2 → portable, the registry's order). MQX backends are
-/// never auto-selected: functional mode is a slow bit-exact emulation
-/// and PISA mode is non-consumable.
+/// The widest hardware tier *detected* on this CPU (AVX-512 → AVX2 →
+/// portable, the registry's order). MQX backends are never
+/// auto-selected: functional mode is a slow bit-exact emulation and
+/// PISA mode is non-consumable.
 ///
-/// This is not what [`Ring::auto`](crate::Ring::auto) uses by default —
-/// auto selection goes through the measured [`calibration`] ranking
-/// (see [`selected_backend`]) and only falls back to this rule when
-/// `MQX_CALIBRATE=off` disables the startup measurement. The rule
-/// remains useful as the measurement-free prediction the calibration is
-/// validated against.
+/// This is not what [`Ring::auto`](crate::Ring::auto) uses — auto
+/// selection goes through the measured [`calibration`] ranking (see
+/// [`selected_backend`]). It is the measurement-free prediction the
+/// calibration is validated against.
 ///
 /// Detection alone decides: the kernels enable each tier's target
 /// features themselves ([`SimdEngine::vectorize`]), so a wider detected
@@ -429,11 +426,9 @@ pub fn default_backend() -> Arc<dyn Backend> {
 }
 
 /// The memoized once-per-process calibration: per-backend measured
-/// ns/butterfly, the ranked consumable tiers, and the rule that
-/// produced the ranking ([`calibrate::Rule::Measured`] by default,
-/// [`calibrate::Rule::Static`] when `MQX_CALIBRATE=off`). The first
-/// call pays the measurement burst (a few tens of milliseconds); every
-/// later call returns the same object.
+/// ns/butterfly and the ranked consumable tiers. The first call pays
+/// the measurement burst (a few tens of milliseconds); every later call
+/// returns the same object.
 pub fn calibration() -> &'static calibrate::Calibration {
     calibrate::process_calibration()
 }
@@ -441,8 +436,7 @@ pub fn calibration() -> &'static calibrate::Calibration {
 /// The backend auto selection resolves to for this process:
 /// the `MQX_BACKEND` pin when set (unknown names are rejected with
 /// [`Error::UnknownBackend`]), otherwise the [`calibration`] winner —
-/// the consumable non-MQX backend with the best measured ns/butterfly,
-/// or the static-rule winner under `MQX_CALIBRATE=off`.
+/// the consumable non-MQX backend with the best measured ns/butterfly.
 pub fn selected_backend() -> Result<Arc<dyn Backend>, Error> {
     calibrate::select(calibrate::env_pin().as_deref())
 }

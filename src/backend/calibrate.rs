@@ -1,14 +1,13 @@
 //! Startup micro-calibration: rank the consumable backends by
 //! *measured* ns/butterfly on the running machine instead of trusting
-//! the static widest-detected-tier rule.
+//! the widest-detected-tier prediction.
 //!
 //! The paper's argument rests on measured cost per kernel on the host
 //! at hand, and the fastest engine for a kernel shifts with problem
 //! size and machine — a wide tier can be throttled or emulated on the
 //! host at hand, and two hardware tiers can land within noise of each
-//! other. The static rule in
-//! [`default_backend`](super::default_backend) predicts from detection
-//! alone; this module replaces the prediction with a one-shot
+//! other. [`default_backend`](super::default_backend) predicts from
+//! detection alone; this module replaces the prediction with a one-shot
 //! measurement:
 //!
 //! 1. [`run`] times a short burst — one forward NTT plus one `vmul`,
@@ -27,15 +26,11 @@
 //!
 //! [`Ring::auto`](crate::Ring::auto) and the
 //! [`RnsRingBuilder`](crate::RnsRingBuilder) auto path select from the
-//! memoized ranking. Two environment variables override it:
-//!
-//! * `MQX_BACKEND=<name>` pins the named registry backend for every
-//!   auto selection (whitespace-trimmed; unknown names surface as
-//!   [`Error::UnknownBackend`] at ring build; non-consumable names —
-//!   wrong numbers by design — as [`Error::NonConsumableBackend`]);
-//! * `MQX_CALIBRATE=off` (`0` and `false` work too, any casing — see
-//!   [`calibration_enabled`]) skips the measurement and restores the
-//!   static widest-detected-tier rule.
+//! memoized ranking. One environment variable overrides it:
+//! `MQX_BACKEND=<name>` pins the named registry backend for every auto
+//! selection (whitespace-trimmed; unknown names surface as
+//! [`Error::UnknownBackend`] at ring build; non-consumable names —
+//! wrong numbers by design — as [`Error::NonConsumableBackend`]).
 //!
 //! ```
 //! use mqx::backend;
@@ -51,7 +46,6 @@ use crate::error::Error;
 use mqx_core::{primes, Modulus};
 use mqx_ntt::NttPlan;
 use mqx_simd::ResidueSoa;
-use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -80,27 +74,6 @@ const CALIBRATION_KEEP: usize = 5;
 /// in, only true ties.
 const COMPETITIVE_MARGIN: f64 = 1.05;
 
-/// How a [`Calibration`] ranked its backends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Rule {
-    /// Ranked by the measured ns/butterfly of the startup burst.
-    Measured,
-    /// The static widest-detected-tier rule
-    /// ([`default_backend`](super::default_backend)) — the
-    /// `MQX_CALIBRATE=off` fallback; nothing was measured.
-    Static,
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Rule::Measured => "measured",
-            Rule::Static => "static",
-        })
-    }
-}
-
 /// One backend's calibration burst, measured on this machine.
 #[derive(Clone, Debug)]
 pub struct Measurement {
@@ -125,21 +98,13 @@ pub struct Measurement {
 /// the ranking auto selection draws from.
 #[derive(Debug)]
 pub struct Calibration {
-    rule: Rule,
     measurements: Vec<Measurement>,
-    /// Consumable non-MQX backends, cheapest measured score first
-    /// (registry order under [`Rule::Static`]).
+    /// Consumable non-MQX backends, cheapest measured score first.
     ranking: Vec<Arc<dyn Backend>>,
 }
 
 impl Calibration {
-    /// How this calibration ranked its backends.
-    pub fn rule(&self) -> Rule {
-        self.rule
-    }
-
-    /// Every backend measurement, in registry order. Empty under
-    /// [`Rule::Static`] (nothing was measured).
+    /// Every backend measurement, in registry order.
     pub fn measurements(&self) -> &[Measurement] {
         &self.measurements
     }
@@ -168,8 +133,7 @@ impl Calibration {
     /// measured score ties the winner's within measurement noise (a
     /// tight 1.05× margin) — so channels may land on different
     /// (tied) tiers, but a measurably slower tier is never put on the
-    /// critical path. With no measurements (the static rule) every
-    /// channel gets the winner.
+    /// critical path.
     pub fn channel_backends(&self, k: usize) -> Vec<Arc<dyn Backend>> {
         let competitive = self.competitive_set();
         (0..k)
@@ -223,33 +187,68 @@ pub fn median_ns(total: usize, keep: usize, mut f: impl FnMut()) -> f64 {
     }
 }
 
-/// Runs one calibration pass under the given rule. [`Rule::Measured`]
-/// times the burst on every consumable backend and ranks by score;
-/// [`Rule::Static`] skips measurement and reproduces the static
-/// widest-detected-first ordering. Callers normally want the memoized
-/// [`calibration`](super::calibration) instead; this entry point is for
-/// tooling (the `calibrate` bench experiment re-measures explicitly)
-/// and tests.
-pub fn run(rule: Rule) -> Calibration {
-    match rule {
-        Rule::Static => static_calibration(),
-        Rule::Measured => measured_calibration(),
+/// Runs one calibration pass: times the burst on every consumable
+/// backend and ranks the eligible ones by score. Callers normally want
+/// the memoized [`calibration`](super::calibration) instead; this entry
+/// point is for tests that need a fresh pass.
+pub fn run() -> Calibration {
+    let m = Modulus::new_prime(primes::Q124).expect("Q124 is prime");
+    let plan = NttPlan::new(&m, CALIBRATION_N).expect("Q124 supports the calibration size");
+    let xs = burst_residues(m.value(), 0xCA11_B8A7E);
+    let ys = burst_residues(m.value(), 0x5E1EC7);
+    let butterflies = (CALIBRATION_N / 2) as f64 * f64::from(CALIBRATION_N.trailing_zeros());
+
+    let mut measurements = Vec::new();
+    for backend in super::registry() {
+        if !backend.consumable() {
+            continue; // PISA: representative cost, wrong numbers (§4.2).
+        }
+        // NTT leg: repeated forwards over the same buffer keep every
+        // input reduced (transform outputs are reduced residues).
+        let mut x = ResidueSoa::from_u128s(&xs);
+        let mut scratch = ResidueSoa::zeros(CALIBRATION_N);
+        let ntt_ns = median_ns(CALIBRATION_TOTAL, CALIBRATION_KEEP, || {
+            backend.forward_ntt(&plan, &mut x, &mut scratch)
+        });
+        // vmul leg: the point-wise half of the convolution theorem.
+        let sx = ResidueSoa::from_u128s(&xs);
+        let sy = ResidueSoa::from_u128s(&ys);
+        let mut out = ResidueSoa::zeros(CALIBRATION_N);
+        let vmul_ns = median_ns(CALIBRATION_TOTAL, CALIBRATION_KEEP, || {
+            backend.vmul(&sx, &sy, &mut out, &m)
+        });
+        measurements.push(Measurement {
+            name: backend.name(),
+            tier: backend.tier(),
+            ntt_ns,
+            vmul_ns,
+            ns_per_butterfly: (ntt_ns + vmul_ns) / butterflies,
+            eligible: backend.tier() != Tier::Mqx,
+        });
+    }
+
+    // Stable sort: ties keep registry order (widest detected tier first).
+    let mut ranked: Vec<(f64, Arc<dyn Backend>)> = measurements
+        .iter()
+        .filter(|meas| meas.eligible)
+        .map(|meas| {
+            let backend = by_name(meas.name).expect("measured backends come from the registry");
+            (meas.ns_per_butterfly, backend)
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+
+    Calibration {
+        measurements,
+        ranking: ranked.into_iter().map(|(_, backend)| backend).collect(),
     }
 }
 
 /// The process-wide memoized calibration behind
-/// [`calibration`](super::calibration): measured by default, static
-/// when `MQX_CALIBRATE` is `off`/`0`.
+/// [`calibration`](super::calibration).
 pub(super) fn process_calibration() -> &'static Calibration {
     static CALIBRATION: OnceLock<Calibration> = OnceLock::new();
-    CALIBRATION.get_or_init(|| {
-        let rule = if calibration_enabled() {
-            Rule::Measured
-        } else {
-            Rule::Static
-        };
-        run(rule)
-    })
+    CALIBRATION.get_or_init(run)
 }
 
 /// Resolves one auto selection: an explicit `pin` (the `MQX_BACKEND`
@@ -308,94 +307,6 @@ pub(crate) fn env_pin() -> Option<String> {
     }
 }
 
-/// Whether the `MQX_CALIBRATE` environment variable leaves the startup
-/// measurement enabled: any of `off`, `0`, or `false` — matched
-/// case-insensitively, surrounding whitespace trimmed — disables it;
-/// everything else (including unset) enables it.
-///
-/// This reads the environment on every call; the memoized
-/// [`calibration`](super::calibration) consults it once, at first use.
-pub fn calibration_enabled() -> bool {
-    match std::env::var("MQX_CALIBRATE") {
-        Ok(value) => {
-            let value = value.trim();
-            !(value.eq_ignore_ascii_case("off")
-                || value.eq_ignore_ascii_case("false")
-                || value == "0")
-        }
-        Err(_) => true,
-    }
-}
-
-/// The static fallback: the consumable non-MQX registry entries in
-/// registry order — widest detected tier first, so the winner is
-/// [`default_backend`](super::default_backend).
-fn static_calibration() -> Calibration {
-    Calibration {
-        rule: Rule::Static,
-        measurements: Vec::new(),
-        ranking: super::registry()
-            .iter()
-            .filter(|b| b.consumable() && b.tier() != Tier::Mqx)
-            .cloned()
-            .collect(),
-    }
-}
-
-fn measured_calibration() -> Calibration {
-    let m = Modulus::new_prime(primes::Q124).expect("Q124 is prime");
-    let plan = NttPlan::new(&m, CALIBRATION_N).expect("Q124 supports the calibration size");
-    let xs = burst_residues(m.value(), 0xCA11_B8A7E);
-    let ys = burst_residues(m.value(), 0x5E1EC7);
-    let butterflies = (CALIBRATION_N / 2) as f64 * f64::from(CALIBRATION_N.trailing_zeros());
-
-    let mut measurements = Vec::new();
-    for backend in super::registry() {
-        if !backend.consumable() {
-            continue; // PISA: representative cost, wrong numbers (§4.2).
-        }
-        // NTT leg: repeated forwards over the same buffer keep every
-        // input reduced (transform outputs are reduced residues).
-        let mut x = ResidueSoa::from_u128s(&xs);
-        let mut scratch = ResidueSoa::zeros(CALIBRATION_N);
-        let ntt_ns = median_ns(CALIBRATION_TOTAL, CALIBRATION_KEEP, || {
-            backend.forward_ntt(&plan, &mut x, &mut scratch)
-        });
-        // vmul leg: the point-wise half of the convolution theorem.
-        let sx = ResidueSoa::from_u128s(&xs);
-        let sy = ResidueSoa::from_u128s(&ys);
-        let mut out = ResidueSoa::zeros(CALIBRATION_N);
-        let vmul_ns = median_ns(CALIBRATION_TOTAL, CALIBRATION_KEEP, || {
-            backend.vmul(&sx, &sy, &mut out, &m)
-        });
-        measurements.push(Measurement {
-            name: backend.name(),
-            tier: backend.tier(),
-            ntt_ns,
-            vmul_ns,
-            ns_per_butterfly: (ntt_ns + vmul_ns) / butterflies,
-            eligible: backend.tier() != Tier::Mqx,
-        });
-    }
-
-    // Stable sort: ties keep registry order (fastest static tier first).
-    let mut ranked: Vec<(f64, Arc<dyn Backend>)> = measurements
-        .iter()
-        .filter(|meas| meas.eligible)
-        .map(|meas| {
-            let backend = by_name(meas.name).expect("measured backends come from the registry");
-            (meas.ns_per_butterfly, backend)
-        })
-        .collect();
-    ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
-
-    Calibration {
-        rule: Rule::Measured,
-        measurements,
-        ranking: ranked.into_iter().map(|(_, backend)| backend).collect(),
-    }
-}
-
 fn burst_residues(q: u128, seed: u64) -> Vec<u128> {
     let mut state = seed | 1;
     (0..CALIBRATION_N)
@@ -414,8 +325,7 @@ mod tests {
 
     #[test]
     fn measured_run_covers_every_consumable_backend() {
-        let cal = run(Rule::Measured);
-        assert_eq!(cal.rule(), Rule::Measured);
+        let cal = run();
         let measured: Vec<_> = cal.measurements().iter().map(|m| m.name).collect();
         for backend in super::super::available() {
             assert_eq!(
@@ -434,7 +344,7 @@ mod tests {
 
     #[test]
     fn measured_ranking_is_sorted_and_mqx_free() {
-        let cal = run(Rule::Measured);
+        let cal = run();
         assert!(!cal.ranking().is_empty());
         let scores: Vec<f64> = cal
             .ranking()
@@ -450,22 +360,8 @@ mod tests {
     }
 
     #[test]
-    fn static_run_reproduces_the_static_rule() {
-        let cal = run(Rule::Static);
-        assert_eq!(cal.rule(), Rule::Static);
-        assert!(cal.measurements().is_empty());
-        assert!(Arc::ptr_eq(&cal.winner(), &super::super::default_backend()));
-        // Every channel falls back to the static winner.
-        let channels = cal.channel_backends(4);
-        assert_eq!(channels.len(), 4);
-        for b in &channels {
-            assert!(Arc::ptr_eq(b, &cal.winner()));
-        }
-    }
-
-    #[test]
     fn channel_backends_stay_within_the_ranking() {
-        let cal = run(Rule::Measured);
+        let cal = run();
         let channels = cal.channel_backends(5);
         assert_eq!(channels.len(), 5);
         let winner_score = cal.score_of(cal.winner().name()).unwrap();

@@ -15,8 +15,7 @@
 //!   machine**: a one-shot startup micro-calibration ranks every
 //!   consumable backend by observed ns/butterfly (memoized; see
 //!   [`backend::calibration`]), with `MQX_BACKEND=<name>` pinning a
-//!   tier and `MQX_CALIBRATE=off` restoring the static
-//!   widest-detected-tier rule;
+//!   tier;
 //! * [`Ring::with_backend_name`] / [`RingBuilder`] — pins a tier;
 //! * [`backend::available`] — enumerates what this host offers (the
 //!   registry is built once per process and memoized);

@@ -37,8 +37,8 @@ use std::sync::Arc;
 /// How a [`RingBuilder`] picks its backend.
 enum BackendChoice {
     /// The process's auto selection: the `MQX_BACKEND` pin when set,
-    /// otherwise the measured-calibration winner (static rule under
-    /// `MQX_CALIBRATE=off`). See [`backend::selected_backend`].
+    /// otherwise the measured-calibration winner. See
+    /// [`backend::selected_backend`].
     Auto,
     /// Look the name up in the registry at build time.
     Named(String),
@@ -204,11 +204,9 @@ impl Ring {
     /// build triggers a one-shot micro-calibration that times a short
     /// NTT + `vmul` burst on every consumable backend and ranks tiers
     /// by observed ns/butterfly (memoized process-wide; see
-    /// [`backend::calibration`]). Two environment overrides:
-    /// `MQX_BACKEND=<name>` pins a registry backend (unknown names
-    /// fail with [`Error::UnknownBackend`]), and `MQX_CALIBRATE=off`
-    /// skips the measurement and restores the static
-    /// widest-detected-tier rule ([`backend::default_backend`]).
+    /// [`backend::calibration`]). `MQX_BACKEND=<name>` overrides it
+    /// with a registry backend (unknown names fail with
+    /// [`Error::UnknownBackend`]).
     pub fn auto(modulus: u128, n: usize) -> Result<Ring, Error> {
         RingBuilder::new(modulus, n).build()
     }

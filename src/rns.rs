@@ -85,9 +85,8 @@ enum BasisChoice {
 enum ChannelBackends {
     /// Channels draw from the process's measured calibration ranking:
     /// near-tied tiers round-robin across channels (so channels may
-    /// land on different tiers), an `MQX_BACKEND` pin applies to every
-    /// channel, and `MQX_CALIBRATE=off` gives every channel the
-    /// static-rule tier. See `backend::calibration`.
+    /// land on different tiers), and an `MQX_BACKEND` pin applies to
+    /// every channel. See `backend::calibration`.
     Auto,
     /// Every channel pins the named registry backend.
     Uniform(String),
@@ -522,7 +521,7 @@ impl RnsRing {
     /// from the measured calibration ranking (near-tied tiers
     /// round-robin, so channels may land on different tiers; see
     /// [`backend::calibration`](crate::backend::calibration) and the
-    /// `MQX_BACKEND` / `MQX_CALIBRATE` overrides).
+    /// `MQX_BACKEND` override).
     pub fn auto(channels: usize, n: usize) -> Result<RnsRing, Error> {
         RnsRingBuilder::new(n)
             .generated_basis(DEFAULT_BASIS_BITS, channels)

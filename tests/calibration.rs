@@ -1,18 +1,13 @@
 //! Integration: the measured backend auto-tuning behind `Ring::auto` —
-//! memoized determinism, the `MQX_BACKEND` pin, the `MQX_CALIBRATE=off`
-//! static fallback, and the winner invariants.
+//! memoized determinism, the `MQX_BACKEND` pin, and the winner
+//! invariants.
 //!
-//! Environment-variable scenarios are serialized under one lock: the
-//! process environment is shared across the parallel test threads, so
-//! every test in this binary that can *read* the environment — auto
-//! builds, `select(None)`, and any first touch of
-//! `backend::calibration()` (whose init reads `MQX_CALIBRATE`) — takes
-//! [`ENV_LOCK`] while `env_overrides_round_trip` and
-//! `calibrate_toggle_round_trips_forgiving_spellings` mutate
-//! `MQX_BACKEND` / `MQX_CALIBRATE` (concurrent getenv/setenv is
-//! undefined behavior on glibc). The remaining tests
-//! use only the parameterized `calibrate::run` entry point, which
-//! takes the rule explicitly and never consults the environment.
+//! The process environment is shared across the parallel test threads,
+//! so every test in this binary that *reads* `MQX_BACKEND` — the auto
+//! builds — takes [`ENV_LOCK`] while `env_overrides_round_trip` mutates
+//! it (concurrent getenv/setenv is undefined behavior on glibc). The
+//! calibration itself, memoized or a fresh `calibrate::run`, never
+//! consults the environment.
 
 use mqx::backend::{self, calibrate, Tier};
 use mqx::core::primes;
@@ -30,9 +25,6 @@ fn env_lock() -> MutexGuard<'static, ()> {
 
 #[test]
 fn calibration_is_memoized_and_deterministic() {
-    // backend::calibration()'s first init reads MQX_CALIBRATE — an
-    // env read that must not race the env test's set_var (glibc UB).
-    let _guard = env_lock();
     let first = backend::calibration();
     let second = backend::calibration();
     // Same object: the measurement ran at most once in this process.
@@ -45,7 +37,7 @@ fn calibration_is_memoized_and_deterministic() {
 
 #[test]
 fn calibrated_winner_is_consumable_and_never_mqx() {
-    let cal = calibrate::run(calibrate::Rule::Measured);
+    let cal = calibrate::run();
     let winner = cal.winner();
     assert!(winner.consumable());
     assert_ne!(winner.tier(), Tier::Mqx);
@@ -68,26 +60,7 @@ fn calibrated_winner_is_consumable_and_never_mqx() {
 }
 
 #[test]
-fn static_rule_fallback_matches_default_backend() {
-    let cal = calibrate::run(calibrate::Rule::Static);
-    assert_eq!(cal.rule(), calibrate::Rule::Static);
-    assert!(
-        cal.measurements().is_empty(),
-        "static rule measures nothing"
-    );
-    // The static winner IS default_backend's pick (same memoized
-    // instance).
-    assert!(Arc::ptr_eq(&cal.winner(), &backend::default_backend()));
-    // And per-channel assignment degenerates to the uniform winner.
-    for b in cal.channel_backends(3) {
-        assert!(Arc::ptr_eq(&b, &cal.winner()));
-    }
-}
-
-#[test]
 fn pin_selection_honors_names_and_rejects_unknowns() {
-    // select(None) may trigger the calibration's env-reading init.
-    let _guard = env_lock();
     // A pinned name resolves to the memoized registry instance.
     let pinned = calibrate::select(Some("portable")).unwrap();
     assert!(Arc::ptr_eq(&pinned, &backend::by_name("portable").unwrap()));
@@ -118,8 +91,6 @@ fn pin_selection_honors_names_and_rejects_unknowns() {
 
 #[test]
 fn channel_assignments_draw_from_the_ranking() {
-    // backend::calibration()'s first init reads MQX_CALIBRATE.
-    let _guard = env_lock();
     let cal = backend::calibration();
     let channels = cal.channel_backends(6);
     assert_eq!(channels.len(), 6);
@@ -176,40 +147,6 @@ fn env_overrides_round_trip() {
         ring.backend().name(),
         backend::calibration().winner().name()
     );
-}
-
-#[test]
-fn calibrate_toggle_round_trips_forgiving_spellings() {
-    // `calibration_enabled` reads the environment on every call (the
-    // process memo consults it once, at first use), so the parsing
-    // round-trips directly. Holds the lock: it reads what the other
-    // env tests write.
-    let _guard = env_lock();
-    let prior = std::env::var("MQX_CALIBRATE").ok();
-
-    for disabled in [
-        "off", "OFF", "Off", " off ", "0", "false", "FALSE", " False ",
-    ] {
-        std::env::set_var("MQX_CALIBRATE", disabled);
-        assert!(
-            !calibrate::calibration_enabled(),
-            "{disabled:?} must disable calibration"
-        );
-    }
-    for enabled in ["on", "1", "true", "", "  ", "anything-else"] {
-        std::env::set_var("MQX_CALIBRATE", enabled);
-        assert!(
-            calibrate::calibration_enabled(),
-            "{enabled:?} must leave calibration on"
-        );
-    }
-    std::env::remove_var("MQX_CALIBRATE");
-    assert!(calibrate::calibration_enabled(), "unset leaves it on");
-
-    match prior {
-        Some(value) => std::env::set_var("MQX_CALIBRATE", value),
-        None => std::env::remove_var("MQX_CALIBRATE"),
-    }
 }
 
 #[test]

@@ -319,9 +319,7 @@ fn tiny_transforms_match_scalar_on_every_backend() {
 
 /// The calibrated auto pick must be a real engine whose products are
 /// bit-identical to the portable reference — whatever tier the startup
-/// measurement ranked first on this host (and however `MQX_CALIBRATE`
-/// is set: measured and static selections both resolve to consumable
-/// non-MQX backends).
+/// measurement ranked first on this host.
 #[test]
 fn calibrated_auto_pick_agrees_with_portable() {
     let (a, b) = workload(primes::Q124);

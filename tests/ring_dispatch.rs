@@ -55,17 +55,17 @@ fn auto_matches_the_measured_calibration() {
         _ => assert_eq!(ring.backend().name(), cal.winner().name()),
     }
 
-    // The static rule survives as the MQX_CALIBRATE=off fallback: the
-    // widest tier the host can execute (detected). Build flags play no
-    // part — the kernels enable their own target features.
-    let expected_static = if mqx::simd::avx512_detected() {
+    // The prediction the measurement is validated against: the widest
+    // tier the host can execute (detected). Build flags play no part —
+    // the kernels enable their own target features.
+    let expected_widest = if mqx::simd::avx512_detected() {
         "avx512"
     } else if mqx::simd::avx2_detected() {
         "avx2"
     } else {
         "portable"
     };
-    assert_eq!(backend::default_backend().name(), expected_static);
+    assert_eq!(backend::default_backend().name(), expected_widest);
 }
 
 /// The forced-portable check from the acceptance criteria: pinning the

@@ -3,13 +3,16 @@
 //! basis extension, one relinearize request at n = 2048 made ~132 000
 //! allocator calls; the word-level path makes the `n` result values of
 //! the join plus a handful of buffers. The bounds below do not depend
-//! on `n` apart from those `n` values.
+//! on `n` apart from those `n` values. A relinearize graph, which keeps
+//! residues resident between nodes, must also allocate strictly less
+//! than the same chain as three `apply` calls, each of which splits and
+//! joins.
 //!
 //! One `#[test]` only: the allocator is process-wide. It counts per
 //! thread, so the harness's own threads do not disturb the numbers.
 
 use mqx::bignum::BigUint;
-use mqx::{Coefficients, PolyRing, RingOp, RnsRing};
+use mqx::{Coefficients, OpGraph, PolyOp, PolyRing, RingOp, RnsRing};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -99,4 +102,38 @@ fn rns_request_path_allocates_per_call_not_per_coefficient() {
     let (calls, joined) = allocations(|| ring.join_at(K, channels).unwrap());
     assert!(calls <= N as u64 + 4, "join_at: {calls} allocations");
     assert_eq!(joined, coeffs);
+
+    // Both paths run on this thread: `apply` and `apply_graph` walk the
+    // graph in `poly::evaluate`, which spawns nothing, so the per-thread
+    // count is the whole request's.
+    let other = Coefficients::Big(
+        (0..N as u64)
+            .map(|i| &(ring.product_modulus() - &BigUint::from(3 * i + 7)) / &BigUint::from(i + 2))
+            .collect(),
+    );
+    let operands = [coeffs, other];
+    let relinearize = OpGraph::relinearize(PolyOp::Negacyclic, 1);
+    // Rescale runs on the ring whose basis the chain has reached.
+    let ext_ring = RnsRing::with_moduli(&ring.extended_moduli(1).unwrap(), N).unwrap();
+    let op_at_a_time = || {
+        let mul = RingOp::Polymul(PolyOp::Negacyclic);
+        let x = ring.apply(&mul, &operands[0], Some(&operands[1])).unwrap();
+        let x = ring.apply(&extend, &x, None).unwrap();
+        ext_ring.apply(&RingOp::Rescale, &x, None).unwrap()
+    };
+    // Warm: scratch buffers and both rings' width constants.
+    assert_eq!(
+        ring.apply_graph(&relinearize, &operands).unwrap(),
+        op_at_a_time()
+    );
+
+    let (graph_calls, via_graph) =
+        allocations(|| ring.apply_graph(&relinearize, &operands).unwrap());
+    let (chain_calls, via_chain) = allocations(op_at_a_time);
+    assert_eq!(via_graph, via_chain);
+    println!("relinearize at k = {K}, n = {N}: graph {graph_calls}, three applies {chain_calls}");
+    assert!(
+        graph_calls < chain_calls,
+        "graph {graph_calls} vs op-at-a-time {chain_calls} allocations"
+    );
 }
