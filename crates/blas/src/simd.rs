@@ -70,17 +70,17 @@ pub fn vmul<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa,
 pub fn axpy<E: SimdEngine>(a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus) {
     assert_eq!(x.len(), y.len());
     debug_assert!(a < m.value());
+    let vm = VModulus::<E>::new(m);
     E::vectorize(
         #[inline(always)]
-        || {
-            let vm = VModulus::<E>::new(m);
-            let av = VDword::<E>::broadcast(a);
+        |t| {
+            let av = VDword::<E>::broadcast(t, a);
             let n = x.len();
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let xv = x.load_vector::<E>(i);
-                let yv = y.load_vector::<E>(i);
+                let xv = x.load_vector::<E>(t, i);
+                let yv = y.load_vector::<E>(t, i);
                 y.store_vector::<E>(i, addmod::<E>(mulmod::<E>(av, xv, &vm), yv, &vm));
                 i += lanes;
             }
@@ -101,17 +101,17 @@ pub fn axpy<E: SimdEngine>(a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modu
 /// Panics if lengths differ.
 pub fn dot<E: SimdEngine>(x: &ResidueSoa, y: &ResidueSoa, m: &Modulus) -> u128 {
     assert_eq!(x.len(), y.len());
+    let vm = VModulus::<E>::new(m);
     E::vectorize(
         #[inline(always)]
-        || {
-            let vm = VModulus::<E>::new(m);
+        |t| {
             let n = x.len();
             let lanes = E::LANES;
-            let mut acc = VDword::<E>::broadcast(0);
+            let mut acc = VDword::<E>::broadcast(t, 0);
             let mut i = 0;
             while i + lanes <= n {
-                let xv = x.load_vector::<E>(i);
-                let yv = y.load_vector::<E>(i);
+                let xv = x.load_vector::<E>(t, i);
+                let yv = y.load_vector::<E>(t, i);
                 acc = addmod::<E>(acc, mulmod::<E>(xv, yv, &vm), &vm);
                 i += lanes;
             }
@@ -164,16 +164,16 @@ fn binary_kernel<E: SimdEngine>(
 ) {
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), out.len());
+    let vm = VModulus::<E>::new(m);
     E::vectorize(
         #[inline(always)]
-        || {
-            let vm = VModulus::<E>::new(m);
+        |t| {
             let n = x.len();
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let xv = x.load_vector::<E>(i);
-                let yv = y.load_vector::<E>(i);
+                let xv = x.load_vector::<E>(t, i);
+                let yv = y.load_vector::<E>(t, i);
                 out.store_vector::<E>(i, vector_op(xv, yv, &vm));
                 i += lanes;
             }

@@ -61,9 +61,8 @@ pub(crate) fn pease_simd<E: SimdEngine>(
 ) {
     E::vectorize(
         #[inline(always)]
-        || {
-            let n = x.len();
-            let half = n / 2;
+        |t| {
+            let half = x.len() / 2;
             let m = plan.modulus();
             for stage in stages {
                 if half < E::LANES {
@@ -76,38 +75,29 @@ pub(crate) fn pease_simd<E: SimdEngine>(
                         y.set(2 * i, m.add_mod(u, v));
                         y.set(2 * i + 1, m.mul_mod(m.sub_mod(u, v), w));
                     }
-                    std::mem::swap(x, y);
-                    continue;
-                }
-
-                let lanes = E::LANES;
-                let repeat = 1_usize << stage.shift;
-                for i in (0..half).step_by(lanes) {
-                    let u = x.load_vector::<E>(i);
-                    let v = x.load_vector::<E>(i + half);
+                } else {
                     // Twiddles repeat in runs of 2^s: early stages load the
                     // per-index expanded table (pattern varies inside the
-                    // vector); later stages broadcast the single value the whole
-                    // vector shares.
-                    let w = if repeat < lanes {
-                        stage
-                            .expanded
-                            .as_ref()
-                            .expect("expanded table exists when repeat < 8")
-                            .load_vector::<E>(i)
-                    } else {
-                        VDword::<E>::broadcast(stage.at(i))
-                    };
-                    let sum = addmod::<E>(u, v, vm);
-                    let diff = mulmod::<E>(submod::<E>(u, v, vm), w, vm);
-
-                    // Interleaved store: y[2i..2i+2L] = [sum0, diff0, sum1, …].
-                    let (yh, yl) = y.parts_mut();
-                    let base = 2 * i;
-                    E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
-                    E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
-                    E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
-                    E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
+                    // vector); later stages broadcast the single value the
+                    // whole vector shares. Chosen once per stage.
+                    match lane_tables::<E>(stage) {
+                        Some((w, _)) => canonical_stage::<E>(
+                            t,
+                            x,
+                            y,
+                            vm,
+                            #[inline(always)]
+                            |i| w.load_vector::<E>(t, i),
+                        ),
+                        None => canonical_stage::<E>(
+                            t,
+                            x,
+                            y,
+                            vm,
+                            #[inline(always)]
+                            |i| VDword::<E>::broadcast(t, stage.at(i)),
+                        ),
+                    }
                 }
                 std::mem::swap(x, y);
             }
@@ -130,14 +120,13 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
     stages: &[StageTwiddles],
     vm: &VModulus<E>,
 ) {
-    let n = x.len();
-    let half = n / 2;
+    let half = x.len() / 2;
     let q = plan.modulus().value();
     let two_q = 2 * q;
     crate::plan::debug_assert_domain_soa(x, two_q, "pease_lazy input");
     E::vectorize(
         #[inline(always)]
-        || {
+        |t| {
             for stage in stages {
                 if half < E::LANES {
                     // Tiny transform: scalar lazy butterflies keep the dataflow
@@ -154,48 +143,111 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
                         y.set(2 * i, sum);
                         y.set(2 * i + 1, diff);
                     }
-                    std::mem::swap(x, y);
-                    continue;
-                }
-
-                let lanes = E::LANES;
-                let repeat = 1_usize << stage.shift;
-                for i in (0..half).step_by(lanes) {
-                    let u = x.load_vector::<E>(i);
-                    let v = x.load_vector::<E>(i + half);
-                    let (w, w_shoup) = if repeat < lanes {
-                        (
-                            stage
-                                .expanded
-                                .as_ref()
-                                .expect("expanded table exists when repeat < 8")
-                                .load_vector::<E>(i),
-                            stage
-                                .expanded_shoup
-                                .as_ref()
-                                .expect("expanded Shoup table exists when repeat < 8")
-                                .load_vector::<E>(i),
-                        )
-                    } else {
-                        (
-                            VDword::<E>::broadcast(stage.at(i)),
-                            VDword::<E>::broadcast(stage.at_shoup(i)),
-                        )
-                    };
-                    let sum = addmod_lazy::<E>(u, v, vm);
-                    let diff = mulmod_shoup_lazy::<E>(submod_lazy::<E>(u, v, vm), w, w_shoup, vm);
-
-                    let (yh, yl) = y.parts_mut();
-                    let base = 2 * i;
-                    E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
-                    E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
-                    E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
-                    E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
+                } else {
+                    match lane_tables::<E>(stage) {
+                        Some((w, w_shoup)) => lazy_stage::<E>(
+                            t,
+                            x,
+                            y,
+                            vm,
+                            #[inline(always)]
+                            |i| (w.load_vector::<E>(t, i), w_shoup.load_vector::<E>(t, i)),
+                        ),
+                        None => lazy_stage::<E>(
+                            t,
+                            x,
+                            y,
+                            vm,
+                            #[inline(always)]
+                            |i| {
+                                (
+                                    VDword::<E>::broadcast(t, stage.at(i)),
+                                    VDword::<E>::broadcast(t, stage.at_shoup(i)),
+                                )
+                            },
+                        ),
+                    }
                 }
                 std::mem::swap(x, y);
             }
         },
     );
+}
+
+/// The stage's per-index twiddle tables (values, Shoup constants) when a
+/// vector of `E::LANES` butterflies spans more than one twiddle run
+/// (`2^s < E::LANES`); `None` when one broadcast value serves the whole
+/// vector. [`NttPlan::new`] builds the tables for every stage with
+/// `2^s` below the widest vector (8 lanes), so they are there whenever
+/// an engine needs them.
+#[inline(always)]
+fn lane_tables<E: SimdEngine>(stage: &StageTwiddles) -> Option<(&ResidueSoa, &ResidueSoa)> {
+    if (1_usize << stage.shift) >= E::LANES {
+        return None;
+    }
+    let tables = stage.expanded.as_ref().zip(stage.expanded_shoup.as_ref());
+    debug_assert!(tables.is_some(), "stage {} has no lane tables", stage.shift);
+    tables
+}
+
+/// One vector stage of [`pease_simd`]: canonical butterflies, the
+/// twiddle of vector index `i` from `twiddle(i)`.
+#[inline(always)]
+fn canonical_stage<E: SimdEngine>(
+    t: E::Token,
+    x: &ResidueSoa,
+    y: &mut ResidueSoa,
+    vm: &VModulus<E>,
+    twiddle: impl Fn(usize) -> VDword<E>,
+) {
+    let half = x.len() / 2;
+    for i in (0..half).step_by(E::LANES) {
+        let u = x.load_vector::<E>(t, i);
+        let v = x.load_vector::<E>(t, i + half);
+        let sum = addmod::<E>(u, v, vm);
+        let diff = mulmod::<E>(submod::<E>(u, v, vm), twiddle(i), vm);
+        store_interleaved::<E>(y, 2 * i, sum, diff);
+    }
+}
+
+/// One vector stage of [`pease_lazy_simd`]: lazy butterflies, the
+/// twiddle and its Shoup constant for vector index `i` from
+/// `twiddle(i)`.
+#[inline(always)]
+fn lazy_stage<E: SimdEngine>(
+    t: E::Token,
+    x: &ResidueSoa,
+    y: &mut ResidueSoa,
+    vm: &VModulus<E>,
+    twiddle: impl Fn(usize) -> (VDword<E>, VDword<E>),
+) {
+    crate::plan::debug_assert_domain_soa(x, 2 * vm.scalar.value(), "lazy stage input");
+    let half = x.len() / 2;
+    for i in (0..half).step_by(E::LANES) {
+        let u = x.load_vector::<E>(t, i);
+        let v = x.load_vector::<E>(t, i + half);
+        let (w, w_shoup) = twiddle(i);
+        let sum = addmod_lazy::<E>(u, v, vm);
+        let diff = mulmod_shoup_lazy::<E>(submod_lazy::<E>(u, v, vm), w, w_shoup, vm);
+        store_interleaved::<E>(y, 2 * i, sum, diff);
+    }
+}
+
+/// The Pease paired store: `y[base..base + 2L] = [sum0, diff0, sum1, …]`,
+/// the element-wise interleave of the two butterfly legs.
+#[inline(always)]
+fn store_interleaved<E: SimdEngine>(
+    y: &mut ResidueSoa,
+    base: usize,
+    sum: VDword<E>,
+    diff: VDword<E>,
+) {
+    let lanes = E::LANES;
+    let (yh, yl) = y.parts_mut();
+    E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
+    E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
+    E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
+    E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
 }
 
 /// Lazy point-wise multiply `a[i] ← a[i]·b[i] mod q` between the fused
@@ -210,13 +262,13 @@ pub(crate) fn pointwise_fold_mul_simd<E: SimdEngine>(
 ) {
     E::vectorize(
         #[inline(always)]
-        || {
+        |t| {
             let n = a.len();
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let x = reduce_2q_to_q::<E>(a.load_vector::<E>(i), vm);
-                let y = reduce_2q_to_q::<E>(b.load_vector::<E>(i), vm);
+                let x = reduce_2q_to_q::<E>(a.load_vector::<E>(t, i), vm);
+                let y = reduce_2q_to_q::<E>(b.load_vector::<E>(t, i), vm);
                 a.store_vector::<E>(i, mulmod::<E>(x, y, vm));
                 i += lanes;
             }
@@ -243,14 +295,14 @@ pub(crate) fn scale_shoup_canonical_simd<E: SimdEngine>(
 ) {
     E::vectorize(
         #[inline(always)]
-        || {
+        |t| {
             let n = x.len();
-            let cv = VDword::<E>::broadcast(c);
-            let csv = VDword::<E>::broadcast(c_shoup);
+            let cv = VDword::<E>::broadcast(t, c);
+            let csv = VDword::<E>::broadcast(t, c_shoup);
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let v = x.load_vector::<E>(i);
+                let v = x.load_vector::<E>(t, i);
                 let r = mulmod_shoup_lazy::<E>(v, cv, csv, vm);
                 x.store_vector::<E>(i, reduce_2q_to_q::<E>(r, vm));
                 i += lanes;
@@ -278,16 +330,16 @@ pub(crate) fn twist_shoup_simd<E: SimdEngine>(
 ) {
     E::vectorize(
         #[inline(always)]
-        || {
+        |t| {
             let n = x.len();
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let v = x.load_vector::<E>(i);
+                let v = x.load_vector::<E>(t, i);
                 let mut r = mulmod_shoup_lazy::<E>(
                     v,
-                    w.load_vector::<E>(i),
-                    w_shoup.load_vector::<E>(i),
+                    w.load_vector::<E>(t, i),
+                    w_shoup.load_vector::<E>(t, i),
                     vm,
                 );
                 if canonicalize {
@@ -313,13 +365,13 @@ pub(crate) fn twist_shoup_simd<E: SimdEngine>(
 pub(crate) fn scale_simd<E: SimdEngine>(x: &mut ResidueSoa, c: u128, vm: &VModulus<E>) {
     E::vectorize(
         #[inline(always)]
-        || {
+        |t| {
             let n = x.len();
-            let cv = VDword::<E>::broadcast(c);
+            let cv = VDword::<E>::broadcast(t, c);
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let v = x.load_vector::<E>(i);
+                let v = x.load_vector::<E>(t, i);
                 x.store_vector::<E>(i, mulmod::<E>(v, cv, vm));
                 i += lanes;
             }

@@ -6,26 +6,50 @@
 //! `vpmuludq` partials — the "more instructions and additional handling"
 //! the paper describes for this tier (§3.2).
 //!
-//! As for the AVX-512 engine, no build flag is needed for speed: the
-//! shims are `#[inline(always)]` and become single instructions inside
-//! the `avx2` frame that [`SimdEngine::vectorize`] opens.
+//! As for the AVX-512 engine, the CPU is checked only where a [`Token`]
+//! is minted (once per [`SimdEngine::vectorize`] kernel call, or by
+//! [`SimdEngine::token`]): `splat` / `load` and the mask constructors
+//! take the token — a mask is an `__m256i` here too — so the shims below
+//! run unchecked on vectors that prove the check ran. No build flag is
+//! needed for speed: the shims are `#[inline(always)]` and become single
+//! instructions inside the `avx2` frame that `vectorize` opens.
 
 #![allow(unsafe_code)]
 
-use crate::engine::{sealed, SimdEngine};
+use crate::engine::{Sealed, SimdEngine, Token};
 use std::arch::x86_64::*;
 
 /// The AVX2 engine. See the module docs.
 #[derive(Clone, Copy, Debug)]
 pub struct Avx2;
 
-impl sealed::Sealed for Avx2 {}
+impl Sealed for Avx2 {
+    #[inline(always)]
+    fn witness(_: __m256i) -> Token<Avx2> {
+        // SAFETY: an `__m256i` reaches safe code only through `splat` /
+        // `load` / the mask constructors, which take a token, and a token
+        // is minted only after `require_avx2` passed.
+        unsafe { Token::new() }
+    }
 
-/// Panic-guards the engine's data-entry points (see the identical
-/// guard in the AVX-512 engine): execution on a host without AVX2
-/// fails fast in safe code instead of faulting. Free when the build
-/// enables the feature statically; [`SimdEngine::vectorize`] runs it once
-/// per frame.
+    #[inline(always)]
+    fn enter<R>(t: Token<Avx2>, f: impl FnOnce(Token<Avx2>) -> R) -> R {
+        /// The frame: the only function in the workspace compiled with
+        /// the AVX2 feature, one instance per kernel closure.
+        #[target_feature(enable = "avx2")]
+        fn frame<R>(t: Token<Avx2>, f: impl FnOnce(Token<Avx2>) -> R) -> R {
+            f(t)
+        }
+        // SAFETY: `t` proves this CPU has avx2, the only feature `frame`
+        // enables.
+        unsafe { frame(t, f) }
+    }
+}
+
+/// The engine's one CPU check, run where a [`Token`] is minted (see the
+/// identical guard in the AVX-512 engine): execution on a host without
+/// AVX2 fails fast in safe code instead of faulting. Free when the build
+/// enables the feature statically; once per kernel call otherwise.
 #[inline(always)]
 fn require_avx2() {
     assert!(
@@ -38,7 +62,7 @@ fn require_avx2() {
 #[inline(always)]
 fn sign_flip(a: __m256i) -> __m256i {
     // SAFETY: xor/set1 are lane-wise AVX2 ops with no memory access;
-    // callers pass vectors built by the guarded entry points below.
+    // `a` exists only via the token-taking constructors below.
     unsafe { _mm256_xor_si256(a, _mm256_set1_epi64x(i64::MIN)) }
 }
 
@@ -49,43 +73,36 @@ impl SimdEngine for Avx2 {
     type V = __m256i;
     /// Lane-wide boolean vector: each 64-bit lane is all-ones or all-zeros.
     type M = __m256i;
+    type Token = Token<Avx2>;
 
     #[inline(always)]
-    fn vectorize<R>(f: impl FnOnce() -> R) -> R {
-        /// The frame: the only function in the workspace compiled with
-        /// the AVX2 feature, one instance per kernel closure.
-        #[target_feature(enable = "avx2")]
-        fn frame<R>(f: impl FnOnce() -> R) -> R {
-            f()
-        }
+    fn token() -> Token<Avx2> {
         require_avx2();
-        // SAFETY: `require_avx2` above proved this CPU has avx2, the only
-        // feature `frame` enables.
-        unsafe { frame(f) }
+        // SAFETY: `require_avx2` above proved avx2.
+        unsafe { Token::new() }
     }
 
     #[inline(always)]
-    fn splat(x: u64) -> Self::V {
-        require_avx2();
-        // SAFETY: the `require_avx2` guard above proved the feature;
-        // set1 touches no memory.
+    fn splat(_: Token<Avx2>, x: u64) -> Self::V {
+        // SAFETY: the token proves the feature; set1 touches no memory.
         unsafe { _mm256_set1_epi64x(x as i64) }
     }
 
     #[inline(always)]
-    fn load(src: &[u64]) -> Self::V {
-        require_avx2();
+    fn load(_: Token<Avx2>, src: &[u64]) -> Self::V {
         assert!(src.len() >= 4, "avx2 load needs 4 lanes");
-        // SAFETY: guard above proved AVX2; the length assert guarantees
-        // 32 readable bytes and `loadu` has no alignment requirement.
+        // SAFETY: the token proves the feature; the length assert
+        // guarantees 32 readable bytes and `loadu` has no alignment
+        // requirement.
         unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
     }
 
     #[inline(always)]
     fn store(v: Self::V, dst: &mut [u64]) {
         assert!(dst.len() >= 4, "avx2 store needs 4 lanes");
-        // SAFETY: `v` exists only on a guarded host (`splat`/`load`); the
-        // length assert guarantees 32 writable bytes; `storeu` is unaligned.
+        // SAFETY: `v` exists only on a host whose token was minted (its
+        // constructors take one); the length assert guarantees 32
+        // writable bytes; `storeu` is unaligned.
         unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
     }
 
@@ -100,14 +117,14 @@ impl SimdEngine for Avx2 {
     #[inline(always)]
     fn add(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_add_epi64(a, b) }
     }
 
     #[inline(always)]
     fn sub(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_sub_epi64(a, b) }
     }
 
@@ -116,7 +133,7 @@ impl SimdEngine for Avx2 {
         // No vpmullq below AVX-512DQ: assemble the low 64 bits from three
         // vpmuludq partials: lo = ll + ((lh + hl) << 32).
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe {
             let ll = _mm256_mul_epu32(a, b);
             let lh = _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b));
@@ -129,49 +146,49 @@ impl SimdEngine for Avx2 {
     #[inline(always)]
     fn mul32_wide(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_mul_epu32(a, b) }
     }
 
     #[inline(always)]
     fn mullo32(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_mullo_epi32(a, b) }
     }
 
     #[inline(always)]
     fn shl(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_sll_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
     #[inline(always)]
     fn shr(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_srl_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
     #[inline(always)]
     fn and(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_and_si256(a, b) }
     }
 
     #[inline(always)]
     fn or(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_or_si256(a, b) }
     }
 
     #[inline(always)]
     fn xor(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_xor_si256(a, b) }
     }
 
@@ -179,7 +196,7 @@ impl SimdEngine for Avx2 {
     fn cmp_lt(a: Self::V, b: Self::V) -> Self::M {
         // Unsigned a < b via signed compare on sign-flipped operands.
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_cmpgt_epi64(sign_flip(b), sign_flip(a)) }
     }
 
@@ -191,47 +208,46 @@ impl SimdEngine for Avx2 {
     #[inline(always)]
     fn cmp_eq(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_cmpeq_epi64(a, b) }
     }
 
     #[inline(always)]
-    fn mask_zero() -> Self::M {
-        // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+    fn mask_zero(_: Token<Avx2>) -> Self::M {
+        // SAFETY: the token proves the feature; setzero touches no memory.
         unsafe { _mm256_setzero_si256() }
     }
 
     #[inline(always)]
     fn mask_and(a: Self::M, b: Self::M) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_and_si256(a, b) }
     }
 
     #[inline(always)]
     fn mask_or(a: Self::M, b: Self::M) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_or_si256(a, b) }
     }
 
     #[inline(always)]
     fn mask_not(a: Self::M) -> Self::M {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_xor_si256(a, _mm256_set1_epi64x(-1)) }
     }
 
     #[inline(always)]
     fn mask_to_bits(m: Self::M) -> u64 {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_movemask_pd(_mm256_castsi256_pd(m)) as u64 }
     }
 
     #[inline(always)]
-    fn mask_from_bits(bits: u64) -> Self::M {
+    fn mask_from_bits(_: Token<Avx2>, bits: u64) -> Self::M {
         let lane = |i: u64| -> i64 {
             if (bits >> i) & 1 == 1 {
                 -1
@@ -239,15 +255,14 @@ impl SimdEngine for Avx2 {
                 0
             }
         };
-        // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // SAFETY: the token proves the feature; setr touches no memory.
         unsafe { _mm256_setr_epi64x(lane(0), lane(1), lane(2), lane(3)) }
     }
 
     #[inline(always)]
     fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe { _mm256_blendv_epi8(a, b, m) }
     }
 
@@ -266,7 +281,7 @@ impl SimdEngine for Avx2 {
         // Pre-permute both operands so in-lane unpack produces the true
         // element-wise interleave: [a0, b0, a1, b1].
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe {
             let pa = _mm256_permute4x64_epi64::<0xD8>(a); // [a0, a2, a1, a3]
             let pb = _mm256_permute4x64_epi64::<0xD8>(b);
@@ -277,7 +292,7 @@ impl SimdEngine for Avx2 {
     #[inline(always)]
     fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
-        // exist only via `splat`/`load`, whose `require_avx2` guard ran.
+        // exist only via `splat`/`load`/mask constructors, which take a token.
         unsafe {
             let pa = _mm256_permute4x64_epi64::<0xD8>(a);
             let pb = _mm256_permute4x64_epi64::<0xD8>(b);
@@ -298,10 +313,11 @@ mod tests {
         if !crate::avx2_detected() {
             return; // host cannot execute this engine
         }
+        let (t, p) = (Avx2::token(), Portable::token());
         let xs8 = [0_u64, 1, u64::MAX, 0xDEAD_BEEF_CAFE_BABE, 0, 0, 0, 0];
         let ys8 = [u64::MAX, 0, u64::MAX, 0x0123_4567_89AB_CDEF, 0, 0, 0, 0];
-        let (a2, b2) = (Avx2::load(&xs8), Avx2::load(&ys8));
-        let (ap, bp) = (Portable::load(&xs8), Portable::load(&ys8));
+        let (a2, b2) = (Avx2::load(t, &xs8), Avx2::load(t, &ys8));
+        let (ap, bp) = (Portable::load(p, &xs8), Portable::load(p, &ys8));
 
         let check = |got: __m256i, want: [u64; 8], what: &str| {
             let mut buf = [0_u64; 4];
@@ -344,12 +360,13 @@ mod tests {
         if !crate::avx2_detected() {
             return; // host cannot execute this engine
         }
+        let t = Avx2::token();
         for bits in [0_u64, 0b0101, 0b1111, 0b1010] {
-            assert_eq!(Avx2::mask_to_bits(Avx2::mask_from_bits(bits)), bits);
+            assert_eq!(Avx2::mask_to_bits(Avx2::mask_from_bits(t, bits)), bits);
         }
-        let a = Avx2::splat(1);
-        let b = Avx2::splat(2);
-        let m = Avx2::mask_from_bits(0b0011);
+        let a = Avx2::splat(t, 1);
+        let b = Avx2::splat(t, 2);
+        let m = Avx2::mask_from_bits(t, 0b0011);
         let mut buf = [0_u64; 4];
         Avx2::store(Avx2::blend(m, a, b), &mut buf);
         assert_eq!(buf, [2, 2, 1, 1]);
@@ -362,8 +379,9 @@ mod tests {
         if !crate::avx2_detected() {
             return; // host cannot execute this engine
         }
-        let a = Avx2::load(&[0, 1, 2, 3]);
-        let b = Avx2::load(&[10, 11, 12, 13]);
+        let t = Avx2::token();
+        let a = Avx2::load(t, &[0, 1, 2, 3]);
+        let b = Avx2::load(t, &[10, 11, 12, 13]);
         let mut buf = [0_u64; 4];
         Avx2::store(Avx2::interleave_lo(a, b), &mut buf);
         assert_eq!(buf, [0, 10, 1, 11]);
@@ -376,9 +394,10 @@ mod tests {
         if !crate::avx2_detected() {
             return; // host cannot execute this engine
         }
+        let t = Avx2::token();
         let xs = [u64::MAX, 0xDEAD_BEEF_CAFE_BABE, 1, 0x8000_0000_0000_0001];
         let ys = [u64::MAX, 0x0123_4567_89AB_CDEF, u64::MAX, 2];
-        let (hi, lo) = Avx2::mul_wide(Avx2::load(&xs), Avx2::load(&ys));
+        let (hi, lo) = Avx2::mul_wide(Avx2::load(t, &xs), Avx2::load(t, &ys));
         let mut hbuf = [0_u64; 4];
         let mut lbuf = [0_u64; 4];
         Avx2::store(hi, &mut hbuf);

@@ -3,8 +3,13 @@
 //! (§3.2).
 //!
 //! Compiled into every x86-64 build so that the `mqx` facade can select
-//! it at **runtime**; callers must check [`crate::avx512_detected`]
-//! before executing any of its operations (the backend registry does).
+//! it at **runtime** (the backend registry offers it only when
+//! [`crate::avx512_detected`]). The CPU is checked where a [`Token`] is
+//! minted — once per [`SimdEngine::vectorize`] kernel call, or by
+//! [`SimdEngine::token`] — and nowhere else: `splat` / `load` and the
+//! mask constructors take the token, so an `__m512i` exists only on a
+//! host that passed the check, and the arithmetic shims below rely on
+//! that.
 //!
 //! No build flag is needed for speed: the shims below are all
 //! `#[inline(always)]`, and a kernel that runs its vector loop inside
@@ -15,25 +20,44 @@
 
 #![allow(unsafe_code)]
 
-use crate::engine::{sealed, SimdEngine};
+use crate::engine::{Sealed, SimdEngine, Token};
 use std::arch::x86_64::*;
 
 /// The AVX-512 engine. See the module docs.
 #[derive(Clone, Copy, Debug)]
 pub struct Avx512;
 
-impl sealed::Sealed for Avx512 {}
+impl Sealed for Avx512 {
+    #[inline(always)]
+    fn witness(_: __m512i) -> Token<Avx512> {
+        // SAFETY: an `__m512i` reaches safe code only through `splat` /
+        // `load`, which take a token, and a token is minted only after
+        // `require_avx512` passed.
+        unsafe { Token::new() }
+    }
 
-/// Panic-guards the engine's data-entry points: every kernel
-/// materializes its vectors through `splat`/`load`, so checking here
-/// turns execution on an unsupported host into a deterministic panic
+    #[inline(always)]
+    fn enter<R>(t: Token<Avx512>, f: impl FnOnce(Token<Avx512>) -> R) -> R {
+        /// The frame: the only function in the workspace compiled with
+        /// the AVX-512 features, one instance per kernel closure.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        fn frame<R>(t: Token<Avx512>, f: impl FnOnce(Token<Avx512>) -> R) -> R {
+            f(t)
+        }
+        // SAFETY: `t` proves this CPU has avx512f and avx512dq, the only
+        // features `frame` enables.
+        unsafe { frame(t, f) }
+    }
+}
+
+/// The engine's one CPU check, run where a [`Token`] is minted
+/// ([`SimdEngine::token`], and so once per [`SimdEngine::vectorize`]):
+/// execution on an unsupported host becomes a deterministic panic
 /// instead of an illegal-instruction fault from safe code. The check
 /// constant-folds to nothing when the build already enables the
 /// features (`is_x86_feature_detected!` short-circuits at compile
 /// time), and costs one cached atomic load and a predictable branch
-/// otherwise. [`SimdEngine::vectorize`] runs the same check once per
-/// frame; the per-vector checks stay because the engine type is public
-/// and its ops are safe to call outside any frame.
+/// otherwise — per kernel call, not per vector.
 #[inline(always)]
 fn require_avx512() {
     assert!(
@@ -49,43 +73,36 @@ impl SimdEngine for Avx512 {
 
     type V = __m512i;
     type M = __mmask8;
+    type Token = Token<Avx512>;
 
     #[inline(always)]
-    fn vectorize<R>(f: impl FnOnce() -> R) -> R {
-        /// The frame: the only function in the workspace compiled with
-        /// the AVX-512 features, one instance per kernel closure.
-        #[target_feature(enable = "avx512f,avx512dq")]
-        fn frame<R>(f: impl FnOnce() -> R) -> R {
-            f()
-        }
+    fn token() -> Token<Avx512> {
         require_avx512();
-        // SAFETY: `require_avx512` above proved this CPU has avx512f and
-        // avx512dq, the only features `frame` enables.
-        unsafe { frame(f) }
+        // SAFETY: `require_avx512` above proved avx512f and avx512dq.
+        unsafe { Token::new() }
     }
 
     #[inline(always)]
-    fn splat(x: u64) -> Self::V {
-        require_avx512();
-        // SAFETY: the `require_avx512` guard above proved the features;
-        // set1 touches no memory.
+    fn splat(_: Token<Avx512>, x: u64) -> Self::V {
+        // SAFETY: the token proves the features; set1 touches no memory.
         unsafe { _mm512_set1_epi64(x as i64) }
     }
 
     #[inline(always)]
-    fn load(src: &[u64]) -> Self::V {
-        require_avx512();
+    fn load(_: Token<Avx512>, src: &[u64]) -> Self::V {
         assert!(src.len() >= 8, "avx512 load needs 8 lanes");
-        // SAFETY: guard above proved AVX-512; the length assert guarantees
-        // 64 readable bytes and `loadu` has no alignment requirement.
+        // SAFETY: the token proves the features; the length assert
+        // guarantees 64 readable bytes and `loadu` has no alignment
+        // requirement.
         unsafe { _mm512_loadu_si512(src.as_ptr().cast()) }
     }
 
     #[inline(always)]
     fn store(v: Self::V, dst: &mut [u64]) {
         assert!(dst.len() >= 8, "avx512 store needs 8 lanes");
-        // SAFETY: `v` exists only on a guarded host (`splat`/`load`); the
-        // length assert guarantees 64 writable bytes; `storeu` is unaligned.
+        // SAFETY: `v` exists only on a host whose token was minted (its
+        // constructors take one); the length assert guarantees 64
+        // writable bytes; `storeu` is unaligned.
         unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
     }
 
@@ -100,96 +117,96 @@ impl SimdEngine for Avx512 {
     #[inline(always)]
     fn add(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_add_epi64(a, b) }
     }
 
     #[inline(always)]
     fn sub(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_sub_epi64(a, b) }
     }
 
     #[inline(always)]
     fn mullo(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_mullo_epi64(a, b) }
     }
 
     #[inline(always)]
     fn mul32_wide(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_mul_epu32(a, b) }
     }
 
     #[inline(always)]
     fn mullo32(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_mullo_epi32(a, b) }
     }
 
     #[inline(always)]
     fn shl(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_sll_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
     #[inline(always)]
     fn shr(a: Self::V, n: u32) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_srl_epi64(a, _mm_cvtsi32_si128(n as i32)) }
     }
 
     #[inline(always)]
     fn and(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_and_si512(a, b) }
     }
 
     #[inline(always)]
     fn or(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_or_si512(a, b) }
     }
 
     #[inline(always)]
     fn xor(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_xor_si512(a, b) }
     }
 
     #[inline(always)]
     fn cmp_lt(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_cmplt_epu64_mask(a, b) }
     }
 
     #[inline(always)]
     fn cmp_le(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_cmple_epu64_mask(a, b) }
     }
 
     #[inline(always)]
     fn cmp_eq(a: Self::V, b: Self::V) -> Self::M {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_cmpeq_epi64_mask(a, b) }
     }
 
     #[inline(always)]
-    fn mask_zero() -> Self::M {
+    fn mask_zero(_: Token<Avx512>) -> Self::M {
         0
     }
 
@@ -214,28 +231,28 @@ impl SimdEngine for Avx512 {
     }
 
     #[inline(always)]
-    fn mask_from_bits(bits: u64) -> Self::M {
+    fn mask_from_bits(_: Token<Avx512>, bits: u64) -> Self::M {
         bits as u8
     }
 
     #[inline(always)]
     fn blend(m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_mask_blend_epi64(m, a, b) }
     }
 
     #[inline(always)]
     fn mask_add(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_mask_add_epi64(src, m, a, b) }
     }
 
     #[inline(always)]
     fn mask_sub(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe { _mm512_mask_sub_epi64(src, m, a, b) }
     }
 
@@ -243,7 +260,7 @@ impl SimdEngine for Avx512 {
     fn interleave_lo(a: Self::V, b: Self::V) -> Self::V {
         // One vpermt2q: indices 0..3 of a interleaved with 8..11 of b.
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe {
             let idx = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
             _mm512_permutex2var_epi64(a, idx, b)
@@ -253,7 +270,7 @@ impl SimdEngine for Avx512 {
     #[inline(always)]
     fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
         // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
-        // inputs exist only via `splat`/`load`, whose `require_avx512` guard ran.
+        // inputs exist only via `splat`/`load`, which take a token.
         unsafe {
             let idx = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
             _mm512_permutex2var_epi64(a, idx, b)
@@ -274,6 +291,7 @@ mod tests {
         if !crate::avx512_detected() {
             return; // host cannot execute this engine
         }
+        let (t, p) = (Avx512::token(), Portable::token());
         let xs = [
             0_u64,
             1,
@@ -294,8 +312,8 @@ mod tests {
             0x8000_0001,
             0xFFFF_FFFF,
         ];
-        let (av, bv) = (Avx512::load(&xs), Avx512::load(&ys));
-        let (ap, bp) = (Portable::load(&xs), Portable::load(&ys));
+        let (av, bv) = (Avx512::load(t, &xs), Avx512::load(t, &ys));
+        let (ap, bp) = (Portable::load(p, &xs), Portable::load(p, &ys));
 
         let check = |got: __m512i, want: [u64; 8], what: &str| {
             let mut buf = [0_u64; 8];
@@ -350,8 +368,8 @@ mod tests {
         );
 
         for bits in [0_u64, 0b0101_1010, 0xFF] {
-            let m5 = Avx512::mask_from_bits(bits);
-            let mp = Portable::mask_from_bits(bits);
+            let m5 = Avx512::mask_from_bits(t, bits);
+            let mp = Portable::mask_from_bits(p, bits);
             check(
                 Avx512::blend(m5, av, bv),
                 Portable::blend(mp, ap, bp),
@@ -375,10 +393,11 @@ mod tests {
         if !crate::avx512_detected() {
             return; // host cannot execute this engine
         }
+        let (t, p) = (Avx512::token(), Portable::token());
         let xs = [0_u64, 1, u64::MAX, 7, 1 << 40, u64::MAX - 1, 3, 99];
         let ys = [5_u64, u64::MAX, u64::MAX, 7, 1 << 41, 1, 4, 98];
-        let (av, bv) = (Avx512::load(&xs), Avx512::load(&ys));
-        let (ap, bp) = (Portable::load(&xs), Portable::load(&ys));
+        let (av, bv) = (Avx512::load(t, &xs), Avx512::load(t, &ys));
+        let (ap, bp) = (Portable::load(p, &xs), Portable::load(p, &ys));
 
         let (hi5, lo5) = Avx512::mul_wide(av, bv);
         let (hip, lop) = Portable::mul_wide(ap, bp);
@@ -389,8 +408,8 @@ mod tests {
         assert_eq!(buf, lop, "mul_wide lo");
 
         for bits in [0_u64, 0b1100_0011] {
-            let (s5, c5) = Avx512::adc(av, bv, Avx512::mask_from_bits(bits));
-            let (sp, cp) = Portable::adc(ap, bp, Portable::mask_from_bits(bits));
+            let (s5, c5) = Avx512::adc(av, bv, Avx512::mask_from_bits(t, bits));
+            let (sp, cp) = Portable::adc(ap, bp, Portable::mask_from_bits(p, bits));
             Avx512::store(s5, &mut buf);
             assert_eq!(buf, sp, "adc sum");
             assert_eq!(
@@ -399,8 +418,8 @@ mod tests {
                 "adc carry"
             );
 
-            let (d5, b5) = Avx512::sbb(av, bv, Avx512::mask_from_bits(bits));
-            let (dp, bbp) = Portable::sbb(ap, bp, Portable::mask_from_bits(bits));
+            let (d5, b5) = Avx512::sbb(av, bv, Avx512::mask_from_bits(t, bits));
+            let (dp, bbp) = Portable::sbb(ap, bp, Portable::mask_from_bits(p, bits));
             Avx512::store(d5, &mut buf);
             assert_eq!(buf, dp, "sbb diff");
             assert_eq!(

@@ -2,22 +2,42 @@
 //! PISA-validation proxies). Each macro expands to a group of required
 //! [`SimdEngine`](crate::SimdEngine) methods forwarding to a base engine,
 //! so wrappers only spell out the operations they change.
+//!
+//! A wrapper's instructions are its base engine's, so it uses the base
+//! engine's token (`type Token = <base>::Token`), CPU check and
+//! target-feature frame.
+
+macro_rules! delegate_sealed {
+    ($base:ty) => {
+        #[inline(always)]
+        fn witness(
+            v: <Self as crate::engine::SimdEngine>::V,
+        ) -> <Self as crate::engine::SimdEngine>::Token {
+            <$base as crate::engine::Sealed>::witness(v)
+        }
+        #[inline(always)]
+        fn enter<R>(
+            t: <Self as crate::engine::SimdEngine>::Token,
+            f: impl FnOnce(<Self as crate::engine::SimdEngine>::Token) -> R,
+        ) -> R {
+            <$base as crate::engine::Sealed>::enter(t, f)
+        }
+    };
+}
 
 macro_rules! delegate_data {
     ($base:ty) => {
-        /// A wrapper's intrinsics are its base engine's, so it runs in
-        /// the base engine's target-feature frame.
         #[inline(always)]
-        fn vectorize<R>(f: impl FnOnce() -> R) -> R {
-            <$base as crate::engine::SimdEngine>::vectorize(f)
+        fn token() -> Self::Token {
+            <$base as crate::engine::SimdEngine>::token()
         }
         #[inline(always)]
-        fn splat(x: u64) -> Self::V {
-            <$base as crate::engine::SimdEngine>::splat(x)
+        fn splat(t: Self::Token, x: u64) -> Self::V {
+            <$base as crate::engine::SimdEngine>::splat(t, x)
         }
         #[inline(always)]
-        fn load(src: &[u64]) -> Self::V {
-            <$base as crate::engine::SimdEngine>::load(src)
+        fn load(t: Self::Token, src: &[u64]) -> Self::V {
+            <$base as crate::engine::SimdEngine>::load(t, src)
         }
         #[inline(always)]
         fn store(v: Self::V, dst: &mut [u64]) {
@@ -95,8 +115,8 @@ macro_rules! delegate_cmp {
 macro_rules! delegate_masks {
     ($base:ty) => {
         #[inline(always)]
-        fn mask_zero() -> Self::M {
-            <$base as crate::engine::SimdEngine>::mask_zero()
+        fn mask_zero(t: Self::Token) -> Self::M {
+            <$base as crate::engine::SimdEngine>::mask_zero(t)
         }
         #[inline(always)]
         fn mask_and(a: Self::M, b: Self::M) -> Self::M {
@@ -115,8 +135,8 @@ macro_rules! delegate_masks {
             <$base as crate::engine::SimdEngine>::mask_to_bits(m)
         }
         #[inline(always)]
-        fn mask_from_bits(bits: u64) -> Self::M {
-            <$base as crate::engine::SimdEngine>::mask_from_bits(bits)
+        fn mask_from_bits(t: Self::Token, bits: u64) -> Self::M {
+            <$base as crate::engine::SimdEngine>::mask_from_bits(t, bits)
         }
     };
 }
@@ -152,5 +172,6 @@ macro_rules! delegate_perm {
 }
 
 pub(crate) use {
-    delegate_arith, delegate_cmp, delegate_data, delegate_masks, delegate_perm, delegate_select,
+    delegate_arith, delegate_cmp, delegate_data, delegate_masks, delegate_perm, delegate_sealed,
+    delegate_select,
 };

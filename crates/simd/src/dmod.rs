@@ -44,10 +44,10 @@ impl<E: SimdEngine> std::fmt::Debug for VDword<E> {
 impl<E: SimdEngine> VDword<E> {
     /// Broadcasts one 128-bit value to all lanes.
     #[inline(always)]
-    pub fn broadcast(x: u128) -> Self {
+    pub fn broadcast(t: E::Token, x: u128) -> Self {
         VDword {
-            hi: E::splat((x >> 64) as u64),
-            lo: E::splat(x as u64),
+            hi: E::splat(t, (x >> 64) as u64),
+            lo: E::splat(t, x as u64),
         }
     }
 
@@ -57,10 +57,10 @@ impl<E: SimdEngine> VDword<E> {
     ///
     /// Panics if either slice is shorter than `E::LANES`.
     #[inline(always)]
-    pub fn load(hi: &[u64], lo: &[u64]) -> Self {
+    pub fn load(t: E::Token, hi: &[u64], lo: &[u64]) -> Self {
         VDword {
-            hi: E::load(hi),
-            lo: E::load(lo),
+            hi: E::load(t, hi),
+            lo: E::load(t, lo),
         }
     }
 
@@ -75,11 +75,12 @@ impl<E: SimdEngine> VDword<E> {
         E::store(self.lo, lo);
     }
 
-    /// Gathers `E::LANES` values from a `u128` slice (test convenience).
+    /// Gathers `E::LANES` values from a `u128` slice (test convenience;
+    /// checks the CPU through [`SimdEngine::token`]).
     ///
     /// # Panics
     ///
-    /// Panics if `xs.len() < E::LANES`.
+    /// Panics if `xs.len() < E::LANES`, or on a CPU that cannot run `E`.
     pub fn from_u128s(xs: &[u128]) -> Self {
         let mut hi = [0_u64; 8];
         let mut lo = [0_u64; 8];
@@ -87,10 +88,7 @@ impl<E: SimdEngine> VDword<E> {
             hi[i] = (xs[i] >> 64) as u64;
             lo[i] = xs[i] as u64;
         }
-        VDword {
-            hi: E::load(&hi),
-            lo: E::load(&lo),
-        }
+        VDword::load(E::token(), &hi, &lo)
     }
 
     /// Reads one lane as `u128`.
@@ -145,12 +143,18 @@ impl<E: SimdEngine> std::fmt::Debug for VModulus<E> {
 
 impl<E: SimdEngine> VModulus<E> {
     /// Broadcasts a scalar [`Modulus`] across the engine's lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a CPU that cannot run `E` (the one check of
+    /// [`SimdEngine::token`]).
     #[inline(always)]
     pub fn new(m: &Modulus) -> Self {
+        let t = E::token();
         VModulus {
-            q: VDword::broadcast(m.value()),
-            two_q: VDword::broadcast(2 * m.value()),
-            mu: VDword::broadcast(m.mu()),
+            q: VDword::broadcast(t, m.value()),
+            two_q: VDword::broadcast(t, 2 * m.value()),
+            mu: VDword::broadcast(t, m.mu()),
             k: m.barrett_shift(),
             scalar: *m,
         }
@@ -183,7 +187,7 @@ pub fn addmod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDw
         // into the carry op. The proposed instruction has no borrow
         // *output*, so the high word reuses the borrow `slb` computed by
         // the trial chain above.
-        let lo = E::psbb(el, m.q.lo, E::mask_zero(), ge);
+        let lo = E::psbb(el, m.q.lo, E::mask_zero(E::witness(el)), ge);
         let hi = E::psbb(eh, m.q.hi, slb, ge);
         let _ = (sl, sh);
         VDword { hi, lo }
@@ -209,7 +213,7 @@ pub fn addmod_listing3_faithful<E: SimdEngine>(
     b: VDword<E>,
     m: &VModulus<E>,
 ) -> VDword<E> {
-    let z_mask = E::mask_zero();
+    let z_mask = E::mask_zero(E::witness(a.lo));
     let (el, elc) = E::adc(a.lo, b.lo, z_mask);
     let (eh, ehc) = E::adc(a.hi, b.hi, elc);
     let ehc1 = E::cmp_lt(m.q.hi, eh);
@@ -232,7 +236,7 @@ pub fn submod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDw
         // The predicated add has no carry output, so one plain adc0
         // supplies the low-word carry for the high half.
         let (_, slc) = E::adc0(dl, m.q.lo);
-        let lo = E::padc(dl, m.q.lo, E::mask_zero(), dhb);
+        let lo = E::padc(dl, m.q.lo, E::mask_zero(E::witness(dl)), dhb);
         let hi = E::padc(dh, m.q.hi, slc, dhb);
         VDword { hi, lo }
     } else {
@@ -263,7 +267,7 @@ fn mul_256_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
     let (t, da) = E::adc(p01h, p10h, ca);
     let (x2, db) = E::adc(t, p11l, cb);
     // Column 3: p11h + carries (cannot overflow: the product < 2^256).
-    let one = E::splat(1);
+    let one = E::splat(E::witness(a.lo), 1);
     let x3 = E::mask_add(p11h, da, p11h, one);
     let x3 = E::mask_add(x3, db, x3, one);
     [x0, x1, x2, x3]
@@ -273,7 +277,8 @@ fn mul_256_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
 /// three widening multiplies plus carry fix-ups.
 #[inline(always)]
 fn mul_256_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
-    let one = E::splat(1);
+    let t = E::witness(a.lo);
+    let (zero, one) = (E::splat(t, 0), E::splat(t, 1));
     // z0 = a.lo·b.lo, z2 = a.hi·b.hi.
     let (z0h, z0l) = E::mul_wide(a.lo, b.lo);
     let (z2h, z2l) = E::mul_wide(a.hi, b.hi);
@@ -286,16 +291,13 @@ fn mul_256_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
     let mut m0 = ml;
     let mut m1 = mh;
     // m2 accumulates ca&cb plus carries from the 2^64-scaled additions.
-    let mut m2 = E::and(
-        E::blend(ca, E::splat(0), one),
-        E::blend(cb, E::splat(0), one),
-    );
+    let mut m2 = E::and(E::blend(ca, zero, one), E::blend(cb, zero, one));
     // + ca·sb·2^64
-    let (t, k) = E::adc0(m1, E::blend(ca, E::splat(0), sb));
+    let (t, k) = E::adc0(m1, E::blend(ca, zero, sb));
     m1 = t;
     m2 = E::mask_add(m2, k, m2, one);
     // + cb·sa·2^64
-    let (t, k) = E::adc0(m1, E::blend(cb, E::splat(0), sa));
+    let (t, k) = E::adc0(m1, E::blend(cb, zero, sa));
     m1 = t;
     m2 = E::mask_add(m2, k, m2, one);
     // − z0 − z2 (the middle term is a0·b1 + a1·b0 ≥ 0, so m never
@@ -326,8 +328,9 @@ fn mul_256_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> [E::V; 4] {
 /// limb for limb.
 #[inline(always)]
 fn barrett_reduce<E: SimdEngine>(x: [E::V; 4], m: &VModulus<E>) -> VDword<E> {
-    let one = E::splat(1);
-    let zero = E::splat(0);
+    let tok = E::witness(x[0]);
+    let one = E::splat(tok, 1);
+    let zero = E::splat(tok, 0);
 
     // ---- y = x · µ (only limbs ⌊k/64⌋.. of y are consumed, but every
     // column is computed so the carries into them are exact).
@@ -390,7 +393,7 @@ fn barrett_reduce<E: SimdEngine>(x: [E::V; 4], m: &VModulus<E>) -> VDword<E> {
     let (s1, b1) = E::sbb(c.hi, m.q.hi, b0);
     let ge = E::mask_not(b1);
     if E::HAS_PREDICATION {
-        let lo = E::psbb(c.lo, m.q.lo, E::mask_zero(), ge);
+        let lo = E::psbb(c.lo, m.q.lo, E::mask_zero(tok), ge);
         let hi = E::psbb(c.hi, m.q.hi, b0, ge);
         let _ = (s0, s1);
         VDword { hi, lo }
@@ -419,16 +422,18 @@ pub fn mulmod<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDw
 /// Vectorized modular multiplication with the schoolbook product
 /// (Eq. 8): four widening multiplies.
 ///
-/// Opens its own [`SimdEngine::vectorize`] frame and is *not* force-
-/// inlined: every kernel of an engine then shares one compiled copy of
-/// the Barrett chain (the largest body in the crate) instead of
-/// carrying its own, and the compiler inlines it into a calling frame
-/// where that pays.
+/// Opens its own target-feature frame (as [`SimdEngine::vectorize`]
+/// does, but on the strength of the operands, which prove the CPU check
+/// ran — so no check per call) and is *not* force-inlined: every kernel
+/// of an engine then shares one compiled copy of the Barrett chain (the
+/// largest body in the crate) instead of carrying its own, and the
+/// compiler inlines it into a calling frame where that pays.
 #[inline]
 pub fn mulmod_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
-    E::vectorize(
+    E::enter(
+        E::witness(a.lo),
         #[inline(always)]
-        || barrett_reduce::<E>(mul_256_schoolbook::<E>(a, b), m),
+        |_| barrett_reduce::<E>(mul_256_schoolbook::<E>(a, b), m),
     )
 }
 
@@ -437,9 +442,10 @@ pub fn mulmod_schoolbook<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus
 /// Frames like [`mulmod_schoolbook`].
 #[inline]
 pub fn mulmod_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
-    E::vectorize(
+    E::enter(
+        E::witness(a.lo),
         #[inline(always)]
-        || barrett_reduce::<E>(mul_256_karatsuba::<E>(a, b), m),
+        |_| barrett_reduce::<E>(mul_256_karatsuba::<E>(a, b), m),
     )
 }
 
@@ -628,7 +634,7 @@ mod tests {
         // (q−1)² in every lane stresses the Barrett estimate bound.
         for q in [primes::Q124, primes::Q120] {
             let m = vmod(q);
-            let a = VDword::<P>::broadcast(q - 1);
+            let a = VDword::<P>::broadcast(P::token(), q - 1);
             let got = mulmod(a, a, &m);
             for i in 0..8 {
                 assert_eq!(got.extract(i), 1, "(q-1)² ≡ 1 mod q, lane {i}");
@@ -650,8 +656,8 @@ mod tests {
         assert_eq!(sum >> 64, q >> 64, "constructed boundary case");
         assert!(sum >= q && (sum & u64::MAX as u128) >= (q & u64::MAX as u128));
 
-        let av = VDword::<P>::broadcast(a);
-        let bv = VDword::<P>::broadcast(b);
+        let av = VDword::<P>::broadcast(P::token(), a);
+        let bv = VDword::<P>::broadcast(P::token(), b);
         let exact = addmod(av, bv, &m).extract(0);
         let faithful = addmod_listing3_faithful(av, bv, &m).extract(0);
         assert_eq!(exact, m.scalar.add_mod(a, b));
@@ -707,9 +713,9 @@ mod tests {
         let mut hi = [0_u64; 8];
         let mut lo = [0_u64; 8];
         v.store(&mut hi, &mut lo);
-        let v2 = VDword::<P>::load(&hi, &lo);
+        let v2 = VDword::<P>::load(P::token(), &hi, &lo);
         assert_eq!(v2.to_u128s(), xs);
-        let b = VDword::<P>::broadcast(42);
+        let b = VDword::<P>::broadcast(P::token(), 42);
         assert_eq!(b.extract(3), 42);
     }
 
@@ -754,8 +760,8 @@ mod tests {
             // Shoup lazy multiply accepts the unreduced [0,4q) difference.
             let w = q / 3 + 1;
             let sm = ShoupMul::new(w, &m.scalar);
-            let wv = VDword::<P>::broadcast(sm.multiplier());
-            let wsv = VDword::<P>::broadcast(sm.constant());
+            let wv = VDword::<P>::broadcast(P::token(), sm.multiplier());
+            let wsv = VDword::<P>::broadcast(P::token(), sm.constant());
             let prod = mulmod_shoup_lazy(diff, wv, wsv, &m);
             for i in 0..8 {
                 let p = prod.extract(i);

@@ -1,13 +1,123 @@
 //! The [`SimdEngine`] trait: vector primitives that map one-to-one onto
 //! AVX-512/AVX2 instructions, plus the derived multi-word operations whose
-//! defaults are the paper's baseline emulation sequences.
+//! defaults are the paper's baseline emulation sequences — and the
+//! [`Token`] that proves an engine may run on this CPU.
 
 use std::fmt::Debug;
+use std::marker::PhantomData;
 
-pub(crate) mod sealed {
-    /// Engines are defined by this crate only: the derived-op defaults
-    /// encode cost-model assumptions that downstream code must not change.
-    pub trait Sealed {}
+/// Engines are defined by this crate only: the derived-op defaults
+/// encode cost-model assumptions that downstream code must not change.
+///
+/// The trait is crate-private, not merely unnameable, so that its two
+/// methods — the only ways to obtain a [`Token`] without running the
+/// CPU check — cannot be called from outside the crate even through a
+/// `SimdEngine` bound.
+pub(crate) trait Sealed {
+    /// The token of the engine `v` belongs to, minted without a check.
+    /// Holding a vector proves the check ran: a hardware engine's
+    /// vectors and masks are built only by constructors that take a
+    /// token, and a token is minted only by [`SimdEngine::token`]. This
+    /// is what lets the derived ops and the modular kernels build their
+    /// constants (`splat(1)`, the zero mask) on the per-vector path
+    /// without a second detection check.
+    fn witness(v: <Self as SimdEngine>::V) -> <Self as SimdEngine>::Token
+    where
+        Self: SimdEngine;
+
+    /// Runs `f` inside this engine's target-feature frame on the
+    /// strength of `t`, without checking the CPU; see
+    /// [`SimdEngine::vectorize`], the public entry that checks first.
+    ///
+    /// This default is the frame of an engine with no features to
+    /// enable: a plain out-of-line function — still a real call
+    /// boundary, so each engine keeps one compiled copy of each kernel
+    /// (the same code shape the hardware engines get) instead of the
+    /// force-inlined arithmetic beneath it being duplicated into every
+    /// caller.
+    #[inline(always)]
+    fn enter<R>(
+        t: <Self as SimdEngine>::Token,
+        f: impl FnOnce(<Self as SimdEngine>::Token) -> R,
+    ) -> R
+    where
+        Self: SimdEngine,
+    {
+        #[inline(never)]
+        fn frame<T, R>(t: T, f: impl FnOnce(T) -> R) -> R {
+            f(t)
+        }
+        frame(t, f)
+    }
+}
+
+/// Proof that the running CPU can execute engine `E`'s instructions.
+///
+/// Zero-sized, and only this crate can build one:
+/// [`SimdEngine::token`] mints it after checking the CPU, and
+/// [`SimdEngine::vectorize`] mints one per kernel call and hands it to
+/// the kernel. Every constructor of a vector or mask
+/// ([`splat`](SimdEngine::splat), [`load`](SimdEngine::load),
+/// [`mask_zero`](SimdEngine::mask_zero),
+/// [`mask_from_bits`](SimdEngine::mask_from_bits), and on top of them
+/// [`VDword::broadcast`](crate::VDword::broadcast),
+/// [`VDword::load`](crate::VDword::load) and
+/// [`ResidueSoa::load_vector`](crate::ResidueSoa::load_vector)) takes
+/// one, so a hardware engine's vector exists only on a CPU that passed
+/// the check, and the engines' arithmetic runs no check at all.
+///
+/// A vector cannot be built without a token:
+///
+/// ```compile_fail
+/// use mqx_simd::{Avx512, SimdEngine};
+/// let v = Avx512::splat(7); // `splat` takes a token first
+/// ```
+///
+/// and a token cannot be built outside this crate:
+///
+/// ```compile_fail
+/// use mqx_simd::{Avx512, Token};
+/// let t: Token<Avx512> = Token(std::marker::PhantomData); // private field
+/// ```
+///
+/// The one way in checks the CPU (and panics on a host without the
+/// features):
+///
+/// ```
+/// use mqx_simd::{Portable, SimdEngine};
+/// let t = Portable::token();
+/// assert_eq!(Portable::extract(Portable::splat(t, 7), 0), 7);
+/// ```
+pub struct Token<E>(PhantomData<fn() -> E>);
+
+impl<E> Token<E> {
+    /// Mints a token without checking anything.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support every target feature `E`'s
+    /// operations and its [`Sealed::enter`] frame use.
+    // SAFETY: building the zero-sized value is sound in itself; what it
+    // vouches for is the caller's obligation above.
+    #[inline(always)]
+    pub(crate) const unsafe fn new() -> Self {
+        Token(PhantomData)
+    }
+}
+
+impl<E> Clone for Token<E> {
+    #[inline(always)]
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<E> Copy for Token<E> {}
+
+impl<E> Debug for Token<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Token")
+    }
 }
 
 /// A SIMD instruction-set engine operating on vectors of 64-bit lanes.
@@ -21,7 +131,10 @@ pub(crate) mod sealed {
 /// by [`Mqx`](crate::Mqx) with the proposed one-instruction forms.
 ///
 /// This trait is sealed: implementations live in this crate only.
-pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
+// The private supertrait is the point: it keeps the unchecked token
+// paths (`Sealed::witness`, `Sealed::enter`) out of reach downstream.
+#[allow(private_bounds)]
+pub trait SimdEngine: Sealed + Copy + Send + Sync + 'static {
     /// Number of 64-bit lanes per vector.
     const LANES: usize;
     /// Human-readable engine name for benchmark reports.
@@ -36,31 +149,45 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     type V: Copy + Debug + Send + Sync;
     /// A per-lane mask (one bit of predicate per lane).
     type M: Copy + Debug + Send + Sync;
+    /// The proof this engine may run here: [`Token<Self>`] for the base
+    /// engines, the base engine's token for the wrapper engines
+    /// ([`Mqx`](crate::Mqx), the [`proxy`](crate::proxy) engines), whose
+    /// instructions are their base engine's.
+    type Token: Copy + Debug + Send + Sync;
 
-    // ---- the target-feature frame ---------------------------------------
+    // ---- the CPU check and the target-feature frame ----------------------
+
+    /// Checks that the running CPU can execute this engine and returns
+    /// the token that says so: the one-off entry for code outside a
+    /// kernel frame ([`VModulus::new`](crate::VModulus::new), tests).
+    /// Kernels get theirs from [`vectorize`](Self::vectorize).
+    ///
+    /// # Panics
+    ///
+    /// [`Avx512`](crate::Avx512) / [`Avx2`](crate::Avx2) panic on a CPU
+    /// without their features; [`Portable`](crate::Portable)'s token is
+    /// free.
+    fn token() -> Self::Token;
 
     /// Runs `f` inside this engine's **target-feature frame** and returns
-    /// its result.
+    /// its result, handing `f` the engine's [`Token`].
     ///
     /// The hardware engines are compiled into every x86-64 build, but an
     /// ordinary build enables none of their target features, so an
     /// intrinsic reached from ordinary code is an out-of-line call per
     /// instruction. `vectorize` is the one place the features are turned
-    /// on: [`Avx512`](crate::Avx512) / [`Avx2`](crate::Avx2) check the
-    /// running CPU **once** (panicking on a host without the features,
-    /// like `splat`/`load` do) and then run `f` in a function compiled
-    /// with `avx512f,avx512dq` / `avx2`, where every intrinsic that was
-    /// inlined into `f` becomes the single instruction it names.
-    /// [`Portable`](crate::Portable) has no features to enable and uses
-    /// this default, whose frame is a plain out-of-line function: still a
-    /// real call boundary, so each engine keeps one compiled copy of each
-    /// kernel — the same code shape the hardware engines get — instead of
-    /// the force-inlined arithmetic beneath it being duplicated into
-    /// every caller. The wrapper engines ([`Mqx`](crate::Mqx), the
-    /// [`proxy`](crate::proxy) engines) delegate to their base engine.
-    /// The result is the same with or without the frame — only the cost
-    /// differs — so every kernel is written once, over the whole
-    /// vector loop:
+    /// on: it checks the running CPU **once** ([`token`](Self::token),
+    /// which panics on a host without the features), then runs `f` in a
+    /// function compiled with `avx512f,avx512dq` / `avx2`, where every
+    /// intrinsic that was inlined into `f` becomes the single instruction
+    /// it names, and no engine op checks the CPU again.
+    /// [`Portable`](crate::Portable) has no features to enable; its frame
+    /// is a plain out-of-line function. The wrapper engines
+    /// ([`Mqx`](crate::Mqx), the [`proxy`](crate::proxy) engines) run in
+    /// their base engine's frame. The result is the same with or without
+    /// the frame — only the cost differs — so every kernel is written
+    /// once, over the whole vector loop, building its vectors with the
+    /// token it is handed:
     ///
     /// ```
     /// use mqx_simd::{Portable, SimdEngine};
@@ -68,10 +195,10 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// fn sum_lanes<E: SimdEngine>(xs: &[u64]) -> u64 {
     ///     E::vectorize(
     ///         #[inline(always)]
-    ///         || {
-    ///             let mut acc = E::splat(0);
+    ///         |t| {
+    ///             let mut acc = E::splat(t, 0);
     ///             for chunk in xs.chunks_exact(E::LANES) {
-    ///                 acc = E::add(acc, E::load(chunk));
+    ///                 acc = E::add(acc, E::load(t, chunk));
     ///             }
     ///             (0..E::LANES).map(|i| E::extract(acc, i)).sum()
     ///         },
@@ -95,7 +222,10 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     ///   expected inside the frame: the call goes through a
     ///   compiler-generated shim that `#[inline(always)]` does not reach,
     ///   and the whole callee lands in that shim without the features.
-    ///   Pass `#[inline(always)] |a, b, m| addmod::<E>(a, b, m)` instead.
+    ///   Pass `#[inline(always)] |a, b, m| addmod::<E>(a, b, m)` instead;
+    /// * build vectors with the token the closure is handed, never with
+    ///   a fresh [`token`](Self::token) per vector: that is a CPU check
+    ///   inside the loop.
     ///
     /// Frames nest for free: a function that opens its own frame (as
     /// [`mulmod_schoolbook`](crate::mulmod_schoolbook) does, so each
@@ -103,25 +233,21 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// inside another, and the compiler may inline one into the other
     /// because their features match.
     #[inline(always)]
-    fn vectorize<R>(f: impl FnOnce() -> R) -> R {
-        #[inline(never)]
-        fn frame<R>(f: impl FnOnce() -> R) -> R {
-            f()
-        }
-        frame(f)
+    fn vectorize<R>(f: impl FnOnce(Self::Token) -> R) -> R {
+        Self::enter(Self::token(), f)
     }
 
     // ---- data movement ------------------------------------------------
 
     /// Broadcasts a scalar to all lanes (`vpbroadcastq`).
-    fn splat(x: u64) -> Self::V;
+    fn splat(t: Self::Token, x: u64) -> Self::V;
 
     /// Loads [`Self::LANES`] consecutive values (`vmovdqu64`).
     ///
     /// # Panics
     ///
     /// Panics if `src.len() < Self::LANES`.
-    fn load(src: &[u64]) -> Self::V;
+    fn load(t: Self::Token, src: &[u64]) -> Self::V;
 
     /// Stores [`Self::LANES`] consecutive values (`vmovdqu64`).
     ///
@@ -180,7 +306,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     // ---- mask algebra ---------------------------------------------------
 
     /// The all-false mask (the paper's `z_mask`).
-    fn mask_zero() -> Self::M;
+    fn mask_zero(t: Self::Token) -> Self::M;
     /// Lane-wise mask and (`kandb`).
     fn mask_and(a: Self::M, b: Self::M) -> Self::M;
     /// Lane-wise mask or (`korb`).
@@ -190,7 +316,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Collapses the mask to one bit per lane (bit `i` = lane `i`).
     fn mask_to_bits(m: Self::M) -> u64;
     /// Builds a mask from one bit per lane.
-    fn mask_from_bits(bits: u64) -> Self::M;
+    fn mask_from_bits(t: Self::Token, bits: u64) -> Self::M;
     /// `true` if any lane is set (test support).
     #[inline(always)]
     fn mask_any(m: Self::M) -> bool {
@@ -230,7 +356,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// `MULHI_ONLY` (§5.5).
     #[inline(always)]
     fn mul_wide(a: Self::V, b: Self::V) -> (Self::V, Self::V) {
-        let mask32 = Self::splat(0xFFFF_FFFF);
+        let mask32 = Self::splat(Self::witness(a), 0xFFFF_FFFF);
         let a_hi = Self::shr(a, 32);
         let b_hi = Self::shr(b, 32);
         let ll = Self::mul32_wide(a, b);
@@ -262,7 +388,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// proposed one-instruction `_mm512_adc_epi64`.
     #[inline(always)]
     fn adc(a: Self::V, b: Self::V, carry_in: Self::M) -> (Self::V, Self::M) {
-        let one = Self::splat(1);
+        let one = Self::splat(Self::witness(a), 1);
         let t0 = Self::add(a, b);
         let t1 = Self::mask_add(t0, carry_in, t0, one);
         let q0 = Self::cmp_lt(t0, a);
@@ -290,7 +416,7 @@ pub trait SimdEngine: sealed::Sealed + Copy + Send + Sync + 'static {
     /// `_mm512_sbb_epi64`.
     #[inline(always)]
     fn sbb(a: Self::V, b: Self::V, borrow_in: Self::M) -> (Self::V, Self::M) {
-        let one = Self::splat(1);
+        let one = Self::splat(Self::witness(a), 1);
         let t0 = Self::sub(a, b);
         let t1 = Self::mask_sub(t0, borrow_in, t0, one);
         let q0 = Self::cmp_lt(a, b);
@@ -336,7 +462,7 @@ mod tests {
     type P = Portable;
 
     fn v(xs: [u64; 8]) -> <P as SimdEngine>::V {
-        P::load(&xs)
+        P::load(P::token(), &xs)
     }
 
     fn lanes(v: <P as SimdEngine>::V) -> [u64; 8] {
@@ -382,7 +508,7 @@ mod tests {
         let a = v([0, 1, u64::MAX, 77, 0, (1 << 59), u64::MAX, 1]);
         let b = v([0, u64::MAX, u64::MAX, 3, 1, 1 << 59, u64::MAX - 1, 0]);
         for bits in [0_u64, 0b1010_1010, 0xFF] {
-            let ci = P::mask_from_bits(bits);
+            let ci = P::mask_from_bits(P::token(), bits);
             let (sum, co) = P::adc(a, b, ci);
             for i in 0..8 {
                 let (es, ec) = word::adc(P::extract(a, i), P::extract(b, i), (bits >> i) & 1 == 1);
@@ -396,7 +522,7 @@ mod tests {
     fn adc0_sbb0_match_full_forms_with_zero_flag() {
         let a = v([0, 1, u64::MAX, 77, 5, 1 << 59, u64::MAX, 9]);
         let b = v([0, u64::MAX, u64::MAX, 3, 7, 1 << 59, 1, 9]);
-        let z = P::mask_zero();
+        let z = P::mask_zero(P::token());
         let (s_full, c_full) = P::adc(a, b, z);
         let (s0, c0) = P::adc0(a, b);
         assert_eq!(lanes(s_full), lanes(s0));
@@ -412,7 +538,7 @@ mod tests {
         let a = v([0, 5, u64::MAX, 0, 1, 100, 0xDEAD, u64::MAX]);
         let b = v([0, 7, u64::MAX, 1, 0, 100, 0xBEEF, 0]);
         for bits in [0_u64, 0b0101_0101, 0xFF] {
-            let bi = P::mask_from_bits(bits);
+            let bi = P::mask_from_bits(P::token(), bits);
             let (diff, bo) = P::sbb(a, b, bi);
             for i in 0..8 {
                 let (ed, eb) = word::sbb(P::extract(a, i), P::extract(b, i), (bits >> i) & 1 == 1);
@@ -426,10 +552,10 @@ mod tests {
     fn padc_psbb_defaults_predicate_correctly() {
         let a = v([10; 8]);
         let b = v([5; 8]);
-        let pred = P::mask_from_bits(0b1111_0000);
-        let got = P::padc(a, b, P::mask_zero(), pred);
+        let pred = P::mask_from_bits(P::token(), 0b1111_0000);
+        let got = P::padc(a, b, P::mask_zero(P::token()), pred);
         assert_eq!(lanes(got), [10, 10, 10, 10, 15, 15, 15, 15]);
-        let got = P::psbb(a, b, P::mask_zero(), pred);
+        let got = P::psbb(a, b, P::mask_zero(P::token()), pred);
         assert_eq!(lanes(got), [10, 10, 10, 10, 5, 5, 5, 5]);
     }
 

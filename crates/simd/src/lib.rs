@@ -12,12 +12,12 @@
 //!
 //! # Engines
 //!
-//! | Engine | Lanes | Availability | Paper tier |
-//! |---|---|---|---|
-//! | [`Portable`] | 8 | always | correctness anchor / scalar emulation |
-//! | [`Avx2`] | 4 | x86-64 build + [`avx2_detected`] at runtime | AVX2 |
-//! | [`Avx512`] | 8 | x86-64 build + [`avx512_detected`] at runtime | AVX-512 |
-//! | [`Mqx<E, P>`] | as `E` | as `E` | MQX (Figure 6 profiles) |
+//! | Engine | Lanes | Availability | [`Token`] (the CPU check) | Paper tier |
+//! |---|---|---|---|---|
+//! | [`Portable`] | 8 | always | free | correctness anchor / scalar emulation |
+//! | [`Avx2`] | 4 | x86-64 build + [`avx2_detected`] at runtime | once per kernel call | AVX2 |
+//! | [`Avx512`] | 8 | x86-64 build + [`avx512_detected`] at runtime | once per kernel call | AVX-512 |
+//! | [`Mqx<E, P>`] | as `E` | as `E` | `E`'s | MQX (Figure 6 profiles) |
 //!
 //! # Compile-time vs runtime availability
 //!
@@ -26,11 +26,15 @@
 //! at execution time, not at load time — and must only be **executed**
 //! after the matching [`avx2_detected`] / [`avx512_detected`] runtime
 //! check passes. The `mqx` facade's backend registry performs that check
-//! and is the supported way to reach these engines. As a safety net the
-//! engines also guard their own data-entry operations (`splat`/`load`)
-//! and every [`SimdEngine::vectorize`] frame with the same detection
-//! check, so running one on an unsupported host panics
-//! deterministically instead of faulting.
+//! and is the supported way to reach these engines. The engines enforce
+//! it themselves with a [`Token`]: every constructor of a vector or mask
+//! (`splat`, `load`, the mask constructors, and [`VDword`] /
+//! [`ResidueSoa`] loads on top of them) takes one, and only
+//! [`SimdEngine::token`] mints one — after the detection check, which
+//! panics deterministically on an unsupported host instead of faulting.
+//! [`SimdEngine::vectorize`] mints the token once per kernel call and
+//! hands it to the kernel, so the check runs once per kernel, never per
+//! vector, and the arithmetic runs none: a vector in hand proves it ran.
 //!
 //! An ordinary `cargo build --release` serves the vector tiers at full
 //! speed: kernels run their vector loops inside
@@ -64,8 +68,9 @@
 //! let q = Modulus::new(primes::Q124)?;
 //! let vq = VModulus::<Portable>::new(&q);
 //! // Eight residues in structure-of-arrays (hi[], lo[]) form.
-//! let a = VDword::<Portable>::broadcast(primes::Q124 - 1);
-//! let b = VDword::<Portable>::broadcast(2);
+//! let t = Portable::token();
+//! let a = VDword::<Portable>::broadcast(t, primes::Q124 - 1);
+//! let b = VDword::<Portable>::broadcast(t, 2);
 //! let c = mqx_simd::addmod(a, b, &vq);
 //! assert_eq!(c.extract(0), 1); // (q-1) + 2 ≡ 1 (mod q)
 //! # Ok::<(), mqx_core::ModulusError>(())
@@ -94,7 +99,7 @@ pub use dmod::{
     addmod, addmod_lazy, addmod_listing3_faithful, mulmod, mulmod_karatsuba, mulmod_schoolbook,
     mulmod_shoup_lazy, reduce_2q_to_q, reduce_4q_to_2q, submod, submod_lazy, VDword, VModulus,
 };
-pub use engine::SimdEngine;
+pub use engine::{SimdEngine, Token};
 pub use mqx::Mqx;
 pub use portable::Portable;
 pub use soa::ResidueSoa;

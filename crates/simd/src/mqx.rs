@@ -2,9 +2,10 @@
 //! proposed instructions (§4, Table 2), in either functional or PISA mode.
 
 use crate::delegate::{
-    delegate_arith, delegate_cmp, delegate_data, delegate_masks, delegate_perm, delegate_select,
+    delegate_arith, delegate_cmp, delegate_data, delegate_masks, delegate_perm, delegate_sealed,
+    delegate_select,
 };
-use crate::engine::{sealed, SimdEngine};
+use crate::engine::{Sealed, SimdEngine};
 use crate::profiles::MqxProfile;
 use mqx_core::word;
 use std::hint::black_box;
@@ -39,7 +40,9 @@ impl<E, P> std::fmt::Debug for Mqx<E, P> {
     }
 }
 
-impl<E: SimdEngine, P: MqxProfile> sealed::Sealed for Mqx<E, P> {}
+impl<E: SimdEngine, P: MqxProfile> Sealed for Mqx<E, P> {
+    delegate_sealed!(E);
+}
 
 /// Applies an exact two-output word function lane-by-lane (the Table 2
 /// emulation loop).
@@ -56,7 +59,8 @@ fn lanewise2<E: SimdEngine>(a: E::V, b: E::V, f: impl Fn(u64, u64) -> (u64, u64)
         first[i] = x;
         second[i] = y;
     }
-    (E::load(&first), E::load(&second))
+    let t = E::witness(a);
+    (E::load(t, &first), E::load(t, &second))
 }
 
 /// Applies an exact carry-style word function lane-by-lane: value plus
@@ -80,7 +84,8 @@ fn lanewise_carry<E: SimdEngine>(
         out[i] = v;
         out_bits |= u64::from(fl) << i;
     }
-    (E::load(&out), E::mask_from_bits(out_bits))
+    let t = E::witness(a);
+    (E::load(t, &out), E::mask_from_bits(t, out_bits))
 }
 
 impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
@@ -90,6 +95,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
 
     type V = E::V;
     type M = E::M;
+    type Token = E::Token;
 
     delegate_data!(E);
     delegate_arith!(E);
@@ -129,7 +135,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     fn adc(a: Self::V, b: Self::V, carry_in: Self::M) -> (Self::V, Self::M) {
         if !P::CARRY {
             // Profile without carry support: baseline emulation.
-            let one = Self::splat(1);
+            let one = Self::splat(Self::witness(a), 1);
             let t0 = Self::add(a, b);
             let t1 = Self::mask_add(t0, carry_in, t0, one);
             let q0 = Self::cmp_lt(t0, a);
@@ -152,11 +158,11 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
             return (t0, Self::cmp_lt(t0, a));
         }
         if P::FUNCTIONAL {
-            lanewise_carry::<E>(a, b, E::mask_zero(), word::adc)
+            lanewise_carry::<E>(a, b, E::mask_zero(E::witness(a)), word::adc)
         } else {
             // Listing 3 feeds z_mask into the same one-instruction adc;
             // black_box keeps the constant mask from folding away.
-            let z = black_box(E::mask_zero());
+            let z = black_box(E::mask_zero(E::witness(a)));
             (E::mask_add(a, z, a, b), z)
         }
     }
@@ -165,7 +171,7 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
     #[inline(always)]
     fn sbb(a: Self::V, b: Self::V, borrow_in: Self::M) -> (Self::V, Self::M) {
         if !P::CARRY {
-            let one = Self::splat(1);
+            let one = Self::splat(Self::witness(a), 1);
             let t0 = Self::sub(a, b);
             let t1 = Self::mask_sub(t0, borrow_in, t0, one);
             let q0 = Self::cmp_lt(a, b);
@@ -185,9 +191,9 @@ impl<E: SimdEngine, P: MqxProfile> SimdEngine for Mqx<E, P> {
             return (Self::sub(a, b), Self::cmp_lt(a, b));
         }
         if P::FUNCTIONAL {
-            lanewise_carry::<E>(a, b, E::mask_zero(), word::sbb)
+            lanewise_carry::<E>(a, b, E::mask_zero(E::witness(a)), word::sbb)
         } else {
-            let z = black_box(E::mask_zero());
+            let z = black_box(E::mask_zero(E::witness(a)));
             (E::mask_sub(a, z, a, b), z)
         }
     }
@@ -262,7 +268,7 @@ mod tests {
         // cannot recover: the MQX instruction is defined exactly.
         let a = v([u64::MAX; 8]);
         let b = v([u64::MAX; 8]);
-        let ci = Portable::mask_from_bits(0xFF);
+        let ci = Portable::mask_from_bits(Portable::token(), 0xFF);
         let (sum, co) = McF::adc(a, b, ci);
         assert_eq!(sum, [u64::MAX; 8]);
         assert_eq!(Portable::mask_to_bits(co), 0xFF);
@@ -294,8 +300,12 @@ mod tests {
         let (hi_true, _) = word::mul_wide(u64::MAX, u64::MAX);
         assert_ne!(hi_pisa[0], hi_true, "PISA hi must alias mullo, not real hi");
 
-        let ci = Portable::mask_from_bits(0xFF);
-        let (_, co) = McP::adc(v([u64::MAX; 8]), v([1; 8]), Portable::mask_zero());
+        let ci = Portable::mask_from_bits(Portable::token(), 0xFF);
+        let (_, co) = McP::adc(
+            v([u64::MAX; 8]),
+            v([1; 8]),
+            Portable::mask_zero(Portable::token()),
+        );
         // Proxy carry-out is the pass-through carry-in (zero), though a
         // real adc would carry out of every lane.
         assert_eq!(Portable::mask_to_bits(co), 0);
@@ -309,10 +319,10 @@ mod tests {
         assert!(!McF::HAS_PREDICATION);
         let a = v([10; 8]);
         let b = v([5; 8]);
-        let pred = Portable::mask_from_bits(0b1010_1010);
-        let got = McpF::padc(a, b, Portable::mask_zero(), pred);
+        let pred = Portable::mask_from_bits(Portable::token(), 0b1010_1010);
+        let got = McpF::padc(a, b, Portable::mask_zero(Portable::token()), pred);
         assert_eq!(got, [10, 15, 10, 15, 10, 15, 10, 15]);
-        let got = McpF::psbb(a, b, Portable::mask_zero(), pred);
+        let got = McpF::psbb(a, b, Portable::mask_zero(Portable::token()), pred);
         assert_eq!(got, [10, 5, 10, 5, 10, 5, 10, 5]);
     }
 

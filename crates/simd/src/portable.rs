@@ -4,13 +4,18 @@
 //! correctness anchor the SIMD and MQX engines are tested against, and as
 //! the fallback tier on hosts without AVX-512.
 
-use crate::engine::{sealed, SimdEngine};
+use crate::engine::{Sealed, SimdEngine, Token};
 
 /// The portable 8-lane engine. See the module docs.
 #[derive(Clone, Copy, Debug)]
 pub struct Portable;
 
-impl sealed::Sealed for Portable {}
+impl Sealed for Portable {
+    #[inline]
+    fn witness(_: [u64; 8]) -> Token<Portable> {
+        Portable::token()
+    }
+}
 
 impl SimdEngine for Portable {
     const LANES: usize = 8;
@@ -18,14 +23,22 @@ impl SimdEngine for Portable {
 
     type V = [u64; 8];
     type M = u8;
+    type Token = Token<Portable>;
+
+    /// Free: plain Rust runs on every CPU.
+    #[inline]
+    fn token() -> Token<Portable> {
+        // SAFETY: the engine uses no target feature.
+        unsafe { Token::new() }
+    }
 
     #[inline]
-    fn splat(x: u64) -> Self::V {
+    fn splat(_: Token<Portable>, x: u64) -> Self::V {
         [x; 8]
     }
 
     #[inline]
-    fn load(src: &[u64]) -> Self::V {
+    fn load(_: Token<Portable>, src: &[u64]) -> Self::V {
         let mut out = [0_u64; 8];
         out.copy_from_slice(&src[..8]);
         out
@@ -111,7 +124,7 @@ impl SimdEngine for Portable {
     }
 
     #[inline]
-    fn mask_zero() -> Self::M {
+    fn mask_zero(_: Token<Portable>) -> Self::M {
         0
     }
 
@@ -136,7 +149,7 @@ impl SimdEngine for Portable {
     }
 
     #[inline]
-    fn mask_from_bits(bits: u64) -> Self::M {
+    fn mask_from_bits(_: Token<Portable>, bits: u64) -> Self::M {
         bits as u8
     }
 
@@ -196,7 +209,7 @@ mod tests {
     #[test]
     fn load_store_roundtrip() {
         let src: Vec<u64> = (0..10).collect();
-        let v = P::load(&src);
+        let v = P::load(P::token(), &src);
         let mut dst = [0_u64; 8];
         P::store(v, &mut dst);
         assert_eq!(dst, [0, 1, 2, 3, 4, 5, 6, 7]);
@@ -206,18 +219,18 @@ mod tests {
     #[test]
     #[should_panic]
     fn short_load_panics() {
-        let _ = P::load(&[1, 2, 3]);
+        let _ = P::load(P::token(), &[1, 2, 3]);
     }
 
     #[test]
     fn splat_fills_lanes() {
-        assert_eq!(P::splat(9), [9; 8]);
+        assert_eq!(P::splat(P::token(), 9), [9; 8]);
     }
 
     #[test]
     fn arithmetic_wraps() {
-        let a = P::splat(u64::MAX);
-        let b = P::splat(2);
+        let a = P::splat(P::token(), u64::MAX);
+        let b = P::splat(P::token(), 2);
         assert_eq!(P::add(a, b), [1; 8]);
         assert_eq!(P::sub([0; 8], b), [u64::MAX - 1; 8]);
         assert_eq!(P::mullo(a, b), [u64::MAX - 1; 8]);
@@ -225,28 +238,28 @@ mod tests {
 
     #[test]
     fn mul32_wide_uses_low_halves_only() {
-        let a = P::splat(0xAAAA_BBBB_0000_0002);
-        let b = P::splat(0xCCCC_DDDD_0000_0003);
+        let a = P::splat(P::token(), 0xAAAA_BBBB_0000_0002);
+        let b = P::splat(P::token(), 0xCCCC_DDDD_0000_0003);
         assert_eq!(P::mul32_wide(a, b), [6; 8]);
         // Full 32-bit range: (2^32-1)^2.
-        let m = P::splat(0xFFFF_FFFF);
+        let m = P::splat(P::token(), 0xFFFF_FFFF);
         assert_eq!(P::mul32_wide(m, m), [0xFFFF_FFFE_0000_0001; 8]);
     }
 
     #[test]
     fn masks_roundtrip_bits() {
         for bits in [0_u64, 1, 0b1010_1010, 0xFF] {
-            assert_eq!(P::mask_to_bits(P::mask_from_bits(bits)), bits);
+            assert_eq!(P::mask_to_bits(P::mask_from_bits(P::token(), bits)), bits);
         }
-        assert!(!P::mask_any(P::mask_zero()));
-        assert!(P::mask_any(P::mask_from_bits(0b100)));
-        assert_eq!(P::mask_to_bits(P::mask_not(P::mask_zero())), 0xFF);
+        assert!(!P::mask_any(P::mask_zero(P::token())));
+        assert!(P::mask_any(P::mask_from_bits(P::token(), 0b100)));
+        assert_eq!(P::mask_to_bits(P::mask_not(P::mask_zero(P::token()))), 0xFF);
     }
 
     #[test]
     fn comparisons_set_expected_lanes() {
-        let a = P::load(&[0, 5, 5, u64::MAX, 1, 2, 3, 4]);
-        let b = P::load(&[1, 5, 4, 0, 1, 1, 4, 4]);
+        let a = P::load(P::token(), &[0, 5, 5, u64::MAX, 1, 2, 3, 4]);
+        let b = P::load(P::token(), &[1, 5, 4, 0, 1, 1, 4, 4]);
         assert_eq!(P::mask_to_bits(P::cmp_lt(a, b)), 0b0100_0001);
         assert_eq!(P::mask_to_bits(P::cmp_eq(a, b)), 0b1001_0010);
         assert_eq!(P::mask_to_bits(P::cmp_le(a, b)), 0b1101_0011);
@@ -254,9 +267,9 @@ mod tests {
 
     #[test]
     fn blend_and_masked_ops() {
-        let a = P::splat(1);
-        let b = P::splat(2);
-        let m = P::mask_from_bits(0b0000_1111);
+        let a = P::splat(P::token(), 1);
+        let b = P::splat(P::token(), 2);
+        let m = P::mask_from_bits(P::token(), 0b0000_1111);
         assert_eq!(P::blend(m, a, b), [2, 2, 2, 2, 1, 1, 1, 1]);
         assert_eq!(P::mask_add(a, m, a, b), [3, 3, 3, 3, 1, 1, 1, 1]);
         assert_eq!(P::mask_sub(b, m, b, a), [1, 1, 1, 1, 2, 2, 2, 2]);
@@ -264,15 +277,15 @@ mod tests {
 
     #[test]
     fn interleave_halves() {
-        let a = P::load(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let b = P::load(&[10, 11, 12, 13, 14, 15, 16, 17]);
+        let a = P::load(P::token(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+        let b = P::load(P::token(), &[10, 11, 12, 13, 14, 15, 16, 17]);
         assert_eq!(P::interleave_lo(a, b), [0, 10, 1, 11, 2, 12, 3, 13]);
         assert_eq!(P::interleave_hi(a, b), [4, 14, 5, 15, 6, 16, 7, 17]);
     }
 
     #[test]
     fn shifts() {
-        let a = P::splat(0b1010);
+        let a = P::splat(P::token(), 0b1010);
         assert_eq!(P::shl(a, 1), [0b10100; 8]);
         assert_eq!(P::shr(a, 1), [0b101; 8]);
     }

@@ -134,8 +134,9 @@ fn pisa_mul_wide_low_half_is_exact() {
     let mut rng = StdRng::seed_from_u64(0xA4);
     for _ in 0..CASES {
         let (a, b) = (rng.gen::<u64>(), rng.gen::<u64>());
-        let av = <P as SimdEngine>::splat(a);
-        let bv = <P as SimdEngine>::splat(b);
+        let t = P::token();
+        let av = <P as SimdEngine>::splat(t, a);
+        let bv = <P as SimdEngine>::splat(t, b);
         let (_hi, lo) = <P as SimdEngine>::mul_wide(av, bv);
         assert_eq!(<P as SimdEngine>::extract(lo, 0), a.wrapping_mul(b));
     }

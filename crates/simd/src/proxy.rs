@@ -15,9 +15,10 @@
 //! only their runtime is meaningful.
 
 use crate::delegate::{
-    delegate_arith, delegate_cmp, delegate_data, delegate_masks, delegate_perm, delegate_select,
+    delegate_arith, delegate_cmp, delegate_data, delegate_masks, delegate_perm, delegate_sealed,
+    delegate_select,
 };
-use crate::engine::{sealed, SimdEngine};
+use crate::engine::{Sealed, SimdEngine};
 use std::marker::PhantomData;
 
 macro_rules! wrapper_struct {
@@ -36,7 +37,9 @@ macro_rules! wrapper_struct {
                 f.write_str(stringify!($name))
             }
         }
-        impl<E: SimdEngine> sealed::Sealed for $name<E> {}
+        impl<E: SimdEngine> Sealed for $name<E> {
+            delegate_sealed!(E);
+        }
     };
 }
 
@@ -62,6 +65,7 @@ impl<E: SimdEngine> SimdEngine for ProxyMul32<E> {
 
     type V = E::V;
     type M = E::M;
+    type Token = E::Token;
 
     delegate_data!(E);
     delegate_arith!(E);
@@ -75,7 +79,7 @@ impl<E: SimdEngine> SimdEngine for ProxyMul32<E> {
     /// recombination arithmetic; the partial products are wrong.
     #[inline(always)]
     fn mul_wide(a: Self::V, b: Self::V) -> (Self::V, Self::V) {
-        let mask32 = Self::splat(0xFFFF_FFFF);
+        let mask32 = Self::splat(Self::witness(a), 0xFFFF_FFFF);
         let a_hi = Self::shr(a, 32);
         let b_hi = Self::shr(b, 32);
         let ll = E::mullo32(a, b);
@@ -102,6 +106,7 @@ impl<E: SimdEngine> SimdEngine for ProxyMaskAdd<E> {
 
     type V = E::V;
     type M = E::M;
+    type Token = E::Token;
 
     delegate_data!(E);
     delegate_arith!(E);
@@ -135,6 +140,7 @@ impl<E: SimdEngine> SimdEngine for ProxyMaskSub<E> {
 
     type V = E::V;
     type M = E::M;
+    type Token = E::Token;
 
     delegate_data!(E);
     delegate_arith!(E);
@@ -169,10 +175,13 @@ mod tests {
     fn proxy_mul32_changes_results_but_not_structure() {
         let a = [0xDEAD_BEEF_0000_0003_u64; 8];
         let b = [0x1234_5678_0000_0005_u64; 8];
-        let (hi_t, lo_t) = Portable::mul_wide(Portable::load(&a), Portable::load(&b));
+        let (hi_t, lo_t) = Portable::mul_wide(
+            Portable::load(Portable::token(), &a),
+            Portable::load(Portable::token(), &b),
+        );
         let (hi_p, lo_p) = ProxyMul32::<Portable>::mul_wide(
-            ProxyMul32::<Portable>::load(&a),
-            ProxyMul32::<Portable>::load(&b),
+            ProxyMul32::<Portable>::load(Portable::token(), &a),
+            ProxyMul32::<Portable>::load(Portable::token(), &b),
         );
         // The low 32 bits of each partial agree (mullo32 keeps them), so
         // the very low bits can match, but the full product must not.
@@ -188,15 +197,23 @@ mod tests {
         let src = [1_u64; 8];
         let a = [10_u64; 8];
         let b = [20_u64; 8];
-        let m = Portable::mask_from_bits(0b0000_1111);
-        let got =
-            ProxyMaskAdd::<Portable>::mask_add(src, m, Portable::load(&a), Portable::load(&b));
+        let m = Portable::mask_from_bits(Portable::token(), 0b0000_1111);
+        let got = ProxyMaskAdd::<Portable>::mask_add(
+            src,
+            m,
+            Portable::load(Portable::token(), &a),
+            Portable::load(Portable::token(), &b),
+        );
         // Real mask_add would keep src in the unset lanes; the proxy adds
         // everywhere (wrong by design).
         assert_eq!(got, [30; 8]);
         // And the untouched op still behaves normally.
-        let real =
-            ProxyMaskAdd::<Portable>::mask_sub(src, m, Portable::load(&a), Portable::load(&b));
+        let real = ProxyMaskAdd::<Portable>::mask_sub(
+            src,
+            m,
+            Portable::load(Portable::token(), &a),
+            Portable::load(Portable::token(), &b),
+        );
         assert_eq!(
             real,
             [
@@ -217,9 +234,13 @@ mod tests {
         let src = [7_u64; 8];
         let a = [10_u64; 8];
         let b = [4_u64; 8];
-        let m = Portable::mask_zero();
-        let got =
-            ProxyMaskSub::<Portable>::mask_sub(src, m, Portable::load(&a), Portable::load(&b));
+        let m = Portable::mask_zero(Portable::token());
+        let got = ProxyMaskSub::<Portable>::mask_sub(
+            src,
+            m,
+            Portable::load(Portable::token(), &a),
+            Portable::load(Portable::token(), &b),
+        );
         assert_eq!(got, [6; 8]); // subtracts everywhere despite empty mask
     }
 }

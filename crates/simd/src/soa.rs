@@ -131,8 +131,8 @@ impl ResidueSoa {
     ///
     /// Panics if the range is out of bounds.
     #[inline(always)]
-    pub fn load_vector<E: SimdEngine>(&self, i: usize) -> VDword<E> {
-        VDword::load(&self.hi[i..], &self.lo[i..])
+    pub fn load_vector<E: SimdEngine>(&self, t: E::Token, i: usize) -> VDword<E> {
+        VDword::load(t, &self.hi[i..], &self.lo[i..])
     }
 
     /// Stores a vector pair to lanes `[i, i + E::LANES)`.
@@ -201,7 +201,7 @@ mod tests {
     fn vector_load_store() {
         let xs: Vec<u128> = (0..16_u64).map(u128::from).collect();
         let mut soa = ResidueSoa::from_u128s(&xs);
-        let v = soa.load_vector::<Portable>(8);
+        let v = soa.load_vector::<Portable>(Portable::token(), 8);
         assert_eq!(v.extract(0), 8);
         assert_eq!(v.extract(7), 15);
         soa.store_vector::<Portable>(0, v);

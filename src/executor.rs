@@ -432,9 +432,15 @@ impl RequestState {
     /// races the join window), wakes condvar waiters, and finally fires
     /// the parked async waker — outside the locks, since a waker may do
     /// arbitrary (cheap) work like unparking a `block_on` thread.
+    ///
+    /// The hook and the waker are caller code and run under
+    /// `catch_unwind`: a panic in either is dropped, the outcome is
+    /// written regardless, and the publishing worker lives on. Left to
+    /// unwind, a panicking hook would kill the worker before the
+    /// outcome is written and leave the handle unresolved forever.
     fn publish(&self, resolved: Result<Coefficients, Error>) {
         if let Some(hook) = &self.on_publish {
-            hook(&resolved);
+            let _ = catch_unwind(AssertUnwindSafe(|| hook(&resolved)));
         }
         let waker = {
             let mut outcome = self.outcome.lock().expect("request outcome poisoned");
@@ -447,7 +453,7 @@ impl RequestState {
             self.waker.lock().expect("request waker poisoned").take()
         };
         if let Some(waker) = waker {
-            waker.wake();
+            let _ = catch_unwind(AssertUnwindSafe(|| waker.wake()));
         }
     }
 }
@@ -1324,7 +1330,10 @@ mod tests {
                 RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into()),
             )
             .unwrap();
-        assert_eq!(handle.wait().unwrap().into_words().unwrap(), expected);
+        let resolved = handle
+            .wait_timeout(RESOLVES_WITHIN)
+            .expect("the handle resolves");
+        assert_eq!(resolved.unwrap().into_words().unwrap(), expected);
     }
 
     #[test]
@@ -1649,6 +1658,143 @@ mod tests {
             pool.submit(&ring, req).unwrap_err(),
             Error::ChannelCountMismatch { got: 0, .. }
         ));
+    }
+
+    /// Long enough for any request of these tests; a handle still
+    /// pending after it means a dead worker, and the test fails instead
+    /// of hanging.
+    const RESOLVES_WITHIN: Duration = Duration::from_secs(30);
+
+    /// A follow-up request on `pool` completes: its worker survived
+    /// whatever the previous request did.
+    fn assert_pool_still_serves(pool: &RingExecutor) {
+        let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
+        let a = poly(N, primes::Q124, 21);
+        let handle = pool
+            .submit(
+                &ring,
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
+            )
+            .unwrap();
+        let served = handle.wait_timeout(RESOLVES_WITHIN);
+        assert!(matches!(served, Ok(Ok(_))), "the worker died");
+    }
+
+    #[test]
+    fn panicking_publish_hook_still_resolves_the_handle() {
+        let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
+        let pool = RingExecutor::new(1).unwrap();
+        let a = poly(N, primes::Q124, 17);
+        let expected = ring
+            .polymul(PolyOp::Cyclic, &a.clone().into(), &a.clone().into())
+            .unwrap();
+        let fired = Arc::new(AtomicBool::new(false));
+        let hook_fired = Arc::clone(&fired);
+        let hook: PublishHook = Box::new(move |_| {
+            // ORDERING: SeqCst; a test flag read after the handle resolves.
+            hook_fired.store(true, Ordering::SeqCst);
+            panic!("publish hook bomb");
+        });
+        let handle = pool
+            .submit_with_hook(
+                &ring,
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
+                Some(hook),
+            )
+            .unwrap();
+        let resolved = handle
+            .wait_timeout(RESOLVES_WITHIN)
+            .expect("the handle resolves");
+        assert_eq!(resolved.unwrap(), expected);
+        // ORDERING: SeqCst, as at the store.
+        assert!(fired.load(Ordering::SeqCst));
+        assert_pool_still_serves(&pool);
+    }
+
+    #[test]
+    fn panicking_waker_still_resolves_the_handle() {
+        use std::sync::mpsc;
+        use std::task::Wake;
+
+        /// A ring whose work items wait for the test to open a gate, so
+        /// the waker is parked before the request can publish.
+        struct Gated {
+            inner: Ring,
+            gate: Mutex<mpsc::Receiver<()>>,
+        }
+        impl PolyRing for Gated {
+            fn size(&self) -> usize {
+                self.inner.size()
+            }
+            fn modulus_bits(&self) -> u64 {
+                PolyRing::modulus_bits(&self.inner)
+            }
+            fn supports_negacyclic(&self) -> bool {
+                self.inner.supports_negacyclic()
+            }
+            fn channels(&self) -> usize {
+                1
+            }
+            fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
+                PolyRing::split(&self.inner, coeffs)
+            }
+            fn channel_apply_at_into(
+                &self,
+                op: &RingOp,
+                width: usize,
+                channel: usize,
+                a: &[Vec<u128>],
+                b: Option<&[Vec<u128>]>,
+                out: &mut Vec<u128>,
+            ) -> Result<(), Error> {
+                self.gate.lock().unwrap().recv().unwrap();
+                self.inner
+                    .channel_apply_at_into(op, width, channel, a, b, out)
+            }
+            fn join_at(&self, width: usize, parts: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+                self.inner.join_at(width, parts)
+            }
+        }
+
+        /// A waker that records the wake, then panics.
+        struct Bomb(AtomicBool);
+        impl Wake for Bomb {
+            fn wake(self: Arc<Self>) {
+                // ORDERING: SeqCst; a test flag read after the pool
+                // served a later request.
+                self.0.store(true, Ordering::SeqCst);
+                panic!("waker bomb");
+            }
+        }
+
+        let (open, gate) = mpsc::channel();
+        let inner = Ring::auto(primes::Q124, N).unwrap();
+        let a = poly(N, primes::Q124, 19);
+        let expected = inner.polymul_cyclic(&a, &a).unwrap();
+        let ring: Arc<dyn PolyRing> = Arc::new(Gated {
+            inner,
+            gate: Mutex::new(gate),
+        });
+        let pool = RingExecutor::new(1).unwrap();
+        let handle = pool
+            .submit(
+                &ring,
+                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
+            )
+            .unwrap();
+        let bomb = Arc::new(Bomb(AtomicBool::new(false)));
+        let waker = Waker::from(Arc::clone(&bomb));
+        assert!(handle.poll_take(&waker).is_none(), "the gate is shut");
+        open.send(()).unwrap();
+        let resolved = handle
+            .wait_timeout(RESOLVES_WITHIN)
+            .expect("the handle resolves");
+        assert_eq!(resolved.unwrap().into_words().unwrap(), expected);
+        // One worker: the follow-up runs only after the publish that
+        // fired the waker has returned.
+        assert_pool_still_serves(&pool);
+        // ORDERING: SeqCst, as at the store.
+        assert!(bomb.0.load(Ordering::SeqCst), "the parked waker fired");
     }
 
     #[test]

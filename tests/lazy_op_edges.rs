@@ -1,0 +1,240 @@
+//! Integration: every vector modular op of `mqx_simd::dmod`, on every
+//! engine this host can run, against the scalar `Modulus` /
+//! `mqx_core::shoup` reference — exhaustively over each op's documented
+//! input domain for tiny primes, and over boundary values at the 124-bit
+//! modulus cap.
+//!
+//! The lazy ops carry the fused NTT pipeline, and the engines build
+//! their constants (`splat(1)`, the zero mask, `2q`) from a token, so
+//! this sweep is the net under both: a wrong constant or a fold against
+//! the wrong bound shows up as one lane that disagrees.
+
+use mqx::core::shoup::{self, ShoupCtx};
+use mqx::core::{primes, Modulus};
+use mqx::simd::profiles::McpFunctional;
+use mqx::simd::{
+    addmod, addmod_lazy, mulmod_karatsuba, mulmod_schoolbook, mulmod_shoup_lazy, reduce_2q_to_q,
+    reduce_4q_to_2q, submod, submod_lazy, Mqx, Portable, ResidueSoa, SimdEngine, VDword, VModulus,
+};
+
+/// Every op of the sweep, with its input domain (as a multiple of `q`
+/// for each operand) and its scalar reference.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Add,
+    Sub,
+    MulSchoolbook,
+    MulKaratsuba,
+    AddLazy,
+    SubLazy,
+    /// `x · w` with `x ∈ [0, 4q)` and a canonical multiplier `w`.
+    MulShoupLazy,
+    Reduce2q,
+    Reduce4q,
+}
+
+const OPS: [Op; 9] = [
+    Op::Add,
+    Op::Sub,
+    Op::MulSchoolbook,
+    Op::MulKaratsuba,
+    Op::AddLazy,
+    Op::SubLazy,
+    Op::MulShoupLazy,
+    Op::Reduce2q,
+    Op::Reduce4q,
+];
+
+impl Op {
+    /// Upper bounds of the two operands' domains, in units of `q`
+    /// (`0` for the unused second operand of a unary op).
+    fn domains(self) -> (u128, u128) {
+        match self {
+            Op::Add | Op::Sub | Op::MulSchoolbook | Op::MulKaratsuba => (1, 1),
+            Op::AddLazy | Op::SubLazy => (2, 2),
+            Op::MulShoupLazy => (4, 1),
+            Op::Reduce2q => (2, 0),
+            Op::Reduce4q => (4, 0),
+        }
+    }
+
+    /// The scalar reference: the exact lane value the vector op must
+    /// produce, after checking its range and its residue mod q against
+    /// `Modulus`.
+    fn expected(self, m: &Modulus, ctx: &ShoupCtx, a: u128, b: u128) -> u128 {
+        let q = m.value();
+        let fold = |x: u128, c: u128| if x >= c { x - c } else { x };
+        let (value, bound, residue) = match self {
+            Op::Add => (m.add_mod(a, b), q, m.add_mod(a, b)),
+            Op::Sub => (m.sub_mod(a, b), q, m.sub_mod(a, b)),
+            Op::MulSchoolbook | Op::MulKaratsuba => (m.mul_mod(a, b), q, m.mul_mod(a, b)),
+            Op::AddLazy => (fold(a + b, 2 * q), 2 * q, m.add_mod(a % q, b % q)),
+            Op::SubLazy => (a + 2 * q - b, 4 * q, m.sub_mod(a % q, b % q)),
+            Op::MulShoupLazy => (
+                shoup::mul_lazy(a, b, ctx.constant(b), q),
+                2 * q,
+                m.mul_mod(a % q, b),
+            ),
+            Op::Reduce2q => (a % q, q, a % q),
+            Op::Reduce4q => (fold(a, 2 * q), 2 * q, a % q),
+        };
+        assert!(
+            value < bound,
+            "{self:?} reference {value} escapes [0, {bound})"
+        );
+        assert_eq!(value % q, residue, "{self:?} reference is not the residue");
+        value
+    }
+}
+
+/// Runs `op` over the lanes `(a[i], b[i])` on engine `E`, inside its
+/// kernel frame, and returns the lane results.
+fn run<E: SimdEngine>(op: Op, m: &Modulus, ctx: &ShoupCtx, a: &[u128], b: &[u128]) -> Vec<u128> {
+    let vm = VModulus::<E>::new(m);
+    // Pad to whole vectors with the first pair; the padding is dropped.
+    let padded = a.len().div_ceil(E::LANES) * E::LANES;
+    let pad = |xs: &[u128]| -> ResidueSoa {
+        xs.iter()
+            .copied()
+            .chain(std::iter::repeat(xs[0]))
+            .take(padded)
+            .collect()
+    };
+    let (sa, sb) = (pad(a), pad(b));
+    // Shoup constants of the multipliers (canonical only for that op).
+    let shoup_b: ResidueSoa = match op {
+        Op::MulShoupLazy => sb.to_u128s().into_iter().map(|w| ctx.constant(w)).collect(),
+        _ => sb.clone(),
+    };
+    let mut out = ResidueSoa::zeros(padded);
+    E::vectorize(
+        #[inline(always)]
+        |t| {
+            for i in (0..padded).step_by(E::LANES) {
+                let x: VDword<E> = sa.load_vector(t, i);
+                let y: VDword<E> = sb.load_vector(t, i);
+                let r = match op {
+                    Op::Add => addmod(x, y, &vm),
+                    Op::Sub => submod(x, y, &vm),
+                    Op::MulSchoolbook => mulmod_schoolbook(x, y, &vm),
+                    Op::MulKaratsuba => mulmod_karatsuba(x, y, &vm),
+                    Op::AddLazy => addmod_lazy(x, y, &vm),
+                    Op::SubLazy => submod_lazy(x, y, &vm),
+                    Op::MulShoupLazy => mulmod_shoup_lazy(x, y, shoup_b.load_vector(t, i), &vm),
+                    Op::Reduce2q => reduce_2q_to_q(x, &vm),
+                    Op::Reduce4q => reduce_4q_to_2q(x, &vm),
+                };
+                out.store_vector(i, r);
+            }
+        },
+    );
+    let mut lanes = out.to_u128s();
+    lanes.truncate(a.len());
+    lanes
+}
+
+/// Checks `op` on `E` for every pair of `xs × ys`.
+fn check_pairs<E: SimdEngine>(op: Op, q: u128, xs: &[u128], ys: &[u128]) {
+    let m = Modulus::new(q).unwrap();
+    let ctx = ShoupCtx::new(&m);
+    let (a, b): (Vec<u128>, Vec<u128>) = xs
+        .iter()
+        .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+        .unzip();
+    let got = run::<E>(op, &m, &ctx, &a, &b);
+    for ((&x, &y), got) in a.iter().zip(&b).zip(got) {
+        let want = op.expected(&m, &ctx, x, y);
+        assert_eq!(got, want, "{} {op:?} q={q:#x} a={x:#x} b={y:#x}", E::NAME);
+    }
+}
+
+/// Every input pair of every op's domain, for three tiny primes.
+fn exhaustive<E: SimdEngine>() {
+    for q in [17_u128, 97, 257] {
+        for op in OPS {
+            let (da, db) = op.domains();
+            let xs: Vec<u128> = (0..da * q).collect();
+            let ys: Vec<u128> = if db == 0 {
+                vec![0]
+            } else {
+                (0..db * q).collect()
+            };
+            check_pairs::<E>(op, q, &xs, &ys);
+        }
+    }
+}
+
+/// Boundary values below `bound` for modulus `q`: the ends of each lazy
+/// domain, and the 64-bit limb edges (the carry and borrow positions of
+/// the hi/lo split).
+fn edges(q: u128, bound: u128) -> Vec<u128> {
+    let limb = 1_u128 << 64;
+    let q_hi = q >> 64 << 64;
+    let mut v: Vec<u128> = [1, 2, 3, 4]
+        .iter()
+        .flat_map(|&k| [k * q - 2, k * q - 1, k * q, k * q + 1])
+        .chain([
+            0,
+            1,
+            2,
+            limb - 1,
+            limb,
+            limb + 1,
+            q_hi - 1,
+            q_hi,
+            q_hi + limb - 1,
+        ])
+        .chain([q - limb, q - limb + 1, 2 * q - limb, 2 * q + limb - 1])
+        .filter(|&x| x < bound)
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Boundary pairs at the 124-bit cap: the serving prime and the largest
+/// modulus the engines accept.
+fn boundary<E: SimdEngine>() {
+    for q in [primes::Q124, (1 << 124) - 59, primes::Q120] {
+        for op in OPS {
+            let (da, db) = op.domains();
+            let xs = edges(q, da * q);
+            let ys = if db == 0 { vec![0] } else { edges(q, db * q) };
+            check_pairs::<E>(op, q, &xs, &ys);
+        }
+    }
+}
+
+fn sweep<E: SimdEngine>() {
+    exhaustive::<E>();
+    boundary::<E>();
+}
+
+#[test]
+fn portable_agrees_with_scalar_on_every_edge() {
+    sweep::<Portable>();
+}
+
+#[test]
+fn predicated_mqx_agrees_with_scalar_on_every_edge() {
+    // The `+P` dataflow: predicated carries fed the zero mask.
+    sweep::<Mqx<Portable, McpFunctional>>();
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_agrees_with_scalar_on_every_edge() {
+    if !mqx::simd::avx2_detected() {
+        return; // host cannot execute this engine
+    }
+    sweep::<mqx::simd::Avx2>();
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx512_agrees_with_scalar_on_every_edge() {
+    if !mqx::simd::avx512_detected() {
+        return; // host cannot execute this engine
+    }
+    sweep::<mqx::simd::Avx512>();
+}
