@@ -1,7 +1,7 @@
 //! Micro-bench: the Figure 6 MQX-component ablation on the vector
 //! modular-multiply kernel (the butterfly's dominant cost).
-//! `harness = false`; the variant set comes from the facade registry,
-//! built over whatever base engine this host detects.
+//! `harness = false`; the variant set is `mqx_bench::engines`'s, built
+//! over whatever base engine this host detects.
 
 use mqx_bench::timing::micro;
 use mqx_core::{primes, Modulus};
@@ -17,7 +17,7 @@ fn main() {
     let ys = ResidueSoa::from_u128s(&b);
 
     println!("== mulmod128 ablation (×{len}) ==");
-    for variant in mqx::backend::ablation_variants() {
+    for variant in mqx_bench::engines::ablation_variants() {
         let mut out = ResidueSoa::zeros(len);
         micro(variant.label, || {
             variant.backend.vmul(&xs, &ys, &mut out, &m)

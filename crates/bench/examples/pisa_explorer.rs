@@ -1,15 +1,15 @@
 //! PISA explorer: see the MQX functional-correctness flag (§4.2) in
-//! action through the backend registry, then inspect how the
-//! instruction streams schedule on the simplified machine models.
+//! action on the two MQX engines, then inspect how the instruction
+//! streams schedule on the simplified machine models.
 //!
 //! ```sh
-//! cargo run --release --example pisa_explorer
+//! cargo run --release -p mqx_bench --example pisa_explorer
 //! ```
 
-use mqx::backend;
 use mqx::core::{primes, Modulus};
 use mqx::mca::{analyze, kernels, Machine};
 use mqx::simd::ResidueSoa;
+use mqx_bench::engines;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = Modulus::new_prime(primes::Q124)?;
@@ -25,11 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sa = ResidueSoa::from_u128s(&a);
     let sb = ResidueSoa::from_u128s(&b);
 
-    // The registry hands out both MQX modes; the flag travels with them.
-    let functional = backend::by_name("mqx-functional").expect("always registered");
-    let pisa = backend::by_name("mqx-pisa").expect("always registered");
-    assert!(functional.consumable());
-    assert!(!pisa.consumable());
+    // Both MQX modes over this host's base engine; the flag travels
+    // with each.
+    let (functional, pisa) = (engines::mqx_functional(), engines::mqx_pisa());
+    assert!(functional.consumable);
+    assert!(!pisa.consumable);
+    let (functional, pisa) = (functional.backend, pisa.backend);
 
     // Functional mode: Table 2 semantics, bit-exact.
     let mut sum_f = ResidueSoa::zeros(8);

@@ -46,7 +46,7 @@ fn main() {
                 .iter()
                 .find(|row| row.name == name)
                 .map(|row| row.lazy_ns_per_butterfly)
-                .expect("every consumable registry backend has a lazy row")
+                .expect("every registry backend has a lazy row")
         };
         let (wide, portable) = (lazy_of(widest), lazy_of("portable"));
         if wide >= portable {

@@ -31,8 +31,6 @@ pub struct CalibrateRow {
     pub vmul_ns: f64,
     /// The ranking score: burst ns normalized by butterfly count.
     pub ns_per_butterfly: f64,
-    /// Whether the backend may be ranked (consumable non-MQX tier).
-    pub eligible: bool,
     /// Whether this backend heads the measured ranking.
     pub winner: bool,
 }
@@ -43,7 +41,6 @@ impl_to_json!(CalibrateRow {
     ntt_ns,
     vmul_ns,
     ns_per_butterfly,
-    eligible,
     winner,
 });
 
@@ -133,8 +130,8 @@ pub struct CalibrateReport {
     pub ranking: Vec<String>,
     /// Per-backend measurements, registry order.
     pub backends: Vec<CalibrateRow>,
-    /// Lazy-vs-canonical polymul pipeline deltas, one row per
-    /// consumable backend (same registry order as `backends`).
+    /// Lazy-vs-canonical polymul pipeline deltas, one row per registry
+    /// backend (same registry order as `backends`).
     pub lazy: Vec<LazyRow>,
     /// Plan build cost against one served polymul.
     pub plan_build: PlanBuildRow,
@@ -159,7 +156,7 @@ impl_to_json!(CalibrateReport {
 pub fn run(_quick: bool) -> CalibrateReport {
     let measured = backend::calibration();
 
-    // A bad MQX_BACKEND pin (unknown or non-consumable name) must not
+    // A bad MQX_BACKEND pin (a name the registry does not hold) must not
     // abort the experiment — repro_all runs this first, so panicking
     // here would cost the whole reproduction run. Report the failure
     // in the artifact instead.
@@ -185,7 +182,6 @@ pub fn run(_quick: bool) -> CalibrateReport {
             ntt_ns: m.ntt_ns,
             vmul_ns: m.vmul_ns,
             ns_per_butterfly: m.ns_per_butterfly,
-            eligible: m.eligible,
             winner: m.name == winner.name(),
         })
         .collect();
@@ -195,13 +191,7 @@ pub fn run(_quick: bool) -> CalibrateReport {
         &["backend", "tier", "ntt", "vmul", "ns/butterfly", "note"],
     );
     for r in &rows {
-        let note = if r.winner {
-            "winner"
-        } else if r.eligible {
-            "ranked"
-        } else {
-            "diagnostic only"
-        };
+        let note = if r.winner { "winner" } else { "ranked" };
         table.row(&[
             r.name.clone(),
             r.tier.clone(),
@@ -312,7 +302,7 @@ fn measure_plan_build() -> PlanBuildRow {
 }
 
 /// Times a full cyclic polymul through the canonical and lazy-fused
-/// backend entry points on every consumable registry backend, at the
+/// backend entry points on every registry backend, at the
 /// same size the startup calibration uses.
 fn measure_lazy_rows() -> Vec<LazyRow> {
     const N: usize = 256;
@@ -327,7 +317,6 @@ fn measure_lazy_rows() -> Vec<LazyRow> {
 
     backend::available()
         .into_iter()
-        .filter(|backend| backend.consumable())
         .map(|backend| {
             let mut sa = ResidueSoa::from_u128s(&a);
             let mut sb = ResidueSoa::from_u128s(&b);

@@ -4,10 +4,10 @@
 //! `+M,C,P`.
 //!
 //! All MQX variants run in PISA mode, exactly as the paper measures
-//! them. The variant set comes from the facade registry
-//! (`mqx::backend::ablation_variants`), which builds the ablation over
-//! whatever base engine this host detects at runtime.
+//! them. The variant set is [`ablation_variants`], built over whatever
+//! base engine this host detects at runtime.
 
+use crate::engines::ablation_variants;
 use crate::report::{write_json, Table};
 use crate::sweep_log_sizes;
 use crate::timing::time_ntt;
@@ -53,7 +53,7 @@ fn mean_ns_per_butterfly(backend: &dyn Backend, quick: bool) -> f64 {
 
 /// Runs the ablation and prints the normalized table.
 pub fn run(quick: bool) -> Vec<Fig6Row> {
-    let raws: Vec<(&'static str, f64)> = mqx::backend::ablation_variants()
+    let raws: Vec<(&'static str, f64)> = ablation_variants()
         .iter()
         .map(|v| (v.label, mean_ns_per_butterfly(v.backend.as_ref(), quick)))
         .collect();

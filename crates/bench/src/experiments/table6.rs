@@ -2,10 +2,10 @@
 //! instruction swapped for its PISA proxy (Table 5), then report the
 //! relative error ε between target and proxy runtimes (Eq. 12).
 //!
-//! The (target, proxy) backend pairs come from the facade registry
-//! (`mqx::backend::pisa_proxy_pairs`), which assembles the set for
-//! whatever vector hardware this host detects at runtime.
+//! The (target, proxy) backend pairs are [`proxy_pairs`], assembled
+//! for whatever vector hardware this host detects at runtime.
 
+use crate::engines::proxy_pairs;
 use crate::report::{write_json, Table};
 use crate::timing::time_ntt;
 use crate::workload::Workload;
@@ -53,14 +53,14 @@ pub fn run(quick: bool) -> Vec<Table6Row> {
     let mut w = Workload::new(m, 0x7AB6);
     let xs = w.residues_soa(n);
 
-    let rows: Vec<Table6Row> = mqx::backend::pisa_proxy_pairs()
+    let rows: Vec<Table6Row> = proxy_pairs()
         .iter()
         .map(|pair| {
-            let t_target = time_backend(pair.target_backend.as_ref(), &plan, &xs, quick);
-            let t_proxy = time_backend(pair.proxy_backend.as_ref(), &plan, &xs, quick);
+            let t_target = time_backend(pair.target.backend.as_ref(), &plan, &xs, quick);
+            let t_proxy = time_backend(pair.proxy.backend.as_ref(), &plan, &xs, quick);
             Table6Row {
-                target: pair.target,
-                proxy: pair.proxy,
+                target: pair.target.label,
+                proxy: pair.proxy.label,
                 t_target_ns: t_target,
                 t_proxy_ns: t_proxy,
                 epsilon_percent: (t_target - t_proxy) / t_target * 100.0,

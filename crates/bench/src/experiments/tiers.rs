@@ -5,15 +5,16 @@
 //! Vector tiers are enumerated through the facade's runtime-dispatch
 //! registry (`mqx::backend`) instead of `cfg(target_feature)` blocks, so
 //! one binary measures whatever the host CPU actually supports. The MQX
-//! tier runs in **PISA mode** exactly as the paper measures it —
-//! representative cost, meaningless values (§4.2) — so its buffers are
-//! never validated; the functional-mode equivalence is covered by the
-//! test suites instead. The slow bit-exact `mqx-functional` backend is a
-//! correctness tool, not a paper tier, and is skipped here.
+//! tier is [`engines::mqx_pisa`](crate::engines::mqx_pisa), in **PISA
+//! mode** exactly as the paper measures it — representative cost,
+//! meaningless values (§4.2) — so its buffers are never validated; the
+//! functional-mode equivalence is covered by the test suites instead.
+//! The slow bit-exact `mqx-functional` engine is a correctness tool,
+//! not a paper tier, and is skipped here.
 
 use crate::timing::{time_blas, time_ntt};
 use crate::workload::Workload;
-use mqx::backend::{self, Backend, Tier};
+use mqx::backend::{self, Backend};
 use mqx_baseline::fhe::{FheBackend, FheNtt};
 use mqx_baseline::gmp::{GmpNtt, GmpRing};
 use mqx_core::{nt, primes, Modulus};
@@ -33,14 +34,13 @@ pub struct TierResult {
 
 impl_to_json!(TierResult { tier, ns });
 
-/// The vector backends a benchmark sweep measures: every consumable
-/// hardware tier this host detects, plus the MQX PISA projection —
-/// fastest first, matching the paper's tier list.
+/// The vector backends a benchmark sweep measures: every hardware tier
+/// this host detects, fastest first, then the MQX PISA projection —
+/// matching the paper's tier list.
 pub fn measurement_backends() -> Vec<Arc<dyn Backend>> {
-    backend::available()
-        .into_iter()
-        .filter(|b| b.tier() != Tier::Mqx || !b.consumable())
-        .collect()
+    let mut backends = backend::available();
+    backends.push(crate::engines::mqx_pisa().backend);
+    backends
 }
 
 /// Best-effort current core clock in GHz (from `/proc/cpuinfo`), for

@@ -1,5 +1,7 @@
 //! The benchmark harness: the paper's §5.1 timing methodology, tier
-//! runners for every kernel variant, and one experiment module per
+//! runners for every kernel variant, the paper's measurement engines
+//! (MQX in functional and PISA mode, the Figure 6 ablation, the Table
+//! 5/6 proxies; see [`engines`]), and one experiment module per
 //! figure/table of the evaluation.
 //!
 //! Each reproduction binary (`fig1`, `fig4`, `fig5`, `fig6`, `fig7`,
@@ -16,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod engines;
 pub mod experiments;
 pub mod report;
 pub mod timing;

@@ -26,10 +26,14 @@
 //! at execution time, not at load time — and must only be **executed**
 //! after the matching [`avx2_detected`] / [`avx512_detected`] runtime
 //! check passes. The `mqx` facade's backend registry performs that check
-//! and is the supported way to reach these engines. The engines enforce
-//! it themselves with a [`Token`]: every constructor of a vector or mask
-//! (`splat`, `load`, the mask constructors, and [`VDword`] /
-//! [`ResidueSoa`] loads on top of them) takes one, and only
+//! and is the supported way to reach the hardware engines; the registry
+//! holds [`Portable`], [`Avx2`] and [`Avx512`] and nothing else. The
+//! [`Mqx`] and [`proxy`] engines reproduce the paper's figures: the
+//! `mqx_bench` crate wraps them with `mqx::backend::from_engine`. The
+//! engines enforce the check themselves with a [`Token`]: every
+//! constructor of a vector or mask (`splat`, `load`, the mask
+//! constructors, and [`VDword`] / [`ResidueSoa`] loads on top of them)
+//! takes one, and only
 //! [`SimdEngine::token`] mints one — after the detection check, which
 //! panics deterministically on an unsupported host instead of faulting.
 //! [`SimdEngine::vectorize`] mints the token once per kernel call and
@@ -108,21 +112,6 @@ pub use soa::ResidueSoa;
 pub use avx2::Avx2;
 #[cfg(target_arch = "x86_64")]
 pub use avx512::Avx512;
-
-/// Convenient aliases for the headline MQX configurations.
-pub mod tiers {
-    use super::*;
-
-    /// The full MQX extension (+M,C) in functional (bit-exact) mode.
-    #[cfg(target_arch = "x86_64")]
-    pub type MqxFunctional = Mqx<Avx512, profiles::McFunctional>;
-    /// The full MQX extension (+M,C) in PISA (performance-projection) mode.
-    #[cfg(target_arch = "x86_64")]
-    pub type MqxPisa = Mqx<Avx512, profiles::McPisa>;
-
-    /// Functional MQX on the portable engine (for hosts without AVX-512).
-    pub type MqxPortableFunctional = Mqx<Portable, profiles::McFunctional>;
-}
 
 /// Returns `true` when this build was *compiled with* the AVX-512 target
 /// features enabled for every function (e.g. via `-C target-cpu=native`

@@ -30,18 +30,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nvector tiers: {}", mqx::simd::tier_summary());
     for be in backend::available() {
         println!(
-            "  backend {:<16} tier {:<8} lanes {} consumable {}",
+            "  backend {:<16} tier {:<8} lanes {}",
             be.name(),
             be.tier().to_string(),
-            be.lanes(),
-            be.consumable()
+            be.lanes()
         );
     }
 
     // 5. One entry point over all of them: Ring::auto picks the
     //    fastest tier *as measured on this machine* — the first auto
     //    build runs a one-shot micro-calibration (NTT + vmul burst on
-    //    every consumable backend) and memoizes the ranking.
+    //    every registry backend) and memoizes the ranking.
     //    MQX_BACKEND=<name> pins a tier.
     let n = 1024;
     let ring = Ring::auto(primes::Q124, n)?;

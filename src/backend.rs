@@ -25,10 +25,15 @@
 //!
 //! **Which backend does auto selection pick?** Not a static guess: the
 //! first auto-built ring triggers a one-shot [`calibrate`] pass that
-//! *measures* a short forward-NTT + `vmul` burst on every consumable
+//! *measures* a short forward-NTT + `vmul` burst on every registry
 //! backend and ranks the tiers by observed ns/butterfly (see
 //! [`calibration`]). `MQX_BACKEND=<name>` pins a registry backend for
 //! every auto selection.
+//!
+//! The registry holds the hardware tiers and nothing else. The paper's
+//! MQX engines (functional and PISA mode, the Figure 6 ablation) and
+//! the Table 5/6 proxy engines reproduce figures; they serve nothing,
+//! so the `mqx_bench` crate builds them itself with [`from_engine`].
 //!
 //! Most code should go through [`Ring`](crate::Ring), which pairs a
 //! backend with an [`NttPlan`] and reusable scratch buffers; the raw
@@ -41,12 +46,11 @@
 //! // Every host has at least the portable tier.
 //! let tiers = backend::available();
 //! assert!(tiers.iter().any(|b| b.name() == "portable"));
-//! // The PISA projection backend is never consumable (§4.2).
-//! let pisa = backend::by_name("mqx-pisa").unwrap();
-//! assert!(!pisa.consumable());
+//! // Measurement engines are not registered.
+//! assert!(backend::by_name("mqx-pisa").is_none());
 //! // Auto selection ranks tiers by measured cost (memoized).
 //! let cal = backend::calibration();
-//! assert!(cal.winner().consumable());
+//! assert_eq!(cal.winner().name(), cal.ranking()[0].name());
 //! ```
 
 pub mod calibrate;
@@ -54,7 +58,7 @@ pub mod calibrate;
 use crate::error::Error;
 use mqx_core::Modulus;
 use mqx_ntt::NttPlan;
-use mqx_simd::{profiles, proxy, Mqx, Portable, ResidueSoa, SimdEngine};
+use mqx_simd::{Portable, ResidueSoa, SimdEngine};
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
@@ -72,8 +76,6 @@ pub enum Tier {
     Avx2,
     /// AVX-512: eight 64-bit lanes, real mask registers.
     Avx512,
-    /// The proposed MQX ISA extension (functional or PISA mode).
-    Mqx,
 }
 
 impl fmt::Display for Tier {
@@ -82,7 +84,6 @@ impl fmt::Display for Tier {
             Tier::Portable => "portable",
             Tier::Avx2 => "avx2",
             Tier::Avx512 => "avx512",
-            Tier::Mqx => "mqx",
         })
     }
 }
@@ -98,8 +99,8 @@ impl fmt::Display for Tier {
 ///
 /// [`Ring`]: crate::Ring
 pub trait Backend: Send + Sync {
-    /// Stable registry name (`"portable"`, `"avx2"`, `"avx512"`,
-    /// `"mqx-functional"`, `"mqx-pisa"`, …).
+    /// Stable name (`"portable"`, `"avx2"`, `"avx512"` in the registry;
+    /// whatever [`from_engine`] was given otherwise).
     fn name(&self) -> &'static str;
 
     /// The tier this backend measures.
@@ -107,14 +108,6 @@ pub trait Backend: Send + Sync {
 
     /// Number of 64-bit lanes per vector operation.
     fn lanes(&self) -> usize;
-
-    /// Whether numerical results may be consumed as values. `false` for
-    /// PISA-mode backends, whose instruction streams have representative
-    /// *cost* but deliberately wrong *numbers* (§4.2); their outputs must
-    /// only ever feed timers.
-    fn consumable(&self) -> bool {
-        true
-    }
 
     /// Forward NTT over `x` (natural order in and out); `scratch` must
     /// have the plan's length.
@@ -226,7 +219,6 @@ impl fmt::Debug for dyn Backend {
             .field("name", &self.name())
             .field("tier", &self.tier())
             .field("lanes", &self.lanes())
-            .field("consumable", &self.consumable())
             .finish()
     }
 }
@@ -243,7 +235,6 @@ impl dyn Backend {
 struct EngineBackend<E: SimdEngine> {
     name: &'static str,
     tier: Tier,
-    consumable: bool,
     _engine: PhantomData<fn() -> E>,
 }
 
@@ -258,10 +249,6 @@ impl<E: SimdEngine> Backend for EngineBackend<E> {
 
     fn lanes(&self) -> usize {
         E::LANES
-    }
-
-    fn consumable(&self) -> bool {
-        self.consumable
     }
 
     fn forward_ntt(&self, plan: &NttPlan, x: &mut ResidueSoa, scratch: &mut ResidueSoa) {
@@ -318,11 +305,31 @@ impl<E: SimdEngine> Backend for EngineBackend<E> {
     }
 }
 
-fn make<E: SimdEngine>(name: &'static str, tier: Tier, consumable: bool) -> Arc<dyn Backend> {
+/// Wraps engine `E` as a [`Backend`] named `name`, measuring `tier`.
+///
+/// The registry's hardware tiers are built with this; so are the
+/// paper's measurement engines (MQX in functional and PISA mode, the
+/// Table 5/6 proxies), which the `mqx_bench` crate builds for itself.
+/// The function is generic, so `E`'s kernels are compiled in the crate
+/// that names `E`. The result is not registered: [`by_name`] and auto
+/// selection never see it.
+///
+/// `E`'s kernels check the CPU themselves (`SimdEngine::token`), so a
+/// backend over an engine this host cannot run panics on first use
+/// instead of faulting.
+///
+/// ```
+/// use mqx::backend::{self, Tier};
+/// use mqx::simd::Portable;
+///
+/// let b = backend::from_engine::<Portable>("my-portable", Tier::Portable);
+/// assert_eq!((b.name(), b.lanes()), ("my-portable", 8));
+/// assert!(backend::by_name("my-portable").is_none());
+/// ```
+pub fn from_engine<E: SimdEngine>(name: &'static str, tier: Tier) -> Arc<dyn Backend> {
     Arc::new(EngineBackend::<E> {
         name,
         tier,
-        consumable,
         _engine: PhantomData,
     })
 }
@@ -335,12 +342,9 @@ pub(crate) fn registry() -> &'static [Arc<dyn Backend>] {
     REGISTRY.get_or_init(build_registry)
 }
 
-/// Every backend the running machine can execute, fastest hardware tier
-/// first: AVX-512 and AVX2 (when `is_x86_feature_detected!` confirms
-/// them), the always-available portable engine, then the MQX engines
-/// over the best detected base — `"mqx-functional"` (bit-exact Table 2
-/// emulation, slow) and `"mqx-pisa"` (representative cost, non-consumable
-/// numbers).
+/// Every backend the running machine can execute, fastest first:
+/// AVX-512 and AVX2 (when `is_x86_feature_detected!` confirms them),
+/// then the always-available portable engine.
 ///
 /// The registry itself is memoized: this clones handles to the same
 /// process-wide instances every time (so `Arc::ptr_eq` identity is
@@ -356,39 +360,13 @@ fn build_registry() -> Vec<Arc<dyn Backend>> {
     #[cfg(target_arch = "x86_64")]
     {
         if mqx_simd::avx512_detected() {
-            out.push(make::<Avx512>("avx512", Tier::Avx512, true));
+            out.push(from_engine::<Avx512>("avx512", Tier::Avx512));
         }
         if mqx_simd::avx2_detected() {
-            out.push(make::<Avx2>("avx2", Tier::Avx2, true));
+            out.push(from_engine::<Avx2>("avx2", Tier::Avx2));
         }
     }
-    out.push(make::<Portable>("portable", Tier::Portable, true));
-
-    #[cfg(target_arch = "x86_64")]
-    if mqx_simd::avx512_detected() {
-        out.push(make::<Mqx<Avx512, profiles::McFunctional>>(
-            "mqx-functional",
-            Tier::Mqx,
-            true,
-        ));
-        out.push(make::<Mqx<Avx512, profiles::McPisa>>(
-            "mqx-pisa",
-            Tier::Mqx,
-            false,
-        ));
-        return out;
-    }
-
-    out.push(make::<Mqx<Portable, profiles::McFunctional>>(
-        "mqx-functional",
-        Tier::Mqx,
-        true,
-    ));
-    out.push(make::<Mqx<Portable, profiles::McPisa>>(
-        "mqx-pisa",
-        Tier::Mqx,
-        false,
-    ));
+    out.push(from_engine::<Portable>("portable", Tier::Portable));
     out
 }
 
@@ -404,10 +382,8 @@ pub fn by_name(name: &str) -> Option<Arc<dyn Backend>> {
     registry().iter().find(|b| b.name() == name).cloned()
 }
 
-/// The widest hardware tier *detected* on this CPU (AVX-512 → AVX2 →
-/// portable, the registry's order). MQX backends are never
-/// auto-selected: functional mode is a slow bit-exact emulation and
-/// PISA mode is non-consumable.
+/// The widest hardware tier *detected* on this CPU: the registry's
+/// head (AVX-512 → AVX2 → portable).
 ///
 /// This is not what [`Ring::auto`](crate::Ring::auto) uses — auto
 /// selection goes through the measured [`calibration`] ranking (see
@@ -419,14 +395,13 @@ pub fn by_name(name: &str) -> Option<Arc<dyn Backend>> {
 /// tier is the faster one however the binary was built.
 pub fn default_backend() -> Arc<dyn Backend> {
     registry()
-        .iter()
-        .find(|b| b.consumable() && b.tier() != Tier::Mqx)
+        .first()
         .cloned()
         .expect("the portable backend is always available")
 }
 
 /// The memoized once-per-process calibration: per-backend measured
-/// ns/butterfly and the ranked consumable tiers. The first call pays
+/// ns/butterfly and the ranked tiers. The first call pays
 /// the measurement burst (a few tens of milliseconds); every later call
 /// returns the same object.
 pub fn calibration() -> &'static calibrate::Calibration {
@@ -436,7 +411,7 @@ pub fn calibration() -> &'static calibrate::Calibration {
 /// The backend auto selection resolves to for this process:
 /// the `MQX_BACKEND` pin when set (unknown names are rejected with
 /// [`Error::UnknownBackend`]), otherwise the [`calibration`] winner —
-/// the consumable non-MQX backend with the best measured ns/butterfly.
+/// the registry backend with the best measured ns/butterfly.
 pub fn selected_backend() -> Result<Arc<dyn Backend>, Error> {
     calibrate::select(calibrate::env_pin().as_deref())
 }
@@ -449,234 +424,20 @@ pub(crate) fn selected_channel_backends(k: usize) -> Result<Vec<Arc<dyn Backend>
     calibrate::select_channels(calibrate::env_pin().as_deref(), k)
 }
 
-/// One Figure 6 ablation variant: a label matching the paper's x-axis
-/// and the backend that measures it.
-pub struct AblationVariant {
-    /// The paper's variant label (`"Base"`, `"+M"`, `"+C"`, …).
-    pub label: &'static str,
-    /// The measuring backend (PISA mode for every MQX variant).
-    pub backend: Arc<dyn Backend>,
-}
-
-/// The Figure 6 sensitivity set over the best detected base engine:
-/// `Base` (the unmodified engine) plus the five MQX component
-/// combinations, all in PISA mode exactly as the paper measures them.
-///
-/// `Base` and the `+M,C` (`"mqx-pisa"`) entries are the memoized
-/// registry instances — `Arc::ptr_eq` identity with [`by_name`] holds,
-/// so per-backend caches (e.g. calibration scores) see the same
-/// object. The remaining profile combinations are not registry
-/// members and are minted per call.
-pub fn ablation_variants() -> Vec<AblationVariant> {
-    fn over<E: SimdEngine>(base: Arc<dyn Backend>, pisa: Arc<dyn Backend>) -> Vec<AblationVariant> {
-        vec![
-            AblationVariant {
-                label: "Base",
-                backend: base,
-            },
-            AblationVariant {
-                label: "+M",
-                backend: make::<Mqx<E, profiles::MPisa>>("mqx+M-pisa", Tier::Mqx, false),
-            },
-            AblationVariant {
-                label: "+C",
-                backend: make::<Mqx<E, profiles::CPisa>>("mqx+C-pisa", Tier::Mqx, false),
-            },
-            AblationVariant {
-                label: "+M,C",
-                backend: pisa,
-            },
-            AblationVariant {
-                label: "+Mh,C",
-                backend: make::<Mqx<E, profiles::MhCPisa>>("mqx+MhC-pisa", Tier::Mqx, false),
-            },
-            AblationVariant {
-                label: "+M,C,P",
-                backend: make::<Mqx<E, profiles::McpPisa>>("mqx+MCP-pisa", Tier::Mqx, false),
-            },
-        ]
-    }
-
-    // The registry's "mqx-pisa" sits over the same base engine this
-    // function selects (AVX-512 when detected, portable otherwise).
-    let pisa = by_name("mqx-pisa").expect("mqx-pisa is always registered");
-
-    #[cfg(target_arch = "x86_64")]
-    if mqx_simd::avx512_detected() {
-        let base = by_name("avx512").expect("detected ⇒ registered");
-        return over::<Avx512>(base, pisa);
-    }
-    let base = by_name("portable").expect("portable is always registered");
-    over::<Portable>(base, pisa)
-}
-
-/// One functional-mode MQX profile: the Figure 6 component label and a
-/// bit-exact (consumable) backend running that profile's Table 2
-/// emulation.
-pub struct FunctionalProfile {
-    /// The component-combination label (`"+M"`, `"+C"`, …).
-    pub label: &'static str,
-    /// The bit-exact backend for that profile.
-    pub backend: Arc<dyn Backend>,
-}
-
-/// Every MQX component combination in **functional** (bit-exact) mode,
-/// over the portable engine — the §4.2 correctness side of the Figure 6
-/// ablation. These all carry `consumable() == true` and must agree with
-/// the scalar reference bit for bit on every kernel; the test suites
-/// enforce that at the NTT level.
-pub fn functional_profile_backends() -> Vec<FunctionalProfile> {
-    vec![
-        FunctionalProfile {
-            label: "+M",
-            backend: make::<Mqx<Portable, profiles::MFunctional>>("mqx+M-func", Tier::Mqx, true),
-        },
-        FunctionalProfile {
-            label: "+C",
-            backend: make::<Mqx<Portable, profiles::CFunctional>>("mqx+C-func", Tier::Mqx, true),
-        },
-        FunctionalProfile {
-            label: "+M,C",
-            backend: make::<Mqx<Portable, profiles::McFunctional>>("mqx+MC-func", Tier::Mqx, true),
-        },
-        FunctionalProfile {
-            label: "+Mh,C",
-            backend: make::<Mqx<Portable, profiles::MhCFunctional>>(
-                "mqx+MhC-func",
-                Tier::Mqx,
-                true,
-            ),
-        },
-        FunctionalProfile {
-            label: "+M,C,P",
-            backend: make::<Mqx<Portable, profiles::McpFunctional>>(
-                "mqx+MCP-func",
-                Tier::Mqx,
-                true,
-            ),
-        },
-    ]
-}
-
-/// One Table 5/6 PISA-validation pair: the unmodified backend and the
-/// same engine with one real instruction swapped for its PISA proxy.
-pub struct ProxyPair {
-    /// The real (target) instruction being modeled.
-    pub target: &'static str,
-    /// The proxy instruction PISA substitutes for it.
-    pub proxy: &'static str,
-    /// The ground-truth backend.
-    pub target_backend: Arc<dyn Backend>,
-    /// The proxied backend (non-consumable: wrong numbers by design).
-    pub proxy_backend: Arc<dyn Backend>,
-}
-
-/// The Table 5/6 validation set for this host: each detected hardware
-/// tier paired with its proxy-substituted twin, or the portable
-/// methodology check when no vector hardware is present.
-///
-/// Target backends are the memoized registry instances (stable
-/// `Arc::ptr_eq` identity with [`by_name`]); only the proxy twins —
-/// deliberately-wrong engines that never belong in the registry — are
-/// minted per call.
-pub fn pisa_proxy_pairs() -> Vec<ProxyPair> {
-    let mut pairs = Vec::new();
-
-    #[cfg(target_arch = "x86_64")]
-    {
-        if mqx_simd::avx2_detected() {
-            let avx2 = by_name("avx2").expect("detected ⇒ registered");
-            pairs.push(ProxyPair {
-                target: "_mm256_mul_epu32",
-                proxy: "_mm256_mullo_epi32",
-                target_backend: avx2,
-                proxy_backend: make::<proxy::ProxyMul32<Avx2>>(
-                    "avx2-proxy-mul32",
-                    Tier::Avx2,
-                    false,
-                ),
-            });
-        }
-        if mqx_simd::avx512_detected() {
-            let avx512 = by_name("avx512").expect("detected ⇒ registered");
-            pairs.push(ProxyPair {
-                target: "_mm512_mask_add_epi64",
-                proxy: "_mm512_add_epi64",
-                target_backend: Arc::clone(&avx512),
-                proxy_backend: make::<proxy::ProxyMaskAdd<Avx512>>(
-                    "avx512-proxy-mask-add",
-                    Tier::Avx512,
-                    false,
-                ),
-            });
-            pairs.push(ProxyPair {
-                target: "_mm512_mask_sub_epi64",
-                proxy: "_mm512_sub_epi64",
-                target_backend: avx512,
-                proxy_backend: make::<proxy::ProxyMaskSub<Avx512>>(
-                    "avx512-proxy-mask-sub",
-                    Tier::Avx512,
-                    false,
-                ),
-            });
-        }
-    }
-
-    if pairs.is_empty() {
-        // No vector hardware: validate the methodology on the portable
-        // engine (the proxies still swap real work for different work).
-        let portable = by_name("portable").expect("portable is always registered");
-        pairs.push(ProxyPair {
-            target: "mul32_wide (portable)",
-            proxy: "mullo32 (portable)",
-            target_backend: Arc::clone(&portable),
-            proxy_backend: make::<proxy::ProxyMul32<Portable>>(
-                "portable-proxy-mul32",
-                Tier::Portable,
-                false,
-            ),
-        });
-        pairs.push(ProxyPair {
-            target: "mask_add (portable)",
-            proxy: "add (portable)",
-            target_backend: Arc::clone(&portable),
-            proxy_backend: make::<proxy::ProxyMaskAdd<Portable>>(
-                "portable-proxy-mask-add",
-                Tier::Portable,
-                false,
-            ),
-        });
-        pairs.push(ProxyPair {
-            target: "mask_sub (portable)",
-            proxy: "sub (portable)",
-            target_backend: portable,
-            proxy_backend: make::<proxy::ProxyMaskSub<Portable>>(
-                "portable-proxy-mask-sub",
-                Tier::Portable,
-                false,
-            ),
-        });
-    }
-
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mqx_core::primes;
 
     #[test]
-    fn registry_always_offers_portable_and_mqx() {
+    fn registry_is_the_detected_hardware_tiers() {
         let names = names();
-        assert!(names.contains(&"portable"), "{names:?}");
-        assert!(names.contains(&"mqx-functional"), "{names:?}");
-        assert!(names.contains(&"mqx-pisa"), "{names:?}");
-        // Registry names are unique.
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), names.len(), "{names:?}");
+        let widest_first: Vec<_> = ["avx512", "avx2", "portable"]
+            .into_iter()
+            .filter(|n| names.contains(n))
+            .collect();
+        assert_eq!(names, widest_first);
+        assert_eq!(names.last(), Some(&"portable"));
     }
 
     #[test]
@@ -693,8 +454,6 @@ mod tests {
     #[test]
     fn default_backend_is_widest_detected_tier() {
         let d = default_backend();
-        assert!(d.consumable());
-        assert_ne!(d.tier(), Tier::Mqx);
         let expected = if mqx_simd::avx512_detected() {
             "avx512"
         } else if mqx_simd::avx2_detected() {
@@ -703,15 +462,7 @@ mod tests {
             "portable"
         };
         assert_eq!(d.name(), expected);
-    }
-
-    #[test]
-    fn pisa_is_flagged_non_consumable() {
-        let pisa = by_name("mqx-pisa").unwrap();
-        assert!(!pisa.consumable());
-        assert_eq!(pisa.tier(), Tier::Mqx);
-        let functional = by_name("mqx-functional").unwrap();
-        assert!(functional.consumable());
+        assert!(Arc::ptr_eq(&d, &registry()[0]));
     }
 
     #[test]
@@ -723,30 +474,9 @@ mod tests {
         for b in available() {
             let mut out = ResidueSoa::zeros(8);
             b.vadd(&x, &y, &mut out, &m);
-            if b.consumable() {
-                assert_eq!(out.get(0), 1, "{} vadd wrap", b.name());
-                assert_eq!(out.get(2), 4, "{} vadd", b.name());
-            }
+            assert_eq!(out.get(0), 1, "{} vadd wrap", b.name());
+            assert_eq!(out.get(2), 4, "{} vadd", b.name());
             assert!(b.lanes() >= 1, "{}", b.name());
-        }
-    }
-
-    #[test]
-    fn ablation_set_matches_figure6() {
-        let set = ablation_variants();
-        let labels: Vec<_> = set.iter().map(|v| v.label).collect();
-        assert_eq!(labels, ["Base", "+M", "+C", "+M,C", "+Mh,C", "+M,C,P"]);
-        assert!(set[0].backend.consumable(), "Base is a real engine");
-        assert!(set[1..].iter().all(|v| !v.backend.consumable()));
-    }
-
-    #[test]
-    fn proxy_pairs_are_nonempty_and_non_consumable() {
-        let pairs = pisa_proxy_pairs();
-        assert!(!pairs.is_empty());
-        for p in &pairs {
-            assert!(p.target_backend.consumable(), "{}", p.target);
-            assert!(!p.proxy_backend.consumable(), "{}", p.proxy);
         }
     }
 
@@ -775,45 +505,36 @@ mod tests {
     }
 
     #[test]
-    fn ablation_and_proxy_sets_reuse_registry_instances() {
-        let set = ablation_variants();
-        let base = &set[0].backend;
-        assert!(
-            Arc::ptr_eq(base, &by_name(base.name()).unwrap()),
-            "Base must be the registry instance"
-        );
-        let mc = set.iter().find(|v| v.label == "+M,C").unwrap();
-        assert!(
-            Arc::ptr_eq(&mc.backend, &by_name("mqx-pisa").unwrap()),
-            "+M,C must be the registry mqx-pisa"
-        );
-        for pair in pisa_proxy_pairs() {
-            let registered = by_name(pair.target_backend.name())
-                .expect("every proxy target is a registry backend");
-            assert!(
-                Arc::ptr_eq(&pair.target_backend, &registered),
-                "{} target must be the registry instance",
-                pair.target
-            );
+    fn pisa_is_flagged_non_consumable() {
+        // The MQX modes are measurement engines built by `mqx_bench`, not
+        // registry tiers; the engine struct carries the §4.2 flag.
+        let pisa = mqx_bench::engines::mqx_pisa();
+        assert!(!pisa.consumable);
+        assert_eq!(pisa.backend.name(), "mqx-pisa");
+        let functional = mqx_bench::engines::mqx_functional();
+        assert!(functional.consumable);
+        for name in ["mqx-functional", "mqx-pisa"] {
+            assert!(by_name(name).is_none(), "{name} registered");
         }
     }
 
     #[test]
-    fn selected_backend_is_consumable_and_never_mqx_without_a_pin() {
+    fn ablation_set_matches_figure6() {
+        let set = mqx_bench::engines::ablation_variants();
+        let labels: Vec<_> = set.iter().map(|v| v.label).collect();
+        assert_eq!(labels, ["Base", "+M", "+C", "+M,C", "+Mh,C", "+M,C,P"]);
+        assert!(set[0].consumable, "Base is a real engine");
+        assert!(set[1..].iter().all(|v| !v.consumable));
+    }
+
+    #[test]
+    fn selected_backend_is_the_calibration_winner_without_a_pin() {
         let b = selected_backend().unwrap();
-        // The selection is always consumable (non-consumable pins are
-        // rejected with an error before this point).
-        assert!(b.consumable());
-        // The winner invariants only apply when no ambient MQX_BACKEND
-        // pin was inherited from the environment (a documented knob —
-        // e.g. MQX_BACKEND=mqx-functional is a legitimate MQX-tier
-        // selection).
+        // The winner invariant only applies when no ambient MQX_BACKEND
+        // pin was inherited from the environment (a documented knob).
         match std::env::var("MQX_BACKEND") {
             Ok(pin) if !pin.is_empty() => assert_eq!(b.name(), pin),
-            _ => {
-                assert_ne!(b.tier(), Tier::Mqx);
-                assert!(Arc::ptr_eq(&b, &calibration().winner()));
-            }
+            _ => assert!(Arc::ptr_eq(&b, &calibration().winner())),
         }
     }
 }

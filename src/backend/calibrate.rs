@@ -1,6 +1,6 @@
-//! Startup micro-calibration: rank the consumable backends by
-//! *measured* ns/butterfly on the running machine instead of trusting
-//! the widest-detected-tier prediction.
+//! Startup micro-calibration: rank the registry backends by *measured*
+//! ns/butterfly on the running machine instead of trusting the
+//! widest-detected-tier prediction.
 //!
 //! The paper's argument rests on measured cost per kernel on the host
 //! at hand, and the fastest engine for a kernel shifts with problem
@@ -11,34 +11,30 @@
 //! measurement:
 //!
 //! 1. [`run`] times a short burst — one forward NTT plus one `vmul`,
-//!    the polymul inner shape — on **every consumable backend** in the
-//!    registry, using the same §5.1 measurement loop ([`median_ns`])
-//!    the benchmark harness uses for its tier sweeps;
-//! 2. consumable non-MQX backends are ranked by measured
-//!    [`Measurement::ns_per_butterfly`], cheapest first (MQX backends
-//!    are measured for diagnostics but never ranked: functional mode is
-//!    a slow bit-exact emulation, PISA mode is non-consumable);
+//!    the polymul inner shape — on **every backend** in the registry
+//!    (the detected hardware tiers), using the same §5.1 measurement
+//!    loop ([`median_ns`]) the benchmark harness uses for its tier
+//!    sweeps;
+//! 2. the backends are ranked by measured
+//!    [`Measurement::ns_per_butterfly`], cheapest first;
 //! 3. the result is memoized process-wide behind
 //!    [`calibration`](super::calibration), so the cost is paid once —
-//!    a few tens of milliseconds at first use (a fair share of it the
-//!    deliberately slow functional-MQX emulation, measured for
-//!    diagnostics), nothing afterwards.
+//!    a few milliseconds at first use, nothing afterwards.
 //!
 //! [`Ring::auto`](crate::Ring::auto) and the
 //! [`RnsRingBuilder`](crate::RnsRingBuilder) auto path select from the
 //! memoized ranking. One environment variable overrides it:
 //! `MQX_BACKEND=<name>` pins the named registry backend for every auto
 //! selection (whitespace-trimmed; unknown names surface as
-//! [`Error::UnknownBackend`] at ring build; non-consumable names —
-//! wrong numbers by design — as [`Error::NonConsumableBackend`]).
+//! [`Error::UnknownBackend`] at ring build).
 //!
 //! ```
 //! use mqx::backend;
 //!
 //! let cal = backend::calibration();
-//! // The winner heads the ranking and is always a real engine.
-//! assert!(cal.winner().consumable());
+//! // The winner heads the ranking, which covers the whole registry.
 //! assert_eq!(cal.winner().name(), cal.ranking()[0].name());
+//! assert_eq!(cal.ranking().len(), backend::available().len());
 //! ```
 
 use super::{by_name, names, Backend, Tier};
@@ -51,8 +47,8 @@ use std::time::Instant;
 
 /// Transform size of the calibration burst: large enough that the
 /// per-butterfly cost reflects the steady-state kernel, small enough
-/// that calibrating every backend (including the slow functional MQX
-/// emulation) stays in the low-millisecond range.
+/// that calibrating every registry tier (portable, the slowest, too)
+/// stays in the low-millisecond range.
 const CALIBRATION_N: usize = 256;
 
 /// Iterations of the calibration burst; the kept tail's median is the
@@ -89,9 +85,6 @@ pub struct Measurement {
     /// count `(n/2)·log₂ n` — the ranking score, comparable across
     /// machines and sizes.
     pub ns_per_butterfly: f64,
-    /// Whether this backend may be ranked (consumable and not an MQX
-    /// tier). Ineligible backends are measured for diagnostics only.
-    pub eligible: bool,
 }
 
 /// The outcome of one calibration pass: per-backend measurements and
@@ -99,7 +92,7 @@ pub struct Measurement {
 #[derive(Debug)]
 pub struct Calibration {
     measurements: Vec<Measurement>,
-    /// Consumable non-MQX backends, cheapest measured score first.
+    /// Every measured backend, cheapest measured score first.
     ranking: Vec<Arc<dyn Backend>>,
 }
 
@@ -109,8 +102,8 @@ impl Calibration {
         &self.measurements
     }
 
-    /// The ranked consumable non-MQX backends, best first. Never empty:
-    /// the portable backend is always present and always eligible.
+    /// Every registry backend, best measured score first. Never empty:
+    /// the portable backend is always present.
     pub fn ranking(&self) -> &[Arc<dyn Backend>] {
         &self.ranking
     }
@@ -187,8 +180,8 @@ pub fn median_ns(total: usize, keep: usize, mut f: impl FnMut()) -> f64 {
     }
 }
 
-/// Runs one calibration pass: times the burst on every consumable
-/// backend and ranks the eligible ones by score. Callers normally want
+/// Runs one calibration pass: times the burst on every registry
+/// backend and ranks them by score. Callers normally want
 /// the memoized [`calibration`](super::calibration) instead; this entry
 /// point is for tests that need a fresh pass.
 pub fn run() -> Calibration {
@@ -200,9 +193,6 @@ pub fn run() -> Calibration {
 
     let mut measurements = Vec::new();
     for backend in super::registry() {
-        if !backend.consumable() {
-            continue; // PISA: representative cost, wrong numbers (§4.2).
-        }
         // NTT leg: repeated forwards over the same buffer keep every
         // input reduced (transform outputs are reduced residues).
         let mut x = ResidueSoa::from_u128s(&xs);
@@ -223,14 +213,12 @@ pub fn run() -> Calibration {
             ntt_ns,
             vmul_ns,
             ns_per_butterfly: (ntt_ns + vmul_ns) / butterflies,
-            eligible: backend.tier() != Tier::Mqx,
         });
     }
 
     // Stable sort: ties keep registry order (widest detected tier first).
     let mut ranked: Vec<(f64, Arc<dyn Backend>)> = measurements
         .iter()
-        .filter(|meas| meas.eligible)
         .map(|meas| {
             let backend = by_name(meas.name).expect("measured backends come from the registry");
             (meas.ns_per_butterfly, backend)
@@ -252,26 +240,16 @@ pub(super) fn process_calibration() -> &'static Calibration {
 }
 
 /// Resolves one auto selection: an explicit `pin` (the `MQX_BACKEND`
-/// value) looks the name up in the registry — unknown names are
-/// rejected with [`Error::UnknownBackend`], and non-consumable
-/// backends (the PISA projection, whose numbers are deliberately
-/// wrong) with [`Error::NonConsumableBackend`], since an ambient env
-/// var must never silently poison every auto-built ring's outputs.
-/// No pin yields the memoized calibration's winner.
+/// value) looks the name up in the registry — unknown names, the
+/// paper's measurement engines among them, are rejected with
+/// [`Error::UnknownBackend`]. No pin yields the memoized calibration's
+/// winner.
 pub fn select(pin: Option<&str>) -> Result<Arc<dyn Backend>, Error> {
     match pin {
-        Some(name) => {
-            let backend = by_name(name).ok_or_else(|| Error::UnknownBackend {
-                name: name.to_string(),
-                available: names(),
-            })?;
-            if !backend.consumable() {
-                return Err(Error::NonConsumableBackend {
-                    name: name.to_string(),
-                });
-            }
-            Ok(backend)
-        }
+        Some(name) => by_name(name).ok_or_else(|| Error::UnknownBackend {
+            name: name.to_string(),
+            available: names(),
+        }),
         None => Ok(process_calibration().winner()),
     }
 }
@@ -324,38 +302,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measured_run_covers_every_consumable_backend() {
+    fn measured_run_covers_every_backend() {
         let cal = run();
         let measured: Vec<_> = cal.measurements().iter().map(|m| m.name).collect();
-        for backend in super::super::available() {
-            assert_eq!(
-                measured.contains(&backend.name()),
-                backend.consumable(),
-                "{} measured iff consumable",
-                backend.name()
-            );
-        }
+        assert_eq!(measured, super::super::names());
         for m in cal.measurements() {
             assert!(m.ntt_ns > 0.0 && m.vmul_ns > 0.0, "{}", m.name);
             assert!(m.ns_per_butterfly > 0.0, "{}", m.name);
-            assert_eq!(m.eligible, m.tier != Tier::Mqx, "{}", m.name);
         }
     }
 
     #[test]
     fn measured_ranking_is_sorted_and_mqx_free() {
         let cal = run();
-        assert!(!cal.ranking().is_empty());
         let scores: Vec<f64> = cal
             .ranking()
             .iter()
             .map(|b| cal.score_of(b.name()).expect("ranked ⇒ measured"))
             .collect();
         assert!(scores.windows(2).all(|w| w[0] <= w[1]), "{scores:?}");
-        for b in cal.ranking() {
-            assert!(b.consumable());
-            assert_ne!(b.tier(), Tier::Mqx);
-        }
+        // The ranking is the registry reordered: hardware tiers only.
+        let mut ranked: Vec<_> = cal.ranking().iter().map(|b| b.name()).collect();
+        let mut registry = super::super::names();
+        ranked.sort_unstable();
+        registry.sort_unstable();
+        assert_eq!(ranked, registry);
         assert_eq!(cal.winner().name(), cal.ranking()[0].name());
     }
 
@@ -366,7 +337,6 @@ mod tests {
         assert_eq!(channels.len(), 5);
         let winner_score = cal.score_of(cal.winner().name()).unwrap();
         for b in &channels {
-            assert!(b.consumable());
             let score = cal.score_of(b.name()).expect("assigned ⇒ measured");
             assert!(
                 score <= winner_score * COMPETITIVE_MARGIN,

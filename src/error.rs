@@ -27,16 +27,6 @@ pub enum Error {
         /// Names the registry currently offers.
         available: Vec<&'static str>,
     },
-    /// The `MQX_BACKEND` pin names a non-consumable backend (the PISA
-    /// projection: representative cost, deliberately wrong numbers).
-    /// Auto-selected rings must produce consumable values, so the
-    /// ambient pin is rejected; pinning a projection backend explicitly
-    /// via `RingBuilder::backend_name` remains available for
-    /// measurement.
-    NonConsumableBackend {
-        /// The rejected (registered but non-consumable) name.
-        name: String,
-    },
     /// A negacyclic operation was requested on a ring whose field has no
     /// `2n`-th root of unity.
     NoNegacyclicSupport {
@@ -187,12 +177,6 @@ impl fmt::Display for Error {
                     available.join(", ")
                 )
             }
-            Error::NonConsumableBackend { name } => write!(
-                f,
-                "backend {name:?} is non-consumable (PISA projection: representative cost, \
-                 wrong numbers) and cannot serve auto-selected rings; pin it explicitly \
-                 via RingBuilder::backend_name for measurement"
-            ),
             Error::NoNegacyclicSupport { n } => write!(
                 f,
                 "ring of size {n} has no 2n-th root of unity; negacyclic operations unavailable"
@@ -326,16 +310,6 @@ mod tests {
             got: 7,
         };
         assert!(e.to_string().contains("1024"));
-
-        let e = Error::NonConsumableBackend {
-            name: "mqx-pisa".into(),
-        };
-        let msg = e.to_string();
-        assert!(
-            msg.contains("mqx-pisa") && msg.contains("non-consumable"),
-            "{msg}"
-        );
-        assert!(e.source().is_none());
     }
 
     #[test]

@@ -96,6 +96,7 @@ use crate::error::Error;
 use crate::graph::{OpGraph, Operand};
 use crate::ops::RingOp;
 use crate::poly::{split_and_plan, Coefficients, PolyOp, PolyRing};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -1095,8 +1096,11 @@ impl RingExecutor {
             options,
         } = request;
         // The fan-out plan: split operands plus every node's channel
-        // widths on this ring, validated before anything is queued.
-        let (inputs, plan) = split_and_plan(&**ring, &graph, &operands)?;
+        // widths on this ring, validated before anything is queued. The
+        // operands are handed over, so a word ring keeps them instead of
+        // copying.
+        let operands = operands.into_iter().map(Cow::Owned).collect();
+        let (inputs, plan) = split_and_plan(&**ring, &graph, operands)?;
         // Scheduling topology: indegrees count *distinct* predecessor
         // nodes (a node consuming the same predecessor twice still waits
         // for one completion), successors mirror them.
@@ -1564,8 +1568,8 @@ mod tests {
             fn channels(&self) -> usize {
                 1
             }
-            fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-                PolyRing::split(&self.0, coeffs)
+            fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+                self.0.split_cow(coeffs)
             }
             fn channel_apply_at_into(
                 &self,
@@ -1625,7 +1629,7 @@ mod tests {
             fn channels(&self) -> usize {
                 0
             }
-            fn split(&self, _: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
+            fn split_cow(&self, _: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
                 Ok(Vec::new())
             }
             fn channel_apply_at_into(
@@ -1735,8 +1739,8 @@ mod tests {
             fn channels(&self) -> usize {
                 1
             }
-            fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-                PolyRing::split(&self.inner, coeffs)
+            fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+                self.inner.split_cow(coeffs)
             }
             fn channel_apply_at_into(
                 &self,

@@ -13,7 +13,7 @@
 //!
 //! * [`Ring::auto`] — picks the fastest tier **as measured on this
 //!   machine**: a one-shot startup micro-calibration ranks every
-//!   consumable backend by observed ns/butterfly (memoized; see
+//!   registry backend by observed ns/butterfly (memoized; see
 //!   [`backend::calibration`]), with `MQX_BACKEND=<name>` pinning a
 //!   tier;
 //! * [`Ring::with_backend_name`] / [`RingBuilder`] — pins a tier;

@@ -39,7 +39,7 @@ use crate::error::Error;
 use crate::graph::{NodeWidths, OpGraph, Operand};
 use crate::ops::RingOp;
 use mqx_bignum::BigUint;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 /// Which quotient ring a polynomial product runs in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -152,8 +152,8 @@ impl From<Vec<BigUint>> for Coefficients {
 /// [`channels`](PolyRing::channels)) and the three steps every request
 /// decomposes into:
 ///
-/// 1. [`split`](PolyRing::split) each operand into `channels()` residue
-///    vectors (validating length and range once, up front);
+/// 1. [`split_cow`](PolyRing::split_cow) each operand into `channels()`
+///    residue vectors (validating length and range once, up front);
 /// 2. run [`channel_apply_at_into`](PolyRing::channel_apply_at_into) —
 ///    the one evaluation primitive — for every output channel of every
 ///    node, independently, on any thread, in any order;
@@ -184,12 +184,28 @@ pub trait PolyRing: Send + Sync {
     /// Decomposes one operand into `channels()` word-sized residue
     /// vectors (channel-major), validating length and coefficient range.
     ///
+    /// A borrowed operand is only read. An owned one is the caller's to
+    /// give up — [`RingExecutor`](crate::RingExecutor) hands over the
+    /// operands it would otherwise drop — so a ring whose channel form
+    /// *is* its coefficients keeps the vector instead of copying it:
+    /// [`Ring`](crate::Ring) does, so submitting a word request copies
+    /// no coefficients.
+    ///
     /// # Errors
     ///
     /// [`Error::CoefficientKind`] when `coeffs` is not the
     /// representation this ring consumes; [`Error::LengthMismatch`] /
     /// [`Error::CoefficientOutOfRange`] from the underlying validation.
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error>;
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error>;
+
+    /// [`split_cow`](PolyRing::split_cow) of a borrowed operand.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`split_cow`](PolyRing::split_cow).
+    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
+        self.split_cow(Cow::Borrowed(coeffs))
+    }
 
     /// The evaluation primitive: runs one *output* channel of `op` over
     /// operands `width` channels wide, writing into a caller-owned
@@ -370,16 +386,16 @@ pub trait PolyRing: Send + Sync {
 type Split = Vec<Vec<u128>>;
 
 /// The submit-time half of every evaluation, shared by the sequential
-/// walk below and the executor: check the operand count against the
-/// graph, reject negacyclic products the ring cannot run and unequal
-/// operand lengths, split every operand once, and resolve each node's
-/// channel widths against this ring — which also rejects ops the ring
-/// cannot execute at the width the chain reaches them, before any work
-/// item runs.
-pub(crate) fn split_and_plan<R: PolyRing + ?Sized, C: Borrow<Coefficients>>(
+/// walk below (borrowed operands) and the executor (owned ones): check
+/// the operand count against the graph, reject negacyclic products the
+/// ring cannot run and unequal operand lengths, split every operand
+/// once, and resolve each node's channel widths against this ring —
+/// which also rejects ops the ring cannot execute at the width the
+/// chain reaches them, before any work item runs.
+pub(crate) fn split_and_plan<R: PolyRing + ?Sized>(
     ring: &R,
     graph: &OpGraph,
-    operands: &[C],
+    operands: Vec<Cow<'_, Coefficients>>,
 ) -> Result<(Vec<Split>, Vec<NodeWidths>), Error> {
     let negacyclic = RingOp::Polymul(PolyOp::Negacyclic);
     if !ring.supports_negacyclic() && graph.nodes().iter().any(|n| n.op() == &negacyclic) {
@@ -395,14 +411,14 @@ pub(crate) fn split_and_plan<R: PolyRing + ?Sized, C: Borrow<Coefficients>>(
     // Mismatched operand lengths get a dedicated variant before any
     // split runs — never a panic inside a kernel.
     for pair in operands.windows(2) {
-        let (a, b) = (pair[0].borrow().len(), pair[1].borrow().len());
+        let (a, b) = (pair[0].len(), pair[1].len());
         if a != b {
             return Err(Error::OperandLengthMismatch { a, b });
         }
     }
     let inputs = operands
-        .iter()
-        .map(|c| ring.split(c.borrow()))
+        .into_iter()
+        .map(|c| ring.split_cow(c))
         .collect::<Result<Vec<_>, _>>()?;
     // Defend against degenerate PolyRing impls: a zero-channel or
     // uneven split would index out of range here, and wrap the
@@ -433,7 +449,8 @@ fn evaluate<R: PolyRing + ?Sized, C: Borrow<Coefficients>>(
     graph: &OpGraph,
     operands: &[C],
 ) -> Result<Coefficients, Error> {
-    let (inputs, plan) = split_and_plan(ring, graph, operands)?;
+    let borrowed = operands.iter().map(|c| Cow::Borrowed(c.borrow()));
+    let (inputs, plan) = split_and_plan(ring, graph, borrowed.collect())?;
     let dangling = |node| Error::InvalidGraph {
         node,
         reason: "operand references a value the graph evaluation has not produced",

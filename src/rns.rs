@@ -837,7 +837,10 @@ impl crate::PolyRing for RnsRing {
         self.rings.len()
     }
 
-    fn split(&self, coeffs: &crate::Coefficients) -> Result<Vec<Vec<u128>>, Error> {
+    fn split_cow(
+        &self,
+        coeffs: std::borrow::Cow<'_, crate::Coefficients>,
+    ) -> Result<Vec<Vec<u128>>, Error> {
         let bigs = coeffs.as_bigs().ok_or(Error::CoefficientKind {
             expected: "big",
             got: coeffs.kind(),

@@ -11,6 +11,7 @@ use mqx::core::primes;
 use mqx::{
     Coefficients, Error, PolyOp, PolyRing, RequestHandle, Ring, RingExecutor, RingOp, RingRequest,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -104,8 +105,8 @@ impl PolyRing for GatedRing {
     fn channels(&self) -> usize {
         self.inner.channels()
     }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        self.inner.split(coeffs)
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+        self.inner.split_cow(coeffs)
     }
     fn channel_apply_at_into(
         &self,

@@ -6,7 +6,9 @@
 //! runtime-dispatch registry (`mqx::backend`): the test iterates
 //! whatever backends this host actually offers, so the same test binary
 //! covers AVX-512 on capable machines and degrades to AVX2/portable
-//! elsewhere — no `cfg(target_feature)`, no concrete engine types.
+//! elsewhere — no `cfg(target_feature)`, no concrete engine types. The
+//! functional MQX engines, which the registry does not hold, pass the
+//! same checks in `crates/bench/tests/functional_agreement.rs`.
 
 use mqx::backend;
 use mqx::baseline::fhe::{FheBackend, FheNtt};
@@ -51,12 +53,9 @@ fn every_forward_ntt_agrees() {
     plan.forward_pease_scalar(&mut pease, &mut scratch);
     assert_eq!(pease, expected, "pease scalar");
 
-    // Every runtime-discovered vector backend whose numbers may be
-    // consumed (portable, AVX2/AVX-512 where detected, functional MQX).
+    // Every runtime-discovered vector backend (portable, AVX2/AVX-512
+    // where detected).
     for b in backend::available() {
-        if !b.consumable() {
-            continue; // PISA: representative cost, wrong numbers (§4.2)
-        }
         let mut soa = ResidueSoa::from_u128s(&a);
         let mut soa_scratch = ResidueSoa::zeros(N);
         b.forward_ntt(&plan, &mut soa, &mut soa_scratch);
@@ -95,14 +94,12 @@ fn polynomial_products_agree_across_paths() {
 }
 
 /// The dispatch-layer agreement check: every discovered backend's
-/// polynomial product must be bit-identical to the portable backend's,
-/// and the PISA backend must carry the §4.2 non-consumable flag.
+/// polynomial product must be bit-identical to the portable backend's.
 #[test]
 fn every_backend_polymul_is_bit_identical_to_portable() {
     let (a, b) = workload(primes::Q124);
 
     let portable = backend::by_name("portable").expect("portable always registered");
-    assert!(portable.consumable());
     let reference_cyclic = Ring::with_backend(primes::Q124, N, portable.clone())
         .unwrap()
         .polymul_cyclic(&a, &b)
@@ -112,17 +109,8 @@ fn every_backend_polymul_is_bit_identical_to_portable() {
         .polymul_negacyclic(&a, &b)
         .unwrap();
 
-    let mut consumable_count = 0;
     for backend in backend::available() {
         let name = backend.name();
-        if !backend.consumable() {
-            // The PISA invariant (reused from the pisa_flag suite): the
-            // projection backend must be flagged, and it is the only
-            // non-consumable entry in the registry.
-            assert_eq!(name, "mqx-pisa", "only PISA may be non-consumable");
-            continue;
-        }
-        consumable_count += 1;
         let ring = Ring::with_backend(primes::Q124, N, backend).unwrap();
         assert_eq!(
             ring.polymul_cyclic(&a, &b).unwrap(),
@@ -135,11 +123,10 @@ fn every_backend_polymul_is_bit_identical_to_portable() {
             "{name} negacyclic"
         );
     }
-    assert!(consumable_count >= 2, "portable + mqx-functional minimum");
 }
 
 /// The lazy-reduction fused pipeline is part of the same §5.3 bitwise
-/// contract: on every consumable tier, the fused path must reproduce
+/// contract: on every tier, the fused path must reproduce
 /// the canonical portable reference exactly — lazy 2q/4q domains and
 /// Shoup butterflies change the arithmetic route, never the bits.
 #[test]
@@ -157,9 +144,6 @@ fn every_backend_fused_polymul_is_bit_identical_to_canonical_portable() {
     let reference_nega = canonical_portable.polymul_negacyclic(&a, &b).unwrap();
 
     for backend in backend::available() {
-        if !backend.consumable() {
-            continue;
-        }
         let name = backend.name();
         let fused = RingBuilder::new(primes::Q124, N)
             .backend(backend)
@@ -187,13 +171,10 @@ fn blas_tiers_agree_with_baselines() {
     let scalar_sum = mqx::blas::scalar::vadd(&a, &b, &m);
     let scalar_prod = mqx::blas::scalar::vmul(&a, &b, &m);
 
-    // Every consumable vector backend.
+    // Every vector backend.
     let sa = ResidueSoa::from_u128s(&a);
     let sb = ResidueSoa::from_u128s(&b);
     for backend in backend::available() {
-        if !backend.consumable() {
-            continue;
-        }
         let mut out = ResidueSoa::zeros(N);
         backend.vadd(&sa, &sb, &mut out, &m);
         assert_eq!(out.to_u128s(), scalar_sum, "{} vadd", backend.name());
@@ -235,7 +216,7 @@ fn residues(len: usize, q: u128, seed: u64) -> Vec<u128> {
 /// target-feature frame and finish with a scalar tail: lengths below,
 /// at and just past one vector (4 lanes on AVX2, 8 elsewhere), and a
 /// long body with a 3-element tail, must all match the scalar oracle
-/// on every consumable backend — the wide word modulus and one
+/// on every backend — the wide word modulus and one
 /// word-sized RNS channel prime.
 #[test]
 fn elementwise_kernels_match_scalar_at_ragged_lengths() {
@@ -253,9 +234,6 @@ fn elementwise_kernels_match_scalar_at_ragged_lengths() {
 
             let (sx, sy) = (ResidueSoa::from_u128s(&x), ResidueSoa::from_u128s(&y));
             for backend in backend::available() {
-                if !backend.consumable() {
-                    continue;
-                }
                 let what = format!("{} q={q:#x} len={len}", backend.name());
                 let mut out = ResidueSoa::zeros(len);
                 backend.vadd(&sx, &sy, &mut out, &m);
@@ -276,7 +254,7 @@ fn elementwise_kernels_match_scalar_at_ragged_lengths() {
 /// branch of the Pease kernels *inside* the frame (n ≤ 8 on 8-lane
 /// engines, n ≤ 4 on AVX2); n = 16 is the first all-vector size.
 /// Forward, inverse and both fused products must match the scalar
-/// references on every consumable backend.
+/// references on every backend.
 #[test]
 fn tiny_transforms_match_scalar_on_every_backend() {
     for q in [primes::Q124, primes::Q62] {
@@ -291,9 +269,6 @@ fn tiny_transforms_match_scalar_on_every_backend() {
             let negacyclic = polymul::schoolbook_negacyclic(&a, &b, &m);
 
             for backend in backend::available() {
-                if !backend.consumable() {
-                    continue;
-                }
                 let what = format!("{} q={q:#x} n={n}", backend.name());
                 let mut scratch = ResidueSoa::zeros(n);
 
@@ -317,21 +292,12 @@ fn tiny_transforms_match_scalar_on_every_backend() {
     }
 }
 
-/// The calibrated auto pick must be a real engine whose products are
-/// bit-identical to the portable reference — whatever tier the startup
-/// measurement ranked first on this host.
+/// The calibrated auto pick's products must be bit-identical to the
+/// portable reference — whatever tier the startup measurement ranked
+/// first on this host.
 #[test]
 fn calibrated_auto_pick_agrees_with_portable() {
     let (a, b) = workload(primes::Q124);
-
-    let cal = backend::calibration();
-    let winner = cal.winner();
-    assert!(winner.consumable(), "calibration winner must be consumable");
-    assert_ne!(
-        winner.tier(),
-        mqx::Tier::Mqx,
-        "calibration never selects an MQX tier"
-    );
 
     let auto_ring = Ring::auto(primes::Q124, N).unwrap();
     let portable_ring = Ring::with_backend_name(primes::Q124, N, "portable").unwrap();
@@ -349,7 +315,7 @@ fn calibrated_auto_pick_agrees_with_portable() {
     );
 }
 
-/// The op-vocabulary agreement check: every consumable backend tier
+/// The op-vocabulary agreement check: every backend tier
 /// must produce bit-identical `Add` and `Rescale` outputs — the word
 /// ring's vector-add path dispatches through the pinned backend, and
 /// the RNS rescale runs per channel over backend-opened rings.
@@ -358,16 +324,13 @@ fn every_backend_tier_agrees_on_add_and_rescale() {
     use mqx::bignum::BigUint;
     use mqx::{Coefficients, PolyRing, RingOp, RnsRingBuilder};
 
-    // Word-ring Add across every consumable tier vs portable.
+    // Word-ring Add across every tier vs portable.
     let (a, b) = workload(primes::Q124);
     let a_c = Coefficients::Word(a);
     let b_c = Coefficients::Word(b);
     let portable = Ring::with_backend_name(primes::Q124, N, "portable").unwrap();
     let reference_add = portable.apply(&RingOp::Add, &a_c, Some(&b_c)).unwrap();
     for backend in backend::available() {
-        if !backend.consumable() {
-            continue;
-        }
         let name = backend.name();
         let ring = Ring::with_backend(primes::Q124, N, backend).unwrap();
         assert_eq!(
@@ -407,9 +370,6 @@ fn every_backend_tier_agrees_on_add_and_rescale() {
     let reference_add = portable_rns.apply(&RingOp::Add, &ra, Some(&rb)).unwrap();
     let reference_rescale = portable_rns.apply(&RingOp::Rescale, &ra, None).unwrap();
     for backend in backend::available() {
-        if !backend.consumable() {
-            continue;
-        }
         let name = backend.name();
         let ring = rns(name);
         assert_eq!(

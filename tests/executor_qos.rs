@@ -17,6 +17,7 @@ use mqx::{
     Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingOp, RingRequest,
     SubmitOptions,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -209,8 +210,8 @@ impl PolyRing for SleepyRing {
     fn channels(&self) -> usize {
         1
     }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        PolyRing::split(&self.inner, coeffs)
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+        self.inner.split_cow(coeffs)
     }
     fn channel_apply_at_into(
         &self,
@@ -332,8 +333,8 @@ impl PolyRing for SlowJoinRing {
     fn channels(&self) -> usize {
         1
     }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        PolyRing::split(&self.inner, coeffs)
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+        self.inner.split_cow(coeffs)
     }
     fn channel_apply_at_into(
         &self,

@@ -162,13 +162,10 @@ fn calibrate_reports_a_measured_ranking_and_winner() {
     assert!(!report.backends.is_empty());
     assert!(!report.ranking.is_empty());
     assert_eq!(report.winner, report.ranking[0]);
-    // Measured backends cover every consumable registry entry; each
-    // carries positive burst timings.
-    let consumable = mqx::backend::available()
-        .iter()
-        .filter(|b| b.consumable())
-        .count();
-    assert_eq!(report.backends.len(), consumable);
+    // Measured backends cover every registry entry; each carries
+    // positive burst timings.
+    let registered = mqx::backend::available().len();
+    assert_eq!(report.backends.len(), registered);
     for row in &report.backends {
         assert!(row.ntt_ns > 0.0 && row.vmul_ns > 0.0, "{}", row.name);
         assert!(row.ns_per_butterfly > 0.0, "{}", row.name);
@@ -181,7 +178,7 @@ fn calibrate_reports_a_measured_ranking_and_winner() {
         .find(|r| r.winner)
         .expect("winner row present")
         .ns_per_butterfly;
-    for row in report.backends.iter().filter(|r| r.eligible) {
+    for row in &report.backends {
         assert!(
             row.ns_per_butterfly >= winner_score,
             "{} beats the declared winner",
@@ -192,12 +189,12 @@ fn calibrate_reports_a_measured_ranking_and_winner() {
     if !pinned {
         assert_eq!(report.selected, report.winner);
     }
-    // The lazy-vs-canonical comparison carries one row per consumable
+    // The lazy-vs-canonical comparison carries one row per registry
     // backend, with finite positive measurements on both paths. The
     // "lazy must not regress" gate itself is enforced by the release
     // `calibrate` binary (non-zero exit) — quick-mode timings under the
     // parallel test runner are too noisy for a ratio bound here.
-    assert_eq!(report.lazy.len(), consumable);
+    assert_eq!(report.lazy.len(), registered);
     for (lazy_row, backend_row) in report.lazy.iter().zip(&report.backends) {
         assert_eq!(lazy_row.name, backend_row.name);
         assert!(

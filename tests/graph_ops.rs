@@ -20,6 +20,7 @@ use mqx::{
     Coefficients, Error, OpGraph, Operand, PolyOp, PolyRing, Ring, RingExecutor, RingOp,
     RingRequest, RnsRing,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,8 +94,8 @@ impl PolyRing for JoinCountingRing {
     fn channels(&self) -> usize {
         self.inner.channels()
     }
-    fn split(&self, coeffs: &Coefficients) -> Result<Vec<Vec<u128>>, Error> {
-        self.inner.split(coeffs)
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+        self.inner.split_cow(coeffs)
     }
     fn channel_apply_at_into(
         &self,

@@ -1,13 +1,16 @@
-//! Integration: the §4.2 functional-correctness flag, through the
-//! runtime-dispatch layer. Functional MQX is bit-exact against scalar;
-//! PISA MQX is deliberately not ("we execute the code using PISA with
-//! the expectation of not getting correct results") — and the registry
-//! must carry that contract as the `consumable` flag.
+//! Integration: the §4.2 functional-correctness flag on the paper's
+//! measurement engines (`mqx_bench::engines`, outside the facade's
+//! registry). Functional MQX is bit-exact against scalar; PISA MQX is
+//! deliberately not ("we execute the code using PISA with the
+//! expectation of not getting correct results") — and every engine
+//! struct must carry that contract as its `consumable` flag.
 
 use mqx::backend;
 use mqx::core::{primes, Modulus};
 use mqx::simd::ResidueSoa;
 use mqx::Ring;
+use mqx_bench::engines;
+use std::sync::Arc;
 
 fn lanes(q: u128) -> (Vec<u128>, Vec<u128>) {
     let a: Vec<u128> = (1..=8_u128).map(|i| (q / 5) * i % q).collect();
@@ -17,26 +20,26 @@ fn lanes(q: u128) -> (Vec<u128>, Vec<u128>) {
 
 #[test]
 fn registry_carries_the_correctness_flag() {
-    let functional = backend::by_name("mqx-functional").expect("registered");
+    let functional = engines::mqx_functional();
     assert!(
-        functional.consumable(),
+        functional.consumable,
         "functional mode is bit-exact and consumable"
     );
-    let pisa = backend::by_name("mqx-pisa").expect("registered");
+    let pisa = engines::mqx_pisa();
     assert!(
-        !pisa.consumable(),
+        !pisa.consumable,
         "PISA results must never be consumed as values"
     );
-    // Both measure the MQX tier with the same lane width.
-    assert_eq!(functional.tier(), pisa.tier());
-    assert_eq!(functional.lanes(), pisa.lanes());
+    // Both measure the MQX extension of the same base engine.
+    assert_eq!(functional.backend.tier(), pisa.backend.tier());
+    assert_eq!(functional.backend.lanes(), pisa.backend.lanes());
 }
 
 #[test]
 fn functional_arithmetic_is_exact() {
     let m = Modulus::new_prime(primes::Q124).unwrap();
     let (a, b) = lanes(m.value());
-    let functional = backend::by_name("mqx-functional").unwrap();
+    let functional = engines::mqx_functional().backend;
     let sa = ResidueSoa::from_u128s(&a);
     let sb = ResidueSoa::from_u128s(&b);
     let mut sum = ResidueSoa::zeros(8);
@@ -53,7 +56,7 @@ fn functional_arithmetic_is_exact() {
 fn pisa_arithmetic_is_wrong_by_design() {
     let m = Modulus::new_prime(primes::Q124).unwrap();
     let (a, b) = lanes(m.value());
-    let pisa = backend::by_name("mqx-pisa").unwrap();
+    let pisa = engines::mqx_pisa().backend;
     let sa = ResidueSoa::from_u128s(&a);
     let sb = ResidueSoa::from_u128s(&b);
     let mut prod = ResidueSoa::zeros(8);
@@ -78,13 +81,12 @@ fn pisa_ntt_differs_functional_ntt_matches() {
     let plan = mqx::ntt::NttPlan::new(&m, n).unwrap();
     plan.forward_scalar(&mut reference);
 
-    let functional_ring = Ring::with_backend_name(q, n, "mqx-functional").unwrap();
+    let functional_ring = Ring::with_backend(q, n, engines::mqx_functional().backend).unwrap();
     let mut soa = ResidueSoa::from_u128s(&xs);
     functional_ring.forward(&mut soa).unwrap();
     assert_eq!(soa.to_u128s(), reference, "functional flag on");
 
-    let pisa_ring = Ring::with_backend_name(q, n, "mqx-pisa").unwrap();
-    assert!(!pisa_ring.backend().consumable());
+    let pisa_ring = Ring::with_backend(q, n, engines::mqx_pisa().backend).unwrap();
     let mut soa = ResidueSoa::from_u128s(&xs);
     pisa_ring.forward(&mut soa).unwrap();
     assert_ne!(soa.to_u128s(), reference, "PISA flag off must not match");
@@ -105,8 +107,8 @@ fn all_functional_profiles_agree_on_ntt() {
     let mut reference = xs.clone();
     plan.forward_scalar(&mut reference);
 
-    for profile in backend::functional_profile_backends() {
-        assert!(profile.backend.consumable(), "{}", profile.label);
+    for profile in engines::functional_profiles() {
+        assert!(profile.consumable, "{}", profile.label);
         let mut soa = ResidueSoa::from_u128s(&xs);
         let mut scratch = ResidueSoa::zeros(n);
         profile.backend.forward_ntt(&plan, &mut soa, &mut scratch);
@@ -118,10 +120,41 @@ fn all_functional_profiles_agree_on_ntt() {
 fn ablation_variants_preserve_the_flag() {
     // Figure 6's variant set: the base engine is real, every MQX
     // component combination runs in PISA mode and must stay flagged.
-    let variants = backend::ablation_variants();
+    let variants = engines::ablation_variants();
     assert_eq!(variants.len(), 6);
-    assert!(variants[0].backend.consumable(), "Base is a real engine");
+    assert!(variants[0].consumable, "Base is a real engine");
     for v in &variants[1..] {
-        assert!(!v.backend.consumable(), "{} must be PISA-flagged", v.label);
+        assert!(!v.consumable, "{} must be PISA-flagged", v.label);
+    }
+    // `+M,C` is the mqx-pisa engine.
+    assert_eq!(variants[3].backend.name(), "mqx-pisa");
+}
+
+#[test]
+fn proxy_pairs_are_nonempty_and_non_consumable() {
+    let pairs = engines::proxy_pairs();
+    assert!(!pairs.is_empty());
+    for p in &pairs {
+        assert!(p.target.consumable, "{}", p.target.label);
+        assert!(!p.proxy.consumable, "{}", p.proxy.label);
+        assert_eq!(p.target.backend.tier(), p.proxy.backend.tier());
+    }
+}
+
+#[test]
+fn ablation_and_proxy_sets_reuse_registry_instances() {
+    let base = engines::ablation_variants().swap_remove(0).backend;
+    assert!(
+        Arc::ptr_eq(&base, &backend::by_name(base.name()).unwrap()),
+        "Base must be the registry instance"
+    );
+    for pair in engines::proxy_pairs() {
+        let registered = backend::by_name(pair.target.backend.name())
+            .expect("every proxy target is a registry backend");
+        assert!(
+            Arc::ptr_eq(&pair.target.backend, &registered),
+            "{} target must be the registry instance",
+            pair.target.label
+        );
     }
 }

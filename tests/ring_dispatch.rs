@@ -28,9 +28,10 @@ fn poly(n: usize, q: u128, seed: u64) -> Vec<u128> {
 #[test]
 fn auto_selects_a_working_consumable_backend() {
     let ring = Ring::auto(primes::Q124, N).unwrap();
-    let b = ring.backend();
-    assert!(b.consumable(), "auto must never hand out PISA");
-    assert_ne!(b.tier(), Tier::Mqx, "auto picks a hardware tier");
+    assert!(
+        backend::names().contains(&ring.backend().name()),
+        "auto picks a registry (hardware) tier"
+    );
 
     // And it actually works: NTT round trip restores the input.
     let xs = poly(N, primes::Q124, 0xDECAF);
