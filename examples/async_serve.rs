@@ -1,15 +1,16 @@
-//! Async serving through the front door: `Future`-based completion,
-//! bounded admission with load shedding, `reserve()` backpressure, and
-//! the reconciling `AdmissionStats` — the request path a
-//! polymul-as-a-service front end actually runs.
+//! Async serving: `Future`-based completion, bounded admission with
+//! load shedding, `reserve()` backpressure, and the reconciling
+//! `AdmissionStats` — the request path a polymul-as-a-service front end
+//! actually runs.
 //!
-//! Where `batch_serve` drives the executor with blocking handles, this
-//! example fronts the same pool with a [`FrontDoor`]: submits return
-//! futures (no thread parked per request), a class at its queue-depth
-//! limit sheds with `Error::Overloaded` instead of queueing without
-//! bound, and well-behaved clients trade shedding for backpressure via
-//! permits. Std wakers only — `frontdoor::block_on` is the minimal
-//! in-tree executor; any waker-driven runtime drives the same futures.
+//! Where `batch_serve` mostly waits on handles, this example awaits the
+//! same [`RequestHandle`](mqx::RequestHandle)s as futures (no thread
+//! parked per request). The [`RingExecutor`] bounds each priority class:
+//! a class at its queue-depth limit sheds with `Error::Overloaded`
+//! instead of queueing without bound, and well-behaved clients trade
+//! shedding for backpressure via permits. Std wakers only —
+//! `frontdoor::block_on` is the minimal in-tree runtime; any
+//! waker-driven runtime drives the same futures.
 //!
 //! ```sh
 //! cargo run --release --example async_serve            # defaults
@@ -17,8 +18,8 @@
 //! ```
 
 use mqx::core::primes;
-use mqx::frontdoor::{block_on, join_all, FrontDoor};
-use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingRequest};
+use mqx::frontdoor::{block_on, join_all};
+use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,13 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- Leg 1: async batch, generous limits ---------------------------------
-    // Every submit returns a future; one block_on of a join_all awaits
-    // the whole burst. Wakers fire once at outcome publication — the
-    // caller never polls busily and never parks a thread per request.
-    let door = FrontDoor::builder(workers)
+    // Every submit returns a handle that is a future; one block_on of a
+    // join_all awaits the whole burst. Wakers fire once at outcome
+    // publication — the caller never polls busily and never parks a
+    // thread per request.
+    let pool = RingExecutor::builder(workers)
         .queue_depth(burst.max(1))
         .build()?;
-    println!("async burst: {burst} requests (n = {n}) through a front door on {workers} workers");
+    println!("async burst: {burst} requests (n = {n}) on {workers} workers");
     let futures: Vec<_> = (0..burst)
         .map(|i| {
             let op = if i % 2 == 0 {
@@ -66,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 PolyOp::Cyclic
             };
-            door.submit(&ring, request(op))
+            pool.submit(&ring, request(op))
         })
         .collect::<Result<_, _>>()?;
     let t0 = Instant::now();
@@ -82,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deliberately tight Low-class limit: once the queue is at depth,
     // further submits resolve immediately with Error::Overloaded —
     // zero channels executed, the caller never blocked.
-    let tight = FrontDoor::builder(workers)
+    let tight = RingExecutor::builder(workers)
         .queue_depth(burst.max(1))
         .queue_depth_for(Priority::Low, 2)
         .build()?;

@@ -15,7 +15,7 @@
 
 use mqx::bignum::BigUint;
 use mqx::core::primes;
-use mqx::frontdoor::{block_on, join_all, FrontDoor};
+use mqx::frontdoor::{block_on, join_all};
 use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest, RnsRing};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,13 +182,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    // The other completion style: futures through the admission-
-    // controlled front door. One `block_on` collects the whole batch
-    // via `join_all` — no thread parked per request — and the door's
-    // stats reconcile every admission decision.
-    let door = FrontDoor::builder(workers)
-        .queue_depth(batch.max(1))
-        .build()?;
+    // The other completion style: the same handles awaited as futures.
+    // One `block_on` collects the whole batch via `join_all` — no
+    // thread parked per request — and the pool's stats reconcile every
+    // admission decision made above and here.
     let async_batch = batch.min(64);
     let futures: Vec<_> = (0..async_batch)
         .map(|i| {
@@ -199,7 +196,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             let a = random_words(n, primes::Q124, &mut seed);
             let b = random_words(n, primes::Q124, &mut seed);
-            door.submit(&ring, RingRequest::polymul(op, a.into(), b.into()))
+            pool.submit(&ring, RingRequest::polymul(op, a.into(), b.into()))
         })
         .collect::<Result<_, _>>()?;
     let t0 = Instant::now();
@@ -216,11 +213,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => return Err(e.into()),
         }
     }
-    let stats = door.stats();
+    let stats = pool.stats();
     assert!(stats.reconciles(), "admitted + shed == submitted");
     println!(
-        "async: awaited {ok}/{async_batch} futures through the front door in {:?} \
-         (admitted {} / shed {}, books reconcile)",
+        "async: awaited {ok}/{async_batch} futures in {:?} \
+         (pool admitted {} / shed {}, books reconcile)",
         t0.elapsed(),
         stats.admitted,
         stats.shed_at_submit_total(),

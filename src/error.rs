@@ -151,12 +151,12 @@ pub enum Error {
         reason: &'static str,
     },
     /// The request was shed at admission: its priority class's bounded
-    /// queue in a [`FrontDoor`](crate::frontdoor::FrontDoor) was
-    /// already at its configured depth, so the request was refused
-    /// immediately — zero channels executed, zero caller blocking —
-    /// instead of growing the queue without bound. Well-behaved clients
-    /// can opt into backpressure instead via
-    /// [`FrontDoor::reserve`](crate::frontdoor::FrontDoor::reserve).
+    /// queue in the [`RingExecutor`](crate::RingExecutor) was already
+    /// at its configured depth, so the request was refused immediately
+    /// — zero channels executed, zero caller blocking — instead of
+    /// growing the queue without bound. Well-behaved clients can opt
+    /// into backpressure instead via
+    /// [`RingExecutor::reserve`](crate::RingExecutor::reserve).
     Overloaded {
         /// The priority class whose queue was full.
         class: crate::executor::Priority,

@@ -24,8 +24,7 @@
 //! independent word-sized item per *output* channel (`k` for
 //! polymul/add/sub, `k − 1` for rescale, `k + extra` for basis
 //! extension) that different workers pick up — `channels × batch`
-//! items in flight for a batch, replacing the scoped threads `RnsRing`
-//! spawns per one-shot call.
+//! items in flight for a batch.
 //!
 //! Fan-out is per `(node × output channel)` with an atomic indegree
 //! countdown per node: a node's channels enter the stealing deques the
@@ -62,6 +61,42 @@
 //! [`RequestHandle::wait_deadline`]) so a front end can poll or give up
 //! without abandoning the result.
 //!
+//! # Admission and async completion
+//!
+//! The pool is also the front door a network service puts before its
+//! kernels, so it bounds its own queues and completes requests without
+//! a thread parked per request:
+//!
+//! * **Bounded admission.** Each [`Priority`] class has a queue-depth
+//!   limit ([`RingExecutorBuilder::queue_depth`] /
+//!   [`RingExecutorBuilder::queue_depth_for`], [`DEFAULT_QUEUE_DEPTH`]
+//!   otherwise). A [`submit`](RingExecutor::submit) that finds its class
+//!   at the limit is **shed**: its handle comes back already resolved
+//!   with [`Error::Overloaded`], no split or kernel runs, and the caller
+//!   never blocks. Clients that prefer waiting take a [`Permit`] from
+//!   [`RingExecutor::reserve`], which blocks until the class has room,
+//!   and spend it with [`RingExecutor::submit_reserved`], which cannot
+//!   be shed. The check is `queued + reserved < limit` under the
+//!   injector lock; a reservation holds its slot while the split runs
+//!   outside any lock and becomes the queue entry under the lock that
+//!   pushes it, so the limit is strict and concurrent submitters split
+//!   in parallel. A worker that dequeues a request wakes blocked
+//!   reservers.
+//! * **Asynchronous completion.** [`RequestHandle`] is a
+//!   [`Future`]`<Output = Result<Coefficients, Error>>` as well as a
+//!   blocking handle: a pending poll parks its [`Waker`] in the
+//!   request's outcome slot, and the worker that publishes the outcome
+//!   fires it exactly once. [`block_on`](crate::frontdoor::block_on) and
+//!   [`join_all`](crate::frontdoor::join_all) drive such futures without
+//!   a runtime.
+//! * **Stats.** [`RingExecutor::stats`] is a reconciling
+//!   [`AdmissionStats`] snapshot. Every submit is counted; sheds and
+//!   cancellations are counted where the outcome is published, so they
+//!   stay exact even for handles nobody waits on.
+//!
+//! A multi-node [`OpGraph`] request is one unit throughout: one queue
+//! slot, one handle, one count in every stat.
+//!
 //! [`Ring`]: crate::Ring
 //! [`RnsRing`]: crate::RnsRing
 //!
@@ -89,6 +124,7 @@
 //!     .with_priority(Priority::High);
 //! let product = pool.submit(&ring, urgent)?.wait()?;
 //! assert_eq!(product.len(), 64);
+//! assert!(pool.stats().reconciles());
 //! # Ok::<(), mqx::Error>(())
 //! ```
 
@@ -98,18 +134,19 @@ use crate::ops::RingOp;
 use crate::poly::{split_and_plan, Coefficients, PolyOp, PolyRing};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::task::Waker;
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// An observer fired exactly once, just before a request's outcome is
-/// published — the hook the [`frontdoor`](crate::frontdoor) admission
-/// layer uses to count deadline sheds and cancellations even when the
-/// caller drops its handle without waiting.
-pub(crate) type PublishHook = Box<dyn Fn(&Result<Coefficients, Error>) + Send + Sync>;
+/// Default per-class queue-depth limit of every pool: deep enough that
+/// a well-provisioned service never notices it, bounded enough that a
+/// stalled pool sheds instead of swallowing the caller's memory.
+pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
 /// Scheduling class of a request: the injector drains strictly
 /// `High → Normal → Low`, submission order within a class.
@@ -403,12 +440,91 @@ struct RequestState {
     /// published (output node joined, shed, or cancelled). Re-polls
     /// replace the stored waker. Locked strictly after `outcome`.
     waker: Mutex<Option<Waker>>,
-    /// Fired once, just before the outcome becomes observable (stats
-    /// accounting for the admission layer). `None` for plain submits.
-    on_publish: Option<PublishHook>,
 }
 
 impl RequestState {
+    /// A request with nothing to fan out: the state a shed request
+    /// resolves in, and the base [`planned`](RequestState::planned)
+    /// fills in.
+    fn bare(ring: &Arc<dyn PolyRing>, graph: OpGraph, deadline: Option<Instant>) -> RequestState {
+        RequestState {
+            ring: Arc::clone(ring),
+            graph,
+            inputs: Vec::new(),
+            nodes: Vec::new(),
+            roots: Vec::new(),
+            deadline,
+            cancelled: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+            first_error: Mutex::new(None),
+            outcome: Mutex::new(None),
+            done: Condvar::new(),
+            waker: Mutex::new(None),
+        }
+    }
+
+    /// Validates `request` against `ring` and builds its fan-out plan:
+    /// the split operands plus every node's channel widths and
+    /// scheduling topology. Runs on the submitter's thread, outside
+    /// every executor lock.
+    fn planned(ring: &Arc<dyn PolyRing>, request: RingRequest) -> Result<RequestState, Error> {
+        let RingRequest {
+            graph,
+            operands,
+            options,
+        } = request;
+        // The operands are handed over, so a word ring keeps them
+        // instead of copying.
+        let operands = operands.into_iter().map(Cow::Owned).collect();
+        let (inputs, plan) = split_and_plan(&**ring, &graph, operands)?;
+        // Scheduling topology: indegrees count *distinct* predecessor
+        // nodes (a node consuming the same predecessor twice still waits
+        // for one completion), successors mirror them.
+        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
+        let mut roots = Vec::new();
+        let mut indegree = vec![0_usize; graph.len()];
+        for (id, node) in graph.nodes().iter().enumerate() {
+            let preds: BTreeSet<usize> = node
+                .operands()
+                .iter()
+                .filter_map(|operand| match *operand {
+                    Operand::Node(j) => Some(j),
+                    Operand::Input(_) => None,
+                })
+                .collect();
+            indegree[id] = preds.len();
+            if preds.is_empty() {
+                roots.push(id);
+            }
+            for j in preds {
+                successors[j].push(id);
+            }
+        }
+        let nodes = plan
+            .iter()
+            .zip(successors)
+            .zip(&indegree)
+            .map(|((widths, successors), &pending)| NodeExec {
+                in_width: widths.input,
+                tasks: widths.output,
+                slots: Mutex::new(vec![None; widths.output]),
+                remaining: AtomicUsize::new(widths.output),
+                // ORDERING: plain constructor stores — the Arc
+                // publication through the injector mutex orders them
+                // before any worker's first load.
+                pending: AtomicUsize::new(pending),
+                successors,
+                output: OnceLock::new(),
+            })
+            .collect();
+        Ok(RequestState {
+            inputs,
+            nodes,
+            roots,
+            ..RequestState::bare(ring, graph, options.deadline)
+        })
+    }
+
     /// Why a dequeued task of this request should be skipped instead of
     /// executed, if any reason applies. Cancellation wins over an
     /// expired deadline.
@@ -426,23 +542,18 @@ impl RequestState {
     }
 
     /// Publishes the request's final result — the single "finished"
-    /// signal, reached exactly once per request. Fires the publish hook
-    /// first (so admission stats are current before any waiter can
-    /// observe the outcome), then writes the outcome under its lock
-    /// (strictly after the join, so a handle observing `Some` never
-    /// races the join window), wakes condvar waiters, and finally fires
-    /// the parked async waker — outside the locks, since a waker may do
-    /// arbitrary (cheap) work like unparking a `block_on` thread.
+    /// signal, reached exactly once per request. Counts the outcome in
+    /// `counters` first (so the stats are current before any waiter can
+    /// observe it), then writes the outcome under its lock (strictly
+    /// after the join, so a handle observing `Some` never races the
+    /// join window), wakes condvar waiters, and finally fires the parked
+    /// async waker — outside the locks, since a waker may do arbitrary
+    /// (cheap) work like unparking a `block_on` thread.
     ///
-    /// The hook and the waker are caller code and run under
-    /// `catch_unwind`: a panic in either is dropped, the outcome is
-    /// written regardless, and the publishing worker lives on. Left to
-    /// unwind, a panicking hook would kill the worker before the
-    /// outcome is written and leave the handle unresolved forever.
-    fn publish(&self, resolved: Result<Coefficients, Error>) {
-        if let Some(hook) = &self.on_publish {
-            let _ = catch_unwind(AssertUnwindSafe(|| hook(&resolved)));
-        }
+    /// The waker is caller code and runs under `catch_unwind`: a panic
+    /// in it is dropped and the publishing worker lives on.
+    fn publish(&self, resolved: Result<Coefficients, Error>, counters: &Counters) {
+        counters.count_outcome(&resolved);
         let waker = {
             let mut outcome = self.outcome.lock().expect("request outcome poisoned");
             debug_assert!(outcome.is_none(), "a request resolves exactly once");
@@ -459,11 +570,25 @@ impl RequestState {
     }
 }
 
-/// A claim on one submitted request's eventual result.
+/// A claim on one submitted request's eventual result — blocking
+/// ([`wait`](RequestHandle::wait) and its bounded forms) and
+/// asynchronous alike: the handle is a
+/// [`Future`]`<Output = Result<Coefficients, Error>>`.
+///
+/// Await it on any waker-driven runtime (or
+/// [`frontdoor::block_on`](crate::frontdoor::block_on)): a pending poll
+/// parks the waker in the request's shared outcome slot, and it is
+/// fired exactly once when the outcome is published — the output node
+/// joining, a deadline shed, or a cancellation. Re-polling before
+/// completion replaces the parked waker, so the future is safe to move
+/// between tasks. A request shed at admission comes back already
+/// resolved with [`Error::Overloaded`].
 ///
 /// Dropping the handle without waiting is fine: the request still runs
-/// to completion and its result is discarded. To actively discard
-/// queued work, call [`cancel`](RequestHandle::cancel) first.
+/// to completion, its result is discarded, and the pool's stats stay
+/// exact. To actively discard queued work, call
+/// [`cancel`](RequestHandle::cancel) first, or keep a
+/// [`canceller`](RequestHandle::canceller) that outlives the handle.
 pub struct RequestHandle {
     state: Arc<RequestState>,
 }
@@ -569,30 +694,33 @@ impl RequestHandle {
     }
 
     /// A detached cancellation handle for this request: a cheap clone
-    /// of the shared state that outlives the handle (or the future
-    /// wrapping it), so a front end can drop the result claim yet still
-    /// discard the queued work later.
+    /// of the shared state that outlives the handle, so a front end can
+    /// drop the result claim yet still discard the queued work later.
+    /// Cancelling a request that already resolved (including one shed
+    /// at admission) is a no-op.
     pub fn canceller(&self) -> Canceller {
         Canceller {
             state: Arc::clone(&self.state),
         }
     }
+}
 
-    /// The async completion primitive behind
-    /// [`frontdoor::AsyncRequestHandle`](crate::frontdoor::AsyncRequestHandle):
-    /// takes the outcome if the request has resolved, otherwise parks
-    /// `waker` in the request's shared outcome slot (replacing any
+impl Future for RequestHandle {
+    type Output = Result<Coefficients, Error>;
+
+    /// Takes the outcome if the request has resolved, otherwise parks
+    /// the waker in the request's shared outcome slot (replacing any
     /// previously parked waker) to be fired exactly once at
     /// publication. The waker is registered under the outcome lock —
     /// the same lock, in the same order, publication drains it under —
     /// so a wakeup can never be lost between the check and the park.
-    pub(crate) fn poll_take(&self, waker: &Waker) -> Option<Result<Coefficients, Error>> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut outcome = self.state.outcome.lock().expect("request outcome poisoned");
         if let Some(result) = outcome.take() {
-            return Some(result);
+            return Poll::Ready(result);
         }
-        *self.state.waker.lock().expect("request waker poisoned") = Some(waker.clone());
-        None
+        *self.state.waker.lock().expect("request waker poisoned") = Some(cx.waker().clone());
+        Poll::Pending
     }
 }
 
@@ -635,11 +763,65 @@ enum Task {
     Channel(Arc<RequestState>, usize, usize),
 }
 
+/// The admission queue: one FIFO of freshly submitted requests per
+/// [`Priority`] class, plus the reservations that count against the
+/// same per-class limits.
+struct Injector {
+    /// Drained strictly by class, submission order within a class.
+    queues: [VecDeque<Task>; CLASSES],
+    /// Per-class count of outstanding [`Permit`]s: slots held for
+    /// requests still being split on their submitter's thread.
+    reserved: [usize; CLASSES],
+    /// Threads blocked in [`RingExecutor::reserve`]; freeing a slot
+    /// signals them only when this is non-zero.
+    waiting: usize,
+}
+
+impl Injector {
+    /// Takes one slot of `class` when `queued + reserved < limit`.
+    fn reserve(&mut self, class: usize, limit: usize) -> bool {
+        let room = self.queues[class].len() + self.reserved[class] < limit;
+        self.reserved[class] += usize::from(room);
+        room
+    }
+}
+
+/// Lock-free admission counters (the internal form of
+/// [`AdmissionStats`]). Every access is Relaxed: they are monotonic
+/// statistics, nothing is published through them, and a snapshot is
+/// deliberately not atomic across fields.
+#[derive(Default)]
+struct Counters {
+    submitted: AtomicU64,
+    admitted: AtomicU64,
+    shed_at_submit: [AtomicU64; CLASSES],
+    shed_at_deadline: AtomicU64,
+    cancelled: AtomicU64,
+    queue_high_water: [AtomicUsize; CLASSES],
+}
+
+impl Counters {
+    /// Counts a published outcome that is a deadline shed or a
+    /// cancellation.
+    fn count_outcome(&self, outcome: &Result<Coefficients, Error>) {
+        let counter = match outcome {
+            Err(Error::DeadlineExceeded) => &self.shed_at_deadline,
+            Err(Error::Cancelled) => &self.cancelled,
+            _ => return,
+        };
+        // ORDERING: Relaxed statistics counter (see `Counters`).
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Queue state shared between the executor handle and its workers.
 struct Shared {
-    /// New requests land here: one FIFO per [`Priority`] class, drained
-    /// strictly by class (submission order within a class).
-    injector: Mutex<[VecDeque<Task>; CLASSES]>,
+    /// New requests land here, and admission is decided under this lock.
+    injector: Mutex<Injector>,
+    /// Wakes threads blocked in [`RingExecutor::reserve`] (paired with
+    /// `injector`): signalled when a slot frees — a worker dequeuing a
+    /// request, or a permit released unspent.
+    freed: Condvar,
     /// Per-worker deques: the owner pushes/pops the back (LIFO keeps a
     /// request's channels hot in one worker's cache), thieves take the
     /// front (FIFO steals the oldest, largest-granularity work).
@@ -648,9 +830,29 @@ struct Shared {
     idle: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
+    counters: Counters,
 }
 
 impl Shared {
+    /// Turns one reservation of `class` into its queue entry under the
+    /// one lock, so the slot is never free in between. Returns the
+    /// class's queue depth after the push.
+    fn enqueue_reserved(&self, class: usize, task: Task) -> usize {
+        let mut injector = self.injector.lock().expect("injector poisoned");
+        injector.reserved[class] -= 1;
+        injector.queues[class].push_back(task);
+        injector.queues[class].len()
+    }
+
+    /// Gives one reservation of `class` back unspent.
+    fn release_reserved(&self, class: usize) {
+        let mut injector = self.injector.lock().expect("injector poisoned");
+        injector.reserved[class] -= 1;
+        if injector.waiting > 0 {
+            self.freed.notify_all();
+        }
+    }
+
     /// Pops work: own deque first (back), then the injector (highest
     /// non-empty class), then a steal sweep over the other workers'
     /// deques (front). In-flight channels in the local deques outrank
@@ -665,11 +867,14 @@ impl Shared {
             return Some(task);
         }
         {
-            let mut classes = self.injector.lock().expect("injector poisoned");
-            for class in classes.iter_mut() {
-                if let Some(task) = class.pop_front() {
-                    return Some(task);
+            let mut injector = self.injector.lock().expect("injector poisoned");
+            if let Some(task) = injector.queues.iter_mut().find_map(VecDeque::pop_front) {
+                // A slot just freed. Signal only when a reserver waits,
+                // so the common dequeue makes no syscall.
+                if injector.waiting > 0 {
+                    self.freed.notify_all();
                 }
+                return Some(task);
             }
         }
         let n = self.locals.len();
@@ -851,7 +1056,7 @@ impl Shared {
                 }))
                 .unwrap_or(Err(Error::JoinPanicked))
             };
-            state.publish(resolved);
+            state.publish(resolved, &self.counters);
             return;
         }
         if !failed {
@@ -909,7 +1114,7 @@ impl Shared {
                     // request resolves here, before any fan-out, so no
                     // work item of any node ever reaches a kernel.
                     if let Some(reason) = state.shed_reason() {
-                        state.publish(Err(reason));
+                        state.publish(Err(reason), &self.counters);
                         continue;
                     }
                     // Fan out every root node's channels: keep the
@@ -964,6 +1169,7 @@ impl Shared {
             .injector
             .lock()
             .expect("injector poisoned")
+            .queues
             .iter()
             .any(|class| !class.is_empty())
         {
@@ -975,36 +1181,132 @@ impl Shared {
     }
 }
 
-/// A work-stealing pool of worker threads serving polymul requests
-/// against shared rings.
+/// A point-in-time snapshot of a pool's admission accounting
+/// ([`RingExecutor::stats`]). All counters are monotonic; per-class
+/// arrays are indexed in [`Priority::ALL`] drain order
+/// (`[High, Normal, Low]`) — or use the `*_for` accessors.
 ///
-/// The pool is ring-agnostic: each request names its ring, so one
-/// executor can serve several rings (different moduli, different
-/// geometries) at once. Workers live until the executor is dropped;
-/// dropping waits for in-flight requests to finish executing.
-pub struct RingExecutor {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+/// The books always balance:
+/// `admitted + shed_at_submit (summed) == submitted` — see
+/// [`reconciles`](AdmissionStats::reconciles). `shed_at_deadline` and
+/// `cancelled` count *admitted* requests by their eventual outcome,
+/// recorded at publication (not at wait), so they stay exact even for
+/// handles the caller dropped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AdmissionStats {
+    /// Requests offered to the pool (admitted or shed at submit;
+    /// requests rejected by *validation* — malformed operands — are not
+    /// counted).
+    pub submitted: u64,
+    /// Requests that passed admission and validation.
+    pub admitted: u64,
+    /// Requests shed with [`Error::Overloaded`] because their class was
+    /// at its depth limit, per class.
+    pub shed_at_submit: [u64; CLASSES],
+    /// Admitted requests whose outcome was
+    /// [`Error::DeadlineExceeded`] (shed at submit-time expiry or at
+    /// dequeue).
+    pub shed_at_deadline: u64,
+    /// Admitted requests whose outcome was [`Error::Cancelled`].
+    pub cancelled: u64,
+    /// The deepest each class's pending queue got, per class.
+    pub queue_high_water: [usize; CLASSES],
 }
 
-impl RingExecutor {
-    /// Starts a pool of `workers` OS threads.
+impl AdmissionStats {
+    /// Requests shed at submit across every class.
+    pub fn shed_at_submit_total(&self) -> u64 {
+        self.shed_at_submit.iter().sum()
+    }
+
+    /// Requests shed at submit in one class.
+    pub fn shed_at_submit_for(&self, class: Priority) -> u64 {
+        self.shed_at_submit[class.class()]
+    }
+
+    /// One class's queue high-water mark.
+    pub fn high_water_for(&self, class: Priority) -> usize {
+        self.queue_high_water[class.class()]
+    }
+
+    /// Whether the books balance: every request offered to the pool was
+    /// either admitted or shed at submit.
+    pub fn reconciles(&self) -> bool {
+        self.admitted + self.shed_at_submit_total() == self.submitted
+    }
+}
+
+/// Configures and builds a [`RingExecutor`]: worker count plus
+/// per-class admission depth limits.
+///
+/// ```
+/// use mqx::{Priority, RingExecutor};
+///
+/// let pool = RingExecutor::builder(2)
+///     .queue_depth(256)                      // all classes
+///     .queue_depth_for(Priority::Low, 32)    // bulk work gets less slack
+///     .build()?;
+/// assert_eq!(pool.queue_depth_limit(Priority::Low), 32);
+/// assert_eq!(pool.queue_depth_limit(Priority::High), 256);
+/// # Ok::<(), mqx::Error>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct RingExecutorBuilder {
+    workers: usize,
+    depths: [usize; CLASSES],
+}
+
+impl RingExecutorBuilder {
+    /// Starts a builder for a pool of `workers` threads, every class at
+    /// [`DEFAULT_QUEUE_DEPTH`].
+    pub fn new(workers: usize) -> RingExecutorBuilder {
+        RingExecutorBuilder {
+            workers,
+            depths: [DEFAULT_QUEUE_DEPTH; CLASSES],
+        }
+    }
+
+    /// Sets every class's queue-depth limit. A class whose pending
+    /// queue is at its limit sheds further submits with
+    /// [`Error::Overloaded`]; depth `0` sheds every submit of that
+    /// class.
+    pub fn queue_depth(mut self, depth: usize) -> RingExecutorBuilder {
+        self.depths = [depth; CLASSES];
+        self
+    }
+
+    /// Sets one class's queue-depth limit (see
+    /// [`queue_depth`](RingExecutorBuilder::queue_depth)).
+    pub fn queue_depth_for(mut self, class: Priority, depth: usize) -> RingExecutorBuilder {
+        self.depths[class.class()] = depth;
+        self
+    }
+
+    /// Builds the pool, starting its worker threads.
     ///
     /// # Errors
     ///
-    /// [`Error::NoWorkers`] when `workers == 0`.
-    pub fn new(workers: usize) -> Result<RingExecutor, Error> {
-        if workers == 0 {
+    /// [`Error::NoWorkers`] when the builder was given zero workers.
+    pub fn build(self) -> Result<RingExecutor, Error> {
+        if self.workers == 0 {
             return Err(Error::NoWorkers);
         }
         let shared = Arc::new(Shared {
-            injector: Mutex::new(std::array::from_fn(|_| VecDeque::new())),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            injector: Mutex::new(Injector {
+                queues: std::array::from_fn(|_| VecDeque::new()),
+                reserved: [0; CLASSES],
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+            locals: (0..self.workers)
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             idle: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            counters: Counters::default(),
         });
-        let handles = (0..workers)
+        let handles = (0..self.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -1016,7 +1318,57 @@ impl RingExecutor {
         Ok(RingExecutor {
             shared,
             workers: handles,
+            limits: self.depths,
         })
+    }
+}
+
+/// A work-stealing pool of worker threads serving ring requests against
+/// shared rings, behind bounded per-class admission.
+///
+/// * [`submit`](RingExecutor::submit) — admit-or-shed, returning a
+///   [`RequestHandle`] (blocking handle and [`Future`] in one); a class
+///   at its depth limit resolves the handle at once with
+///   [`Error::Overloaded`].
+/// * [`reserve`](RingExecutor::reserve) /
+///   [`submit_reserved`](RingExecutor::submit_reserved) — the
+///   backpressure path: block until the class has room, then submit
+///   unsheddable. [`serve`](RingExecutor::serve) takes this path for
+///   every request of a batch.
+/// * [`stats`](RingExecutor::stats) — the reconciling
+///   [`AdmissionStats`] snapshot.
+///
+/// The pool is ring-agnostic: each request names its ring, so one
+/// executor can serve several rings (different moduli, different
+/// geometries) at once. Workers live until the executor is dropped;
+/// dropping waits for in-flight requests to finish executing.
+pub struct RingExecutor {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    limits: [usize; CLASSES],
+}
+
+impl RingExecutor {
+    /// Starts configuring a pool (see [`RingExecutorBuilder`]).
+    pub fn builder(workers: usize) -> RingExecutorBuilder {
+        RingExecutorBuilder::new(workers)
+    }
+
+    /// Starts a pool of `workers` OS threads, every class at
+    /// [`DEFAULT_QUEUE_DEPTH`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NoWorkers`] when `workers == 0`.
+    pub fn new(workers: usize) -> Result<RingExecutor, Error> {
+        RingExecutorBuilder::new(workers).build()
+    }
+
+    /// The pool itself. A shim kept so code written against the former
+    /// two-layer front door (`door.executor().submit(…)`) still
+    /// compiles; its only callers are the serving benchmark and tests.
+    pub fn executor(&self) -> &Self {
+        self
     }
 
     /// Number of worker threads.
@@ -1024,169 +1376,247 @@ impl RingExecutor {
         self.workers.len()
     }
 
+    /// One class's configured admission depth limit.
+    pub fn queue_depth_limit(&self, class: Priority) -> usize {
+        self.limits[class.class()]
+    }
+
     /// A cheap snapshot of the pending queue length of every
     /// [`Priority`] class (drain order: `[High, Normal, Low]`) — the
     /// requests injected but not yet picked up by a worker. Channels of
     /// requests already being fanned out or executed are not counted,
     /// and a multi-node [`OpGraph`] request occupies exactly **one**
-    /// entry however many node × channel work items it will fan out to:
-    /// this is the *admission* depth, the number a bounded front door
-    /// compares against its per-class limits, and the number to watch
+    /// entry however many node × channel work items it will fan out to.
+    /// Together with outstanding [`Permit`]s this is what admission
+    /// compares against the per-class limits, and the number to watch
     /// when debugging saturation (a class pinned at its limit is
     /// shedding or starving).
     ///
-    /// Accounting is implicit — the injector FIFOs themselves are
-    /// measured under their lock, so the snapshot is exact at the
-    /// instant it is taken and cannot drift from reality the way a
-    /// shadow counter could.
+    /// The injector FIFOs themselves are measured under their lock, so
+    /// the snapshot is exact at the instant it is taken.
     pub fn queue_depths(&self) -> [usize; CLASSES] {
-        let classes = self.shared.injector.lock().expect("injector poisoned");
-        std::array::from_fn(|class| classes[class].len())
+        let injector = self.shared.injector.lock().expect("injector poisoned");
+        std::array::from_fn(|class| injector.queues[class].len())
     }
 
     /// The pending queue length of one [`Priority`] class (see
     /// [`queue_depths`](RingExecutor::queue_depths)).
     pub fn queue_depth(&self, priority: Priority) -> usize {
-        self.shared.injector.lock().expect("injector poisoned")[priority.class()].len()
+        self.shared
+            .injector
+            .lock()
+            .expect("injector poisoned")
+            .queues[priority.class()]
+        .len()
     }
 
-    /// Queues one request against `ring` and returns a handle to its
-    /// eventual result. Operands are validated (count, length,
-    /// coefficient range, representation) up front, so errors
-    /// surface here rather than inside the pool. The request's
-    /// [`SubmitOptions`] govern its injector class and deadline; a
-    /// deadline already expired at submit resolves the handle to
-    /// [`Error::DeadlineExceeded`] immediately, without queueing (and
-    /// without running) anything.
+    /// Queues one request against `ring` through admission control and
+    /// returns a handle to its eventual result.
+    ///
+    /// A request whose [`Priority`] class is at its depth limit is
+    /// **shed**: the handle comes back already resolved with
+    /// [`Error::Overloaded`] — no split, no kernel, no blocking. (See
+    /// [`reserve`](RingExecutor::reserve) for backpressure instead.)
+    /// Otherwise the operands are validated (count, length, coefficient
+    /// range, representation) and split on the calling thread, outside
+    /// every pool lock, while a reservation holds the request's slot.
+    /// A deadline already expired at that point resolves the handle to
+    /// [`Error::DeadlineExceeded`] without queueing anything.
     ///
     /// # Errors
     ///
-    /// [`Error::NoNegacyclicSupport`] for a negacyclic request on a ring
-    /// without one, [`Error::UnsupportedOp`] for an op the ring cannot
-    /// execute, [`Error::OperandCountMismatch`] when the operand count
-    /// does not match the op's arity, [`Error::OperandLengthMismatch`]
-    /// for unequal binary operands, [`Error::ChannelCountMismatch`] for
-    /// a `split` whose decomposition is empty or uneven (a misbehaving
+    /// Validation failures only: [`Error::NoNegacyclicSupport`] for a
+    /// negacyclic request on a ring without one,
+    /// [`Error::UnsupportedOp`] for an op the ring cannot execute,
+    /// [`Error::OperandCountMismatch`] when the operand count does not
+    /// match the op's arity, [`Error::OperandLengthMismatch`] for
+    /// unequal binary operands, [`Error::ChannelCountMismatch`] for a
+    /// `split` whose decomposition is empty or uneven (a misbehaving
     /// [`PolyRing`] impl), plus the [`PolyRing::split`] validation
-    /// errors.
+    /// errors. Overload is *not* an `Err` from this method — it
+    /// resolves through the handle, like every other serving outcome.
     pub fn submit(
         &self,
         ring: &Arc<dyn PolyRing>,
         request: RingRequest,
     ) -> Result<RequestHandle, Error> {
-        self.submit_with_hook(ring, request, None)
+        let class = request.options.priority;
+        if let Some(permit) = self.try_reserve(class) {
+            return self.submit_reserved(permit, ring, request);
+        }
+        let counters = &self.shared.counters;
+        // ORDERING: Relaxed statistics counters (see `Counters`).
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        counters.shed_at_submit[class.class()].fetch_add(1, Ordering::Relaxed);
+        // Resolved before anyone can wait on it, so there is nobody to
+        // notify: the outcome is simply born published.
+        let shed = Err(Error::Overloaded {
+            class,
+            depth: self.limits[class.class()],
+        });
+        let state = RequestState {
+            outcome: Mutex::new(Some(shed)),
+            ..RequestState::bare(ring, request.graph, None)
+        };
+        Ok(RequestHandle {
+            state: Arc::new(state),
+        })
     }
 
-    /// [`submit`](RingExecutor::submit) with an optional publish
-    /// observer: `hook` fires exactly once, just before the request's
-    /// outcome becomes observable — even when the request is shed or
-    /// its handle/future is dropped without waiting. This is how the
-    /// [`frontdoor`](crate::frontdoor) keeps deadline-shed and
-    /// cancellation counts exact without requiring callers to consume
-    /// every handle.
-    pub(crate) fn submit_with_hook(
+    /// Tries to reserve one queue slot in `class` without blocking:
+    /// `None` when the class is at its limit. The returned [`Permit`]
+    /// holds the slot until it is spent
+    /// ([`submit_reserved`](RingExecutor::submit_reserved)) or dropped.
+    pub fn try_reserve(&self, class: Priority) -> Option<Permit<'_>> {
+        let idx = class.class();
+        let reserved = self
+            .shared
+            .injector
+            .lock()
+            .expect("injector poisoned")
+            .reserve(idx, self.limits[idx]);
+        // Built only on success: a permit's Drop gives a slot back.
+        reserved.then(|| Permit { pool: self, class })
+    }
+
+    /// Reserves one queue slot in `class`, blocking until the class has
+    /// room — backpressure for well-behaved clients, instead of the
+    /// shedding an unreserved [`submit`](RingExecutor::submit) risks.
+    /// The wait ends as soon as a worker dequeues a request of the
+    /// class or another permit is dropped unspent: both signal blocked
+    /// reservers.
+    ///
+    /// A class with depth limit `0` never has room; prefer
+    /// [`reserve_timeout`](RingExecutor::reserve_timeout) when the
+    /// limit is not known to be positive.
+    pub fn reserve(&self, class: Priority) -> Permit<'_> {
+        self.reserve_until(class, None)
+            .expect("an unbounded reserve returns only with a permit")
+    }
+
+    /// [`reserve`](RingExecutor::reserve) with a bound: gives up and
+    /// returns `None` once `timeout` has elapsed without room.
+    pub fn reserve_timeout(&self, class: Priority, timeout: Duration) -> Option<Permit<'_>> {
+        self.reserve_until(class, Some(Instant::now() + timeout))
+    }
+
+    fn reserve_until(&self, class: Priority, deadline: Option<Instant>) -> Option<Permit<'_>> {
+        let idx = class.class();
+        let mut injector = self.shared.injector.lock().expect("injector poisoned");
+        while !injector.reserve(idx, self.limits[idx]) {
+            let timeout = match deadline {
+                Some(deadline) => Some(
+                    deadline
+                        .checked_duration_since(Instant::now())
+                        .filter(|left| !left.is_zero())?,
+                ),
+                None => None,
+            };
+            injector.waiting += 1;
+            injector = match timeout {
+                Some(timeout) => {
+                    self.shared
+                        .freed
+                        .wait_timeout(injector, timeout)
+                        .expect("injector poisoned")
+                        .0
+                }
+                None => self.shared.freed.wait(injector).expect("injector poisoned"),
+            };
+            injector.waiting -= 1;
+        }
+        Some(Permit { pool: self, class })
+    }
+
+    /// Spends `permit` to submit one request that **cannot** be shed at
+    /// admission: the reservation already holds its queue slot, so the
+    /// request enters the queue even if the class has meanwhile filled.
+    /// The request rides in the permit's class, whatever its own
+    /// priority option says.
+    ///
+    /// The permit is consumed either way; on a validation error or an
+    /// expired deadline the reserved slot is released back to the
+    /// class.
+    ///
+    /// # Errors
+    ///
+    /// The same validation failures as [`submit`](RingExecutor::submit)
+    /// — never [`Error::Overloaded`].
+    pub fn submit_reserved(
         &self,
+        permit: Permit<'_>,
         ring: &Arc<dyn PolyRing>,
         request: RingRequest,
-        on_publish: Option<PublishHook>,
     ) -> Result<RequestHandle, Error> {
-        let RingRequest {
-            graph,
-            operands,
-            options,
-        } = request;
-        // The fan-out plan: split operands plus every node's channel
-        // widths on this ring, validated before anything is queued. The
-        // operands are handed over, so a word ring keeps them instead of
-        // copying.
-        let operands = operands.into_iter().map(Cow::Owned).collect();
-        let (inputs, plan) = split_and_plan(&**ring, &graph, operands)?;
-        // Scheduling topology: indegrees count *distinct* predecessor
-        // nodes (a node consuming the same predecessor twice still waits
-        // for one completion), successors mirror them.
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
-        let mut roots = Vec::new();
-        let mut indegree = vec![0_usize; graph.len()];
-        for (id, node) in graph.nodes().iter().enumerate() {
-            let preds: BTreeSet<usize> = node
-                .operands()
-                .iter()
-                .filter_map(|operand| match *operand {
-                    Operand::Node(j) => Some(j),
-                    Operand::Input(_) => None,
-                })
-                .collect();
-            indegree[id] = preds.len();
-            if preds.is_empty() {
-                roots.push(id);
-            }
-            for j in preds {
-                successors[j].push(id);
-            }
+        // A validation error returns here and drops the permit, which
+        // releases the slot.
+        let state = Arc::new(RequestState::planned(ring, request)?);
+        let counters = &self.shared.counters;
+        // ORDERING: Relaxed statistics counters (see `Counters`).
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        counters.admitted.fetch_add(1, Ordering::Relaxed);
+        if state
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            // Dead on arrival: resolve without touching the queues, so
+            // zero work items execute even on a saturated pool.
+            drop(permit);
+            state.publish(Err(Error::DeadlineExceeded), counters);
+            return Ok(RequestHandle { state });
         }
-        let nodes = plan
-            .iter()
-            .zip(successors)
-            .zip(&indegree)
-            .map(|((widths, successors), &pending)| NodeExec {
-                in_width: widths.input,
-                tasks: widths.output,
-                slots: Mutex::new(vec![None; widths.output]),
-                remaining: AtomicUsize::new(widths.output),
-                // ORDERING: plain constructor stores — the Arc
-                // publication below (injector mutex) orders them before
-                // any worker's first load.
-                pending: AtomicUsize::new(pending),
-                successors,
-                output: OnceLock::new(),
-            })
-            .collect();
-        let state = Arc::new(RequestState {
-            ring: Arc::clone(ring),
-            graph,
-            inputs,
-            nodes,
-            roots,
-            deadline: options.deadline,
-            cancelled: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
-            first_error: Mutex::new(None),
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-            waker: Mutex::new(None),
-            on_publish,
-        });
-        if let Some(deadline) = options.deadline {
-            if Instant::now() >= deadline {
-                // Dead on arrival: resolve without touching the queues,
-                // so zero work items execute even on a saturated pool.
-                // `publish` (not a bare outcome write) so the publish
-                // hook still observes the shed.
-                state.publish(Err(Error::DeadlineExceeded));
-                return Ok(RequestHandle { state });
-            }
-        }
-        self.shared.injector.lock().expect("injector poisoned")[options.priority.class()]
-            .push_back(Task::Request(Arc::clone(&state)));
+        let class = permit.class.class();
+        let depth = self
+            .shared
+            .enqueue_reserved(class, Task::Request(Arc::clone(&state)));
+        // The reservation is now the queue entry: nothing is left for
+        // the permit's Drop to release.
+        std::mem::forget(permit);
+        // ORDERING: Relaxed statistics counter (see `Counters`).
+        counters.queue_high_water[class].fetch_max(depth, Ordering::Relaxed);
         // One queued item, one woken worker.
         self.shared.notify_one();
         Ok(RequestHandle { state })
     }
 
+    /// A point-in-time [`AdmissionStats`] snapshot.
+    pub fn stats(&self) -> AdmissionStats {
+        let counters = &self.shared.counters;
+        // ORDERING: Relaxed reads of statistics counters (see
+        // `Counters`).
+        AdmissionStats {
+            submitted: counters.submitted.load(Ordering::Relaxed),
+            admitted: counters.admitted.load(Ordering::Relaxed),
+            shed_at_submit: std::array::from_fn(|i| {
+                counters.shed_at_submit[i].load(Ordering::Relaxed)
+            }),
+            shed_at_deadline: counters.shed_at_deadline.load(Ordering::Relaxed),
+            cancelled: counters.cancelled.load(Ordering::Relaxed),
+            // ORDERING: Relaxed, as for every counter above.
+            queue_high_water: std::array::from_fn(|i| {
+                counters.queue_high_water[i].load(Ordering::Relaxed)
+            }),
+        }
+    }
+
     /// Queues a whole batch and blocks for all results, returned in
-    /// submission order. All requests are injected before the first
-    /// wait, so the pool sees the full `channels × batch` work list at
-    /// once.
+    /// submission order. Each request takes a [`reserve`]d slot, so a
+    /// batch deeper than its class's limit is back-pressured, never
+    /// shed; up to that limit, the pool sees the `channels × batch`
+    /// work list at once.
     ///
     /// # Errors
     ///
-    /// The first error — at submit (validation) or at wait (a channel
-    /// failure, or a request shed by its deadline or cancelled from
-    /// another thread). Since the whole batch fails as one, the other
-    /// requests of the batch are cancelled (via the cooperative
-    /// cancellation path) and drained before this returns, so a failed
-    /// batch leaves the pool idle instead of leaking orphaned work
-    /// whose results nobody collects.
+    /// The first error — at submit (validation, or
+    /// [`Error::Overloaded`] for a class whose limit is `0`) or at wait
+    /// (a channel failure, or a request shed by its deadline or
+    /// cancelled from another thread). Since the whole batch fails as
+    /// one, the other requests of the batch are cancelled (via the
+    /// cooperative cancellation path) and drained before this returns,
+    /// so a failed batch leaves the pool idle instead of leaking
+    /// orphaned work whose results nobody collects.
+    ///
+    /// [`reserve`]: RingExecutor::reserve
     pub fn serve(
         &self,
         ring: &Arc<dyn PolyRing>,
@@ -1194,7 +1624,12 @@ impl RingExecutor {
     ) -> Result<Vec<Coefficients>, Error> {
         let mut handles = Vec::with_capacity(requests.len());
         for request in requests {
-            match self.submit(ring, request) {
+            let class = request.options.priority;
+            let submitted = match self.limits[class.class()] {
+                0 => Err(Error::Overloaded { class, depth: 0 }),
+                _ => self.submit_reserved(self.reserve(class), ring, request),
+            };
+            match submitted {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {
                     cancel_and_drain(handles);
@@ -1248,6 +1683,39 @@ impl std::fmt::Debug for RingExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RingExecutor")
             .field("workers", &self.workers.len())
+            .field("limits", &self.limits)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// A reserved queue slot in one [`Priority`] class —
+/// [`RingExecutor::reserve`]'s backpressure token. Spend it with
+/// [`RingExecutor::submit_reserved`] for an unsheddable submit; dropping
+/// it unspent releases the slot and wakes blocked reservers.
+#[must_use = "a permit holds a queue slot; spend it with submit_reserved or drop it"]
+pub struct Permit<'a> {
+    pool: &'a RingExecutor,
+    class: Priority,
+}
+
+impl Permit<'_> {
+    /// The class this permit reserves a slot in.
+    pub fn class(&self) -> Priority {
+        self.class
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.pool.shared.release_reserved(self.class.class());
+    }
+}
+
+impl std::fmt::Debug for Permit<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Permit")
+            .field("class", &self.class)
             .finish()
     }
 }
@@ -1258,6 +1726,8 @@ mod tests {
     use crate::{Ring, RnsRing};
     use mqx_bignum::BigUint;
     use mqx_core::primes;
+    use std::sync::mpsc;
+    use std::task::Wake;
 
     const N: usize = 64;
 
@@ -1684,111 +2154,131 @@ mod tests {
         assert!(matches!(served, Ok(Ok(_))), "the worker died");
     }
 
+    /// A ring whose work items each wait for the test to open a gate
+    /// (one `send` per item), so a waker can be parked before the
+    /// request publishes.
+    struct Gated {
+        inner: Ring,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl PolyRing for Gated {
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn modulus_bits(&self) -> u64 {
+            PolyRing::modulus_bits(&self.inner)
+        }
+        fn supports_negacyclic(&self) -> bool {
+            self.inner.supports_negacyclic()
+        }
+        fn channels(&self) -> usize {
+            1
+        }
+        fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+            self.inner.split_cow(coeffs)
+        }
+        fn channel_apply_at_into(
+            &self,
+            op: &RingOp,
+            width: usize,
+            channel: usize,
+            a: &[Vec<u128>],
+            b: Option<&[Vec<u128>]>,
+            out: &mut Vec<u128>,
+        ) -> Result<(), Error> {
+            self.gate.lock().unwrap().recv().unwrap();
+            self.inner
+                .channel_apply_at_into(op, width, channel, a, b, out)
+        }
+        fn join_at(&self, width: usize, parts: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+            self.inner.join_at(width, parts)
+        }
+    }
+
+    /// A gated `Q124` ring of size `N`, plus the sender that opens its
+    /// gate for one work item per `send`.
+    fn gated_ring() -> (Arc<dyn PolyRing>, mpsc::Sender<()>) {
+        let (open, gate) = mpsc::channel();
+        let ring = Gated {
+            inner: Ring::auto(primes::Q124, N).unwrap(),
+            gate: Mutex::new(gate),
+        };
+        (Arc::new(ring), open)
+    }
+
+    /// A waker that records the wake, then panics.
+    struct Bomb(AtomicBool);
+
+    impl Wake for Bomb {
+        fn wake(self: Arc<Self>) {
+            // ORDERING: SeqCst; a test flag read after the pool served
+            // a later request.
+            self.0.store(true, Ordering::SeqCst);
+            panic!("waker bomb");
+        }
+    }
+
+    /// Polls `handle` once, parking a [`Bomb`] waker when it is pending.
+    fn poll_with_bomb(handle: &mut RequestHandle) -> (Arc<Bomb>, bool) {
+        let bomb = Arc::new(Bomb(AtomicBool::new(false)));
+        let waker = Waker::from(Arc::clone(&bomb));
+        let pending = Pin::new(handle)
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending();
+        (bomb, pending)
+    }
+
+    /// The pool counts an outcome where it is published, before the
+    /// parked waker fires: a cancelled request whose waker panics is
+    /// still counted, still resolves, and the pool keeps serving.
     #[test]
     fn panicking_publish_hook_still_resolves_the_handle() {
-        let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
+        let (ring, open) = gated_ring();
         let pool = RingExecutor::new(1).unwrap();
         let a = poly(N, primes::Q124, 17);
-        let expected = ring
-            .polymul(PolyOp::Cyclic, &a.clone().into(), &a.clone().into())
-            .unwrap();
-        let fired = Arc::new(AtomicBool::new(false));
-        let hook_fired = Arc::clone(&fired);
-        let hook: PublishHook = Box::new(move |_| {
-            // ORDERING: SeqCst; a test flag read after the handle resolves.
-            hook_fired.store(true, Ordering::SeqCst);
-            panic!("publish hook bomb");
-        });
-        let handle = pool
-            .submit_with_hook(
-                &ring,
-                RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
-                Some(hook),
-            )
-            .unwrap();
-        let resolved = handle
+        let request = || RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into());
+        // The first request holds the only worker at the gate, so the
+        // second stays queued until it is cancelled.
+        let running = pool.submit(&ring, request()).unwrap();
+        let mut victim = pool.submit(&ring, request()).unwrap();
+        let (bomb, pending) = poll_with_bomb(&mut victim);
+        assert!(pending, "the gate is shut");
+        victim.cancel();
+        open.send(()).unwrap();
+        let served = running.wait_timeout(RESOLVES_WITHIN);
+        assert!(matches!(served, Ok(Ok(_))));
+        let resolved = victim
             .wait_timeout(RESOLVES_WITHIN)
             .expect("the handle resolves");
-        assert_eq!(resolved.unwrap(), expected);
-        // ORDERING: SeqCst, as at the store.
-        assert!(fired.load(Ordering::SeqCst));
+        assert!(matches!(resolved, Err(Error::Cancelled)));
+        let stats = pool.stats();
+        assert_eq!((stats.admitted, stats.cancelled), (2, 1));
+        assert!(stats.reconciles());
+        // One worker: the follow-up runs only after the publish that
+        // fired the waker has returned.
         assert_pool_still_serves(&pool);
+        // ORDERING: SeqCst, as at the store.
+        assert!(bomb.0.load(Ordering::SeqCst), "the parked waker fired");
     }
 
     #[test]
     fn panicking_waker_still_resolves_the_handle() {
-        use std::sync::mpsc;
-        use std::task::Wake;
-
-        /// A ring whose work items wait for the test to open a gate, so
-        /// the waker is parked before the request can publish.
-        struct Gated {
-            inner: Ring,
-            gate: Mutex<mpsc::Receiver<()>>,
-        }
-        impl PolyRing for Gated {
-            fn size(&self) -> usize {
-                self.inner.size()
-            }
-            fn modulus_bits(&self) -> u64 {
-                PolyRing::modulus_bits(&self.inner)
-            }
-            fn supports_negacyclic(&self) -> bool {
-                self.inner.supports_negacyclic()
-            }
-            fn channels(&self) -> usize {
-                1
-            }
-            fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
-                self.inner.split_cow(coeffs)
-            }
-            fn channel_apply_at_into(
-                &self,
-                op: &RingOp,
-                width: usize,
-                channel: usize,
-                a: &[Vec<u128>],
-                b: Option<&[Vec<u128>]>,
-                out: &mut Vec<u128>,
-            ) -> Result<(), Error> {
-                self.gate.lock().unwrap().recv().unwrap();
-                self.inner
-                    .channel_apply_at_into(op, width, channel, a, b, out)
-            }
-            fn join_at(&self, width: usize, parts: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-                self.inner.join_at(width, parts)
-            }
-        }
-
-        /// A waker that records the wake, then panics.
-        struct Bomb(AtomicBool);
-        impl Wake for Bomb {
-            fn wake(self: Arc<Self>) {
-                // ORDERING: SeqCst; a test flag read after the pool
-                // served a later request.
-                self.0.store(true, Ordering::SeqCst);
-                panic!("waker bomb");
-            }
-        }
-
-        let (open, gate) = mpsc::channel();
-        let inner = Ring::auto(primes::Q124, N).unwrap();
+        let (ring, open) = gated_ring();
         let a = poly(N, primes::Q124, 19);
-        let expected = inner.polymul_cyclic(&a, &a).unwrap();
-        let ring: Arc<dyn PolyRing> = Arc::new(Gated {
-            inner,
-            gate: Mutex::new(gate),
-        });
+        let expected = Ring::auto(primes::Q124, N)
+            .unwrap()
+            .polymul_cyclic(&a, &a)
+            .unwrap();
         let pool = RingExecutor::new(1).unwrap();
-        let handle = pool
+        let mut handle = pool
             .submit(
                 &ring,
                 RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
             )
             .unwrap();
-        let bomb = Arc::new(Bomb(AtomicBool::new(false)));
-        let waker = Waker::from(Arc::clone(&bomb));
-        assert!(handle.poll_take(&waker).is_none(), "the gate is shut");
+        let (bomb, pending) = poll_with_bomb(&mut handle);
+        assert!(pending, "the gate is shut");
         open.send(()).unwrap();
         let resolved = handle
             .wait_timeout(RESOLVES_WITHIN)
@@ -1807,12 +2297,13 @@ mod tests {
         let pool = RingExecutor::new(2).unwrap();
         let a = poly(N, primes::Q124, 9);
         for _ in 0..8 {
-            let _ = pool
+            let handle = pool
                 .submit(
                     &dyn_ring,
                     RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()),
                 )
                 .unwrap();
+            drop(handle);
         }
         // A subsequent waited request still completes.
         let handle = pool

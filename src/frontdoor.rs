@@ -1,49 +1,21 @@
-//! The async front door: [`Future`]-based request handles plus bounded
-//! admission control over a [`RingExecutor`] — the layer that lets a
-//! network service sit on the executor without unbounded memory and
-//! without a thread parked per in-flight request.
+//! Std-only async driving for [`RequestHandle`] futures — [`block_on`]
+//! and [`join_all`] — plus the names the former two-layer front door
+//! used.
 //!
-//! PR 5 gave the executor serving QoS (priorities, deadlines,
-//! cancellation) and PR 6–7 a multi-op vocabulary on fused kernels;
-//! what a million-user service still needs from the front door are the
-//! two properties every production queue has:
+//! Admission control and async completion live in the pool itself (see
+//! the [`executor`](crate::RingExecutor) docs): [`RingExecutor::submit`]
+//! sheds a full class with [`Error::Overloaded`](crate::Error::Overloaded),
+//! [`RingExecutor::reserve`] gives backpressure, and every
+//! [`RequestHandle`] is a
+//! [`Future`]`<Output = Result<Coefficients, Error>>`. The build is
+//! offline, so this module ships the minimal runtime tests, examples and
+//! thread-per-core servers drive those futures with; any waker-driven
+//! runtime can drive them too.
 //!
-//! 1. **Asynchronous completion.** [`FrontDoor::submit`] returns an
-//!    [`AsyncRequestHandle`] implementing
-//!    [`std::future::Future`]`<Output = Result<Coefficients, Error>>`.
-//!    The future parks its [`Waker`] in the request's
-//!    shared outcome slot; the worker that publishes the outcome (last
-//!    channel joined — or the request shed at its deadline, or
-//!    cancelled) fires it exactly once. No polling thread, no condvar
-//!    parked per request. Std wakers only — the build is offline, so a
-//!    minimal [`block_on`] executor (and a [`join_all`] combinator) is
-//!    shipped here for tests, examples, and thread-per-core servers;
-//!    any waker-driven runtime can drive the same futures.
-//! 2. **Bounded admission.** Each [`Priority`] class has a configurable
-//!    queue-depth limit ([`FrontDoorBuilder::queue_depth`] /
-//!    [`FrontDoorBuilder::queue_depth_for`]). A submit that would push
-//!    a class past its limit is **shed at submit**: it resolves
-//!    immediately with [`Error::Overloaded`], executes zero channels,
-//!    and never blocks the caller — overload sheds load instead of
-//!    growing queues until memory does the shedding. Well-behaved
-//!    clients that prefer waiting to shedding take the other door:
-//!    [`FrontDoor::reserve`] blocks until the class has capacity and
-//!    returns a [`Permit`] whose [`FrontDoor::submit_reserved`] cannot
-//!    be shed.
-//!
-//! Every admission decision is counted in an [`AdmissionStats`]
-//! snapshot (atomics only): `admitted + shed_at_submit == submitted`
-//! always reconciles, deadline sheds and cancellations are counted at
-//! outcome publication (so they stay exact even when the caller drops a
-//! future without awaiting it), and per-class queue high-water marks
-//! show how close each class ran to its limit.
-//!
-//! The unit of admission is the *request*, whatever its shape: a
-//! multi-node [`OpGraph`](crate::OpGraph) request submitted via
-//! [`RingRequest::graph`](crate::RingRequest::graph) occupies one
-//! queue slot, resolves through one future, and counts once in every
-//! stat, exactly like a single-op request — however many node ×
-//! channel work items it fans out to behind the door.
+//! [`FrontDoor`], [`FrontDoorBuilder`] and [`AsyncRequestHandle`] are
+//! aliases of [`RingExecutor`], [`RingExecutorBuilder`] and
+//! [`RequestHandle`], kept so code written against the front door
+//! compiles unchanged.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -75,144 +47,39 @@
 //! assert_eq!(stats.admitted, 8);
 //! # Ok::<(), mqx::Error>(())
 //! ```
+//!
+//! [`Coefficients`]: crate::Coefficients
+//! [`Error`]: crate::Error
 
-use crate::error::Error;
-use crate::executor::{
-    Canceller, Priority, PublishHook, RequestHandle, RingExecutor, RingRequest, CLASSES,
-};
-use crate::poly::{Coefficients, PolyRing};
+pub use crate::executor::{AdmissionStats, Permit, DEFAULT_QUEUE_DEPTH};
+use crate::executor::{RequestHandle, RingExecutor, RingExecutorBuilder};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::{Duration, Instant};
 
-/// Default per-class queue-depth limit when the builder does not set
-/// one: deep enough that a well-provisioned service never notices it,
-/// bounded enough that a stalled pool sheds instead of swallowing the
-/// caller's memory.
-pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
+/// The admission-controlled pool under its front-door name.
+pub type FrontDoor = RingExecutor;
 
-/// How often a blocked [`FrontDoor::reserve`] re-checks the executor's
-/// queue depth. Capacity freed by a permit drop is notified instantly;
-/// capacity freed by a worker dequeuing a request is observed on this
-/// tick (the executor's hot path stays free of admission bookkeeping).
-const RESERVE_TICK: Duration = Duration::from_millis(1);
-
-// ---------------------------------------------------------------------------
-// Async handles
-// ---------------------------------------------------------------------------
-
-/// A [`Future`]-based claim on one submitted request's eventual result
-/// — the async twin of [`RequestHandle`].
+/// [`RingExecutorBuilder`] under its front-door name.
 ///
-/// Await it on any waker-driven runtime (or this module's [`block_on`]):
-/// the waker is parked in the request's shared outcome slot and fired
-/// exactly once when the outcome is published — the last channel
-/// joining, a deadline shed, or a cancellation. Re-polling before
-/// completion replaces the parked waker, so the future is safe to move
-/// between tasks.
+/// ```
+/// use mqx::frontdoor::FrontDoor;
+/// use mqx::Priority;
 ///
-/// Dropping the future without awaiting it is fine: the request still
-/// runs to completion (its result is discarded), and admission
-/// statistics stay exact because sheds are counted at publication, not
-/// at await. To actively discard queued work after dropping the future,
-/// take a [`canceller`](AsyncRequestHandle::canceller) first.
-#[must_use = "futures do nothing unless polled; block_on or join them"]
-pub struct AsyncRequestHandle {
-    inner: Inner,
-}
+/// let door = FrontDoor::builder(2)
+///     .queue_depth(256)                      // all classes
+///     .queue_depth_for(Priority::Low, 32)    // bulk work gets less slack
+///     .build()?;
+/// assert_eq!(door.queue_depth_limit(Priority::Low), 32);
+/// assert_eq!(door.queue_depth_limit(Priority::High), 256);
+/// # Ok::<(), mqx::Error>(())
+/// ```
+pub type FrontDoorBuilder = RingExecutorBuilder;
 
-enum Inner {
-    /// In flight: polls delegate to the request's outcome slot.
-    Pending(RequestHandle),
-    /// Resolved before (or without) entering the executor — an
-    /// [`Error::Overloaded`] shed at admission. `None` once taken.
-    Ready(Option<Result<Coefficients, Error>>),
-}
-
-impl AsyncRequestHandle {
-    fn pending(handle: RequestHandle) -> AsyncRequestHandle {
-        AsyncRequestHandle {
-            inner: Inner::Pending(handle),
-        }
-    }
-
-    fn ready(result: Result<Coefficients, Error>) -> AsyncRequestHandle {
-        AsyncRequestHandle {
-            inner: Inner::Ready(Some(result)),
-        }
-    }
-
-    /// Requests cooperative cancellation (see [`RequestHandle::cancel`]);
-    /// a no-op for a request that already resolved (including one shed
-    /// at admission).
-    pub fn cancel(&self) {
-        if let Inner::Pending(handle) = &self.inner {
-            handle.cancel();
-        }
-    }
-
-    /// A detached cancellation handle that outlives this future —
-    /// `None` when the request already resolved at admission (there is
-    /// nothing left to cancel). Lets a front end drop the result claim
-    /// yet still discard the queued work later:
-    /// drop-the-future-then-cancel is a supported order.
-    pub fn canceller(&self) -> Option<Canceller> {
-        match &self.inner {
-            Inner::Pending(handle) => Some(handle.canceller()),
-            Inner::Ready(_) => None,
-        }
-    }
-
-    /// Whether the request has fully resolved (polling or
-    /// [`wait`](AsyncRequestHandle::wait) would return immediately).
-    pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            Inner::Pending(handle) => handle.is_finished(),
-            Inner::Ready(result) => result.is_some(),
-        }
-    }
-
-    /// The synchronous escape hatch: blocks the calling thread until
-    /// the request resolves. Bit-identical to awaiting the future —
-    /// both consume the same published outcome.
-    pub fn wait(self) -> Result<Coefficients, Error> {
-        match self.inner {
-            Inner::Pending(handle) => handle.wait(),
-            Inner::Ready(result) => result.expect("async handle consumed twice"),
-        }
-    }
-}
-
-impl Future for AsyncRequestHandle {
-    type Output = Result<Coefficients, Error>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &mut self.get_mut().inner {
-            Inner::Pending(handle) => match handle.poll_take(cx.waker()) {
-                Some(result) => Poll::Ready(result),
-                None => Poll::Pending,
-            },
-            Inner::Ready(result) => {
-                Poll::Ready(result.take().expect("async handle polled after completion"))
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for AsyncRequestHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncRequestHandle")
-            .field("finished", &self.is_finished())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal std-only executor: block_on + join_all
-// ---------------------------------------------------------------------------
+/// The one request handle under its front-door name: a
+/// [`RequestHandle`] is already a [`Future`].
+pub type AsyncRequestHandle = RequestHandle;
 
 /// The [`Waker`] behind [`block_on`]: wakes by unparking the polling
 /// thread. `unpark` delivers a sticky token, so a wake landing between
@@ -272,7 +139,7 @@ pub struct JoinAll<F: Future> {
 
 /// Joins a collection of futures into one future yielding every output
 /// in input order — the batch-await a serving loop uses to collect a
-/// burst of [`AsyncRequestHandle`]s in a single [`block_on`].
+/// burst of [`RequestHandle`]s in a single [`block_on`].
 ///
 /// Completed sub-futures are never re-polled; the join resolves when
 /// the last one does.
@@ -334,469 +201,12 @@ impl<F: Future> std::fmt::Debug for JoinAll<F> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Admission statistics
-// ---------------------------------------------------------------------------
-
-/// Lock-free admission counters (the internal form of
-/// [`AdmissionStats`]).
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    shed_at_submit: [AtomicU64; CLASSES],
-    shed_at_deadline: AtomicU64,
-    cancelled: AtomicU64,
-    queue_high_water: [AtomicUsize; CLASSES],
-}
-
-/// A point-in-time snapshot of a [`FrontDoor`]'s admission accounting
-/// ([`FrontDoor::stats`]). All counters are monotonic (atomics only, no
-/// locks on the submit path); per-class arrays are indexed in
-/// [`Priority::ALL`] drain order (`[High, Normal, Low]`) — or use the
-/// `*_for` accessors.
-///
-/// The books always balance:
-/// `admitted + shed_at_submit (summed) == submitted` — see
-/// [`reconciles`](AdmissionStats::reconciles). `shed_at_deadline` and
-/// `cancelled` count *admitted* requests by their eventual outcome,
-/// recorded at publication (not at await), so they stay exact even for
-/// futures the caller dropped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests offered to the front door (admitted or shed at submit;
-    /// requests rejected by *validation* — malformed operands — are not
-    /// counted).
-    pub submitted: u64,
-    /// Requests that entered the executor's queues.
-    pub admitted: u64,
-    /// Requests shed with [`Error::Overloaded`] because their class was
-    /// at its depth limit, per class.
-    pub shed_at_submit: [u64; CLASSES],
-    /// Admitted requests whose outcome was
-    /// [`Error::DeadlineExceeded`] (shed at submit-time expiry or at
-    /// dequeue).
-    pub shed_at_deadline: u64,
-    /// Admitted requests whose outcome was [`Error::Cancelled`].
-    pub cancelled: u64,
-    /// The deepest each class's pending queue got at admission time,
-    /// per class.
-    pub queue_high_water: [usize; CLASSES],
-}
-
-impl AdmissionStats {
-    /// Requests shed at submit across every class.
-    pub fn shed_at_submit_total(&self) -> u64 {
-        self.shed_at_submit.iter().sum()
-    }
-
-    /// Requests shed at submit in one class.
-    pub fn shed_at_submit_for(&self, class: Priority) -> u64 {
-        self.shed_at_submit[class.class()]
-    }
-
-    /// One class's queue high-water mark.
-    pub fn high_water_for(&self, class: Priority) -> usize {
-        self.queue_high_water[class.class()]
-    }
-
-    /// Whether the books balance: every request offered to the front
-    /// door was either admitted or shed at submit.
-    pub fn reconciles(&self) -> bool {
-        self.admitted + self.shed_at_submit_total() == self.submitted
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The front door
-// ---------------------------------------------------------------------------
-
-/// Configures and builds a [`FrontDoor`]: worker count plus per-class
-/// admission depth limits.
-///
-/// ```
-/// use mqx::frontdoor::FrontDoor;
-/// use mqx::Priority;
-///
-/// let door = FrontDoor::builder(2)
-///     .queue_depth(256)                      // all classes
-///     .queue_depth_for(Priority::Low, 32)    // bulk work gets less slack
-///     .build()?;
-/// assert_eq!(door.queue_depth_limit(Priority::Low), 32);
-/// assert_eq!(door.queue_depth_limit(Priority::High), 256);
-/// # Ok::<(), mqx::Error>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct FrontDoorBuilder {
-    workers: usize,
-    depths: [usize; CLASSES],
-}
-
-impl FrontDoorBuilder {
-    /// Starts a builder for a front door over a fresh pool of `workers`
-    /// threads, every class at [`DEFAULT_QUEUE_DEPTH`].
-    pub fn new(workers: usize) -> FrontDoorBuilder {
-        FrontDoorBuilder {
-            workers,
-            depths: [DEFAULT_QUEUE_DEPTH; CLASSES],
-        }
-    }
-
-    /// Sets every class's queue-depth limit. A class whose pending
-    /// queue is at its limit sheds further submits with
-    /// [`Error::Overloaded`]; depth `0` sheds every unreserved submit
-    /// of that class.
-    pub fn queue_depth(mut self, depth: usize) -> FrontDoorBuilder {
-        self.depths = [depth; CLASSES];
-        self
-    }
-
-    /// Sets one class's queue-depth limit (see
-    /// [`queue_depth`](FrontDoorBuilder::queue_depth)).
-    pub fn queue_depth_for(mut self, class: Priority, depth: usize) -> FrontDoorBuilder {
-        self.depths[class.class()] = depth;
-        self
-    }
-
-    /// Builds the front door (starting its executor's worker threads).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NoWorkers`] when the builder was given zero workers.
-    pub fn build(self) -> Result<FrontDoor, Error> {
-        Ok(FrontDoor {
-            pool: RingExecutor::new(self.workers)?,
-            limits: self.depths,
-            admission: Mutex::new([0; CLASSES]),
-            freed: Condvar::new(),
-            counters: Arc::new(Counters::default()),
-        })
-    }
-}
-
-/// The admission-controlled async façade over a [`RingExecutor`]: what
-/// a network service actually fronts the executor with.
-///
-/// * [`submit`](FrontDoor::submit) — admit-or-shed, returning an
-///   [`AsyncRequestHandle`] future; a class at its depth limit resolves
-///   the future immediately with [`Error::Overloaded`] (zero channels
-///   executed, zero blocking).
-/// * [`reserve`](FrontDoor::reserve) /
-///   [`submit_reserved`](FrontDoor::submit_reserved) — the backpressure
-///   path: block until the class has capacity, then submit unsheddable.
-/// * [`stats`](FrontDoor::stats) — the reconciling [`AdmissionStats`]
-///   snapshot.
-///
-/// The door owns its executor; [`executor`](FrontDoor::executor)
-/// exposes it for blocking-style submits against the same pool (the
-/// admission limits only govern requests that come through the door).
-pub struct FrontDoor {
-    pool: RingExecutor,
-    limits: [usize; CLASSES],
-    /// Per-class count of outstanding [`Permit`]s. A reservation holds
-    /// a queue slot that is not yet in the injector, so admission
-    /// compares `queued + reserved` against the limit. Doubles as the
-    /// serialization point for check-then-enqueue: depth checks and the
-    /// enqueue they authorize happen under this lock, so concurrent
-    /// submits cannot conspire past a limit.
-    admission: Mutex<[usize; CLASSES]>,
-    /// Notified when a permit releases capacity (dropped or spent).
-    freed: Condvar,
-    counters: Arc<Counters>,
-}
-
-impl FrontDoor {
-    /// Starts configuring a front door (see [`FrontDoorBuilder`]).
-    pub fn builder(workers: usize) -> FrontDoorBuilder {
-        FrontDoorBuilder::new(workers)
-    }
-
-    /// A front door over `workers` threads with every class at
-    /// [`DEFAULT_QUEUE_DEPTH`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NoWorkers`] when `workers == 0`.
-    pub fn new(workers: usize) -> Result<FrontDoor, Error> {
-        FrontDoorBuilder::new(workers).build()
-    }
-
-    /// The executor behind the door — for blocking-handle submits
-    /// against the same worker pool. Requests submitted directly bypass
-    /// admission control (and its statistics).
-    pub fn executor(&self) -> &RingExecutor {
-        &self.pool
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// One class's configured admission depth limit.
-    pub fn queue_depth_limit(&self, class: Priority) -> usize {
-        self.limits[class.class()]
-    }
-
-    /// The outcome observer installed on every admitted request: counts
-    /// deadline sheds and cancellations at publication, so the stats
-    /// stay exact even when the caller never awaits the future.
-    fn publish_hook(&self) -> PublishHook {
-        let counters = Arc::clone(&self.counters);
-        // ORDERING: all AdmissionStats counters are Relaxed — they are
-        // monotonic statistics; nothing is published through them and
-        // `stats()` reads are intentionally non-atomic snapshots.
-        Box::new(move |outcome| match outcome {
-            Err(Error::DeadlineExceeded) => {
-                counters.shed_at_deadline.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(Error::Cancelled) => {
-                counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        })
-    }
-
-    /// Submits one request through admission control, returning its
-    /// completion future.
-    ///
-    /// A request whose [`Priority`] class is at its depth limit is
-    /// **shed**: the returned future resolves immediately with
-    /// [`Error::Overloaded`] — it never enters the executor, executes
-    /// zero channels, and never blocks the caller. (Shedding is the
-    /// overload response a service wants on its *unreserved* path;
-    /// see [`reserve`](FrontDoor::reserve) for backpressure instead.)
-    ///
-    /// # Errors
-    ///
-    /// Validation failures only (the same submit-time checks as
-    /// [`RingExecutor::submit`]: arity, operand lengths, coefficient
-    /// representation, unsupported ops). Overload is *not* an `Err`
-    /// from this method — it resolves through the future, exactly like
-    /// every other per-request serving outcome.
-    pub fn submit(
-        &self,
-        ring: &Arc<dyn PolyRing>,
-        request: RingRequest,
-    ) -> Result<AsyncRequestHandle, Error> {
-        let class = request.options().priority;
-        let idx = class.class();
-        let guard = self.admission.lock().expect("admission lock poisoned");
-        let queued = self.pool.queue_depth(class);
-        if queued + guard[idx] >= self.limits[idx] {
-            drop(guard);
-            // ORDERING: Relaxed statistics counters (see publish_hook).
-            self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            self.counters.shed_at_submit[idx].fetch_add(1, Ordering::Relaxed);
-            return Ok(AsyncRequestHandle::ready(Err(Error::Overloaded {
-                class,
-                depth: self.limits[idx],
-            })));
-        }
-        let handle = self
-            .pool
-            .submit_with_hook(ring, request, Some(self.publish_hook()))?;
-        drop(guard);
-        // ORDERING: Relaxed statistics counters (see publish_hook).
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.queue_high_water[idx].fetch_max(queued + 1, Ordering::Relaxed);
-        Ok(AsyncRequestHandle::pending(handle))
-    }
-
-    /// Tries to reserve one queue slot in `class` without blocking:
-    /// `None` when the class is at its limit. The returned [`Permit`]
-    /// holds the slot until it is spent
-    /// ([`submit_reserved`](FrontDoor::submit_reserved)) or dropped.
-    pub fn try_reserve(&self, class: Priority) -> Option<Permit<'_>> {
-        let idx = class.class();
-        let mut reserved = self.admission.lock().expect("admission lock poisoned");
-        if self.pool.queue_depth(class) + reserved[idx] >= self.limits[idx] {
-            return None;
-        }
-        reserved[idx] += 1;
-        Some(Permit {
-            door: self,
-            class,
-            armed: true,
-        })
-    }
-
-    /// Reserves one queue slot in `class`, blocking until the class has
-    /// capacity — backpressure for well-behaved clients, instead of the
-    /// shedding an unreserved [`submit`](FrontDoor::submit) risks.
-    /// Capacity freed by other permits is picked up immediately;
-    /// capacity freed by workers draining the queue is observed on a
-    /// millisecond tick.
-    ///
-    /// A class with depth limit `0` can never gain capacity; prefer
-    /// [`reserve_timeout`](FrontDoor::reserve_timeout) when the limit
-    /// is not known to be positive.
-    pub fn reserve(&self, class: Priority) -> Permit<'_> {
-        loop {
-            match self.reserve_deadline(class, Instant::now() + Duration::from_secs(3600)) {
-                Some(permit) => return permit,
-                None => continue,
-            }
-        }
-    }
-
-    /// [`reserve`](FrontDoor::reserve) with a bound: gives up and
-    /// returns `None` once `timeout` has elapsed without capacity.
-    pub fn reserve_timeout(&self, class: Priority, timeout: Duration) -> Option<Permit<'_>> {
-        self.reserve_deadline(class, Instant::now() + timeout)
-    }
-
-    fn reserve_deadline(&self, class: Priority, deadline: Instant) -> Option<Permit<'_>> {
-        let idx = class.class();
-        let mut reserved = self.admission.lock().expect("admission lock poisoned");
-        loop {
-            if self.pool.queue_depth(class) + reserved[idx] < self.limits[idx] {
-                reserved[idx] += 1;
-                return Some(Permit {
-                    door: self,
-                    class,
-                    armed: true,
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            // Bounded wait: permit releases notify instantly, worker
-            // dequeues are polled on the tick.
-            let wait = RESERVE_TICK.min(deadline - now);
-            reserved = self
-                .freed
-                .wait_timeout(reserved, wait)
-                .expect("admission lock poisoned")
-                .0;
-        }
-    }
-
-    /// Spends `permit` to submit one request that **cannot** be shed at
-    /// admission: the reservation already holds its queue slot, so the
-    /// request enters the executor even if the class has meanwhile
-    /// filled. The request rides in the permit's class (its priority
-    /// option is overridden to match the reservation).
-    ///
-    /// The permit is consumed either way; on a validation error the
-    /// reserved slot is released back to the class.
-    ///
-    /// # Errors
-    ///
-    /// The same validation failures as [`submit`](FrontDoor::submit) —
-    /// never [`Error::Overloaded`].
-    pub fn submit_reserved(
-        &self,
-        permit: Permit<'_>,
-        ring: &Arc<dyn PolyRing>,
-        request: RingRequest,
-    ) -> Result<AsyncRequestHandle, Error> {
-        let class = permit.class;
-        let idx = class.class();
-        let request = request.with_priority(class);
-        let mut reserved = self.admission.lock().expect("admission lock poisoned");
-        let queued = self.pool.queue_depth(class);
-        let result = self
-            .pool
-            .submit_with_hook(ring, request, Some(self.publish_hook()));
-        // The reservation converts into a queue entry (or, on a
-        // validation error, evaporates): release it under the lock we
-        // already hold, then disarm the permit so its Drop (which would
-        // re-take the lock) does nothing.
-        reserved[idx] -= 1;
-        drop(reserved);
-        self.freed.notify_all();
-        permit.disarm();
-        let handle = result?;
-        // ORDERING: Relaxed statistics counters (see publish_hook).
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.queue_high_water[idx].fetch_max(queued + 1, Ordering::Relaxed);
-        Ok(AsyncRequestHandle::pending(handle))
-    }
-
-    /// A point-in-time [`AdmissionStats`] snapshot.
-    pub fn stats(&self) -> AdmissionStats {
-        // ORDERING: Relaxed reads of the statistics counters; the
-        // snapshot is advisory and deliberately not atomic across
-        // fields (see publish_hook).
-        AdmissionStats {
-            submitted: self.counters.submitted.load(Ordering::Relaxed),
-            admitted: self.counters.admitted.load(Ordering::Relaxed),
-            shed_at_submit: std::array::from_fn(|i| {
-                self.counters.shed_at_submit[i].load(Ordering::Relaxed)
-            }),
-            shed_at_deadline: self.counters.shed_at_deadline.load(Ordering::Relaxed),
-            cancelled: self.counters.cancelled.load(Ordering::Relaxed),
-            // ORDERING: Relaxed, as for every counter above.
-            queue_high_water: std::array::from_fn(|i| {
-                self.counters.queue_high_water[i].load(Ordering::Relaxed)
-            }),
-        }
-    }
-}
-
-impl std::fmt::Debug for FrontDoor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontDoor")
-            .field("workers", &self.workers())
-            .field("limits", &self.limits)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// A reserved queue slot in one [`Priority`] class —
-/// [`FrontDoor::reserve`]'s backpressure token. Spend it with
-/// [`FrontDoor::submit_reserved`] for an unsheddable submit; dropping
-/// it unspent releases the slot (and wakes blocked reservers).
-#[must_use = "a permit holds a queue slot; spend it with submit_reserved or drop it"]
-pub struct Permit<'a> {
-    door: &'a FrontDoor,
-    class: Priority,
-    armed: bool,
-}
-
-impl Permit<'_> {
-    /// The class this permit reserves a slot in.
-    pub fn class(&self) -> Priority {
-        self.class
-    }
-
-    /// Marks the reservation as already released so Drop does nothing.
-    fn disarm(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut reserved = self.door.admission.lock().expect("admission lock poisoned");
-        reserved[self.class.class()] -= 1;
-        drop(reserved);
-        self.door.freed.notify_all();
-    }
-}
-
-impl std::fmt::Debug for Permit<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Permit")
-            .field("class", &self.class)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poly::PolyOp;
-    use crate::Ring;
+    use crate::{Error, PolyOp, PolyRing, Priority, Ring, RingRequest};
     use mqx_core::primes;
+    use std::time::Duration;
 
     const N: usize = 64;
 
@@ -864,7 +274,10 @@ mod tests {
         assert_eq!(handle.wait(), Ok(expected));
         let stats = door.stats();
         assert!(stats.reconciles());
-        assert_eq!(stats.submitted, 2, "direct executor submits not counted");
+        assert_eq!(
+            stats.submitted, 3,
+            "one pool, one submit: every submit counts"
+        );
     }
 
     #[test]
@@ -896,7 +309,8 @@ mod tests {
             .submit(&ring, request(1).with_priority(Priority::Low))
             .unwrap();
         assert!(shed.is_finished(), "resolved at admission");
-        assert!(shed.canceller().is_none(), "nothing to cancel");
+        // Nothing left to cancel: a no-op that keeps the outcome.
+        shed.canceller().cancel();
         assert!(matches!(
             block_on(shed),
             Err(Error::Overloaded {
@@ -908,6 +322,11 @@ mod tests {
         assert!(door
             .reserve_timeout(Priority::Low, Duration::from_millis(5))
             .is_none());
+        // A batch in that class is refused rather than reserved forever.
+        assert!(matches!(
+            door.serve(&ring, vec![request(3).with_priority(Priority::Low)]),
+            Err(Error::Overloaded { depth: 0, .. })
+        ));
         // Other classes are unaffected.
         let ok = door.submit(&ring, request(2)).unwrap();
         assert!(block_on(ok).is_ok());

@@ -34,23 +34,20 @@
 //!   channel-major between nodes and the CRT join runs exactly once, at
 //!   the graph output (canned composite kernels:
 //!   [`OpGraph::relinearize`], [`OpGraph::multiply_accumulate`]);
-//! * [`RingExecutor`] — a work-stealing thread-pool serving queues of
-//!   [`RingRequest`]s (an [`OpGraph`] plus [`SubmitOptions`]; a single
-//!   [`RingOp`] is the one-node graph) against any shared
-//!   `Arc<dyn PolyRing>`, with serving QoS: [`Priority`] classes drained
-//!   strictly High → Normal → Low, per-request deadlines shed at
-//!   dequeue, and cooperative cancellation ([`SubmitOptions`] /
-//!   [`RequestHandle::cancel`] / detached [`Canceller`]s);
-//! * [`frontdoor`] — the admission-controlled async façade a network
-//!   service fronts the executor with:
-//!   [`FrontDoor`](frontdoor::FrontDoor) submits resolve through
-//!   [`Future`](std::future::Future)-based
-//!   [`AsyncRequestHandle`](frontdoor::AsyncRequestHandle)s (std wakers
-//!   only; a minimal [`frontdoor::block_on`] ships in-tree), per-class
-//!   bounded queue depth sheds overload with [`Error::Overloaded`],
-//!   `reserve()` permits give backpressure, and
-//!   [`AdmissionStats`](frontdoor::AdmissionStats) reconciles every
-//!   admission decision;
+//! * [`RingExecutor`] — the one serving surface: a work-stealing
+//!   thread-pool serving [`RingRequest`]s (an [`OpGraph`] plus
+//!   [`SubmitOptions`]; a single [`RingOp`] is the one-node graph)
+//!   against any shared `Arc<dyn PolyRing>`. [`Priority`] classes drain
+//!   strictly High → Normal → Low behind per-class bounded queues
+//!   ([`RingExecutorBuilder`]): a full class sheds with
+//!   [`Error::Overloaded`], [`RingExecutor::reserve`] [`Permit`]s give
+//!   backpressure, and [`AdmissionStats`] reconciles every decision.
+//!   Deadlines shed at dequeue, cancellation is cooperative
+//!   ([`RequestHandle::cancel`] / detached [`Canceller`]s), and every
+//!   [`RequestHandle`] is both a blocking handle and a
+//!   [`Future`](std::future::Future) (std wakers only;
+//!   [`frontdoor::block_on`] and [`frontdoor::join_all`] ship in-tree,
+//!   with the former front-door names as aliases);
 //! * [`plan_cache`] — the keyed (optionally capacity-bounded) NTT-plan
 //!   cache behind every ring open.
 //!
@@ -122,7 +119,10 @@ mod scratch;
 
 pub use backend::{Backend, Tier};
 pub use error::Error;
-pub use executor::{Canceller, Priority, RequestHandle, RingExecutor, RingRequest, SubmitOptions};
+pub use executor::{
+    AdmissionStats, Canceller, Permit, Priority, RequestHandle, RingExecutor, RingExecutorBuilder,
+    RingRequest, SubmitOptions, DEFAULT_QUEUE_DEPTH,
+};
 pub use graph::{GraphNode, OpGraph, OpGraphBuilder, Operand};
 pub use ops::RingOp;
 pub use plan_cache::PlanCache;

@@ -10,9 +10,8 @@
 //! multi-word arithmetic, and how scalable accelerator designs
 //! parallelize large-modulus kernels. [`RnsRing`] owns one [`Ring`] per
 //! channel, each independently dispatched through the backend registry
-//! (so channels can land on different vector tiers), fans channel
-//! execution out across scoped threads, and recombines results by
-//! Garner's algorithm.
+//! (so channels can land on different vector tiers), and recombines
+//! channel results by Garner's algorithm.
 //!
 //! Everything per coefficient is word arithmetic over constants
 //! precomputed once per basis width: CRT decomposition is a dot product
@@ -62,8 +61,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Default channel width for generated bases: the widest prime that
-/// still fits the 62-bit single-word fast path of the engine tiers.
+/// Default channel width for generated bases: 62-bit NTT primes.
+///
+/// The engine tiers have no single-word kernel yet: a 62-bit channel
+/// runs the same two-limb (124-bit) kernels as a `Q124` ring, with a hi
+/// plane of zeros, so its butterflies cost what a `Q124` one does.
+/// Single-word kernels for such channels are ROADMAP item 2.
 const DEFAULT_BASIS_BITS: u32 = 62;
 
 /// Why a zero-channel width is rejected.
@@ -626,11 +629,11 @@ impl RnsRing {
     /// reduced likewise. Takes `&self`: safe to call concurrently on a
     /// shared ring.
     ///
-    /// This one-shot path runs each channel's product on a scoped
-    /// thread; servers with a *queue* of products should use
-    /// [`RingExecutor`](crate::RingExecutor) instead, which fans
-    /// `channels × batch` into pooled work-stealing items and pays the
-    /// thread start-up cost once rather than per call.
+    /// This one-shot path runs the channels one after another on the
+    /// calling thread. To run them in parallel, submit the product to a
+    /// [`RingExecutor`](crate::RingExecutor), which fans
+    /// `channels × batch` out as work-stealing items on threads started
+    /// once.
     ///
     /// # Errors
     ///
@@ -655,31 +658,18 @@ impl RnsRing {
     ) -> Result<Vec<BigUint>, Error> {
         let a_channels = self.to_residues(a)?;
         let b_channels = self.to_residues(b)?;
-
-        // One scoped worker per channel; channels only need `&Ring` now
-        // that ring scratch is pooled, so the shared `&self` is enough.
-        let results: Vec<Result<Vec<u128>, Error>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .rings
-                .iter()
-                .zip(a_channels.into_iter().zip(b_channels))
-                .map(|(ring, (ra, rb))| {
-                    scope.spawn(move || {
-                        if negacyclic {
-                            ring.polymul_negacyclic(&ra, &rb)
-                        } else {
-                            ring.polymul_cyclic(&ra, &rb)
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("RNS channel worker panicked"))
-                .collect()
-        });
-
-        let per_channel = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let per_channel = self
+            .rings
+            .iter()
+            .zip(a_channels.iter().zip(&b_channels))
+            .map(|(ring, (ra, rb))| {
+                if negacyclic {
+                    ring.polymul_negacyclic(ra, rb)
+                } else {
+                    ring.polymul_cyclic(ra, rb)
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         self.recombine(&per_channel)
     }
 

@@ -1,15 +1,18 @@
-//! Acceptance suite for the async front door: awaited futures are
+//! Acceptance suite for the pool's admission control and async
+//! completion (under the front-door names): awaited handles are
 //! bit-identical to blocking waits for every `RingOp` on both ring
 //! kinds, saturation sheds with `Error::Overloaded` and zero channels
 //! executed, wakers fire exactly once (no busy-poll), the
-//! drop-the-future-then-cancel order works, `reserve()` permits give
-//! backpressure instead of shedding, and `AdmissionStats` reconcile
-//! under a concurrent submit hammer.
+//! drop-the-handle-then-cancel order works, `reserve()` permits give
+//! backpressure instead of shedding and wake on dequeue, concurrent
+//! submitters split in parallel, `serve` back-pressures a deep batch,
+//! and `AdmissionStats` reconcile under a concurrent submit hammer.
 //!
 //! Scheduling-sensitive tests reuse the `executor_qos` idiom: a
 //! one-worker pool occupied by a gated "blocker" request, so everything
 //! submitted behind it piles up in the injector at depths the test
-//! controls exactly.
+//! controls exactly. The blocker goes through the same `submit`, so the
+//! stats count it too.
 
 mod common;
 
@@ -17,11 +20,15 @@ use common::{occupy_worker, spin_until, tagged, GatedRing, N};
 use mqx::bignum::BigUint;
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all, AsyncRequestHandle, FrontDoor};
-use mqx::{Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingRequest, RnsRing};
+use mqx::{
+    Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingOp, RingRequest,
+    RnsRing,
+};
+use std::borrow::Cow;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
@@ -75,7 +82,11 @@ fn assert_async_matches_blocking(ring: &Arc<dyn PolyRing>, cases: Vec<RingReques
     }
     let stats = door.stats();
     assert!(stats.reconciles());
-    assert_eq!(stats.admitted, submitted, "nothing shed at these depths");
+    assert_eq!(
+        stats.admitted,
+        2 * submitted,
+        "every submit counts, the blocking twins too; nothing shed at these depths"
+    );
     assert_eq!(stats.shed_at_submit_total(), 0);
 }
 
@@ -165,8 +176,8 @@ fn saturated_low_queue_sheds_overloaded_with_zero_channels_executed() {
 
     let stats = door.stats();
     assert!(stats.reconciles(), "admitted + shed == submitted");
-    assert_eq!(stats.submitted, 3);
-    assert_eq!(stats.admitted, 2);
+    assert_eq!(stats.submitted, 4, "the blocker + three Low submits");
+    assert_eq!(stats.admitted, 3, "the blocker + the two queued");
     assert_eq!(stats.shed_at_submit_for(Priority::Low), 1);
     assert_eq!(stats.high_water_for(Priority::Low), 2);
 }
@@ -227,7 +238,7 @@ fn dropping_the_future_then_cancelling_sheds_the_queued_work() {
     let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     let victim = door.submit(&ring, tagged(7)).unwrap();
-    let canceller = victim.canceller().expect("in-flight request");
+    let canceller = victim.canceller();
     // The front end loses interest: result claim dropped first, the
     // cancel fired after — the race the detached canceller exists for.
     drop(victim);
@@ -244,7 +255,10 @@ fn dropping_the_future_then_cancelling_sheds_the_queued_work() {
     assert_eq!(gated.executed(), 1, "only the blocker executed");
     let stats = door.stats();
     assert!(stats.reconciles());
-    assert_eq!(stats.admitted, 1, "the victim was admitted before cancel");
+    assert_eq!(
+        stats.admitted, 2,
+        "the blocker, and the victim before its cancel"
+    );
 }
 
 #[test]
@@ -309,7 +323,7 @@ fn reserve_blocks_through_saturation_and_its_submit_cannot_be_shed() {
     }
     let stats = door.stats();
     assert!(stats.reconciles());
-    assert_eq!(stats.admitted, 3, "two queued + one reserved");
+    assert_eq!(stats.admitted, 4, "the blocker + two queued + one reserved");
     assert_eq!(stats.shed_at_submit_for(Priority::Normal), 1);
 }
 
@@ -365,4 +379,188 @@ fn concurrent_submit_hammer_reconciles_and_every_future_resolves() {
         "admission never let the class past its limit, saw {}",
         stats.high_water_for(Priority::Normal)
     );
+}
+
+/// How long a rendezvous waits for its second caller before giving up:
+/// a failure, never a hang.
+const RENDEZVOUS: Duration = Duration::from_secs(5);
+
+/// Callers inside `split_cow` now, the most ever seen at once, and
+/// whether a caller gave up waiting for company.
+#[derive(Default)]
+struct Inside {
+    now: usize,
+    peak: usize,
+    gave_up: bool,
+}
+
+/// A ring whose `split_cow` waits until two callers are inside it at
+/// once (at most [`RENDEZVOUS`]), recording the peak it saw.
+struct RendezvousRing {
+    inner: Ring,
+    inside: Mutex<Inside>,
+    arrived: Condvar,
+}
+
+impl PolyRing for RendezvousRing {
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+    fn modulus_bits(&self) -> u64 {
+        PolyRing::modulus_bits(&self.inner)
+    }
+    fn supports_negacyclic(&self) -> bool {
+        self.inner.supports_negacyclic()
+    }
+    fn channels(&self) -> usize {
+        1
+    }
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+        let mut inside = self.inside.lock().unwrap();
+        inside.now += 1;
+        inside.peak = inside.peak.max(inside.now);
+        self.arrived.notify_all();
+        let (mut inside, waited) = self
+            .arrived
+            .wait_timeout_while(inside, RENDEZVOUS, |inside| {
+                inside.peak < 2 && !inside.gave_up
+            })
+            .unwrap();
+        if waited.timed_out() {
+            // Nobody else will come: let every later caller through.
+            inside.gave_up = true;
+            self.arrived.notify_all();
+        }
+        inside.now -= 1;
+        drop(inside);
+        self.inner.split_cow(coeffs)
+    }
+    fn channel_apply_at_into(
+        &self,
+        op: &RingOp,
+        width: usize,
+        channel: usize,
+        a: &[Vec<u128>],
+        b: Option<&[Vec<u128>]>,
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
+        self.inner
+            .channel_apply_at_into(op, width, channel, a, b, out)
+    }
+    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+        self.inner.join_at(width, channels)
+    }
+}
+
+/// Admission holds no lock across the split: two threads submitting on
+/// one door are inside `split_cow` at the same time.
+#[test]
+fn submitters_split_concurrently() {
+    let rendezvous = Arc::new(RendezvousRing {
+        inner: Ring::auto(primes::Q124, N).unwrap(),
+        inside: Mutex::new(Inside::default()),
+        arrived: Condvar::new(),
+    });
+    let ring: Arc<dyn PolyRing> = Arc::clone(&rendezvous) as Arc<dyn PolyRing>;
+    let door = FrontDoor::new(1).unwrap();
+    std::thread::scope(|s| {
+        for tag in 0..2 {
+            let (door, ring) = (&door, &ring);
+            s.spawn(move || {
+                let handle = door.submit(ring, tagged(tag)).unwrap();
+                assert_eq!(block_on(handle).unwrap().len(), N);
+            });
+        }
+    });
+    let inside = rendezvous.inside.lock().unwrap();
+    assert!(
+        !inside.gave_up,
+        "a submitter split alone for {RENDEZVOUS:?}"
+    );
+    assert_eq!(
+        inside.peak, 2,
+        "both submitters were inside split_cow at once"
+    );
+}
+
+/// A blocked `reserve` is woken by the worker that dequeues a request
+/// of its class, not by a timer: gate-open → permit stays well under a
+/// millisecond-tick poll's ≈ 500 µs median.
+#[test]
+fn reserve_wakes_on_dequeue_not_on_a_tick() {
+    const TRIALS: usize = 20;
+    let mut latencies: Vec<Duration> = (0..TRIALS)
+        .map(|_| {
+            let gated = Arc::new(GatedRing::new());
+            let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
+            let door = FrontDoor::builder(1)
+                .queue_depth_for(Priority::Normal, 1)
+                .build()
+                .unwrap();
+            // Both requests are adds: the kernels the worker runs around
+            // the dequeue are too small to hold up the woken reserver,
+            // even in a debug build.
+            let blocker_tag = tagged(common::BLOCKER_TAG).a().clone();
+            let blocker = door
+                .submit(&ring, RingRequest::add(blocker_tag, word_coeffs(1)))
+                .unwrap();
+            spin_until("blocker to reach the worker", || {
+                gated.blocker_started.load(Ordering::Acquire)
+            });
+            // The class is full: one queued request behind the blocker.
+            let queued = door
+                .submit(&ring, RingRequest::add(word_coeffs(2), word_coeffs(3)))
+                .unwrap();
+            assert!(door.try_reserve(Priority::Normal).is_none());
+            let latency = std::thread::scope(|s| {
+                let reserver = s.spawn(|| {
+                    let permit = door.reserve(Priority::Normal);
+                    let granted = Instant::now();
+                    drop(permit);
+                    granted
+                });
+                // Let the reserver park, then release the worker.
+                std::thread::sleep(Duration::from_millis(10));
+                let opened = Instant::now();
+                gated.gate.open();
+                let granted = reserver.join().expect("reserver thread");
+                granted
+                    .checked_duration_since(opened)
+                    .expect("the permit came only after the gate opened")
+            });
+            blocker.wait().unwrap();
+            block_on(queued).unwrap();
+            latency
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[TRIALS / 2];
+    assert!(
+        median < Duration::from_micros(250),
+        "gate-open → permit median {median:?} over {TRIALS} trials: {latencies:?}"
+    );
+}
+
+/// `serve` reserves a slot per request, so a batch three times the
+/// class limit is back-pressured, not shed, and comes back in order.
+#[test]
+fn serve_back_pressures_a_batch_deeper_than_the_class_limit() {
+    const LIMIT: usize = 4;
+    let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
+    let pool = RingExecutor::builder(2).queue_depth(LIMIT).build().unwrap();
+    let requests: Vec<RingRequest> = (0..3 * LIMIT as u64)
+        .map(|i| RingRequest::polymul(PolyOp::Negacyclic, word_coeffs(i), word_coeffs(!i)))
+        .collect();
+    let expected: Vec<Coefficients> = requests
+        .iter()
+        .map(|r| {
+            ring.polymul(PolyOp::Negacyclic, r.a(), r.b().unwrap())
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(pool.serve(&ring, requests).unwrap(), expected);
+    let stats = pool.stats();
+    assert_eq!(stats.admitted, 3 * LIMIT as u64);
+    assert_eq!(stats.shed_at_submit_total(), 0);
+    assert!(stats.high_water_for(Priority::Normal) <= LIMIT);
 }
