@@ -31,8 +31,9 @@
 //! high product plus two wrapping low products, **and the result is
 //! only guaranteed below `2q`**. Instead of correcting immediately,
 //! the kernels let coefficients ride in relaxed domains — `[0, 2q)`
-//! through the constant-geometry SIMD stages, `[0, 4q)` through the
-//! scalar Cooley–Tukey/Gentleman–Sande stages — paying at most one
+//! through the constant-geometry SIMD forward stages, `[0, 4q)` through
+//! the fused pipelines' transposed SIMD inverse and the scalar
+//! Cooley–Tukey/Gentleman–Sande stages — paying at most one
 //! conditional fold per butterfly where a canonical kernel pays a full
 //! Barrett reduction. This is sound because moduli are capped at 124
 //! bits ([`mqx_core::MAX_MODULUS_BITS`]), so `4q < 2¹²⁶` never
@@ -46,9 +47,17 @@
 //! stages and no allocation**: the only full reductions are one fold
 //! to canonical feeding the Barrett pointwise multiply, and the final
 //! pass, which merges the `n⁻¹` scale (negacyclic: a precomputed
-//! `ψ^{−i}·n⁻¹` table) with the closing correction to `[0, q)`. Both
-//! entry contracts are `debug_assert`ed: forward-lazy inputs must be
-//! `< 2q`, scalar inverse/pointwise entries `< 4q`.
+//! `ψ^{−i}·n⁻¹` table) with the closing correction to `[0, q)`. The
+//! SIMD forms also run **no permutation**: the Pease forward leaves
+//! its output bit-reversed, the point-wise product does not care about
+//! order, and the inverse is the transposed (decimation-in-time)
+//! constant-geometry dataflow, which reads bit-reversed input and
+//! writes natural order (see the `pease` module). Only the standalone
+//! transforms ([`NttPlan::forward_simd`], [`NttPlan::inverse_simd`]
+//! and their lazy forms), which promise natural order in and out, keep
+//! one bit-reversal pass each. The entry contracts are
+//! `debug_assert`ed: forward-lazy inputs must be `< 2q`, inverse
+//! entries (and the scalar pipeline's pointwise entries) `< 4q`.
 //!
 //! The fused path is **bit-identical** to the canonical one — both
 //! return the unique canonical residue of the same ring element — and

@@ -1,7 +1,9 @@
-//! The Pease constant-geometry dataflow (§3.2).
+//! The Pease constant-geometry dataflow (§3.2), in both of its
+//! geometries.
 //!
-//! Every stage reads partner elements at a fixed stride `n/2` and writes
-//! adjacent pairs:
+//! **Decimation in frequency (DIF): natural → bit-reversed.** Every stage
+//! `s = 0 … log₂n − 1` reads partner elements at a fixed stride `n/2`
+//! and writes adjacent pairs:
 //!
 //! ```text
 //! y[2i]   = x[i] + x[i + n/2]
@@ -14,6 +16,26 @@
 //! interleave that AVX-512 expresses with `vpunpcklqdq`/`vpunpckhqdq`/
 //! `vpermt2q` (`SimdEngine::interleave_lo`/`interleave_hi`).
 //!
+//! **Transposed, decimation in time (DIT): bit-reversed → natural.** The
+//! DFT matrix is symmetric, so the transpose of the whole DIF transform
+//! (`R·DFT`, `R` the bit reversal) is `DFT·R`: run on a bit-reversed
+//! input, it returns the natural-order transform. Transposing stage by
+//! stage reverses the stage order (`s = log₂n − 1 … 0`) and turns each
+//! stage around — the same twiddle `ω^{(i >> s) << s}` on the same
+//! butterfly `i`, but read from adjacent pairs and written at stride
+//! `n/2`:
+//!
+//! ```text
+//! t = x[2i+1] · ω^{(i >> s) << s}
+//! y[i] = x[2i] + t,   y[i + n/2] = x[2i] − t
+//! ```
+//!
+//! — a Cooley–Tukey butterfly whose paired *load* is the deinterleave
+//! (`SimdEngine::deinterleave_even`/`deinterleave_odd`). The fused
+//! polymuls run the DIF forward and this DIT inverse back to back, so no
+//! permutation pass runs between them: the point-wise product does not
+//! care about order.
+//!
 //! Every `*_simd` kernel here runs its loop inside
 //! [`SimdEngine::vectorize`], the engine's target-feature frame; see its
 //! docs for what code inside such a closure must keep true.
@@ -21,8 +43,8 @@
 use crate::plan::{NttPlan, StageTwiddles};
 use mqx_core::shoup;
 use mqx_simd::{
-    addmod, addmod_lazy, mulmod, mulmod_shoup_lazy, reduce_2q_to_q, submod, submod_lazy,
-    ResidueSoa, SimdEngine, VDword, VModulus,
+    add_unreduced, addmod, addmod_lazy, mulmod, mulmod_shoup_lazy, reduce_2q_to_q, reduce_4q_to_2q,
+    submod, submod_lazy, ResidueSoa, SimdEngine, VDword, VModulus,
 };
 
 /// Runs all Pease stages with scalar arithmetic. On return `x` holds the
@@ -174,6 +196,83 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
     );
 }
 
+/// Runs the **transposed** Pease stages — the decimation-in-time twin of
+/// [`pease_lazy_simd`] — with lazy Harvey Cooley–Tukey butterflies.
+/// Consumes a **bit-reversed** input and leaves natural order, so a
+/// forward transform's output feeds it with no permutation between.
+///
+/// Stages run `s = log₂n − 1 … 0` over the same tables, and butterfly
+/// `i` reads the same twiddle `w_s[i >> s]` as in the forward stage: the
+/// transpose of `interleave ∘ diag(1, w) ∘ (u ± v)` is
+/// `(u ± v) ∘ diag(1, w) ∘ deinterleave`. Per butterfly:
+///
+/// ```text
+/// u = fold_{2q}(x[2i]),  t = shoup_lazy(x[2i+1], w)
+/// y[i] = u + t,          y[i + n/2] = u − t + 2q
+/// ```
+///
+/// one conditional fold and no other correction: `u, t < 2q`, so both
+/// legs land in `[0, 4q)`, the input domain of the next stage.
+///
+/// Domain contract (debug-asserted): inputs `< 4q`; outputs `< 4q`.
+pub(crate) fn pease_lazy_inverse_simd<E: SimdEngine>(
+    plan: &NttPlan,
+    x: &mut ResidueSoa,
+    y: &mut ResidueSoa,
+    stages: &[StageTwiddles],
+    vm: &VModulus<E>,
+) {
+    let half = x.len() / 2;
+    let q = plan.modulus().value();
+    let two_q = 2 * q;
+    crate::plan::debug_assert_domain_soa(x, 4 * q, "pease_lazy_inverse input");
+    E::vectorize(
+        #[inline(always)]
+        |t| {
+            for stage in stages.iter().rev() {
+                if half < E::LANES {
+                    // Tiny transform: the same lazy butterflies, scalar.
+                    for i in 0..half {
+                        let mut u = x.get(2 * i);
+                        if u >= two_q {
+                            u -= two_q;
+                        }
+                        let vw =
+                            shoup::mul_lazy(x.get(2 * i + 1), stage.at(i), stage.at_shoup(i), q);
+                        y.set(i, u + vw);
+                        y.set(i + half, u + two_q - vw);
+                    }
+                } else {
+                    match lane_tables::<E>(stage) {
+                        Some((w, w_shoup)) => lazy_inverse_stage::<E>(
+                            t,
+                            x,
+                            y,
+                            vm,
+                            #[inline(always)]
+                            |i| (w.load_vector::<E>(t, i), w_shoup.load_vector::<E>(t, i)),
+                        ),
+                        None => lazy_inverse_stage::<E>(
+                            t,
+                            x,
+                            y,
+                            vm,
+                            #[inline(always)]
+                            |i| {
+                                (
+                                    VDword::<E>::broadcast(t, stage.at(i)),
+                                    VDword::<E>::broadcast(t, stage.at_shoup(i)),
+                                )
+                            },
+                        ),
+                    }
+                }
+                std::mem::swap(x, y);
+            }
+        },
+    );
+}
+
 /// The stage's per-index twiddle tables (values, Shoup constants) when a
 /// vector of `E::LANES` butterflies spans more than one twiddle run
 /// (`2^s < E::LANES`); `None` when one broadcast value serves the whole
@@ -231,6 +330,52 @@ fn lazy_stage<E: SimdEngine>(
         let diff = mulmod_shoup_lazy::<E>(submod_lazy::<E>(u, v, vm), w, w_shoup, vm);
         store_interleaved::<E>(y, 2 * i, sum, diff);
     }
+}
+
+/// One vector stage of [`pease_lazy_inverse_simd`]: lazy Harvey
+/// butterflies on the deinterleaved pairs, both legs stored at unit
+/// stride.
+#[inline(always)]
+fn lazy_inverse_stage<E: SimdEngine>(
+    t: E::Token,
+    x: &ResidueSoa,
+    y: &mut ResidueSoa,
+    vm: &VModulus<E>,
+    twiddle: impl Fn(usize) -> (VDword<E>, VDword<E>),
+) {
+    crate::plan::debug_assert_domain_soa(x, 4 * vm.scalar.value(), "lazy inverse stage input");
+    let half = x.len() / 2;
+    for i in (0..half).step_by(E::LANES) {
+        let (u, v) = load_deinterleaved::<E>(t, x, 2 * i);
+        let (w, w_shoup) = twiddle(i);
+        let u = reduce_4q_to_2q::<E>(u, vm);
+        let vw = mulmod_shoup_lazy::<E>(v, w, w_shoup, vm);
+        y.store_vector::<E>(i, add_unreduced::<E>(u, vw));
+        y.store_vector::<E>(i + half, submod_lazy::<E>(u, vw, vm));
+    }
+}
+
+/// The transposed stage's paired load, the inverse of
+/// [`store_interleaved`]: `x[base..base + 2L] = [u0, v0, u1, v1, …]` split
+/// back into the two butterfly legs `(u, v)`.
+#[inline(always)]
+fn load_deinterleaved<E: SimdEngine>(
+    t: E::Token,
+    x: &ResidueSoa,
+    base: usize,
+) -> (VDword<E>, VDword<E>) {
+    let a = x.load_vector::<E>(t, base);
+    let b = x.load_vector::<E>(t, base + E::LANES);
+    (
+        VDword {
+            hi: E::deinterleave_even(a.hi, b.hi),
+            lo: E::deinterleave_even(a.lo, b.lo),
+        },
+        VDword {
+            hi: E::deinterleave_odd(a.hi, b.hi),
+            lo: E::deinterleave_odd(a.lo, b.lo),
+        },
+    )
 }
 
 /// The Pease paired store: `y[base..base + 2L] = [sum0, diff0, sum1, …]`,
@@ -425,5 +570,45 @@ mod tests {
         );
 
         assert_eq!(soa.to_u128s(), scalar_x);
+    }
+
+    #[test]
+    fn transposed_stage_undoes_forward_stage_up_to_two() {
+        // Stage s of the DIF forward (ω tables) followed by the transposed
+        // DIT stage s (ω⁻¹ tables) is `(u ± v)·diag(1, w⁻¹w)·(u ± v)`, i.e.
+        // 2·x. n = 16 runs whole Portable vectors (twiddles from the
+        // lane tables at s < 3, broadcast after), n = 4 the scalar
+        // fallback.
+        let q = primes::Q124;
+        let m = Modulus::new_prime(q).unwrap();
+        let vm = VModulus::<Portable>::new(&m);
+        for n in [4_usize, 16] {
+            let plan = crate::NttPlan::new(&m, n).unwrap();
+            // Forward inputs in [0, 2q), both extremes included.
+            let xs: Vec<u128> = (0..n as u128)
+                .map(|i| match i {
+                    0 => 2 * q - 1,
+                    1 => q,
+                    _ => (i * 0x9E37_79B9_7F4A_7C15 + 3) % (2 * q),
+                })
+                .collect();
+            for s in 0..plan.log_size() as usize {
+                let mut x = ResidueSoa::from_u128s(&xs);
+                let mut y = ResidueSoa::zeros(n);
+                pease_lazy_simd::<Portable>(&plan, &mut x, &mut y, &plan.pease_fwd[s..=s], &vm);
+                pease_lazy_inverse_simd::<Portable>(
+                    &plan,
+                    &mut x,
+                    &mut y,
+                    &plan.pease_inv[s..=s],
+                    &vm,
+                );
+                for (i, &v) in xs.iter().enumerate() {
+                    let got = x.get(i);
+                    assert!(got < 4 * q, "n={n} s={s} index {i} escapes [0, 4q)");
+                    assert_eq!(got % q, m.add_mod(v % q, v % q), "n={n} s={s} index {i}");
+                }
+            }
+        }
     }
 }

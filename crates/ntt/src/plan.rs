@@ -188,7 +188,9 @@ pub struct NttPlan {
     /// Pease per-stage tables (forward and inverse).
     pub(crate) pease_fwd: Vec<StageTwiddles>,
     pub(crate) pease_inv: Vec<StageTwiddles>,
-    /// Bit-reversal permutation of 0..n.
+    /// Bit-reversal permutation of 0..n. Read only by the standalone
+    /// transforms (which keep natural order in and out) and the scalar
+    /// paths; the fused polymuls never permute.
     bitrev: Vec<u32>,
     /// Twist tables for negacyclic use, when the field supports a 2n-th
     /// root.
@@ -583,9 +585,14 @@ impl NttPlan {
         pease::scale_simd::<E>(x, self.n_inv, &vm);
     }
 
+    /// `scratch[bitrev[i]] = x[i]`, then swap: one scatter per `u64`
+    /// plane, so the walk moves words, not packed `u128`s.
     fn bit_reverse_soa(&self, x: &mut ResidueSoa, scratch: &mut ResidueSoa) {
-        for i in 0..self.n {
-            scratch.set(self.bitrev[i] as usize, x.get(i));
+        let (sh, sl) = scratch.parts_mut();
+        for (dst, src) in [(sh, x.hi()), (sl, x.lo())] {
+            for (&j, &v) in self.bitrev.iter().zip(src) {
+                dst[j as usize] = v;
+            }
         }
         std::mem::swap(x, scratch);
     }
@@ -629,9 +636,13 @@ impl NttPlan {
     }
 
     /// Fused cyclic polynomial product: forward(a), forward(b), pointwise
-    /// multiply, inverse — all in the lazy `[0, 2q)` domain, with the
-    /// canonical reduction and the `n⁻¹` scale merged into one final
-    /// Shoup pass. No allocation; `a` holds the canonical result.
+    /// multiply, inverse, with the canonical reduction and the `n⁻¹` scale
+    /// merged into one final Shoup pass. No allocation and **no
+    /// permutation**: both forwards leave their output bit-reversed, the
+    /// pointwise product does not care about order, and the transposed
+    /// (decimation-in-time) lazy inverse consumes bit-reversed input and
+    /// leaves natural order. The forwards run in `[0, 2q)`, the inverse
+    /// in `[0, 4q)`; `a` holds the canonical result.
     ///
     /// Bit-identical to the canonical forward/pointwise/inverse pipeline:
     /// both produce the unique canonical residues of the same ring
@@ -654,19 +665,18 @@ impl NttPlan {
         debug_assert_domain_soa(b, 2 * self.m.value(), "polymul_fused input b");
         let vm = VModulus::<E>::new(&self.m);
         pease::pease_lazy_simd::<E>(self, a, scratch, &self.pease_fwd, &vm);
-        self.bit_reverse_soa(a, scratch);
         pease::pease_lazy_simd::<E>(self, b, scratch, &self.pease_fwd, &vm);
-        self.bit_reverse_soa(b, scratch);
         pease::pointwise_fold_mul_simd::<E>(a, b, &vm);
-        pease::pease_lazy_simd::<E>(self, a, scratch, &self.pease_inv, &vm);
-        self.bit_reverse_soa(a, scratch);
+        pease::pease_lazy_inverse_simd::<E>(self, a, scratch, &self.pease_inv, &vm);
         pease::scale_shoup_canonical_simd::<E>(a, self.n_inv, self.n_inv_shoup, &vm);
     }
 
     /// Fused negacyclic polynomial product: lazy ψ-twist, the fused
-    /// cyclic body without its final scale, then a single merged
-    /// `ψ^{−i}·n⁻¹` untwist-and-canonicalize pass. No allocation; `a`
-    /// holds the canonical result.
+    /// cyclic body without its final scale (so again no permutation: the
+    /// transposed inverse reads the forwards' bit-reversed output), then a
+    /// single merged `ψ^{−i}·n⁻¹` untwist-and-canonicalize pass, which
+    /// accepts the inverse's `[0, 4q)` output. No allocation; `a` holds
+    /// the canonical result.
     ///
     /// # Errors
     ///
@@ -695,12 +705,9 @@ impl NttPlan {
         pease::twist_shoup_simd::<E>(a, &twist.psi, &twist.psi_shoup, &vm, false);
         pease::twist_shoup_simd::<E>(b, &twist.psi, &twist.psi_shoup, &vm, false);
         pease::pease_lazy_simd::<E>(self, a, scratch, &self.pease_fwd, &vm);
-        self.bit_reverse_soa(a, scratch);
         pease::pease_lazy_simd::<E>(self, b, scratch, &self.pease_fwd, &vm);
-        self.bit_reverse_soa(b, scratch);
         pease::pointwise_fold_mul_simd::<E>(a, b, &vm);
-        pease::pease_lazy_simd::<E>(self, a, scratch, &self.pease_inv, &vm);
-        self.bit_reverse_soa(a, scratch);
+        pease::pease_lazy_inverse_simd::<E>(self, a, scratch, &self.pease_inv, &vm);
         pease::twist_shoup_simd::<E>(a, &twist.psi_inv_n, &twist.psi_inv_n_shoup, &vm, true);
         Ok(())
     }
@@ -876,28 +883,46 @@ mod tests {
         }
     }
 
+    /// Both fused pipelines on engine `E` against the canonical scalar
+    /// path, on a ramp and on the all-`(q − 1)` worst case. Sizes 2–32
+    /// cover the `n/2 < LANES` scalar fallback and the first whole
+    /// vectors of every tier.
+    fn fused_matches_canonical_scalar<E: mqx_simd::SimdEngine>() {
+        use crate::polymul;
+        let q = primes::Q124;
+        for n in [2_usize, 4, 8, 16, 32, 64, 512] {
+            let p = plan(q, n);
+            let ramp_a = ramp(n, q);
+            let ramp_b: Vec<u128> = ramp_a.iter().map(|&v| (v * 7 + 3) % q).collect();
+            for (a, b) in [(ramp_a, ramp_b), (vec![q - 1; n], vec![q - 1; n])] {
+                let mut scratch = ResidueSoa::zeros(n);
+                let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
+                p.polymul_fused_cyclic_simd::<E>(&mut sa, &mut sb, &mut scratch);
+                let expected = polymul::polymul_cyclic(&p, &a, &b);
+                assert_eq!(sa.to_u128s(), expected, "{} cyclic n={n}", E::NAME);
+
+                let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
+                p.polymul_fused_negacyclic_simd::<E>(&mut sa, &mut sb, &mut scratch)
+                    .unwrap();
+                let expected = polymul::polymul_negacyclic(&p, &a, &b).unwrap();
+                assert_eq!(sa.to_u128s(), expected, "{} negacyclic n={n}", E::NAME);
+            }
+        }
+    }
+
     #[test]
     fn fused_simd_pipelines_match_canonical_scalar() {
-        use crate::polymul;
-        use mqx_simd::Portable;
-        for n in [16_usize, 64, 512] {
-            let p = plan(primes::Q124, n);
-            let a = ramp(n, primes::Q124);
-            let b: Vec<u128> = a.iter().map(|&v| (v * 7 + 3) % primes::Q124).collect();
-
-            let expected = polymul::polymul_cyclic(&p, &a, &b);
-            let mut sa = ResidueSoa::from_u128s(&a);
-            let mut sb = ResidueSoa::from_u128s(&b);
-            let mut scratch = ResidueSoa::zeros(n);
-            p.polymul_fused_cyclic_simd::<Portable>(&mut sa, &mut sb, &mut scratch);
-            assert_eq!(sa.to_u128s(), expected, "cyclic n={n}");
-
-            let expected = polymul::polymul_negacyclic(&p, &a, &b).unwrap();
-            let mut sa = ResidueSoa::from_u128s(&a);
-            let mut sb = ResidueSoa::from_u128s(&b);
-            p.polymul_fused_negacyclic_simd::<Portable>(&mut sa, &mut sb, &mut scratch)
-                .unwrap();
-            assert_eq!(sa.to_u128s(), expected, "negacyclic n={n}");
+        use mqx_simd::{profiles::McpFunctional, Mqx, Portable};
+        fused_matches_canonical_scalar::<Portable>();
+        fused_matches_canonical_scalar::<Mqx<Portable, McpFunctional>>();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if mqx_simd::avx2_detected() {
+                fused_matches_canonical_scalar::<mqx_simd::Avx2>();
+            }
+            if mqx_simd::avx512_detected() {
+                fused_matches_canonical_scalar::<mqx_simd::Avx512>();
+            }
         }
     }
 

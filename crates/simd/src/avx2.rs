@@ -299,6 +299,22 @@ impl SimdEngine for Avx2 {
             _mm256_unpackhi_epi64(pa, pb)
         }
     }
+
+    #[inline(always)]
+    fn deinterleave_even(a: Self::V, b: Self::V) -> Self::V {
+        // In-lane unpack gives [a0, b0, a2, b2]; one cross-lane permute
+        // puts it in order: [a0, a2, b0, b2].
+        // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
+        // exist only via `splat`/`load`/mask constructors, which take a token.
+        unsafe { _mm256_permute4x64_epi64::<0xD8>(_mm256_unpacklo_epi64(a, b)) }
+    }
+
+    #[inline(always)]
+    fn deinterleave_odd(a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: lane-wise AVX2 op with no memory access; `__m256i` inputs
+        // exist only via `splat`/`load`/mask constructors, which take a token.
+        unsafe { _mm256_permute4x64_epi64::<0xD8>(_mm256_unpackhi_epi64(a, b)) }
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +403,10 @@ mod tests {
         assert_eq!(buf, [0, 10, 1, 11]);
         Avx2::store(Avx2::interleave_hi(a, b), &mut buf);
         assert_eq!(buf, [2, 12, 3, 13]);
+        Avx2::store(Avx2::deinterleave_even(a, b), &mut buf);
+        assert_eq!(buf, [0, 2, 10, 12]);
+        Avx2::store(Avx2::deinterleave_odd(a, b), &mut buf);
+        assert_eq!(buf, [1, 3, 11, 13]);
     }
 
     #[test]

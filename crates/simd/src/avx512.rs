@@ -276,6 +276,27 @@ impl SimdEngine for Avx512 {
             _mm512_permutex2var_epi64(a, idx, b)
         }
     }
+
+    #[inline(always)]
+    fn deinterleave_even(a: Self::V, b: Self::V) -> Self::V {
+        // One vpermt2q: the even indices of the 16-element a ‖ b.
+        // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
+        // inputs exist only via `splat`/`load`, which take a token.
+        unsafe {
+            let idx = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+            _mm512_permutex2var_epi64(a, idx, b)
+        }
+    }
+
+    #[inline(always)]
+    fn deinterleave_odd(a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: lane-wise AVX-512 op with no memory access; `__m512i`
+        // inputs exist only via `splat`/`load`, which take a token.
+        unsafe {
+            let idx = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+            _mm512_permutex2var_epi64(a, idx, b)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,6 +386,16 @@ mod tests {
             Avx512::interleave_hi(av, bv),
             Portable::interleave_hi(ap, bp),
             "interleave_hi",
+        );
+        check(
+            Avx512::deinterleave_even(av, bv),
+            Portable::deinterleave_even(ap, bp),
+            "deinterleave_even",
+        );
+        check(
+            Avx512::deinterleave_odd(av, bv),
+            Portable::deinterleave_odd(ap, bp),
+            "deinterleave_odd",
         );
 
         for bits in [0_u64, 0b0101_1010, 0xFF] {

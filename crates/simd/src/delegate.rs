@@ -168,6 +168,14 @@ macro_rules! delegate_perm {
         fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
             <$base as crate::engine::SimdEngine>::interleave_hi(a, b)
         }
+        #[inline(always)]
+        fn deinterleave_even(a: Self::V, b: Self::V) -> Self::V {
+            <$base as crate::engine::SimdEngine>::deinterleave_even(a, b)
+        }
+        #[inline(always)]
+        fn deinterleave_odd(a: Self::V, b: Self::V) -> Self::V {
+            <$base as crate::engine::SimdEngine>::deinterleave_odd(a, b)
+        }
     };
 }
 

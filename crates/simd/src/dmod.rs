@@ -459,11 +459,14 @@ pub fn mulmod_karatsuba<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<
 // the scalar fold helpers in `mqx_ntt`.
 // ---------------------------------------------------------------------------
 
-/// `a + b mod 2^128` per lane — raw carry chain, no reduction. Safe for
-/// lazy values: both operands stay below `2^126`, so the sum never
-/// carries out.
+/// Correction-free lazy addition: `a + b` per lane, the raw carry chain
+/// with no fold. Inputs `< 2q` give an output `< 4q` — the sum leg of
+/// the Harvey Cooley–Tukey butterfly, whose `[0, 4q)` outputs the next
+/// stage's `u` fold ([`reduce_4q_to_2q`]) and the lazy Shoup multiply
+/// absorb. Never carries out of 128 bits for lazy values: both operands
+/// stay below `2^126`.
 #[inline(always)]
-fn add_wrap<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
+pub fn add_unreduced<E: SimdEngine>(a: VDword<E>, b: VDword<E>) -> VDword<E> {
     let (lo, c) = E::adc0(a.lo, b.lo);
     let (hi, _) = E::adc(a.hi, b.hi, c);
     VDword { hi, lo }
@@ -505,7 +508,7 @@ fn fold_once<E: SimdEngine>(x: VDword<E>, c: VDword<E>) -> VDword<E> {
 /// full trial-subtract select against `q`.
 #[inline(always)]
 pub fn addmod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
-    fold_once::<E>(add_wrap::<E>(a, b), m.two_q)
+    fold_once::<E>(add_unreduced::<E>(a, b), m.two_q)
 }
 
 /// Lazy modular subtraction: `a − b + 2q`, completely branch-free (zero
@@ -514,7 +517,7 @@ pub fn addmod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -
 /// therefore pays no correction at all on its difference leg.
 #[inline(always)]
 pub fn submod_lazy<E: SimdEngine>(a: VDword<E>, b: VDword<E>, m: &VModulus<E>) -> VDword<E> {
-    sub_wrap::<E>(add_wrap::<E>(a, m.two_q), b)
+    sub_wrap::<E>(add_unreduced::<E>(a, m.two_q), b)
 }
 
 /// Lazy Shoup multiplication by a precomputed `(w, w' = ⌊w·2^128/q⌋)`
@@ -638,6 +641,108 @@ mod tests {
             let got = mulmod(a, a, &m);
             for i in 0..8 {
                 assert_eq!(got.extract(i), 1, "(q-1)² ≡ 1 mod q, lane {i}");
+            }
+        }
+    }
+
+    /// The column-4 carries `(c4a, c4b, c4c)` of [`barrett_reduce`]'s
+    /// `y = x·µ`, for `x = a·b`: a scalar mirror of its carry chain, so
+    /// the operands below can prove they reach column 5.
+    fn column4_carries(m: &Modulus, a: u128, b: u128) -> [bool; 3] {
+        let limb = |x: u128| [x as u64, (x >> 64) as u64];
+        let mul = |x: u64, y: u64| {
+            let p = u128::from(x) * u128::from(y);
+            ((p >> 64) as u64, p as u64)
+        };
+        let adc = |x: u64, y: u64, c: bool| {
+            let s = u128::from(x) + u128::from(y) + u128::from(c);
+            (s as u64, s >> 64 != 0)
+        };
+        // x = a·b as four limbs.
+        let ([a0, a1], [b0, b1]) = (limb(a), limb(b));
+        let (p00, p01, p10, p11) = (mul(a0, b0), mul(a0, b1), mul(a1, b0), mul(a1, b1));
+        let (t, ca) = adc(p00.0, p01.1, false);
+        let (x1, cb) = adc(t, p10.1, false);
+        let (t, da) = adc(p01.0, p10.0, ca);
+        let (x2, db) = adc(t, p11.1, cb);
+        let x = [p00.1, x1, x2, p11.0 + u64::from(da) + u64::from(db)];
+        // y = x·µ, columns 1–4, exactly as `barrett_reduce` chains them.
+        let [mu_lo, mu_hi] = limb(m.mu());
+        let (h0l, _) = mul(x[0], mu_lo);
+        let (h1l, l1l) = mul(x[1], mu_lo);
+        let (h2l, l2l) = mul(x[2], mu_lo);
+        let (h3l, l3l) = mul(x[3], mu_lo);
+        let (h0h, l0h) = mul(x[0], mu_hi);
+        let (h1h, l1h) = mul(x[1], mu_hi);
+        let (h2h, l2h) = mul(x[2], mu_hi);
+        let (_, l3h) = mul(x[3], mu_hi);
+        let (t, c1a) = adc(h0l, l1l, false);
+        let (_, c1b) = adc(t, l0h, false);
+        let (t, c2a) = adc(h1l, l2l, c1a);
+        let (t, c2b) = adc(t, h0h, c1b);
+        let (_, c2c) = adc(t, l1h, false);
+        let (t, c3a) = adc(h2l, l3l, c2a);
+        let (t, c3b) = adc(t, h1h, c2b);
+        let (_, c3c) = adc(t, l2h, c2c);
+        let (t, c4a) = adc(h3l, l3h, c3a);
+        let (t, c4b) = adc(t, h2h, c3b);
+        let (_, c4c) = adc(t, 0, c3c);
+        [c4a, c4b, c4c]
+    }
+
+    /// Every carry into column 5 of the Barrett `x·µ` is taken by some
+    /// operand pair, on every engine. Column 5 feeds the top limb of the
+    /// quotient estimate, so a dropped carry there is a wrong product —
+    /// but only for a few operands. The serving primes sit just below a
+    /// power of two, so their µ is nearly one too and never sets
+    /// `c4a`/`c4b`; the 124-bit modulus here (the hex digits of e) has a
+    /// µ with dense limbs.
+    fn barrett_column5_carries<E: SimdEngine>() {
+        let m = Modulus::new(0xB7E_1516_28AE_D2A6_ABF7_1588_09CF_4F3D).unwrap();
+        let vm = VModulus::<E>::new(&m);
+        let cases: [(u128, u128, usize); 3] = [
+            (
+                0x73A_1A30_409E_C5DD_5885_4FF6_0915_97FA,
+                0x5BB_4372_4400_216A_F97C_0F93_0B5B_8D57,
+                0,
+            ),
+            (
+                0x490_FAD1_E67F_8223_FA93_0F46_0332_7671,
+                0xA43_E7DA_9569_E67C_BB78_EB54_4AB3_7D93,
+                1,
+            ),
+            (
+                0xB7E_1511_DC3B_7DD6_78C9_9947_7789_D8FE,
+                0xAA4_FFC4_D527_EB6A_2A96_FAFB_84B1_808C,
+                2,
+            ),
+        ];
+        for (a, b, carry) in cases {
+            let mut want = [false; 3];
+            want[carry] = true;
+            assert_eq!(column4_carries(&m, a, b), want, "operands for c4{carry}");
+            let av = VDword::<E>::broadcast(E::token(), a);
+            let bv = VDword::<E>::broadcast(E::token(), b);
+            let expected = vec![m.mul_mod(a, b); E::LANES];
+            let school = mulmod_schoolbook(av, bv, &vm).to_u128s();
+            assert_eq!(school, expected, "{} schoolbook, c4{carry}", E::NAME);
+            let kara = mulmod_karatsuba(av, bv, &vm).to_u128s();
+            assert_eq!(kara, expected, "{} karatsuba, c4{carry}", E::NAME);
+        }
+    }
+
+    #[test]
+    fn barrett_takes_every_column5_carry_on_every_engine() {
+        barrett_column5_carries::<P>();
+        barrett_column5_carries::<crate::Mqx<P, crate::profiles::McpFunctional>>();
+        barrett_column5_carries::<crate::Mqx<P, crate::profiles::McFunctional>>();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::avx2_detected() {
+                barrett_column5_carries::<crate::Avx2>();
+            }
+            if crate::avx512_detected() {
+                barrett_column5_carries::<crate::Avx512>();
             }
         }
     }

@@ -336,6 +336,14 @@ pub trait SimdEngine: Sealed + Copy + Send + Sync + 'static {
     fn mask_sub(src: Self::V, m: Self::M, a: Self::V, b: Self::V) -> Self::V;
 
     // ---- permutations (NTT data movement, §3.2) -------------------------
+    //
+    // Two inverse pairs, one per constant-geometry dataflow: the
+    // decimation-in-frequency stage *stores* its butterfly legs as the
+    // element-wise interleave `[u0, v0, u1, v1, …]`; the transposed
+    // decimation-in-time stage *loads* its legs from that same layout
+    // with the deinterleave. Either way a vector of `L` butterflies
+    // costs four permutes (two per hi/lo plane), only their side of the
+    // memory access differs.
 
     /// Element-wise interleave, low half: `[a0, b0, a1, b1, …]` for the
     /// first `LANES/2` pairs. On AVX-512 this is one `vpermt2q`
@@ -343,6 +351,19 @@ pub trait SimdEngine: Sealed + Copy + Send + Sync + 'static {
     fn interleave_lo(a: Self::V, b: Self::V) -> Self::V;
     /// Element-wise interleave, high half: `[a_{L/2}, b_{L/2}, …]`.
     fn interleave_hi(a: Self::V, b: Self::V) -> Self::V;
+    /// The even elements of the `2·LANES`-element concatenation `a ‖ b`:
+    /// `[a0, a2, …, b0, b2, …]`. With [`deinterleave_odd`] the exact
+    /// inverse of the interleave pair: for `lo = interleave_lo(u, v)` and
+    /// `hi = interleave_hi(u, v)`, `deinterleave_even(lo, hi) = u`. The
+    /// transposed (decimation-in-time) constant-geometry stage loads its
+    /// butterfly pairs with it. On AVX-512 this is one `vpermt2q`; on
+    /// AVX2, `vpunpcklqdq` + `vpermq`.
+    ///
+    /// [`deinterleave_odd`]: Self::deinterleave_odd
+    fn deinterleave_even(a: Self::V, b: Self::V) -> Self::V;
+    /// The odd elements of `a ‖ b`: `[a1, a3, …, b1, b3, …]`, so that
+    /// `deinterleave_odd(interleave_lo(u, v), interleave_hi(u, v)) = v`.
+    fn deinterleave_odd(a: Self::V, b: Self::V) -> Self::V;
 
     // ---- derived multi-word operations (the MQX seam, §4) ---------------
 
@@ -557,6 +578,35 @@ mod tests {
         assert_eq!(lanes(got), [10, 10, 10, 10, 15, 15, 15, 15]);
         let got = P::psbb(a, b, P::mask_zero(P::token()), pred);
         assert_eq!(lanes(got), [10, 10, 10, 10, 5, 5, 5, 5]);
+    }
+
+    /// `deinterleave_{even,odd}` undo `interleave_{lo,hi}` exactly, on
+    /// `E`'s own lane count.
+    fn deinterleave_inverts_interleave<E: SimdEngine>() {
+        let t = E::token();
+        let (xs, ys): (Vec<u64>, Vec<u64>) = (0..E::LANES as u64)
+            .map(|i| (i * 0x9E37_79B9 + 1, u64::MAX - i * 3))
+            .unzip();
+        let (a, b) = (E::load(t, &xs), E::load(t, &ys));
+        let (lo, hi) = (E::interleave_lo(a, b), E::interleave_hi(a, b));
+        let lanes = |v: E::V| (0..E::LANES).map(|i| E::extract(v, i)).collect::<Vec<_>>();
+        assert_eq!(lanes(E::deinterleave_even(lo, hi)), xs, "{} even", E::NAME);
+        assert_eq!(lanes(E::deinterleave_odd(lo, hi)), ys, "{} odd", E::NAME);
+    }
+
+    #[test]
+    fn deinterleave_is_the_inverse_of_interleave_on_every_engine() {
+        deinterleave_inverts_interleave::<P>();
+        deinterleave_inverts_interleave::<crate::Mqx<P, crate::profiles::McpFunctional>>();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::avx2_detected() {
+                deinterleave_inverts_interleave::<crate::Avx2>();
+            }
+            if crate::avx512_detected() {
+                deinterleave_inverts_interleave::<crate::Avx512>();
+            }
+        }
     }
 
     #[test]

@@ -100,8 +100,9 @@ mod avx2;
 mod avx512;
 
 pub use dmod::{
-    addmod, addmod_lazy, addmod_listing3_faithful, mulmod, mulmod_karatsuba, mulmod_schoolbook,
-    mulmod_shoup_lazy, reduce_2q_to_q, reduce_4q_to_2q, submod, submod_lazy, VDword, VModulus,
+    add_unreduced, addmod, addmod_lazy, addmod_listing3_faithful, mulmod, mulmod_karatsuba,
+    mulmod_schoolbook, mulmod_shoup_lazy, reduce_2q_to_q, reduce_4q_to_2q, submod, submod_lazy,
+    VDword, VModulus,
 };
 pub use engine::{SimdEngine, Token};
 pub use mqx::Mqx;

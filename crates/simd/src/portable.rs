@@ -189,6 +189,16 @@ impl SimdEngine for Portable {
     fn interleave_hi(a: Self::V, b: Self::V) -> Self::V {
         [a[4], b[4], a[5], b[5], a[6], b[6], a[7], b[7]]
     }
+
+    #[inline]
+    fn deinterleave_even(a: Self::V, b: Self::V) -> Self::V {
+        [a[0], a[2], a[4], a[6], b[0], b[2], b[4], b[6]]
+    }
+
+    #[inline]
+    fn deinterleave_odd(a: Self::V, b: Self::V) -> Self::V {
+        [a[1], a[3], a[5], a[7], b[1], b[3], b[5], b[7]]
+    }
 }
 
 #[inline]
@@ -281,6 +291,8 @@ mod tests {
         let b = P::load(P::token(), &[10, 11, 12, 13, 14, 15, 16, 17]);
         assert_eq!(P::interleave_lo(a, b), [0, 10, 1, 11, 2, 12, 3, 13]);
         assert_eq!(P::interleave_hi(a, b), [4, 14, 5, 15, 6, 16, 7, 17]);
+        assert_eq!(P::deinterleave_even(a, b), [0, 2, 4, 6, 10, 12, 14, 16]);
+        assert_eq!(P::deinterleave_odd(a, b), [1, 3, 5, 7, 11, 13, 15, 17]);
     }
 
     #[test]

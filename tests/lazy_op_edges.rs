@@ -7,14 +7,17 @@
 //! The lazy ops carry the fused NTT pipeline, and the engines build
 //! their constants (`splat(1)`, the zero mask, `2q`) from a token, so
 //! this sweep is the net under both: a wrong constant or a fold against
-//! the wrong bound shows up as one lane that disagrees.
+//! the wrong bound shows up as one lane that disagrees. The transposed
+//! inverse's Harvey butterfly, composed from those ops, is swept over
+//! every `[0, 4q)` input pair the same way.
 
 use mqx::core::shoup::{self, ShoupCtx};
 use mqx::core::{primes, Modulus};
 use mqx::simd::profiles::McpFunctional;
 use mqx::simd::{
-    addmod, addmod_lazy, mulmod_karatsuba, mulmod_schoolbook, mulmod_shoup_lazy, reduce_2q_to_q,
-    reduce_4q_to_2q, submod, submod_lazy, Mqx, Portable, ResidueSoa, SimdEngine, VDword, VModulus,
+    add_unreduced, addmod, addmod_lazy, mulmod_karatsuba, mulmod_schoolbook, mulmod_shoup_lazy,
+    reduce_2q_to_q, reduce_4q_to_2q, submod, submod_lazy, Mqx, Portable, ResidueSoa, SimdEngine,
+    VDword, VModulus,
 };
 
 /// Every op of the sweep, with its input domain (as a multiple of `q`
@@ -26,6 +29,8 @@ enum Op {
     MulSchoolbook,
     MulKaratsuba,
     AddLazy,
+    /// `a + b` with no correction, `[0, 2q)` in, `[0, 4q)` out.
+    AddUnreduced,
     SubLazy,
     /// `x · w` with `x ∈ [0, 4q)` and a canonical multiplier `w`.
     MulShoupLazy,
@@ -33,12 +38,13 @@ enum Op {
     Reduce4q,
 }
 
-const OPS: [Op; 9] = [
+const OPS: [Op; 10] = [
     Op::Add,
     Op::Sub,
     Op::MulSchoolbook,
     Op::MulKaratsuba,
     Op::AddLazy,
+    Op::AddUnreduced,
     Op::SubLazy,
     Op::MulShoupLazy,
     Op::Reduce2q,
@@ -51,7 +57,7 @@ impl Op {
     fn domains(self) -> (u128, u128) {
         match self {
             Op::Add | Op::Sub | Op::MulSchoolbook | Op::MulKaratsuba => (1, 1),
-            Op::AddLazy | Op::SubLazy => (2, 2),
+            Op::AddLazy | Op::AddUnreduced | Op::SubLazy => (2, 2),
             Op::MulShoupLazy => (4, 1),
             Op::Reduce2q => (2, 0),
             Op::Reduce4q => (4, 0),
@@ -69,6 +75,7 @@ impl Op {
             Op::Sub => (m.sub_mod(a, b), q, m.sub_mod(a, b)),
             Op::MulSchoolbook | Op::MulKaratsuba => (m.mul_mod(a, b), q, m.mul_mod(a, b)),
             Op::AddLazy => (fold(a + b, 2 * q), 2 * q, m.add_mod(a % q, b % q)),
+            Op::AddUnreduced => (a + b, 4 * q, m.add_mod(a % q, b % q)),
             Op::SubLazy => (a + 2 * q - b, 4 * q, m.sub_mod(a % q, b % q)),
             Op::MulShoupLazy => (
                 shoup::mul_lazy(a, b, ctx.constant(b), q),
@@ -87,20 +94,22 @@ impl Op {
     }
 }
 
+/// `xs` padded to `len` (whole vectors) with its first value; callers
+/// drop the padding lanes.
+fn pad(xs: &[u128], len: usize) -> ResidueSoa {
+    xs.iter()
+        .copied()
+        .chain(std::iter::repeat(xs[0]))
+        .take(len)
+        .collect()
+}
+
 /// Runs `op` over the lanes `(a[i], b[i])` on engine `E`, inside its
 /// kernel frame, and returns the lane results.
 fn run<E: SimdEngine>(op: Op, m: &Modulus, ctx: &ShoupCtx, a: &[u128], b: &[u128]) -> Vec<u128> {
     let vm = VModulus::<E>::new(m);
-    // Pad to whole vectors with the first pair; the padding is dropped.
     let padded = a.len().div_ceil(E::LANES) * E::LANES;
-    let pad = |xs: &[u128]| -> ResidueSoa {
-        xs.iter()
-            .copied()
-            .chain(std::iter::repeat(xs[0]))
-            .take(padded)
-            .collect()
-    };
-    let (sa, sb) = (pad(a), pad(b));
+    let (sa, sb) = (pad(a, padded), pad(b, padded));
     // Shoup constants of the multipliers (canonical only for that op).
     let shoup_b: ResidueSoa = match op {
         Op::MulShoupLazy => sb.to_u128s().into_iter().map(|w| ctx.constant(w)).collect(),
@@ -119,6 +128,7 @@ fn run<E: SimdEngine>(op: Op, m: &Modulus, ctx: &ShoupCtx, a: &[u128], b: &[u128
                     Op::MulSchoolbook => mulmod_schoolbook(x, y, &vm),
                     Op::MulKaratsuba => mulmod_karatsuba(x, y, &vm),
                     Op::AddLazy => addmod_lazy(x, y, &vm),
+                    Op::AddUnreduced => add_unreduced(x, y),
                     Op::SubLazy => submod_lazy(x, y, &vm),
                     Op::MulShoupLazy => mulmod_shoup_lazy(x, y, shoup_b.load_vector(t, i), &vm),
                     Op::Reduce2q => reduce_2q_to_q(x, &vm),
@@ -205,9 +215,72 @@ fn boundary<E: SimdEngine>() {
     }
 }
 
+/// The transposed inverse's lazy Harvey butterfly on `E` for every pair
+/// of `us × vs` (both `[0, 4q)`): `u ← fold_{2q}(u)`, `t = shoup_lazy(v,
+/// w)`, legs `u + t` and `u − t + 2q`, each exactly the scalar value
+/// and inside `[0, 4q)`. The twiddle varies with the pair, `w = (u +
+/// 3v) mod q`, so every canonical twiddle occurs at the tiny primes.
+fn check_butterflies<E: SimdEngine>(q: u128, us: &[u128], vs: &[u128]) {
+    let m = Modulus::new(q).unwrap();
+    let ctx = ShoupCtx::new(&m);
+    let vm = VModulus::<E>::new(&m);
+    let (a, b): (Vec<u128>, Vec<u128>) = us
+        .iter()
+        .flat_map(|&u| vs.iter().map(move |&v| (u, v)))
+        .unzip();
+    let ws: Vec<u128> = a.iter().zip(&b).map(|(&u, &v)| (u + 3 * v) % q).collect();
+    let padded = a.len().div_ceil(E::LANES) * E::LANES;
+    let (su, sv, sw) = (pad(&a, padded), pad(&b, padded), pad(&ws, padded));
+    let sws: ResidueSoa = sw.to_u128s().into_iter().map(|w| ctx.constant(w)).collect();
+    let (mut sum, mut diff) = (ResidueSoa::zeros(padded), ResidueSoa::zeros(padded));
+    E::vectorize(
+        #[inline(always)]
+        |t| {
+            for i in (0..padded).step_by(E::LANES) {
+                let u = reduce_4q_to_2q::<E>(su.load_vector(t, i), &vm);
+                let vw = mulmod_shoup_lazy::<E>(
+                    sv.load_vector(t, i),
+                    sw.load_vector(t, i),
+                    sws.load_vector(t, i),
+                    &vm,
+                );
+                sum.store_vector(i, add_unreduced::<E>(u, vw));
+                diff.store_vector(i, submod_lazy::<E>(u, vw, &vm));
+            }
+        },
+    );
+    // The reference legs: `shoup::mul_lazy`'s residue is pinned by the
+    // `MulShoupLazy` sweep, so checking their range here is enough.
+    for (i, ((&u, &v), &w)) in a.iter().zip(&b).zip(&ws).enumerate() {
+        let uf = if u >= 2 * q { u - 2 * q } else { u };
+        let vw = shoup::mul_lazy(v, w, sws.get(i), q);
+        let want = (uf + vw, uf + 2 * q - vw);
+        let got = (sum.get(i), diff.get(i));
+        assert!(
+            want.0 < 4 * q && want.1 < 4 * q && got == want,
+            "{} q={q:#x} u={u:#x} v={v:#x} w={w:#x}: (sum, diff) = {got:#x?}, reference {want:#x?}",
+            E::NAME,
+        );
+    }
+}
+
+/// The butterfly over every `[0, 4q)` pair at the tiny primes, and over
+/// the domain ends and limb edges at the 124-bit cap.
+fn butterflies<E: SimdEngine>() {
+    for q in [17_u128, 97, 257] {
+        let all: Vec<u128> = (0..4 * q).collect();
+        check_butterflies::<E>(q, &all, &all);
+    }
+    for q in [primes::Q124, (1 << 124) - 59, primes::Q120] {
+        let e = edges(q, 4 * q);
+        check_butterflies::<E>(q, &e, &e);
+    }
+}
+
 fn sweep<E: SimdEngine>() {
     exhaustive::<E>();
     boundary::<E>();
+    butterflies::<E>();
 }
 
 #[test]
