@@ -7,9 +7,9 @@
 //! ```
 
 use mqx::core::{primes, Modulus};
-use mqx::mca::{analyze, kernels, Machine};
 use mqx::simd::ResidueSoa;
 use mqx_bench::engines;
+use mqx_mca::{analyze, kernels, Machine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = Modulus::new_prime(primes::Q124)?;

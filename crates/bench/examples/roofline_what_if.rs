@@ -3,15 +3,15 @@
 //! runs on whatever backend `Ring::auto` selects for this machine.
 //!
 //! ```sh
-//! cargo run --release --example roofline_what_if            # built-in CPUs
-//! cargo run --release --example roofline_what_if 64 3.1     # custom cores/GHz
+//! cargo run --release -p mqx_bench --example roofline_what_if          # built-in CPUs
+//! cargo run --release -p mqx_bench --example roofline_what_if 64 3.1   # custom cores/GHz
 //! ```
 
 use mqx::core::primes;
 use mqx::ntt::butterfly_count;
-use mqx::roofline::{accel, cpu, predicted_l2_knee, sol_runtime, CpuSpec, SolSeries};
 use mqx::simd::ResidueSoa;
 use mqx::Ring;
+use mqx_roofline::{accel, cpu, predicted_l2_knee, sol_runtime, CpuSpec, SolSeries};
 use std::time::Instant;
 
 fn measure_single_core(log_n: u32) -> (String, f64) {

@@ -17,7 +17,7 @@
 //! requests. Use this module when you already hold raw buffers and a
 //! plan; use the executor when you are serving requests against a ring.
 
-use crate::NttPlan;
+use mqx_ntt::NttPlan;
 use mqx_simd::{ResidueSoa, SimdEngine};
 use std::sync::Mutex;
 

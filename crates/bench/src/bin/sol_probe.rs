@@ -3,10 +3,11 @@
 //! binary runs a batch of transforms on 1, 2, … `available_parallelism`
 //! threads and reports the measured speedup against the ideal.
 
+use mqx_bench::batch;
 use mqx_bench::timing::time_paper_style;
 use mqx_bench::workload::Workload;
 use mqx_core::{primes, Modulus};
-use mqx_ntt::{batch, NttPlan};
+use mqx_ntt::NttPlan;
 use mqx_simd::{Portable, ResidueSoa};
 
 fn main() {

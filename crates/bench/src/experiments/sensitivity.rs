@@ -1,19 +1,21 @@
 //! §5.5 (multiplication algorithms): schoolbook vs Karatsuba across the
 //! kernel tiers, at the raw-kernel level and inside full NTTs.
 //!
-//! The algorithm is threaded through the ring's modulus
-//! (`RingBuilder::mul_algorithm`), and each vector tier is reached
-//! through the facade's runtime-dispatched `Ring`, so the same code
-//! measures whatever backends this host offers.
+//! The algorithm is threaded through the plan's modulus
+//! (`NttPlan::new(&m.with_algorithm(..), n)`), and each vector tier's
+//! `Backend::forward_ntt` runs on that plan directly, so the same code
+//! measures whatever backends this host offers. The serving rings
+//! always use schoolbook.
 
 use crate::experiments::measurement_backends;
 use crate::report::{write_json, Table};
 use crate::timing::time_ntt;
 use crate::workload::Workload;
-use mqx::Ring;
+use mqx::Backend;
 use mqx_core::{primes, Modulus, MulAlgorithm};
 use mqx_json::impl_to_json;
-use mqx_ntt::butterfly_count;
+use mqx_ntt::{butterfly_count, NttPlan};
+use mqx_simd::ResidueSoa;
 
 /// One tier's schoolbook-vs-Karatsuba comparison.
 #[derive(Clone, Debug)]
@@ -50,11 +52,12 @@ fn time_scalar_mulmod(m: &Modulus, xs: &[u128], ys: &[u128], quick: bool) -> f64
     ns
 }
 
-fn time_ring_ntt(ring: &Ring, quick: bool) -> f64 {
-    let n = ring.size();
-    let mut w = Workload::new(*ring.modulus(), 0x5E51);
+fn time_forward_ntt(backend: &dyn Backend, plan: &NttPlan, quick: bool) -> f64 {
+    let n = plan.size();
+    let mut w = Workload::new(*plan.modulus(), 0x5E51);
     let mut x = w.residues_soa(n);
-    time_ntt(quick, || ring.forward(&mut x).expect("sized buffer"))
+    let mut scratch = ResidueSoa::zeros(n);
+    time_ntt(quick, || backend.forward_ntt(plan, &mut x, &mut scratch))
 }
 
 /// Runs the comparison and prints the table.
@@ -81,22 +84,15 @@ pub fn run(quick: bool) -> Vec<SensitivityRow> {
         });
     }
 
-    // Full NTTs, algorithm threaded through the ring's modulus, one row
-    // per vector tier this host detects.
+    // Full NTTs, algorithm threaded through the plan's modulus, one row
+    // per measurement backend.
     let n = if quick { 1 << 10 } else { 1 << 12 };
     let bf = butterfly_count(n) as f64;
+    let plan_s = NttPlan::new(&school, n).expect("plan");
+    let plan_k = NttPlan::new(&kara, n).expect("plan");
     for backend in measurement_backends() {
-        let ring_s = Ring::builder(q, n)
-            .backend(backend.clone())
-            .build()
-            .expect("ring");
-        let ring_k = Ring::builder(q, n)
-            .backend(backend.clone())
-            .mul_algorithm(MulAlgorithm::Karatsuba)
-            .build()
-            .expect("ring");
-        let ts = time_ring_ntt(&ring_s, quick);
-        let tk = time_ring_ntt(&ring_k, quick);
+        let ts = time_forward_ntt(backend.as_ref(), &plan_s, quick);
+        let tk = time_forward_ntt(backend.as_ref(), &plan_k, quick);
         rows.push(SensitivityRow {
             tier: backend.name().into(),
             workload: "NTT per butterfly",
@@ -130,4 +126,27 @@ pub fn run(quick: bool) -> Vec<SensitivityRow> {
 
     write_json("sensitivity_mul", &rows);
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mqx::backend;
+
+    #[test]
+    fn karatsuba_plan_agrees_with_schoolbook_plan_on_every_tier() {
+        let n = 256;
+        let school = Modulus::new_prime(primes::Q124).unwrap();
+        let plan_s = NttPlan::new(&school, n).unwrap();
+        let plan_k = NttPlan::new(&school.with_algorithm(MulAlgorithm::Karatsuba), n).unwrap();
+        let input = Workload::new(school, 0x4B41).residues_soa(n);
+        for b in backend::available() {
+            let mut scratch = ResidueSoa::zeros(n);
+            let mut xs = input.clone();
+            b.forward_ntt(&plan_s, &mut xs, &mut scratch);
+            let mut xk = input.clone();
+            b.forward_ntt(&plan_k, &mut xk, &mut scratch);
+            assert_eq!(xs.to_u128s(), xk.to_u128s(), "{}", b.name());
+        }
+    }
 }

@@ -8,9 +8,9 @@
 //! `table6`, `listing4`, `sensitivity_mul`, `calibrate`, `rns`) is a
 //! thin `main` over the corresponding [`experiments`] module, so the
 //! logic is testable and `repro_all` can chain everything; `sol_probe`
-//! checks §6's linear multi-core scaling assumption. Results print
-//! as aligned text tables and are also written as JSON under
-//! `repro_results/`. Serving throughput, latency and allocation are
+//! checks §6's linear multi-core scaling assumption on [`batch`]'s
+//! queue-drained multi-core NTTs. Results print as aligned text tables
+//! and are also written as JSON under `repro_results/`. Serving throughput, latency and allocation are
 //! measured by the `benchmark/` package, not here.
 //!
 //! Set `MQX_QUICK=1` to shrink sizes and iteration counts (used by the
@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod engines;
 pub mod experiments;
 pub mod report;

@@ -215,7 +215,7 @@ fn ring_ops_match_portable() {
         );
         let rns = RnsRingBuilder::new(N)
             .moduli(&basis)
-            .channel_backends(vec![engine.backend.clone(); basis.len()])
+            .backend(engine.backend.clone())
             .build()
             .unwrap();
         for ((op, b), expected) in rns_ops.iter().zip(&expected) {

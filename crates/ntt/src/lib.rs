@@ -89,7 +89,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 mod error;
 pub mod naive;
 mod pease;

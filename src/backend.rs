@@ -153,25 +153,13 @@ pub trait Backend: Send + Sync {
     /// canonical reduction and `n⁻¹` scale merged into the final pass.
     /// Same contract as [`Backend::polymul_cyclic`] (result in `a`, `b`
     /// clobbered, no allocation) and bit-identical to it.
-    ///
-    /// The default implementation falls back to the canonical path, so
-    /// every backend is correct by construction; the engine-backed
-    /// registry tiers all override it with the lazy kernels.
     fn polymul_cyclic_fused(
         &self,
         plan: &NttPlan,
         a: &mut ResidueSoa,
         b: &mut ResidueSoa,
         scratch: &mut ResidueSoa,
-    ) {
-        // The default delegates to the canonical path, whose add/sub
-        // folds assume canonical inputs — hence the tighter `q` bound
-        // (engine overrides accept the full [0, 2q) lazy domain).
-        let q = plan.modulus().value();
-        mqx_ntt::debug_assert_domain_soa(a, q, "polymul_cyclic_fused (default) input a");
-        mqx_ntt::debug_assert_domain_soa(b, q, "polymul_cyclic_fused (default) input b");
-        self.polymul_cyclic(plan, a, b, scratch);
-    }
+    );
 
     /// Negacyclic polynomial product through the fused lazy pipeline:
     /// ψ twist, fused cyclic body, merged `ψ^{−i}·n⁻¹` untwist. Result in
@@ -188,29 +176,7 @@ pub trait Backend: Send + Sync {
         a: &mut ResidueSoa,
         b: &mut ResidueSoa,
         scratch: &mut ResidueSoa,
-    ) -> Result<(), mqx_ntt::NttError> {
-        // Canonical-only, as for the cyclic default above.
-        let q = plan.modulus().value();
-        mqx_ntt::debug_assert_domain_soa(a, q, "polymul_negacyclic_fused (default) input a");
-        mqx_ntt::debug_assert_domain_soa(b, q, "polymul_negacyclic_fused (default) input b");
-        let (psi, psi_inv) = match (plan.psi_soa(), plan.psi_inv_soa()) {
-            (Some(p), Some(pi)) => (p, pi),
-            _ => {
-                return Err(mqx_ntt::NttError::NoRoot(mqx_core::RootError::NoSuchRoot {
-                    order: 2 * plan.size() as u64,
-                }))
-            }
-        };
-        let m = plan.modulus();
-        self.vmul(a, psi, scratch, m);
-        std::mem::swap(a, scratch);
-        self.vmul(b, psi, scratch, m);
-        std::mem::swap(b, scratch);
-        self.polymul_cyclic(plan, a, b, scratch);
-        self.vmul(a, psi_inv, scratch, m);
-        std::mem::swap(a, scratch);
-        Ok(())
-    }
+    ) -> Result<(), mqx_ntt::NttError>;
 }
 
 impl fmt::Debug for dyn Backend {
@@ -297,7 +263,7 @@ impl<E: SimdEngine> Backend for EngineBackend<E> {
         b: &mut ResidueSoa,
         scratch: &mut ResidueSoa,
     ) -> Result<(), mqx_ntt::NttError> {
-        // Same [0, 2q) lazy domain as the cyclic override above.
+        // Same [0, 2q) lazy domain as the cyclic method above.
         let q = plan.modulus().value();
         mqx_ntt::debug_assert_domain_soa(a, 2 * q, "polymul_negacyclic_fused input a");
         mqx_ntt::debug_assert_domain_soa(b, 2 * q, "polymul_negacyclic_fused input b");
@@ -401,9 +367,8 @@ pub fn default_backend() -> Arc<dyn Backend> {
 }
 
 /// The memoized once-per-process calibration: per-backend measured
-/// ns/butterfly and the ranked tiers. The first call pays
-/// the measurement burst (a few tens of milliseconds); every later call
-/// returns the same object.
+/// ns/butterfly and the ranked tiers. The first call pays the
+/// measurement burst; every later call returns the same object.
 pub fn calibration() -> &'static calibrate::Calibration {
     calibrate::process_calibration()
 }
@@ -414,14 +379,6 @@ pub fn calibration() -> &'static calibrate::Calibration {
 /// the registry backend with the best measured ns/butterfly.
 pub fn selected_backend() -> Result<Arc<dyn Backend>, Error> {
     calibrate::select(calibrate::env_pin().as_deref())
-}
-
-/// Per-channel auto selection for `k` residue channels: the pin (when
-/// set) applies to every channel; otherwise channels round-robin over
-/// the calibration's competitive set, so near-tied tiers may share the
-/// channel work (see [`calibrate::Calibration::channel_backends`]).
-pub(crate) fn selected_channel_backends(k: usize) -> Result<Vec<Arc<dyn Backend>>, Error> {
-    calibrate::select_channels(calibrate::env_pin().as_deref(), k)
 }
 
 #[cfg(test)]

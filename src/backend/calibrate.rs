@@ -18,8 +18,8 @@
 //! 2. the backends are ranked by measured
 //!    [`Measurement::ns_per_butterfly`], cheapest first;
 //! 3. the result is memoized process-wide behind
-//!    [`calibration`](super::calibration), so the cost is paid once —
-//!    a few milliseconds at first use, nothing afterwards.
+//!    [`calibration`](super::calibration), so the cost is paid once,
+//!    at first use.
 //!
 //! [`Ring::auto`](crate::Ring::auto) and the
 //! [`RnsRingBuilder`](crate::RnsRingBuilder) auto path select from the
@@ -58,17 +58,6 @@ const CALIBRATION_TOTAL: usize = 10;
 
 /// Kept tail length of the calibration loop.
 const CALIBRATION_KEEP: usize = 5;
-
-/// Backends whose measured ns/butterfly is within this factor of the
-/// winner's are "competitive": [`Calibration::channel_backends`]
-/// round-robins residue channels across them, so tiers tied within
-/// measurement noise share the channel work instead of one tier taking
-/// every channel on the strength of a noisy coin flip. The margin is
-/// deliberately tight — all tiers execute on the same cores, so with
-/// parallel channel fan-out the slowest assigned tier is the critical
-/// path of every product; a genuinely slower tier must never be mixed
-/// in, only true ties.
-const COMPETITIVE_MARGIN: f64 = 1.05;
 
 /// One backend's calibration burst, measured on this machine.
 #[derive(Clone, Debug)]
@@ -119,34 +108,6 @@ impl Calibration {
             .iter()
             .find(|m| m.name == name)
             .map(|m| m.ns_per_butterfly)
-    }
-
-    /// Assigns a backend to each of `k` residue channels: channels
-    /// round-robin over the *competitive set* — ranked backends whose
-    /// measured score ties the winner's within measurement noise (a
-    /// tight 1.05× margin) — so channels may land on different
-    /// (tied) tiers, but a measurably slower tier is never put on the
-    /// critical path.
-    pub fn channel_backends(&self, k: usize) -> Vec<Arc<dyn Backend>> {
-        let competitive = self.competitive_set();
-        (0..k)
-            .map(|i| Arc::clone(competitive[i % competitive.len()]))
-            .collect()
-    }
-
-    fn competitive_set(&self) -> Vec<&Arc<dyn Backend>> {
-        let winner = &self.ranking[0];
-        let threshold = match self.score_of(winner.name()) {
-            Some(score) => score * COMPETITIVE_MARGIN,
-            None => return vec![winner],
-        };
-        self.ranking
-            .iter()
-            .filter(|b| {
-                self.score_of(b.name())
-                    .is_some_and(|score| score <= threshold)
-            })
-            .collect()
     }
 }
 
@@ -254,19 +215,6 @@ pub fn select(pin: Option<&str>) -> Result<Arc<dyn Backend>, Error> {
     }
 }
 
-/// Per-channel variant of [`select`] for `k` residue channels: a pin
-/// applies to every channel; otherwise channels come from
-/// [`Calibration::channel_backends`].
-pub(crate) fn select_channels(pin: Option<&str>, k: usize) -> Result<Vec<Arc<dyn Backend>>, Error> {
-    match pin {
-        Some(name) => {
-            let backend = select(Some(name))?;
-            Ok(vec![backend; k])
-        }
-        None => Ok(process_calibration().channel_backends(k)),
-    }
-}
-
 /// Reads the `MQX_BACKEND` pin from the environment. Surrounding
 /// whitespace is trimmed (an exported `MQX_BACKEND=" portable"` must
 /// not fail as an unknown backend) and an empty or all-whitespace value
@@ -328,23 +276,6 @@ mod tests {
         registry.sort_unstable();
         assert_eq!(ranked, registry);
         assert_eq!(cal.winner().name(), cal.ranking()[0].name());
-    }
-
-    #[test]
-    fn channel_backends_stay_within_the_ranking() {
-        let cal = run();
-        let channels = cal.channel_backends(5);
-        assert_eq!(channels.len(), 5);
-        let winner_score = cal.score_of(cal.winner().name()).unwrap();
-        for b in &channels {
-            let score = cal.score_of(b.name()).expect("assigned ⇒ measured");
-            assert!(
-                score <= winner_score * COMPETITIVE_MARGIN,
-                "{} at {score} vs winner {winner_score}",
-                b.name()
-            );
-        }
-        assert!(Arc::ptr_eq(&channels[0], &cal.winner()));
     }
 
     #[test]

@@ -81,8 +81,6 @@
 //! * [`bignum`] — the arbitrary-precision GMP-substitute ([`mqx_bignum`]).
 //! * [`baseline`] — the OpenFHE-style and GMP-style baselines
 //!   ([`mqx_baseline`]).
-//! * [`mca`] — the LLVM-MCA-style port-pressure model ([`mqx_mca`]).
-//! * [`roofline`] — the speed-of-light multi-core model ([`mqx_roofline`]).
 //!
 //! # Lower-level quickstart
 //!
@@ -134,7 +132,5 @@ pub use mqx_baseline as baseline;
 pub use mqx_bignum as bignum;
 pub use mqx_blas as blas;
 pub use mqx_core as core;
-pub use mqx_mca as mca;
 pub use mqx_ntt as ntt;
-pub use mqx_roofline as roofline;
 pub use mqx_simd as simd;

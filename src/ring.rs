@@ -28,15 +28,16 @@ use crate::backend::{self, Backend};
 use crate::error::Error;
 use crate::plan_cache::{self, PlanCache};
 use crate::scratch::ScratchPool;
-use mqx_core::{Modulus, MulAlgorithm};
+use mqx_core::Modulus;
 use mqx_ntt::NttPlan;
 use mqx_simd::ResidueSoa;
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-/// How a [`RingBuilder`] picks its backend.
-enum BackendChoice {
+/// How a [`RingBuilder`] or an [`RnsRingBuilder`](crate::RnsRingBuilder)
+/// picks its backend.
+pub(crate) enum BackendChoice {
     /// The process's auto selection: the `MQX_BACKEND` pin when set,
     /// otherwise the measured-calibration winner. See
     /// [`backend::selected_backend`].
@@ -45,6 +46,22 @@ enum BackendChoice {
     Named(String),
     /// Use this exact instance.
     Instance(Arc<dyn Backend>),
+}
+
+impl BackendChoice {
+    /// Resolves the choice to one backend instance.
+    pub(crate) fn resolve(self) -> Result<Arc<dyn Backend>, Error> {
+        match self {
+            BackendChoice::Auto => backend::selected_backend(),
+            BackendChoice::Instance(b) => Ok(b),
+            BackendChoice::Named(name) => {
+                backend::by_name(&name).ok_or_else(|| Error::UnknownBackend {
+                    name,
+                    available: backend::names(),
+                })
+            }
+        }
+    }
 }
 
 /// Configures and builds a [`Ring`].
@@ -61,7 +78,6 @@ enum BackendChoice {
 pub struct RingBuilder {
     modulus: u128,
     n: usize,
-    algorithm: MulAlgorithm,
     choice: BackendChoice,
     cache: Arc<PlanCache>,
     scratch_workers: Option<usize>,
@@ -74,7 +90,6 @@ impl RingBuilder {
         RingBuilder {
             modulus,
             n,
-            algorithm: MulAlgorithm::Schoolbook,
             choice: BackendChoice::Auto,
             cache: Arc::clone(plan_cache::global()),
             scratch_workers: None,
@@ -93,13 +108,6 @@ impl RingBuilder {
     /// with [`Error::UnknownBackend`] if this host does not offer it.
     pub fn backend_name(mut self, name: &str) -> Self {
         self.choice = BackendChoice::Named(name.to_string());
-        self
-    }
-
-    /// Selects the double-word multiplication algorithm threaded through
-    /// the modulus (the §5.5 schoolbook-vs-Karatsuba sensitivity axis).
-    pub fn mul_algorithm(mut self, algorithm: MulAlgorithm) -> Self {
-        self.algorithm = algorithm;
         self
     }
 
@@ -136,17 +144,8 @@ impl RingBuilder {
     /// resolves the backend, and sets up the lock-free scratch pool
     /// (buffers themselves are allocated lazily on first use).
     pub fn build(self) -> Result<Ring, Error> {
-        let backend = match self.choice {
-            BackendChoice::Auto => backend::selected_backend()?,
-            BackendChoice::Instance(b) => b,
-            BackendChoice::Named(name) => {
-                backend::by_name(&name).ok_or_else(|| Error::UnknownBackend {
-                    name,
-                    available: backend::names(),
-                })?
-            }
-        };
-        let modulus = Modulus::new_prime(self.modulus)?.with_algorithm(self.algorithm);
+        let backend = self.choice.resolve()?;
+        let modulus = Modulus::new_prime(self.modulus)?;
         let plan = self.cache.plan_for(&modulus, self.n)?;
         let n = plan.size();
         let scratch = match self.scratch_workers {
@@ -703,21 +702,6 @@ mod tests {
             ring.polymul_negacyclic(&a, &a).unwrap_err(),
             Error::NoNegacyclicSupport { n: 1024 }
         ));
-    }
-
-    #[test]
-    fn karatsuba_ring_agrees_with_schoolbook_ring() {
-        let a = poly(N, primes::Q124, 3);
-        let b = poly(N, primes::Q124, 4);
-        let school = Ring::builder(primes::Q124, N).build().unwrap();
-        let kara = Ring::builder(primes::Q124, N)
-            .mul_algorithm(MulAlgorithm::Karatsuba)
-            .build()
-            .unwrap();
-        assert_eq!(
-            school.polymul_cyclic(&a, &b).unwrap(),
-            kara.polymul_cyclic(&a, &b).unwrap()
-        );
     }
 
     #[test]

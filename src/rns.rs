@@ -9,9 +9,8 @@
 //! single-prime products — the standard production alternative to
 //! multi-word arithmetic, and how scalable accelerator designs
 //! parallelize large-modulus kernels. [`RnsRing`] owns one [`Ring`] per
-//! channel, each independently dispatched through the backend registry
-//! (so channels can land on different vector tiers), and recombines
-//! channel results by Garner's algorithm.
+//! channel, all dispatched to the one backend the builder resolves, and
+//! recombines channel results by Garner's algorithm.
 //!
 //! Everything per coefficient is word arithmetic over constants
 //! precomputed once per basis width: CRT decomposition is a dot product
@@ -49,14 +48,14 @@
 //! # Ok::<(), mqx::Error>(())
 //! ```
 
-use crate::backend::{self, Backend};
+use crate::backend::Backend;
 use crate::error::Error;
 use crate::ops::RingOp;
 use crate::plan_cache::{self, PlanCache};
-use crate::ring::{Ring, RingBuilder};
+use crate::ring::{BackendChoice, Ring, RingBuilder};
 use mqx_bignum::crt::CrtContext;
 use mqx_bignum::BigUint;
-use mqx_core::{primes, Modulus, MulAlgorithm, ShoupMul};
+use mqx_core::{primes, Modulus, ShoupMul};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -66,7 +65,7 @@ use std::sync::{Arc, Mutex};
 /// The engine tiers have no single-word kernel yet: a 62-bit channel
 /// runs the same two-limb (124-bit) kernels as a `Q124` ring, with a hi
 /// plane of zeros, so its butterflies cost what a `Q124` one does.
-/// Single-word kernels for such channels are ROADMAP item 2.
+/// Single-word kernels for such channels are an open ROADMAP item.
 const DEFAULT_BASIS_BITS: u32 = 62;
 
 /// Why a zero-channel width is rejected.
@@ -82,19 +81,6 @@ enum BasisChoice {
     /// Auto-size channel count and width so the product modulus spans at
     /// least this many bits.
     TargetBits(u32),
-}
-
-/// How the builder assigns a backend to each channel.
-enum ChannelBackends {
-    /// Channels draw from the process's measured calibration ranking:
-    /// near-tied tiers round-robin across channels (so channels may
-    /// land on different tiers), and an `MQX_BACKEND` pin applies to
-    /// every channel. See `backend::calibration`.
-    Auto,
-    /// Every channel pins the named registry backend.
-    Uniform(String),
-    /// Channel `i` pins `backends[i]` — one entry per channel.
-    PerChannel(Vec<Arc<dyn Backend>>),
 }
 
 /// Configures and builds an [`RnsRing`].
@@ -115,8 +101,7 @@ enum ChannelBackends {
 pub struct RnsRingBuilder {
     n: usize,
     basis: BasisChoice,
-    backends: ChannelBackends,
-    algorithm: MulAlgorithm,
+    choice: BackendChoice,
     cache: Arc<PlanCache>,
     scratch_workers: Option<usize>,
 }
@@ -130,8 +115,7 @@ impl RnsRingBuilder {
         RnsRingBuilder {
             n,
             basis: BasisChoice::Explicit(Vec::new()),
-            backends: ChannelBackends::Auto,
-            algorithm: MulAlgorithm::Schoolbook,
+            choice: BackendChoice::Auto,
             cache: Arc::clone(plan_cache::global()),
             scratch_workers: None,
         }
@@ -169,25 +153,18 @@ impl RnsRingBuilder {
         self
     }
 
-    /// Pins every channel to the named registry backend.
+    /// Pins every channel to an exact backend instance (e.g. one from
+    /// [`backend::available`](crate::backend::available)).
+    pub fn backend(mut self, backend: Arc<dyn Backend>) -> Self {
+        self.choice = BackendChoice::Instance(backend);
+        self
+    }
+
+    /// Pins every channel to the named registry backend;
+    /// [`RnsRingBuilder::build`] fails with [`Error::UnknownBackend`] if
+    /// this host does not offer it.
     pub fn backend_name(mut self, name: &str) -> Self {
-        self.backends = ChannelBackends::Uniform(name.to_string());
-        self
-    }
-
-    /// Pins channel `i` to `backends[i]` — the list length must match
-    /// the channel count at build time. This is how channels land on
-    /// different tiers (e.g. AVX-512 for the hot channel, portable for
-    /// the rest).
-    pub fn channel_backends(mut self, backends: Vec<Arc<dyn Backend>>) -> Self {
-        self.backends = ChannelBackends::PerChannel(backends);
-        self
-    }
-
-    /// Selects the double-word multiplication algorithm for every
-    /// channel's modulus.
-    pub fn mul_algorithm(mut self, algorithm: MulAlgorithm) -> Self {
-        self.algorithm = algorithm;
+        self.choice = BackendChoice::Named(name.to_string());
         self
     }
 
@@ -230,42 +207,19 @@ impl RnsRingBuilder {
         // they seed the width cache, so no request builds them.
         let native = Arc::new(WidthCtx::new(&moduli)?);
 
-        if let ChannelBackends::PerChannel(ref backends) = self.backends {
-            if backends.len() != moduli.len() {
-                return Err(Error::ChannelCountMismatch {
-                    expected: moduli.len(),
-                    got: backends.len(),
-                });
-            }
-        }
-        // Resolve the auto selection once for the whole basis: channels
-        // draw from the calibration's competitive set (one env/memo
-        // consult instead of k), honoring the MQX_BACKEND pin.
-        let auto_assignments = match self.backends {
-            ChannelBackends::Auto => Some(backend::selected_channel_backends(moduli.len())?),
-            _ => None,
-        };
+        // Resolve the choice once for the whole basis (one env/memo
+        // consult instead of k): every channel ring holds the same Arc.
+        let backend = self.choice.resolve()?;
         let rings: Vec<Ring> = moduli
             .iter()
-            .enumerate()
-            .map(|(i, &q)| {
+            .map(|&q| {
                 let mut builder = RingBuilder::new(q, self.n)
-                    .mul_algorithm(self.algorithm)
+                    .backend(Arc::clone(&backend))
                     .plan_cache(Arc::clone(&self.cache));
                 if let Some(workers) = self.scratch_workers {
                     builder = builder.scratch_concurrency(workers);
                 }
-                match &self.backends {
-                    ChannelBackends::Auto => {
-                        let assignments = auto_assignments.as_ref().expect("resolved above");
-                        builder.backend(Arc::clone(&assignments[i]))
-                    }
-                    ChannelBackends::Uniform(name) => builder.backend_name(name),
-                    ChannelBackends::PerChannel(backends) => {
-                        builder.backend(Arc::clone(&backends[i]))
-                    }
-                }
-                .build()
+                builder.build()
             })
             .collect::<Result<_, _>>()?;
 
@@ -520,9 +474,8 @@ impl fmt::Debug for RnsRing {
 
 impl RnsRing {
     /// Builds an `n`-point ring over an auto-generated basis of
-    /// `channels` word-sized (62-bit) NTT primes, channels assigned
-    /// from the measured calibration ranking (near-tied tiers
-    /// round-robin, so channels may land on different tiers; see
+    /// `channels` word-sized (62-bit) NTT primes, every channel on the
+    /// measured calibration winner (see
     /// [`backend::calibration`](crate::backend::calibration) and the
     /// `MQX_BACKEND` override).
     pub fn auto(channels: usize, n: usize) -> Result<RnsRing, Error> {
@@ -1041,19 +994,17 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_backends_can_differ() {
-        let portable = backend::by_name("portable").unwrap();
-        let auto = backend::default_backend();
+    fn backend_instance_is_on_every_channel() {
+        let instance =
+            backend::from_engine::<mqx_simd::Portable>("pinned", backend::Tier::Portable);
         let ring = RnsRing::builder(N)
-            .moduli(&[primes::Q62, primes::Q30])
-            .channel_backends(vec![Arc::clone(&portable), auto])
+            .moduli(&[primes::Q62, primes::Q30, primes::Q14])
+            .backend(Arc::clone(&instance))
             .build()
             .unwrap();
-        assert_eq!(ring.backend_names()[0], "portable");
-        assert_eq!(
-            ring.rings()[1].backend().name(),
-            backend::default_backend().name()
-        );
+        for channel in ring.rings() {
+            assert!(Arc::ptr_eq(&channel.backend_arc(), &instance));
+        }
     }
 
     #[test]
@@ -1072,17 +1023,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             Error::BasisGeneration { count: 100, .. }
-        ));
-        assert!(matches!(
-            RnsRing::builder(N)
-                .moduli(&[primes::Q62, primes::Q30])
-                .channel_backends(vec![backend::default_backend()])
-                .build()
-                .unwrap_err(),
-            Error::ChannelCountMismatch {
-                expected: 2,
-                got: 1
-            }
         ));
     }
 

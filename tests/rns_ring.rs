@@ -141,34 +141,29 @@ fn plan_cache_serves_second_ring_with_zero_rebuilds() {
 }
 
 #[test]
-fn mixed_tier_channels_still_recombine_correctly() {
-    // Channels on different backends (the multi-backend promise): pin
-    // channel 0 to portable and let the rest auto-select; results must
-    // match the uniform-tier product bit for bit.
+fn every_tier_recombines_bit_identically_to_portable() {
+    // One backend per ring, pinned through the builder: each registry
+    // tier's product must match the portable ring's bit for bit.
     let basis = basis();
-    let portable = backend::by_name("portable").unwrap();
-    let mixed = RnsRing::builder(N)
-        .moduli(&basis)
-        .channel_backends(vec![
-            portable,
-            backend::default_backend(),
-            backend::default_backend(),
-        ])
-        .build()
-        .unwrap();
-    let uniform = RnsRing::builder(N)
+    let portable = RnsRing::builder(N)
         .moduli(&basis)
         .backend_name("portable")
         .build()
         .unwrap();
-
-    let q = mixed.product_modulus().clone();
+    let q = portable.product_modulus().clone();
     let a = random_coeffs(&q, N, 0xE1);
     let b = random_coeffs(&q, N, 0xE2);
-    assert_eq!(
-        mixed.polymul_negacyclic(&a, &b).unwrap(),
-        uniform.polymul_negacyclic(&a, &b).unwrap()
-    );
+    let expected = portable.polymul_negacyclic(&a, &b).unwrap();
+    for tier in backend::available() {
+        let name = tier.name();
+        let ring = RnsRing::builder(N)
+            .moduli(&basis)
+            .backend(tier)
+            .build()
+            .unwrap();
+        assert_eq!(ring.backend_names(), [name; 3]);
+        assert_eq!(ring.polymul_negacyclic(&a, &b).unwrap(), expected, "{name}");
+    }
 }
 
 #[test]
