@@ -301,9 +301,10 @@ fn measure_plan_build() -> PlanBuildRow {
     }
 }
 
-/// Times a full cyclic polymul through the canonical and lazy-fused
-/// backend entry points on every registry backend, at the
-/// same size the startup calibration uses.
+/// Times a full cyclic polymul on every registry backend, at the same
+/// size the startup calibration uses: the canonical composition
+/// (`forward_ntt` twice, `vmul`, `inverse_ntt`) against the lazy-fused
+/// backend entry point.
 fn measure_lazy_rows() -> Vec<LazyRow> {
     const N: usize = 256;
     const TOTAL: usize = 20;
@@ -324,8 +325,14 @@ fn measure_lazy_rows() -> Vec<LazyRow> {
             // Products of reduced inputs stay reduced, so re-running the
             // kernel over the previous output is a valid steady state
             // for both paths.
+            // The canonical product, composed from the §3.2 transforms
+            // and a Barrett point-wise multiply.
             let canonical = calibrate::median_ns(TOTAL, KEEP, || {
-                backend.polymul_cyclic(&plan, &mut sa, &mut sb, &mut tmp)
+                backend.forward_ntt(&plan, &mut sa, &mut tmp);
+                backend.forward_ntt(&plan, &mut sb, &mut tmp);
+                backend.vmul(&sa, &sb, &mut tmp, &m);
+                std::mem::swap(&mut sa, &mut tmp);
+                backend.inverse_ntt(&plan, &mut sa, &mut tmp);
             }) / butterflies;
             let lazy = calibrate::median_ns(TOTAL, KEEP, || {
                 backend.polymul_cyclic_fused(&plan, &mut sa, &mut sb, &mut tmp)

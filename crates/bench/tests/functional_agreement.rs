@@ -86,9 +86,10 @@ fn transforms_and_fused_products_match_scalar() {
     }
 }
 
-/// Fused and canonical ring products on each engine reproduce the
-/// canonical portable ring exactly, on seeded operands and on the
-/// all-`(q − 1)` worst case of the lazy domains.
+/// Fused ring products on each engine reproduce the `lazy(false)`
+/// reference ring (scalar Cooley–Tukey, canonical Barrett) exactly, on
+/// seeded operands and on the all-`(q − 1)` worst case of the lazy
+/// domains; an engine's own `lazy(false)` ring runs the same reference.
 #[test]
 fn ring_products_match_canonical_portable() {
     let q = primes::Q124;

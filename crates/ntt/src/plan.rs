@@ -3,7 +3,7 @@
 
 use crate::error::NttError;
 use crate::pease;
-use mqx_core::shoup::{self, ShoupCtx};
+use mqx_core::shoup::ShoupCtx;
 use mqx_core::{nt, Modulus, RootError};
 use mqx_simd::{ResidueSoa, SimdEngine, VModulus};
 use std::mem::size_of;
@@ -60,11 +60,12 @@ impl StageTwiddles {
 /// forward twist `ψ^i` and the *merged* untwist-and-scale `ψ^{−i}·n⁻¹`,
 /// each with its Shoup constant so both element-wise passes run as lazy
 /// Shoup multiplies. Those four planes are what serving reads and are
-/// built with the plan; the tables only the canonical reference paths
-/// read sit in cells filled on first use.
+/// built with the plan; the plain `ψ^i` / `ψ^{−i}` slices only the
+/// scalar reference [`crate::polymul::polymul_negacyclic`] reads sit in
+/// cells filled on first use.
 #[derive(Clone, Debug)]
 pub(crate) struct FusedTwist {
-    /// ψ⁻¹, the seed of the on-first-use `ψ^{−i}` tables (ψ itself is
+    /// ψ⁻¹, the seed of the on-first-use `ψ^{−i}` slice (ψ itself is
     /// `psi[1]`).
     psi0_inv: u128,
     /// `ψ^i`, canonical, SoA layout.
@@ -75,11 +76,8 @@ pub(crate) struct FusedTwist {
     pub psi_inv_n: ResidueSoa,
     /// Shoup constants of `ψ^{−i}·n⁻¹`.
     pub psi_inv_n_shoup: ResidueSoa,
-    /// `ψ^{−i}`, canonical — the *unmerged* untwist used by the canonical
-    /// (non-lazy) pipeline, whose inverse NTT already applies `n⁻¹`.
-    psi_inv: OnceLock<ResidueSoa>,
     /// `ψ^i` and `ψ^{−i}` as plain slices, for the scalar reference
-    /// `polymul_negacyclic`.
+    /// `polymul_negacyclic` (whose inverse NTT already applies `n⁻¹`).
     psi_vec: OnceLock<Vec<u128>>,
     psi_inv_vec: OnceLock<Vec<u128>>,
 }
@@ -91,46 +89,19 @@ impl FusedTwist {
             + self.psi_shoup.len()
             + self.psi_inv_n.len()
             + self.psi_inv_n_shoup.len()
-            + self.psi_inv.get().map_or(0, ResidueSoa::len)
             + self.psi_vec.get().map_or(0, Vec::len)
             + self.psi_inv_vec.get().map_or(0, Vec::len)
     }
 }
 
-/// One direction's Cooley–Tukey per-stage tables: the stage with
-/// butterfly span `len` holds `len/2` twiddles `ω^{(n/len)·j}`, and
-/// `shoup` holds their Shoup constants in the same shapes.
-#[derive(Clone, Debug)]
-struct CtTables {
-    twiddles: Vec<Vec<u128>>,
-    shoup: Vec<Vec<u128>>,
-}
-
-impl CtTables {
-    /// Residues held, for [`NttPlan::table_bytes`].
-    fn residues(&self) -> usize {
-        self.twiddles.iter().chain(&self.shoup).map(Vec::len).sum()
-    }
-}
-
-/// Debug-asserts the lazy coefficient-domain contract: every value below
-/// `bound`. Compiled out of release builds.
+/// Debug-asserts the lazy coefficient-domain contract over SoA data:
+/// every value below `bound`. Compiled out of release builds.
 ///
 /// This is the check lint rule **L3** demands at the entry of every
-/// in-place `*_lazy_*` / `*_fused_*` kernel: lazy forward transforms
-/// accept `[0, 2q)`, lazy inverse transforms accept `[0, 4q)`, and the
-/// fused polymul pipelines accept canonical (or `[0, 2q)`) operands.
-/// See the README's "Correctness tooling" section.
-#[inline]
-pub fn debug_assert_domain(x: &[u128], bound: u128, what: &str) {
-    if cfg!(debug_assertions) {
-        for (i, &v) in x.iter().enumerate() {
-            assert!(v < bound, "{what}: coefficient {i} = {v:#x} ≥ {bound:#x}");
-        }
-    }
-}
-
-/// SoA form of [`debug_assert_domain`].
+/// in-place `*_lazy_*` / `*_fused_*` kernel: lazy forward stages
+/// accept `[0, 2q)`, the lazy inverse accepts `[0, 4q)`, and the fused
+/// polymul pipelines accept canonical (or `[0, 2q)`) operands. See the
+/// README's "Correctness tooling" section.
 #[inline]
 pub fn debug_assert_domain_soa(x: &ResidueSoa, bound: u128, what: &str) {
     if cfg!(debug_assertions) {
@@ -168,11 +139,20 @@ fn geometric(m: &Modulus, first: u128, base: u128, n: usize) -> Vec<u128> {
 /// constant-geometry stages with their Shoup constants and
 /// lane-expanded copies, plus the fused negacyclic twist — what the
 /// SIMD kernels, and so every served request, read. The Cooley–Tukey
-/// tables of the `*_scalar` reference transforms and the unmerged
-/// ψ / ψ⁻¹ tables of the canonical negacyclic paths are built on their
-/// first use, so opening a ring does not pay for tables only baselines,
-/// benches and tests read. [`NttPlan::table_bytes`] reports what is
-/// resident.
+/// twiddles of the `*_scalar` reference transforms and the unmerged
+/// ψ / ψ⁻¹ slices of the scalar reference
+/// [`polymul_negacyclic`](crate::polymul::polymul_negacyclic) are built
+/// on their first use, so opening a ring does not pay for tables only
+/// oracles, baselines and benches read. [`NttPlan::table_bytes`]
+/// reports what is resident.
+///
+/// The plan offers exactly two kinds of transform: the SIMD kernels
+/// (the §3.2 Pease transforms [`NttPlan::forward_simd`] /
+/// [`NttPlan::inverse_simd`] and the served fused polymuls
+/// [`NttPlan::polymul_fused_cyclic_simd`] /
+/// [`NttPlan::polymul_fused_negacyclic_simd`]) and the scalar oracles
+/// ([`NttPlan::forward_scalar`] / [`NttPlan::inverse_scalar`], the
+/// Pease scalar pair).
 #[derive(Clone, Debug)]
 pub struct NttPlan {
     m: Modulus,
@@ -183,7 +163,8 @@ pub struct NttPlan {
     omega_inv: u128,
     /// n⁻¹ mod q, for the inverse transform.
     n_inv: u128,
-    /// Shoup constant of `n_inv`, for the fused lazy scale.
+    /// Shoup constant of `n_inv`, for the fused cyclic pipeline's final
+    /// scale.
     n_inv_shoup: u128,
     /// Pease per-stage tables (forward and inverse).
     pub(crate) pease_fwd: Vec<StageTwiddles>,
@@ -195,10 +176,11 @@ pub struct NttPlan {
     /// Twist tables for negacyclic use, when the field supports a 2n-th
     /// root.
     twist: Option<FusedTwist>,
-    /// Cooley–Tukey tables (forward and inverse), built by the first
-    /// scalar transform in that direction.
-    ct_fwd: OnceLock<CtTables>,
-    ct_inv: OnceLock<CtTables>,
+    /// Cooley–Tukey per-stage twiddles (forward and inverse), built by
+    /// the first scalar transform in that direction: the stage with
+    /// butterfly span `len` holds the `len/2` twiddles `ω^{(n/len)·j}`.
+    ct_fwd: OnceLock<Vec<Vec<u128>>>,
+    ct_inv: OnceLock<Vec<Vec<u128>>>,
 }
 
 impl NttPlan {
@@ -266,7 +248,6 @@ impl NttPlan {
                 psi: ResidueSoa::from_u128s(&psi),
                 psi_inv_n_shoup: ResidueSoa::from_u128s(&shoup_constants(&ctx, &psi_inv_n)),
                 psi_inv_n: ResidueSoa::from_u128s(&psi_inv_n),
-                psi_inv: OnceLock::new(),
                 psi_vec: OnceLock::new(),
                 psi_inv_vec: OnceLock::new(),
             }
@@ -327,8 +308,8 @@ impl NttPlan {
 
     /// ψ powers (`ψ^i`, `0 ≤ i < n`), if negacyclic support is
     /// available — the plain-slice form the scalar reference
-    /// `polymul_negacyclic` reads, built on the first call. Vectorized
-    /// callers want [`NttPlan::psi_soa`].
+    /// [`polymul_negacyclic`](crate::polymul::polymul_negacyclic)
+    /// reads, built on the first call.
     pub fn psi(&self) -> Option<&[u128]> {
         let t = self.twist.as_ref()?;
         Some(t.psi_vec.get_or_init(|| t.psi.to_u128s()))
@@ -344,28 +325,6 @@ impl NttPlan {
         )
     }
 
-    /// `ψ^i` in SoA layout, ready for vectorized element-wise twists —
-    /// shared here so higher layers need not duplicate the table.
-    pub fn psi_soa(&self) -> Option<&ResidueSoa> {
-        self.twist.as_ref().map(|t| &t.psi)
-    }
-
-    /// `ψ^{−i}` in SoA layout (the unmerged untwist, built on the first
-    /// call; the fused pipeline uses the merged `ψ^{−i}·n⁻¹` table
-    /// internally).
-    pub fn psi_inv_soa(&self) -> Option<&ResidueSoa> {
-        let t = self.twist.as_ref()?;
-        Some(
-            t.psi_inv
-                .get_or_init(|| ResidueSoa::from_u128s(&geometric(&self.m, 1, t.psi0_inv, self.n))),
-        )
-    }
-
-    /// The Shoup constant `⌊n⁻¹·2^128/q⌋` of the inverse scale factor.
-    pub fn n_inv_shoup(&self) -> u128 {
-        self.n_inv_shoup
-    }
-
     /// Bytes of precomputed tables this plan currently holds: what
     /// [`NttPlan::new`] built plus whichever on-first-use tables have
     /// been filled since.
@@ -373,28 +332,25 @@ impl NttPlan {
         let pease = self.pease_fwd.iter().chain(&self.pease_inv);
         let ct = [&self.ct_fwd, &self.ct_inv]
             .into_iter()
-            .filter_map(OnceLock::get);
+            .filter_map(OnceLock::get)
+            .flatten();
         let residues = pease.map(StageTwiddles::residues).sum::<usize>()
-            + ct.map(CtTables::residues).sum::<usize>()
+            + ct.map(Vec::len).sum::<usize>()
             + self.twist.as_ref().map_or(0, FusedTwist::residues);
         residues * size_of::<u128>() + self.bitrev.len() * size_of::<u32>()
     }
 
-    pub(crate) fn fused_twist(&self) -> Option<&FusedTwist> {
-        self.twist.as_ref()
-    }
-
-    fn ct_fwd(&self) -> &CtTables {
+    fn ct_fwd(&self) -> &[Vec<u128>] {
         self.ct_fwd
             .get_or_init(|| build_ct_tables(&self.m, self.n, self.omega))
     }
 
-    fn ct_inv(&self) -> &CtTables {
+    fn ct_inv(&self) -> &[Vec<u128>] {
         self.ct_inv
             .get_or_init(|| build_ct_tables(&self.m, self.n, self.omega_inv))
     }
 
-    fn no_negacyclic_root(&self) -> NttError {
+    pub(crate) fn no_negacyclic_root(&self) -> NttError {
         NttError::NoRoot(RootError::NoSuchRoot {
             order: 2 * self.n as u64,
         })
@@ -411,7 +367,7 @@ impl NttPlan {
     pub fn forward_scalar(&self, x: &mut [u128]) {
         assert_eq!(x.len(), self.n, "input length must match plan size");
         self.bit_reverse_permute(x);
-        self.ct_butterflies(x, &self.ct_fwd().twiddles);
+        self.ct_butterflies(x, self.ct_fwd());
     }
 
     /// In-place inverse NTT, natural order in and out (includes the
@@ -423,7 +379,7 @@ impl NttPlan {
     pub fn inverse_scalar(&self, x: &mut [u128]) {
         assert_eq!(x.len(), self.n, "input length must match plan size");
         self.bit_reverse_permute(x);
-        self.ct_butterflies(x, &self.ct_inv().twiddles);
+        self.ct_butterflies(x, self.ct_inv());
         for v in x.iter_mut() {
             *v = self.m.mul_mod(*v, self.n_inv);
         }
@@ -449,70 +405,6 @@ impl NttPlan {
                     let v = m.mul_mod(x[block + j + half], tw[j]);
                     x[block + j] = m.add_mod(u, v);
                     x[block + j + half] = m.sub_mod(u, v);
-                }
-            }
-        }
-    }
-
-    // ---- scalar lazy dataflow (Harvey butterflies, [0, 4q) domain) ------
-
-    /// In-place *lazy* forward NTT: Harvey-style butterflies keep every
-    /// coefficient in `[0, 4q)` with **one** conditional correction per
-    /// butterfly (the canonical path pays a Barrett µ-multiply plus two
-    /// trial-subtract selects). Natural order in and out.
-    ///
-    /// Domain contract (debug-asserted): inputs `< 2q`; outputs are
-    /// unreduced in `[0, 4q)` — feed them to [`NttPlan::inverse_lazy_scalar`]
-    /// or fold them before canonical consumers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.size()`.
-    pub fn forward_lazy_scalar(&self, x: &mut [u128]) {
-        assert_eq!(x.len(), self.n, "input length must match plan size");
-        debug_assert_domain(x, 2 * self.m.value(), "forward_lazy input");
-        self.bit_reverse_permute(x);
-        self.ct_butterflies_lazy(x, self.ct_fwd());
-    }
-
-    /// In-place lazy inverse NTT **without** the `n⁻¹` scale — the fused
-    /// pipeline folds that scale (and the final canonical reduction) into
-    /// a single Shoup pass after this call.
-    ///
-    /// Domain contract (debug-asserted): inputs `< 4q`; outputs `< 4q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.size()`.
-    pub fn inverse_lazy_scalar(&self, x: &mut [u128]) {
-        assert_eq!(x.len(), self.n, "input length must match plan size");
-        debug_assert_domain(x, 4 * self.m.value(), "inverse_lazy input");
-        self.bit_reverse_permute(x);
-        self.ct_butterflies_lazy(x, self.ct_inv());
-    }
-
-    /// Harvey lazy Cooley–Tukey butterflies: `u` is folded from `[0, 4q)`
-    /// into `[0, 2q)` (the single conditional), `t = v·w` comes out of the
-    /// lazy Shoup multiply already `< 2q`, and the outputs `u + t` /
-    /// `u − t + 2q` stay `< 4q` without further correction.
-    fn ct_butterflies_lazy(&self, x: &mut [u128], tables: &CtTables) {
-        let q = self.m.value();
-        let two_q = 2 * q;
-        // Widest domain either caller feeds: the lazy inverse passes
-        // `[0, 4q)`; the `u` fold below assumes nothing more.
-        debug_assert_domain(x, 4 * q, "ct_butterflies_lazy input");
-        for (s, (tw, tws)) in tables.twiddles.iter().zip(&tables.shoup).enumerate() {
-            let half = 1_usize << s;
-            let len = half * 2;
-            for block in (0..self.n).step_by(len) {
-                for j in 0..half {
-                    let mut u = x[block + j];
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let t = shoup::mul_lazy(x[block + j + half], tw[j], tws[j], q);
-                    x[block + j] = u + t;
-                    x[block + j + half] = u + two_q - t;
                 }
             }
         }
@@ -597,43 +489,7 @@ impl NttPlan {
         std::mem::swap(x, scratch);
     }
 
-    // ---- fused lazy pipelines (SIMD, Gentleman–Sande lazy butterflies) --
-
-    /// Lazy forward NTT over SoA data: Gentleman–Sande-shaped Pease
-    /// butterflies whose sum leg pays one conditional fold against `2q`
-    /// and whose difference leg is a correction-free lazy Shoup multiply.
-    /// Every coefficient stays in `[0, 2q)` across all stages.
-    ///
-    /// Domain contract (debug-asserted): inputs `< 2q`; outputs `< 2q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ from the plan size.
-    pub fn forward_lazy_simd<E: SimdEngine>(&self, x: &mut ResidueSoa, scratch: &mut ResidueSoa) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(scratch.len(), self.n);
-        debug_assert_domain_soa(x, 2 * self.m.value(), "forward_lazy input");
-        let vm = VModulus::<E>::new(&self.m);
-        pease::pease_lazy_simd::<E>(self, x, scratch, &self.pease_fwd, &vm);
-        self.bit_reverse_soa(x, scratch);
-    }
-
-    /// Lazy inverse NTT over SoA data **without** the `n⁻¹` scale (see
-    /// [`NttPlan::forward_lazy_simd`] for the butterfly shape).
-    ///
-    /// Domain contract (debug-asserted): inputs `< 2q`; outputs `< 2q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ from the plan size.
-    pub fn inverse_lazy_simd<E: SimdEngine>(&self, x: &mut ResidueSoa, scratch: &mut ResidueSoa) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(scratch.len(), self.n);
-        debug_assert_domain_soa(x, 2 * self.m.value(), "inverse_lazy input");
-        let vm = VModulus::<E>::new(&self.m);
-        pease::pease_lazy_simd::<E>(self, x, scratch, &self.pease_inv, &vm);
-        self.bit_reverse_soa(x, scratch);
-    }
+    // ---- fused lazy pipelines (SIMD, Shoup butterflies) -----------------
 
     /// Fused cyclic polynomial product: forward(a), forward(b), pointwise
     /// multiply, inverse, with the canonical reduction and the `n⁻¹` scale
@@ -713,16 +569,13 @@ impl NttPlan {
     }
 }
 
-fn build_ct_tables(m: &Modulus, n: usize, omega: u128) -> CtTables {
-    let ctx = ShoupCtx::new(m);
-    let twiddles: Vec<Vec<u128>> = (0..n.trailing_zeros())
+fn build_ct_tables(m: &Modulus, n: usize, omega: u128) -> Vec<Vec<u128>> {
+    (0..n.trailing_zeros())
         .map(|s| {
             let step = m.pow_mod(omega, (n >> (s + 1)) as u128); // ω^{n/len}
             geometric(m, 1, step, 1 << s)
         })
-        .collect();
-    let shoup = twiddles.iter().map(|t| shoup_constants(&ctx, t)).collect();
-    CtTables { twiddles, shoup }
+        .collect()
 }
 
 fn build_pease_tables(m: &Modulus, ctx: &ShoupCtx, n: usize, omega: u128) -> Vec<StageTwiddles> {
@@ -865,24 +718,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lazy_scalar_kernels_agree_with_canonical_mod_q() {
-        for n in [8_usize, 64, 256] {
-            let p = plan(primes::Q124, n);
-            let q = primes::Q124;
-            let x = ramp(n, q);
-            let mut canonical = x.clone();
-            p.forward_scalar(&mut canonical);
-
-            let mut lazy = x.clone();
-            p.forward_lazy_scalar(&mut lazy);
-            for (i, (&l, &c)) in lazy.iter().zip(&canonical).enumerate() {
-                assert!(l < 4 * q, "lazy output domain, index {i}");
-                assert_eq!(l % q, c, "index {i} n={n}");
-            }
-        }
-    }
-
     /// Both fused pipelines on engine `E` against the canonical scalar
     /// path, on a ramp and on the all-`(q − 1)` worst case. Sizes 2–32
     /// cover the `n/2 < LANES` scalar fallback and the first whole
@@ -927,27 +762,16 @@ mod tests {
     }
 
     #[test]
-    fn lazy_simd_transform_roundtrips_in_domain() {
-        use mqx_simd::Portable;
-        let q = primes::Q120;
-        let n = 128;
-        let p = plan(q, n);
-        let x = ramp(n, q);
-        let mut soa = ResidueSoa::from_u128s(&x);
-        let mut scratch = ResidueSoa::zeros(n);
-        p.forward_lazy_simd::<Portable>(&mut soa, &mut scratch);
-        let mut expected = x.clone();
-        p.forward_scalar(&mut expected);
-        for (i, &e) in expected.iter().enumerate() {
-            assert!(soa.get(i) < 2 * q, "GS-lazy stays in [0,2q), index {i}");
-            assert_eq!(soa.get(i) % q, e, "index {i}");
-        }
-        p.inverse_lazy_simd::<Portable>(&mut soa, &mut scratch);
-        // Fold to canonical and undo n: x == lazy_roundtrip · n⁻¹ mod q.
-        let m = p.modulus();
-        for (i, &xi) in x.iter().enumerate() {
-            assert_eq!(m.mul_mod(soa.get(i) % q, p.n_inv()), xi, "index {i}");
-        }
+    fn fused_negacyclic_error_when_no_psi() {
+        // Q14 has 2-adicity 10: n = 1024 cyclic works, negacyclic cannot.
+        let p = plan(primes::Q14, 1024);
+        let ones = ResidueSoa::from_u128s(&[1; 1024]);
+        let (mut a, mut b) = (ones.clone(), ones);
+        let mut scratch = ResidueSoa::zeros(1024);
+        assert!(matches!(
+            p.polymul_fused_negacyclic_simd::<mqx_simd::Portable>(&mut a, &mut b, &mut scratch),
+            Err(NttError::NoRoot(_))
+        ));
     }
 
     #[test]
@@ -1034,10 +858,11 @@ mod tests {
                 assert_pease_stages(&p, &p.pease_fwd, p.omega());
                 assert_pease_stages(&p, &p.pease_inv, p.omega_inv());
                 assert_eq!(m.mul_mod(p.n_inv(), n as u128), 1);
-                assert_eq!(p.n_inv_shoup(), shoup_oracle(p.n_inv(), q));
+                assert_eq!(p.n_inv_shoup, shoup_oracle(p.n_inv(), q));
 
                 let t = p
-                    .fused_twist()
+                    .twist
+                    .as_ref()
                     .expect("2n | q − 1 for every serving modulus");
                 let psi0 = t.psi.get(1);
                 assert_eq!(m.mul_mod(psi0, psi0), p.omega(), "ψ² = ω");
@@ -1061,17 +886,15 @@ mod tests {
         let p = plan(q, n);
         let m = p.modulus();
         for (tables, root) in [(p.ct_fwd(), p.omega()), (p.ct_inv(), p.omega_inv())] {
-            for (s, (tw, tws)) in tables.twiddles.iter().zip(&tables.shoup).enumerate() {
-                assert_eq!((tw.len(), tws.len()), (1 << s, 1 << s));
-                for (j, (&w, &ws)) in tw.iter().zip(tws).enumerate() {
+            for (s, tw) in tables.iter().enumerate() {
+                assert_eq!(tw.len(), 1 << s);
+                for (j, &w) in tw.iter().enumerate() {
                     assert_eq!(w, m.pow_mod(root, (j * (n >> (s + 1))) as u128));
-                    assert_eq!(ws, shoup_oracle(w, q));
                 }
             }
         }
         let (psi, psi_inv) = (p.psi().unwrap(), p.psi_inv().unwrap());
-        assert_eq!(psi, p.psi_soa().unwrap().to_u128s());
-        assert_eq!(psi_inv, p.psi_inv_soa().unwrap().to_u128s());
+        assert_eq!(psi, p.twist.as_ref().unwrap().psi.to_u128s());
         for i in 0..n {
             assert_eq!(m.mul_mod(psi[i], psi_inv[i]), 1, "ψ^{i}·ψ^-{i}");
         }
@@ -1092,8 +915,9 @@ mod tests {
         b.copy_from_u128s(&x);
         p.polymul_fused_negacyclic_simd::<Portable>(&mut a, &mut b, &mut scratch)
             .unwrap();
-        p.forward_lazy_simd::<Portable>(&mut a, &mut scratch);
-        assert!(p.supports_negacyclic() && p.psi_soa().is_some());
+        p.forward_simd::<Portable>(&mut a, &mut scratch);
+        p.inverse_simd::<Portable>(&mut a, &mut scratch);
+        assert!(p.supports_negacyclic());
         assert_eq!(p.table_bytes(), eager, "serving built a reference table");
 
         let mut grown = eager;
@@ -1111,17 +935,15 @@ mod tests {
         assert_grew(&p, "psi()");
         p.psi_inv();
         assert_grew(&p, "psi_inv()");
-        p.psi_inv_soa();
-        assert_grew(&p, "psi_inv_soa()");
 
         // Nothing is left to build, and a second call builds nothing.
-        p.forward_lazy_scalar(&mut y);
+        p.forward_scalar(&mut y);
         p.psi();
         assert_eq!(p.table_bytes(), grown);
-        assert!(
-            eager * 10 <= grown * 7,
-            "eager {eager} B is more than 0.7× of the fully built {grown} B"
-        );
+        // Exactly the reference tables were added: n − 1 Cooley–Tukey
+        // twiddles per direction plus the `ψ^i` and `ψ^{−i}` slices.
+        let reference = (2 * (n - 1) + 2 * n) * size_of::<u128>();
+        assert_eq!(grown - eager, reference, "on-first-use table bytes");
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Polynomial multiplication via the convolution theorem (§2.3), in the
 //! cyclic ring ℤ_q\[x\]/(xⁿ−1) and the negacyclic ring ℤ_q\[x\]/(xⁿ+1)
 //! used by RLWE-based FHE schemes, plus O(n²) schoolbook references.
+//!
+//! [`polymul_cyclic`] / [`polymul_negacyclic`] are the scalar reference
+//! products: the Cooley–Tukey [`NttPlan::forward_scalar`] /
+//! [`NttPlan::inverse_scalar`] with a canonical Barrett multiply at every
+//! step. They share no kernel with the served SIMD pipelines
+//! ([`NttPlan::polymul_fused_cyclic_simd`] /
+//! [`NttPlan::polymul_fused_negacyclic_simd`]), which is what makes them
+//! an oracle for those pipelines.
 
 use crate::{NttError, NttPlan};
 use mqx_bignum::BigUint;
-use mqx_core::{shoup, Modulus};
+use mqx_core::Modulus;
 
 /// Schoolbook product reduced mod `xⁿ − 1` (cyclic convolution) — the
 /// Eq. 10 reference, used as the oracle for the NTT-based path.
@@ -111,7 +119,7 @@ pub fn polymul_cyclic(plan: &NttPlan, a: &[u128], b: &[u128]) -> Vec<u128> {
 
 /// Negacyclic polynomial product via the ψ-twisted NTT: scale by powers
 /// of ψ, cyclic transform, point-wise multiply, inverse, unscale (the
-/// standard RLWE trick; the `n⁻¹` is folded into the ψ⁻¹ table).
+/// standard RLWE trick; the inverse transform applies `n⁻¹`).
 ///
 /// # Errors
 ///
@@ -124,14 +132,10 @@ pub fn polymul_cyclic(plan: &NttPlan, a: &[u128], b: &[u128]) -> Vec<u128> {
 pub fn polymul_negacyclic(plan: &NttPlan, a: &[u128], b: &[u128]) -> Result<Vec<u128>, NttError> {
     assert_eq!(a.len(), plan.size());
     assert_eq!(b.len(), plan.size());
-    let (psi, psi_inv) = match (plan.psi(), plan.psi_inv()) {
-        (Some(p), Some(pi)) => (p, pi),
-        _ => {
-            return Err(NttError::NoRoot(mqx_core::RootError::NoSuchRoot {
-                order: 2 * plan.size() as u64,
-            }))
-        }
-    };
+    let (psi, psi_inv) = plan
+        .psi()
+        .zip(plan.psi_inv())
+        .ok_or_else(|| plan.no_negacyclic_root())?;
     let m = plan.modulus();
     let twist =
         |xs: &[u128]| -> Vec<u128> { xs.iter().zip(psi).map(|(&x, &p)| m.mul_mod(x, p)).collect() };
@@ -148,112 +152,6 @@ pub fn polymul_negacyclic(plan: &NttPlan, a: &[u128], b: &[u128]) -> Result<Vec<
         .zip(psi_inv)
         .map(|(&x, &pi)| m.mul_mod(x, pi))
         .collect())
-}
-
-/// Fused cyclic product with *lazy* reduction, entirely in place and
-/// allocation-free: lazy forward(a), lazy forward(b), point-wise multiply
-/// (operands folded to canonical only there), lazy inverse, and one final
-/// Shoup pass merging the `n⁻¹` scale with the canonical reduction. `a`
-/// holds the result; `b` is clobbered (it holds its own forward
-/// transform, unreduced).
-///
-/// Bit-identical to [`polymul_cyclic`]: both end with the unique
-/// canonical residues of the same ring element.
-///
-/// # Panics
-///
-/// Panics if input lengths differ from the plan size; debug-asserts
-/// inputs `< 2q`.
-pub fn polymul_fused_cyclic(plan: &NttPlan, a: &mut [u128], b: &mut [u128]) {
-    assert_eq!(a.len(), plan.size());
-    assert_eq!(b.len(), plan.size());
-    let q = plan.modulus().value();
-    crate::plan::debug_assert_domain(a, 2 * q, "polymul_fused_cyclic input a");
-    crate::plan::debug_assert_domain(b, 2 * q, "polymul_fused_cyclic input b");
-    plan.forward_lazy_scalar(a);
-    plan.forward_lazy_scalar(b);
-    pointwise_fold_mul(a, b, plan.modulus());
-    plan.inverse_lazy_scalar(a);
-    let (n_inv, n_inv_shoup) = (plan.n_inv(), plan.n_inv_shoup());
-    for v in a.iter_mut() {
-        let r = shoup::mul_lazy(*v, n_inv, n_inv_shoup, q);
-        *v = if r >= q { r - q } else { r };
-    }
-}
-
-/// Fused negacyclic product with lazy reduction: lazy ψ twist, the fused
-/// cyclic body without its final scale, then one merged `ψ^{−i}·n⁻¹`
-/// untwist-and-canonicalize pass. `a` holds the result; `b` is
-/// clobbered.
-///
-/// # Errors
-///
-/// Returns [`NttError::NoRoot`] if the plan's field has no 2n-th root of
-/// unity (check [`NttPlan::supports_negacyclic`]).
-///
-/// # Panics
-///
-/// Panics if input lengths differ from the plan size; debug-asserts
-/// inputs `< 2q`.
-pub fn polymul_fused_negacyclic(
-    plan: &NttPlan,
-    a: &mut [u128],
-    b: &mut [u128],
-) -> Result<(), NttError> {
-    assert_eq!(a.len(), plan.size());
-    assert_eq!(b.len(), plan.size());
-    let twist = match plan.fused_twist() {
-        Some(t) => t,
-        None => {
-            return Err(NttError::NoRoot(mqx_core::RootError::NoSuchRoot {
-                order: 2 * plan.size() as u64,
-            }))
-        }
-    };
-    let q = plan.modulus().value();
-    crate::plan::debug_assert_domain(a, 2 * q, "polymul_fused_negacyclic input a");
-    crate::plan::debug_assert_domain(b, 2 * q, "polymul_fused_negacyclic input b");
-    // Lazy ψ twist: canonical inputs leave in [0, 2q), a valid lazy
-    // forward domain.
-    for (i, v) in a.iter_mut().enumerate() {
-        *v = shoup::mul_lazy(*v, twist.psi.get(i), twist.psi_shoup.get(i), q);
-    }
-    for (i, v) in b.iter_mut().enumerate() {
-        *v = shoup::mul_lazy(*v, twist.psi.get(i), twist.psi_shoup.get(i), q);
-    }
-    plan.forward_lazy_scalar(a);
-    plan.forward_lazy_scalar(b);
-    pointwise_fold_mul(a, b, plan.modulus());
-    plan.inverse_lazy_scalar(a);
-    // Merged untwist + n⁻¹ scale + canonical reduction, one pass.
-    for (i, v) in a.iter_mut().enumerate() {
-        let r = shoup::mul_lazy(*v, twist.psi_inv_n.get(i), twist.psi_inv_n_shoup.get(i), q);
-        *v = if r >= q { r - q } else { r };
-    }
-    Ok(())
-}
-
-/// Lazy point-wise multiply between the fused passes: operands arrive
-/// unreduced in `[0, 4q)` (the lazy forward's output domain), are folded
-/// to canonical (Barrett needs reduced operands), and the product leaves
-/// canonical — a valid input for the lazy inverse.
-fn pointwise_fold_mul(a: &mut [u128], b: &[u128], m: &Modulus) {
-    let q = m.value();
-    let two_q = 2 * q;
-    crate::plan::debug_assert_domain(a, 4 * q, "pointwise input a");
-    crate::plan::debug_assert_domain(b, 4 * q, "pointwise input b");
-    let fold = |mut v: u128| {
-        if v >= two_q {
-            v -= two_q;
-        }
-        if v >= q {
-            v -= q;
-        }
-        v
-    };
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = m.mul_mod(fold(*x), fold(y));
-    }
 }
 
 #[cfg(test)]
@@ -368,69 +266,6 @@ mod tests {
         one[0] = 1;
         assert_eq!(polymul_cyclic(&p, &a, &one), a);
         assert_eq!(polymul_negacyclic(&p, &a, &one).unwrap(), a);
-    }
-
-    #[test]
-    fn fused_cyclic_bit_identical_to_canonical() {
-        for (q, n) in [(primes::Q30, 8), (primes::Q124, 64), (primes::Q62, 256)] {
-            let p = plan(q, n);
-            for seed in [1_u64, 0xA5A5, 0xDEAD_BEEF] {
-                let a = poly(n, q, seed);
-                let b = poly(n, q, seed ^ 0x5555_5555);
-                let canonical = polymul_cyclic(&p, &a, &b);
-                let mut fa = a.clone();
-                let mut fb = b.clone();
-                polymul_fused_cyclic(&p, &mut fa, &mut fb);
-                assert_eq!(fa, canonical, "q={q} n={n} seed={seed:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_negacyclic_bit_identical_to_canonical() {
-        for (q, n) in [(primes::Q30, 8), (primes::Q124, 64)] {
-            let p = plan(q, n);
-            for seed in [2_u64, 0xBEEF, 0xCAFE_F00D] {
-                let a = poly(n, q, seed);
-                let b = poly(n, q, seed ^ 0x3333_3333);
-                let canonical = polymul_negacyclic(&p, &a, &b).unwrap();
-                let mut fa = a.clone();
-                let mut fb = b.clone();
-                polymul_fused_negacyclic(&p, &mut fa, &mut fb).unwrap();
-                assert_eq!(fa, canonical, "q={q} n={n} seed={seed:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_worst_case_all_q_minus_one() {
-        // All-(q−1) inputs maximize lazy-domain growth at every stage.
-        for (q, n) in [(primes::Q124, 256), (primes::Q62, 64)] {
-            let p = plan(q, n);
-            let a = vec![q - 1; n];
-            let canonical = polymul_cyclic(&p, &a, &a);
-            let mut fa = a.clone();
-            let mut fb = a.clone();
-            polymul_fused_cyclic(&p, &mut fa, &mut fb);
-            assert_eq!(fa, canonical, "cyclic q={q} n={n}");
-
-            let canonical = polymul_negacyclic(&p, &a, &a).unwrap();
-            let mut fa = a.clone();
-            let mut fb = a;
-            polymul_fused_negacyclic(&p, &mut fa, &mut fb).unwrap();
-            assert_eq!(fa, canonical, "negacyclic q={q} n={n}");
-        }
-    }
-
-    #[test]
-    fn fused_negacyclic_error_when_no_psi() {
-        let p = plan(primes::Q14, 1024);
-        let mut a = vec![1_u128; 1024];
-        let mut b = vec![1_u128; 1024];
-        assert!(matches!(
-            polymul_fused_negacyclic(&p, &mut a, &mut b),
-            Err(NttError::NoRoot(_))
-        ));
     }
 
     #[test]

@@ -128,31 +128,14 @@ pub trait Backend: Send + Sync {
     /// `y[i] ← a·x[i] + y[i] mod q` with broadcast scalar `a`.
     fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus);
 
-    /// Cyclic polynomial product via the convolution theorem, entirely in
-    /// this backend's tier: forward-transform both operands in place,
-    /// multiply point-wise, inverse-transform. The product is left in
-    /// `a`; `b` is consumed as a transform buffer and `scratch` must have
-    /// the plan's length.
-    fn polymul_cyclic(
-        &self,
-        plan: &NttPlan,
-        a: &mut ResidueSoa,
-        b: &mut ResidueSoa,
-        scratch: &mut ResidueSoa,
-    ) {
-        self.forward_ntt(plan, a, scratch);
-        self.forward_ntt(plan, b, scratch);
-        self.vmul(a, b, scratch, plan.modulus());
-        std::mem::swap(a, scratch);
-        self.inverse_ntt(plan, a, scratch);
-    }
-
-    /// Cyclic polynomial product through the *fused lazy pipeline*:
-    /// forward(a), forward(b), point-wise multiply and inverse run
-    /// back-to-back in the `[0, 2q)` Shoup-butterfly domain, with the
-    /// canonical reduction and `n⁻¹` scale merged into the final pass.
-    /// Same contract as [`Backend::polymul_cyclic`] (result in `a`, `b`
-    /// clobbered, no allocation) and bit-identical to it.
+    /// Cyclic polynomial product through the *fused lazy pipeline*, the
+    /// one polymul path a backend serves: forward(a), forward(b),
+    /// point-wise multiply and inverse run back-to-back in the lazy
+    /// Shoup-butterfly domains, with the canonical reduction and `n⁻¹`
+    /// scale merged into the final pass. The canonical product is left in
+    /// `a`; `b` is clobbered and `scratch` must have the plan's length.
+    /// No allocation. Bit-identical to the scalar reference
+    /// [`mqx_ntt::polymul::polymul_cyclic`].
     fn polymul_cyclic_fused(
         &self,
         plan: &NttPlan,
@@ -163,8 +146,8 @@ pub trait Backend: Send + Sync {
 
     /// Negacyclic polynomial product through the fused lazy pipeline:
     /// ψ twist, fused cyclic body, merged `ψ^{−i}·n⁻¹` untwist. Result in
-    /// `a`, `b` clobbered, no allocation; bit-identical to the canonical
-    /// twist/cyclic/untwist sequence.
+    /// `a`, `b` clobbered, no allocation; bit-identical to the scalar
+    /// reference [`mqx_ntt::polymul::polymul_negacyclic`].
     ///
     /// # Errors
     ///

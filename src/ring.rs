@@ -28,8 +28,9 @@ use crate::backend::{self, Backend};
 use crate::error::Error;
 use crate::plan_cache::{self, PlanCache};
 use crate::scratch::ScratchPool;
+use crate::PolyOp;
 use mqx_core::Modulus;
-use mqx_ntt::NttPlan;
+use mqx_ntt::{polymul, NttPlan};
 use mqx_simd::ResidueSoa;
 use std::borrow::Cow;
 use std::fmt;
@@ -130,11 +131,15 @@ impl RingBuilder {
         self
     }
 
-    /// Routes polynomial products through the lazy-reduction fused
-    /// pipeline (`true`, the default) or the canonical
-    /// per-stage-reduced kernels (`false`). The two paths are
-    /// bit-identical; the canonical one is the oracle the tests and the
-    /// benchmark's reference ring compare the default against.
+    /// Routes polynomial products through the backend's lazy-reduction
+    /// fused pipeline (`true`, the default, and the only serving path)
+    /// or, with `false`, through the scalar reference products
+    /// [`mqx_ntt::polymul::polymul_cyclic`] /
+    /// [`mqx_ntt::polymul::polymul_negacyclic`] (Cooley–Tukey with
+    /// canonical Barrett arithmetic), which share no kernel with any
+    /// backend — for oracles, not serving. The two are bit-identical.
+    /// A `lazy(false)` ring still runs its transforms and element-wise
+    /// ops on its backend.
     pub fn lazy(mut self, lazy: bool) -> Self {
         self.lazy = lazy;
         self
@@ -182,9 +187,9 @@ pub struct Ring {
     plan: Arc<NttPlan>,
     backend: Arc<dyn Backend>,
     scratch: ScratchPool,
-    /// Route polynomial products through the lazy-reduction fused
-    /// pipeline ([`Backend::polymul_cyclic_fused`]). Bit-identical to
-    /// the canonical path; see [`RingBuilder::lazy`].
+    /// Route polynomial products through the backend's fused pipeline
+    /// ([`Backend::polymul_cyclic_fused`]), else through the scalar
+    /// reference; see [`RingBuilder::lazy`].
     lazy: bool,
 }
 
@@ -260,11 +265,12 @@ impl Ring {
 
     /// Whether negacyclic (`xⁿ + 1`) operations are available.
     pub fn supports_negacyclic(&self) -> bool {
-        self.plan.psi_soa().is_some()
+        self.plan.supports_negacyclic()
     }
 
     /// Whether this ring routes polynomial products through the
-    /// lazy-reduction fused pipeline (the default; see
+    /// backend's lazy-reduction fused pipeline (the default). `false`
+    /// means scalar reference products, for oracles, not serving (see
     /// [`RingBuilder::lazy`]).
     pub fn is_lazy(&self) -> bool {
         self.lazy
@@ -278,6 +284,17 @@ impl Ring {
                 expected: self.plan.size(),
                 got,
             })
+        }
+    }
+
+    /// Checks that `words` is one operand of this ring: `n` residues,
+    /// each below `q`.
+    fn check_residues(&self, words: &[u128]) -> Result<(), Error> {
+        self.check_len(words.len())?;
+        let q = self.modulus.value();
+        match words.iter().position(|&w| w >= q) {
+            Some(index) => Err(Error::CoefficientOutOfRange { index }),
+            None => Ok(()),
         }
     }
 
@@ -332,6 +349,11 @@ impl Ring {
     /// call, so concurrent products on a shared ring never interfere:
     /// the only allocation is the returned vector (plus a one-time
     /// buffer build while the pool warms up).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::LengthMismatch`] for an operand that is not `n` long,
+    /// [`Error::CoefficientOutOfRange`] for a coefficient `≥ q`.
     pub fn polymul_cyclic(&self, a: &[u128], b: &[u128]) -> Result<Vec<u128>, Error> {
         let mut out = Vec::new();
         self.polymul_cyclic_into(a, b, &mut out)?;
@@ -341,56 +363,41 @@ impl Ring {
     /// [`Ring::polymul_cyclic`] writing into a caller-owned vector: the
     /// steady-state allocation-free slice form (`out` is resized once
     /// and reused across calls; all working buffers come from the pool).
+    ///
+    /// # Errors
+    ///
+    /// As [`Ring::polymul_cyclic`].
     pub fn polymul_cyclic_into(
         &self,
         a: &[u128],
         b: &[u128],
         out: &mut Vec<u128>,
     ) -> Result<(), Error> {
-        self.check_len(a.len())?;
-        self.check_len(b.len())?;
-        let mut sa = self.scratch.checkout();
-        let mut sb = self.scratch.checkout();
-        let mut tmp = self.scratch.checkout();
-        sa.copy_from_u128s(a);
-        sb.copy_from_u128s(b);
-        if self.lazy {
-            self.backend
-                .polymul_cyclic_fused(&self.plan, &mut sa, &mut sb, &mut tmp);
-        } else {
-            self.backend
-                .polymul_cyclic(&self.plan, &mut sa, &mut sb, &mut tmp);
-        }
-        out.clear();
-        out.resize(self.plan.size(), 0);
-        sa.write_u128s(out);
-        Ok(())
+        self.check_residues(a)?;
+        self.check_residues(b)?;
+        self.polymul_into(PolyOp::Cyclic, a, b, out)
     }
 
     /// Cyclic product over SoA buffers with the result left in `a` — the
-    /// allocation-free form (only transform scratch is pooled).
+    /// allocation-free form (only transform scratch is pooled; `b` is
+    /// clobbered). Coefficients must be below `q`: unlike the slice
+    /// forms, this kernel-level form does not scan its operands.
     pub fn polymul_cyclic_soa(&self, a: &mut ResidueSoa, b: &mut ResidueSoa) -> Result<(), Error> {
         self.check_len(a.len())?;
         self.check_len(b.len())?;
         let mut tmp = self.scratch.checkout();
-        if self.lazy {
-            self.backend
-                .polymul_cyclic_fused(&self.plan, a, b, &mut tmp);
-        } else {
-            self.backend.polymul_cyclic(&self.plan, a, b, &mut tmp);
-        }
-        Ok(())
+        self.product(PolyOp::Cyclic, a, b, &mut tmp)
     }
 
     /// Negacyclic product in `ℤ_q[x]/(xⁿ + 1)` — the RLWE workhorse —
-    /// via the ψ-twisted cyclic transform, with the twist itself running
-    /// through the backend's vector multiply. Thread-safe like every
-    /// ring operation: scratch is per-call, from the pool.
+    /// via the ψ-twisted cyclic transform. Thread-safe like every ring
+    /// operation: scratch is per-call, from the pool.
     ///
     /// # Errors
     ///
-    /// [`Error::NoNegacyclicSupport`] if the field has no `2n`-th root
-    /// of unity (check [`Ring::supports_negacyclic`]).
+    /// As [`Ring::polymul_cyclic`], plus [`Error::NoNegacyclicSupport`]
+    /// if the field has no `2n`-th root of unity (check
+    /// [`Ring::supports_negacyclic`]).
     pub fn polymul_negacyclic(&self, a: &[u128], b: &[u128]) -> Result<Vec<u128>, Error> {
         let mut out = Vec::new();
         self.polymul_negacyclic_into(a, b, &mut out)?;
@@ -402,61 +409,74 @@ impl Ring {
     ///
     /// # Errors
     ///
-    /// [`Error::NoNegacyclicSupport`] if the field has no `2n`-th root
-    /// of unity.
+    /// As [`Ring::polymul_negacyclic`].
     pub fn polymul_negacyclic_into(
         &self,
         a: &[u128],
         b: &[u128],
         out: &mut Vec<u128>,
     ) -> Result<(), Error> {
+        self.check_residues(a)?;
+        self.check_residues(b)?;
+        self.polymul_into(PolyOp::Negacyclic, a, b, out)
+    }
+
+    /// The slice-form product for operands whose residues are already
+    /// known to be below `q` (checked by the public forms, or by
+    /// [`split_cow`](crate::PolyRing::split_cow) on the request path):
+    /// stages them in pooled SoA buffers and runs [`Ring::product`].
+    pub(crate) fn polymul_into(
+        &self,
+        op: PolyOp,
+        a: &[u128],
+        b: &[u128],
+        out: &mut Vec<u128>,
+    ) -> Result<(), Error> {
         self.check_len(a.len())?;
         self.check_len(b.len())?;
-        if !self.supports_negacyclic() {
-            return Err(Error::NoNegacyclicSupport {
-                n: self.plan.size(),
-            });
-        }
-
         let mut sa = self.scratch.checkout();
         let mut sb = self.scratch.checkout();
         let mut tmp = self.scratch.checkout();
         sa.copy_from_u128s(a);
         sb.copy_from_u128s(b);
-
-        if self.lazy {
-            // Whole-pipeline fused form: twist, transforms, pointwise
-            // and merged untwist·n⁻¹ all stay in the lazy domains.
-            self.backend
-                .polymul_negacyclic_fused(&self.plan, &mut sa, &mut sb, &mut tmp)
-                .map_err(|_| Error::NoNegacyclicSupport {
-                    n: self.plan.size(),
-                })?;
-        } else {
-            let (psi, psi_inv) = self
-                .plan
-                .psi_soa()
-                .zip(self.plan.psi_inv_soa())
-                .expect("supports_negacyclic checked above");
-
-            // Twist: buf ← input ⊙ ψ.
-            self.backend.vmul(&sa, psi, &mut tmp, &self.modulus);
-            std::mem::swap(&mut *sa, &mut *tmp);
-            self.backend.vmul(&sb, psi, &mut tmp, &self.modulus);
-            std::mem::swap(&mut *sb, &mut *tmp);
-
-            // Cyclic product of the twisted operands (includes the n⁻¹).
-            self.backend
-                .polymul_cyclic(&self.plan, &mut sa, &mut sb, &mut tmp);
-
-            // Untwist: result ⊙ ψ^{−i}, landing back in `sa`.
-            self.backend.vmul(&sa, psi_inv, &mut tmp, &self.modulus);
-            std::mem::swap(&mut *sa, &mut *tmp);
-        }
-
+        self.product(op, &mut sa, &mut sb, &mut tmp)?;
         out.clear();
         out.resize(self.plan.size(), 0);
         sa.write_u128s(out);
+        Ok(())
+    }
+
+    /// The one place a ring chooses its polymul path: the backend's
+    /// fused pipeline, or — on a `lazy(false)` ring — the scalar
+    /// reference products, which touch no backend kernel. The product
+    /// lands in `a`; `b` and `tmp` are clobbered.
+    fn product(
+        &self,
+        op: PolyOp,
+        a: &mut ResidueSoa,
+        b: &mut ResidueSoa,
+        tmp: &mut ResidueSoa,
+    ) -> Result<(), Error> {
+        let no_root = |_| Error::NoNegacyclicSupport {
+            n: self.plan.size(),
+        };
+        let plan = &*self.plan;
+        if self.lazy {
+            match op {
+                PolyOp::Cyclic => self.backend.polymul_cyclic_fused(plan, a, b, tmp),
+                PolyOp::Negacyclic => self
+                    .backend
+                    .polymul_negacyclic_fused(plan, a, b, tmp)
+                    .map_err(no_root)?,
+            }
+        } else {
+            let (x, y) = (a.to_u128s(), b.to_u128s());
+            let product = match op {
+                PolyOp::Cyclic => polymul::polymul_cyclic(plan, &x, &y),
+                PolyOp::Negacyclic => polymul::polymul_negacyclic(plan, &x, &y).map_err(no_root)?,
+            };
+            a.copy_from_u128s(&product);
+        }
         Ok(())
     }
 
@@ -523,11 +543,7 @@ impl crate::PolyRing for Ring {
             expected: "word",
             got: coeffs.kind(),
         })?;
-        self.check_len(words.len())?;
-        let q = self.modulus.value();
-        if let Some(index) = words.iter().position(|&w| w >= q) {
-            return Err(Error::CoefficientOutOfRange { index });
-        }
+        self.check_residues(words)?;
         let words = match coeffs {
             Cow::Owned(crate::Coefficients::Word(owned)) => owned,
             _ => words.to_vec(),
@@ -544,7 +560,7 @@ impl crate::PolyRing for Ring {
         b: Option<&[Vec<u128>]>,
         out: &mut Vec<u128>,
     ) -> Result<(), Error> {
-        use crate::{PolyOp, RingOp};
+        use crate::RingOp;
         if width != 1 || !op.is_binary() {
             return Err(Error::UnsupportedOp {
                 op: op.name(),
@@ -570,8 +586,7 @@ impl crate::PolyRing for Ring {
                 got: 0,
             })?;
         match op {
-            RingOp::Polymul(PolyOp::Cyclic) => self.polymul_cyclic_into(ra, rb, out),
-            RingOp::Polymul(PolyOp::Negacyclic) => self.polymul_negacyclic_into(ra, rb, out),
+            RingOp::Polymul(poly) => self.polymul_into(*poly, ra, rb, out),
             _ => self.add_sub_into(matches!(op, RingOp::Sub), ra, rb, out),
         }
     }
@@ -601,7 +616,6 @@ impl crate::PolyRing for Ring {
 mod tests {
     use super::*;
     use mqx_core::primes;
-    use mqx_ntt::polymul;
 
     const N: usize = 64;
 
@@ -689,6 +703,32 @@ mod tests {
                 negacyclic,
                 "{name}"
             );
+        }
+    }
+
+    #[test]
+    fn coefficients_at_or_above_q_are_rejected() {
+        let q = primes::Q124;
+        let good = poly(N, q, 3);
+        for (index, bad) in [(0, q), (N - 1, u128::MAX - 5)] {
+            let mut a = poly(N, q, 4);
+            a[index] = bad;
+            for lazy in [true, false] {
+                let ring = Ring::builder(q, N).lazy(lazy).build().unwrap();
+                let mut out = Vec::new();
+                for err in [
+                    ring.polymul_cyclic(&a, &good).unwrap_err(),
+                    ring.polymul_negacyclic(&good, &a).unwrap_err(),
+                    ring.polymul_cyclic_into(&good, &a, &mut out).unwrap_err(),
+                    ring.polymul_negacyclic_into(&a, &good, &mut out)
+                        .unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(err, Error::CoefficientOutOfRange { index: i } if i == index),
+                        "lazy={lazy}: {err:?}"
+                    );
+                }
+            }
         }
     }
 

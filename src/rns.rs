@@ -858,15 +858,7 @@ impl crate::PolyRing for RnsRing {
             RingOp::Polymul(p) => {
                 // `channel < width ≤ k`: one of the ring's own channels,
                 // which carry the NTT plans.
-                let ring = &self.rings[channel];
-                match p {
-                    crate::PolyOp::Cyclic => {
-                        ring.polymul_cyclic_into(&a[channel], &b[channel], out)
-                    }
-                    crate::PolyOp::Negacyclic => {
-                        ring.polymul_negacyclic_into(&a[channel], &b[channel], out)
-                    }
-                }
+                self.rings[channel].polymul_into(*p, &a[channel], &b[channel], out)
             }
             RingOp::Add | RingOp::Sub => {
                 let subtract = matches!(op, RingOp::Sub);

@@ -126,9 +126,10 @@ fn every_backend_polymul_is_bit_identical_to_portable() {
 }
 
 /// The lazy-reduction fused pipeline is part of the same §5.3 bitwise
-/// contract: on every tier, the fused path must reproduce
-/// the canonical portable reference exactly — lazy 2q/4q domains and
-/// Shoup butterflies change the arithmetic route, never the bits.
+/// contract: on every tier, the fused path must reproduce the
+/// `lazy(false)` reference ring (scalar Cooley–Tukey, canonical Barrett)
+/// exactly — lazy 2q/4q domains and Shoup butterflies change the
+/// arithmetic route, never the bits.
 #[test]
 fn every_backend_fused_polymul_is_bit_identical_to_canonical_portable() {
     use mqx::RingBuilder;

@@ -1,20 +1,22 @@
 //! Integration: the lazy-reduction fused polymul pipeline must be
-//! **bit-identical** to the canonical per-stage-reduced path on every
+//! **bit-identical** to the scalar reference products on every
 //! backend tier this host offers, at every transform size, including
 //! the worst-case input (all coefficients `q − 1`, which maximizes the
 //! intermediate magnitudes the 2q/4q lazy domains have to absorb).
 //!
 //! Three independent oracles gate the fused path:
 //!
-//! 1. the canonical ring (`RingBuilder::lazy(false)`) on the same tier;
+//! 1. the reference ring (`RingBuilder::lazy(false)`: scalar
+//!    Cooley–Tukey products that share no kernel with any backend);
 //! 2. the `O(n²)` word-arithmetic schoolbook product;
 //! 3. a `BigUint` schoolbook that never reduces until the very end
 //!    (run at `n = 256` only — it is quadratic in bignum ops).
 
-use mqx::backend;
+use mqx::backend::{self, Backend, Tier};
 use mqx::bignum::BigUint;
 use mqx::core::{primes, Modulus};
-use mqx::ntt::polymul;
+use mqx::ntt::{debug_assert_domain_soa, polymul, NttError, NttPlan};
+use mqx::simd::ResidueSoa;
 use mqx::{Ring, RingBuilder};
 use std::sync::Arc;
 
@@ -31,19 +33,19 @@ fn poly(n: usize, q: u128, seed: u64) -> Vec<u128> {
 }
 
 /// A pair of rings on the same backend differing only in the polymul
-/// path: `(lazy, canonical)`.
+/// path: `(lazy, reference)`.
 fn ring_pair(backend: Arc<dyn mqx::Backend>, n: usize) -> (Ring, Ring) {
     let lazy = RingBuilder::new(primes::Q124, n)
         .backend(Arc::clone(&backend))
         .lazy(true)
         .build()
         .unwrap();
-    let canonical = RingBuilder::new(primes::Q124, n)
+    let reference = RingBuilder::new(primes::Q124, n)
         .backend(backend)
         .lazy(false)
         .build()
         .unwrap();
-    (lazy, canonical)
+    (lazy, reference)
 }
 
 /// Schoolbook products over `BigUint`, reducing only at the end: the
@@ -84,7 +86,7 @@ fn residue(x: &BigUint, q: &BigUint) -> u128 {
 }
 
 /// Seeded-loop property check: for every registry tier and
-/// n ∈ {256, 1024, 4096}, the fused path matches the canonical path bit
+/// n ∈ {256, 1024, 4096}, the fused path matches the reference ring bit
 /// for bit on both quotient rings, and both match the schoolbook
 /// oracles at the small size.
 #[test]
@@ -186,4 +188,99 @@ fn into_forms_match_allocating_forms() {
     ring.polymul_negacyclic_into(&a, &b, &mut out).unwrap();
     assert_eq!(out, ring.polymul_negacyclic(&a, &b).unwrap());
     assert_eq!(out.capacity(), cap, "buffer must be reused, not regrown");
+}
+
+/// A backend whose transforms and fused products panic: only its
+/// element-wise ops (delegated to the portable tier) work. The fused
+/// methods still open with the `Backend` domain check (rule L3).
+struct ElementwiseOnly(Arc<dyn Backend>);
+
+impl Backend for ElementwiseOnly {
+    fn name(&self) -> &'static str {
+        "elementwise-only"
+    }
+
+    fn tier(&self) -> Tier {
+        Tier::Portable
+    }
+
+    fn lanes(&self) -> usize {
+        self.0.lanes()
+    }
+
+    fn forward_ntt(&self, _: &NttPlan, _: &mut ResidueSoa, _: &mut ResidueSoa) {
+        panic!("the reference ring ran forward_ntt");
+    }
+
+    fn inverse_ntt(&self, _: &NttPlan, _: &mut ResidueSoa, _: &mut ResidueSoa) {
+        panic!("the reference ring ran inverse_ntt");
+    }
+
+    fn vadd(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
+        self.0.vadd(x, y, out, m);
+    }
+
+    fn vsub(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
+        self.0.vsub(x, y, out, m);
+    }
+
+    fn vmul(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
+        self.0.vmul(x, y, out, m);
+    }
+
+    fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus) {
+        self.0.axpy(a, x, y, m);
+    }
+
+    fn polymul_cyclic_fused(
+        &self,
+        plan: &NttPlan,
+        a: &mut ResidueSoa,
+        _: &mut ResidueSoa,
+        _: &mut ResidueSoa,
+    ) {
+        debug_assert_domain_soa(a, 2 * plan.modulus().value(), "polymul_cyclic_fused input");
+        panic!("the reference ring ran polymul_cyclic_fused");
+    }
+
+    fn polymul_negacyclic_fused(
+        &self,
+        plan: &NttPlan,
+        a: &mut ResidueSoa,
+        _: &mut ResidueSoa,
+        _: &mut ResidueSoa,
+    ) -> Result<(), NttError> {
+        debug_assert_domain_soa(
+            a,
+            2 * plan.modulus().value(),
+            "polymul_negacyclic_fused input",
+        );
+        panic!("the reference ring ran polymul_negacyclic_fused");
+    }
+}
+
+/// The `lazy(false)` reference ring computes its products without any
+/// backend kernel, so it stays an independent oracle for every tier
+/// (the benchmark checks served responses against it).
+#[test]
+fn reference_ring_shares_no_kernel_with_its_backend() {
+    let (q, n) = (primes::Q124, 256);
+    let portable = backend::by_name("portable").unwrap();
+    let reference = RingBuilder::new(q, n)
+        .backend(Arc::new(ElementwiseOnly(portable)))
+        .lazy(false)
+        .build()
+        .unwrap();
+    let a = poly(n, q, 0x0E1E);
+    let b = poly(n, q, 0x0E1F);
+    assert_eq!(
+        reference.polymul_cyclic(&a, &b).unwrap(),
+        biguint_schoolbook(&a, &b, q, false),
+        "cyclic"
+    );
+    assert_eq!(
+        reference.polymul_negacyclic(&a, &b).unwrap(),
+        biguint_schoolbook(&a, &b, q, true),
+        "negacyclic"
+    );
 }
