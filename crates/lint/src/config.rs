@@ -22,12 +22,15 @@
 //! reason = "guard invariant: buf is Some until drop"
 //! ```
 
+use crate::rules::RuleId;
 use std::fmt;
 use std::path::Path;
 
 /// One suppression entry: a finding of `rule` in `file` whose source
 /// line contains `contains` is dropped (an empty `contains` matches any
 /// line). `reason` is mandatory documentation — the report records it.
+/// An entry that suppresses nothing in a whole-workspace scan is itself
+/// reported (see [`lint_sources`](crate::lint_sources)).
 #[derive(Debug, Clone, Default)]
 pub struct Allow {
     /// Rule ID, e.g. `"L5"`.
@@ -38,6 +41,9 @@ pub struct Allow {
     pub contains: String,
     /// Why this site is exempt.
     pub reason: String,
+    /// 1-based line of the entry's `[[allow]]` header in `lint.toml`
+    /// (0 for an entry built in code).
+    pub line: u32,
 }
 
 /// Parsed `lint.toml`.
@@ -117,7 +123,10 @@ impl Config {
                     return Err(err(lineno, format!("unknown array table [[{name}]]")));
                 }
                 section = "allow".to_owned();
-                config.allows.push(Allow::default());
+                config.allows.push(Allow {
+                    line: lineno as u32,
+                    ..Allow::default()
+                });
                 continue;
             }
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
@@ -203,6 +212,9 @@ fn apply(
                 .ok_or_else(|| err(lineno, "key outside any [[allow]] table"))?;
             let s = parse_string(value, lineno)?;
             match key {
+                "rule" if RuleId::parse(&s).is_none() => {
+                    return Err(err(lineno, format!("unknown rule `{s}`")))
+                }
                 "rule" => entry.rule = s,
                 "file" => entry.file = s,
                 "contains" => entry.contains = s,
@@ -324,6 +336,7 @@ reason = "delegates"
         assert_eq!(config.allows.len(), 2);
         assert_eq!(config.allows[0].contains, "expect(\"ok\")");
         assert_eq!(config.allows[1].rule, "L3");
+        assert_eq!((config.allows[0].line, config.allows[1].line), (13, 19));
     }
 
     #[test]
@@ -331,6 +344,10 @@ reason = "delegates"
         assert_eq!(Config::parse("[bogus]").unwrap_err().line, 1);
         assert!(Config::parse("[ordering]\nnope = 3").unwrap_err().line == 2);
         assert!(Config::parse("[[allow]]\nrule = unquoted").is_err());
+        assert_eq!(
+            Config::parse("[[allow]]\nrule = \"L9\"").unwrap_err().line,
+            2
+        );
     }
 
     #[test]

@@ -96,29 +96,72 @@ pub fn lint_source(path: &str, source: &str, config: &Config) -> Vec<Finding> {
 /// The result of a whole-workspace scan.
 #[derive(Debug)]
 pub struct ScanOutcome {
-    /// Every finding, ordered by file then line.
+    /// Every finding, ordered by file then line; stale `[[allow]]`
+    /// entries last.
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
+/// Lints a whole set of `(path, source)` files, as
+/// [`lint_workspace`] does. An `[[allow]]` entry that suppressed no
+/// finding in any of them is reported too, as a finding of its rule at
+/// its line in `lint.toml`: a suppression must not outlive the code it
+/// covered.
+pub fn lint_sources<'a>(
+    sources: impl IntoIterator<Item = (&'a str, &'a str)>,
+    config: &Config,
+) -> Vec<Finding> {
+    let mut used = vec![false; config.allows.len()];
+    let mut findings = Vec::new();
+    for (path, source) in sources {
+        findings.extend(rules::check_file_marking(
+            path,
+            &lexer::scan(source),
+            config,
+            &mut used,
+        ));
+    }
+    // `Config::parse` rejects an entry naming no rule.
+    for (allow, _) in config.allows.iter().zip(used).filter(|(_, used)| !used) {
+        if let Some(rule) = RuleId::parse(&allow.rule) {
+            findings.push(Finding {
+                rule,
+                file: "lint.toml".to_owned(),
+                line: allow.line,
+                message: format!(
+                    "stale [[allow]]: no {rule} finding in {} is on a line containing `{}`; \
+                     delete the entry",
+                    allow.file, allow.contains
+                ),
+            });
+        }
+    }
+    findings
+}
+
 /// Walks the workspace at `root` and runs every rule over every source
-/// file.
+/// file (see [`lint_sources`]).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (unreadable file or directory).
 pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<ScanOutcome> {
     let files = workspace_files(root)?;
-    let files_scanned = files.len();
-    let mut findings = Vec::new();
-    for rel in files {
-        let source = std::fs::read_to_string(root.join(&rel))?;
-        findings.extend(lint_source(&rel, &source, config));
-    }
+    let sources = files
+        .iter()
+        .map(|rel| std::fs::read_to_string(root.join(rel)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let findings = lint_sources(
+        files
+            .iter()
+            .map(String::as_str)
+            .zip(sources.iter().map(String::as_str)),
+        config,
+    );
     Ok(ScanOutcome {
         findings,
-        files_scanned,
+        files_scanned: files.len(),
     })
 }
 

@@ -57,6 +57,11 @@ impl RuleId {
         }
     }
 
+    /// The rule with ID string `id` (`"L1"`..`"L5"`).
+    pub fn parse(id: &str) -> Option<RuleId> {
+        RuleId::all().into_iter().find(|rule| rule.as_str() == id)
+    }
+
     /// All rules, in ID order.
     pub fn all() -> [RuleId; 5] {
         [RuleId::L1, RuleId::L2, RuleId::L3, RuleId::L4, RuleId::L5]
@@ -170,6 +175,17 @@ fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
 /// workspace-relative path with forward slashes; it scopes L4/L5.
 /// Suppressions from `config.allows` are already applied here.
 pub fn check_file(path: &str, scanned: &ScannedFile, config: &Config) -> Vec<Finding> {
+    check_file_marking(path, scanned, config, &mut vec![false; config.allows.len()])
+}
+
+/// [`check_file`], also setting `used[i]` when `config.allows[i]`
+/// suppressed a finding.
+pub(crate) fn check_file_marking(
+    path: &str,
+    scanned: &ScannedFile,
+    config: &Config,
+    used: &mut [bool],
+) -> Vec<Finding> {
     let tests = test_ranges(&scanned.tokens);
     let mut findings = Vec::new();
     rule_l1_safety_comments(path, scanned, &tests, &mut findings);
@@ -182,11 +198,15 @@ pub fn check_file(path: &str, scanned: &ScannedFile, config: &Config) -> Vec<Fin
         rule_l5_no_panics(path, scanned, &tests, &mut findings);
     }
     findings.retain(|finding| {
-        !config.allows.iter().any(|allow| {
+        let suppressor = config.allows.iter().position(|allow| {
             allow.rule == finding.rule.as_str()
                 && allow.file == finding.file
                 && scanned.line_text(finding.line).contains(&allow.contains)
-        })
+        });
+        if let Some(i) = suppressor {
+            used[i] = true;
+        }
+        suppressor.is_none()
     });
     findings.sort_by_key(|f| (f.line, f.rule));
     findings
@@ -578,6 +598,7 @@ mod tests {
             file: "src/x.rs".to_owned(),
             contains: "expect(\"m\")".to_owned(),
             reason: "test".to_owned(),
+            line: 0,
         });
         let after = check("src/x.rs", bad, &config);
         assert_eq!(after.len(), 2, "{after:?}");

@@ -2,7 +2,7 @@
 //! the exact `file:line` spans, stay silent on the known-good twin, and
 //! the real workspace tree must scan clean (the `--deny` CI gate).
 
-use mqx_lint::{lint_source, lint_workspace, Config, RuleId};
+use mqx_lint::{lint_source, lint_sources, lint_workspace, Config, RuleId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
@@ -79,6 +79,45 @@ fn good_fixtures_scan_clean_under_every_rule() {
         let findings = spans(&path, &source);
         assert!(findings.is_empty(), "{name}: {findings:?}");
     }
+}
+
+#[test]
+fn stale_allow_entries_fail_the_gate() {
+    let (path, source) = fixture("bad", "l5_panics_in_hotpath.rs");
+    let config = Config::parse(&format!(
+        r#"[hotpath]
+files = ["{path}"]
+
+[[allow]]
+rule = "L5"
+file = "{path}"
+contains = "y must be set"
+reason = "suppresses the expect on line 3"
+
+[[allow]]
+rule = "L5"
+file = "{path}"
+contains = "code that was deleted"
+reason = "matches no line any more"
+"#
+    ))
+    .expect("config parses");
+    let findings = lint_sources([(path.as_str(), source.as_str())], &config);
+    let spans: Vec<(RuleId, &str, u32)> = findings
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line))
+        .collect();
+    // Lines 2 and 5 still fire; line 3 is suppressed; the second entry
+    // suppressed nothing and is reported at its `[[allow]]` line.
+    assert_eq!(
+        spans,
+        [
+            (RuleId::L5, path.as_str(), 2),
+            (RuleId::L5, path.as_str(), 5),
+            (RuleId::L5, "lint.toml", 10),
+        ]
+    );
+    assert!(findings[2].message.contains("stale"), "{}", findings[2]);
 }
 
 // ---- seeded generative test -----------------------------------------

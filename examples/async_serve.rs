@@ -41,11 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1024;
     let mut seed = 0xA515_5EED_u64;
 
-    let ring: Arc<dyn PolyRing> = Arc::new(
-        Ring::builder(primes::Q124, n)
-            .scratch_concurrency(workers)
-            .build()?,
-    );
+    let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, n)?);
     let mut request = |op: PolyOp| {
         let a = random_words(n, primes::Q124, &mut seed);
         let b = random_words(n, primes::Q124, &mut seed);

@@ -38,14 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1024;
 
     // One shared ring: a single plan + twiddle set behind an Arc, with
-    // per-call scratch pooled internally (sized for the executor width
-    // via the scratch_concurrency hint, so an oversubscribed pool
-    // never degrades to per-call allocation). No per-worker clones.
-    let ring: Arc<dyn PolyRing> = Arc::new(
-        Ring::builder(primes::Q124, n)
-            .scratch_concurrency(workers)
-            .build()?,
-    );
+    // per-call scratch pooled internally. No per-worker clones.
+    let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, n)?);
     let pool = RingExecutor::new(workers)?;
     println!(
         "serving {batch} mixed cyclic/negacyclic requests (n = {n}, q = {} bits) \
@@ -89,12 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same executor serves a multi-modulus ring: each request fans
     // into one work item per residue channel, and the CRT join runs on
     // whichever worker finishes last.
-    let wide: Arc<dyn PolyRing> = Arc::new(
-        RnsRing::builder(n)
-            .target_modulus_bits(186)
-            .scratch_concurrency(workers)
-            .build()?,
-    );
+    // Three 62-bit NTT primes: a 186-bit product modulus.
+    let wide: Arc<dyn PolyRing> = Arc::new(RnsRing::auto(3, n)?);
     let q = BigUint::one() << 185_u64; // keep operands comfortably reduced
     let wide_batch: usize = 16;
     let wide_requests: Vec<RingRequest> = (0..wide_batch as u64)

@@ -51,12 +51,10 @@ fn random_poly(n: usize, q: &BigUint, seed: &mut u64) -> Vec<BigUint> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 4096;
 
-    // Ask for the modulus width the scheme needs and let the builder
-    // auto-size the basis: 186 bits lands on three 62-bit NTT primes —
-    // far beyond both the machine word and the 124-bit single-prime
-    // ceiling, with nobody counting channels by hand.
+    // Three generated 62-bit NTT primes: a 186-bit product modulus, far
+    // beyond both the machine word and the 124-bit single-prime ceiling.
     let t_build = Instant::now();
-    let ring = RnsRing::builder(n).target_modulus_bits(186).build()?;
+    let ring = RnsRing::auto(3, n)?;
     let built_in = t_build.elapsed();
     assert!(ring.supports_negacyclic());
     println!(

@@ -172,14 +172,6 @@ impl fmt::Debug for dyn Backend {
     }
 }
 
-impl dyn Backend {
-    /// Convenience alias for the free function [`available`], so call
-    /// sites can write `<dyn Backend>::available()`.
-    pub fn available() -> Vec<Arc<dyn Backend>> {
-        available()
-    }
-}
-
 /// The adapter that erases a concrete [`SimdEngine`] behind [`Backend`].
 struct EngineBackend<E: SimdEngine> {
     name: &'static str,
@@ -418,15 +410,6 @@ mod tests {
             assert_eq!(out.get(2), 4, "{} vadd", b.name());
             assert!(b.lanes() >= 1, "{}", b.name());
         }
-    }
-
-    #[test]
-    fn dyn_backend_inherent_available_matches_free_fn() {
-        let a: Vec<_> = <dyn Backend>::available()
-            .iter()
-            .map(|b| b.name())
-            .collect();
-        assert_eq!(a, names());
     }
 
     #[test]

@@ -137,10 +137,6 @@ pub enum Error {
     /// was shed at submit or at dequeue instead of burning worker
     /// time).
     DeadlineExceeded,
-    /// An [`OpGraph`](crate::OpGraph) contains a dependency cycle: no
-    /// topological order exists, so no executor schedule can satisfy its
-    /// edges. Rejected at graph build, before anything is queued.
-    GraphCycle,
     /// An [`OpGraph`](crate::OpGraph) failed structural validation at
     /// build (a dangling operand reference, an unused intermediate node,
     /// operands whose channel bases cannot match, an empty graph, …).
@@ -233,10 +229,6 @@ impl fmt::Display for Error {
             Error::DeadlineExceeded => write!(
                 f,
                 "request deadline passed before it finished executing; it was shed"
-            ),
-            Error::GraphCycle => write!(
-                f,
-                "op graph contains a dependency cycle; no execution order can satisfy its edges"
             ),
             Error::InvalidGraph { node, reason } => {
                 write!(f, "op graph node {node} is invalid: {reason}")
@@ -386,10 +378,6 @@ mod tests {
 
     #[test]
     fn graph_errors_are_actionable() {
-        let e = Error::GraphCycle;
-        assert!(e.to_string().contains("cycle"), "{e}");
-        assert!(e.source().is_none());
-
         let e = Error::InvalidGraph {
             node: 4,
             reason: "operand references a later node",

@@ -139,7 +139,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -418,28 +418,31 @@ struct RequestState {
     /// Latest useful completion time; checked when a worker dequeues
     /// the request or one of its work items.
     deadline: Option<Instant>,
-    /// Set by [`RequestHandle::cancel`]; checked at the same dequeue
+    /// Set by [`RequestState::cancel`]; checked at the same dequeue
     /// points as the deadline.
     cancelled: AtomicBool,
-    /// Set on the first work-item error (errors win over the join);
-    /// remaining items of the whole graph retire without running their
-    /// kernels once this is up.
-    failed: AtomicBool,
-    /// The first error, published into `outcome` when the output node
-    /// completes. Kept separate so `outcome` holds a value *only* once
-    /// the request is fully resolved — the "finished" signal. Always
-    /// recorded *before* `failed` is raised.
-    first_error: Mutex<Option<Error>>,
+    /// The first work-item error (errors win over the join); the first
+    /// `set` wins. Once it is set, remaining items of the whole graph
+    /// retire without running their kernels, and the output node
+    /// publishes it. Kept apart from `completion` so the outcome holds
+    /// a value *only* once the request is fully resolved.
+    first_error: OnceLock<Error>,
+    /// The outcome and the parked waker, under one lock.
+    completion: Mutex<Completion>,
+}
+
+/// How a request completes: the outcome slot and the waker of whoever
+/// waits for it.
+#[derive(Default)]
+struct Completion {
     /// The request's final result. Written exactly once, by the worker
     /// that completes the output node (after the CRT join, when there is
     /// one), so `Some` here means "`wait` will not block".
-    outcome: Mutex<Option<Result<Coefficients, Error>>>,
-    done: Condvar,
-    /// The async completion path: a [`Waker`] parked by a pending
-    /// future's `poll`, fired exactly once when the outcome is
-    /// published (output node joined, shed, or cancelled). Re-polls
-    /// replace the stored waker. Locked strictly after `outcome`.
-    waker: Mutex<Option<Waker>>,
+    outcome: Option<Result<Coefficients, Error>>,
+    /// A [`Waker`] parked by a pending `poll` or a blocking wait, fired
+    /// exactly once when the outcome is published (output node joined,
+    /// shed, or cancelled). Re-polls replace it.
+    waker: Option<Waker>,
 }
 
 impl RequestState {
@@ -455,11 +458,8 @@ impl RequestState {
             roots: Vec::new(),
             deadline,
             cancelled: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
-            first_error: Mutex::new(None),
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-            waker: Mutex::new(None),
+            first_error: OnceLock::new(),
+            completion: Mutex::new(Completion::default()),
         }
     }
 
@@ -544,29 +544,42 @@ impl RequestState {
     /// Publishes the request's final result — the single "finished"
     /// signal, reached exactly once per request. Counts the outcome in
     /// `counters` first (so the stats are current before any waiter can
-    /// observe it), then writes the outcome under its lock (strictly
-    /// after the join, so a handle observing `Some` never races the
-    /// join window), wakes condvar waiters, and finally fires the parked
-    /// async waker — outside the locks, since a waker may do arbitrary
-    /// (cheap) work like unparking a `block_on` thread.
+    /// observe it), then writes the outcome under the completion lock
+    /// (strictly after the join, so a handle observing `Some` never
+    /// races the join window) and takes the parked waker under the same
+    /// lock: a waker parked before this point is drained here, and any
+    /// poll after it observes the outcome. The waker fires outside the
+    /// lock, since it may do arbitrary (cheap) work like unparking a
+    /// blocked thread.
     ///
     /// The waker is caller code and runs under `catch_unwind`: a panic
     /// in it is dropped and the publishing worker lives on.
     fn publish(&self, resolved: Result<Coefficients, Error>, counters: &Counters) {
         counters.count_outcome(&resolved);
         let waker = {
-            let mut outcome = self.outcome.lock().expect("request outcome poisoned");
-            debug_assert!(outcome.is_none(), "a request resolves exactly once");
-            *outcome = Some(resolved);
-            self.done.notify_all();
-            // Same lock order as registration (outcome → waker): any
-            // waker parked before this point is drained here; any poll
-            // after it observes the published outcome. No lost wakeups.
-            self.waker.lock().expect("request waker poisoned").take()
+            let mut completion = self.completion();
+            debug_assert!(
+                completion.outcome.is_none(),
+                "a request resolves exactly once"
+            );
+            completion.outcome = Some(resolved);
+            completion.waker.take()
         };
         if let Some(waker) = waker {
             let _ = catch_unwind(AssertUnwindSafe(|| waker.wake()));
         }
+    }
+
+    fn completion(&self) -> std::sync::MutexGuard<'_, Completion> {
+        self.completion.lock().expect("request completion poisoned")
+    }
+
+    /// Requests cooperative cancellation (see [`RequestHandle::cancel`]).
+    fn cancel(&self) {
+        // ORDERING: Release pairs with the Acquire load in
+        // `shed_reason` — a worker that sees the flag sees everything
+        // sequenced before this call.
+        self.cancelled.store(true, Ordering::Release);
     }
 }
 
@@ -608,30 +621,18 @@ impl RequestHandle {
     /// [`Error::Cancelled`], or [`Error::DeadlineExceeded`] when the
     /// request was shed.
     pub fn wait(self) -> Result<Coefficients, Error> {
-        let mut outcome = self.state.outcome.lock().expect("request outcome poisoned");
+        // Without a deadline `park_until` returns only `Some`.
         loop {
-            // The outcome is published before the notify, and spurious
-            // wakeups re-check, so this cannot hang.
-            if let Some(result) = outcome.take() {
+            if let Some(result) = self.park_until(None) {
                 return result;
             }
-            outcome = self
-                .state
-                .done
-                .wait(outcome)
-                .expect("request outcome poisoned");
         }
     }
 
     /// Non-blocking wait: the result when the request has resolved,
     /// the handle itself (to try again later) when it has not.
     pub fn try_wait(self) -> Result<Result<Coefficients, Error>, RequestHandle> {
-        let taken = self
-            .state
-            .outcome
-            .lock()
-            .expect("request outcome poisoned")
-            .take();
+        let taken = self.state.completion().outcome.take();
         match taken {
             Some(result) => Ok(result),
             None => Err(self),
@@ -647,25 +648,46 @@ impl RequestHandle {
     /// Bounded wait against an absolute deadline (see
     /// [`wait_timeout`](RequestHandle::wait_timeout)).
     pub fn wait_deadline(self, deadline: Instant) -> Result<Result<Coefficients, Error>, Self> {
-        {
-            let mut outcome = self.state.outcome.lock().expect("request outcome poisoned");
-            loop {
-                if let Some(result) = outcome.take() {
-                    return Ok(result);
+        self.park_until(Some(deadline)).ok_or(self)
+    }
+
+    /// The blocking waits: parks the calling thread until the request
+    /// resolves (`Some`) or `deadline` passes (`None`). The thread's
+    /// waker goes into the completion slot in front of any waker an
+    /// earlier async poll parked there, so that one still fires at
+    /// publication; on a time-out the earlier waker is put back, and
+    /// publication will not unpark this thread later.
+    fn park_until(&self, deadline: Option<Instant>) -> Option<Result<Coefficients, Error>> {
+        let parked = {
+            let mut completion = self.state.completion();
+            if let Some(result) = completion.outcome.take() {
+                return Some(result);
+            }
+            let parked = completion.waker.take();
+            completion.waker = Some(thread_waker(parked.clone()));
+            parked
+        };
+        loop {
+            match deadline {
+                None => std::thread::park(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        let mut completion = self.state.completion();
+                        let result = completion.outcome.take();
+                        if result.is_none() {
+                            completion.waker = parked;
+                        }
+                        return result;
+                    }
+                    std::thread::park_timeout(deadline - now);
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                outcome = self
-                    .state
-                    .done
-                    .wait_timeout(outcome, deadline - now)
-                    .expect("request outcome poisoned")
-                    .0;
+            }
+            // Early or spurious unparks only cost a re-check.
+            if let Some(result) = self.state.completion().outcome.take() {
+                return Some(result);
             }
         }
-        Err(self)
     }
 
     /// Requests cooperative cancellation: channels not yet started are
@@ -675,10 +697,7 @@ impl RequestHandle {
     /// request that has already finished keeps its product — cancelling
     /// it is a no-op.
     pub fn cancel(&self) {
-        // ORDERING: Release pairs with the Acquire load in
-        // `shed_reason` — a worker that sees the flag sees everything
-        // sequenced before this call.
-        self.state.cancelled.store(true, Ordering::Release);
+        self.state.cancel();
     }
 
     /// Whether the request has fully resolved (its `wait` would not
@@ -686,11 +705,7 @@ impl RequestHandle {
     /// counter — so this stays `false` through the CRT-join window
     /// between the last channel landing and the join completing.
     pub fn is_finished(&self) -> bool {
-        self.state
-            .outcome
-            .lock()
-            .expect("request outcome poisoned")
-            .is_some()
+        self.state.completion().outcome.is_some()
     }
 
     /// A detached cancellation handle for this request: a cheap clone
@@ -709,18 +724,66 @@ impl Future for RequestHandle {
     type Output = Result<Coefficients, Error>;
 
     /// Takes the outcome if the request has resolved, otherwise parks
-    /// the waker in the request's shared outcome slot (replacing any
+    /// the waker in the request's completion slot (replacing any
     /// previously parked waker) to be fired exactly once at
-    /// publication. The waker is registered under the outcome lock —
-    /// the same lock, in the same order, publication drains it under —
-    /// so a wakeup can never be lost between the check and the park.
+    /// publication. The check and the park happen under the one lock
+    /// publication takes, so a wakeup can never be lost between them.
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut outcome = self.state.outcome.lock().expect("request outcome poisoned");
-        if let Some(result) = outcome.take() {
+        let mut completion = self.state.completion();
+        if let Some(result) = completion.outcome.take() {
             return Poll::Ready(result);
         }
-        *self.state.waker.lock().expect("request waker poisoned") = Some(cx.waker().clone());
+        completion.waker = Some(cx.waker().clone());
         Poll::Pending
+    }
+}
+
+/// The [`Waker`] behind [`block_on`] and the bounded waits: wakes by
+/// unparking the waiting thread. `unpark` delivers a sticky token, so a
+/// wake landing between a `poll` and the subsequent `park` is never
+/// lost.
+struct ThreadUnparker {
+    thread: std::thread::Thread,
+    /// A waker this one stands in front of, woken after the unpark.
+    then: Option<Waker>,
+}
+
+impl Wake for ThreadUnparker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.thread.unpark();
+        if let Some(then) = &self.then {
+            then.wake_by_ref();
+        }
+    }
+}
+
+/// A waker that unparks the calling thread, then wakes `then`.
+fn thread_waker(then: Option<Waker>) -> Waker {
+    Waker::from(Arc::new(ThreadUnparker {
+        thread: std::thread::current(),
+        then,
+    }))
+}
+
+/// Drives a future to completion on the calling thread — the minimal
+/// std-only async executor this offline build ships instead of pulling
+/// in a runtime. Parks the thread between polls (no busy-spinning);
+/// each wake unparks it for exactly one re-poll.
+pub fn block_on<F: Future>(future: F) -> F::Output {
+    let waker = thread_waker(None);
+    let mut cx = Context::from_waker(&waker);
+    let mut future = std::pin::pin!(future);
+    loop {
+        match future.as_mut().poll(&mut cx) {
+            Poll::Ready(value) => return value,
+            // Spurious unparks only cost a redundant poll; a missed
+            // wake is impossible (the token is buffered).
+            Poll::Pending => std::thread::park(),
+        }
     }
 }
 
@@ -736,9 +799,7 @@ pub struct Canceller {
 impl Canceller {
     /// Requests cooperative cancellation (see [`RequestHandle::cancel`]).
     pub fn cancel(&self) {
-        // ORDERING: Release, exactly as in `RequestHandle::cancel`
-        // (pairs with the Acquire load in `shed_reason`).
-        self.state.cancelled.store(true, Ordering::Release);
+        self.state.cancel();
     }
 }
 
@@ -924,12 +985,10 @@ impl Shared {
             self.finish_node_channel(state, node_id, channel, Err(reason), worker);
             return;
         }
-        // ORDERING: Acquire pairs with the Release store in
-        // `finish_node_channel`'s error branch: observing the flag
-        // guarantees `first_error` is already recorded, so this item can
-        // retire bare — the graph drains without running another kernel
-        // and the output node publishes that first error.
-        if state.failed.load(Ordering::Acquire) {
+        // A recorded error means this item can retire bare: the graph
+        // drains without running another kernel and the output node
+        // publishes that first error.
+        if state.first_error.get().is_some() {
             self.retire_node_channel(state, node_id, worker);
             return;
         }
@@ -983,18 +1042,8 @@ impl Shared {
                     .expect("node slots poisoned")[channel] = Some(product);
             }
             Err(e) => {
-                // The error is recorded strictly before the flag goes
-                // up, so `failed == true` implies `first_error` is set.
-                {
-                    let mut first = state.first_error.lock().expect("request error poisoned");
-                    if first.is_none() {
-                        *first = Some(e);
-                    }
-                }
-                // ORDERING: Release pairs with the Acquire loads in
-                // `run_node_channel` and `complete_node` — any observer
-                // of the flag also observes the error recorded above.
-                state.failed.store(true, Ordering::Release);
+                // The first error wins; later ones are dropped.
+                let _ = state.first_error.set(e);
             }
         }
         self.retire_node_channel(state, node_id, worker);
@@ -1026,18 +1075,10 @@ impl Shared {
     /// becomes ready.
     fn complete_node(&self, state: &Arc<RequestState>, node_id: usize, worker: usize) {
         let node = &state.nodes[node_id];
-        // ORDERING: Acquire pairs with the Release store in
-        // `finish_node_channel`'s error branch: seeing the flag
-        // guarantees the first error is recorded and takeable below.
-        let failed = state.failed.load(Ordering::Acquire);
+        let first_error = state.first_error.get();
         if node_id == state.graph.output() {
-            let resolved = if failed {
-                Err(state
-                    .first_error
-                    .lock()
-                    .expect("request error poisoned")
-                    .take()
-                    .expect("failed request recorded its error"))
+            let resolved = if let Some(e) = first_error {
+                Err(e.clone())
             } else {
                 // The join runs under the same panic guard as the
                 // channel kernels: a panicking `PolyRing` join must
@@ -1059,7 +1100,7 @@ impl Shared {
             state.publish(resolved, &self.counters);
             return;
         }
-        if !failed {
+        if first_error.is_none() {
             let parts: Vec<Vec<u128>> = node
                 .slots
                 .lock()
@@ -1455,7 +1496,10 @@ impl RingExecutor {
             depth: self.limits[class.class()],
         });
         let state = RequestState {
-            outcome: Mutex::new(Some(shed)),
+            completion: Mutex::new(Completion {
+                outcome: Some(shed),
+                waker: None,
+            }),
             ..RequestState::bare(ring, request.graph, None)
         };
         Ok(RequestHandle {

@@ -52,11 +52,16 @@
 //! [`Error`]: crate::Error
 
 pub use crate::executor::{AdmissionStats, Permit, DEFAULT_QUEUE_DEPTH};
+
+/// ```
+/// use mqx::frontdoor::block_on;
+/// assert_eq!(block_on(async { 2 + 2 }), 4);
+/// ```
+pub use crate::executor::block_on;
 use crate::executor::{RequestHandle, RingExecutor, RingExecutorBuilder};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll};
 
 /// The admission-controlled pool under its front-door name.
 pub type FrontDoor = RingExecutor;
@@ -80,48 +85,6 @@ pub type FrontDoorBuilder = RingExecutorBuilder;
 /// The one request handle under its front-door name: a
 /// [`RequestHandle`] is already a [`Future`].
 pub type AsyncRequestHandle = RequestHandle;
-
-/// The [`Waker`] behind [`block_on`]: wakes by unparking the polling
-/// thread. `unpark` delivers a sticky token, so a wake landing between
-/// a `poll` and the subsequent `park` is never lost.
-struct ThreadUnparker {
-    thread: std::thread::Thread,
-}
-
-impl Wake for ThreadUnparker {
-    fn wake(self: Arc<Self>) {
-        self.thread.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.thread.unpark();
-    }
-}
-
-/// Drives a future to completion on the calling thread — the minimal
-/// std-only async executor this offline build ships instead of pulling
-/// in a runtime. Parks the thread between polls (no busy-spinning);
-/// each wake unparks it for exactly one re-poll.
-///
-/// ```
-/// use mqx::frontdoor::block_on;
-/// assert_eq!(block_on(async { 2 + 2 }), 4);
-/// ```
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    let waker = Waker::from(Arc::new(ThreadUnparker {
-        thread: std::thread::current(),
-    }));
-    let mut cx = Context::from_waker(&waker);
-    let mut future = std::pin::pin!(future);
-    loop {
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(value) => return value,
-            // Spurious unparks only cost a redundant poll; a missed
-            // wake is impossible (the token is buffered).
-            Poll::Pending => std::thread::park(),
-        }
-    }
-}
 
 /// One sub-future of a [`JoinAll`].
 enum Slot<F: Future> {
@@ -206,6 +169,7 @@ mod tests {
     use super::*;
     use crate::{Error, PolyOp, PolyRing, Priority, Ring, RingRequest};
     use mqx_core::primes;
+    use std::sync::Arc;
     use std::time::Duration;
 
     const N: usize = 64;

@@ -12,15 +12,15 @@
 //! single CRT join runs once, at the output — the data-movement saving
 //! the source paper attributes to fused composite kernels.
 //!
-//! Validation happens at build, not inside a worker: arity per node,
-//! operand references (no dangling edges, no cycles — [`from_parts`]
-//! topologically sorts arbitrary node orders and rejects cyclic ones),
+//! Validation happens at build, not inside a worker. Each
+//! [`OpGraphBuilder::node`] checks its arity and operand references: a
+//! node may name only declared inputs and nodes appended before it, so
+//! builder order is a topological order and cycles cannot be written.
+//! [`OpGraphBuilder::build`] then checks the output reference,
 //! channel-count flow through the basis-changing ops (both operands of a
 //! binary node must sit in the same basis), and reachability (every
 //! non-output node must feed the output — a dead node would burn worker
 //! time for an unobservable result).
-//!
-//! [`from_parts`]: OpGraph::from_parts
 //!
 //! # Composite kernels
 //!
@@ -137,128 +137,6 @@ impl OpGraph {
             }],
             output: 0,
         }
-    }
-
-    /// Builds a graph from raw parts, running the full validation:
-    /// per-node arity, operand references, a topological sort (nodes may
-    /// arrive in any order; cyclic graphs are rejected with
-    /// [`Error::GraphCycle`]), symbolic channel-count flow through the
-    /// basis-changing ops, and reachability of every node from `output`.
-    ///
-    /// On success the nodes are stored topologically sorted; `output`
-    /// and all operand references are remapped accordingly.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::GraphCycle`] when no topological order exists;
-    /// [`Error::InvalidGraph`] for an empty graph, a dangling operand or
-    /// output reference, an unused node, or binary operands whose bases
-    /// cannot match; [`Error::OperandCountMismatch`] when a node's
-    /// operand count differs from its op's arity.
-    pub fn from_parts(
-        inputs: usize,
-        nodes: Vec<(RingOp, Vec<Operand>)>,
-        output: usize,
-    ) -> Result<OpGraph, Error> {
-        if nodes.is_empty() {
-            return Err(Error::InvalidGraph {
-                node: 0,
-                reason: "an op graph needs at least one node",
-            });
-        }
-        if output >= nodes.len() {
-            return Err(Error::InvalidGraph {
-                node: output,
-                reason: "output references a node the graph does not contain",
-            });
-        }
-        for (id, (op, operands)) in nodes.iter().enumerate() {
-            if operands.len() != op.arity() {
-                return Err(Error::OperandCountMismatch {
-                    op: op.name(),
-                    expected: op.arity(),
-                    got: operands.len(),
-                });
-            }
-            for operand in operands {
-                match *operand {
-                    Operand::Input(i) if i >= inputs => {
-                        return Err(Error::InvalidGraph {
-                            node: id,
-                            reason: "operand references an input the graph does not declare",
-                        });
-                    }
-                    Operand::Node(j) if j >= nodes.len() => {
-                        return Err(Error::InvalidGraph {
-                            node: id,
-                            reason: "operand references a node the graph does not contain",
-                        });
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // Kahn's algorithm: nodes may be handed to us in any order, so
-        // compute a topological order explicitly — a graph with no such
-        // order has a cycle and can never be scheduled.
-        let n = nodes.len();
-        let mut indegree = vec![0_usize; n];
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, (_, operands)) in nodes.iter().enumerate() {
-            for operand in operands {
-                if let Operand::Node(j) = *operand {
-                    indegree[id] += 1;
-                    successors[j].push(id);
-                }
-            }
-        }
-        // Smallest-ready-id-first makes the order deterministic and the
-        // identity for input that is already topologically sorted, so
-        // node ids in errors match what the caller handed over.
-        let mut queue: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-            .filter(|&id| indegree[id] == 0)
-            .map(std::cmp::Reverse)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(std::cmp::Reverse(id)) = queue.pop() {
-            order.push(id);
-            for &s in &successors[id] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    queue.push(std::cmp::Reverse(s));
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(Error::GraphCycle);
-        }
-        // Remap ids to the topological order so the stored graph is a
-        // forward walk.
-        let mut position = vec![0_usize; n];
-        for (pos, &id) in order.iter().enumerate() {
-            position[id] = pos;
-        }
-        let mut sorted: Vec<Option<GraphNode>> = (0..n).map(|_| None).collect();
-        for (id, (op, operands)) in nodes.into_iter().enumerate() {
-            let operands = operands
-                .into_iter()
-                .map(|operand| match operand {
-                    Operand::Node(j) => Operand::Node(position[j]),
-                    input => input,
-                })
-                .collect();
-            sorted[position[id]] = Some(GraphNode { op, operands });
-        }
-        let nodes: Vec<GraphNode> = sorted.into_iter().flatten().collect();
-        let graph = OpGraph {
-            inputs,
-            nodes,
-            output: position[output],
-        };
-        graph.validate_flow()?;
-        graph.validate_reachability()?;
-        Ok(graph)
     }
 
     /// The relinearization/keyswitching composite: `polymul(in₀, in₁)` →
@@ -449,7 +327,7 @@ pub(crate) struct NodeWidths {
 #[derive(Clone, Debug)]
 pub struct OpGraphBuilder {
     inputs: usize,
-    nodes: Vec<(RingOp, Vec<Operand>)>,
+    nodes: Vec<GraphNode>,
 }
 
 impl OpGraphBuilder {
@@ -459,8 +337,7 @@ impl OpGraphBuilder {
     ///
     /// [`Error::OperandCountMismatch`] when `operands` does not match
     /// the op's arity; [`Error::InvalidGraph`] for a dangling operand
-    /// (an undeclared input, or a node not yet appended — forward
-    /// references are what [`OpGraph::from_parts`] is for).
+    /// (an undeclared input, or a node not yet appended).
     pub fn node(&mut self, op: RingOp, operands: Vec<Operand>) -> Result<Operand, Error> {
         let id = self.nodes.len();
         if operands.len() != op.arity() {
@@ -482,7 +359,7 @@ impl OpGraphBuilder {
                 });
             }
         }
-        self.nodes.push((op, operands));
+        self.nodes.push(GraphNode { op, operands });
         Ok(Operand::Node(id))
     }
 
@@ -538,8 +415,9 @@ impl OpGraphBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidGraph`] when `output` names an input rather than
-    /// a node, plus everything [`OpGraph::from_parts`] rejects.
+    /// [`Error::InvalidGraph`] when `output` names an input or a node
+    /// the builder does not hold, when a node does not feed the output,
+    /// or when binary operands cannot sit in the same basis.
     pub fn build(self, output: Operand) -> Result<OpGraph, Error> {
         let Operand::Node(output) = output else {
             return Err(Error::InvalidGraph {
@@ -547,7 +425,22 @@ impl OpGraphBuilder {
                 reason: "the output must be a node, not a passthrough of an input",
             });
         };
-        OpGraph::from_parts(self.inputs, self.nodes, output)
+        if output >= self.nodes.len() {
+            return Err(Error::InvalidGraph {
+                node: output,
+                reason: "output references a node the graph does not contain",
+            });
+        }
+        // `node` admitted only backward edges, so the nodes are already
+        // in topological order.
+        let graph = OpGraph {
+            inputs: self.inputs,
+            nodes: self.nodes,
+            output,
+        };
+        graph.validate_flow()?;
+        graph.validate_reachability()?;
+        Ok(graph)
     }
 }
 
@@ -618,54 +511,18 @@ mod tests {
         let mut g = OpGraph::builder(1);
         g.rescale(Operand::Input(0)).unwrap();
         assert!(matches!(
-            g.build(Operand::Input(0)).unwrap_err(),
+            g.clone().build(Operand::Input(0)).unwrap_err(),
             Error::InvalidGraph { .. }
         ));
-    }
-
-    #[test]
-    fn from_parts_sorts_any_order_and_rejects_cycles() {
-        // Nodes handed over in reverse dependency order: add first,
-        // then the polymul it consumes.
-        let graph = OpGraph::from_parts(
-            2,
-            vec![
-                (RingOp::Add, vec![Operand::Node(1), Operand::Node(1)]),
-                (polymul(), vec![Operand::Input(0), Operand::Input(1)]),
-            ],
-            0,
-        )
-        .unwrap();
-        assert_eq!(graph.nodes()[0].op(), &polymul());
-        assert_eq!(graph.output(), 1);
-        assert_eq!(
-            graph.nodes()[1].operands(),
-            &[Operand::Node(0), Operand::Node(0)]
-        );
-
-        // A two-node cycle has no topological order.
+        // ... and one the builder holds.
         assert!(matches!(
-            OpGraph::from_parts(
-                0,
-                vec![
-                    (RingOp::Rescale, vec![Operand::Node(1)]),
-                    (RingOp::Rescale, vec![Operand::Node(0)]),
-                ],
-                0,
-            )
-            .unwrap_err(),
-            Error::GraphCycle
-        ));
-
-        // Empty graphs and dangling outputs are structural errors.
-        assert!(matches!(
-            OpGraph::from_parts(1, vec![], 0).unwrap_err(),
-            Error::InvalidGraph { .. }
-        ));
-        assert!(matches!(
-            OpGraph::from_parts(1, vec![(RingOp::Rescale, vec![Operand::Input(0)])], 9)
-                .unwrap_err(),
+            g.build(Operand::Node(9)).unwrap_err(),
             Error::InvalidGraph { node: 9, .. }
+        ));
+        // An empty graph has no output node.
+        assert!(matches!(
+            OpGraph::builder(1).build(Operand::Node(0)).unwrap_err(),
+            Error::InvalidGraph { .. }
         ));
     }
 

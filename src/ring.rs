@@ -81,7 +81,6 @@ pub struct RingBuilder {
     n: usize,
     choice: BackendChoice,
     cache: Arc<PlanCache>,
-    scratch_workers: Option<usize>,
     lazy: bool,
 }
 
@@ -93,7 +92,6 @@ impl RingBuilder {
             n,
             choice: BackendChoice::Auto,
             cache: Arc::clone(plan_cache::global()),
-            scratch_workers: None,
             lazy: true,
         }
     }
@@ -113,21 +111,10 @@ impl RingBuilder {
     }
 
     /// Serves the NTT plan from `cache` instead of the process-wide
-    /// [`plan_cache::global`] — for tenants with isolated capacity or
-    /// tests asserting hit counts.
+    /// [`plan_cache::global`] — for tests and benchmarks asserting hit
+    /// counts.
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Sizes the ring's internal scratch pool for `workers` concurrent
-    /// polymul callers (three pooled buffers each). Without a hint the
-    /// pool is sized from [`std::thread::available_parallelism`], which
-    /// under-provisions when an executor runs more workers than the
-    /// machine has hardware threads — past the pool's capacity, extra
-    /// in-flight calls degrade to steady-state malloc/free churn.
-    pub fn scratch_concurrency(mut self, workers: usize) -> Self {
-        self.scratch_workers = Some(workers);
         self
     }
 
@@ -152,11 +139,7 @@ impl RingBuilder {
         let backend = self.choice.resolve()?;
         let modulus = Modulus::new_prime(self.modulus)?;
         let plan = self.cache.plan_for(&modulus, self.n)?;
-        let n = plan.size();
-        let scratch = match self.scratch_workers {
-            Some(workers) => ScratchPool::with_concurrency(n, workers),
-            None => ScratchPool::new(n),
-        };
+        let scratch = ScratchPool::new(plan.size());
         Ok(Ring {
             modulus,
             plan,
@@ -292,10 +275,15 @@ impl Ring {
     fn check_residues(&self, words: &[u128]) -> Result<(), Error> {
         self.check_len(words.len())?;
         let q = self.modulus.value();
-        match words.iter().position(|&w| w >= q) {
-            Some(index) => Err(Error::CoefficientOutOfRange { index }),
-            None => Ok(()),
-        }
+        out_of_range(words.iter().position(|&w| w >= q))
+    }
+
+    /// [`Ring::check_residues`] over the hi/lo planes of an SoA buffer.
+    fn check_soa(&self, x: &ResidueSoa) -> Result<(), Error> {
+        self.check_len(x.len())?;
+        let q = self.modulus.value();
+        let mut words = x.hi().iter().zip(x.lo());
+        out_of_range(words.position(|(&hi, &lo)| u128::from(hi) << 64 | u128::from(lo) >= q))
     }
 
     // ---- transforms ----------------------------------------------------
@@ -304,8 +292,13 @@ impl Ring {
     /// from the ring's lock-free pool, so concurrent calls on a shared
     /// ring never contend on a buffer; no allocation once the pool has
     /// warmed up.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::LengthMismatch`] for a buffer that is not `n` long,
+    /// [`Error::CoefficientOutOfRange`] for a residue `≥ q`.
     pub fn forward(&self, x: &mut ResidueSoa) -> Result<(), Error> {
-        self.check_len(x.len())?;
+        self.check_soa(x)?;
         let mut tmp = self.scratch.checkout();
         self.backend.forward_ntt(&self.plan, x, &mut tmp);
         Ok(())
@@ -313,8 +306,12 @@ impl Ring {
 
     /// Inverse NTT in place, including the `n⁻¹` scale. Thread-safe like
     /// [`Ring::forward`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Ring::forward`].
     pub fn inverse(&self, x: &mut ResidueSoa) -> Result<(), Error> {
-        self.check_len(x.len())?;
+        self.check_soa(x)?;
         let mut tmp = self.scratch.checkout();
         self.backend.inverse_ntt(&self.plan, x, &mut tmp);
         Ok(())
@@ -378,17 +375,6 @@ impl Ring {
         self.polymul_into(PolyOp::Cyclic, a, b, out)
     }
 
-    /// Cyclic product over SoA buffers with the result left in `a` — the
-    /// allocation-free form (only transform scratch is pooled; `b` is
-    /// clobbered). Coefficients must be below `q`: unlike the slice
-    /// forms, this kernel-level form does not scan its operands.
-    pub fn polymul_cyclic_soa(&self, a: &mut ResidueSoa, b: &mut ResidueSoa) -> Result<(), Error> {
-        self.check_len(a.len())?;
-        self.check_len(b.len())?;
-        let mut tmp = self.scratch.checkout();
-        self.product(PolyOp::Cyclic, a, b, &mut tmp)
-    }
-
     /// Negacyclic product in `ℤ_q[x]/(xⁿ + 1)` — the RLWE workhorse —
     /// via the ψ-twisted cyclic transform. Thread-safe like every ring
     /// operation: scratch is per-call, from the pool.
@@ -423,8 +409,11 @@ impl Ring {
 
     /// The slice-form product for operands whose residues are already
     /// known to be below `q` (checked by the public forms, or by
-    /// [`split_cow`](crate::PolyRing::split_cow) on the request path):
-    /// stages them in pooled SoA buffers and runs [`Ring::product`].
+    /// [`split_cow`](crate::PolyRing::split_cow) on the request path),
+    /// and the one place a ring chooses its polymul path: the backend's
+    /// fused pipeline on pooled SoA buffers, or — on a `lazy(false)`
+    /// ring — the scalar reference products, which touch no backend
+    /// kernel.
     pub(crate) fn polymul_into(
         &self,
         op: PolyOp,
@@ -434,49 +423,34 @@ impl Ring {
     ) -> Result<(), Error> {
         self.check_len(a.len())?;
         self.check_len(b.len())?;
+        let no_root = |_| Error::NoNegacyclicSupport {
+            n: self.plan.size(),
+        };
+        let plan = &*self.plan;
+        if !self.lazy {
+            *out = match op {
+                PolyOp::Cyclic => polymul::polymul_cyclic(plan, a, b),
+                PolyOp::Negacyclic => polymul::polymul_negacyclic(plan, a, b).map_err(no_root)?,
+            };
+            return Ok(());
+        }
         let mut sa = self.scratch.checkout();
         let mut sb = self.scratch.checkout();
         let mut tmp = self.scratch.checkout();
         sa.copy_from_u128s(a);
         sb.copy_from_u128s(b);
-        self.product(op, &mut sa, &mut sb, &mut tmp)?;
-        out.clear();
-        out.resize(self.plan.size(), 0);
-        sa.write_u128s(out);
-        Ok(())
-    }
-
-    /// The one place a ring chooses its polymul path: the backend's
-    /// fused pipeline, or — on a `lazy(false)` ring — the scalar
-    /// reference products, which touch no backend kernel. The product
-    /// lands in `a`; `b` and `tmp` are clobbered.
-    fn product(
-        &self,
-        op: PolyOp,
-        a: &mut ResidueSoa,
-        b: &mut ResidueSoa,
-        tmp: &mut ResidueSoa,
-    ) -> Result<(), Error> {
-        let no_root = |_| Error::NoNegacyclicSupport {
-            n: self.plan.size(),
-        };
-        let plan = &*self.plan;
-        if self.lazy {
-            match op {
-                PolyOp::Cyclic => self.backend.polymul_cyclic_fused(plan, a, b, tmp),
-                PolyOp::Negacyclic => self
-                    .backend
-                    .polymul_negacyclic_fused(plan, a, b, tmp)
-                    .map_err(no_root)?,
-            }
-        } else {
-            let (x, y) = (a.to_u128s(), b.to_u128s());
-            let product = match op {
-                PolyOp::Cyclic => polymul::polymul_cyclic(plan, &x, &y),
-                PolyOp::Negacyclic => polymul::polymul_negacyclic(plan, &x, &y).map_err(no_root)?,
-            };
-            a.copy_from_u128s(&product);
+        match op {
+            PolyOp::Cyclic => self
+                .backend
+                .polymul_cyclic_fused(plan, &mut sa, &mut sb, &mut tmp),
+            PolyOp::Negacyclic => self
+                .backend
+                .polymul_negacyclic_fused(plan, &mut sa, &mut sb, &mut tmp)
+                .map_err(no_root)?,
         }
+        out.clear();
+        out.resize(plan.size(), 0);
+        sa.write_u128s(out);
         Ok(())
     }
 
@@ -514,6 +488,14 @@ impl Ring {
         out.resize(a.len(), 0);
         sum.write_u128s(out);
         Ok(())
+    }
+}
+
+/// The residue check's verdict on the index of the first residue `≥ q`.
+fn out_of_range(index: Option<usize>) -> Result<(), Error> {
+    match index {
+        Some(index) => Err(Error::CoefficientOutOfRange { index }),
+        None => Ok(()),
     }
 }
 
@@ -728,6 +710,17 @@ mod tests {
                         "lazy={lazy}: {err:?}"
                     );
                 }
+                let mut soa = ResidueSoa::from_u128s(&a);
+                for err in [
+                    ring.forward(&mut soa).unwrap_err(),
+                    ring.inverse(&mut soa).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(err, Error::CoefficientOutOfRange { index: i } if i == index),
+                        "lazy={lazy}: {err:?}"
+                    );
+                }
+                assert_eq!(soa.to_u128s(), a, "a rejected transform leaves x as it was");
             }
         }
     }

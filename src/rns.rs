@@ -78,9 +78,6 @@ enum BasisChoice {
     /// Generate `count` primes below `2^bits` via
     /// [`primes::ntt_prime_chain`].
     Generated { bits: u32, count: usize },
-    /// Auto-size channel count and width so the product modulus spans at
-    /// least this many bits.
-    TargetBits(u32),
 }
 
 /// Configures and builds an [`RnsRing`].
@@ -103,7 +100,6 @@ pub struct RnsRingBuilder {
     basis: BasisChoice,
     choice: BackendChoice,
     cache: Arc<PlanCache>,
-    scratch_workers: Option<usize>,
 }
 
 impl RnsRingBuilder {
@@ -117,7 +113,6 @@ impl RnsRingBuilder {
             basis: BasisChoice::Explicit(Vec::new()),
             choice: BackendChoice::Auto,
             cache: Arc::clone(plan_cache::global()),
-            scratch_workers: None,
         }
     }
 
@@ -133,23 +128,6 @@ impl RnsRingBuilder {
     /// the builder's `n` (i.e. `2n | q − 1`).
     pub fn generated_basis(mut self, bits: u32, count: usize) -> Self {
         self.basis = BasisChoice::Generated { bits, count };
-        self
-    }
-
-    /// Auto-sizes the basis from a requested product-modulus width:
-    /// picks the channel count and per-channel prime width so that
-    /// `Q = ∏ qᵢ` spans at least `bits` bits, with every channel
-    /// NTT-friendly at the builder's `n` (negacyclic included). Callers
-    /// stop counting channels by hand — ask for "a 186-bit modulus" and
-    /// get (say) three 62-bit channels.
-    ///
-    /// Widths are balanced: the target is divided evenly over the
-    /// fewest word-sized channels that can carry it, then widened one
-    /// bit at a time (spilling into an extra channel past the 62-bit
-    /// single-word ceiling) until the generated product actually
-    /// reaches the target.
-    pub fn target_modulus_bits(mut self, bits: u32) -> Self {
-        self.basis = BasisChoice::TargetBits(bits);
         self
     }
 
@@ -175,16 +153,6 @@ impl RnsRingBuilder {
         self
     }
 
-    /// Sizes every channel ring's scratch pool for `workers` concurrent
-    /// callers (see `RingBuilder::scratch_concurrency`): servers
-    /// driving the ring through a wide
-    /// [`RingExecutor`](crate::RingExecutor) pass the executor width so
-    /// in-flight channel products never degrade to malloc/free churn.
-    pub fn scratch_concurrency(mut self, workers: usize) -> Self {
-        self.scratch_workers = Some(workers);
-        self
-    }
-
     /// Builds the ring: resolves the basis, validates coprimality,
     /// precomputes the Garner constants, and opens one backend-dispatched
     /// [`Ring`] per channel (plans served by the configured cache).
@@ -201,7 +169,6 @@ impl RnsRingBuilder {
                     count,
                 })?
             }
-            BasisChoice::TargetBits(bits) => auto_basis(bits, two_adicity)?,
         };
         // The native width's constants double as the basis validation;
         // they seed the width cache, so no request builds them.
@@ -213,13 +180,10 @@ impl RnsRingBuilder {
         let rings: Vec<Ring> = moduli
             .iter()
             .map(|&q| {
-                let mut builder = RingBuilder::new(q, self.n)
+                RingBuilder::new(q, self.n)
                     .backend(Arc::clone(&backend))
-                    .plan_cache(Arc::clone(&self.cache));
-                if let Some(workers) = self.scratch_workers {
-                    builder = builder.scratch_concurrency(workers);
-                }
-                builder.build()
+                    .plan_cache(Arc::clone(&self.cache))
+                    .build()
             })
             .collect::<Result<_, _>>()?;
 
@@ -406,51 +370,12 @@ fn dot_mod(m: &Modulus, row: &[ShoupMul], xs: impl Iterator<Item = u128>) -> u12
     }
 }
 
-/// Picks a basis whose product spans at least `target_bits` bits: the
-/// fewest word-sized channels that can carry the target with balanced
-/// widths, widened (and eventually spilled into an extra channel) until
-/// the *generated* product — primes sit slightly below `2^width` —
-/// actually reaches the target.
-fn auto_basis(target_bits: u32, two_adicity: u32) -> Result<Vec<u128>, Error> {
-    let target = target_bits.max(1);
-    // A prime with 2^two_adicity | q − 1 needs at least two_adicity + 1
-    // bits; give the search one bit of headroom.
-    let floor_bits = (two_adicity + 2).min(DEFAULT_BASIS_BITS);
-    let mut count = target.div_ceil(DEFAULT_BASIS_BITS).max(1) as usize;
-    let mut width = target
-        .div_ceil(count as u32)
-        .clamp(floor_bits, DEFAULT_BASIS_BITS);
-    // Each attempt either widens a channel or adds one, so the walk is
-    // finite; the cap is generous slack over the worst case.
-    for _ in 0..256 {
-        if let Some(chain) = primes::ntt_prime_chain(width, two_adicity, count) {
-            let product = chain
-                .iter()
-                .fold(BigUint::one(), |acc, &q| &acc * &BigUint::from(q));
-            if product.bits() >= u64::from(target) {
-                return Ok(chain);
-            }
-        }
-        if width < DEFAULT_BASIS_BITS {
-            width += 1;
-        } else {
-            count += 1;
-            width = target
-                .div_ceil(count as u32)
-                .clamp(floor_bits, DEFAULT_BASIS_BITS);
-        }
-    }
-    Err(Error::BasisGeneration {
-        bits: width,
-        two_adicity,
-        count,
-    })
-}
-
 /// A sharded multi-modulus polynomial ring `ℤ_Q[x]/(xⁿ ± 1)` with
 /// `Q = ∏ q_i`: one runtime-dispatched [`Ring`] per word-sized residue
-/// channel, CRT decomposition/recombination at the boundary, and
-/// channel execution fanned out across scoped threads.
+/// channel and CRT decomposition/recombination at the boundary. Direct
+/// calls run the channels one after another on the calling thread; a
+/// [`RingExecutor`](crate::RingExecutor) fans them out as separate work
+/// items.
 pub struct RnsRing {
     rings: Vec<Ring>,
     /// The native width's constants (also `widths[k]`).
@@ -1046,60 +971,6 @@ mod tests {
                 got: 1
             }
         ));
-    }
-
-    #[test]
-    fn target_bits_exact_multiple_uses_full_width_channels() {
-        // 186 = 3 × 62: three full-width channels, no overshoot in count.
-        let ring = RnsRing::builder(N)
-            .target_modulus_bits(186)
-            .build()
-            .unwrap();
-        assert_eq!(ring.channels(), 3);
-        assert!(ring.product_modulus().bits() >= 186);
-        assert!(ring.supports_negacyclic());
-        for &q in ring.moduli() {
-            assert_eq!(128 - q.leading_zeros(), 62, "full-width channel {q}");
-        }
-    }
-
-    #[test]
-    fn target_bits_balances_widths_when_over_provisioned() {
-        // 80 bits needs two channels; balanced widths sit near 40 bits,
-        // not one 62-bit plus one tiny channel.
-        let ring = RnsRing::builder(N).target_modulus_bits(80).build().unwrap();
-        assert_eq!(ring.channels(), 2);
-        assert!(ring.product_modulus().bits() >= 80);
-        for &q in ring.moduli() {
-            let w = 128 - q.leading_zeros();
-            assert!((38..=44).contains(&w), "balanced width, got {w} bits");
-        }
-    }
-
-    #[test]
-    fn target_bits_single_channel_and_tiny_targets() {
-        let ring = RnsRing::builder(N).target_modulus_bits(30).build().unwrap();
-        assert_eq!(ring.channels(), 1);
-        assert!(ring.product_modulus().bits() >= 30);
-        // A target below the 2-adicity floor still yields a valid
-        // (over-provisioned) NTT-friendly channel.
-        let tiny = RnsRing::builder(N).target_modulus_bits(1).build().unwrap();
-        assert_eq!(tiny.channels(), 1);
-        assert!(tiny.supports_negacyclic());
-    }
-
-    #[test]
-    fn target_bits_product_actually_multiplies_correctly() {
-        let ring = RnsRing::builder(N)
-            .target_modulus_bits(124)
-            .build()
-            .unwrap();
-        assert!(ring.product_modulus().bits() >= 124);
-        let a = coeffs(&ring, 7);
-        let b = coeffs(&ring, 8);
-        let expected =
-            mqx_ntt::polymul::schoolbook_negacyclic_big(&a, &b, &ring.product_modulus().clone());
-        assert_eq!(ring.polymul_negacyclic(&a, &b).unwrap(), expected);
     }
 
     /// Every value of a small basis through the word path and the

@@ -16,13 +16,10 @@
 //! With `W` concurrent polymul callers the pool converges on
 //! `min(3·W, capacity)` live buffers; beyond that, overflow buffers are
 //! simply freed on return, so a burst never permanently grows the pool.
-//! The capacity is sized at construction: by default three buffers per
-//! hardware thread ([`std::thread::available_parallelism`], clamped so
-//! small containers still absorb oversubscribed pools and huge hosts
-//! don't pin unbounded memory), or explicitly from a worker-count hint
-//! (`RingBuilder::scratch_concurrency` /
-//! `RnsRingBuilder::scratch_concurrency`) when the caller knows its
-//! executor is wider than the machine.
+//! The capacity is sized at construction: three buffers per hardware
+//! thread ([`std::thread::available_parallelism`]), clamped so small
+//! containers still absorb oversubscribed pools and huge hosts don't
+//! pin unbounded memory.
 
 use mqx_simd::ResidueSoa;
 use std::ops::{Deref, DerefMut};
@@ -62,25 +59,9 @@ impl ScratchPool {
     /// hardware parallelism; buffers are allocated lazily on first
     /// checkout.
     pub fn new(n: usize) -> ScratchPool {
-        ScratchPool::with_slots(n, default_slots())
-    }
-
-    /// An empty pool sized for `workers` concurrent polymul callers
-    /// (three buffers each, capped at [`MAX_SLOTS`]). Use when the
-    /// caller knows its executor width exceeds the hardware thread
-    /// count the default sizing assumes.
-    pub fn with_concurrency(n: usize, workers: usize) -> ScratchPool {
-        let slots = workers
-            .max(1)
-            .saturating_mul(BUFFERS_PER_CALLER)
-            .min(MAX_SLOTS);
-        ScratchPool::with_slots(n, slots)
-    }
-
-    fn with_slots(n: usize, slots: usize) -> ScratchPool {
         ScratchPool {
             n,
-            slots: (0..slots)
+            slots: (0..default_slots())
                 .map(|_| AtomicPtr::new(ptr::null_mut()))
                 .collect(),
         }
@@ -265,18 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_hint_sizes_three_buffers_per_worker() {
-        assert_eq!(ScratchPool::with_concurrency(8, 40).capacity(), 120);
-        // Zero-worker hints still yield a usable pool.
-        assert_eq!(ScratchPool::with_concurrency(8, 0).capacity(), 3);
-        // The ceiling bounds absurd hints.
-        assert_eq!(
-            ScratchPool::with_concurrency(8, usize::MAX).capacity(),
-            MAX_SLOTS
-        );
-    }
-
-    #[test]
     fn buffers_have_the_pool_geometry() {
         let pool = ScratchPool::new(64);
         let guard = pool.checkout();
@@ -318,14 +287,13 @@ mod tests {
 
     #[test]
     fn high_worker_hammer_converges_without_steady_state_churn() {
-        // The old fixed 32-slot pool degraded to malloc/free churn past
-        // ~10 workers (3 buffers per in-flight polymul); a hinted pool
-        // must absorb the full working set.
-        const WORKERS: usize = 24;
-        let pool = ScratchPool::with_concurrency(16, WORKERS);
-        assert!(pool.capacity() >= WORKERS * BUFFERS_PER_CALLER);
+        // As many polymul callers (three buffers each) as the default
+        // sizing provisions for: the pool must absorb their whole
+        // working set.
+        let pool = ScratchPool::new(16);
+        let workers = pool.capacity() / BUFFERS_PER_CALLER;
         std::thread::scope(|scope| {
-            for t in 0..WORKERS as u64 {
+            for t in 0..workers as u64 {
                 let pool = &pool;
                 scope.spawn(move || {
                     for i in 0..50 {
@@ -345,15 +313,15 @@ mod tests {
         });
         // Warm pool: at most the working set is parked, and a full-width
         // burst round-trips with zero overflow frees afterwards.
-        assert!(pool.pooled() <= WORKERS * BUFFERS_PER_CALLER);
-        let guards: Vec<_> = (0..WORKERS * BUFFERS_PER_CALLER)
+        assert!(pool.pooled() <= workers * BUFFERS_PER_CALLER);
+        let guards: Vec<_> = (0..workers * BUFFERS_PER_CALLER)
             .map(|_| pool.checkout())
             .collect();
         drop(guards);
         assert_eq!(
             pool.pooled(),
-            WORKERS * BUFFERS_PER_CALLER,
-            "the hinted pool parks the whole 3·W working set"
+            workers * BUFFERS_PER_CALLER,
+            "the pool parks the whole 3·W working set"
         );
     }
 }

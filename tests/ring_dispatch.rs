@@ -163,19 +163,6 @@ fn repeated_transforms_reuse_ring_buffers() {
 }
 
 #[test]
-fn soa_polymul_is_allocation_free_path() {
-    let q = primes::Q124;
-    let ring = Ring::auto(q, N).unwrap();
-    let a = poly(N, q, 5);
-    let b = poly(N, q, 6);
-    let expected = ring.polymul_cyclic(&a, &b).unwrap();
-    let mut sa = ResidueSoa::from_u128s(&a);
-    let mut sb = ResidueSoa::from_u128s(&b);
-    ring.polymul_cyclic_soa(&mut sa, &mut sb).unwrap();
-    assert_eq!(sa.to_u128s(), expected);
-}
-
-#[test]
 fn tier_summary_reports_runtime_detection() {
     // Benchmark reports read both axes of the summary: whether the whole
     // build enabled a tier's features and whether this host detects it.
