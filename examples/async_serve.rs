@@ -1,14 +1,13 @@
 //! Async serving: `Future`-based completion, bounded admission with
-//! load shedding, `reserve()` backpressure, and the reconciling
-//! `AdmissionStats` — the request path a polymul-as-a-service front end
-//! actually runs.
+//! load shedding, and the reconciling `AdmissionStats` — the request
+//! path a polymul-as-a-service front end actually runs.
 //!
 //! Where `batch_serve` mostly waits on handles, this example awaits the
 //! same [`RequestHandle`](mqx::RequestHandle)s as futures (no thread
 //! parked per request). The [`RingExecutor`] bounds each priority class:
 //! a class at its queue-depth limit sheds with `Error::Overloaded`
-//! instead of queueing without bound, and well-behaved clients trade
-//! shedding for backpressure via permits. Std wakers only —
+//! instead of queueing without bound, and the caller decides when to
+//! retry. Std wakers only —
 //! `frontdoor::block_on` is the minimal in-tree runtime; any
 //! waker-driven runtime drives the same futures.
 //!
@@ -21,7 +20,7 @@ use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all};
 use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn random_words(n: usize, q: u128, seed: &mut u64) -> Vec<u128> {
     (0..n)
@@ -104,23 +103,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "overload: Low class limited to depth 2 → {served} served, {shed} shed \
          with Error::Overloaded (resolved at submit, zero channels run)"
     );
-
-    // --- Leg 3: reserve() permits = backpressure instead of shedding ---------
-    // A well-behaved client that would rather wait briefly than be
-    // shed: reserve a slot (blocking until the class has capacity),
-    // then submit through the permit — that submit cannot be shed.
-    match tight.reserve_timeout(Priority::Low, Duration::from_secs(10)) {
-        Some(permit) => {
-            let future = tight.submit_reserved(permit, &ring, request(PolyOp::Cyclic))?;
-            let product = block_on(future)?;
-            println!(
-                "backpressure: reserved a Low slot, unsheddable submit served \
-                 (product len {})",
-                product.len()
-            );
-        }
-        None => println!("backpressure: no Low capacity within 10s (saturated host)"),
-    }
 
     // --- Stats: the books always balance -------------------------------------
     let stats = tight.stats();

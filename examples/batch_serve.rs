@@ -16,9 +16,12 @@
 use mqx::bignum::BigUint;
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all};
-use mqx::{Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest, RnsRing};
+use mqx::{
+    Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest, RnsRing,
+    DEFAULT_QUEUE_DEPTH,
+};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn random_words(n: usize, q: u128, seed: &mut u64) -> Vec<u128> {
     (0..n)
@@ -31,6 +34,20 @@ fn random_words(n: usize, q: u128, seed: &mut u64) -> Vec<u128> {
         .collect()
 }
 
+/// Submits a whole batch, then awaits every handle in one `block_on`:
+/// the products in submission order, or the first error.
+fn serve_batch(
+    pool: &RingExecutor,
+    ring: &Arc<dyn PolyRing>,
+    requests: Vec<RingRequest>,
+) -> Result<Vec<Coefficients>, Error> {
+    let handles = requests
+        .into_iter()
+        .map(|request| pool.submit(ring, request))
+        .collect::<Result<Vec<_>, _>>()?;
+    block_on(join_all(handles)).into_iter().collect()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let workers: usize = args.get(1).map_or(4, |s| s.parse().expect("workers"));
@@ -40,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One shared ring: a single plan + twiddle set behind an Arc, with
     // per-call scratch pooled internally. No per-worker clones.
     let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, n)?);
-    let pool = RingExecutor::new(workers)?;
+    // Deep enough that the whole batch is admitted, not shed.
+    let pool = RingExecutor::builder(workers)
+        .queue_depth(batch.max(DEFAULT_QUEUE_DEPTH))
+        .build()?;
     println!(
         "serving {batch} mixed cyclic/negacyclic requests (n = {n}, q = {} bits) \
          on {workers} workers",
@@ -70,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seq_elapsed = t0.elapsed();
 
     let t0 = Instant::now();
-    let served = pool.serve(&ring, requests)?;
+    let served = serve_batch(&pool, &ring, requests)?;
     let pool_elapsed = t0.elapsed();
 
     assert_eq!(served, sequential, "bit-identical to sequential");
@@ -99,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let t0 = Instant::now();
-    let wide_out = pool.serve(&wide, wide_requests)?;
+    let wide_out = serve_batch(&pool, &wide, wide_requests)?;
     println!(
         "RNS ring ({} bits over {} channels): {wide_batch} requests → {} work items in {:?}",
         wide.modulus_bits(),
@@ -130,12 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RingRequest::polymul(PolyOp::Negacyclic, a.clone().into(), b.clone().into())
             .with_priority(Priority::High),
     )?;
-    // A bounded wait: hand the handle back on timeout instead of
-    // blocking the front end forever (here it resolves well in time).
-    let product = match urgent.wait_timeout(Duration::from_secs(30)) {
-        Ok(result) => result?,
-        Err(_still_running) => unreachable!("30s is plenty for one product"),
-    };
+    let product = urgent.wait()?;
     println!(
         "QoS: High-priority request overtook 32 queued Low requests in {:?} \
          (n = {}, product len {})",

@@ -150,9 +150,8 @@ pub enum Error {
     /// queue in the [`RingExecutor`](crate::RingExecutor) was already
     /// at its configured depth, so the request was refused immediately
     /// — zero channels executed, zero caller blocking — instead of
-    /// growing the queue without bound. Well-behaved clients can opt
-    /// into backpressure instead via
-    /// [`RingExecutor::reserve`](crate::RingExecutor::reserve).
+    /// growing the queue without bound. The caller retries later (or
+    /// submits in a class with room).
     Overloaded {
         /// The priority class whose queue was full.
         class: crate::executor::Priority,
@@ -236,7 +235,7 @@ impl fmt::Display for Error {
             Error::Overloaded { class, depth } => write!(
                 f,
                 "request shed at admission: the {class} class queue is at its depth limit \
-                 ({depth}); retry later or reserve() a permit for backpressure"
+                 ({depth}); retry later"
             ),
         }
     }
@@ -407,7 +406,7 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(
-            msg.contains("low") && msg.contains('2') && msg.contains("reserve"),
+            msg.contains("low") && msg.contains('2') && msg.contains("retry later"),
             "{msg}"
         );
         assert!(e.source().is_none());

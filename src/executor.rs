@@ -42,7 +42,8 @@
 //!
 //! A real multi-tenant queue is never uniform: interactive requests
 //! share the pool with bulk batches, and stale work must be shed. Each
-//! request therefore carries [`SubmitOptions`]:
+//! request therefore carries, set through
+//! [`RingRequest::with_priority`] / [`RingRequest::with_deadline`]:
 //!
 //! * a [`Priority`] class — the shared injector keeps one FIFO per
 //!   class and workers drain it strictly `High → Normal → Low`
@@ -56,10 +57,8 @@
 //!   resolves [`Error::Cancelled`] (a request that already finished
 //!   keeps its product: cancel is then a no-op).
 //!
-//! Handles also offer non-blocking and bounded waits
-//! ([`RequestHandle::try_wait`], [`RequestHandle::wait_timeout`],
-//! [`RequestHandle::wait_deadline`]) so a front end can poll or give up
-//! without abandoning the result.
+//! [`RequestHandle::try_wait`] polls without blocking and hands the
+//! handle back while the request is unresolved.
 //!
 //! # Admission and async completion
 //!
@@ -73,22 +72,19 @@
 //!   otherwise). A [`submit`](RingExecutor::submit) that finds its class
 //!   at the limit is **shed**: its handle comes back already resolved
 //!   with [`Error::Overloaded`], no split or kernel runs, and the caller
-//!   never blocks. Clients that prefer waiting take a [`Permit`] from
-//!   [`RingExecutor::reserve`], which blocks until the class has room,
-//!   and spend it with [`RingExecutor::submit_reserved`], which cannot
-//!   be shed. The check is `queued + reserved < limit` under the
-//!   injector lock; a reservation holds its slot while the split runs
-//!   outside any lock and becomes the queue entry under the lock that
-//!   pushes it, so the limit is strict and concurrent submitters split
-//!   in parallel. A worker that dequeues a request wakes blocked
-//!   reservers.
+//!   never blocks. The check is `queued + reserved < limit` under the
+//!   injector lock: an admitted submit holds its slot as a reservation
+//!   while the split runs outside any lock, and the reservation becomes
+//!   the queue entry under the lock that pushes it (or is given back
+//!   when validation fails or the deadline has already passed). So the
+//!   limit is strict and concurrent submitters split in parallel.
 //! * **Asynchronous completion.** [`RequestHandle`] is a
-//!   [`Future`]`<Output = Result<Coefficients, Error>>` as well as a
-//!   blocking handle: a pending poll parks its [`Waker`] in the
-//!   request's outcome slot, and the worker that publishes the outcome
-//!   fires it exactly once. [`block_on`](crate::frontdoor::block_on) and
-//!   [`join_all`](crate::frontdoor::join_all) drive such futures without
-//!   a runtime.
+//!   [`Future`]`<Output = Result<Coefficients, Error>>`: a pending poll
+//!   parks its [`Waker`] in the request's outcome slot, and the worker
+//!   that publishes the outcome fires it exactly once.
+//!   [`RequestHandle::wait`] is [`block_on`] of the handle;
+//!   [`join_all`](crate::frontdoor::join_all) collects a batch in one
+//!   `block_on`, without a runtime.
 //! * **Stats.** [`RingExecutor::stats`] is a reconciling
 //!   [`AdmissionStats`] snapshot. Every submit is counted; sheds and
 //!   cancellations are counted where the outcome is published, so they
@@ -102,20 +98,25 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use mqx::{core::primes, Coefficients, PolyOp, PolyRing, Priority, Ring, RingExecutor,
-//!           RingRequest};
+//! use mqx::frontdoor::{block_on, join_all};
+//! use mqx::{core::primes, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingRequest};
 //!
 //! let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, 64)?);
 //! let pool = RingExecutor::new(4)?;
 //!
 //! // Queue a small batch and collect results in submission order.
-//! let requests: Vec<RingRequest> = (0..8_u64)
+//! let handles = (0..8_u64)
 //!     .map(|i| {
 //!         let a: Vec<u128> = (0..64).map(|j| u128::from(i + j)).collect();
-//!         RingRequest::polymul(PolyOp::Negacyclic, a.clone().into(), a.into())
+//!         pool.submit(
+//!             &ring,
+//!             RingRequest::polymul(PolyOp::Negacyclic, a.clone().into(), a.into()),
+//!         )
 //!     })
-//!     .collect();
-//! let products = pool.serve(&ring, requests)?;
+//!     .collect::<Result<Vec<_>, _>>()?;
+//! let products = block_on(join_all(handles))
+//!     .into_iter()
+//!     .collect::<Result<Vec<_>, _>>()?;
 //! assert_eq!(products.len(), 8);
 //!
 //! // An interactive request overtakes queued bulk work.
@@ -138,10 +139,10 @@ use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default per-class queue-depth limit of every pool: deep enough that
 /// a well-provisioned service never notices it, bounded enough that a
@@ -187,55 +188,10 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// Per-request scheduling options: a [`Priority`] class and an optional
-/// deadline. Builder-style, so call sites name only what they change:
-///
-/// ```
-/// use mqx::{Priority, SubmitOptions};
-/// use std::time::Duration;
-///
-/// let opts = SubmitOptions::new()
-///     .priority(Priority::High)
-///     .timeout(Duration::from_millis(50));
-/// assert_eq!(opts.priority, Priority::High);
-/// assert!(opts.deadline.is_some());
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SubmitOptions {
-    /// Scheduling class ([`Priority::Normal`] by default).
-    pub priority: Priority,
-    /// Latest useful completion time: a request still queued past this
-    /// instant is shed with [`Error::DeadlineExceeded`] instead of
-    /// burning worker time. `None` (the default) never sheds.
-    pub deadline: Option<Instant>,
-}
-
-impl SubmitOptions {
-    /// Default options: [`Priority::Normal`], no deadline.
-    pub fn new() -> SubmitOptions {
-        SubmitOptions::default()
-    }
-
-    /// Sets the scheduling class.
-    pub fn priority(mut self, priority: Priority) -> SubmitOptions {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the absolute deadline.
-    pub fn deadline(mut self, deadline: Instant) -> SubmitOptions {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the deadline relative to now.
-    pub fn timeout(self, budget: Duration) -> SubmitOptions {
-        self.deadline(Instant::now() + budget)
-    }
-}
-
 /// One queued unit of ring work: an [`OpGraph`] with the graph's
-/// external operands, plus the scheduling [`SubmitOptions`]. A single
+/// external operands, plus its [`Priority`] class and optional deadline
+/// ([`with_priority`](RingRequest::with_priority) /
+/// [`with_deadline`](RingRequest::with_deadline)). A single
 /// [`RingOp`] is exactly the one-node graph ([`OpGraph::single`]) — the
 /// per-op constructors are sugar for it — so every request takes the
 /// same path through the pool.
@@ -263,7 +219,12 @@ pub struct RingRequest {
     graph: OpGraph,
     /// One per [`OpGraph::inputs`] (checked at submit).
     operands: Vec<Coefficients>,
-    options: SubmitOptions,
+    /// Scheduling class ([`Priority::Normal`] by default).
+    priority: Priority,
+    /// Latest useful completion time: a request still queued past this
+    /// instant is shed with [`Error::DeadlineExceeded`] instead of
+    /// burning worker time. `None` (the default) never sheds.
+    deadline: Option<Instant>,
 }
 
 impl RingRequest {
@@ -277,7 +238,8 @@ impl RingRequest {
         RingRequest {
             graph,
             operands,
-            options: SubmitOptions::default(),
+            priority: Priority::default(),
+            deadline: None,
         }
     }
 
@@ -343,32 +305,16 @@ impl RingRequest {
         Some(&self.graph)
     }
 
-    /// The scheduling options.
-    pub fn options(&self) -> SubmitOptions {
-        self.options
-    }
-
-    /// Replaces the scheduling options wholesale.
-    pub fn with_options(mut self, options: SubmitOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Sets the scheduling class.
     pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.options.priority = priority;
+        self.priority = priority;
         self
     }
 
     /// Sets the absolute deadline.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.options.deadline = Some(deadline);
+        self.deadline = Some(deadline);
         self
-    }
-
-    /// Sets the deadline relative to now.
-    pub fn with_timeout(self, budget: Duration) -> Self {
-        self.with_deadline(Instant::now() + budget)
     }
 }
 
@@ -471,7 +417,8 @@ impl RequestState {
         let RingRequest {
             graph,
             operands,
-            options,
+            deadline,
+            ..
         } = request;
         // The operands are handed over, so a word ring keeps them
         // instead of copying.
@@ -521,7 +468,7 @@ impl RequestState {
             inputs,
             nodes,
             roots,
-            ..RequestState::bare(ring, graph, options.deadline)
+            ..RequestState::bare(ring, graph, deadline)
         })
     }
 
@@ -570,7 +517,7 @@ impl RequestState {
         }
     }
 
-    fn completion(&self) -> std::sync::MutexGuard<'_, Completion> {
+    fn completion(&self) -> MutexGuard<'_, Completion> {
         self.completion.lock().expect("request completion poisoned")
     }
 
@@ -584,8 +531,8 @@ impl RequestState {
 }
 
 /// A claim on one submitted request's eventual result — blocking
-/// ([`wait`](RequestHandle::wait) and its bounded forms) and
-/// asynchronous alike: the handle is a
+/// ([`wait`](RequestHandle::wait), or [`try_wait`](RequestHandle::try_wait)
+/// without blocking) and asynchronous alike: the handle is a
 /// [`Future`]`<Output = Result<Coefficients, Error>>`.
 ///
 /// Await it on any waker-driven runtime (or
@@ -619,14 +566,10 @@ impl RequestHandle {
     /// Blocks until the request is fully resolved and returns the
     /// joined product — or the first channel error,
     /// [`Error::Cancelled`], or [`Error::DeadlineExceeded`] when the
-    /// request was shed.
+    /// request was shed. The same as [`block_on`]`(handle)`: like any
+    /// re-poll, it replaces a waker an earlier poll of the handle parked.
     pub fn wait(self) -> Result<Coefficients, Error> {
-        // Without a deadline `park_until` returns only `Some`.
-        loop {
-            if let Some(result) = self.park_until(None) {
-                return result;
-            }
-        }
+        block_on(self)
     }
 
     /// Non-blocking wait: the result when the request has resolved,
@@ -636,57 +579,6 @@ impl RequestHandle {
         match taken {
             Some(result) => Ok(result),
             None => Err(self),
-        }
-    }
-
-    /// Bounded wait: blocks at most `timeout`, returning the result or
-    /// handing the handle back when time runs out.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<Coefficients, Error>, Self> {
-        self.wait_deadline(Instant::now() + timeout)
-    }
-
-    /// Bounded wait against an absolute deadline (see
-    /// [`wait_timeout`](RequestHandle::wait_timeout)).
-    pub fn wait_deadline(self, deadline: Instant) -> Result<Result<Coefficients, Error>, Self> {
-        self.park_until(Some(deadline)).ok_or(self)
-    }
-
-    /// The blocking waits: parks the calling thread until the request
-    /// resolves (`Some`) or `deadline` passes (`None`). The thread's
-    /// waker goes into the completion slot in front of any waker an
-    /// earlier async poll parked there, so that one still fires at
-    /// publication; on a time-out the earlier waker is put back, and
-    /// publication will not unpark this thread later.
-    fn park_until(&self, deadline: Option<Instant>) -> Option<Result<Coefficients, Error>> {
-        let parked = {
-            let mut completion = self.state.completion();
-            if let Some(result) = completion.outcome.take() {
-                return Some(result);
-            }
-            let parked = completion.waker.take();
-            completion.waker = Some(thread_waker(parked.clone()));
-            parked
-        };
-        loop {
-            match deadline {
-                None => std::thread::park(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        let mut completion = self.state.completion();
-                        let result = completion.outcome.take();
-                        if result.is_none() {
-                            completion.waker = parked;
-                        }
-                        return result;
-                    }
-                    std::thread::park_timeout(deadline - now);
-                }
-            }
-            // Early or spurious unparks only cost a re-check.
-            if let Some(result) = self.state.completion().outcome.take() {
-                return Some(result);
-            }
         }
     }
 
@@ -738,15 +630,10 @@ impl Future for RequestHandle {
     }
 }
 
-/// The [`Waker`] behind [`block_on`] and the bounded waits: wakes by
-/// unparking the waiting thread. `unpark` delivers a sticky token, so a
-/// wake landing between a `poll` and the subsequent `park` is never
-/// lost.
-struct ThreadUnparker {
-    thread: std::thread::Thread,
-    /// A waker this one stands in front of, woken after the unpark.
-    then: Option<Waker>,
-}
+/// The [`Waker`] behind [`block_on`]: wakes by unparking the waiting
+/// thread. `unpark` delivers a sticky token, so a wake landing between
+/// a `poll` and the subsequent `park` is never lost.
+struct ThreadUnparker(std::thread::Thread);
 
 impl Wake for ThreadUnparker {
     fn wake(self: Arc<Self>) {
@@ -754,19 +641,8 @@ impl Wake for ThreadUnparker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.thread.unpark();
-        if let Some(then) = &self.then {
-            then.wake_by_ref();
-        }
+        self.0.unpark();
     }
-}
-
-/// A waker that unparks the calling thread, then wakes `then`.
-fn thread_waker(then: Option<Waker>) -> Waker {
-    Waker::from(Arc::new(ThreadUnparker {
-        thread: std::thread::current(),
-        then,
-    }))
 }
 
 /// Drives a future to completion on the calling thread — the minimal
@@ -774,7 +650,7 @@ fn thread_waker(then: Option<Waker>) -> Waker {
 /// in a runtime. Parks the thread between polls (no busy-spinning);
 /// each wake unparks it for exactly one re-poll.
 pub fn block_on<F: Future>(future: F) -> F::Output {
-    let waker = thread_waker(None);
+    let waker = Waker::from(Arc::new(ThreadUnparker(std::thread::current())));
     let mut cx = Context::from_waker(&waker);
     let mut future = std::pin::pin!(future);
     loop {
@@ -830,20 +706,38 @@ enum Task {
 struct Injector {
     /// Drained strictly by class, submission order within a class.
     queues: [VecDeque<Task>; CLASSES],
-    /// Per-class count of outstanding [`Permit`]s: slots held for
+    /// Per-class count of outstanding [`Reservation`]s: slots held for
     /// requests still being split on their submitter's thread.
     reserved: [usize; CLASSES],
-    /// Threads blocked in [`RingExecutor::reserve`]; freeing a slot
-    /// signals them only when this is non-zero.
-    waiting: usize,
 }
 
-impl Injector {
-    /// Takes one slot of `class` when `queued + reserved < limit`.
-    fn reserve(&mut self, class: usize, limit: usize) -> bool {
-        let room = self.queues[class].len() + self.reserved[class] < limit;
-        self.reserved[class] += usize::from(room);
-        room
+/// An admitted request's queue slot, held while its operands are split
+/// outside the injector lock. It becomes the queue entry in
+/// [`enqueue`](Reservation::enqueue); dropped unspent (a validation
+/// error, an expired deadline, a panicking split) it gives the slot back.
+struct Reservation<'a> {
+    shared: &'a Shared,
+    class: usize,
+}
+
+impl Reservation<'_> {
+    /// Turns the slot into its queue entry under the one lock, so the
+    /// slot is never free in between. Returns the class's queue depth
+    /// after the push.
+    fn enqueue(self, task: Task) -> usize {
+        let (shared, class) = (self.shared, self.class);
+        // The slot becomes the queue entry: nothing is left to give back.
+        std::mem::forget(self);
+        let mut injector = shared.injector();
+        injector.reserved[class] -= 1;
+        injector.queues[class].push_back(task);
+        injector.queues[class].len()
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.shared.injector().reserved[self.class] -= 1;
     }
 }
 
@@ -879,10 +773,6 @@ impl Counters {
 struct Shared {
     /// New requests land here, and admission is decided under this lock.
     injector: Mutex<Injector>,
-    /// Wakes threads blocked in [`RingExecutor::reserve`] (paired with
-    /// `injector`): signalled when a slot frees — a worker dequeuing a
-    /// request, or a permit released unspent.
-    freed: Condvar,
     /// Per-worker deques: the owner pushes/pops the back (LIFO keeps a
     /// request's channels hot in one worker's cache), thieves take the
     /// front (FIFO steals the oldest, largest-granularity work).
@@ -895,23 +785,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// Turns one reservation of `class` into its queue entry under the
-    /// one lock, so the slot is never free in between. Returns the
-    /// class's queue depth after the push.
-    fn enqueue_reserved(&self, class: usize, task: Task) -> usize {
-        let mut injector = self.injector.lock().expect("injector poisoned");
-        injector.reserved[class] -= 1;
-        injector.queues[class].push_back(task);
-        injector.queues[class].len()
+    fn injector(&self) -> MutexGuard<'_, Injector> {
+        self.injector.lock().expect("injector poisoned")
     }
 
-    /// Gives one reservation of `class` back unspent.
-    fn release_reserved(&self, class: usize) {
-        let mut injector = self.injector.lock().expect("injector poisoned");
-        injector.reserved[class] -= 1;
-        if injector.waiting > 0 {
-            self.freed.notify_all();
+    fn local(&self, worker: usize) -> MutexGuard<'_, VecDeque<Task>> {
+        self.locals[worker].lock().expect("worker deque poisoned")
+    }
+
+    /// Takes one slot of `class` when `queued + reserved < limit`.
+    fn reserve(&self, class: usize, limit: usize) -> Option<Reservation<'_>> {
+        let mut injector = self.injector();
+        if injector.queues[class].len() + injector.reserved[class] >= limit {
+            return None;
         }
+        injector.reserved[class] += 1;
+        Some(Reservation {
+            shared: self,
+            class,
+        })
     }
 
     /// Pops work: own deque first (back), then the injector (highest
@@ -920,36 +812,19 @@ impl Shared {
     /// even high-priority injected requests: finishing started work
     /// releases its handle soonest and keeps its operands cache-hot.
     fn find_task(&self, worker: usize) -> Option<Task> {
-        if let Some(task) = self.locals[worker]
-            .lock()
-            .expect("worker deque poisoned")
-            .pop_back()
+        if let Some(task) = self.local(worker).pop_back() {
+            return Some(task);
+        }
+        if let Some(task) = self
+            .injector()
+            .queues
+            .iter_mut()
+            .find_map(VecDeque::pop_front)
         {
             return Some(task);
         }
-        {
-            let mut injector = self.injector.lock().expect("injector poisoned");
-            if let Some(task) = injector.queues.iter_mut().find_map(VecDeque::pop_front) {
-                // A slot just freed. Signal only when a reserver waits,
-                // so the common dequeue makes no syscall.
-                if injector.waiting > 0 {
-                    self.freed.notify_all();
-                }
-                return Some(task);
-            }
-        }
         let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(task) = self.locals[victim]
-                .lock()
-                .expect("worker deque poisoned")
-                .pop_front()
-            {
-                return Some(task);
-            }
-        }
-        None
+        (1..n).find_map(|offset| self.local((worker + offset) % n).pop_front())
     }
 
     /// Wakes one idle worker after queueing a single task. Taking the
@@ -1132,7 +1007,7 @@ impl Shared {
         }
         let mut pushed = 0;
         {
-            let mut local = self.locals[worker].lock().expect("worker deque poisoned");
+            let mut local = self.local(worker);
             for successor in ready {
                 for channel in 0..state.nodes[successor].tasks {
                     local.push_back(Task::Channel(Arc::clone(state), successor, channel));
@@ -1167,8 +1042,7 @@ impl Shared {
                     let rest: Vec<(usize, usize)> = items.collect();
                     if !rest.is_empty() {
                         {
-                            let mut local =
-                                self.locals[worker].lock().expect("worker deque poisoned");
+                            let mut local = self.local(worker);
                             for (node, channel) in rest {
                                 local.push_back(Task::Channel(Arc::clone(&state), node, channel));
                             }
@@ -1206,19 +1080,8 @@ impl Shared {
     }
 
     fn has_queued_work(&self) -> bool {
-        if self
-            .injector
-            .lock()
-            .expect("injector poisoned")
-            .queues
-            .iter()
-            .any(|class| !class.is_empty())
-        {
-            return true;
-        }
-        self.locals
-            .iter()
-            .any(|q| !q.lock().expect("worker deque poisoned").is_empty())
+        self.injector().queues.iter().any(|class| !class.is_empty())
+            || (0..self.locals.len()).any(|worker| !self.local(worker).is_empty())
     }
 }
 
@@ -1336,9 +1199,7 @@ impl RingExecutorBuilder {
             injector: Mutex::new(Injector {
                 queues: std::array::from_fn(|_| VecDeque::new()),
                 reserved: [0; CLASSES],
-                waiting: 0,
             }),
-            freed: Condvar::new(),
             locals: (0..self.workers)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -1371,11 +1232,6 @@ impl RingExecutorBuilder {
 ///   [`RequestHandle`] (blocking handle and [`Future`] in one); a class
 ///   at its depth limit resolves the handle at once with
 ///   [`Error::Overloaded`].
-/// * [`reserve`](RingExecutor::reserve) /
-///   [`submit_reserved`](RingExecutor::submit_reserved) — the
-///   backpressure path: block until the class has room, then submit
-///   unsheddable. [`serve`](RingExecutor::serve) takes this path for
-///   every request of a batch.
 /// * [`stats`](RingExecutor::stats) — the reconciling
 ///   [`AdmissionStats`] snapshot.
 ///
@@ -1428,27 +1284,16 @@ impl RingExecutor {
     /// requests already being fanned out or executed are not counted,
     /// and a multi-node [`OpGraph`] request occupies exactly **one**
     /// entry however many node × channel work items it will fan out to.
-    /// Together with outstanding [`Permit`]s this is what admission
-    /// compares against the per-class limits, and the number to watch
-    /// when debugging saturation (a class pinned at its limit is
-    /// shedding or starving).
+    /// Together with the slots of submits still splitting this is what
+    /// admission compares against the per-class limits, and the number
+    /// to watch when debugging saturation (a class pinned at its limit
+    /// is shedding or starving).
     ///
     /// The injector FIFOs themselves are measured under their lock, so
     /// the snapshot is exact at the instant it is taken.
     pub fn queue_depths(&self) -> [usize; CLASSES] {
-        let injector = self.shared.injector.lock().expect("injector poisoned");
+        let injector = self.shared.injector();
         std::array::from_fn(|class| injector.queues[class].len())
-    }
-
-    /// The pending queue length of one [`Priority`] class (see
-    /// [`queue_depths`](RingExecutor::queue_depths)).
-    pub fn queue_depth(&self, priority: Priority) -> usize {
-        self.shared
-            .injector
-            .lock()
-            .expect("injector poisoned")
-            .queues[priority.class()]
-        .len()
     }
 
     /// Queues one request against `ring` through admission control and
@@ -1456,8 +1301,7 @@ impl RingExecutor {
     ///
     /// A request whose [`Priority`] class is at its depth limit is
     /// **shed**: the handle comes back already resolved with
-    /// [`Error::Overloaded`] — no split, no kernel, no blocking. (See
-    /// [`reserve`](RingExecutor::reserve) for backpressure instead.)
+    /// [`Error::Overloaded`] — no split, no kernel, no blocking.
     /// Otherwise the operands are validated (count, length, coefficient
     /// range, representation) and split on the calling thread, outside
     /// every pool lock, while a reservation holds the request's slot.
@@ -1481,121 +1325,22 @@ impl RingExecutor {
         ring: &Arc<dyn PolyRing>,
         request: RingRequest,
     ) -> Result<RequestHandle, Error> {
-        let class = request.options.priority;
-        if let Some(permit) = self.try_reserve(class) {
-            return self.submit_reserved(permit, ring, request);
-        }
+        let class = request.priority;
+        let idx = class.class();
         let counters = &self.shared.counters;
-        // ORDERING: Relaxed statistics counters (see `Counters`).
-        counters.submitted.fetch_add(1, Ordering::Relaxed);
-        counters.shed_at_submit[class.class()].fetch_add(1, Ordering::Relaxed);
-        // Resolved before anyone can wait on it, so there is nobody to
-        // notify: the outcome is simply born published.
-        let shed = Err(Error::Overloaded {
-            class,
-            depth: self.limits[class.class()],
-        });
-        let state = RequestState {
-            completion: Mutex::new(Completion {
-                outcome: Some(shed),
-                waker: None,
-            }),
-            ..RequestState::bare(ring, request.graph, None)
+        let Some(slot) = self.shared.reserve(idx, self.limits[idx]) else {
+            // ORDERING: Relaxed statistics counters (see `Counters`).
+            counters.submitted.fetch_add(1, Ordering::Relaxed);
+            counters.shed_at_submit[idx].fetch_add(1, Ordering::Relaxed);
+            // Resolved before anyone can wait on it: nobody to notify.
+            let state = Arc::new(RequestState::bare(ring, request.graph, None));
+            let depth = self.limits[idx];
+            state.publish(Err(Error::Overloaded { class, depth }), counters);
+            return Ok(RequestHandle { state });
         };
-        Ok(RequestHandle {
-            state: Arc::new(state),
-        })
-    }
-
-    /// Tries to reserve one queue slot in `class` without blocking:
-    /// `None` when the class is at its limit. The returned [`Permit`]
-    /// holds the slot until it is spent
-    /// ([`submit_reserved`](RingExecutor::submit_reserved)) or dropped.
-    pub fn try_reserve(&self, class: Priority) -> Option<Permit<'_>> {
-        let idx = class.class();
-        let reserved = self
-            .shared
-            .injector
-            .lock()
-            .expect("injector poisoned")
-            .reserve(idx, self.limits[idx]);
-        // Built only on success: a permit's Drop gives a slot back.
-        reserved.then(|| Permit { pool: self, class })
-    }
-
-    /// Reserves one queue slot in `class`, blocking until the class has
-    /// room — backpressure for well-behaved clients, instead of the
-    /// shedding an unreserved [`submit`](RingExecutor::submit) risks.
-    /// The wait ends as soon as a worker dequeues a request of the
-    /// class or another permit is dropped unspent: both signal blocked
-    /// reservers.
-    ///
-    /// A class with depth limit `0` never has room; prefer
-    /// [`reserve_timeout`](RingExecutor::reserve_timeout) when the
-    /// limit is not known to be positive.
-    pub fn reserve(&self, class: Priority) -> Permit<'_> {
-        self.reserve_until(class, None)
-            .expect("an unbounded reserve returns only with a permit")
-    }
-
-    /// [`reserve`](RingExecutor::reserve) with a bound: gives up and
-    /// returns `None` once `timeout` has elapsed without room.
-    pub fn reserve_timeout(&self, class: Priority, timeout: Duration) -> Option<Permit<'_>> {
-        self.reserve_until(class, Some(Instant::now() + timeout))
-    }
-
-    fn reserve_until(&self, class: Priority, deadline: Option<Instant>) -> Option<Permit<'_>> {
-        let idx = class.class();
-        let mut injector = self.shared.injector.lock().expect("injector poisoned");
-        while !injector.reserve(idx, self.limits[idx]) {
-            let timeout = match deadline {
-                Some(deadline) => Some(
-                    deadline
-                        .checked_duration_since(Instant::now())
-                        .filter(|left| !left.is_zero())?,
-                ),
-                None => None,
-            };
-            injector.waiting += 1;
-            injector = match timeout {
-                Some(timeout) => {
-                    self.shared
-                        .freed
-                        .wait_timeout(injector, timeout)
-                        .expect("injector poisoned")
-                        .0
-                }
-                None => self.shared.freed.wait(injector).expect("injector poisoned"),
-            };
-            injector.waiting -= 1;
-        }
-        Some(Permit { pool: self, class })
-    }
-
-    /// Spends `permit` to submit one request that **cannot** be shed at
-    /// admission: the reservation already holds its queue slot, so the
-    /// request enters the queue even if the class has meanwhile filled.
-    /// The request rides in the permit's class, whatever its own
-    /// priority option says.
-    ///
-    /// The permit is consumed either way; on a validation error or an
-    /// expired deadline the reserved slot is released back to the
-    /// class.
-    ///
-    /// # Errors
-    ///
-    /// The same validation failures as [`submit`](RingExecutor::submit)
-    /// — never [`Error::Overloaded`].
-    pub fn submit_reserved(
-        &self,
-        permit: Permit<'_>,
-        ring: &Arc<dyn PolyRing>,
-        request: RingRequest,
-    ) -> Result<RequestHandle, Error> {
-        // A validation error returns here and drops the permit, which
-        // releases the slot.
+        // A validation error returns here and drops the slot, which
+        // gives it back.
         let state = Arc::new(RequestState::planned(ring, request)?);
-        let counters = &self.shared.counters;
         // ORDERING: Relaxed statistics counters (see `Counters`).
         counters.submitted.fetch_add(1, Ordering::Relaxed);
         counters.admitted.fetch_add(1, Ordering::Relaxed);
@@ -1605,19 +1350,13 @@ impl RingExecutor {
         {
             // Dead on arrival: resolve without touching the queues, so
             // zero work items execute even on a saturated pool.
-            drop(permit);
+            drop(slot);
             state.publish(Err(Error::DeadlineExceeded), counters);
             return Ok(RequestHandle { state });
         }
-        let class = permit.class.class();
-        let depth = self
-            .shared
-            .enqueue_reserved(class, Task::Request(Arc::clone(&state)));
-        // The reservation is now the queue entry: nothing is left for
-        // the permit's Drop to release.
-        std::mem::forget(permit);
+        let depth = slot.enqueue(Task::Request(Arc::clone(&state)));
         // ORDERING: Relaxed statistics counter (see `Counters`).
-        counters.queue_high_water[class].fetch_max(depth, Ordering::Relaxed);
+        counters.queue_high_water[idx].fetch_max(depth, Ordering::Relaxed);
         // One queued item, one woken worker.
         self.shared.notify_one();
         Ok(RequestHandle { state })
@@ -1641,73 +1380,6 @@ impl RingExecutor {
                 counters.queue_high_water[i].load(Ordering::Relaxed)
             }),
         }
-    }
-
-    /// Queues a whole batch and blocks for all results, returned in
-    /// submission order. Each request takes a [`reserve`]d slot, so a
-    /// batch deeper than its class's limit is back-pressured, never
-    /// shed; up to that limit, the pool sees the `channels × batch`
-    /// work list at once.
-    ///
-    /// # Errors
-    ///
-    /// The first error — at submit (validation, or
-    /// [`Error::Overloaded`] for a class whose limit is `0`) or at wait
-    /// (a channel failure, or a request shed by its deadline or
-    /// cancelled from another thread). Since the whole batch fails as
-    /// one, the other requests of the batch are cancelled (via the
-    /// cooperative cancellation path) and drained before this returns,
-    /// so a failed batch leaves the pool idle instead of leaking
-    /// orphaned work whose results nobody collects.
-    ///
-    /// [`reserve`]: RingExecutor::reserve
-    pub fn serve(
-        &self,
-        ring: &Arc<dyn PolyRing>,
-        requests: Vec<RingRequest>,
-    ) -> Result<Vec<Coefficients>, Error> {
-        let mut handles = Vec::with_capacity(requests.len());
-        for request in requests {
-            let class = request.options.priority;
-            let submitted = match self.limits[class.class()] {
-                0 => Err(Error::Overloaded { class, depth: 0 }),
-                _ => self.submit_reserved(self.reserve(class), ring, request),
-            };
-            match submitted {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    cancel_and_drain(handles);
-                    return Err(e);
-                }
-            }
-        }
-        let mut products = Vec::with_capacity(handles.len());
-        let mut pending = handles.into_iter();
-        for handle in pending.by_ref() {
-            match handle.wait() {
-                Ok(product) => products.push(product),
-                Err(e) => {
-                    // The rest of the batch is now pointless: nobody
-                    // will see its results, so shed it rather than let
-                    // it keep burning worker time behind our back.
-                    cancel_and_drain(pending.collect());
-                    return Err(e);
-                }
-            }
-        }
-        Ok(products)
-    }
-}
-
-/// Cancels every handle, then waits each out: when this returns, every
-/// task those requests had queued has been resolved (shed or finished)
-/// and none of the batch is left running in the pool.
-fn cancel_and_drain(handles: Vec<RequestHandle>) {
-    for handle in &handles {
-        handle.cancel();
-    }
-    for handle in handles {
-        let _ = handle.wait();
     }
 }
 
@@ -1733,45 +1405,15 @@ impl std::fmt::Debug for RingExecutor {
     }
 }
 
-/// A reserved queue slot in one [`Priority`] class —
-/// [`RingExecutor::reserve`]'s backpressure token. Spend it with
-/// [`RingExecutor::submit_reserved`] for an unsheddable submit; dropping
-/// it unspent releases the slot and wakes blocked reservers.
-#[must_use = "a permit holds a queue slot; spend it with submit_reserved or drop it"]
-pub struct Permit<'a> {
-    pool: &'a RingExecutor,
-    class: Priority,
-}
-
-impl Permit<'_> {
-    /// The class this permit reserves a slot in.
-    pub fn class(&self) -> Priority {
-        self.class
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        self.pool.shared.release_reserved(self.class.class());
-    }
-}
-
-impl std::fmt::Debug for Permit<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Permit")
-            .field("class", &self.class)
-            .finish()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Ring, RnsRing};
     use mqx_bignum::BigUint;
     use mqx_core::primes;
     use std::sync::mpsc;
     use std::task::Wake;
+    use std::time::Duration;
 
     const N: usize = 64;
 
@@ -1806,31 +1448,20 @@ mod tests {
 
     #[test]
     fn submit_options_builders_compose() {
-        let opts = SubmitOptions::new();
-        assert_eq!(opts.priority, Priority::Normal);
-        assert!(opts.deadline.is_none());
-
-        let at = Instant::now() + Duration::from_secs(3600);
-        let opts = SubmitOptions::new().priority(Priority::Low).deadline(at);
-        assert_eq!(opts.priority, Priority::Low);
-        assert_eq!(opts.deadline, Some(at));
-
         let req = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; 4].into(),
             vec![0_u128; 4].into(),
         );
-        assert_eq!(req.options, SubmitOptions::default());
-        let req = req.with_priority(Priority::High).with_deadline(at);
-        assert_eq!(req.options.priority, Priority::High);
-        assert_eq!(req.options.deadline, Some(at));
-        let req = req.with_options(SubmitOptions::new());
-        assert_eq!(req.options, SubmitOptions::default());
+        assert_eq!(req.priority, Priority::Normal);
+        assert!(req.deadline.is_none());
 
-        // The relative forms land in the future.
-        let before = Instant::now();
-        let timed = SubmitOptions::new().timeout(Duration::from_secs(60));
-        assert!(timed.deadline.unwrap() > before);
+        let at = Instant::now() + Duration::from_secs(3600);
+        let req = req.with_priority(Priority::High).with_deadline(at);
+        assert_eq!(req.priority, Priority::High);
+        assert_eq!(req.deadline, Some(at));
+        let req = req.with_priority(Priority::Low);
+        assert_eq!((req.priority, req.deadline), (Priority::Low, Some(at)));
     }
 
     #[test]
@@ -1848,9 +1479,7 @@ mod tests {
                 RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into()),
             )
             .unwrap();
-        let resolved = handle
-            .wait_timeout(RESOLVES_WITHIN)
-            .expect("the handle resolves");
+        let resolved = wait_within(handle, "the handle resolves");
         assert_eq!(resolved.unwrap().into_words().unwrap(), expected);
     }
 
@@ -1866,13 +1495,11 @@ mod tests {
 
         let dyn_ring: Arc<dyn PolyRing> = ring;
         let pool = RingExecutor::new(3).unwrap();
-        let out = pool
-            .serve(
-                &dyn_ring,
-                vec![RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into())],
-            )
-            .unwrap();
-        assert_eq!(out[0].as_bigs().unwrap(), expected.as_slice());
+        let request = RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into());
+        let handles = vec![pool.submit(&dyn_ring, request).unwrap()];
+        let out = block_on(crate::frontdoor::join_all(handles));
+        let product = out[0].as_ref().unwrap();
+        assert_eq!(product.as_bigs().unwrap(), expected.as_slice());
     }
 
     #[test]
@@ -2183,6 +1810,20 @@ mod tests {
     /// of hanging.
     const RESOLVES_WITHIN: Duration = Duration::from_secs(30);
 
+    /// Polls `handle` with `try_wait` (leaving any parked waker in place)
+    /// for at most [`RESOLVES_WITHIN`], then panics with `what`.
+    fn wait_within(mut handle: RequestHandle, what: &str) -> Result<Coefficients, Error> {
+        let deadline = Instant::now() + RESOLVES_WITHIN;
+        loop {
+            handle = match handle.try_wait() {
+                Ok(outcome) => return outcome,
+                Err(pending) => pending,
+            };
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// A follow-up request on `pool` completes: its worker survived
     /// whatever the previous request did.
     fn assert_pool_still_serves(pool: &RingExecutor) {
@@ -2194,8 +1835,8 @@ mod tests {
                 RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.into()),
             )
             .unwrap();
-        let served = handle.wait_timeout(RESOLVES_WITHIN);
-        assert!(matches!(served, Ok(Ok(_))), "the worker died");
+        let served = wait_within(handle, "the worker died");
+        assert!(served.is_ok(), "the worker died");
     }
 
     /// A ring whose work items each wait for the test to open a gate
@@ -2242,7 +1883,7 @@ mod tests {
 
     /// A gated `Q124` ring of size `N`, plus the sender that opens its
     /// gate for one work item per `send`.
-    fn gated_ring() -> (Arc<dyn PolyRing>, mpsc::Sender<()>) {
+    pub(crate) fn gated_ring() -> (Arc<dyn PolyRing>, mpsc::Sender<()>) {
         let (open, gate) = mpsc::channel();
         let ring = Gated {
             inner: Ring::auto(primes::Q124, N).unwrap(),
@@ -2290,11 +1931,8 @@ mod tests {
         assert!(pending, "the gate is shut");
         victim.cancel();
         open.send(()).unwrap();
-        let served = running.wait_timeout(RESOLVES_WITHIN);
-        assert!(matches!(served, Ok(Ok(_))));
-        let resolved = victim
-            .wait_timeout(RESOLVES_WITHIN)
-            .expect("the handle resolves");
+        assert!(wait_within(running, "the handle resolves").is_ok());
+        let resolved = wait_within(victim, "the handle resolves");
         assert!(matches!(resolved, Err(Error::Cancelled)));
         let stats = pool.stats();
         assert_eq!((stats.admitted, stats.cancelled), (2, 1));
@@ -2324,9 +1962,7 @@ mod tests {
         let (bomb, pending) = poll_with_bomb(&mut handle);
         assert!(pending, "the gate is shut");
         open.send(()).unwrap();
-        let resolved = handle
-            .wait_timeout(RESOLVES_WITHIN)
-            .expect("the handle resolves");
+        let resolved = wait_within(handle, "the handle resolves");
         assert_eq!(resolved.unwrap().into_words().unwrap(), expected);
         // One worker: the follow-up runs only after the publish that
         // fired the waker has returned.

@@ -5,8 +5,7 @@
 //! Admission control and async completion live in the pool itself (see
 //! the [`executor`](crate::RingExecutor) docs): [`RingExecutor::submit`]
 //! sheds a full class with [`Error::Overloaded`](crate::Error::Overloaded),
-//! [`RingExecutor::reserve`] gives backpressure, and every
-//! [`RequestHandle`] is a
+//! and every [`RequestHandle`] is a
 //! [`Future`]`<Output = Result<Coefficients, Error>>`. The build is
 //! offline, so this module ships the minimal runtime tests, examples and
 //! thread-per-core servers drive those futures with; any waker-driven
@@ -51,7 +50,7 @@
 //! [`Coefficients`]: crate::Coefficients
 //! [`Error`]: crate::Error
 
-pub use crate::executor::{AdmissionStats, Permit, DEFAULT_QUEUE_DEPTH};
+pub use crate::executor::{AdmissionStats, DEFAULT_QUEUE_DEPTH};
 
 /// ```
 /// use mqx::frontdoor::block_on;
@@ -167,10 +166,12 @@ impl<F: Future> std::fmt::Debug for JoinAll<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Error, PolyOp, PolyRing, Priority, Ring, RingRequest};
+    use crate::{Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingOp, RingRequest};
     use mqx_core::primes;
+    use std::borrow::Cow;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     const N: usize = 64;
 
@@ -282,15 +283,6 @@ mod tests {
                 depth: 0
             })
         ));
-        assert!(door.try_reserve(Priority::Low).is_none());
-        assert!(door
-            .reserve_timeout(Priority::Low, Duration::from_millis(5))
-            .is_none());
-        // A batch in that class is refused rather than reserved forever.
-        assert!(matches!(
-            door.serve(&ring, vec![request(3).with_priority(Priority::Low)]),
-            Err(Error::Overloaded { depth: 0, .. })
-        ));
         // Other classes are unaffected.
         let ok = door.submit(&ring, request(2)).unwrap();
         assert!(block_on(ok).is_ok());
@@ -300,55 +292,82 @@ mod tests {
         assert_eq!(stats.shed_at_submit_total(), 1);
     }
 
-    #[test]
-    fn dropped_permit_releases_its_slot() {
-        let door = FrontDoor::builder(1)
-            .queue_depth_for(Priority::Normal, 1)
-            .build()
-            .unwrap();
-        let permit = door.try_reserve(Priority::Normal).unwrap();
-        assert_eq!(permit.class(), Priority::Normal);
-        assert!(door.try_reserve(Priority::Normal).is_none(), "slot held");
-        drop(permit);
-        let again = door.try_reserve(Priority::Normal);
-        assert!(again.is_some(), "drop released the slot");
+    /// A ring whose split panics: a misbehaving third-party impl.
+    struct SplitBomb(Ring);
+
+    impl PolyRing for SplitBomb {
+        fn size(&self) -> usize {
+            self.0.size()
+        }
+        fn modulus_bits(&self) -> u64 {
+            PolyRing::modulus_bits(&self.0)
+        }
+        fn supports_negacyclic(&self) -> bool {
+            self.0.supports_negacyclic()
+        }
+        fn channels(&self) -> usize {
+            1
+        }
+        fn split_cow(&self, _: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
+            panic!("split bomb")
+        }
+        fn channel_apply_at_into(
+            &self,
+            op: &RingOp,
+            width: usize,
+            channel: usize,
+            a: &[Vec<u128>],
+            b: Option<&[Vec<u128>]>,
+            out: &mut Vec<u128>,
+        ) -> Result<(), Error> {
+            self.0.channel_apply_at_into(op, width, channel, a, b, out)
+        }
+        fn join_at(&self, width: usize, parts: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
+            self.0.join_at(width, parts)
+        }
     }
 
+    /// A depth-1 class whose one worker is held: after a submit that
+    /// fails validation, one whose deadline has already passed, and one
+    /// whose split panics, the next valid submit is admitted, not shed.
     #[test]
-    fn reserved_submit_rides_the_permit_class() {
+    fn submit_validation_error_releases_the_slot() {
+        // Built before the gate, so a failing assertion drops the gate's
+        // sender (releasing the worker) before the pool joins it.
+        let door = FrontDoor::builder(1).queue_depth(1).build().unwrap();
+        let (gated, open) = crate::executor::tests::gated_ring();
         let ring = ring();
-        let door = FrontDoor::builder(2)
-            .queue_depth_for(Priority::High, 4)
-            .build()
-            .unwrap();
-        let permit = door.reserve(Priority::High);
-        // Submitted as Normal, but the permit pins it to High.
-        let future = door.submit_reserved(permit, &ring, request(9)).unwrap();
-        assert!(block_on(future).is_ok());
-        let stats = door.stats();
-        assert_eq!(stats.admitted, 1);
-        assert!(stats.high_water_for(Priority::High) >= 1);
-        assert!(stats.reconciles());
-    }
-
-    #[test]
-    fn reserved_submit_validation_error_releases_the_slot() {
-        let ring = ring();
-        let door = FrontDoor::builder(1)
-            .queue_depth_for(Priority::Normal, 1)
-            .build()
-            .unwrap();
-        let permit = door.try_reserve(Priority::Normal).unwrap();
+        let blocker = door.submit(&gated, request(1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while door.queue_depths() != [0; 3] {
+            assert!(Instant::now() < deadline, "the worker never dequeued");
+            std::thread::yield_now();
+        }
         let uneven = RingRequest::polymul(
             PolyOp::Cyclic,
             vec![0_u128; N - 1].into(),
             vec![0_u128; N].into(),
         );
-        assert!(door.submit_reserved(permit, &ring, uneven).is_err());
+        assert!(door.submit(&ring, uneven).is_err());
+        let expired = door
+            .submit(&ring, request(2).with_deadline(Instant::now()))
+            .unwrap();
+        assert!(matches!(block_on(expired), Err(Error::DeadlineExceeded)));
+        let bomb: Arc<dyn PolyRing> = Arc::new(SplitBomb(Ring::auto(primes::Q124, N).unwrap()));
+        let split = catch_unwind(AssertUnwindSafe(|| door.submit(&bomb, request(4))));
+        assert!(split.is_err(), "the split panicked in the submitter");
+        let admitted = door.submit(&ring, request(3)).unwrap();
         assert!(
-            door.try_reserve(Priority::Normal).is_some(),
-            "failed reserved submit still released the reservation"
+            !admitted.is_finished(),
+            "queued behind the blocker, not shed"
         );
-        assert!(door.stats().reconciles());
+        open.send(()).unwrap();
+        assert!(block_on(blocker).is_ok());
+        assert!(block_on(admitted).is_ok());
+        let stats = door.stats();
+        assert!(stats.reconciles());
+        assert_eq!((stats.submitted, stats.admitted), (3, 3));
+        assert_eq!(stats.shed_at_submit_total(), 0);
+        assert_eq!(stats.shed_at_deadline, 1);
     }
 }

@@ -35,17 +35,17 @@
 //!   the graph output (canned composite kernels:
 //!   [`OpGraph::relinearize`], [`OpGraph::multiply_accumulate`]);
 //! * [`RingExecutor`] — the one serving surface: a work-stealing
-//!   thread-pool serving [`RingRequest`]s (an [`OpGraph`] plus
-//!   [`SubmitOptions`]; a single [`RingOp`] is the one-node graph)
-//!   against any shared `Arc<dyn PolyRing>`. [`Priority`] classes drain
+//!   thread-pool serving [`RingRequest`]s (an [`OpGraph`] plus a
+//!   [`Priority`] and an optional deadline; a single [`RingOp`] is the
+//!   one-node graph) against any shared `Arc<dyn PolyRing>`. Requests
+//!   enter only through [`RingExecutor::submit`]: classes drain
 //!   strictly High → Normal → Low behind per-class bounded queues
-//!   ([`RingExecutorBuilder`]): a full class sheds with
-//!   [`Error::Overloaded`], [`RingExecutor::reserve`] [`Permit`]s give
-//!   backpressure, and [`AdmissionStats`] reconciles every decision.
-//!   Deadlines shed at dequeue, cancellation is cooperative
+//!   ([`RingExecutorBuilder`]), a full class sheds with
+//!   [`Error::Overloaded`], and [`AdmissionStats`] reconciles every
+//!   decision. Deadlines shed at dequeue, cancellation is cooperative
 //!   ([`RequestHandle::cancel`] / detached [`Canceller`]s), and every
-//!   [`RequestHandle`] is both a blocking handle and a
-//!   [`Future`](std::future::Future) (std wakers only;
+//!   [`RequestHandle`] is a [`Future`](std::future::Future) that
+//!   [`RequestHandle::wait`] blocks on (std wakers only;
 //!   [`frontdoor::block_on`] and [`frontdoor::join_all`] ship in-tree,
 //!   with the former front-door names as aliases);
 //! * [`plan_cache`] — the keyed (optionally capacity-bounded) NTT-plan
@@ -118,8 +118,8 @@ mod scratch;
 pub use backend::{Backend, Tier};
 pub use error::Error;
 pub use executor::{
-    AdmissionStats, Canceller, Permit, Priority, RequestHandle, RingExecutor, RingExecutorBuilder,
-    RingRequest, SubmitOptions, DEFAULT_QUEUE_DEPTH,
+    AdmissionStats, Canceller, Priority, RequestHandle, RingExecutor, RingExecutorBuilder,
+    RingRequest, DEFAULT_QUEUE_DEPTH,
 };
 pub use graph::{GraphNode, OpGraph, OpGraphBuilder, Operand};
 pub use ops::RingOp;

@@ -1,13 +1,15 @@
-//! Shared fixture for the scheduling-sensitive suites: a gate-blocked
-//! mock ring. A one-worker pool occupied by a gated "blocker" request
-//! makes everything submitted behind it pile up in the injector, so the
-//! order the mock logs executions in is exactly the order the injector
+//! Shared fixture for the executor suites: a batch submit-and-join,
+//! and for the scheduling-sensitive ones a gate-blocked mock ring. A
+//! one-worker pool occupied by a gated "blocker" request makes
+//! everything submitted behind it pile up in the injector, so the order
+//! the mock logs executions in is exactly the order the injector
 //! released them.
 
 // Each suite uses its own subset of the fixture.
 #![allow(dead_code)]
 
 use mqx::core::primes;
+use mqx::frontdoor::{block_on, join_all};
 use mqx::{
     Coefficients, Error, PolyOp, PolyRing, RequestHandle, Ring, RingExecutor, RingOp, RingRequest,
 };
@@ -154,4 +156,19 @@ pub fn occupy_worker(
         gated.blocker_started.load(Ordering::Acquire)
     });
     handle
+}
+
+/// Submits every request, then awaits the whole batch in one
+/// `block_on(join_all(…))`: the products in submission order, or the
+/// first error (at submit or in an outcome).
+pub fn submit_and_join(
+    pool: &RingExecutor,
+    ring: &Arc<dyn PolyRing>,
+    requests: Vec<RingRequest>,
+) -> Result<Vec<Coefficients>, Error> {
+    let handles = requests
+        .into_iter()
+        .map(|request| pool.submit(ring, request))
+        .collect::<Result<Vec<_>, _>>()?;
+    block_on(join_all(handles)).into_iter().collect()
 }

@@ -1,8 +1,8 @@
 //! Acceptance suite for the executor's serving QoS: strict priority
 //! ordering under saturation, deadline shedding with zero channels
 //! executed, cooperative cancellation (including the races around
-//! completion), the timed handle waits, and the `serve` mid-batch
-//! error path draining its queued work.
+//! completion), the non-blocking `try_wait`, and the slot a submit
+//! gives back when it is shed by an already-expired deadline.
 //!
 //! The scheduling tests run on a **one-worker** pool behind a gated
 //! "blocker" request: while the blocker holds the only worker, the
@@ -15,10 +15,9 @@ use common::{occupy_worker, spin_until, tagged, Gate, GatedRing, BLOCKER_TAG, N}
 use mqx::core::primes;
 use mqx::{
     Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingOp, RingRequest,
-    SubmitOptions,
 };
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,7 +65,8 @@ fn saturated_mixed_priority_batch_completes_high_normal_low() {
 fn already_expired_deadline_sheds_without_running_any_channel() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
-    let pool = RingExecutor::new(1).unwrap();
+    // Depth 1: a slot the doomed submit kept would shed the next one.
+    let pool = RingExecutor::builder(1).queue_depth(1).build().unwrap();
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     // Dead on arrival: resolved at submit, even though the pool is
@@ -79,11 +79,23 @@ fn already_expired_deadline_sheds_without_running_any_channel() {
         doomed.wait().unwrap_err(),
         Error::DeadlineExceeded
     ));
+    // The doomed submit gave its slot back: the next valid one is
+    // queued behind the blocker, not shed. (Checked once the gate is
+    // open, so a failure cannot leave the worker parked.)
+    let plain: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
+    let admitted = pool.submit(&plain, tagged(8)).unwrap();
+    let queued = (!admitted.is_finished(), pool.queue_depths());
 
     gated.gate.open();
     blocker.wait().unwrap();
+    assert_eq!(queued, (true, [0, 1, 0]), "admitted, not Overloaded");
+    assert_eq!(admitted.wait().unwrap().len(), N);
     assert_eq!(gated.executed(), 1, "only the blocker ever executed");
     assert_eq!(gated.log(), [BLOCKER_TAG]);
+    let stats = pool.stats();
+    assert!(stats.reconciles());
+    assert_eq!((stats.admitted, stats.shed_at_deadline), (3, 1));
+    assert_eq!(stats.shed_at_submit_total(), 0);
 }
 
 #[test]
@@ -98,11 +110,9 @@ fn deadline_expiring_while_queued_is_shed_at_dequeue() {
     let victim = pool
         .submit(
             &ring,
-            tagged(7).with_options(
-                SubmitOptions::new()
-                    .priority(Priority::High)
-                    .timeout(Duration::from_millis(20)),
-            ),
+            tagged(7)
+                .with_priority(Priority::High)
+                .with_deadline(Instant::now() + Duration::from_millis(20)),
         )
         .unwrap();
     assert!(!victim.is_finished(), "queued, not resolved");
@@ -167,16 +177,8 @@ fn try_wait_and_timed_waits_hand_the_handle_back_until_resolution() {
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     let handle = pool.submit(&ring, tagged(7)).unwrap();
-    // Unfinished: every bounded wait hands the handle back.
+    // Unfinished: try_wait hands the handle back.
     let handle = handle.try_wait().expect_err("still queued");
-    let t0 = Instant::now();
-    let handle = handle
-        .wait_timeout(Duration::from_millis(30))
-        .expect_err("still queued after the timeout");
-    assert!(t0.elapsed() >= Duration::from_millis(30), "really waited");
-    let handle = handle
-        .wait_deadline(Instant::now() + Duration::from_millis(10))
-        .expect_err("still queued at the deadline");
 
     gated.gate.open();
     blocker.wait().unwrap();
@@ -187,128 +189,6 @@ fn try_wait_and_timed_waits_hand_the_handle_back_until_resolution() {
     spin_until("second request to finish", || done.is_finished());
     let product = done.try_wait().expect("finished").unwrap();
     assert_eq!(product.len(), N);
-}
-
-/// A ring whose every channel takes a fixed nap before computing —
-/// enough backlog for `serve`'s error path to find queued work.
-struct SleepyRing {
-    inner: Ring,
-    delay: Duration,
-    executed: AtomicUsize,
-}
-
-impl PolyRing for SleepyRing {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn modulus_bits(&self) -> u64 {
-        PolyRing::modulus_bits(&self.inner)
-    }
-    fn supports_negacyclic(&self) -> bool {
-        self.inner.supports_negacyclic()
-    }
-    fn channels(&self) -> usize {
-        1
-    }
-    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
-        self.inner.split_cow(coeffs)
-    }
-    fn channel_apply_at_into(
-        &self,
-        op: &RingOp,
-        width: usize,
-        channel: usize,
-        a: &[Vec<u128>],
-        b: Option<&[Vec<u128>]>,
-        out: &mut Vec<u128>,
-    ) -> Result<(), Error> {
-        std::thread::sleep(self.delay);
-        self.executed.fetch_add(1, Ordering::AcqRel);
-        self.inner
-            .channel_apply_at_into(op, width, channel, a, b, out)
-    }
-    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
-        self.inner.join_at(width, channels)
-    }
-}
-
-#[test]
-fn serve_mid_batch_error_cancels_queued_work_and_leaves_the_pool_idle() {
-    let sleepy = Arc::new(SleepyRing {
-        inner: Ring::auto(primes::Q124, N).unwrap(),
-        delay: Duration::from_millis(40),
-        executed: AtomicUsize::new(0),
-    });
-    let ring: Arc<dyn PolyRing> = Arc::clone(&sleepy) as Arc<dyn PolyRing>;
-    let pool = RingExecutor::new(1).unwrap();
-
-    // Six valid requests, then one that fails validation at submit.
-    let mut batch: Vec<RingRequest> = (0..6).map(|i| tagged(u128::from(i as u32))).collect();
-    batch.push(RingRequest::polymul(
-        PolyOp::Cyclic,
-        vec![0_u128; N - 1].into(),
-        vec![0_u128; N].into(),
-    ));
-
-    let err = pool.serve(&ring, batch).unwrap_err();
-    assert!(matches!(
-        err,
-        Error::OperandLengthMismatch { a, b } if a == N - 1 && b == N
-    ));
-
-    // serve drained its cancelled handles before returning: at most
-    // the one request the worker had already started ever executed,
-    // and nothing is left running behind our back.
-    let executed = sleepy.executed.load(Ordering::Acquire);
-    assert!(executed <= 1, "queued requests were shed, saw {executed}");
-    std::thread::sleep(Duration::from_millis(120));
-    assert_eq!(
-        sleepy.executed.load(Ordering::Acquire),
-        executed,
-        "pool is idle after the failed batch"
-    );
-
-    // And the pool still serves: a fresh request completes.
-    let handle = pool.submit(&ring, tagged(42)).unwrap();
-    assert!(handle.wait().is_ok());
-}
-
-#[test]
-fn serve_mid_batch_shed_cancels_the_rest_of_the_batch() {
-    // The wait-phase twin of the submit-error drain: every submit
-    // succeeds, but one request is dead on arrival (expired deadline),
-    // so serve errors mid-wait — and must shed the not-yet-run tail of
-    // the batch instead of leaving it running with nobody collecting.
-    let sleepy = Arc::new(SleepyRing {
-        inner: Ring::auto(primes::Q124, N).unwrap(),
-        delay: Duration::from_millis(40),
-        executed: AtomicUsize::new(0),
-    });
-    let ring: Arc<dyn PolyRing> = Arc::clone(&sleepy) as Arc<dyn PolyRing>;
-    let pool = RingExecutor::new(1).unwrap();
-
-    let mut batch: Vec<RingRequest> = vec![
-        tagged(0),
-        tagged(1).with_deadline(Instant::now()), // resolves DeadlineExceeded at submit
-    ];
-    batch.extend((2..8).map(|i| tagged(u128::from(i as u32))));
-
-    let err = pool.serve(&ring, batch).unwrap_err();
-    assert!(matches!(err, Error::DeadlineExceeded));
-
-    // At most the requests the single worker reached before the
-    // cancellation (the first, and perhaps one more it grabbed while
-    // serve was waiting out the first) ever executed; the rest shed.
-    let executed = sleepy.executed.load(Ordering::Acquire);
-    assert!(executed <= 2, "batch tail was shed, saw {executed}");
-    std::thread::sleep(Duration::from_millis(120));
-    assert_eq!(
-        sleepy.executed.load(Ordering::Acquire),
-        executed,
-        "pool is idle after the failed batch"
-    );
-    let handle = pool.submit(&ring, tagged(42)).unwrap();
-    assert!(handle.wait().is_ok());
 }
 
 /// A ring whose CRT join parks on a gate: opens the window between the

@@ -3,10 +3,9 @@
 //! bit-identical to blocking waits for every `RingOp` on both ring
 //! kinds, saturation sheds with `Error::Overloaded` and zero channels
 //! executed, wakers fire exactly once (no busy-poll), the
-//! drop-the-handle-then-cancel order works, `reserve()` permits give
-//! backpressure instead of shedding and wake on dequeue, concurrent
-//! submitters split in parallel, `serve` back-pressures a deep batch,
-//! and `AdmissionStats` reconcile under a concurrent submit hammer.
+//! drop-the-handle-then-cancel order works, concurrent submitters split
+//! in parallel, and `AdmissionStats` reconcile under a concurrent submit
+//! hammer that never lets a class past its limit.
 //!
 //! Scheduling-sensitive tests reuse the `executor_qos` idiom: a
 //! one-worker pool occupied by a gated "blocker" request, so everything
@@ -20,10 +19,7 @@ use common::{occupy_worker, spin_until, tagged, GatedRing, N};
 use mqx::bignum::BigUint;
 use mqx::core::primes;
 use mqx::frontdoor::{block_on, join_all, AsyncRequestHandle, FrontDoor};
-use mqx::{
-    Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingExecutor, RingOp, RingRequest,
-    RnsRing,
-};
+use mqx::{Coefficients, Error, PolyOp, PolyRing, Priority, Ring, RingOp, RingRequest, RnsRing};
 use std::borrow::Cow;
 use std::future::Future;
 use std::pin::Pin;
@@ -145,7 +141,7 @@ fn saturated_low_queue_sheds_overloaded_with_zero_channels_executed() {
                 .unwrap()
         })
         .collect();
-    assert_eq!(door.executor().queue_depth(Priority::Low), 2);
+    assert_eq!(door.executor().queue_depths()[Priority::Low as usize], 2);
 
     // The third is shed at submit: resolved immediately, never blocks,
     // never enters the executor.
@@ -281,50 +277,6 @@ fn deadline_sheds_are_counted_at_publication() {
     blocker.wait().unwrap();
     assert_eq!(gated.executed(), 1, "the doomed request never ran");
     assert!(door.stats().reconciles());
-}
-
-#[test]
-fn reserve_blocks_through_saturation_and_its_submit_cannot_be_shed() {
-    let gated = Arc::new(GatedRing::new());
-    let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
-    let door = FrontDoor::builder(1)
-        .queue_depth_for(Priority::Normal, 2)
-        .build()
-        .unwrap();
-    let blocker = occupy_worker(door.executor(), &ring, &gated);
-
-    let queued: Vec<_> = (0..2)
-        .map(|i| door.submit(&ring, tagged(i)).unwrap())
-        .collect();
-    // Saturated: no permit without blocking, and unreserved submits
-    // shed.
-    assert!(door.try_reserve(Priority::Normal).is_none());
-    assert!(door
-        .reserve_timeout(Priority::Normal, Duration::from_millis(10))
-        .is_none());
-    assert!(matches!(
-        block_on(door.submit(&ring, tagged(50)).unwrap()),
-        Err(Error::Overloaded { .. })
-    ));
-
-    std::thread::scope(|s| {
-        let reserver = s.spawn(|| door.reserve(Priority::Normal));
-        // Give the reserver time to park, then drain the queue.
-        std::thread::sleep(Duration::from_millis(20));
-        gated.gate.open();
-        let permit = reserver.join().expect("reserver thread");
-        let future = door.submit_reserved(permit, &ring, tagged(60)).unwrap();
-        assert!(block_on(future).is_ok(), "reserved submit completed");
-    });
-
-    blocker.wait().unwrap();
-    for future in queued {
-        block_on(future).unwrap();
-    }
-    let stats = door.stats();
-    assert!(stats.reconciles());
-    assert_eq!(stats.admitted, 4, "the blocker + two queued + one reserved");
-    assert_eq!(stats.shed_at_submit_for(Priority::Normal), 1);
 }
 
 #[test]
@@ -481,86 +433,4 @@ fn submitters_split_concurrently() {
         inside.peak, 2,
         "both submitters were inside split_cow at once"
     );
-}
-
-/// A blocked `reserve` is woken by the worker that dequeues a request
-/// of its class, not by a timer: gate-open → permit stays well under a
-/// millisecond-tick poll's ≈ 500 µs median.
-#[test]
-fn reserve_wakes_on_dequeue_not_on_a_tick() {
-    const TRIALS: usize = 20;
-    let mut latencies: Vec<Duration> = (0..TRIALS)
-        .map(|_| {
-            let gated = Arc::new(GatedRing::new());
-            let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
-            let door = FrontDoor::builder(1)
-                .queue_depth_for(Priority::Normal, 1)
-                .build()
-                .unwrap();
-            // Both requests are adds: the kernels the worker runs around
-            // the dequeue are too small to hold up the woken reserver,
-            // even in a debug build.
-            let blocker_tag = tagged(common::BLOCKER_TAG).a().clone();
-            let blocker = door
-                .submit(&ring, RingRequest::add(blocker_tag, word_coeffs(1)))
-                .unwrap();
-            spin_until("blocker to reach the worker", || {
-                gated.blocker_started.load(Ordering::Acquire)
-            });
-            // The class is full: one queued request behind the blocker.
-            let queued = door
-                .submit(&ring, RingRequest::add(word_coeffs(2), word_coeffs(3)))
-                .unwrap();
-            assert!(door.try_reserve(Priority::Normal).is_none());
-            let latency = std::thread::scope(|s| {
-                let reserver = s.spawn(|| {
-                    let permit = door.reserve(Priority::Normal);
-                    let granted = Instant::now();
-                    drop(permit);
-                    granted
-                });
-                // Let the reserver park, then release the worker.
-                std::thread::sleep(Duration::from_millis(10));
-                let opened = Instant::now();
-                gated.gate.open();
-                let granted = reserver.join().expect("reserver thread");
-                granted
-                    .checked_duration_since(opened)
-                    .expect("the permit came only after the gate opened")
-            });
-            blocker.wait().unwrap();
-            block_on(queued).unwrap();
-            latency
-        })
-        .collect();
-    latencies.sort();
-    let median = latencies[TRIALS / 2];
-    assert!(
-        median < Duration::from_micros(250),
-        "gate-open → permit median {median:?} over {TRIALS} trials: {latencies:?}"
-    );
-}
-
-/// `serve` reserves a slot per request, so a batch three times the
-/// class limit is back-pressured, not shed, and comes back in order.
-#[test]
-fn serve_back_pressures_a_batch_deeper_than_the_class_limit() {
-    const LIMIT: usize = 4;
-    let ring: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, N).unwrap());
-    let pool = RingExecutor::builder(2).queue_depth(LIMIT).build().unwrap();
-    let requests: Vec<RingRequest> = (0..3 * LIMIT as u64)
-        .map(|i| RingRequest::polymul(PolyOp::Negacyclic, word_coeffs(i), word_coeffs(!i)))
-        .collect();
-    let expected: Vec<Coefficients> = requests
-        .iter()
-        .map(|r| {
-            ring.polymul(PolyOp::Negacyclic, r.a(), r.b().unwrap())
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(pool.serve(&ring, requests).unwrap(), expected);
-    let stats = pool.stats();
-    assert_eq!(stats.admitted, 3 * LIMIT as u64);
-    assert_eq!(stats.shed_at_submit_total(), 0);
-    assert!(stats.high_water_for(Priority::Normal) <= LIMIT);
 }

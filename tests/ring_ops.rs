@@ -9,6 +9,9 @@
 //! primitive's own contract: malformed direct calls error instead of
 //! panicking, and `out` is reused for every op at every width.
 
+mod common;
+
+use common::submit_and_join;
 use mqx::baseline::fhe::FheRnsNtt;
 use mqx::bignum::BigUint;
 use mqx::core::{nt, primes, Modulus};
@@ -197,7 +200,7 @@ fn mixed_op_priority_batch_matches_sequential_rns() {
         requests.push(request.with_priority(classes[i as usize % classes.len()]));
     }
 
-    let served = pool.serve(&ring, requests).expect("mixed-op batch");
+    let served = submit_and_join(&pool, &ring, requests).expect("mixed-op batch");
     assert_eq!(served, expected, "pool must match sequential apply");
 }
 
@@ -243,7 +246,7 @@ fn mixed_op_priority_batch_matches_sequential_word_ring() {
         requests.push(request.with_priority(classes[i as usize % classes.len()]));
     }
 
-    let served = pool.serve(&ring, requests).expect("mixed-op batch");
+    let served = submit_and_join(&pool, &ring, requests).expect("mixed-op batch");
     assert_eq!(served, expected, "pool must match sequential apply");
 }
 

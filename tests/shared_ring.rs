@@ -7,6 +7,9 @@
 //! `RingExecutor` must serve a large mixed queue with results
 //! bit-identical to sequential execution.
 
+mod common;
+
+use common::submit_and_join;
 use mqx::bignum::BigUint;
 use mqx::core::primes;
 use mqx::{PolyOp, PolyRing, Ring, RingExecutor, RingRequest, RnsRing};
@@ -147,7 +150,7 @@ fn executor_serves_256_mixed_requests_bit_identical_to_sequential() {
 
     let pool = RingExecutor::new(WORKERS).unwrap();
     assert_eq!(pool.workers(), WORKERS);
-    let served = pool.serve(&ring, requests).unwrap();
+    let served = submit_and_join(&pool, &ring, requests).unwrap();
     assert_eq!(served.len(), BATCH);
     assert_eq!(served, sequential, "bit-identical to sequential");
 }
@@ -185,7 +188,7 @@ fn executor_serves_rns_batches_bit_identical_to_sequential() {
         .collect();
 
     let pool = RingExecutor::new(4).unwrap();
-    let served = pool.serve(&ring, requests).unwrap();
+    let served = submit_and_join(&pool, &ring, requests).unwrap();
     assert_eq!(served, sequential);
 }
 
@@ -220,7 +223,7 @@ fn wide_pool_drip_fed_single_submits_never_lose_wakeups() {
     let requests: Vec<RingRequest> = (0..64)
         .map(|_| RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into()))
         .collect();
-    let served = pool.serve(&ring, requests).unwrap();
+    let served = submit_and_join(&pool, &ring, requests).unwrap();
     assert!(served.iter().all(|p| *p == expected));
 }
 
