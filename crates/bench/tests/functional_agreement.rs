@@ -10,7 +10,7 @@ use mqx::bignum::BigUint;
 use mqx::core::{primes, Modulus};
 use mqx::ntt::{polymul, NttPlan};
 use mqx::simd::ResidueSoa;
-use mqx::{Coefficients, PolyRing, Ring, RingBuilder, RingOp, RnsRingBuilder};
+use mqx::{Coefficients, PolyRing, Ring, RingOp, RnsRing};
 use mqx_bench::engines::{self, Engine};
 
 /// Every functional engine, each checked to carry the flag.
@@ -99,7 +99,7 @@ fn ring_products_match_canonical_portable() {
         } else {
             (vec![q - 1; n], vec![q - 1; n])
         };
-        let portable = RingBuilder::new(q, n)
+        let portable = Ring::builder(q, n)
             .backend_name("portable")
             .lazy(false)
             .build()
@@ -109,7 +109,7 @@ fn ring_products_match_canonical_portable() {
         for engine in functional_engines() {
             for lazy in [true, false] {
                 let what = format!("{} n={n} seeded={seeded} lazy={lazy}", what(&engine));
-                let ring = RingBuilder::new(q, n)
+                let ring = Ring::builder(q, n)
                     .backend(engine.backend.clone())
                     .lazy(lazy)
                     .build()
@@ -170,11 +170,14 @@ fn ring_ops_match_portable() {
     let q = primes::Q124;
     let (a, b) = (residues(N, q, 1), residues(N, q, 2));
     let (a, b) = (Coefficients::Word(a), Coefficients::Word(b));
-    let portable = Ring::with_backend_name(q, N, "portable").unwrap();
+    let portable = Ring::builder(q, N)
+        .backend_name("portable")
+        .build()
+        .unwrap();
     let word_add = portable.apply(&RingOp::Add, &a, Some(&b)).unwrap();
 
     let basis = [primes::Q62, primes::Q30];
-    let portable_rns = RnsRingBuilder::new(N)
+    let portable_rns = RnsRing::builder(N)
         .moduli(&basis)
         .backend_name("portable")
         .build()
@@ -208,13 +211,16 @@ fn ring_ops_match_portable() {
 
     for engine in functional_engines() {
         let what = what(&engine);
-        let ring = Ring::with_backend(q, N, engine.backend.clone()).unwrap();
+        let ring = Ring::builder(q, N)
+            .backend(engine.backend.clone())
+            .build()
+            .unwrap();
         assert_eq!(
             ring.apply(&RingOp::Add, &a, Some(&b)).unwrap(),
             word_add,
             "{what} word add"
         );
-        let rns = RnsRingBuilder::new(N)
+        let rns = RnsRing::builder(N)
             .moduli(&basis)
             .backend(engine.backend.clone())
             .build()

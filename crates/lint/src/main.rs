@@ -12,14 +12,18 @@
 //! * `--report <file>`   JSON artifact (default: `<root>/repro_results/lint_report.json`)
 //! * `--quiet`           suppress per-finding diagnostics
 //! * `--explain`         print the rule table and exit
+//! * `--api`             print the facade's public surface (one sorted
+//!   line per `pub` item of `src/`, as committed in `api.txt`) and its
+//!   count, and exit
 
-use mqx_lint::{find_root, lint_workspace, report, Config, RuleId};
+use mqx_lint::{api, find_root, lint_workspace, report, Config, RuleId};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut quiet = false;
+    let mut list_api = false;
     let mut root: Option<PathBuf> = None;
     let mut config_path: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
@@ -29,6 +33,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--deny" => deny = true,
             "--quiet" => quiet = true,
+            "--api" => list_api = true,
             "--explain" => {
                 for rule in RuleId::all() {
                     println!("{rule}: {}", rule.description());
@@ -41,7 +46,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "mqx_lint: in-tree static analysis (rules L1-L5)\n\
-                     usage: mqx_lint [--deny] [--quiet] [--explain] \
+                     usage: mqx_lint [--deny] [--quiet] [--explain] [--api] \
                      [--root DIR] [--config FILE] [--report FILE]"
                 );
                 return ExitCode::SUCCESS;
@@ -55,6 +60,22 @@ fn main() -> ExitCode {
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let root = root.unwrap_or_else(|| find_root(&cwd));
+    if list_api {
+        return match api::api_surface(&root) {
+            Ok(lines) => {
+                for line in &lines {
+                    println!("{line}");
+                }
+                // The count goes to stderr, so stdout is exactly api.txt.
+                eprintln!("mqx_lint: {} public item(s) in src/", lines.len());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("mqx_lint: scan failed: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
     let report_path = report_path.unwrap_or_else(|| root.join("repro_results/lint_report.json"));
 

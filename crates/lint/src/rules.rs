@@ -120,7 +120,7 @@ fn test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
 }
 
 /// Whether tokens at `i` start `#[cfg(...test...)]`.
-fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
+pub(crate) fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
     if tokens[i].text != "#"
         || tokens.get(i + 1).map(|t| t.text.as_str()) != Some("[")
         || tokens.get(i + 2).map(|t| t.text.as_str()) != Some("cfg")

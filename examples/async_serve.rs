@@ -76,13 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Leg 2: overload sheds instead of queueing ---------------------------
-    // A deliberately tight Low-class limit: once the queue is at depth,
+    // A deliberately tight depth limit: once the Low queue is at depth,
     // further submits resolve immediately with Error::Overloaded —
     // zero channels executed, the caller never blocked.
-    let tight = RingExecutor::builder(workers)
-        .queue_depth(burst.max(1))
-        .queue_depth_for(Priority::Low, 2)
-        .build()?;
+    let tight = RingExecutor::builder(workers).queue_depth(2).build()?;
     let futures: Vec<_> = (0..12)
         .map(|_| tight.submit(&ring, request(PolyOp::Cyclic).with_priority(Priority::Low)))
         .collect::<Result<_, _>>()?;
@@ -116,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.shed_at_deadline,
         stats.cancelled,
         stats.high_water_for(Priority::Low),
-        tight.queue_depth_limit(Priority::Low),
+        tight.queue_depth_limit(),
     );
 
     Ok(())

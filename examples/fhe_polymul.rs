@@ -118,7 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(&Coefficients::Big(ct_b.c0.clone())),
     )?;
     let rescaled = ring.apply(&RingOp::Rescale, &product, None)?;
-    let reduced = RnsRing::with_moduli(&ring.moduli()[..ring.channels() - 1], n)?;
+    let reduced = RnsRing::builder(n)
+        .moduli(&ring.moduli()[..ring.channels() - 1])
+        .build()?;
     let combined = reduced.apply(&RingOp::Add, &rescaled, Some(&rescaled))?;
     let chain_elapsed = t0.elapsed();
     assert_eq!(product, Coefficients::Big(d0.clone()));
@@ -154,7 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b.build(out)?
     };
     let pool = RingExecutor::new(ring.channels())?;
-    let dyn_ring: Arc<dyn PolyRing> = Arc::new(RnsRing::with_moduli(ring.moduli(), n)?);
+    let dyn_ring: Arc<dyn PolyRing> = Arc::new(RnsRing::builder(n).moduli(ring.moduli()).build()?);
     let t0 = Instant::now();
     let graphed = pool
         .submit(
@@ -182,7 +184,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Cross-check one product against the O(n²) schoolbook over the
     // product modulus on a smaller instance (no NTT code shared).
     let small = 256;
-    let small_ring = RnsRing::with_moduli(ring.moduli(), small)?;
+    let small_ring = RnsRing::builder(small).moduli(ring.moduli()).build()?;
     let f = &ct_a.c0[..small];
     let g = &ct_b.c0[..small];
     let fast = small_ring.polymul_negacyclic(f, g)?;
@@ -203,7 +205,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The plan cache paid the O(n log n) table build once per distinct
     // (channel modulus, n); opening another ring over the same geometry
     // — a server doing it per request — rebuilds nothing.
-    let _per_request = RnsRing::with_moduli(ring.moduli(), n)?;
+    let _per_request = RnsRing::builder(n).moduli(ring.moduli()).build()?;
     let stats = plan_cache::global().stats();
     println!(
         "plan cache: {} plans built, {} served from cache (per-request reopen was free)",

@@ -63,7 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("NTT round trip at n = {n}: ok");
 
     // 6. The same on an explicitly pinned tier (portable runs anywhere).
-    let portable = Ring::with_backend_name(primes::Q124, n, "portable")?;
+    let portable = Ring::builder(primes::Q124, n)
+        .backend_name("portable")
+        .build()?;
     let mut soa = ResidueSoa::from_u128s(&data);
     portable.forward(&mut soa)?;
     portable.inverse(&mut soa)?;

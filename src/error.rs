@@ -194,7 +194,7 @@ impl fmt::Display for Error {
             ),
             Error::CoefficientOutOfRange { index } => write!(
                 f,
-                "coefficient {index} is not reduced below the RNS product modulus"
+                "coefficient {index} is not reduced below the ring's modulus"
             ),
             Error::CoefficientKind { expected, got } => write!(
                 f,
@@ -323,8 +323,14 @@ mod tests {
         };
         assert!(e.to_string().contains("3 channels"), "{e}");
 
-        let e = Error::CoefficientOutOfRange { index: 17 };
-        assert!(e.to_string().contains("17"), "{e}");
+        // One variant for both ring kinds: the message names the ring's
+        // modulus, not the RNS product a word ring does not have.
+        let msg = Error::CoefficientOutOfRange { index: 17 }.to_string();
+        assert!(
+            msg.contains("17") && msg.contains("ring's modulus"),
+            "{msg}"
+        );
+        assert!(!msg.contains("RNS"), "{msg}");
     }
 
     #[test]

@@ -66,9 +66,9 @@
 //! kernels, so it bounds its own queues and completes requests without
 //! a thread parked per request:
 //!
-//! * **Bounded admission.** Each [`Priority`] class has a queue-depth
-//!   limit ([`RingExecutorBuilder::queue_depth`] /
-//!   [`RingExecutorBuilder::queue_depth_for`], [`DEFAULT_QUEUE_DEPTH`]
+//! * **Bounded admission.** Each [`Priority`] class has its own queue,
+//!   and each is bounded by the pool's one queue-depth limit
+//!   ([`RingExecutorBuilder::queue_depth`], [`DEFAULT_QUEUE_DEPTH`]
 //!   otherwise). A [`submit`](RingExecutor::submit) that finds its class
 //!   at the limit is **shed**: its handle comes back already resolved
 //!   with [`Error::Overloaded`], no split or kernel runs, and the caller
@@ -144,7 +144,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Default per-class queue-depth limit of every pool: deep enough that
+/// Default queue-depth limit of every class's queue: deep enough that
 /// a well-provisioned service never notices it, bounded enough that a
 /// stalled pool sheds instead of swallowing the caller's memory.
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
@@ -347,6 +347,12 @@ struct NodeExec {
     output: OnceLock<Vec<Vec<u128>>>,
 }
 
+impl NodeExec {
+    fn slots(&self) -> MutexGuard<'_, Vec<Option<Vec<u128>>>> {
+        self.slots.lock().expect("node slots poisoned")
+    }
+}
+
 /// The shared state of one in-flight request: split external operands
 /// in, per-node channel results chained through resident residues, one
 /// CRT join at the graph's output node by whichever worker finishes its
@@ -359,8 +365,6 @@ struct RequestState {
     inputs: Vec<Vec<Vec<u128>>>,
     /// Per-node execution state, indexed like `graph.nodes()`.
     nodes: Vec<NodeExec>,
-    /// Nodes with no graph predecessors — fanned out at dequeue.
-    roots: Vec<usize>,
     /// Latest useful completion time; checked when a worker dequeues
     /// the request or one of its work items.
     deadline: Option<Instant>,
@@ -401,7 +405,6 @@ impl RequestState {
             graph,
             inputs: Vec::new(),
             nodes: Vec::new(),
-            roots: Vec::new(),
             deadline,
             cancelled: AtomicBool::new(false),
             first_error: OnceLock::new(),
@@ -428,7 +431,6 @@ impl RequestState {
         // nodes (a node consuming the same predecessor twice still waits
         // for one completion), successors mirror them.
         let mut successors: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
-        let mut roots = Vec::new();
         let mut indegree = vec![0_usize; graph.len()];
         for (id, node) in graph.nodes().iter().enumerate() {
             let preds: BTreeSet<usize> = node
@@ -440,9 +442,6 @@ impl RequestState {
                 })
                 .collect();
             indegree[id] = preds.len();
-            if preds.is_empty() {
-                roots.push(id);
-            }
             for j in preds {
                 successors[j].push(id);
             }
@@ -467,7 +466,6 @@ impl RequestState {
         Ok(RequestState {
             inputs,
             nodes,
-            roots,
             ..RequestState::bare(ring, graph, deadline)
         })
     }
@@ -693,16 +691,16 @@ impl std::fmt::Debug for Canceller {
 /// One schedulable unit of work.
 enum Task {
     /// A freshly injected request: the picking worker fans its root
-    /// nodes' channels out (keeping the first item for itself, queueing
-    /// the rest locally where idle workers steal them).
+    /// nodes' channels out onto its own deque, where it pops the next
+    /// item and idle workers steal the rest.
     Request(Arc<RequestState>),
     /// One output channel of one graph node of a request.
     Channel(Arc<RequestState>, usize, usize),
 }
 
 /// The admission queue: one FIFO of freshly submitted requests per
-/// [`Priority`] class, plus the reservations that count against the
-/// same per-class limits.
+/// [`Priority`] class, plus the reservations that count against each
+/// class's depth limit.
 struct Injector {
     /// Drained strictly by class, submission order within a class.
     queues: [VecDeque<Task>; CLASSES],
@@ -827,117 +825,104 @@ impl Shared {
         (1..n).find_map(|offset| self.local((worker + offset) % n).pop_front())
     }
 
-    /// Wakes one idle worker after queueing a single task. Taking the
-    /// idle lock orders the notify after any concurrent pre-sleep queue
-    /// re-check, so wakeups cannot be lost; waking just one worker
-    /// avoids a thundering herd stampeding a wide pool for one item.
-    fn notify_one(&self) {
-        let _guard = self.idle.lock().expect("idle lock poisoned");
-        self.wake.notify_one();
+    fn idle(&self) -> MutexGuard<'_, ()> {
+        self.idle.lock().expect("idle lock poisoned")
     }
 
-    /// Wakes every idle worker — for fan-out bursts (a multi-channel
-    /// request exposing `k − 1` stealable items at once) and shutdown,
-    /// where every worker must observe the flag.
-    fn notify_all(&self) {
-        let _guard = self.idle.lock().expect("idle lock poisoned");
-        self.wake.notify_all();
+    /// Wakes one idle worker after queueing a single task, or every
+    /// idle worker for a fan-out burst (several stealable items at once)
+    /// and shutdown, where every worker must observe the flag. Taking
+    /// the idle lock orders the notify after any concurrent pre-sleep
+    /// queue re-check, so wakeups cannot be lost; waking just one worker
+    /// for one item avoids a thundering herd stampeding a wide pool.
+    fn notify(&self, all: bool) {
+        let _guard = self.idle();
+        if all {
+            self.wake.notify_all();
+        } else {
+            self.wake.notify_one();
+        }
     }
 
-    /// Runs one output channel of one graph node — unless the request
-    /// has been cancelled, its deadline has passed, or another work
-    /// item already failed, in which case the item retires without
-    /// burning kernel time. Kernel panics become a request error rather
-    /// than a hung handle.
-    fn run_node_channel(
+    /// Queues every output channel of each of `nodes` on `worker`'s
+    /// deque — the one fan-out of a request's root nodes (at dequeue)
+    /// and of successors made ready by a completion — and invites
+    /// thieves when there is more than the one item this worker pops
+    /// next. `nodes` is consumed under the deque lock, so none of the
+    /// items pushed so far can run before it is exhausted.
+    fn fan_out(
         &self,
         state: &Arc<RequestState>,
-        node_id: usize,
-        channel: usize,
+        nodes: impl Iterator<Item = usize>,
         worker: usize,
     ) {
-        if let Some(reason) = state.shed_reason() {
-            self.finish_node_channel(state, node_id, channel, Err(reason), worker);
-            return;
-        }
-        // A recorded error means this item can retire bare: the graph
-        // drains without running another kernel and the output node
-        // publishes that first error.
-        if state.first_error.get().is_some() {
-            self.retire_node_channel(state, node_id, worker);
-            return;
-        }
-        let gnode = &state.graph.nodes()[node_id];
-        let node = &state.nodes[node_id];
-        // `_into` form: the ring writes into this vector (reusing pooled
-        // scratch internally), so the only steady-state allocation per
-        // work item is the output buffer itself. Operand resolution runs
-        // under the same panic guard as the kernel: a violated
-        // scheduling invariant (a successor running before its
-        // predecessor materialized) surfaces as a request error, never a
-        // dead worker.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let resolve = |operand: &Operand| -> &[Vec<u128>] {
-                match *operand {
-                    Operand::Input(i) => &state.inputs[i],
-                    Operand::Node(j) => state.nodes[j]
-                        .output
-                        .get()
-                        .expect("predecessors complete before a node is scheduled"),
+        let pushed = {
+            let mut local = self.local(worker);
+            let before = local.len();
+            for node in nodes {
+                for channel in 0..state.nodes[node].tasks {
+                    local.push_back(Task::Channel(Arc::clone(state), node, channel));
                 }
-            };
-            let a = resolve(&gnode.operands()[0]);
-            let b = gnode.operands().get(1).map(resolve);
-            let mut out = Vec::new();
-            state
-                .ring
-                .channel_apply_at_into(gnode.op(), node.in_width, channel, a, b, &mut out)
-                .map(|()| out)
-        }))
-        .unwrap_or(Err(Error::ChannelPanicked { channel }));
-        self.finish_node_channel(state, node_id, channel, result, worker);
+            }
+            local.len() - before
+        };
+        if pushed > 1 {
+            self.notify(true);
+        }
     }
 
-    /// Records one work item's result; the item that retires a node's
-    /// last channel completes the node (join-and-publish for the output
-    /// node, successor countdown otherwise).
-    fn finish_node_channel(
-        &self,
-        state: &Arc<RequestState>,
-        node_id: usize,
-        channel: usize,
-        result: Result<Vec<u128>, Error>,
-        worker: usize,
-    ) {
-        match result {
-            Ok(product) => {
-                state.nodes[node_id]
-                    .slots
-                    .lock()
-                    .expect("node slots poisoned")[channel] = Some(product);
-            }
-            Err(e) => {
-                // The first error wins; later ones are dropped.
-                let _ = state.first_error.set(e);
+    /// Runs one work item — one output channel of one graph node — and
+    /// counts it done. A shed request (cancelled, or past its deadline)
+    /// records the reason instead of running the kernel, and an item of
+    /// a request that already recorded an error is drained without
+    /// running, so the graph retires with no kernel time burnt. Kernel
+    /// panics become a request error rather than a hung handle. The
+    /// worker that counts a node's last item completes the node.
+    fn run_item(&self, state: &Arc<RequestState>, node_id: usize, channel: usize, worker: usize) {
+        let node = &state.nodes[node_id];
+        if let Some(reason) = state.shed_reason() {
+            // The first error wins; later ones are dropped.
+            let _ = state.first_error.set(reason);
+        } else if state.first_error.get().is_none() {
+            let gnode = &state.graph.nodes()[node_id];
+            // `_into` form: the ring writes into this vector (reusing
+            // pooled scratch internally), so the only steady-state
+            // allocation per work item is the output buffer itself.
+            // Operand resolution runs under the same panic guard as the
+            // kernel: a violated scheduling invariant (a successor
+            // running before its predecessor materialized) surfaces as a
+            // request error, never a dead worker.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let resolve = |operand: &Operand| -> &[Vec<u128>] {
+                    match *operand {
+                        Operand::Input(i) => &state.inputs[i],
+                        Operand::Node(j) => state.nodes[j]
+                            .output
+                            .get()
+                            .expect("predecessors complete before a node is scheduled"),
+                    }
+                };
+                let a = resolve(&gnode.operands()[0]);
+                let b = gnode.operands().get(1).map(resolve);
+                let mut out = Vec::new();
+                state
+                    .ring
+                    .channel_apply_at_into(gnode.op(), node.in_width, channel, a, b, &mut out)
+                    .map(|()| out)
+            }))
+            .unwrap_or(Err(Error::ChannelPanicked { channel }));
+            match result {
+                Ok(product) => node.slots()[channel] = Some(product),
+                Err(e) => {
+                    let _ = state.first_error.set(e);
+                }
             }
         }
-        self.retire_node_channel(state, node_id, worker);
-    }
-
-    /// Counts one work item of `node_id` as done (the bare countdown —
-    /// the failure-drain path uses it directly, skipping slots and
-    /// kernels); the worker that retires the node's last item completes
-    /// the node.
-    fn retire_node_channel(&self, state: &Arc<RequestState>, node_id: usize, worker: usize) {
         // ORDERING: AcqRel on the countdown — the Release half makes
         // this item's slot/error writes visible to whichever worker
         // hits zero; the Acquire half makes that worker see every other
         // item's writes.
-        if state.nodes[node_id]
-            .remaining
-            .fetch_sub(1, Ordering::AcqRel)
-            == 1
-        {
+        if node.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.complete_node(state, node_id, worker);
         }
     }
@@ -946,80 +931,47 @@ impl Shared {
     /// output node — which, by the graph's no-dead-nodes invariant,
     /// always completes last — this joins and publishes the request.
     /// For interior nodes it materializes the channel-major result and
-    /// counts down each successor's indegree, fanning out any node that
-    /// becomes ready.
+    /// counts down each successor's indegree, fanning out every node
+    /// that becomes ready.
     fn complete_node(&self, state: &Arc<RequestState>, node_id: usize, worker: usize) {
         let node = &state.nodes[node_id];
-        let first_error = state.first_error.get();
+        // Every channel landed unless an error was recorded.
+        let parts = match state.first_error.get() {
+            Some(e) => Err(e.clone()),
+            None => Ok(std::mem::take(&mut *node.slots())
+                .into_iter()
+                .map(|slot| slot.expect("every channel landed"))
+                .collect::<Vec<_>>()),
+        };
         if node_id == state.graph.output() {
-            let resolved = if let Some(e) = first_error {
-                Err(e.clone())
-            } else {
-                // The join runs under the same panic guard as the
-                // channel kernels: a panicking `PolyRing` join must
-                // surface as a request error, not a dead worker and a
-                // poisoned handle. It recombines over the width the
-                // chain reached at the output node.
-                catch_unwind(AssertUnwindSafe(|| {
-                    let parts: Vec<Vec<u128>> = node
-                        .slots
-                        .lock()
-                        .expect("node slots poisoned")
-                        .iter_mut()
-                        .map(|slot| slot.take().expect("every channel landed"))
-                        .collect();
-                    state.ring.join_at(node.tasks, parts)
-                }))
-                .unwrap_or(Err(Error::JoinPanicked))
-            };
+            // The join runs under the same panic guard as the channel
+            // kernels: a panicking `PolyRing` join must surface as a
+            // request error, not a dead worker and a poisoned handle. It
+            // recombines over the width the chain reached at the output
+            // node.
+            let resolved = parts.and_then(|parts| {
+                catch_unwind(AssertUnwindSafe(|| state.ring.join_at(node.tasks, parts)))
+                    .unwrap_or(Err(Error::JoinPanicked))
+            });
             state.publish(resolved, &self.counters);
             return;
         }
-        if first_error.is_none() {
-            let parts: Vec<Vec<u128>> = node
-                .slots
-                .lock()
-                .expect("node slots poisoned")
-                .iter_mut()
-                .map(|slot| slot.take().expect("every channel landed"))
-                .collect();
+        if let Ok(parts) = parts {
             // OnceLock orders this set before any successor's get; the
             // first (only) completion wins.
             let _ = node.output.set(parts);
         }
-        let mut ready = Vec::new();
-        for &successor in &node.successors {
-            // ORDERING: AcqRel on the indegree countdown — the Release
-            // half publishes this node's materialized output to the
-            // worker that schedules the successor; the Acquire half
-            // makes that worker observe every *other* predecessor's
-            // output as well.
-            if state.nodes[successor]
+        // ORDERING: AcqRel on the indegree countdown — the Release half
+        // publishes this node's materialized output to the worker that
+        // schedules the successor; the Acquire half makes that worker
+        // observe every *other* predecessor's output as well.
+        let ready = node.successors.iter().copied().filter(|&successor| {
+            state.nodes[successor]
                 .pending
                 .fetch_sub(1, Ordering::AcqRel)
                 == 1
-            {
-                ready.push(successor);
-            }
-        }
-        if ready.is_empty() {
-            return;
-        }
-        let mut pushed = 0;
-        {
-            let mut local = self.local(worker);
-            for successor in ready {
-                for channel in 0..state.nodes[successor].tasks {
-                    local.push_back(Task::Channel(Arc::clone(state), successor, channel));
-                    pushed += 1;
-                }
-            }
-        }
-        if pushed > 1 {
-            // This worker pops one next iteration; invite thieves for
-            // the rest.
-            self.notify_all();
-        }
+        });
+        self.fan_out(state, ready, worker);
     }
 
     fn worker_loop(&self, worker: usize) {
@@ -1033,31 +985,19 @@ impl Shared {
                         state.publish(Err(reason), &self.counters);
                         continue;
                     }
-                    // Fan out every root node's channels: keep the
-                    // first item, expose the rest for stealing.
-                    let mut items = state.roots.iter().flat_map(|&node| {
-                        (0..state.nodes[node].tasks).map(move |channel| (node, channel))
-                    });
-                    let first = items.next();
-                    let rest: Vec<(usize, usize)> = items.collect();
-                    if !rest.is_empty() {
-                        {
-                            let mut local = self.local(worker);
-                            for (node, channel) in rest {
-                                local.push_back(Task::Channel(Arc::clone(&state), node, channel));
-                            }
-                        }
-                        self.notify_all();
-                    }
-                    if let Some((node, channel)) = first {
-                        self.run_node_channel(&state, node, channel, worker);
-                    }
+                    // Nothing of the request has run yet, so the nodes
+                    // still waiting on no predecessor are its roots.
+                    // ORDERING: Relaxed — the counts are the constructor
+                    // stores, published by the injector mutex.
+                    let roots = (0..state.nodes.len())
+                        .filter(|&id| state.nodes[id].pending.load(Ordering::Relaxed) == 0);
+                    self.fan_out(&state, roots, worker);
                 }
                 Some(Task::Channel(state, node, channel)) => {
-                    self.run_node_channel(&state, node, channel, worker)
+                    self.run_item(&state, node, channel, worker)
                 }
                 None => {
-                    let guard = self.idle.lock().expect("idle lock poisoned");
+                    let guard = self.idle();
                     // Re-check under the idle lock: a submitter that
                     // queued work before we got here will notify while
                     // we hold (or wait on) this lock. The work check
@@ -1140,49 +1080,30 @@ impl AdmissionStats {
     }
 }
 
-/// Configures and builds a [`RingExecutor`]: worker count plus
-/// per-class admission depth limits.
+/// Configures and builds a [`RingExecutor`]
+/// ([`RingExecutor::builder`]): the worker count and the admission depth
+/// limit of every class's queue.
 ///
 /// ```
-/// use mqx::{Priority, RingExecutor};
+/// use mqx::RingExecutor;
 ///
-/// let pool = RingExecutor::builder(2)
-///     .queue_depth(256)                      // all classes
-///     .queue_depth_for(Priority::Low, 32)    // bulk work gets less slack
-///     .build()?;
-/// assert_eq!(pool.queue_depth_limit(Priority::Low), 32);
-/// assert_eq!(pool.queue_depth_limit(Priority::High), 256);
+/// let pool = RingExecutor::builder(2).queue_depth(256).build()?;
+/// assert_eq!(pool.queue_depth_limit(), 256);
 /// # Ok::<(), mqx::Error>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct RingExecutorBuilder {
     workers: usize,
-    depths: [usize; CLASSES],
+    depth: usize,
 }
 
 impl RingExecutorBuilder {
-    /// Starts a builder for a pool of `workers` threads, every class at
-    /// [`DEFAULT_QUEUE_DEPTH`].
-    pub fn new(workers: usize) -> RingExecutorBuilder {
-        RingExecutorBuilder {
-            workers,
-            depths: [DEFAULT_QUEUE_DEPTH; CLASSES],
-        }
-    }
-
-    /// Sets every class's queue-depth limit. A class whose pending
-    /// queue is at its limit sheds further submits with
-    /// [`Error::Overloaded`]; depth `0` sheds every submit of that
-    /// class.
+    /// Sets the queue-depth limit, which each [`Priority`] class's
+    /// queue is checked against on its own. A class whose pending queue
+    /// is at the limit sheds further submits with
+    /// [`Error::Overloaded`]; depth `0` sheds every submit.
     pub fn queue_depth(mut self, depth: usize) -> RingExecutorBuilder {
-        self.depths = [depth; CLASSES];
-        self
-    }
-
-    /// Sets one class's queue-depth limit (see
-    /// [`queue_depth`](RingExecutorBuilder::queue_depth)).
-    pub fn queue_depth_for(mut self, class: Priority, depth: usize) -> RingExecutorBuilder {
-        self.depths[class.class()] = depth;
+        self.depth = depth;
         self
     }
 
@@ -1220,13 +1141,13 @@ impl RingExecutorBuilder {
         Ok(RingExecutor {
             shared,
             workers: handles,
-            limits: self.depths,
+            depth: self.depth,
         })
     }
 }
 
 /// A work-stealing pool of worker threads serving ring requests against
-/// shared rings, behind bounded per-class admission.
+/// shared rings, behind bounded admission on every class's queue.
 ///
 /// * [`submit`](RingExecutor::submit) — admit-or-shed, returning a
 ///   [`RequestHandle`] (blocking handle and [`Future`] in one); a class
@@ -1242,23 +1163,27 @@ impl RingExecutorBuilder {
 pub struct RingExecutor {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    limits: [usize; CLASSES],
+    /// The depth limit each class's queue is checked against.
+    depth: usize,
 }
 
 impl RingExecutor {
     /// Starts configuring a pool (see [`RingExecutorBuilder`]).
     pub fn builder(workers: usize) -> RingExecutorBuilder {
-        RingExecutorBuilder::new(workers)
+        RingExecutorBuilder {
+            workers,
+            depth: DEFAULT_QUEUE_DEPTH,
+        }
     }
 
-    /// Starts a pool of `workers` OS threads, every class at
-    /// [`DEFAULT_QUEUE_DEPTH`].
+    /// Starts a pool of `workers` OS threads with the
+    /// [`DEFAULT_QUEUE_DEPTH`] limit.
     ///
     /// # Errors
     ///
     /// [`Error::NoWorkers`] when `workers == 0`.
     pub fn new(workers: usize) -> Result<RingExecutor, Error> {
-        RingExecutorBuilder::new(workers).build()
+        RingExecutor::builder(workers).build()
     }
 
     /// The pool itself. A shim kept so code written against the former
@@ -1273,9 +1198,10 @@ impl RingExecutor {
         self.workers.len()
     }
 
-    /// One class's configured admission depth limit.
-    pub fn queue_depth_limit(&self, class: Priority) -> usize {
-        self.limits[class.class()]
+    /// The admission depth limit each class's queue is checked
+    /// against.
+    pub fn queue_depth_limit(&self) -> usize {
+        self.depth
     }
 
     /// A cheap snapshot of the pending queue length of every
@@ -1285,7 +1211,7 @@ impl RingExecutor {
     /// and a multi-node [`OpGraph`] request occupies exactly **one**
     /// entry however many node × channel work items it will fan out to.
     /// Together with the slots of submits still splitting this is what
-    /// admission compares against the per-class limits, and the number
+    /// admission compares against the depth limit, and the number
     /// to watch when debugging saturation (a class pinned at its limit
     /// is shedding or starving).
     ///
@@ -1328,13 +1254,13 @@ impl RingExecutor {
         let class = request.priority;
         let idx = class.class();
         let counters = &self.shared.counters;
-        let Some(slot) = self.shared.reserve(idx, self.limits[idx]) else {
+        let Some(slot) = self.shared.reserve(idx, self.depth) else {
             // ORDERING: Relaxed statistics counters (see `Counters`).
             counters.submitted.fetch_add(1, Ordering::Relaxed);
             counters.shed_at_submit[idx].fetch_add(1, Ordering::Relaxed);
             // Resolved before anyone can wait on it: nobody to notify.
             let state = Arc::new(RequestState::bare(ring, request.graph, None));
-            let depth = self.limits[idx];
+            let depth = self.depth;
             state.publish(Err(Error::Overloaded { class, depth }), counters);
             return Ok(RequestHandle { state });
         };
@@ -1358,7 +1284,7 @@ impl RingExecutor {
         // ORDERING: Relaxed statistics counter (see `Counters`).
         counters.queue_high_water[idx].fetch_max(depth, Ordering::Relaxed);
         // One queued item, one woken worker.
-        self.shared.notify_one();
+        self.shared.notify(false);
         Ok(RequestHandle { state })
     }
 
@@ -1388,7 +1314,7 @@ impl Drop for RingExecutor {
         // ORDERING: Release pairs with the workers' Acquire load in the
         // idle loop — an exiting worker sees all pre-shutdown writes.
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify_all();
+        self.shared.notify(true);
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -1399,7 +1325,7 @@ impl std::fmt::Debug for RingExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RingExecutor")
             .field("workers", &self.workers.len())
-            .field("limits", &self.limits)
+            .field("queue_depth", &self.depth)
             .field("stats", &self.stats())
             .finish()
     }
@@ -1591,7 +1517,11 @@ pub(crate) mod tests {
             let b = poly(N, primes::Q124, i * 2 + 2);
             expected.push(
                 dyn_ring
-                    .polymul(PolyOp::Cyclic, &a.clone().into(), &b.clone().into())
+                    .apply(
+                        &RingOp::Polymul(PolyOp::Cyclic),
+                        &a.clone().into(),
+                        Some(&b.clone().into()),
+                    )
                     .unwrap(),
             );
             handles.push(
@@ -1622,7 +1552,11 @@ pub(crate) mod tests {
             let b = poly(N, primes::Q124, i * 2 + 32);
             expected.push(
                 dyn_ring
-                    .polymul(PolyOp::Cyclic, &a.clone().into(), &b.clone().into())
+                    .apply(
+                        &RingOp::Polymul(PolyOp::Cyclic),
+                        &a.clone().into(),
+                        Some(&b.clone().into()),
+                    )
                     .unwrap(),
             );
             handles.push(
@@ -1681,13 +1615,21 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(
             word_handle.wait().unwrap(),
-            word.polymul(PolyOp::Cyclic, &wa.clone().into(), &wa.into())
-                .unwrap()
+            word.apply(
+                &RingOp::Polymul(PolyOp::Cyclic),
+                &wa.clone().into(),
+                Some(&wa.into())
+            )
+            .unwrap()
         );
         assert_eq!(
             wide_handle.wait().unwrap(),
-            wide.polymul(PolyOp::Cyclic, &ba.clone().into(), &ba.into())
-                .unwrap()
+            wide.apply(
+                &RingOp::Polymul(PolyOp::Cyclic),
+                &ba.clone().into(),
+                Some(&ba.into())
+            )
+            .unwrap()
         );
     }
 
@@ -1882,7 +1824,10 @@ pub(crate) mod tests {
     }
 
     /// A gated `Q124` ring of size `N`, plus the sender that opens its
-    /// gate for one work item per `send`.
+    /// gate for one work item per `send`. Declare the pool *before*
+    /// calling this: a failed assertion then drops the sender first,
+    /// which fails the parked item instead of leaving the pool's `Drop`
+    /// joining a worker that never returns.
     pub(crate) fn gated_ring() -> (Arc<dyn PolyRing>, mpsc::Sender<()>) {
         let (open, gate) = mpsc::channel();
         let ring = Gated {
@@ -1919,8 +1864,8 @@ pub(crate) mod tests {
     /// still counted, still resolves, and the pool keeps serving.
     #[test]
     fn panicking_publish_hook_still_resolves_the_handle() {
-        let (ring, open) = gated_ring();
         let pool = RingExecutor::new(1).unwrap();
+        let (ring, open) = gated_ring();
         let a = poly(N, primes::Q124, 17);
         let request = || RingRequest::polymul(PolyOp::Cyclic, a.clone().into(), a.clone().into());
         // The first request holds the only worker at the gate, so the
@@ -1946,13 +1891,13 @@ pub(crate) mod tests {
 
     #[test]
     fn panicking_waker_still_resolves_the_handle() {
+        let pool = RingExecutor::new(1).unwrap();
         let (ring, open) = gated_ring();
         let a = poly(N, primes::Q124, 19);
         let expected = Ring::auto(primes::Q124, N)
             .unwrap()
             .polymul_cyclic(&a, &a)
             .unwrap();
-        let pool = RingExecutor::new(1).unwrap();
         let mut handle = pool
             .submit(
                 &ring,

@@ -69,14 +69,9 @@ pub type FrontDoor = RingExecutor;
 ///
 /// ```
 /// use mqx::frontdoor::FrontDoor;
-/// use mqx::Priority;
 ///
-/// let door = FrontDoor::builder(2)
-///     .queue_depth(256)                      // all classes
-///     .queue_depth_for(Priority::Low, 32)    // bulk work gets less slack
-///     .build()?;
-/// assert_eq!(door.queue_depth_limit(Priority::Low), 32);
-/// assert_eq!(door.queue_depth_limit(Priority::High), 256);
+/// let door = FrontDoor::builder(2).queue_depth(256).build()?;
+/// assert_eq!(door.queue_depth_limit(), 256);
 /// # Ok::<(), mqx::Error>(())
 /// ```
 pub type FrontDoorBuilder = RingExecutorBuilder;
@@ -204,17 +199,9 @@ mod tests {
     #[test]
     fn builder_defaults_and_overrides() {
         let door = FrontDoor::new(1).unwrap();
-        for class in Priority::ALL {
-            assert_eq!(door.queue_depth_limit(class), DEFAULT_QUEUE_DEPTH);
-        }
-        let door = FrontDoor::builder(1)
-            .queue_depth(8)
-            .queue_depth_for(Priority::High, 32)
-            .build()
-            .unwrap();
-        assert_eq!(door.queue_depth_limit(Priority::High), 32);
-        assert_eq!(door.queue_depth_limit(Priority::Normal), 8);
-        assert_eq!(door.queue_depth_limit(Priority::Low), 8);
+        assert_eq!(door.queue_depth_limit(), DEFAULT_QUEUE_DEPTH);
+        let door = FrontDoor::builder(1).queue_depth(8).build().unwrap();
+        assert_eq!(door.queue_depth_limit(), 8);
         assert_eq!(door.workers(), 1);
         assert!(matches!(
             FrontDoor::builder(0).build().unwrap_err(),
@@ -266,10 +253,7 @@ mod tests {
     #[test]
     fn depth_zero_class_sheds_everything_but_permits_never_materialize() {
         let ring = ring();
-        let door = FrontDoor::builder(1)
-            .queue_depth_for(Priority::Low, 0)
-            .build()
-            .unwrap();
+        let door = FrontDoor::builder(1).queue_depth(0).build().unwrap();
         let shed = door
             .submit(&ring, request(1).with_priority(Priority::Low))
             .unwrap();
@@ -283,13 +267,20 @@ mod tests {
                 depth: 0
             })
         ));
-        // Other classes are unaffected.
-        let ok = door.submit(&ring, request(2)).unwrap();
-        assert!(block_on(ok).is_ok());
+        // The limit holds for every class.
+        let normal = door.submit(&ring, request(2)).unwrap();
+        assert!(matches!(
+            block_on(normal),
+            Err(Error::Overloaded {
+                class: Priority::Normal,
+                depth: 0
+            })
+        ));
         let stats = door.stats();
         assert!(stats.reconciles());
         assert_eq!(stats.shed_at_submit_for(Priority::Low), 1);
-        assert_eq!(stats.shed_at_submit_total(), 1);
+        assert_eq!(stats.shed_at_submit_total(), 2);
+        assert_eq!(stats.admitted, 0);
     }
 
     /// A ring whose split panics: a misbehaving third-party impl.

@@ -16,7 +16,9 @@
 //!   registry backend by observed ns/butterfly (memoized; see
 //!   [`backend::calibration`]), with `MQX_BACKEND=<name>` pinning a
 //!   tier;
-//! * [`Ring::with_backend_name`] / [`RingBuilder`] — pins a tier;
+//! * [`Ring::builder`] — pins a tier ([`RingBuilder::backend_name`]),
+//!   serves the plan from another cache, or builds the scalar
+//!   reference ring;
 //! * [`backend::available`] — enumerates what this host offers (the
 //!   registry is built once per process and memoized);
 //! * [`RnsRing`] — shards a wider-than-word modulus across word-sized
@@ -39,8 +41,9 @@
 //!   [`Priority`] and an optional deadline; a single [`RingOp`] is the
 //!   one-node graph) against any shared `Arc<dyn PolyRing>`. Requests
 //!   enter only through [`RingExecutor::submit`]: classes drain
-//!   strictly High → Normal → Low behind per-class bounded queues
-//!   ([`RingExecutorBuilder`]), a full class sheds with
+//!   strictly High → Normal → Low, each class's queue bounded by the
+//!   one depth limit ([`RingExecutorBuilder::queue_depth`]), a full
+//!   class sheds with
 //!   [`Error::Overloaded`], and [`AdmissionStats`] reconciles every
 //!   decision. Deadlines shed at dequeue, cancellation is cooperative
 //!   ([`RequestHandle::cancel`] / detached [`Canceller`]s), and every

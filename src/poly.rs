@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use mqx::{core::primes, Coefficients, PolyOp, PolyRing, Ring, RnsRing};
+//! use mqx::{core::primes, Coefficients, PolyOp, PolyRing, Ring, RingOp, RnsRing};
 //!
 //! let word: Arc<dyn PolyRing> = Arc::new(Ring::auto(primes::Q124, 64)?);
 //! let wide: Arc<dyn PolyRing> = Arc::new(RnsRing::auto(3, 64)?);
@@ -30,7 +30,7 @@
 //!
 //! let a = Coefficients::Word(vec![1; 64]);
 //! let b = Coefficients::Word(vec![2; 64]);
-//! let product = word.polymul(PolyOp::Cyclic, &a, &b)?;
+//! let product = word.apply(&RingOp::Polymul(PolyOp::Cyclic), &a, Some(&b))?;
 //! assert_eq!(product.len(), 64);
 //! # Ok::<(), mqx::Error>(())
 //! ```
@@ -162,9 +162,8 @@ impl From<Vec<BigUint>> for Coefficients {
 ///
 /// Everything else is provided on top of those:
 /// [`apply_graph`](PolyRing::apply_graph) runs the three steps
-/// sequentially for a whole [`OpGraph`], [`apply`](PolyRing::apply) and
-/// the `polymul*` conveniences are its one-node case, and schedulers
-/// distribute step 2.
+/// sequentially for a whole [`OpGraph`], [`apply`](PolyRing::apply) is
+/// its one-node case, and schedulers distribute step 2.
 pub trait PolyRing: Send + Sync {
     /// The transform size `n` (and required coefficient count).
     fn size(&self) -> usize;
@@ -350,36 +349,6 @@ pub trait PolyRing: Send + Sync {
         let operands: Vec<&Coefficients> = std::iter::once(a).chain(b).collect();
         evaluate(self, &OpGraph::single(*op), &operands)
     }
-
-    /// Whole-request convenience for one polynomial product.
-    fn polymul(
-        &self,
-        op: PolyOp,
-        a: &Coefficients,
-        b: &Coefficients,
-    ) -> Result<Coefficients, Error> {
-        self.apply(&RingOp::Polymul(op), a, Some(b))
-    }
-
-    /// Cyclic product in `ℤ_Q[x]/(xⁿ − 1)` over the coefficient enum.
-    ///
-    /// Note: on a concrete [`Ring`](crate::Ring)/[`RnsRing`](crate::RnsRing)
-    /// value the inherent slice-based method of the same name shadows
-    /// this one; call through `dyn PolyRing`, a generic bound, or
-    /// `PolyRing::polymul_cyclic(&ring, ..)`.
-    fn polymul_cyclic(&self, a: &Coefficients, b: &Coefficients) -> Result<Coefficients, Error> {
-        self.polymul(PolyOp::Cyclic, a, b)
-    }
-
-    /// Negacyclic product in `ℤ_Q[x]/(xⁿ + 1)` over the coefficient
-    /// enum (shadowing note on [`PolyRing::polymul_cyclic`] applies).
-    fn polymul_negacyclic(
-        &self,
-        a: &Coefficients,
-        b: &Coefficients,
-    ) -> Result<Coefficients, Error> {
-        self.polymul(PolyOp::Negacyclic, a, b)
-    }
 }
 
 /// One operand's residues, channel-major: `width` vectors of `n`.
@@ -518,17 +487,15 @@ mod tests {
         let ring = Ring::auto(primes::Q124, N).unwrap();
         let a = poly(N, primes::Q124, 1);
         let b = poly(N, primes::Q124, 2);
-        let via_trait = ring
-            .polymul(PolyOp::Negacyclic, &a.clone().into(), &b.clone().into())
-            .unwrap();
+        let (ca, cb) = (a.clone().into(), b.clone().into());
+        let via_trait = |op| ring.apply(&RingOp::Polymul(op), &ca, Some(&cb)).unwrap();
         assert_eq!(
-            via_trait,
+            via_trait(PolyOp::Negacyclic),
             Coefficients::Word(ring.polymul_negacyclic(&a, &b).unwrap())
         );
-        let cyclic = PolyRing::polymul_cyclic(&ring, &a.clone().into(), &b.clone().into()).unwrap();
         assert_eq!(
-            cyclic.into_words().unwrap(),
-            ring.polymul_cyclic(&a, &b).unwrap()
+            via_trait(PolyOp::Cyclic),
+            Coefficients::Word(ring.polymul_cyclic(&a, &b).unwrap())
         );
     }
 
@@ -550,7 +517,8 @@ mod tests {
                 .unwrap();
         }
         let joined = ring.join_at(3, parts).unwrap();
-        assert_eq!(joined, ring.polymul(PolyOp::Negacyclic, &ca, &cb).unwrap());
+        let applied = ring.apply(&RingOp::Polymul(PolyOp::Negacyclic), &ca, Some(&cb));
+        assert_eq!(joined, applied.unwrap());
         assert!(joined.as_bigs().unwrap().iter().all(|c| c < &q));
     }
 

@@ -65,12 +65,12 @@ impl BackendChoice {
     }
 }
 
-/// Configures and builds a [`Ring`].
+/// Configures and builds a [`Ring`] ([`Ring::builder`]).
 ///
 /// ```
-/// use mqx::{core::primes, RingBuilder};
+/// use mqx::{core::primes, Ring};
 ///
-/// let ring = RingBuilder::new(primes::Q124, 64)
+/// let ring = Ring::builder(primes::Q124, 64)
 ///     .backend_name("portable")
 ///     .build()?;
 /// assert_eq!(ring.backend().name(), "portable");
@@ -85,17 +85,6 @@ pub struct RingBuilder {
 }
 
 impl RingBuilder {
-    /// Starts a builder for an `n`-point ring over the prime `modulus`.
-    pub fn new(modulus: u128, n: usize) -> Self {
-        RingBuilder {
-            modulus,
-            n,
-            choice: BackendChoice::Auto,
-            cache: Arc::clone(plan_cache::global()),
-            lazy: true,
-        }
-    }
-
     /// Pins an exact backend instance (e.g. one from
     /// [`backend::available`]).
     pub fn backend(mut self, backend: Arc<dyn Backend>) -> Self {
@@ -196,33 +185,26 @@ impl Ring {
     /// with a registry backend (unknown names fail with
     /// [`Error::UnknownBackend`]).
     pub fn auto(modulus: u128, n: usize) -> Result<Ring, Error> {
-        RingBuilder::new(modulus, n).build()
+        Ring::builder(modulus, n).build()
     }
 
-    /// Builds a ring pinned to an exact backend instance.
-    pub fn with_backend(modulus: u128, n: usize, backend: Arc<dyn Backend>) -> Result<Ring, Error> {
-        RingBuilder::new(modulus, n).backend(backend).build()
-    }
-
-    /// Builds a ring pinned to a backend by registry name.
-    pub fn with_backend_name(modulus: u128, n: usize, name: &str) -> Result<Ring, Error> {
-        RingBuilder::new(modulus, n).backend_name(name).build()
-    }
-
-    /// Starts a [`RingBuilder`] for finer control.
+    /// Starts a [`RingBuilder`] for an `n`-point ring over the prime
+    /// `modulus`: to pin a backend, serve the plan from another cache,
+    /// or build the scalar reference ring.
     pub fn builder(modulus: u128, n: usize) -> RingBuilder {
-        RingBuilder::new(modulus, n)
+        RingBuilder {
+            modulus,
+            n,
+            choice: BackendChoice::Auto,
+            cache: Arc::clone(plan_cache::global()),
+            lazy: true,
+        }
     }
 
     /// The backend executing this ring's kernels. Safe to call from any
     /// thread: the backend is immutable and shared.
     pub fn backend(&self) -> &dyn Backend {
         self.backend.as_ref()
-    }
-
-    /// A shareable handle to the backend.
-    pub fn backend_arc(&self) -> Arc<dyn Backend> {
-        Arc::clone(&self.backend)
     }
 
     /// The ring's modulus (with Barrett constants).
@@ -234,11 +216,6 @@ impl Ring {
     /// reference is safe to read concurrently with any ring operation.
     pub fn plan(&self) -> &NttPlan {
         &self.plan
-    }
-
-    /// A shareable handle to the (cached) NTT plan.
-    pub fn plan_arc(&self) -> Arc<NttPlan> {
-        Arc::clone(&self.plan)
     }
 
     /// The transform size `n`.
@@ -315,28 +292,6 @@ impl Ring {
         let mut tmp = self.scratch.checkout();
         self.backend.inverse_ntt(&self.plan, x, &mut tmp);
         Ok(())
-    }
-
-    // ---- element-wise kernels ------------------------------------------
-
-    /// `out[i] = x[i] + y[i] mod q`. Inputs may be any (equal) length.
-    pub fn vadd(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa) {
-        self.backend.vadd(x, y, out, &self.modulus);
-    }
-
-    /// `out[i] = x[i] − y[i] mod q`.
-    pub fn vsub(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa) {
-        self.backend.vsub(x, y, out, &self.modulus);
-    }
-
-    /// `out[i] = x[i] · y[i] mod q`.
-    pub fn vmul(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa) {
-        self.backend.vmul(x, y, out, &self.modulus);
-    }
-
-    /// `y[i] ← a·x[i] + y[i] mod q`.
-    pub fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa) {
-        self.backend.axpy(a, x, y, &self.modulus);
     }
 
     // ---- polynomial products -------------------------------------------
@@ -454,14 +409,17 @@ impl Ring {
         Ok(())
     }
 
-    /// `out[i] = a[i] ± b[i] mod q` over scalar residue slices:
-    /// [`Ring::vadd`] / [`Ring::vsub`] on pooled SoA scratch, written
-    /// into a caller-owned vector — like the `polymul_*_into` forms,
-    /// allocation-free once `out` and the pool are warm. The operands
-    /// must be `n` long, because the pooled buffers they are staged in
-    /// keep the ring's geometry.
+    /// `out[i] = a[i] ± b[i] mod m` over scalar residue slices: the
+    /// backend's `vadd` / `vsub` on pooled SoA scratch, written into a
+    /// caller-owned vector — like the `polymul_*_into` forms,
+    /// allocation-free once `out` and the pool are warm. `m` is the
+    /// ring's own modulus, or — for an RNS extension channel — a fresh
+    /// prime of the same width, served by this ring's backend and
+    /// scratch. The operands must be `n` long, because the pooled
+    /// buffers they are staged in keep the ring's geometry.
     pub(crate) fn add_sub_into(
         &self,
+        m: &Modulus,
         subtract: bool,
         a: &[u128],
         b: &[u128],
@@ -480,9 +438,9 @@ impl Ring {
         sa.copy_from_u128s(a);
         sb.copy_from_u128s(b);
         if subtract {
-            self.vsub(&sa, &sb, &mut sum);
+            self.backend.vsub(&sa, &sb, &mut sum, m);
         } else {
-            self.vadd(&sa, &sb, &mut sum);
+            self.backend.vadd(&sa, &sb, &mut sum, m);
         }
         out.clear();
         out.resize(a.len(), 0);
@@ -569,7 +527,7 @@ impl crate::PolyRing for Ring {
             })?;
         match op {
             RingOp::Polymul(poly) => self.polymul_into(*poly, ra, rb, out),
-            _ => self.add_sub_into(matches!(op, RingOp::Sub), ra, rb, out),
+            _ => self.add_sub_into(&self.modulus, matches!(op, RingOp::Sub), ra, rb, out),
         }
     }
 
@@ -625,7 +583,10 @@ mod tests {
 
     #[test]
     fn forced_portable_ring_matches_scalar_plan() {
-        let ring = Ring::with_backend_name(primes::Q124, N, "portable").unwrap();
+        let ring = Ring::builder(primes::Q124, N)
+            .backend_name("portable")
+            .build()
+            .unwrap();
         assert_eq!(ring.backend().name(), "portable");
         let xs = poly(N, primes::Q124, 0xBEE);
         let mut expected = xs.clone();
@@ -637,7 +598,10 @@ mod tests {
 
     #[test]
     fn unknown_backend_is_a_clean_error() {
-        let err = Ring::with_backend_name(primes::Q124, N, "tpu").unwrap_err();
+        let err = Ring::builder(primes::Q124, N)
+            .backend_name("tpu")
+            .build()
+            .unwrap_err();
         match err {
             Error::UnknownBackend { name, available } => {
                 assert_eq!(name, "tpu");
@@ -678,7 +642,10 @@ mod tests {
         let negacyclic = polymul::schoolbook_negacyclic(&a, &b, &m);
         for backend in crate::backend::available() {
             let name = backend.name();
-            let ring = Ring::with_backend(primes::Q124, N, backend).unwrap();
+            let ring = Ring::builder(primes::Q124, N)
+                .backend(backend)
+                .build()
+                .unwrap();
             assert_eq!(ring.polymul_cyclic(&a, &b).unwrap(), cyclic, "{name}");
             assert_eq!(
                 ring.polymul_negacyclic(&a, &b).unwrap(),
@@ -709,6 +676,8 @@ mod tests {
                         matches!(err, Error::CoefficientOutOfRange { index: i } if i == index),
                         "lazy={lazy}: {err:?}"
                     );
+                    let msg = err.to_string();
+                    assert!(!msg.contains("RNS"), "a word ring's bound is q: {msg}");
                 }
                 let mut soa = ResidueSoa::from_u128s(&a);
                 for err in [
@@ -745,17 +714,18 @@ mod tests {
         let b = poly(17, m.value(), 8);
         let sa = ResidueSoa::from_u128s(&a);
         let sb = ResidueSoa::from_u128s(&b);
+        let backend = ring.backend();
         let mut out = ResidueSoa::zeros(17);
-        ring.vadd(&sa, &sb, &mut out);
+        backend.vadd(&sa, &sb, &mut out, &m);
         for i in 0..17 {
             assert_eq!(out.get(i), m.add_mod(a[i], b[i]), "vadd {i}");
         }
-        ring.vmul(&sa, &sb, &mut out);
+        backend.vmul(&sa, &sb, &mut out, &m);
         for i in 0..17 {
             assert_eq!(out.get(i), m.mul_mod(a[i], b[i]), "vmul {i}");
         }
         let mut y = sb.clone();
-        ring.axpy(a[0], &sa, &mut y);
+        backend.axpy(a[0], &sa, &mut y, &m);
         for i in 0..17 {
             assert_eq!(y.get(i), m.add_mod(m.mul_mod(a[0], a[i]), b[i]), "axpy {i}");
         }

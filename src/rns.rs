@@ -37,7 +37,9 @@
 //! use mqx::{core::primes, RnsRing};
 //!
 //! // Two word-sized channels stand in for a ~92-bit modulus.
-//! let ring = RnsRing::with_moduli(&[primes::Q62, primes::Q30], 64)?;
+//! let ring = RnsRing::builder(64)
+//!     .moduli(&[primes::Q62, primes::Q30])
+//!     .build()?;
 //! assert_eq!(ring.channels(), 2);
 //! assert!(ring.product_modulus().bits() > 64);
 //!
@@ -52,7 +54,7 @@ use crate::backend::Backend;
 use crate::error::Error;
 use crate::ops::RingOp;
 use crate::plan_cache::{self, PlanCache};
-use crate::ring::{BackendChoice, Ring, RingBuilder};
+use crate::ring::{BackendChoice, Ring};
 use mqx_bignum::crt::CrtContext;
 use mqx_bignum::BigUint;
 use mqx_core::{primes, Modulus, ShoupMul};
@@ -80,14 +82,14 @@ enum BasisChoice {
     Generated { bits: u32, count: usize },
 }
 
-/// Configures and builds an [`RnsRing`].
+/// Configures and builds an [`RnsRing`] ([`RnsRing::builder`]).
 ///
 /// ```
-/// use mqx::RnsRingBuilder;
+/// use mqx::RnsRing;
 ///
 /// // A 3-channel basis of generated 62-bit NTT primes, pinned to the
 /// // portable tier on every channel.
-/// let ring = RnsRingBuilder::new(256)
+/// let ring = RnsRing::builder(256)
 ///     .generated_basis(62, 3)
 ///     .backend_name("portable")
 ///     .build()?;
@@ -103,19 +105,6 @@ pub struct RnsRingBuilder {
 }
 
 impl RnsRingBuilder {
-    /// Starts a builder for `n`-point rings. Without further
-    /// configuration the basis is empty and [`RnsRingBuilder::build`]
-    /// fails; pick one with [`RnsRingBuilder::moduli`] or
-    /// [`RnsRingBuilder::generated_basis`].
-    pub fn new(n: usize) -> Self {
-        RnsRingBuilder {
-            n,
-            basis: BasisChoice::Explicit(Vec::new()),
-            choice: BackendChoice::Auto,
-            cache: Arc::clone(plan_cache::global()),
-        }
-    }
-
     /// Uses these pairwise-coprime primes as the basis, one channel per
     /// modulus, in order.
     pub fn moduli(mut self, moduli: &[u128]) -> Self {
@@ -180,7 +169,7 @@ impl RnsRingBuilder {
         let rings: Vec<Ring> = moduli
             .iter()
             .map(|&q| {
-                RingBuilder::new(q, self.n)
+                Ring::builder(q, self.n)
                     .backend(Arc::clone(&backend))
                     .plan_cache(Arc::clone(&self.cache))
                     .build()
@@ -404,19 +393,22 @@ impl RnsRing {
     /// [`backend::calibration`](crate::backend::calibration) and the
     /// `MQX_BACKEND` override).
     pub fn auto(channels: usize, n: usize) -> Result<RnsRing, Error> {
-        RnsRingBuilder::new(n)
+        RnsRing::builder(n)
             .generated_basis(DEFAULT_BASIS_BITS, channels)
             .build()
     }
 
-    /// Builds an `n`-point ring over the given pairwise-coprime primes.
-    pub fn with_moduli(moduli: &[u128], n: usize) -> Result<RnsRing, Error> {
-        RnsRingBuilder::new(n).moduli(moduli).build()
-    }
-
-    /// Starts an [`RnsRingBuilder`] for finer control.
+    /// Starts an [`RnsRingBuilder`] for `n`-point rings. Without further
+    /// configuration the basis is empty and [`RnsRingBuilder::build`]
+    /// fails; pick one with [`RnsRingBuilder::moduli`] or
+    /// [`RnsRingBuilder::generated_basis`].
     pub fn builder(n: usize) -> RnsRingBuilder {
-        RnsRingBuilder::new(n)
+        RnsRingBuilder {
+            n,
+            basis: BasisChoice::Explicit(Vec::new()),
+            choice: BackendChoice::Auto,
+            cache: Arc::clone(plan_cache::global()),
+        }
     }
 
     /// The number of residue channels `k`.
@@ -788,23 +780,15 @@ impl crate::PolyRing for RnsRing {
             RingOp::Add | RingOp::Sub => {
                 let subtract = matches!(op, RingOp::Sub);
                 let (ra, rb) = (&a[channel], &b[channel]);
+                // The backend's element-wise kernel on every channel: a
+                // channel of the ring's own runs on its ring, and an
+                // extension channel — which has none — on the first
+                // channel's ring, over the fresh prime.
                 match self.rings.get(channel) {
-                    // One of the ring's own channels: the SIMD engine
-                    // path, whatever the width.
-                    Some(ring) => ring.add_sub_into(subtract, ra, rb, out),
-                    // An extension channel: scalar Barrett arithmetic
-                    // over the fresh prime.
+                    Some(ring) => ring.add_sub_into(ring.modulus(), subtract, ra, rb, out),
                     None => {
-                        let ctx = self.width_ctx(width)?;
-                        let m = &ctx.mods[channel];
-                        out.extend(ra.iter().zip(rb).map(|(&x, &y)| {
-                            if subtract {
-                                m.sub_mod(x, y)
-                            } else {
-                                m.add_mod(x, y)
-                            }
-                        }));
-                        Ok(())
+                        let m = self.width_ctx(width)?.mods[channel];
+                        self.rings[0].add_sub_into(&m, subtract, ra, rb, out)
                     }
                 }
             }
@@ -866,6 +850,10 @@ mod tests {
 
     const N: usize = 64;
 
+    fn ring_over(moduli: &[u128]) -> Result<RnsRing, Error> {
+        RnsRing::builder(N).moduli(moduli).build()
+    }
+
     fn coeffs(ring: &RnsRing, seed: u64) -> Vec<BigUint> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..ring.size())
@@ -875,7 +863,7 @@ mod tests {
 
     #[test]
     fn residue_roundtrip_is_identity() {
-        let ring = RnsRing::with_moduli(&[primes::Q62, primes::Q30, primes::Q14], N).unwrap();
+        let ring = ring_over(&[primes::Q62, primes::Q30, primes::Q14]).unwrap();
         let xs = coeffs(&ring, 0xC0FFEE);
         let channels = ring.to_residues(&xs).unwrap();
         assert_eq!(channels.len(), 3);
@@ -884,7 +872,7 @@ mod tests {
 
     #[test]
     fn negacyclic_matches_big_schoolbook() {
-        let ring = RnsRing::with_moduli(&[primes::Q62, primes::Q30], N).unwrap();
+        let ring = ring_over(&[primes::Q62, primes::Q30]).unwrap();
         assert!(ring.supports_negacyclic());
         let a = coeffs(&ring, 1);
         let b = coeffs(&ring, 2);
@@ -920,18 +908,18 @@ mod tests {
             .build()
             .unwrap();
         for channel in ring.rings() {
-            assert!(Arc::ptr_eq(&channel.backend_arc(), &instance));
+            assert!(std::ptr::addr_eq(channel.backend(), Arc::as_ptr(&instance)));
         }
     }
 
     #[test]
     fn builder_errors_are_specific() {
         assert!(matches!(
-            RnsRingBuilder::new(N).build().unwrap_err(),
+            RnsRing::builder(N).build().unwrap_err(),
             Error::Crt(CrtError::EmptyBasis)
         ));
         assert!(matches!(
-            RnsRing::with_moduli(&[primes::Q62, primes::Q62], N).unwrap_err(),
+            ring_over(&[primes::Q62, primes::Q62]).unwrap_err(),
             Error::Crt(CrtError::NotCoprime { i: 0, j: 1 })
         ));
         assert!(matches!(
@@ -945,7 +933,7 @@ mod tests {
 
     #[test]
     fn unreduced_coefficients_are_rejected() {
-        let ring = RnsRing::with_moduli(&[primes::Q30, primes::Q14], N).unwrap();
+        let ring = ring_over(&[primes::Q30, primes::Q14]).unwrap();
         let mut a = coeffs(&ring, 3);
         a[7] = ring.product_modulus().clone();
         let b = coeffs(&ring, 4);
@@ -957,7 +945,7 @@ mod tests {
 
     #[test]
     fn length_mismatches_are_rejected() {
-        let ring = RnsRing::with_moduli(&[primes::Q62, primes::Q30], N).unwrap();
+        let ring = ring_over(&[primes::Q62, primes::Q30]).unwrap();
         let a = coeffs(&ring, 5);
         let short = a[..N - 1].to_vec();
         assert!(matches!(

@@ -104,7 +104,7 @@ fn channel_assignments_draw_from_the_ranking() {
     let expected = auto_selected();
     assert_eq!(ring.rings().len(), 3);
     for channel in ring.rings() {
-        assert!(Arc::ptr_eq(&channel.backend_arc(), &expected));
+        assert!(std::ptr::addr_eq(channel.backend(), Arc::as_ptr(&expected)));
     }
 }
 

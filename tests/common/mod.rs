@@ -15,7 +15,7 @@ use mqx::{
 };
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub const N: usize = 64;
@@ -37,8 +37,18 @@ impl Gate {
     }
 
     pub fn open(&self) {
-        *self.open.lock().unwrap() = true;
+        // A poisoned flag is still a flag: the gate must open even from
+        // a test that is already unwinding.
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.cv.notify_all();
+    }
+
+    /// A guard that opens the gate when it is dropped. Declared after
+    /// the pool, it is dropped first when a failed assertion unwinds the
+    /// test, so the worker parked on the gate is released before the
+    /// pool's `Drop` joins it: the test fails instead of hanging.
+    pub fn open_on_drop(&self) -> OpenOnDrop<'_> {
+        OpenOnDrop(self)
     }
 
     pub fn wait(&self) {
@@ -46,6 +56,15 @@ impl Gate {
         while !*open {
             open = self.cv.wait(open).unwrap();
         }
+    }
+}
+
+/// Opens its [`Gate`] when dropped ([`Gate::open_on_drop`]).
+pub struct OpenOnDrop<'a>(&'a Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
     }
 }
 

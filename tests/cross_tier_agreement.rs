@@ -100,18 +100,25 @@ fn every_backend_polymul_is_bit_identical_to_portable() {
     let (a, b) = workload(primes::Q124);
 
     let portable = backend::by_name("portable").expect("portable always registered");
-    let reference_cyclic = Ring::with_backend(primes::Q124, N, portable.clone())
+    let reference_cyclic = Ring::builder(primes::Q124, N)
+        .backend(portable.clone())
+        .build()
         .unwrap()
         .polymul_cyclic(&a, &b)
         .unwrap();
-    let reference_nega = Ring::with_backend(primes::Q124, N, portable)
+    let reference_nega = Ring::builder(primes::Q124, N)
+        .backend(portable)
+        .build()
         .unwrap()
         .polymul_negacyclic(&a, &b)
         .unwrap();
 
     for backend in backend::available() {
         let name = backend.name();
-        let ring = Ring::with_backend(primes::Q124, N, backend).unwrap();
+        let ring = Ring::builder(primes::Q124, N)
+            .backend(backend)
+            .build()
+            .unwrap();
         assert_eq!(
             ring.polymul_cyclic(&a, &b).unwrap(),
             reference_cyclic,
@@ -132,11 +139,9 @@ fn every_backend_polymul_is_bit_identical_to_portable() {
 /// arithmetic route, never the bits.
 #[test]
 fn every_backend_fused_polymul_is_bit_identical_to_canonical_portable() {
-    use mqx::RingBuilder;
-
     let (a, b) = workload(primes::Q124);
 
-    let canonical_portable = RingBuilder::new(primes::Q124, N)
+    let canonical_portable = Ring::builder(primes::Q124, N)
         .backend_name("portable")
         .lazy(false)
         .build()
@@ -146,7 +151,7 @@ fn every_backend_fused_polymul_is_bit_identical_to_canonical_portable() {
 
     for backend in backend::available() {
         let name = backend.name();
-        let fused = RingBuilder::new(primes::Q124, N)
+        let fused = Ring::builder(primes::Q124, N)
             .backend(backend)
             .lazy(true)
             .build()
@@ -301,7 +306,10 @@ fn calibrated_auto_pick_agrees_with_portable() {
     let (a, b) = workload(primes::Q124);
 
     let auto_ring = Ring::auto(primes::Q124, N).unwrap();
-    let portable_ring = Ring::with_backend_name(primes::Q124, N, "portable").unwrap();
+    let portable_ring = Ring::builder(primes::Q124, N)
+        .backend_name("portable")
+        .build()
+        .unwrap();
     assert_eq!(
         auto_ring.polymul_cyclic(&a, &b).unwrap(),
         portable_ring.polymul_cyclic(&a, &b).unwrap(),
@@ -323,17 +331,23 @@ fn calibrated_auto_pick_agrees_with_portable() {
 #[test]
 fn every_backend_tier_agrees_on_add_and_rescale() {
     use mqx::bignum::BigUint;
-    use mqx::{Coefficients, PolyRing, RingOp, RnsRingBuilder};
+    use mqx::{Coefficients, PolyRing, RingOp, RnsRing};
 
     // Word-ring Add across every tier vs portable.
     let (a, b) = workload(primes::Q124);
     let a_c = Coefficients::Word(a);
     let b_c = Coefficients::Word(b);
-    let portable = Ring::with_backend_name(primes::Q124, N, "portable").unwrap();
+    let portable = Ring::builder(primes::Q124, N)
+        .backend_name("portable")
+        .build()
+        .unwrap();
     let reference_add = portable.apply(&RingOp::Add, &a_c, Some(&b_c)).unwrap();
     for backend in backend::available() {
         let name = backend.name();
-        let ring = Ring::with_backend(primes::Q124, N, backend).unwrap();
+        let ring = Ring::builder(primes::Q124, N)
+            .backend(backend)
+            .build()
+            .unwrap();
         assert_eq!(
             ring.apply(&RingOp::Add, &a_c, Some(&b_c)).unwrap(),
             reference_add,
@@ -344,7 +358,7 @@ fn every_backend_tier_agrees_on_add_and_rescale() {
     // RNS Add + Rescale: the same two-channel basis pinned per tier.
     let basis = [primes::Q62, primes::Q30];
     let rns = |name: &str| {
-        RnsRingBuilder::new(N)
+        RnsRing::builder(N)
             .moduli(&basis)
             .backend_name(name)
             .build()
@@ -407,7 +421,7 @@ fn two_field_crt_consistency() {
         &[primes::Q62, primes::Q30][..],
         &[primes::Q62, primes::Q30, primes::Q14][..],
     ] {
-        let ring = RnsRing::with_moduli(basis, N).unwrap();
+        let ring = RnsRing::builder(N).moduli(basis).build().unwrap();
 
         // Per-channel residues of the wide product still agree with
         // direct per-field arithmetic (the original scalar invariant).

@@ -26,6 +26,7 @@ fn saturated_mixed_priority_batch_completes_high_normal_low() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     // Submission order deliberately scrambles the classes.
@@ -67,6 +68,7 @@ fn already_expired_deadline_sheds_without_running_any_channel() {
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     // Depth 1: a slot the doomed submit kept would shed the next one.
     let pool = RingExecutor::builder(1).queue_depth(1).build().unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     // Dead on arrival: resolved at submit, even though the pool is
@@ -103,6 +105,7 @@ fn deadline_expiring_while_queued_is_shed_at_dequeue() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     // Valid (future) deadline at submit, so the request is genuinely
@@ -133,6 +136,7 @@ fn cancelling_a_queued_request_skips_its_execution() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     let victim = pool.submit(&ring, tagged(7)).unwrap();
@@ -174,6 +178,7 @@ fn try_wait_and_timed_waits_hand_the_handle_back_until_resolution() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(&pool, &ring, &gated);
 
     let handle = pool.submit(&ring, tagged(7)).unwrap();
@@ -244,6 +249,7 @@ fn is_finished_stays_false_through_a_slow_join() {
     });
     let ring: Arc<dyn PolyRing> = Arc::clone(&slow) as Arc<dyn PolyRing>;
     let pool = RingExecutor::new(1).unwrap();
+    let _open = slow.gate.open_on_drop();
 
     let a: Vec<u128> = (0..N as u64).map(|i| u128::from(i + 5)).collect();
     let expected = slow.inner.polymul_cyclic(&a, &a).unwrap();

@@ -128,10 +128,8 @@ fn awaited_futures_match_blocking_waits_for_every_op_on_rns_ring() {
 fn saturated_low_queue_sheds_overloaded_with_zero_channels_executed() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
-    let door = FrontDoor::builder(1)
-        .queue_depth_for(Priority::Low, 2)
-        .build()
-        .unwrap();
+    let door = FrontDoor::builder(1).queue_depth(2).build().unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     // Two Low requests fill the depth-2 class while the worker is held.
@@ -156,6 +154,11 @@ fn saturated_low_queue_sheds_overloaded_with_zero_channels_executed() {
             depth: 2
         })
     ));
+    // The limit is per class: a full Low queue sheds nothing of High.
+    let high = door
+        .submit(&ring, tagged(8).with_priority(Priority::High))
+        .unwrap();
+    assert!(!high.is_finished(), "queued, not shed");
     // Nothing has completed a kernel: the blocker is parked on the
     // gate ahead of its log line, and everything else is queued.
     assert_eq!(gated.executed(), 0, "no channel executed yet");
@@ -165,15 +168,16 @@ fn saturated_low_queue_sheds_overloaded_with_zero_channels_executed() {
     for future in queued {
         block_on(future).unwrap();
     }
+    block_on(high).unwrap();
     // The shed request executed zero channels: its tag never reached
     // the ring.
     assert!(!gated.log().contains(&7), "shed request never executed");
-    assert_eq!(gated.executed(), 3, "blocker + the two admitted");
+    assert_eq!(gated.executed(), 4, "blocker + the three admitted");
 
     let stats = door.stats();
     assert!(stats.reconciles(), "admitted + shed == submitted");
-    assert_eq!(stats.submitted, 4, "the blocker + three Low submits");
-    assert_eq!(stats.admitted, 3, "the blocker + the two queued");
+    assert_eq!(stats.submitted, 5, "the blocker + three Low + one High");
+    assert_eq!(stats.admitted, 4, "the blocker + the three queued");
     assert_eq!(stats.shed_at_submit_for(Priority::Low), 1);
     assert_eq!(stats.high_water_for(Priority::Low), 2);
 }
@@ -198,6 +202,7 @@ fn parked_future_is_woken_exactly_once_with_no_busy_poll() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let door = FrontDoor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     let mut future = door.submit(&ring, tagged(7)).unwrap();
@@ -231,6 +236,7 @@ fn dropping_the_future_then_cancelling_sheds_the_queued_work() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let door = FrontDoor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     let victim = door.submit(&ring, tagged(7)).unwrap();
@@ -262,6 +268,7 @@ fn deadline_sheds_are_counted_at_publication() {
     let gated = Arc::new(GatedRing::new());
     let ring: Arc<dyn PolyRing> = Arc::clone(&gated) as Arc<dyn PolyRing>;
     let door = FrontDoor::new(1).unwrap();
+    let _open = gated.gate.open_on_drop();
     let blocker = occupy_worker(door.executor(), &ring, &gated);
 
     // Dead on arrival: admitted (it passed admission), then shed by its

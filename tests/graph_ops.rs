@@ -124,7 +124,7 @@ impl PolyRing for JoinCountingRing {
 /// CRT join however it is executed.
 #[test]
 fn relinearize_graph_matches_apply_chain_and_baseline_with_one_join() {
-    let rns = Arc::new(RnsRing::with_moduli(BASES[2], N).unwrap());
+    let rns = Arc::new(RnsRing::builder(N).moduli(BASES[2]).build().unwrap());
     let product = rns.product_modulus().clone();
     let graph = OpGraph::relinearize(PolyOp::Cyclic, 1);
 
@@ -136,7 +136,7 @@ fn relinearize_graph_matches_apply_chain_and_baseline_with_one_join() {
     // on the ring whose basis the chain has reached (native + 1 fresh
     // prime) — the per-width rings the resident path must reproduce.
     let extended = rns.extended_moduli(1).unwrap();
-    let ext_ring = RnsRing::with_moduli(&extended, N).unwrap();
+    let ext_ring = RnsRing::builder(N).moduli(&extended).build().unwrap();
     let x = rns
         .apply(
             &RingOp::Polymul(PolyOp::Cyclic),
@@ -181,7 +181,7 @@ fn relinearize_graph_matches_apply_chain_and_baseline_with_one_join() {
 
 #[test]
 fn multiply_accumulate_graph_matches_sequential_ops() {
-    let rns = Arc::new(RnsRing::with_moduli(BASES[1], N).unwrap());
+    let rns = Arc::new(RnsRing::builder(N).moduli(BASES[1]).build().unwrap());
     let product = rns.product_modulus().clone();
     let graph = OpGraph::multiply_accumulate(PolyOp::Cyclic, 3).unwrap();
 
@@ -287,9 +287,15 @@ fn sequential_reference(
     let k = native.channels();
     let ring_for = |w: usize| -> RnsRing {
         if w <= k {
-            RnsRing::with_moduli(&native.moduli()[..w], N).unwrap()
+            RnsRing::builder(N)
+                .moduli(&native.moduli()[..w])
+                .build()
+                .unwrap()
         } else {
-            RnsRing::with_moduli(&native.extended_moduli(w - k).unwrap(), N).unwrap()
+            RnsRing::builder(N)
+                .moduli(&native.extended_moduli(w - k).unwrap())
+                .build()
+                .unwrap()
         }
     };
     let mut values: Vec<(Coefficients, usize)> = Vec::new();
@@ -319,7 +325,7 @@ fn seeded_random_graphs_match_sequential_apply_on_rns_rings() {
     let pool = RingExecutor::new(3).unwrap();
     for (ki, basis) in BASES.iter().enumerate() {
         let k = ki + 1;
-        let rns = Arc::new(RnsRing::with_moduli(basis, N).unwrap());
+        let rns = Arc::new(RnsRing::builder(N).moduli(basis).build().unwrap());
         let product = rns.product_modulus().clone();
         let dyn_ring: Arc<dyn PolyRing> = rns.clone();
         let mut state = 0xD1CE_0000 + k as u64;
@@ -390,7 +396,7 @@ fn seeded_random_graphs_match_sequential_apply_on_the_word_ring() {
 
 #[test]
 fn single_node_graphs_compile_to_exactly_the_one_op_behavior() {
-    let rns = Arc::new(RnsRing::with_moduli(BASES[1], N).unwrap());
+    let rns = Arc::new(RnsRing::builder(N).moduli(BASES[1]).build().unwrap());
     let product = rns.product_modulus().clone();
     let dyn_ring: Arc<dyn PolyRing> = rns.clone();
     let pool = RingExecutor::new(2).unwrap();
@@ -422,7 +428,7 @@ fn single_node_graphs_compile_to_exactly_the_one_op_behavior() {
 
 #[test]
 fn graph_requests_are_validated_at_submit() {
-    let rns = Arc::new(RnsRing::with_moduli(BASES[1], N).unwrap());
+    let rns = Arc::new(RnsRing::builder(N).moduli(BASES[1]).build().unwrap());
     let product = rns.product_modulus().clone();
     let dyn_ring: Arc<dyn PolyRing> = rns;
     let pool = RingExecutor::new(1).unwrap();
@@ -539,7 +545,7 @@ fn shed_graph_requests_run_no_nodes() {
 /// single-op requests — one admission per graph.
 #[test]
 fn graphs_flow_through_the_front_door_unchanged() {
-    let rns = Arc::new(RnsRing::with_moduli(BASES[2], N).unwrap());
+    let rns = Arc::new(RnsRing::builder(N).moduli(BASES[2]).build().unwrap());
     let product = rns.product_modulus().clone();
     let dyn_ring: Arc<dyn PolyRing> = rns.clone();
     let door = FrontDoor::new(2).unwrap();

@@ -81,12 +81,18 @@ fn pisa_ntt_differs_functional_ntt_matches() {
     let plan = mqx::ntt::NttPlan::new(&m, n).unwrap();
     plan.forward_scalar(&mut reference);
 
-    let functional_ring = Ring::with_backend(q, n, engines::mqx_functional().backend).unwrap();
+    let functional_ring = Ring::builder(q, n)
+        .backend(engines::mqx_functional().backend)
+        .build()
+        .unwrap();
     let mut soa = ResidueSoa::from_u128s(&xs);
     functional_ring.forward(&mut soa).unwrap();
     assert_eq!(soa.to_u128s(), reference, "functional flag on");
 
-    let pisa_ring = Ring::with_backend(q, n, engines::mqx_pisa().backend).unwrap();
+    let pisa_ring = Ring::builder(q, n)
+        .backend(engines::mqx_pisa().backend)
+        .build()
+        .unwrap();
     let mut soa = ResidueSoa::from_u128s(&xs);
     pisa_ring.forward(&mut soa).unwrap();
     assert_ne!(soa.to_u128s(), reference, "PISA flag off must not match");

@@ -17,7 +17,7 @@ use mqx::bignum::BigUint;
 use mqx::core::{primes, Modulus};
 use mqx::ntt::{debug_assert_domain_soa, polymul, NttError, NttPlan};
 use mqx::simd::ResidueSoa;
-use mqx::{Ring, RingBuilder};
+use mqx::Ring;
 use std::sync::Arc;
 
 fn poly(n: usize, q: u128, seed: u64) -> Vec<u128> {
@@ -35,12 +35,12 @@ fn poly(n: usize, q: u128, seed: u64) -> Vec<u128> {
 /// A pair of rings on the same backend differing only in the polymul
 /// path: `(lazy, reference)`.
 fn ring_pair(backend: Arc<dyn mqx::Backend>, n: usize) -> (Ring, Ring) {
-    let lazy = RingBuilder::new(primes::Q124, n)
+    let lazy = Ring::builder(primes::Q124, n)
         .backend(Arc::clone(&backend))
         .lazy(true)
         .build()
         .unwrap();
-    let reference = RingBuilder::new(primes::Q124, n)
+    let reference = Ring::builder(primes::Q124, n)
         .backend(backend)
         .lazy(false)
         .build()
@@ -266,7 +266,7 @@ impl Backend for ElementwiseOnly {
 fn reference_ring_shares_no_kernel_with_its_backend() {
     let (q, n) = (primes::Q124, 256);
     let portable = backend::by_name("portable").unwrap();
-    let reference = RingBuilder::new(q, n)
+    let reference = Ring::builder(q, n)
         .backend(Arc::new(ElementwiseOnly(portable)))
         .lazy(false)
         .build()

@@ -9,7 +9,7 @@
 use mqx::backend::{self, Tier};
 use mqx::core::{primes, Modulus};
 use mqx::simd::ResidueSoa;
-use mqx::{Error, Ring, RingBuilder};
+use mqx::{Error, Ring};
 
 const N: usize = 128;
 
@@ -75,7 +75,10 @@ fn auto_matches_the_measured_calibration() {
 #[test]
 fn forced_portable_ring_works_on_any_host() {
     let q = primes::Q124;
-    let ring = Ring::with_backend_name(q, N, "portable").unwrap();
+    let ring = Ring::builder(q, N)
+        .backend_name("portable")
+        .build()
+        .unwrap();
     assert_eq!(ring.backend().name(), "portable");
     assert_eq!(ring.backend().tier(), Tier::Portable);
 
@@ -96,13 +99,13 @@ fn forced_portable_ring_works_on_any_host() {
 fn builder_pins_each_available_backend() {
     for b in backend::available() {
         let name = b.name();
-        let ring = RingBuilder::new(primes::Q124, N)
-            .backend(b)
-            .build()
-            .unwrap();
+        let ring = Ring::builder(primes::Q124, N).backend(b).build().unwrap();
         assert_eq!(ring.backend().name(), name);
         // The same backend is reachable by name.
-        let by_name = Ring::with_backend_name(primes::Q124, N, name).unwrap();
+        let by_name = Ring::builder(primes::Q124, N)
+            .backend_name(name)
+            .build()
+            .unwrap();
         assert_eq!(by_name.backend().name(), name);
     }
 }
@@ -127,7 +130,10 @@ fn registry_and_ring_report_consistent_metadata() {
 
 #[test]
 fn unknown_backend_error_lists_what_exists() {
-    let err = Ring::with_backend_name(primes::Q124, N, "quantum").unwrap_err();
+    let err = Ring::builder(primes::Q124, N)
+        .backend_name("quantum")
+        .build()
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("quantum"), "{msg}");
     assert!(msg.contains("portable"), "{msg}");

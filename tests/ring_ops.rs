@@ -63,7 +63,7 @@ fn oracle(basis: &[u128]) -> FheRnsNtt {
 fn rescale_matches_schoolbook_and_baseline_oracle() {
     for basis in [BASES[1], BASES[2]] {
         let k = basis.len();
-        let ring = RnsRing::with_moduli(basis, N).unwrap();
+        let ring = RnsRing::builder(N).moduli(basis).build().unwrap();
         assert_eq!(
             ring.op_output_channels_at(&RingOp::Rescale, k).unwrap(),
             k - 1
@@ -106,7 +106,7 @@ fn rescale_matches_schoolbook_and_baseline_oracle() {
 fn rescale_rejects_bases_with_nothing_to_keep() {
     // k = 1: dropping the only channel leaves no ring to express the
     // result in.
-    let ring = RnsRing::with_moduli(BASES[0], N).unwrap();
+    let ring = RnsRing::builder(N).moduli(BASES[0]).build().unwrap();
     assert!(matches!(
         ring.apply(
             &RingOp::Rescale,
@@ -127,7 +127,7 @@ fn rescale_rejects_bases_with_nothing_to_keep() {
 fn basis_extend_roundtrips_and_matches_baseline_oracle() {
     for basis in BASES {
         let k = basis.len();
-        let ring = RnsRing::with_moduli(basis, N).unwrap();
+        let ring = RnsRing::builder(N).moduli(basis).build().unwrap();
         let product = ring.product_modulus().clone();
         let fhe = oracle(basis);
 
@@ -283,7 +283,7 @@ fn residues(moduli: &[u128], seed: u64) -> Vec<Vec<u128>> {
 /// primitive checks the splits before it indexes them.
 #[test]
 fn zero_width_and_short_operands_error_instead_of_panicking() {
-    let rns = RnsRing::with_moduli(BASES[2], N).unwrap();
+    let rns = RnsRing::builder(N).moduli(BASES[2]).build().unwrap();
     let word = Ring::auto(primes::Q124, N).unwrap();
     let a = residues(BASES[2], 0x0DD);
     let mut out = Vec::new();
@@ -359,7 +359,7 @@ fn second_call_with_the_same_out_keeps_its_capacity_and_pointer() {
         assert_out_is_reused(&word, op, &a);
     }
 
-    let rns = RnsRing::with_moduli(BASES[2], N).unwrap();
+    let rns = RnsRing::builder(N).moduli(BASES[2]).build().unwrap();
     let k = rns.channels();
     let chain = rns.extended_moduli(1).unwrap();
     for width in [2, 3, 4] {

@@ -114,7 +114,10 @@ fn rns_request_path_allocates_per_call_not_per_coefficient() {
     let operands = [coeffs, other];
     let relinearize = OpGraph::relinearize(PolyOp::Negacyclic, 1);
     // Rescale runs on the ring whose basis the chain has reached.
-    let ext_ring = RnsRing::with_moduli(&ring.extended_moduli(1).unwrap(), N).unwrap();
+    let ext_ring = RnsRing::builder(N)
+        .moduli(&ring.extended_moduli(1).unwrap())
+        .build()
+        .unwrap();
     let op_at_a_time = || {
         let mul = RingOp::Polymul(PolyOp::Negacyclic);
         let x = ring.apply(&mul, &operands[0], Some(&operands[1])).unwrap();

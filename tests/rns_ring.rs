@@ -8,12 +8,12 @@
 //! shared between the two sides.
 
 use mqx::bignum::BigUint;
-use mqx::core::primes;
+use mqx::core::{primes, Modulus};
 use mqx::ntt::polymul::{schoolbook_cyclic_big, schoolbook_negacyclic_big};
 use mqx::plan_cache::PlanCache;
-use mqx::{backend, Error, RnsRing};
+use mqx::{backend, Error, PolyRing, RingOp, RnsRing};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const N: usize = 64;
@@ -34,7 +34,7 @@ fn random_coeffs(bound: &BigUint, n: usize, seed: u64) -> Vec<BigUint> {
 fn polymul_is_bit_identical_to_product_modulus_reference() {
     let basis = basis();
     for k in 1..=3 {
-        let ring = RnsRing::with_moduli(&basis[..k], N).unwrap();
+        let ring = RnsRing::builder(N).moduli(&basis[..k]).build().unwrap();
         assert_eq!(ring.channels(), k);
         let q = ring.product_modulus().clone();
         let a = random_coeffs(&q, N, 0xA0 + k as u64);
@@ -58,7 +58,7 @@ fn single_channel_rns_matches_plain_ring_exactly() {
     // k = 1 degenerates to one prime field: the sharded path must agree
     // with the direct `Ring` word for word.
     let q = primes::Q62;
-    let rns = RnsRing::with_moduli(&[q], N).unwrap();
+    let rns = RnsRing::builder(N).moduli(&[q]).build().unwrap();
     let ring = mqx::Ring::auto(q, N).unwrap();
 
     let a = random_coeffs(&BigUint::from(q), N, 0xC1);
@@ -128,7 +128,7 @@ fn plan_cache_serves_second_ring_with_zero_rebuilds() {
 
     // The cached plans are genuinely shared, not re-derived copies.
     for (a, b) in first.rings().iter().zip(second.rings()) {
-        assert!(Arc::ptr_eq(&a.plan_arc(), &b.plan_arc()));
+        assert!(std::ptr::eq(a.plan(), b.plan()));
     }
 
     // And a plain Ring open over a channel modulus reuses them too.
@@ -182,7 +182,7 @@ fn rns_layer_agrees_with_double_crt_baseline() {
         })
         .collect();
     let baseline = FheRnsNtt::new(&basis, N, &omegas);
-    let ring = RnsRing::with_moduli(&basis, N).unwrap();
+    let ring = RnsRing::builder(N).moduli(&basis).build().unwrap();
 
     let q = ring.product_modulus().clone();
     let a = random_coeffs(&q, N, 0xF1);
@@ -196,7 +196,10 @@ fn rns_layer_agrees_with_double_crt_baseline() {
 
 #[test]
 fn unreduced_input_is_rejected_not_aliased() {
-    let ring = RnsRing::with_moduli(&[primes::Q30, primes::Q14], N).unwrap();
+    let ring = RnsRing::builder(N)
+        .moduli(&[primes::Q30, primes::Q14])
+        .build()
+        .unwrap();
     let q = ring.product_modulus().clone();
     let mut a = random_coeffs(&q, N, 0x11);
     a[3] = q.clone(); // == Q: residues would alias 0
@@ -205,4 +208,65 @@ fn unreduced_input_is_rejected_not_aliased() {
         ring.polymul_negacyclic(&a, &b).unwrap_err(),
         Error::CoefficientOutOfRange { index: 3 }
     ));
+}
+
+/// Add and Sub on a basis an extension reached: every output channel —
+/// the ring's own and the fresh primes past them — against scalar
+/// `Modulus::add_mod` / `sub_mod` over that channel's prime, on every
+/// backend. The operands are per-channel residues (every pair of edge
+/// values first, then random), which is all an element-wise work item
+/// reads.
+#[test]
+fn extension_channel_add_sub_match_scalar_modular_arithmetic() {
+    let basis = basis();
+    let k = basis.len();
+    for b in backend::available() {
+        let name = b.name();
+        let ring = RnsRing::builder(N)
+            .moduli(&basis)
+            .backend(b)
+            .build()
+            .unwrap();
+        for extra in [1, 2] {
+            let moduli = ring.extended_moduli(extra).unwrap();
+            let width = k + extra;
+            assert_eq!(moduli.len(), width);
+            let mut rng = StdRng::seed_from_u64(0xE0 + extra as u64);
+            // The first 16 coefficients pair every edge of `a` with
+            // every edge of `b`, so both wraparound directions occur.
+            let operand = |rng: &mut StdRng, edge: fn(usize) -> usize| -> Vec<Vec<u128>> {
+                moduli
+                    .iter()
+                    .map(|&q| {
+                        let edges = [0, 1, q - 2, q - 1];
+                        let paired = (0..16).map(|i| edges[edge(i)]);
+                        let random = (16..N).map(|_| rng.gen::<u128>() % q);
+                        paired.chain(random).collect()
+                    })
+                    .collect()
+            };
+            let a = operand(&mut rng, |i| i / 4);
+            let b = operand(&mut rng, |i| i % 4);
+            for (op, scalar) in [
+                (
+                    RingOp::Add,
+                    Modulus::add_mod as fn(&Modulus, u128, u128) -> u128,
+                ),
+                (RingOp::Sub, Modulus::sub_mod),
+            ] {
+                for (channel, &q) in moduli.iter().enumerate() {
+                    let m = Modulus::new(q).unwrap();
+                    let got = ring
+                        .channel_apply_at(&op, width, channel, &a, Some(&b))
+                        .unwrap();
+                    let want: Vec<u128> = a[channel]
+                        .iter()
+                        .zip(&b[channel])
+                        .map(|(&x, &y)| scalar(&m, x, y))
+                        .collect();
+                    assert_eq!(got, want, "{name}: {op:?} width {width} channel {channel}");
+                }
+            }
+        }
+    }
 }

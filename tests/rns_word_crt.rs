@@ -20,12 +20,18 @@ const EXTEND: RingOp = RingOp::BasisExtend { extra_channels: 1 };
 
 fn rings() -> Vec<RnsRing> {
     vec![
-        RnsRing::with_moduli(&[primes::Q124, primes::Q62, primes::Q30], N).unwrap(),
-        RnsRing::with_moduli(&[primes::Q62, primes::Q124], N).unwrap(),
+        RnsRing::builder(N)
+            .moduli(&[primes::Q124, primes::Q62, primes::Q30])
+            .build()
+            .unwrap(),
+        RnsRing::builder(N)
+            .moduli(&[primes::Q62, primes::Q124])
+            .build()
+            .unwrap(),
         RnsRing::auto(3, N).unwrap(),
         RnsRing::auto(4, N).unwrap(),
         // Width 1: a single digit, a single-term assembly.
-        RnsRing::with_moduli(&[primes::Q62], N).unwrap(),
+        RnsRing::builder(N).moduli(&[primes::Q62]).build().unwrap(),
     ]
 }
 

@@ -12,7 +12,7 @@ mod common;
 use common::submit_and_join;
 use mqx::bignum::BigUint;
 use mqx::core::primes;
-use mqx::{PolyOp, PolyRing, Ring, RingExecutor, RingRequest, RnsRing};
+use mqx::{PolyOp, PolyRing, Ring, RingExecutor, RingOp, RingRequest, RnsRing};
 use std::sync::Arc;
 
 const N: usize = 64;
@@ -204,7 +204,11 @@ fn wide_pool_drip_fed_single_submits_never_lose_wakeups() {
 
     let a = poly(N, primes::Q124, 77);
     let expected = ring
-        .polymul(PolyOp::Cyclic, &a.clone().into(), &a.clone().into())
+        .apply(
+            &RingOp::Polymul(PolyOp::Cyclic),
+            &a.clone().into(),
+            Some(&a.clone().into()),
+        )
         .unwrap();
     // Drip feed: one request at a time, waited immediately, so almost
     // every submit finds all 16 workers asleep and must wake exactly
@@ -242,7 +246,11 @@ fn concurrent_submitters_get_their_own_results() {
                     let a = poly(N, primes::Q124, t * 1000 + i * 2 + 1);
                     let b = poly(N, primes::Q124, t * 1000 + i * 2 + 2);
                     let expected = ring
-                        .polymul(PolyOp::Cyclic, &a.clone().into(), &b.clone().into())
+                        .apply(
+                            &RingOp::Polymul(PolyOp::Cyclic),
+                            &a.clone().into(),
+                            Some(&b.clone().into()),
+                        )
                         .unwrap();
                     let handle = pool
                         .submit(
