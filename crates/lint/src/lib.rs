@@ -1,10 +1,9 @@
 //! `mqx_lint` — in-tree static analysis for the MQX workspace.
 //!
 //! The performance layers of this repo live dangerously on purpose:
-//! hand-rolled AVX2/AVX-512 intrinsics, a lock-free scratch pool, a
-//! work-stealing executor with hand-ordered atomics, and lazy-reduction
-//! NTT kernels whose `[0,2q)`/`[0,4q)` coefficient domains are pure
-//! convention. This crate makes those conventions *mechanical*: a
+//! hand-rolled AVX2/AVX-512 intrinsics, a work-stealing executor with
+//! hand-ordered atomics, and lazy-reduction NTT kernels whose
+//! `[0,2q)`/`[0,4q)` coefficient domains are pure convention. This crate makes those conventions *mechanical*: a
 //! token-level source scanner (no `syn`, no dylint — fully offline,
 //! like the in-tree `mqx_json` parser) walks the workspace and enforces
 //! five repo-specific rules; see [`rules::RuleId`] for the list and

@@ -9,8 +9,8 @@
 //! independent* NTTs — the regime a server hits when it batches polymul
 //! requests. This executor is that serving loop: a fixed pool of worker
 //! threads (started once, not per call), one immutable ring handle
-//! shared by all of them (one plan, pooled per-worker scratch via the
-//! ring's internal `ScratchPool`), and a
+//! shared by all of them (one plan, and per-call scratch from the
+//! ring's internal free list), and a
 //! crossbeam-style two-level queue built on `std` — a shared injector
 //! plus one deque per worker, with idle workers stealing from busy
 //! ones.

@@ -55,7 +55,7 @@
 //!   cache behind every ring open.
 //!
 //! Rings are immutable, shareable handles: every hot-path method takes
-//! `&self` (per-call scratch comes from an internal lock-free pool), so
+//! `&self` (per-call scratch comes from an internal free list), so
 //! an `Arc<Ring>` or `Arc<RnsRing>` can be hammered from any number of
 //! threads with bit-identical results.
 //!
@@ -104,6 +104,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -29,8 +29,7 @@ use crate::error::Error;
 use mqx_core::{Modulus, MulAlgorithm};
 use mqx_ntt::NttPlan;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// The cache key: everything [`NttPlan::new`] depends on.
 type PlanKey = (u128, MulAlgorithm, usize);
@@ -50,9 +49,15 @@ pub struct CacheStats {
 /// miss counters.
 #[derive(Default)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<PlanKey, Arc<NttPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    inner: Mutex<Inner>,
+}
+
+/// The plans and their traffic counters, under one lock.
+#[derive(Default)]
+struct Inner {
+    plans: HashMap<PlanKey, Arc<NttPlan>>,
+    hits: u64,
+    misses: u64,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -79,30 +84,29 @@ impl PlanCache {
     /// cached: the same request fails identically every time).
     pub fn plan_for(&self, modulus: &Modulus, n: usize) -> Result<Arc<NttPlan>, Error> {
         let key: PlanKey = (modulus.value(), modulus.algorithm(), n);
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        if let Some(plan) = plans.get(&key) {
-            // ORDERING: statistics counter; Relaxed because the map
-            // itself is protected by the mutex above and nothing is
-            // published through the counter.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
+        let mut inner = self.lock();
+        if let Some(plan) = inner.plans.get(&key).cloned() {
+            inner.hits += 1;
+            return Ok(plan);
         }
         let plan = Arc::new(NttPlan::new(modulus, n)?);
-        plans.insert(key, Arc::clone(&plan));
-        // ORDERING: statistics counter, as for `hits` above.
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        inner.plans.insert(key, Arc::clone(&plan));
+        inner.misses += 1;
         Ok(plan)
     }
 
-    /// Current hit/miss/entry counters.
+    /// Current hit/miss/entry counters, read together.
     pub fn stats(&self) -> CacheStats {
-        // ORDERING: Relaxed counter reads — the snapshot is advisory
-        // and intentionally not atomic across the counters.
+        let inner = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.plans.lock().expect("plan cache poisoned").len(),
+            hits: inner.hits,
+            misses: inner.misses,
+            entries: inner.plans.len(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("plan cache poisoned")
     }
 }
 

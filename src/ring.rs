@@ -2,8 +2,8 @@
 //! runtime-selected [`Backend`], and a pooled scratch substrate — the
 //! one entry point the tests, examples and benchmarks go through.
 //!
-//! Every hot-path method takes `&self`: per-call scratch comes from an
-//! internal lock-free `ScratchPool`, so one ring is an
+//! Every hot-path method takes `&self`: each call takes its scratch
+//! from an internal mutex-guarded free list, so one ring is an
 //! immutable, shareable handle — wrap it in an [`Arc`] and hammer it
 //! from as many threads as you like (see `tests/shared_ring.rs`), or
 //! drive it through [`RingExecutor`](crate::RingExecutor) for batched
@@ -27,7 +27,7 @@
 use crate::backend::{self, Backend};
 use crate::error::Error;
 use crate::plan_cache::{self, PlanCache};
-use crate::scratch::ScratchPool;
+use crate::scratch::{ScratchPool, ScratchSet};
 use crate::PolyOp;
 use mqx_core::Modulus;
 use mqx_ntt::{polymul, NttPlan};
@@ -122,8 +122,8 @@ impl RingBuilder {
     }
 
     /// Builds the ring: validates the modulus, constructs the NTT plan,
-    /// resolves the backend, and sets up the lock-free scratch pool
-    /// (buffers themselves are allocated lazily on first use).
+    /// resolves the backend, and sets up an empty scratch free list
+    /// (scratch sets are allocated lazily on first use).
     pub fn build(self) -> Result<Ring, Error> {
         let backend = self.choice.resolve()?;
         let modulus = Modulus::new_prime(self.modulus)?;
@@ -144,14 +144,14 @@ impl RingBuilder {
 ///
 /// The ring holds a shared handle to its [`NttPlan`] (served by the
 /// [`plan_cache`](crate::plan_cache), so per-request ring opens skip
-/// the `O(n)` table build) plus a lock-free pool of `n`-residue
-/// scratch sets, so repeated transforms and polynomial products
-/// allocate nothing once the pool has warmed up (beyond the caller's
-/// own output, for the slice-based conveniences).
+/// the `O(n)` table build) plus a free list of `n`-residue scratch
+/// sets, so repeated transforms and polynomial products allocate
+/// nothing once the list has warmed up (beyond the caller's own
+/// output, for the slice-based conveniences).
 ///
 /// Every method takes `&self` and the type is `Send + Sync`: an
 /// `Arc<Ring>` can be shared across any number of worker threads, each
-/// call checking its scratch out of the pool independently. Results are
+/// call taking a scratch set of its own from the free list. Results are
 /// bit-identical regardless of concurrency (each call owns its working
 /// set exclusively).
 pub struct Ring {
@@ -265,10 +265,11 @@ impl Ring {
 
     // ---- transforms ----------------------------------------------------
 
-    /// Forward NTT in place (natural order in and out). Scratch comes
-    /// from the ring's lock-free pool, so concurrent calls on a shared
-    /// ring never contend on a buffer; no allocation once the pool has
-    /// warmed up.
+    /// Forward NTT in place (natural order in and out). Each call
+    /// takes a scratch set of its own from the ring's free list (the
+    /// lock covers only the hand-out and the return, never the
+    /// transform), so concurrent calls on a shared ring never share a
+    /// buffer; no allocation once the list has warmed up.
     ///
     /// # Errors
     ///
@@ -276,8 +277,8 @@ impl Ring {
     /// [`Error::CoefficientOutOfRange`] for a residue `≥ q`.
     pub fn forward(&self, x: &mut ResidueSoa) -> Result<(), Error> {
         self.check_soa(x)?;
-        let mut tmp = self.scratch.checkout();
-        self.backend.forward_ntt(&self.plan, x, &mut tmp);
+        self.scratch
+            .with(|set| self.backend.forward_ntt(&self.plan, x, &mut set.tmp));
         Ok(())
     }
 
@@ -289,18 +290,18 @@ impl Ring {
     /// As [`Ring::forward`].
     pub fn inverse(&self, x: &mut ResidueSoa) -> Result<(), Error> {
         self.check_soa(x)?;
-        let mut tmp = self.scratch.checkout();
-        self.backend.inverse_ntt(&self.plan, x, &mut tmp);
+        self.scratch
+            .with(|set| self.backend.inverse_ntt(&self.plan, x, &mut set.tmp));
         Ok(())
     }
 
     // ---- polynomial products -------------------------------------------
 
     /// Cyclic product in `ℤ_q[x]/(xⁿ − 1)`, entirely in the selected
-    /// tier. Operates on pooled scratch buffers checked out for this
-    /// call, so concurrent products on a shared ring never interfere:
-    /// the only allocation is the returned vector (plus a one-time
-    /// buffer build while the pool warms up).
+    /// tier. Operates on a pooled scratch set taken for this call, so
+    /// concurrent products on a shared ring never interfere: the only
+    /// allocation is the returned vector (plus a one-time set build
+    /// while the free list warms up).
     ///
     /// # Errors
     ///
@@ -389,30 +390,27 @@ impl Ring {
             };
             return Ok(());
         }
-        let mut sa = self.scratch.checkout();
-        let mut sb = self.scratch.checkout();
-        let mut tmp = self.scratch.checkout();
-        sa.copy_from_u128s(a);
-        sb.copy_from_u128s(b);
-        match op {
-            PolyOp::Cyclic => self
-                .backend
-                .polymul_cyclic_fused(plan, &mut sa, &mut sb, &mut tmp),
-            PolyOp::Negacyclic => self
-                .backend
-                .polymul_negacyclic_fused(plan, &mut sa, &mut sb, &mut tmp)
-                .map_err(no_root)?,
-        }
-        out.clear();
-        out.resize(plan.size(), 0);
-        sa.write_u128s(out);
-        Ok(())
+        self.scratch.with(|ScratchSet { a: sa, b: sb, tmp }| {
+            sa.copy_from_u128s(a);
+            sb.copy_from_u128s(b);
+            match op {
+                PolyOp::Cyclic => self.backend.polymul_cyclic_fused(plan, sa, sb, tmp),
+                PolyOp::Negacyclic => self
+                    .backend
+                    .polymul_negacyclic_fused(plan, sa, sb, tmp)
+                    .map_err(no_root)?,
+            }
+            out.clear();
+            out.resize(plan.size(), 0);
+            sa.write_u128s(out);
+            Ok(())
+        })
     }
 
     /// `out[i] = a[i] ± b[i] mod m` over scalar residue slices: the
     /// backend's `vadd` / `vsub` on pooled SoA scratch, written into a
     /// caller-owned vector — like the `polymul_*_into` forms,
-    /// allocation-free once `out` and the pool are warm. `m` is the
+    /// allocation-free once `out` and the free list are warm. `m` is the
     /// ring's own modulus, or — for an RNS extension channel — a fresh
     /// prime of the same width, served by this ring's backend and
     /// scratch. The operands must be `n` long, because the pooled
@@ -432,19 +430,18 @@ impl Ring {
             });
         }
         self.check_len(a.len())?;
-        let mut sa = self.scratch.checkout();
-        let mut sb = self.scratch.checkout();
-        let mut sum = self.scratch.checkout();
-        sa.copy_from_u128s(a);
-        sb.copy_from_u128s(b);
-        if subtract {
-            self.backend.vsub(&sa, &sb, &mut sum, m);
-        } else {
-            self.backend.vadd(&sa, &sb, &mut sum, m);
-        }
-        out.clear();
-        out.resize(a.len(), 0);
-        sum.write_u128s(out);
+        self.scratch.with(|ScratchSet { a: sa, b: sb, tmp }| {
+            sa.copy_from_u128s(a);
+            sb.copy_from_u128s(b);
+            if subtract {
+                self.backend.vsub(sa, sb, tmp, m);
+            } else {
+                self.backend.vadd(sa, sb, tmp, m);
+            }
+            out.clear();
+            out.resize(a.len(), 0);
+            tmp.write_u128s(out);
+        });
         Ok(())
     }
 }

@@ -18,6 +18,8 @@ use mqx::core::{primes, Modulus};
 use mqx::ntt::{debug_assert_domain_soa, polymul, NttError, NttPlan};
 use mqx::simd::ResidueSoa;
 use mqx::Ring;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn poly(n: usize, q: u128, seed: u64) -> Vec<u128> {
@@ -282,5 +284,102 @@ fn reference_ring_shares_no_kernel_with_its_backend() {
         reference.polymul_negacyclic(&a, &b).unwrap(),
         biguint_schoolbook(&a, &b, q, true),
         "negacyclic"
+    );
+}
+
+/// A user backend that panics in its first fused negacyclic product and
+/// otherwise delegates to the wrapped backend.
+struct PanicsOnce {
+    inner: Arc<dyn Backend>,
+    armed: AtomicBool,
+}
+
+impl Backend for PanicsOnce {
+    fn name(&self) -> &'static str {
+        "panics-once"
+    }
+
+    fn tier(&self) -> Tier {
+        self.inner.tier()
+    }
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+
+    fn forward_ntt(&self, plan: &NttPlan, x: &mut ResidueSoa, scratch: &mut ResidueSoa) {
+        self.inner.forward_ntt(plan, x, scratch);
+    }
+
+    fn inverse_ntt(&self, plan: &NttPlan, x: &mut ResidueSoa, scratch: &mut ResidueSoa) {
+        self.inner.inverse_ntt(plan, x, scratch);
+    }
+
+    fn vadd(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
+        self.inner.vadd(x, y, out, m);
+    }
+
+    fn vsub(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
+        self.inner.vsub(x, y, out, m);
+    }
+
+    fn vmul(&self, x: &ResidueSoa, y: &ResidueSoa, out: &mut ResidueSoa, m: &Modulus) {
+        self.inner.vmul(x, y, out, m);
+    }
+
+    fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus) {
+        self.inner.axpy(a, x, y, m);
+    }
+
+    fn polymul_cyclic_fused(
+        &self,
+        plan: &NttPlan,
+        a: &mut ResidueSoa,
+        b: &mut ResidueSoa,
+        scratch: &mut ResidueSoa,
+    ) {
+        debug_assert_domain_soa(a, 2 * plan.modulus().value(), "polymul_cyclic_fused input");
+        self.inner.polymul_cyclic_fused(plan, a, b, scratch);
+    }
+
+    fn polymul_negacyclic_fused(
+        &self,
+        plan: &NttPlan,
+        a: &mut ResidueSoa,
+        b: &mut ResidueSoa,
+        scratch: &mut ResidueSoa,
+    ) -> Result<(), NttError> {
+        debug_assert_domain_soa(
+            a,
+            2 * plan.modulus().value(),
+            "polymul_negacyclic_fused input",
+        );
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected backend fault");
+        }
+        self.inner.polymul_negacyclic_fused(plan, a, b, scratch)
+    }
+}
+
+/// A panic inside a backend kernel unwinds out of the ring call and
+/// costs that call its scratch, nothing more: the next product on the
+/// same ring is correct.
+#[test]
+fn ring_serves_correct_products_after_a_backend_panic() {
+    let (q, n) = (primes::Q124, 256);
+    let ring = Ring::builder(q, n)
+        .backend(Arc::new(PanicsOnce {
+            inner: backend::by_name("portable").unwrap(),
+            armed: AtomicBool::new(true),
+        }))
+        .build()
+        .unwrap();
+    let a = poly(n, q, 0xFA17);
+    let b = poly(n, q, 0xFA18);
+    let faulted = catch_unwind(AssertUnwindSafe(|| ring.polymul_negacyclic(&a, &b)));
+    assert!(faulted.is_err(), "the first fused product panics");
+    assert_eq!(
+        ring.polymul_negacyclic(&a, &b).unwrap(),
+        biguint_schoolbook(&a, &b, q, true)
     );
 }

@@ -103,6 +103,32 @@ fn rns_request_path_allocates_per_call_not_per_coefficient() {
     assert!(calls <= N as u64 + 4, "join_at: {calls} allocations");
     assert_eq!(joined, coeffs);
 
+    // A warm channel call allocates nothing: it takes one pooled scratch
+    // set and writes into a warm `out`. The extension channel (index K
+    // of the K + 1 basis) runs on the first channel's ring.
+    let own = ring.split(&coeffs).unwrap();
+    let mut extended = own.clone();
+    extended.push(fresh);
+    let mut out = Vec::with_capacity(N);
+    for (op, operands, channel) in [
+        (RingOp::Polymul(PolyOp::Negacyclic), &own, 0),
+        (RingOp::Add, &own, 1),
+        (RingOp::Add, &extended, K),
+    ] {
+        let width = operands.len();
+        let mut call =
+            || ring.channel_apply_at_into(&op, width, channel, operands, Some(operands), &mut out);
+        call().unwrap();
+        let (calls, result) = allocations(&mut call);
+        result.unwrap();
+        assert_eq!(
+            calls,
+            0,
+            "warm {} on channel {channel} of {width}",
+            op.name()
+        );
+    }
+
     // Both paths run on this thread: `apply` and `apply_graph` walk the
     // graph in `poly::evaluate`, which spawns nothing, so the per-thread
     // count is the whole request's.
