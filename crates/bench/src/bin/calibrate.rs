@@ -1,7 +1,7 @@
 //! Backend auto-tuning calibration: the measured ns/butterfly ranking
 //! behind `Ring::auto`, as a reproducible JSON artifact.
 //!
-//! Exits non-zero on any of three regressions, so CI fails loudly
+//! Exits non-zero on any of four regressions, so CI fails loudly
 //! instead of shipping a slower default:
 //!
 //! * the lazy-reduction fused polymul path measures more than 10%
@@ -12,6 +12,10 @@
 //!   does not head the measured ranking — the vector kernels must pay
 //!   off in this ordinary release build, with no `-C target-cpu` flag
 //!   (the margin is several-fold, so this is not a noise-sized gate);
+//! * a word-sized RNS channel's lazy fused cyclic polymul at n = 256 is
+//!   not at least 1.5× faster per butterfly than `Q124`'s on the widest
+//!   detected tier — below `2^62` the plan runs one 64-bit limb per
+//!   residue, and a ratio near 1 means it went back to two;
 //! * `NttPlan::new(Q124, 4096)` costs more than 10× one lazy fused
 //!   negacyclic polymul on that plan on the widest detected tier —
 //!   opening a ring (and every `PlanCache` miss) must stay in the
@@ -64,6 +68,22 @@ fn main() {
             );
             failed = true;
         }
+    }
+
+    let w = &report.width;
+    if w.regression {
+        eprintln!(
+            "error: the lazy fused cyclic polymul on the channel prime {} (one limb) at {:.3} \
+             ns/butterfly is only {:.2}× faster than Q124 (two limbs) at {:.3} on {}; the gate \
+             is {}×",
+            w.channel_modulus,
+            w.one_limb_ns_per_butterfly,
+            w.speedup,
+            w.two_limb_ns_per_butterfly,
+            w.backend,
+            mqx_bench::experiments::calibrate::ONE_LIMB_MIN_SPEEDUP
+        );
+        failed = true;
     }
 
     let pb = &report.plan_build;

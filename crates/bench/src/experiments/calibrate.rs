@@ -81,6 +81,44 @@ impl_to_json!(LazyRow {
 /// slower default path.
 pub const LAZY_REGRESSION_MARGIN: f64 = 1.10;
 
+/// A word-sized channel's lazy fused polymul must be at least this many
+/// times faster per butterfly than a `Q124` one on the same tier: below
+/// `2^62` the plan runs one 64-bit limb per residue instead of two, so
+/// a ratio near 1 means the channel fell back to two-limb arithmetic.
+pub const ONE_LIMB_MIN_SPEEDUP: f64 = 1.5;
+
+/// Lane width against kernel cost: the lazy fused cyclic polymul on a
+/// word-sized RNS channel prime (one limb) next to `Q124` (two limbs),
+/// on the widest detected tier.
+#[derive(Clone, Debug)]
+pub struct WidthRow {
+    /// Registry name of the backend both polymuls ran on.
+    pub backend: String,
+    /// Transform size.
+    pub n: usize,
+    /// The channel prime: the first of `RnsRing::auto`'s basis at `n`.
+    pub channel_modulus: String,
+    /// Median ns/butterfly on the channel prime (one limb).
+    pub one_limb_ns_per_butterfly: f64,
+    /// Median ns/butterfly on `Q124` (two limbs).
+    pub two_limb_ns_per_butterfly: f64,
+    /// `two_limb / one_limb`.
+    pub speedup: f64,
+    /// Whether the speedup is below [`ONE_LIMB_MIN_SPEEDUP`] (a result
+    /// the `calibrate` bin turns into a non-zero exit).
+    pub regression: bool,
+}
+
+impl_to_json!(WidthRow {
+    backend,
+    n,
+    channel_modulus,
+    one_limb_ns_per_butterfly,
+    two_limb_ns_per_butterfly,
+    speedup,
+    regression,
+});
+
 /// What opening a ring costs against using it once: `NttPlan::new` next
 /// to one lazy fused negacyclic polymul on that plan, on the widest
 /// detected tier. A ratio, so host speed cancels.
@@ -135,6 +173,8 @@ pub struct CalibrateReport {
     pub lazy: Vec<LazyRow>,
     /// Plan build cost against one served polymul.
     pub plan_build: PlanBuildRow,
+    /// One-limb against two-limb lazy fused polymul.
+    pub width: WidthRow,
 }
 
 impl_to_json!(CalibrateReport {
@@ -144,6 +184,7 @@ impl_to_json!(CalibrateReport {
     backends,
     lazy,
     plan_build,
+    width,
 });
 
 /// Reports the process calibration, prints the table, and archives the
@@ -241,6 +282,19 @@ pub fn run(_quick: bool) -> CalibrateReport {
         plan_build.polymul_us,
     );
 
+    let width = measure_width();
+    println!(
+        "lane width: lazy fused cyclic polymul at n = {} on '{}': {:.3} ns/butterfly on the \
+         channel prime {} (one limb), {:.3} on Q124 (two limbs) = {:.2}× (gate ≥ \
+         {ONE_LIMB_MIN_SPEEDUP}×)",
+        width.n,
+        width.backend,
+        width.one_limb_ns_per_butterfly,
+        width.channel_modulus,
+        width.two_limb_ns_per_butterfly,
+        width.speedup,
+    );
+
     let report = CalibrateReport {
         selected,
         winner: winner.name().to_string(),
@@ -248,6 +302,7 @@ pub fn run(_quick: bool) -> CalibrateReport {
         backends: rows,
         lazy,
         plan_build,
+        width,
     };
     write_json("calibration", &report);
     report
@@ -301,6 +356,47 @@ fn measure_plan_build() -> PlanBuildRow {
     }
 }
 
+/// Median ns/butterfly of the lazy fused cyclic polymul on `backend` at
+/// `plan`'s size, over seeded canonical operands. The product leaves
+/// `a` canonical and `b` in the lazy domain, both valid inputs for the
+/// next round.
+fn lazy_ns_per_butterfly(backend: &dyn mqx::Backend, plan: &NttPlan) -> f64 {
+    let (n, q) = (plan.size(), plan.modulus().value());
+    let butterflies = 3.0 * (n / 2) as f64 * f64::from(plan.log_size());
+    let mut sa = ResidueSoa::from_u128s(&seeded_poly(0xCA11_B8A7E, n, q));
+    let mut sb = ResidueSoa::from_u128s(&seeded_poly(0x5E1EC7, n, q));
+    let mut tmp = ResidueSoa::zeros(n);
+    calibrate::median_ns(20, 10, || {
+        backend.polymul_cyclic_fused(plan, &mut sa, &mut sb, &mut tmp)
+    }) / butterflies
+}
+
+/// Times the lazy fused cyclic polymul at n = 256 on the widest detected
+/// tier, on `RnsRing::auto`'s first channel prime and on `Q124`.
+fn measure_width() -> WidthRow {
+    const N: usize = 256;
+    let q = mqx::RnsRing::auto(1, N)
+        .expect("a 62-bit NTT prime exists for n = 256")
+        .moduli()[0];
+    let plan_of = |q: u128| {
+        let m = Modulus::new_prime(q).expect("the channel and Q124 moduli are prime");
+        NttPlan::new(&m, N).expect("both moduli support n = 256")
+    };
+    let backend = backend::default_backend();
+    let one = lazy_ns_per_butterfly(&*backend, &plan_of(q));
+    let two = lazy_ns_per_butterfly(&*backend, &plan_of(primes::Q124));
+    let speedup = two / one;
+    WidthRow {
+        backend: backend.name().to_string(),
+        n: N,
+        channel_modulus: format!("{q:#x}"),
+        one_limb_ns_per_butterfly: one,
+        two_limb_ns_per_butterfly: two,
+        speedup,
+        regression: speedup < ONE_LIMB_MIN_SPEEDUP,
+    }
+}
+
 /// Times a full cyclic polymul on every registry backend, at the same
 /// size the startup calibration uses: the canonical composition
 /// (`forward_ntt` twice, `vmul`, `inverse_ntt`) against the lazy-fused
@@ -322,11 +418,10 @@ fn measure_lazy_rows() -> Vec<LazyRow> {
             let mut sa = ResidueSoa::from_u128s(&a);
             let mut sb = ResidueSoa::from_u128s(&b);
             let mut tmp = ResidueSoa::zeros(N);
-            // Products of reduced inputs stay reduced, so re-running the
-            // kernel over the previous output is a valid steady state
-            // for both paths.
             // The canonical product, composed from the §3.2 transforms
-            // and a Barrett point-wise multiply.
+            // and a Barrett point-wise multiply. Products of reduced
+            // inputs stay reduced, so re-running it over its previous
+            // output is a valid steady state.
             let canonical = calibrate::median_ns(TOTAL, KEEP, || {
                 backend.forward_ntt(&plan, &mut sa, &mut tmp);
                 backend.forward_ntt(&plan, &mut sb, &mut tmp);
@@ -334,9 +429,7 @@ fn measure_lazy_rows() -> Vec<LazyRow> {
                 std::mem::swap(&mut sa, &mut tmp);
                 backend.inverse_ntt(&plan, &mut sa, &mut tmp);
             }) / butterflies;
-            let lazy = calibrate::median_ns(TOTAL, KEEP, || {
-                backend.polymul_cyclic_fused(&plan, &mut sa, &mut sb, &mut tmp)
-            }) / butterflies;
+            let lazy = lazy_ns_per_butterfly(&*backend, &plan);
             LazyRow {
                 name: backend.name().to_string(),
                 tier: backend.tier().to_string(),

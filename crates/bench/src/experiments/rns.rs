@@ -4,18 +4,27 @@
 //! negacyclic polynomial product scales as the emulated modulus widens
 //! from 1 to 8 channels (62 → 496 bits).
 //!
-//! Channels execute on scoped worker threads, so the headline question
-//! is how far the per-channel cost stays flat — the CRT boundary work
-//! (decompose/recombine over big integers) is the serial part that
-//! Amdahl charges against perfect channel scaling.
+//! A direct `RnsRing` call runs its channels one after another on the
+//! calling thread (a `RingExecutor` is what spreads them over workers),
+//! so the total grows with `k` and the headline question is how far the
+//! per-channel cost `ns / k` stays flat — the CRT boundary work
+//! (decompose / recombine the big-integer coefficients, Garner's
+//! recombination quadratic in `k`) is what bends it.
+//!
+//! The wide-vs-RNS row asks the paper's own question (§3.2, §5) of the
+//! served kernels: one 124-bit modulus on the two-limb fused polymul
+//! against the two word-sized channels that span about the same width,
+//! each on the one-limb fused polymul, at the same `n` — channel
+//! kernels only, no CRT.
 
 use crate::report::{fmt_ns, write_json, Table};
 use crate::timing::time_ntt;
 use mqx::bignum::BigUint;
-use mqx::{plan_cache, RnsRing};
+use mqx::core::primes;
+use mqx::{plan_cache, Ring, RnsRing};
 use mqx_json::impl_to_json;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One channel-count point of the sweep.
 #[derive(Clone, Debug)]
@@ -40,9 +49,55 @@ impl_to_json!(RnsRow {
     backend,
 });
 
+/// One `Q124` negacyclic polymul against a two-channel 62-bit RNS
+/// ring's channel polymuls at the same `n`, both on the served fused
+/// kernels of the auto-selected backend.
+#[derive(Clone, Debug)]
+pub struct WideVsRnsRow {
+    /// Transform size.
+    pub n: usize,
+    /// Bits of the one wide modulus (`Q124`).
+    pub wide_modulus_bits: u32,
+    /// One negacyclic polymul on the `Q124` ring, ns.
+    pub wide_ns: f64,
+    /// Residue channels of the RNS ring.
+    pub channels: usize,
+    /// Bits of the RNS ring's product modulus.
+    pub rns_modulus_bits: u64,
+    /// Every channel's negacyclic polymul, one after another, ns (the
+    /// CRT split and join excluded).
+    pub rns_channels_ns: f64,
+    /// `wide_ns / rns_channels_ns` — above 1.0 means the word-sized
+    /// channels cover the width for less.
+    pub wide_over_rns: f64,
+    /// The backend both rings dispatched to (registry name).
+    pub backend: String,
+}
+
+impl_to_json!(WideVsRnsRow {
+    n,
+    wide_modulus_bits,
+    wide_ns,
+    channels,
+    rns_modulus_bits,
+    rns_channels_ns,
+    wide_over_rns,
+    backend,
+});
+
+/// The RNS experiment's results.
+#[derive(Clone, Debug)]
+pub struct RnsReport {
+    /// The channel-count sweep.
+    pub scaling: Vec<RnsRow>,
+    /// One wide modulus against word-sized channels.
+    pub wide_vs_rns: WideVsRnsRow,
+}
+
 /// Sweeps 1–8 channels (1, 2, 4 in quick mode) at `2^12` points
-/// (`2^10` in quick mode).
-pub fn run(quick: bool) -> Vec<RnsRow> {
+/// (`2^10` in quick mode), then times the wide-vs-RNS row at the same
+/// size.
+pub fn run(quick: bool) -> RnsReport {
     let log_n = if quick { 10 } else { 12 };
     let n = 1_usize << log_n;
     let ks: Vec<usize> = if quick {
@@ -99,5 +154,61 @@ pub fn run(quick: bool) -> Vec<RnsRow> {
     );
 
     write_json("rns_scaling", &rows);
-    rows
+
+    let wide_vs_rns = wide_vs_rns(quick, n);
+    println!(
+        "wide vs RNS at n = {n} on '{}': one {}-bit polymul {} vs {} × 62-bit channel \
+         polymuls {} ({:.2}×)",
+        wide_vs_rns.backend,
+        wide_vs_rns.wide_modulus_bits,
+        fmt_ns(wide_vs_rns.wide_ns),
+        wide_vs_rns.channels,
+        fmt_ns(wide_vs_rns.rns_channels_ns),
+        wide_vs_rns.wide_over_rns,
+    );
+    write_json("rns_wide_vs_channels", &wide_vs_rns);
+    RnsReport {
+        scaling: rows,
+        wide_vs_rns,
+    }
+}
+
+/// `n` residues below `q`.
+fn residues(rng: &mut StdRng, n: usize, q: u128) -> Vec<u128> {
+    (0..n).map(|_| rng.gen::<u128>() % q).collect()
+}
+
+/// Times one `Q124` negacyclic polymul and the channel polymuls of
+/// `RnsRing::auto(2, n)`, each ring's served path on its own residues.
+fn wide_vs_rns(quick: bool, n: usize) -> WideVsRnsRow {
+    let wide = Ring::auto(primes::Q124, n).expect("Q124 supports negacyclic n ≤ 2^19");
+    let rns = RnsRing::auto(2, n).expect("62-bit prime chain exists");
+    let mut rng = StdRng::seed_from_u64(0x3_1DE);
+    let (wa, wb) = (
+        residues(&mut rng, n, primes::Q124),
+        residues(&mut rng, n, primes::Q124),
+    );
+    let wide_ns = time_ntt(quick, || {
+        std::hint::black_box(wide.polymul_negacyclic(&wa, &wb).expect("reduced inputs"));
+    });
+    let operands: Vec<(Vec<u128>, Vec<u128>)> = rns
+        .moduli()
+        .iter()
+        .map(|&q| (residues(&mut rng, n, q), residues(&mut rng, n, q)))
+        .collect();
+    let rns_channels_ns = time_ntt(quick, || {
+        for (ring, (a, b)) in rns.rings().iter().zip(&operands) {
+            std::hint::black_box(ring.polymul_negacyclic(a, b).expect("reduced inputs"));
+        }
+    });
+    WideVsRnsRow {
+        n,
+        wide_modulus_bits: 128 - primes::Q124.leading_zeros(),
+        wide_ns,
+        channels: rns.channels(),
+        rns_modulus_bits: rns.product_modulus().bits(),
+        rns_channels_ns,
+        wide_over_rns: wide_ns / rns_channels_ns,
+        backend: wide.backend().name().to_string(),
+    }
 }

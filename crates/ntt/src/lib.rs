@@ -90,6 +90,7 @@
 #![forbid(unsafe_code)]
 
 mod error;
+mod lanes;
 pub mod naive;
 mod pease;
 mod plan;

@@ -38,14 +38,15 @@
 //!
 //! Every `*_simd` kernel here runs its loop inside
 //! [`SimdEngine::vectorize`], the engine's target-feature frame; see its
-//! docs for what code inside such a closure must keep true.
+//! docs for what code inside such a closure must keep true. The lazy
+//! kernels of the fused polymuls are generic over the lane width
+//! ([`crate::lanes`]): one 64-bit limb per residue for a modulus below
+//! `2^62`, two otherwise.
 
+use crate::lanes::Lanes;
 use crate::plan::{NttPlan, StageTwiddles};
 use mqx_core::shoup;
-use mqx_simd::{
-    add_unreduced, addmod, addmod_lazy, mulmod, mulmod_shoup_lazy, reduce_2q_to_q, reduce_4q_to_2q,
-    submod, submod_lazy, ResidueSoa, SimdEngine, VDword, VModulus,
-};
+use mqx_simd::{addmod, mulmod, submod, ResidueSoa, SimdEngine, VDword, VModulus};
 
 /// Runs all Pease stages with scalar arithmetic. On return `x` holds the
 /// transform in **bit-reversed** order (the caller applies the final
@@ -134,8 +135,8 @@ pub(crate) fn pease_simd<E: SimdEngine>(
 /// returns `[0, 2q)`). Coefficients therefore stay in `[0, 2q)` across
 /// every stage, and the AVX paths drop their per-butterfly
 /// compare-subtract pairs to one. Output is bit-reversed, as in
-/// [`pease_simd`].
-pub(crate) fn pease_lazy_simd<E: SimdEngine>(
+/// [`pease_simd`]. Runs at lane width `W` (see [`crate::lanes`]).
+pub(crate) fn pease_lazy_simd<E: SimdEngine, W: Lanes<E>>(
     plan: &NttPlan,
     x: &mut ResidueSoa,
     y: &mut ResidueSoa,
@@ -145,7 +146,7 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
     let half = x.len() / 2;
     let q = plan.modulus().value();
     let two_q = 2 * q;
-    crate::plan::debug_assert_domain_soa(x, two_q, "pease_lazy input");
+    W::debug_assert_domain(x, two_q, "pease_lazy input");
     E::vectorize(
         #[inline(always)]
         |t| {
@@ -154,39 +155,34 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
                     // Tiny transform: scalar lazy butterflies keep the dataflow
                     // (and the lazy domain) identical without partial vectors.
                     for i in 0..half {
-                        let u = x.get(i);
-                        let v = x.get(i + half);
+                        let u = W::read(x, i);
+                        let v = W::read(x, i + half);
                         let mut sum = u + v;
                         if sum >= two_q {
                             sum -= two_q;
                         }
                         let diff =
                             shoup::mul_lazy(u + two_q - v, stage.at(i), stage.at_shoup(i), q);
-                        y.set(2 * i, sum);
-                        y.set(2 * i + 1, diff);
+                        W::write(y, 2 * i, sum);
+                        W::write(y, 2 * i + 1, diff);
                     }
                 } else {
                     match lane_tables::<E>(stage) {
-                        Some((w, w_shoup)) => lazy_stage::<E>(
+                        Some((w, w_shoup)) => lazy_stage::<E, W>(
                             t,
                             x,
                             y,
                             vm,
                             #[inline(always)]
-                            |i| (w.load_vector::<E>(t, i), w_shoup.load_vector::<E>(t, i)),
+                            |i| W::load_twiddles(t, w, w_shoup, i),
                         ),
-                        None => lazy_stage::<E>(
+                        None => lazy_stage::<E, W>(
                             t,
                             x,
                             y,
                             vm,
                             #[inline(always)]
-                            |i| {
-                                (
-                                    VDword::<E>::broadcast(t, stage.at(i)),
-                                    VDword::<E>::broadcast(t, stage.at_shoup(i)),
-                                )
-                            },
+                            |i| W::splat_twiddle(t, stage.at(i), stage.at_shoup(i)),
                         ),
                     }
                 }
@@ -215,7 +211,7 @@ pub(crate) fn pease_lazy_simd<E: SimdEngine>(
 /// legs land in `[0, 4q)`, the input domain of the next stage.
 ///
 /// Domain contract (debug-asserted): inputs `< 4q`; outputs `< 4q`.
-pub(crate) fn pease_lazy_inverse_simd<E: SimdEngine>(
+pub(crate) fn pease_lazy_inverse_simd<E: SimdEngine, W: Lanes<E>>(
     plan: &NttPlan,
     x: &mut ResidueSoa,
     y: &mut ResidueSoa,
@@ -225,7 +221,7 @@ pub(crate) fn pease_lazy_inverse_simd<E: SimdEngine>(
     let half = x.len() / 2;
     let q = plan.modulus().value();
     let two_q = 2 * q;
-    crate::plan::debug_assert_domain_soa(x, 4 * q, "pease_lazy_inverse input");
+    W::debug_assert_domain(x, 4 * q, "pease_lazy_inverse input");
     E::vectorize(
         #[inline(always)]
         |t| {
@@ -233,37 +229,36 @@ pub(crate) fn pease_lazy_inverse_simd<E: SimdEngine>(
                 if half < E::LANES {
                     // Tiny transform: the same lazy butterflies, scalar.
                     for i in 0..half {
-                        let mut u = x.get(2 * i);
+                        let mut u = W::read(x, 2 * i);
                         if u >= two_q {
                             u -= two_q;
                         }
-                        let vw =
-                            shoup::mul_lazy(x.get(2 * i + 1), stage.at(i), stage.at_shoup(i), q);
-                        y.set(i, u + vw);
-                        y.set(i + half, u + two_q - vw);
+                        let vw = shoup::mul_lazy(
+                            W::read(x, 2 * i + 1),
+                            stage.at(i),
+                            stage.at_shoup(i),
+                            q,
+                        );
+                        W::write(y, i, u + vw);
+                        W::write(y, i + half, u + two_q - vw);
                     }
                 } else {
                     match lane_tables::<E>(stage) {
-                        Some((w, w_shoup)) => lazy_inverse_stage::<E>(
+                        Some((w, w_shoup)) => lazy_inverse_stage::<E, W>(
                             t,
                             x,
                             y,
                             vm,
                             #[inline(always)]
-                            |i| (w.load_vector::<E>(t, i), w_shoup.load_vector::<E>(t, i)),
+                            |i| W::load_twiddles(t, w, w_shoup, i),
                         ),
-                        None => lazy_inverse_stage::<E>(
+                        None => lazy_inverse_stage::<E, W>(
                             t,
                             x,
                             y,
                             vm,
                             #[inline(always)]
-                            |i| {
-                                (
-                                    VDword::<E>::broadcast(t, stage.at(i)),
-                                    VDword::<E>::broadcast(t, stage.at_shoup(i)),
-                                )
-                            },
+                            |i| W::splat_twiddle(t, stage.at(i), stage.at_shoup(i)),
                         ),
                     }
                 }
@@ -313,22 +308,22 @@ fn canonical_stage<E: SimdEngine>(
 /// twiddle and its Shoup constant for vector index `i` from
 /// `twiddle(i)`.
 #[inline(always)]
-fn lazy_stage<E: SimdEngine>(
+fn lazy_stage<E: SimdEngine, W: Lanes<E>>(
     t: E::Token,
     x: &ResidueSoa,
     y: &mut ResidueSoa,
     vm: &VModulus<E>,
-    twiddle: impl Fn(usize) -> (VDword<E>, VDword<E>),
+    twiddle: impl Fn(usize) -> (W::V, W::V),
 ) {
-    crate::plan::debug_assert_domain_soa(x, 2 * vm.scalar.value(), "lazy stage input");
+    W::debug_assert_domain(x, 2 * vm.scalar.value(), "lazy stage input");
     let half = x.len() / 2;
     for i in (0..half).step_by(E::LANES) {
-        let u = x.load_vector::<E>(t, i);
-        let v = x.load_vector::<E>(t, i + half);
+        let u = W::load(t, x, i);
+        let v = W::load(t, x, i + half);
         let (w, w_shoup) = twiddle(i);
-        let sum = addmod_lazy::<E>(u, v, vm);
-        let diff = mulmod_shoup_lazy::<E>(submod_lazy::<E>(u, v, vm), w, w_shoup, vm);
-        store_interleaved::<E>(y, 2 * i, sum, diff);
+        let sum = W::add_lazy(u, v, vm);
+        let diff = W::mul_shoup_lazy(W::sub_lazy(u, v, vm), w, w_shoup, vm);
+        W::store_interleaved(y, 2 * i, sum, diff);
     }
 }
 
@@ -336,52 +331,29 @@ fn lazy_stage<E: SimdEngine>(
 /// butterflies on the deinterleaved pairs, both legs stored at unit
 /// stride.
 #[inline(always)]
-fn lazy_inverse_stage<E: SimdEngine>(
+fn lazy_inverse_stage<E: SimdEngine, W: Lanes<E>>(
     t: E::Token,
     x: &ResidueSoa,
     y: &mut ResidueSoa,
     vm: &VModulus<E>,
-    twiddle: impl Fn(usize) -> (VDword<E>, VDword<E>),
+    twiddle: impl Fn(usize) -> (W::V, W::V),
 ) {
-    crate::plan::debug_assert_domain_soa(x, 4 * vm.scalar.value(), "lazy inverse stage input");
+    W::debug_assert_domain(x, 4 * vm.scalar.value(), "lazy inverse stage input");
     let half = x.len() / 2;
     for i in (0..half).step_by(E::LANES) {
-        let (u, v) = load_deinterleaved::<E>(t, x, 2 * i);
+        let (u, v) = W::load_deinterleaved(t, x, 2 * i);
         let (w, w_shoup) = twiddle(i);
-        let u = reduce_4q_to_2q::<E>(u, vm);
-        let vw = mulmod_shoup_lazy::<E>(v, w, w_shoup, vm);
-        y.store_vector::<E>(i, add_unreduced::<E>(u, vw));
-        y.store_vector::<E>(i + half, submod_lazy::<E>(u, vw, vm));
+        let u = W::reduce_4q(u, vm);
+        let vw = W::mul_shoup_lazy(v, w, w_shoup, vm);
+        W::store(y, i, W::add_unreduced(u, vw));
+        W::store(y, i + half, W::sub_lazy(u, vw, vm));
     }
-}
-
-/// The transposed stage's paired load, the inverse of
-/// [`store_interleaved`]: `x[base..base + 2L] = [u0, v0, u1, v1, …]` split
-/// back into the two butterfly legs `(u, v)`.
-#[inline(always)]
-fn load_deinterleaved<E: SimdEngine>(
-    t: E::Token,
-    x: &ResidueSoa,
-    base: usize,
-) -> (VDword<E>, VDword<E>) {
-    let a = x.load_vector::<E>(t, base);
-    let b = x.load_vector::<E>(t, base + E::LANES);
-    (
-        VDword {
-            hi: E::deinterleave_even(a.hi, b.hi),
-            lo: E::deinterleave_even(a.lo, b.lo),
-        },
-        VDword {
-            hi: E::deinterleave_odd(a.hi, b.hi),
-            lo: E::deinterleave_odd(a.lo, b.lo),
-        },
-    )
 }
 
 /// The Pease paired store: `y[base..base + 2L] = [sum0, diff0, sum1, …]`,
 /// the element-wise interleave of the two butterfly legs.
 #[inline(always)]
-fn store_interleaved<E: SimdEngine>(
+pub(crate) fn store_interleaved<E: SimdEngine>(
     y: &mut ResidueSoa,
     base: usize,
     sum: VDword<E>,
@@ -400,7 +372,7 @@ fn store_interleaved<E: SimdEngine>(
 /// folded to canonical with one correction each (Barrett needs reduced
 /// operands), and the product leaves canonical — a valid `< 2q` input
 /// for the lazy inverse.
-pub(crate) fn pointwise_fold_mul_simd<E: SimdEngine>(
+pub(crate) fn pointwise_fold_mul_simd<E: SimdEngine, W: Lanes<E>>(
     a: &mut ResidueSoa,
     b: &ResidueSoa,
     vm: &VModulus<E>,
@@ -412,16 +384,17 @@ pub(crate) fn pointwise_fold_mul_simd<E: SimdEngine>(
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let x = reduce_2q_to_q::<E>(a.load_vector::<E>(t, i), vm);
-                let y = reduce_2q_to_q::<E>(b.load_vector::<E>(t, i), vm);
-                a.store_vector::<E>(i, mulmod::<E>(x, y, vm));
+                let x = W::reduce_2q(W::load(t, a, i), vm);
+                let y = W::reduce_2q(W::load(t, b, i), vm);
+                W::store(a, i, W::mul(x, y, vm));
                 i += lanes;
             }
             let m = vm.scalar;
             let q = m.value();
             while i < n {
                 let fold = |v: u128| if v >= q { v - q } else { v };
-                a.set(i, m.mul_mod(fold(a.get(i)), fold(b.get(i))));
+                let r = m.mul_mod(fold(W::read(a, i)), fold(W::read(b, i)));
+                W::write(a, i, r);
                 i += 1;
             }
         },
@@ -431,8 +404,8 @@ pub(crate) fn pointwise_fold_mul_simd<E: SimdEngine>(
 /// The fused inverse's final pass: multiply every residue by the
 /// constant `(c, c_shoup)` with a lazy Shoup multiply, then canonicalize
 /// with a single conditional subtraction — `n⁻¹` scale and canonical
-/// reduction in one sweep.
-pub(crate) fn scale_shoup_canonical_simd<E: SimdEngine>(
+/// reduction in one sweep, writing every plane of `x`.
+pub(crate) fn scale_shoup_canonical_simd<E: SimdEngine, W: Lanes<E>>(
     x: &mut ResidueSoa,
     c: u128,
     c_shoup: u128,
@@ -442,19 +415,17 @@ pub(crate) fn scale_shoup_canonical_simd<E: SimdEngine>(
         #[inline(always)]
         |t| {
             let n = x.len();
-            let cv = VDword::<E>::broadcast(t, c);
-            let csv = VDword::<E>::broadcast(t, c_shoup);
+            let (cv, csv) = W::splat_twiddle(t, c, c_shoup);
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let v = x.load_vector::<E>(t, i);
-                let r = mulmod_shoup_lazy::<E>(v, cv, csv, vm);
-                x.store_vector::<E>(i, reduce_2q_to_q::<E>(r, vm));
+                let r = W::mul_shoup_lazy(W::load(t, x, i), cv, csv, vm);
+                W::store_canonical(t, x, i, W::reduce_2q(r, vm));
                 i += lanes;
             }
             let q = vm.scalar.value();
             while i < n {
-                let r = shoup::mul_lazy(x.get(i), c, c_shoup, q);
+                let r = shoup::mul_lazy(W::read(x, i), c, c_shoup, q);
                 x.set(i, if r >= q { r - q } else { r });
                 i += 1;
             }
@@ -465,8 +436,8 @@ pub(crate) fn scale_shoup_canonical_simd<E: SimdEngine>(
 /// Element-wise lazy Shoup multiply by a per-index table — the ψ twist
 /// (and, with `canonicalize`, the merged `ψ^{−i}·n⁻¹` untwist) of the
 /// fused negacyclic pipeline. Leaves values in `[0, 2q)`, or canonical
-/// `[0, q)` when `canonicalize` is set.
-pub(crate) fn twist_shoup_simd<E: SimdEngine>(
+/// `[0, q)` in every plane of `x` when `canonicalize` is set.
+pub(crate) fn twist_shoup_simd<E: SimdEngine, W: Lanes<E>>(
     x: &mut ResidueSoa,
     w: &ResidueSoa,
     w_shoup: &ResidueSoa,
@@ -480,26 +451,23 @@ pub(crate) fn twist_shoup_simd<E: SimdEngine>(
             let lanes = E::LANES;
             let mut i = 0;
             while i + lanes <= n {
-                let v = x.load_vector::<E>(t, i);
-                let mut r = mulmod_shoup_lazy::<E>(
-                    v,
-                    w.load_vector::<E>(t, i),
-                    w_shoup.load_vector::<E>(t, i),
-                    vm,
-                );
+                let (wv, wsv) = W::load_twiddles(t, w, w_shoup, i);
+                let r = W::mul_shoup_lazy(W::load(t, x, i), wv, wsv, vm);
                 if canonicalize {
-                    r = reduce_2q_to_q::<E>(r, vm);
+                    W::store_canonical(t, x, i, W::reduce_2q(r, vm));
+                } else {
+                    W::store(x, i, r);
                 }
-                x.store_vector::<E>(i, r);
                 i += lanes;
             }
             let q = vm.scalar.value();
             while i < n {
-                let mut r = shoup::mul_lazy(x.get(i), w.get(i), w_shoup.get(i), q);
-                if canonicalize && r >= q {
-                    r -= q;
+                let r = shoup::mul_lazy(W::read(x, i), w.get(i), w_shoup.get(i), q);
+                if canonicalize {
+                    x.set(i, if r >= q { r - q } else { r });
+                } else {
+                    W::write(x, i, r);
                 }
-                x.set(i, r);
                 i += 1;
             }
         },
@@ -572,14 +540,52 @@ mod tests {
         assert_eq!(soa.to_u128s(), scalar_x);
     }
 
+    /// The one-limb final passes write both planes of their output: a
+    /// `hi` plane left stale by an earlier buffer swap reads as zero
+    /// afterwards, and the `lo` plane holds the canonical value computed
+    /// from the `lo` input alone. Length 11 runs one whole Portable
+    /// vector and a 3-element scalar tail.
     #[test]
-    fn transposed_stage_undoes_forward_stage_up_to_two() {
-        // Stage s of the DIF forward (ω tables) followed by the transposed
-        // DIT stage s (ω⁻¹ tables) is `(u ± v)·diag(1, w⁻¹w)·(u ± v)`, i.e.
-        // 2·x. n = 16 runs whole Portable vectors (twiddles from the
-        // lane tables at s < 3, broadcast after), n = 4 the scalar
-        // fallback.
-        let q = primes::Q124;
+    fn one_limb_final_passes_write_every_plane() {
+        use crate::lanes::OneLimb;
+        let q = primes::Q62;
+        let m = Modulus::new_prime(q).unwrap();
+        let vm = VModulus::<Portable>::new(&m);
+        let ctx = mqx_core::shoup::ShoupCtx::new(&m);
+        // Lazy inputs in [0, 4q) on the lo plane, garbage above it.
+        let lo: Vec<u128> = (0..11_u128)
+            .map(|i| (4 * q - 1 - i * 0x1234_5678) % (4 * q))
+            .collect();
+        let stale = || {
+            let mut x = ResidueSoa::from_u128s(&lo);
+            x.parts_mut().0.fill(u64::MAX);
+            x
+        };
+        let c = q / 3;
+        let mut x = stale();
+        scale_shoup_canonical_simd::<Portable, OneLimb>(&mut x, c, ctx.constant(c), &vm);
+        let want: Vec<u128> = lo.iter().map(|&v| m.mul_mod(v % q, c)).collect();
+        assert_eq!(x.to_u128s(), want, "scale");
+
+        let ws: Vec<u128> = (0..11_u128).map(|i| (i * 0x9E37_79B9 + 5) % q).collect();
+        let w = ResidueSoa::from_u128s(&ws);
+        let w_shoup: ResidueSoa = ws.iter().map(|&v| ctx.constant(v)).collect();
+        let mut x = stale();
+        twist_shoup_simd::<Portable, OneLimb>(&mut x, &w, &w_shoup, &vm, true);
+        let want: Vec<u128> = lo
+            .iter()
+            .zip(&ws)
+            .map(|(&v, &w)| m.mul_mod(v % q, w))
+            .collect();
+        assert_eq!(x.to_u128s(), want, "untwist");
+    }
+
+    /// Stage s of the DIF forward (ω tables) followed by the transposed
+    /// DIT stage s (ω⁻¹ tables) is `(u ± v)·diag(1, w⁻¹w)·(u ± v)`, i.e.
+    /// 2·x, at lane width `W`. n = 16 runs whole Portable vectors
+    /// (twiddles from the lane tables at s < 3, broadcast after), n = 4
+    /// the scalar fallback.
+    fn transposed_stage_undoes_forward_stage<W: Lanes<Portable>>(q: u128) {
         let m = Modulus::new_prime(q).unwrap();
         let vm = VModulus::<Portable>::new(&m);
         for n in [4_usize, 16] {
@@ -595,8 +601,8 @@ mod tests {
             for s in 0..plan.log_size() as usize {
                 let mut x = ResidueSoa::from_u128s(&xs);
                 let mut y = ResidueSoa::zeros(n);
-                pease_lazy_simd::<Portable>(&plan, &mut x, &mut y, &plan.pease_fwd[s..=s], &vm);
-                pease_lazy_inverse_simd::<Portable>(
+                pease_lazy_simd::<Portable, W>(&plan, &mut x, &mut y, &plan.pease_fwd[s..=s], &vm);
+                pease_lazy_inverse_simd::<Portable, W>(
                     &plan,
                     &mut x,
                     &mut y,
@@ -604,11 +610,18 @@ mod tests {
                     &vm,
                 );
                 for (i, &v) in xs.iter().enumerate() {
-                    let got = x.get(i);
+                    let got = W::read(&x, i);
                     assert!(got < 4 * q, "n={n} s={s} index {i} escapes [0, 4q)");
                     assert_eq!(got % q, m.add_mod(v % q, v % q), "n={n} s={s} index {i}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn transposed_stage_undoes_forward_stage_up_to_two() {
+        use crate::lanes::{OneLimb, TwoLimbs};
+        transposed_stage_undoes_forward_stage::<TwoLimbs>(primes::Q124);
+        transposed_stage_undoes_forward_stage::<OneLimb>(primes::Q62);
     }
 }

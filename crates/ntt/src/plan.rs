@@ -2,6 +2,7 @@
 //! dataflows.
 
 use crate::error::NttError;
+use crate::lanes::{Lanes, OneLimb, TwoLimbs};
 use crate::pease;
 use mqx_core::shoup::ShoupCtx;
 use mqx_core::{nt, Modulus, RootError};
@@ -176,6 +177,9 @@ pub struct NttPlan {
     /// Twist tables for negacyclic use, when the field supports a 2n-th
     /// root.
     twist: Option<FusedTwist>,
+    /// Whether the fused pipelines run one limb per residue: `q < 2^62`,
+    /// so every lazy value (`< 4q`) fits a 64-bit lane.
+    one_limb: bool,
     /// Cooley–Tukey per-stage twiddles (forward and inverse), built by
     /// the first scalar transform in that direction: the stage with
     /// butterfly span `len` holds the `len/2` twiddles `ω^{(n/len)·j}`.
@@ -265,6 +269,7 @@ impl NttPlan {
             pease_inv,
             bitrev,
             twist,
+            one_limb: m.value() < 1 << 62,
             ct_fwd: OnceLock::new(),
             ct_inv: OnceLock::new(),
         })
@@ -498,7 +503,13 @@ impl NttPlan {
     /// pointwise product does not care about order, and the transposed
     /// (decimation-in-time) lazy inverse consumes bit-reversed input and
     /// leaves natural order. The forwards run in `[0, 2q)`, the inverse
-    /// in `[0, 4q)`; `a` holds the canonical result.
+    /// in `[0, 4q)`; `a` holds the canonical result, in both planes.
+    /// `b` is clobbered, and `scratch`'s contents do not matter.
+    ///
+    /// A modulus below `2^62` runs every pass on the `lo` planes only,
+    /// with the single-word lazy ops
+    /// ([`mulmod_shoup_lazy_word`](mqx_simd::mulmod_shoup_lazy_word) and
+    /// its siblings); a wider one runs the two-limb ops.
     ///
     /// Bit-identical to the canonical forward/pointwise/inverse pipeline:
     /// both produce the unique canonical residues of the same ring
@@ -519,12 +530,7 @@ impl NttPlan {
         assert_eq!(scratch.len(), self.n);
         debug_assert_domain_soa(a, 2 * self.m.value(), "polymul_fused input a");
         debug_assert_domain_soa(b, 2 * self.m.value(), "polymul_fused input b");
-        let vm = VModulus::<E>::new(&self.m);
-        pease::pease_lazy_simd::<E>(self, a, scratch, &self.pease_fwd, &vm);
-        pease::pease_lazy_simd::<E>(self, b, scratch, &self.pease_fwd, &vm);
-        pease::pointwise_fold_mul_simd::<E>(a, b, &vm);
-        pease::pease_lazy_inverse_simd::<E>(self, a, scratch, &self.pease_inv, &vm);
-        pease::scale_shoup_canonical_simd::<E>(a, self.n_inv, self.n_inv_shoup, &vm);
+        self.pipeline::<E>(a, b, scratch, None);
     }
 
     /// Fused negacyclic polynomial product: lazy ψ-twist, the fused
@@ -532,7 +538,8 @@ impl NttPlan {
     /// transposed inverse reads the forwards' bit-reversed output), then a
     /// single merged `ψ^{−i}·n⁻¹` untwist-and-canonicalize pass, which
     /// accepts the inverse's `[0, 4q)` output. No allocation; `a` holds
-    /// the canonical result.
+    /// the canonical result, at the lane width of
+    /// [`NttPlan::polymul_fused_cyclic_simd`].
     ///
     /// # Errors
     ///
@@ -557,15 +564,51 @@ impl NttPlan {
             .ok_or_else(|| self.no_negacyclic_root())?;
         debug_assert_domain_soa(a, 2 * self.m.value(), "polymul_fused input a");
         debug_assert_domain_soa(b, 2 * self.m.value(), "polymul_fused input b");
-        let vm = VModulus::<E>::new(&self.m);
-        pease::twist_shoup_simd::<E>(a, &twist.psi, &twist.psi_shoup, &vm, false);
-        pease::twist_shoup_simd::<E>(b, &twist.psi, &twist.psi_shoup, &vm, false);
-        pease::pease_lazy_simd::<E>(self, a, scratch, &self.pease_fwd, &vm);
-        pease::pease_lazy_simd::<E>(self, b, scratch, &self.pease_fwd, &vm);
-        pease::pointwise_fold_mul_simd::<E>(a, b, &vm);
-        pease::pease_lazy_inverse_simd::<E>(self, a, scratch, &self.pease_inv, &vm);
-        pease::twist_shoup_simd::<E>(a, &twist.psi_inv_n, &twist.psi_inv_n_shoup, &vm, true);
+        self.pipeline::<E>(a, b, scratch, Some(twist));
         Ok(())
+    }
+
+    /// Picks the lane width once and runs the fused pipeline at it.
+    fn pipeline<E: SimdEngine>(
+        &self,
+        a: &mut ResidueSoa,
+        b: &mut ResidueSoa,
+        scratch: &mut ResidueSoa,
+        twist: Option<&FusedTwist>,
+    ) {
+        if self.one_limb {
+            self.pipeline_at::<E, OneLimb>(a, b, scratch, twist);
+        } else {
+            self.pipeline_at::<E, TwoLimbs>(a, b, scratch, twist);
+        }
+    }
+
+    /// The fused pipeline at lane width `W`: with `twist`, the
+    /// negacyclic product (ψ twist in, merged `ψ^{−i}·n⁻¹` untwist out),
+    /// without it the cyclic one (`n⁻¹` scale out). The last pass
+    /// canonicalizes `a` and writes both of its planes.
+    fn pipeline_at<E: SimdEngine, W: Lanes<E>>(
+        &self,
+        a: &mut ResidueSoa,
+        b: &mut ResidueSoa,
+        scratch: &mut ResidueSoa,
+        twist: Option<&FusedTwist>,
+    ) {
+        let vm = VModulus::<E>::new(&self.m);
+        if let Some(tw) = twist {
+            pease::twist_shoup_simd::<E, W>(a, &tw.psi, &tw.psi_shoup, &vm, false);
+            pease::twist_shoup_simd::<E, W>(b, &tw.psi, &tw.psi_shoup, &vm, false);
+        }
+        pease::pease_lazy_simd::<E, W>(self, a, scratch, &self.pease_fwd, &vm);
+        pease::pease_lazy_simd::<E, W>(self, b, scratch, &self.pease_fwd, &vm);
+        pease::pointwise_fold_mul_simd::<E, W>(a, b, &vm);
+        pease::pease_lazy_inverse_simd::<E, W>(self, a, scratch, &self.pease_inv, &vm);
+        match twist {
+            Some(tw) => {
+                pease::twist_shoup_simd::<E, W>(a, &tw.psi_inv_n, &tw.psi_inv_n_shoup, &vm, true)
+            }
+            None => pease::scale_shoup_canonical_simd::<E, W>(a, self.n_inv, self.n_inv_shoup, &vm),
+        }
     }
 }
 
@@ -718,29 +761,69 @@ mod tests {
         }
     }
 
+    /// The smallest prime `q ≥ 2^62` with `2^10 | q − 1` (negacyclic up
+    /// to n = 512): it fits one 64-bit word, but `4q` does not, so its
+    /// plans must stay on two limbs.
+    fn smallest_ntt_prime_from_2_62() -> u128 {
+        ((1_u128 << 62) + 1..)
+            .step_by(1 << 10)
+            .find(|&q| mqx_core::nt::is_prime(q))
+            .unwrap()
+    }
+
     /// Both fused pipelines on engine `E` against the canonical scalar
-    /// path, on a ramp and on the all-`(q − 1)` worst case. Sizes 2–32
-    /// cover the `n/2 < LANES` scalar fallback and the first whole
-    /// vectors of every tier.
+    /// path, on a ramp and on the all-`(q − 1)` worst case, for moduli
+    /// on both lane widths. Sizes 2–512 cover the `n/2 < LANES` scalar
+    /// fallback and whole vectors of every tier. The scratch buffer
+    /// starts with an all-ones `hi` plane, which a one-limb pipeline
+    /// never reads and must not leak into the result: a canonical
+    /// product below `2^64` has a zero `hi` plane.
     fn fused_matches_canonical_scalar<E: mqx_simd::SimdEngine>() {
         use crate::polymul;
-        let q = primes::Q124;
-        for n in [2_usize, 4, 8, 16, 32, 64, 512] {
-            let p = plan(q, n);
-            let ramp_a = ramp(n, q);
-            let ramp_b: Vec<u128> = ramp_a.iter().map(|&v| (v * 7 + 3) % q).collect();
-            for (a, b) in [(ramp_a, ramp_b), (vec![q - 1; n], vec![q - 1; n])] {
-                let mut scratch = ResidueSoa::zeros(n);
-                let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
-                p.polymul_fused_cyclic_simd::<E>(&mut sa, &mut sb, &mut scratch);
-                let expected = polymul::polymul_cyclic(&p, &a, &b);
-                assert_eq!(sa.to_u128s(), expected, "{} cyclic n={n}", E::NAME);
+        let wide_word = smallest_ntt_prime_from_2_62();
+        for (q, one_limb) in [
+            (primes::Q124, false),
+            (wide_word, false),
+            (primes::Q62, true),
+            (primes::Q30, true),
+        ] {
+            for log_n in 1..=9 {
+                let n = 1_usize << log_n;
+                let p = plan(q, n);
+                assert_eq!(p.one_limb, one_limb, "q={q:#x}");
+                let ramp_a = ramp(n, q);
+                let ramp_b: Vec<u128> = ramp_a.iter().map(|&v| (v * 7 + 3) % q).collect();
+                for (a, b) in [(ramp_a, ramp_b), (vec![q - 1; n], vec![q - 1; n])] {
+                    let what = format!("{} q={q:#x} n={n}", E::NAME);
+                    let stale_scratch = || {
+                        let mut s = ResidueSoa::zeros(n);
+                        s.parts_mut().0.fill(u64::MAX);
+                        s
+                    };
+                    let assert_hi_plane = |sa: &ResidueSoa| {
+                        if q < 1 << 64 {
+                            assert!(sa.hi().iter().all(|&h| h == 0), "{what}: stale hi plane");
+                        }
+                    };
 
-                let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
-                p.polymul_fused_negacyclic_simd::<E>(&mut sa, &mut sb, &mut scratch)
-                    .unwrap();
-                let expected = polymul::polymul_negacyclic(&p, &a, &b).unwrap();
-                assert_eq!(sa.to_u128s(), expected, "{} negacyclic n={n}", E::NAME);
+                    let mut scratch = stale_scratch();
+                    let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
+                    p.polymul_fused_cyclic_simd::<E>(&mut sa, &mut sb, &mut scratch);
+                    assert_eq!(
+                        sa.to_u128s(),
+                        polymul::polymul_cyclic(&p, &a, &b),
+                        "{what} cyclic"
+                    );
+                    assert_hi_plane(&sa);
+
+                    let mut scratch = stale_scratch();
+                    let (mut sa, mut sb) = (ResidueSoa::from_u128s(&a), ResidueSoa::from_u128s(&b));
+                    p.polymul_fused_negacyclic_simd::<E>(&mut sa, &mut sb, &mut scratch)
+                        .unwrap();
+                    let expected = polymul::polymul_negacyclic(&p, &a, &b).unwrap();
+                    assert_eq!(sa.to_u128s(), expected, "{what} negacyclic");
+                    assert_hi_plane(&sa);
+                }
             }
         }
     }
@@ -944,6 +1027,46 @@ mod tests {
         // twiddles per direction plus the `ψ^i` and `ψ^{−i}` slices.
         let reference = (2 * (n - 1) + 2 * n) * size_of::<u128>();
         assert_eq!(grown - eager, reference, "on-first-use table bytes");
+    }
+
+    /// The one-limb pipeline reads its Shoup constants from the `hi`
+    /// limbs of the stored two-limb ones: `⌊w·2^64/q⌋ = hi64(⌊w·2^128/q⌋)`
+    /// must hold for every twiddle, twist and `n⁻¹` constant of a 62-bit
+    /// plan. The oracle is exact in `u128`: `w < q < 2^62`, so
+    /// `w·2^64 < 2^126`.
+    #[test]
+    fn one_limb_shoup_constants_are_the_hi_limbs_of_the_stored_ones() {
+        let n = 4096_usize;
+        let q = primes::ntt_prime_chain(62, n.trailing_zeros() + 1, 1).unwrap()[0];
+        let p = plan(q, n);
+        assert!(p.one_limb);
+        let check = |w: u128, w_shoup: u128, what: &str| {
+            assert!(w < q, "{what}: twiddle {w:#x} not canonical");
+            assert_eq!(w_shoup >> 64, (w << 64) / q, "{what}: w = {w:#x}");
+        };
+        for st in p.pease_fwd.iter().chain(&p.pease_inv) {
+            for (&w, &ws) in st.values.iter().zip(&st.values_shoup) {
+                check(w, ws, &format!("stage {}", st.shift));
+            }
+            if let (Some(full), Some(full_shoup)) = (&st.expanded, &st.expanded_shoup) {
+                for i in 0..full.len() {
+                    // The one-limb loads: value from `lo`, constant from `hi`.
+                    let (w, ws) = (u128::from(full.lo()[i]), u128::from(full_shoup.hi()[i]));
+                    assert_eq!(full.get(i), w, "stage {} expanded {i}", st.shift);
+                    assert_eq!(ws, (w << 64) / q, "stage {} expanded {i}", st.shift);
+                }
+            }
+        }
+        let t = p.twist.as_ref().unwrap();
+        for i in 0..n {
+            check(t.psi.get(i), t.psi_shoup.get(i), &format!("ψ^{i}"));
+            check(
+                t.psi_inv_n.get(i),
+                t.psi_inv_n_shoup.get(i),
+                &format!("ψ^-{i}·n⁻¹"),
+            );
+        }
+        check(p.n_inv, p.n_inv_shoup, "n⁻¹");
     }
 
     #[test]

@@ -89,6 +89,7 @@ mod mqx;
 mod portable;
 pub mod profiles;
 pub mod proxy;
+mod smod;
 mod soa;
 
 #[cfg(test)]
@@ -107,6 +108,10 @@ pub use dmod::{
 pub use engine::{SimdEngine, Token};
 pub use mqx::Mqx;
 pub use portable::Portable;
+pub use smod::{
+    add_unreduced_word, addmod_lazy_word, mulmod_shoup_lazy_word, mulmod_word, reduce_2q_to_q_word,
+    reduce_4q_to_2q_word, submod_lazy_word,
+};
 pub use soa::ResidueSoa;
 
 #[cfg(target_arch = "x86_64")]

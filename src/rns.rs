@@ -64,10 +64,13 @@ use std::sync::{Arc, Mutex};
 
 /// Default channel width for generated bases: 62-bit NTT primes.
 ///
-/// The engine tiers have no single-word kernel yet: a 62-bit channel
-/// runs the same two-limb (124-bit) kernels as a `Q124` ring, with a hi
-/// plane of zeros, so its butterflies cost what a `Q124` one does.
-/// Single-word kernels for such channels are an open ROADMAP item.
+/// 62 bits is the widest channel whose lazy butterfly domain `[0, 4q)`
+/// fits one 64-bit lane, so each channel's fused polymul runs the
+/// one-limb kernels on the `lo` plane alone (`NttPlan` picks the width
+/// from the modulus): a lazy Shoup product is one widening multiply and
+/// two low-half multiplies instead of six and four. The channels'
+/// element-wise `Add` / `Sub` (`Backend::vadd` / `vsub`) still run the
+/// two-limb ops.
 const DEFAULT_BASIS_BITS: u32 = 62;
 
 /// Why a zero-channel width is rejected.

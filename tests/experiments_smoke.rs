@@ -132,10 +132,11 @@ fn fig7_projects_onto_both_targets() {
 
 #[test]
 fn rns_scaling_covers_widening_moduli() {
-    let rows = mqx_bench::experiments::rns::run(quick());
+    let report = mqx_bench::experiments::rns::run(quick());
+    let rows = &report.scaling;
     let ks: Vec<usize> = rows.iter().map(|r| r.channels).collect();
     assert_eq!(ks, vec![1, 2, 4], "quick-mode channel counts");
-    for r in &rows {
+    for r in rows {
         assert!(r.ns > 0.0 && r.ns_per_channel > 0.0);
         // Each channel is a ~62-bit prime, so the emulated modulus must
         // widen by ~62 bits per channel.
@@ -147,6 +148,17 @@ fn rns_scaling_covers_widening_moduli() {
         );
         assert!(!r.backend.is_empty());
     }
+    // The wide-vs-RNS row: one 124-bit modulus against two word-sized
+    // channels spanning about as many bits.
+    let w = &report.wide_vs_rns;
+    assert_eq!((w.wide_modulus_bits, w.channels), (124, 2));
+    assert!(
+        w.rns_modulus_bits >= 122,
+        "two channels span {} bits",
+        w.rns_modulus_bits
+    );
+    assert!(w.wide_ns > 0.0 && w.rns_channels_ns > 0.0 && w.wide_over_rns > 0.0);
+    assert!(!w.backend.is_empty());
     // Structural only: wall-clock scaling is too noisy under the
     // parallel test runner; the release-mode `rns` binary is the
     // quantitative check.
@@ -219,6 +231,20 @@ fn calibrate_reports_a_measured_ranking_and_winner() {
     assert_eq!(
         pb.regression,
         pb.ratio > mqx_bench::experiments::calibrate::PLAN_BUILD_MARGIN
+    );
+    // One limb against two: shape only; the speedup gate is the release
+    // `calibrate` binary's.
+    let w = &report.width;
+    assert_eq!(w.backend, mqx::backend::default_backend().name());
+    assert_eq!(w.n, 256);
+    assert!(w.one_limb_ns_per_butterfly > 0.0 && w.two_limb_ns_per_butterfly > 0.0);
+    assert_eq!(
+        w.speedup,
+        w.two_limb_ns_per_butterfly / w.one_limb_ns_per_butterfly
+    );
+    assert_eq!(
+        w.regression,
+        w.speedup < mqx_bench::experiments::calibrate::ONE_LIMB_MIN_SPEEDUP
     );
 }
 
