@@ -15,13 +15,20 @@
 //! served kernels: one 124-bit modulus on the two-limb fused polymul
 //! against the two word-sized channels that span about the same width,
 //! each on the one-limb fused polymul, at the same `n` — channel
-//! kernels only, no CRT.
+//! kernels only, no CRT. Its boundary column times the CRT around the
+//! channels on `RnsRing::auto(3, 2048)` (split, the fresh channel of a
+//! basis extension, a rescale channel, join) in ns per coefficient, and
+//! gates the boundary kernel (`mqx::blas::lincomb`): one 64-bit limb per
+//! lane must beat two limbs on the same 62-bit prime by
+//! [`BOUNDARY_ONE_LIMB_MIN_SPEEDUP`].
 
 use crate::report::{fmt_ns, write_json, Table};
 use crate::timing::time_ntt;
 use mqx::bignum::BigUint;
-use mqx::core::primes;
-use mqx::{plan_cache, Ring, RnsRing};
+use mqx::blas::{lincomb, LinComb};
+use mqx::core::{primes, Modulus, ShoupMul};
+use mqx::simd::{OneLimb, Portable, SimdEngine, TwoLimbs};
+use mqx::{plan_cache, Coefficients, PolyRing, Ring, RingOp, RnsRing};
 use mqx_json::impl_to_json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,6 +79,8 @@ pub struct WideVsRnsRow {
     pub wide_over_rns: f64,
     /// The backend both rings dispatched to (registry name).
     pub backend: String,
+    /// The CRT boundary around the channels, per coefficient.
+    pub boundary: BoundaryRow,
 }
 
 impl_to_json!(WideVsRnsRow {
@@ -83,6 +92,60 @@ impl_to_json!(WideVsRnsRow {
     rns_channels_ns,
     wide_over_rns,
     backend,
+    boundary,
+});
+
+/// The boundary kernel at one limb per lane must be at least this many
+/// times faster than at two limbs on the same 62-bit prime: a ratio near
+/// 1 means the boundary fell back to two-limb arithmetic.
+pub const BOUNDARY_ONE_LIMB_MIN_SPEEDUP: f64 = 1.5;
+
+/// The CRT boundary of `RnsRing::auto(channels, n)` on the served
+/// backend, in ns per coefficient, and the boundary kernel at both lane
+/// widths on the widest detected engine.
+#[derive(Clone, Debug)]
+pub struct BoundaryRow {
+    /// Transform size.
+    pub n: usize,
+    /// Residue channels.
+    pub channels: usize,
+    /// The backend the ring dispatched to (registry name).
+    pub backend: String,
+    /// CRT decomposition of one operand.
+    pub split_ns_per_coeff: f64,
+    /// The fresh channel of a one-channel basis extension.
+    pub extend_ns_per_coeff: f64,
+    /// One surviving channel of a rescale.
+    pub rescale_ns_per_coeff: f64,
+    /// Garner recombination into `BigUint` coefficients.
+    pub join_ns_per_coeff: f64,
+    /// Engine the kernel rows ran on.
+    pub kernel_engine: String,
+    /// A three-row `lincomb` on the first channel prime, one limb per
+    /// lane, ns per coefficient.
+    pub one_limb_kernel_ns_per_coeff: f64,
+    /// The same call at two limbs per lane.
+    pub two_limb_kernel_ns_per_coeff: f64,
+    /// `two_limb / one_limb`.
+    pub kernel_speedup: f64,
+    /// Whether the speedup is below [`BOUNDARY_ONE_LIMB_MIN_SPEEDUP`]
+    /// (a result the `rns` bin turns into a non-zero exit).
+    pub regression: bool,
+}
+
+impl_to_json!(BoundaryRow {
+    n,
+    channels,
+    backend,
+    split_ns_per_coeff,
+    extend_ns_per_coeff,
+    rescale_ns_per_coeff,
+    join_ns_per_coeff,
+    kernel_engine,
+    one_limb_kernel_ns_per_coeff,
+    two_limb_kernel_ns_per_coeff,
+    kernel_speedup,
+    regression,
 });
 
 /// The RNS experiment's results.
@@ -166,6 +229,23 @@ pub fn run(quick: bool) -> RnsReport {
         fmt_ns(wide_vs_rns.rns_channels_ns),
         wide_vs_rns.wide_over_rns,
     );
+    let b = &wide_vs_rns.boundary;
+    println!(
+        "boundary of RnsRing::auto({}, {}) on '{}', ns/coefficient: split {:.1}, extend {:.1}, \
+         rescale {:.1}, join {:.1}; lincomb on {} one limb {:.2} vs two limbs {:.2} ({:.2}×, \
+         gate {BOUNDARY_ONE_LIMB_MIN_SPEEDUP}×)",
+        b.channels,
+        b.n,
+        b.backend,
+        b.split_ns_per_coeff,
+        b.extend_ns_per_coeff,
+        b.rescale_ns_per_coeff,
+        b.join_ns_per_coeff,
+        b.kernel_engine,
+        b.one_limb_kernel_ns_per_coeff,
+        b.two_limb_kernel_ns_per_coeff,
+        b.kernel_speedup,
+    );
     write_json("rns_wide_vs_channels", &wide_vs_rns);
     RnsReport {
         scaling: rows,
@@ -210,5 +290,87 @@ fn wide_vs_rns(quick: bool, n: usize) -> WideVsRnsRow {
         rns_channels_ns,
         wide_over_rns: wide_ns / rns_channels_ns,
         backend: wide.backend().name().to_string(),
+        boundary: boundary(quick),
     }
+}
+
+/// Times the boundary steps of `RnsRing::auto(3, 2048)` and the
+/// boundary kernel at both lane widths.
+fn boundary(quick: bool) -> BoundaryRow {
+    const N: usize = 2048;
+    const K: usize = 3;
+    let ring = RnsRing::auto(K, N).expect("62-bit prime chain exists");
+    let mut rng = StdRng::seed_from_u64(0xB0DA);
+    let coeffs = Coefficients::Big(
+        (0..N)
+            .map(|_| BigUint::random_below(&mut rng, ring.product_modulus()))
+            .collect(),
+    );
+    let channels = ring.split(&coeffs).expect("reduced coefficients");
+    let per_coeff = |f: &mut dyn FnMut()| time_ntt(quick, f) / N as f64;
+    let split = per_coeff(&mut || {
+        std::hint::black_box(ring.split(&coeffs).expect("reduced coefficients"));
+    });
+    let mut out = Vec::with_capacity(N);
+    let extend = RingOp::BasisExtend { extra_channels: 1 };
+    let mut run = |op: &RingOp, channel: usize| {
+        ring.channel_apply_at_into(op, K, channel, &channels, None, &mut out)
+            .expect("a valid channel of the op");
+    };
+    let extend_ns = per_coeff(&mut || run(&extend, K));
+    let rescale_ns = per_coeff(&mut || run(&RingOp::Rescale, 0));
+    let join = per_coeff(&mut || {
+        std::hint::black_box(ring.join_at(K, channels.clone()).expect("k channels of n"));
+    });
+
+    let q = ring.moduli()[0];
+    let (kernel_engine, one, two) = widest_kernel_rows(quick, q, &channels);
+    let speedup = two / one;
+    BoundaryRow {
+        n: N,
+        channels: K,
+        backend: ring.backend_names()[0].to_string(),
+        split_ns_per_coeff: split,
+        extend_ns_per_coeff: extend_ns,
+        rescale_ns_per_coeff: rescale_ns,
+        join_ns_per_coeff: join,
+        kernel_engine,
+        one_limb_kernel_ns_per_coeff: one,
+        two_limb_kernel_ns_per_coeff: two,
+        kernel_speedup: speedup,
+        regression: speedup < BOUNDARY_ONE_LIMB_MIN_SPEEDUP,
+    }
+}
+
+/// [`kernel_rows`] on the widest engine this host runs.
+fn widest_kernel_rows(quick: bool, q: u128, rows: &[Vec<u128>]) -> (String, f64, f64) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if mqx::simd::avx512_detected() {
+            return kernel_rows::<mqx::simd::Avx512>(quick, q, rows);
+        }
+        if mqx::simd::avx2_detected() {
+            return kernel_rows::<mqx::simd::Avx2>(quick, q, rows);
+        }
+    }
+    kernel_rows::<Portable>(quick, q, rows)
+}
+
+/// A three-row combination over `rows` mod `q` (a Garner digit's shape)
+/// on `E`, at one and at two limbs per lane, ns per coefficient.
+fn kernel_rows<E: SimdEngine>(quick: bool, q: u128, rows: &[Vec<u128>]) -> (String, f64, f64) {
+    let m = Modulus::new(q).expect("a channel prime is a valid modulus");
+    let coeffs = [q / 3, q / 5, q - 7].map(|w| ShoupMul::new(w, &m));
+    let block: Vec<u128> = rows[1..].concat();
+    let comb = LinComb {
+        coeffs: &coeffs,
+        lead: &rows[0],
+        rows: &block,
+        offset: 1,
+    };
+    let n = rows[0].len();
+    let mut out = vec![0; n];
+    let one = time_ntt(quick, || lincomb::<E, OneLimb>(&m, &comb, &mut out)) / n as f64;
+    let two = time_ntt(quick, || lincomb::<E, TwoLimbs>(&m, &comb, &mut out)) / n as f64;
+    (E::NAME.to_string(), one, two)
 }

@@ -9,6 +9,8 @@
 //! and a SIMD tier generic over [`mqx_simd::SimdEngine`], plus `dot`
 //! and `gemv` as the
 //! natural level-1/level-2 extensions the paper's BLAS framing implies.
+//! [`lincomb`] is the RNS boundary's kernel: a linear combination of
+//! word rows with constant Shoup multipliers, at either lane width.
 //!
 //! # Example
 //!
@@ -27,8 +29,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod lincomb;
 pub mod scalar;
 pub mod simd;
+
+pub use lincomb::{lincomb, LinComb};
 
 /// The vector length the paper uses for all BLAS measurements: "the
 /// vector length is set to 1,024, as it aligns with typical polynomial

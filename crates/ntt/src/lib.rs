@@ -90,14 +90,14 @@
 #![forbid(unsafe_code)]
 
 mod error;
-mod lanes;
 pub mod naive;
 mod pease;
 mod plan;
 pub mod polymul;
 
 pub use error::NttError;
-pub use plan::{debug_assert_domain_soa, NttPlan};
+pub use mqx_simd::debug_assert_domain_soa;
+pub use plan::NttPlan;
 
 #[cfg(test)]
 mod proptests;

@@ -40,13 +40,12 @@
 //! [`SimdEngine::vectorize`], the engine's target-feature frame; see its
 //! docs for what code inside such a closure must keep true. The lazy
 //! kernels of the fused polymuls are generic over the lane width
-//! ([`crate::lanes`]): one 64-bit limb per residue for a modulus below
+//! ([`mqx_simd::Lanes`]): one 64-bit limb per residue for a modulus below
 //! `2^62`, two otherwise.
 
-use crate::lanes::Lanes;
 use crate::plan::{NttPlan, StageTwiddles};
 use mqx_core::shoup;
-use mqx_simd::{addmod, mulmod, submod, ResidueSoa, SimdEngine, VDword, VModulus};
+use mqx_simd::{addmod, mulmod, submod, Lanes, ResidueSoa, SimdEngine, TwoLimbs, VDword, VModulus};
 
 /// Runs all Pease stages with scalar arithmetic. On return `x` holds the
 /// transform in **bit-reversed** order (the caller applies the final
@@ -135,7 +134,7 @@ pub(crate) fn pease_simd<E: SimdEngine>(
 /// returns `[0, 2q)`). Coefficients therefore stay in `[0, 2q)` across
 /// every stage, and the AVX paths drop their per-butterfly
 /// compare-subtract pairs to one. Output is bit-reversed, as in
-/// [`pease_simd`]. Runs at lane width `W` (see [`crate::lanes`]).
+/// [`pease_simd`]. Runs at lane width `W` (see [`mqx_simd::Lanes`]).
 pub(crate) fn pease_lazy_simd<E: SimdEngine, W: Lanes<E>>(
     plan: &NttPlan,
     x: &mut ResidueSoa,
@@ -300,7 +299,7 @@ fn canonical_stage<E: SimdEngine>(
         let v = x.load_vector::<E>(t, i + half);
         let sum = addmod::<E>(u, v, vm);
         let diff = mulmod::<E>(submod::<E>(u, v, vm), twiddle(i), vm);
-        store_interleaved::<E>(y, 2 * i, sum, diff);
+        <TwoLimbs as Lanes<E>>::store_interleaved(y, 2 * i, sum, diff);
     }
 }
 
@@ -348,23 +347,6 @@ fn lazy_inverse_stage<E: SimdEngine, W: Lanes<E>>(
         W::store(y, i, W::add_unreduced(u, vw));
         W::store(y, i + half, W::sub_lazy(u, vw, vm));
     }
-}
-
-/// The Pease paired store: `y[base..base + 2L] = [sum0, diff0, sum1, …]`,
-/// the element-wise interleave of the two butterfly legs.
-#[inline(always)]
-pub(crate) fn store_interleaved<E: SimdEngine>(
-    y: &mut ResidueSoa,
-    base: usize,
-    sum: VDword<E>,
-    diff: VDword<E>,
-) {
-    let lanes = E::LANES;
-    let (yh, yl) = y.parts_mut();
-    E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
-    E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
-    E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
-    E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
 }
 
 /// Lazy point-wise multiply `a[i] ← a[i]·b[i] mod q` between the fused
@@ -547,7 +529,7 @@ mod tests {
     /// vector and a 3-element scalar tail.
     #[test]
     fn one_limb_final_passes_write_every_plane() {
-        use crate::lanes::OneLimb;
+        use mqx_simd::OneLimb;
         let q = primes::Q62;
         let m = Modulus::new_prime(q).unwrap();
         let vm = VModulus::<Portable>::new(&m);
@@ -620,7 +602,7 @@ mod tests {
 
     #[test]
     fn transposed_stage_undoes_forward_stage_up_to_two() {
-        use crate::lanes::{OneLimb, TwoLimbs};
+        use mqx_simd::OneLimb;
         transposed_stage_undoes_forward_stage::<TwoLimbs>(primes::Q124);
         transposed_stage_undoes_forward_stage::<OneLimb>(primes::Q62);
     }

@@ -2,11 +2,12 @@
 //! dataflows.
 
 use crate::error::NttError;
-use crate::lanes::{Lanes, OneLimb, TwoLimbs};
 use crate::pease;
 use mqx_core::shoup::ShoupCtx;
 use mqx_core::{nt, Modulus, RootError};
-use mqx_simd::{ResidueSoa, SimdEngine, VModulus};
+use mqx_simd::{
+    debug_assert_domain_soa, Lanes, OneLimb, ResidueSoa, SimdEngine, TwoLimbs, VModulus,
+};
 use std::mem::size_of;
 use std::sync::OnceLock;
 
@@ -92,24 +93,6 @@ impl FusedTwist {
             + self.psi_inv_n_shoup.len()
             + self.psi_vec.get().map_or(0, Vec::len)
             + self.psi_inv_vec.get().map_or(0, Vec::len)
-    }
-}
-
-/// Debug-asserts the lazy coefficient-domain contract over SoA data:
-/// every value below `bound`. Compiled out of release builds.
-///
-/// This is the check lint rule **L3** demands at the entry of every
-/// in-place `*_lazy_*` / `*_fused_*` kernel: lazy forward stages
-/// accept `[0, 2q)`, the lazy inverse accepts `[0, 4q)`, and the fused
-/// polymul pipelines accept canonical (or `[0, 2q)`) operands. See the
-/// README's "Correctness tooling" section.
-#[inline]
-pub fn debug_assert_domain_soa(x: &ResidueSoa, bound: u128, what: &str) {
-    if cfg!(debug_assertions) {
-        for i in 0..x.len() {
-            let v = x.get(i);
-            assert!(v < bound, "{what}: coefficient {i} = {v:#x} ≥ {bound:#x}");
-        }
     }
 }
 

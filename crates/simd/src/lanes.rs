@@ -1,11 +1,13 @@
-//! The lane width a fused lazy pipeline runs at.
+//! The lane width a lazy kernel runs at.
 //!
 //! A residue of a modulus below `2^62` fits one 64-bit lane, and so
-//! does every value of the lazy domains (`4q < 2^64`). Such a plan runs
-//! its fused pipelines on the `lo` plane alone with the single-word ops
-//! ([`OneLimb`]); every other plan runs the two-limb (hi, lo) ops
-//! ([`TwoLimbs`]). The Pease stage loops in [`crate::pease`] are written
-//! once, over [`Lanes`], and the plan picks the width once per call.
+//! does every value of the lazy domains (`4q < 2^64`). Such a modulus
+//! runs its lazy kernels on the `lo` plane alone with the single-word
+//! ops ([`OneLimb`]); every other modulus runs the two-limb (hi, lo) ops
+//! ([`TwoLimbs`]). A kernel is written once, over [`Lanes`], and its
+//! caller picks the width once per call: the NTT plans' fused pipelines
+//! and Pease stage loops (`mqx_ntt`), and the RNS boundary's
+//! linear-combination kernel (`mqx_blas::lincomb`).
 //!
 //! Both widths read the same tables: a twiddle's value sits in the
 //! `lo` plane of its table, and its one-limb Shoup constant
@@ -17,19 +19,74 @@
 //! scratch buffer (swapped with the operands between stages) carried
 //! never reaches the result.
 
-use mqx_simd::{
-    add_unreduced, add_unreduced_word, addmod_lazy, addmod_lazy_word, mulmod, mulmod_shoup_lazy,
-    mulmod_shoup_lazy_word, mulmod_word, reduce_2q_to_q, reduce_2q_to_q_word, reduce_4q_to_2q,
-    reduce_4q_to_2q_word, submod_lazy, submod_lazy_word, ResidueSoa, SimdEngine, VDword, VModulus,
+use crate::{
+    add_unreduced, add_unreduced_word, addmod_lazy, addmod_lazy_word, debug_assert_domain_soa,
+    mulmod, mulmod_shoup_lazy, mulmod_shoup_lazy_word, mulmod_word, reduce_2q_to_q,
+    reduce_2q_to_q_word, reduce_4q_to_2q, reduce_4q_to_2q_word, submod_lazy, submod_lazy_word,
+    ResidueSoa, SimdEngine, VDword, VModulus,
 };
+
+/// The most lanes any engine's vector holds: the stack buffers of the
+/// partial `u128` loads and stores ([`Lanes::load_words`],
+/// [`Lanes::store_words`]) are this long.
+pub const MAX_LANES: usize = 8;
+
+/// `xs` as its 64-bit halves, in memory order: `[lo_0, hi_0, lo_1, …]`
+/// on a little-endian target.
+#[inline(always)]
+fn halves(xs: &[u128]) -> &[u64] {
+    // SAFETY: a `u128` is two `u64`s with no padding and is aligned at
+    // least as strictly as `u64`; every bit pattern is a valid `u64`. The
+    // view covers exactly the `2 · xs.len()` words of `xs` and borrows it.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u64>(), 2 * xs.len()) }
+}
+
+/// [`halves`] for writing.
+#[inline(always)]
+fn halves_mut(xs: &mut [u128]) -> &mut [u64] {
+    // SAFETY: as in `halves`; the view borrows `xs` mutably, so it is
+    // the only access to those words while it lives, and any `u64`
+    // pair written through it is a valid `u128`.
+    unsafe { std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast::<u64>(), 2 * xs.len()) }
+}
+
+/// Words `[0, E::LANES)` of `xs` as (hi, lo) limb vectors: two loads and
+/// two permutes.
+#[inline(always)]
+fn load_limbs<E: SimdEngine>(t: E::Token, xs: &[u128]) -> (E::V, E::V) {
+    let h = halves(&xs[..E::LANES]);
+    let (a, b) = (E::load(t, h), E::load(t, &h[E::LANES..]));
+    let (even, odd) = (E::deinterleave_even(a, b), E::deinterleave_odd(a, b));
+    if cfg!(target_endian = "little") {
+        (odd, even)
+    } else {
+        (even, odd)
+    }
+}
+
+/// Writes (hi, lo) limb vectors to words `[0, E::LANES)` of `out`: two
+/// permutes and two stores.
+#[inline(always)]
+fn store_limbs<E: SimdEngine>(hi: E::V, lo: E::V, out: &mut [u128]) {
+    let (first, second) = if cfg!(target_endian = "little") {
+        (lo, hi)
+    } else {
+        (hi, lo)
+    };
+    let h = halves_mut(&mut out[..E::LANES]);
+    E::store(E::interleave_lo(first, second), h);
+    E::store(E::interleave_hi(first, second), &mut h[E::LANES..]);
+}
 
 /// One vector of `E::LANES` residues at a lane width, and the lazy ops
 /// the fused pipeline runs on it. Vector loads and stores index
 /// residues; `read` / `write` are the scalar fallbacks' per-residue
 /// access to the same planes.
-pub(crate) trait Lanes<E: SimdEngine> {
+pub trait Lanes<E: SimdEngine> {
     /// A vector of residues.
     type V: Copy;
+    /// Moduli below this run at this width: `4q` must fit the lanes.
+    const BOUND: u128;
 
     /// Loads residues `[i, i + E::LANES)` of `x`.
     fn load(t: E::Token, x: &ResidueSoa, i: usize) -> Self::V;
@@ -77,18 +134,29 @@ pub(crate) trait Lanes<E: SimdEngine> {
     /// Debug-asserts every residue of `x`, as this width reads it, below
     /// `bound`.
     fn debug_assert_domain(x: &ResidueSoa, bound: u128, what: &str);
+
+    /// One value, broadcast; it must fit this width (below `2^64` at one
+    /// limb).
+    fn splat(t: E::Token, x: u128) -> Self::V;
+    /// The first `E::LANES` words of `xs`, or all of them when `xs` is
+    /// shorter (the missing lanes read 0). A word this width cannot hold
+    /// is reduced mod `m` first, never truncated.
+    fn load_words(t: E::Token, xs: &[u128], m: &VModulus<E>) -> Self::V;
+    /// Writes the first `min(out.len(), E::LANES)` lanes of `v` to `out`.
+    fn store_words(v: Self::V, out: &mut [u128]);
 }
 
 /// Two 64-bit limbs per residue: the (hi, lo) [`VDword`] ops, for any
 /// modulus up to 124 bits.
-pub(crate) struct TwoLimbs;
+pub struct TwoLimbs;
 
 /// One 64-bit limb per residue, on the `lo` plane: the single-word ops,
 /// for moduli below `2^62`.
-pub(crate) struct OneLimb;
+pub struct OneLimb;
 
 impl<E: SimdEngine> Lanes<E> for TwoLimbs {
     type V = VDword<E>;
+    const BOUND: u128 = 1 << 126;
 
     #[inline(always)]
     fn load(t: E::Token, x: &ResidueSoa, i: usize) -> VDword<E> {
@@ -148,7 +216,12 @@ impl<E: SimdEngine> Lanes<E> for TwoLimbs {
 
     #[inline(always)]
     fn store_interleaved(y: &mut ResidueSoa, base: usize, sum: VDword<E>, diff: VDword<E>) {
-        crate::pease::store_interleaved::<E>(y, base, sum, diff);
+        let lanes = E::LANES;
+        let (yh, yl) = y.parts_mut();
+        E::store(E::interleave_lo(sum.hi, diff.hi), &mut yh[base..]);
+        E::store(E::interleave_hi(sum.hi, diff.hi), &mut yh[base + lanes..]);
+        E::store(E::interleave_lo(sum.lo, diff.lo), &mut yl[base..]);
+        E::store(E::interleave_hi(sum.lo, diff.lo), &mut yl[base + lanes..]);
     }
 
     #[inline(always)]
@@ -192,12 +265,47 @@ impl<E: SimdEngine> Lanes<E> for TwoLimbs {
     }
 
     fn debug_assert_domain(x: &ResidueSoa, bound: u128, what: &str) {
-        crate::plan::debug_assert_domain_soa(x, bound, what);
+        debug_assert_domain_soa(x, bound, what);
+    }
+
+    #[inline(always)]
+    fn splat(t: E::Token, x: u128) -> VDword<E> {
+        VDword::broadcast(t, x)
+    }
+
+    #[inline(always)]
+    fn load_words(t: E::Token, xs: &[u128], _: &VModulus<E>) -> VDword<E> {
+        if xs.len() >= E::LANES {
+            let (hi, lo) = load_limbs::<E>(t, xs);
+            return VDword { hi, lo };
+        }
+        let (mut hi, mut lo) = ([0_u64; MAX_LANES], [0_u64; MAX_LANES]);
+        for ((h, l), &x) in hi
+            .iter_mut()
+            .zip(&mut lo)
+            .zip(&xs[..xs.len().min(E::LANES)])
+        {
+            (*h, *l) = ((x >> 64) as u64, x as u64);
+        }
+        VDword::load(t, &hi, &lo)
+    }
+
+    #[inline(always)]
+    fn store_words(v: VDword<E>, out: &mut [u128]) {
+        if out.len() >= E::LANES {
+            return store_limbs::<E>(v.hi, v.lo, out);
+        }
+        let (mut hi, mut lo) = ([0_u64; MAX_LANES], [0_u64; MAX_LANES]);
+        v.store(&mut hi, &mut lo);
+        for (o, (&h, &l)) in out.iter_mut().zip(hi.iter().zip(&lo)).take(E::LANES) {
+            *o = (u128::from(h) << 64) | u128::from(l);
+        }
     }
 }
 
 impl<E: SimdEngine> Lanes<E> for OneLimb {
     type V = E::V;
+    const BOUND: u128 = 1 << 62;
 
     #[inline(always)]
     fn load(t: E::Token, x: &ResidueSoa, i: usize) -> E::V {
@@ -293,6 +401,39 @@ impl<E: SimdEngine> Lanes<E> for OneLimb {
                     "{what}: coefficient {i} = {v:#x} ≥ {bound:#x} (lo plane)"
                 );
             }
+        }
+    }
+
+    #[inline(always)]
+    fn splat(t: E::Token, x: u128) -> E::V {
+        E::splat(t, x as u64)
+    }
+
+    #[inline(always)]
+    fn load_words(t: E::Token, xs: &[u128], m: &VModulus<E>) -> E::V {
+        if xs.len() >= E::LANES {
+            let (hi, lo) = load_limbs::<E>(t, xs);
+            if !E::mask_any(E::cmp_gt(hi, E::splat(t, 0))) {
+                return lo;
+            }
+        }
+        // A partial vector, or a word at or above 2^64: lane by lane.
+        let mut lo = [0_u64; MAX_LANES];
+        for (l, &x) in lo.iter_mut().zip(&xs[..xs.len().min(E::LANES)]) {
+            *l = if x >> 64 == 0 { x } else { m.scalar.reduce(x) } as u64;
+        }
+        E::load(t, &lo)
+    }
+
+    #[inline(always)]
+    fn store_words(v: E::V, out: &mut [u128]) {
+        if out.len() >= E::LANES {
+            return store_limbs::<E>(E::splat(E::witness(v), 0), v, out);
+        }
+        let mut lo = [0_u64; MAX_LANES];
+        E::store(v, &mut lo);
+        for (o, &l) in out.iter_mut().zip(&lo).take(E::LANES) {
+            *o = u128::from(l);
         }
     }
 }

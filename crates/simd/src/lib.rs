@@ -85,6 +85,7 @@
 mod delegate;
 mod dmod;
 mod engine;
+mod lanes;
 mod mqx;
 mod portable;
 pub mod profiles;
@@ -106,13 +107,14 @@ pub use dmod::{
     VDword, VModulus,
 };
 pub use engine::{SimdEngine, Token};
+pub use lanes::{Lanes, OneLimb, TwoLimbs, MAX_LANES};
 pub use mqx::Mqx;
 pub use portable::Portable;
 pub use smod::{
     add_unreduced_word, addmod_lazy_word, mulmod_shoup_lazy_word, mulmod_word, reduce_2q_to_q_word,
     reduce_4q_to_2q_word, submod_lazy_word,
 };
-pub use soa::ResidueSoa;
+pub use soa::{debug_assert_domain_soa, ResidueSoa};
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::Avx2;

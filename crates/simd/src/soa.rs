@@ -158,6 +158,24 @@ impl ResidueSoa {
     }
 }
 
+/// Debug-asserts the lazy coefficient-domain contract over SoA data:
+/// every value below `bound`. Compiled out of release builds.
+///
+/// This is the check lint rule **L3** demands at the entry of every
+/// in-place `*_lazy_*` / `*_fused_*` kernel: lazy forward stages
+/// accept `[0, 2q)`, the lazy inverse accepts `[0, 4q)`, and the fused
+/// polymul pipelines accept canonical (or `[0, 2q)`) operands. See the
+/// README's "Correctness tooling" section.
+#[inline]
+pub fn debug_assert_domain_soa(x: &ResidueSoa, bound: u128, what: &str) {
+    if cfg!(debug_assertions) {
+        for i in 0..x.len() {
+            let v = x.get(i);
+            assert!(v < bound, "{what}: coefficient {i} = {v:#x} ≥ {bound:#x}");
+        }
+    }
+}
+
 impl FromIterator<u128> for ResidueSoa {
     fn from_iter<T: IntoIterator<Item = u128>>(iter: T) -> Self {
         let mut out = ResidueSoa::new();

@@ -56,9 +56,10 @@
 pub mod calibrate;
 
 use crate::error::Error;
+use mqx_blas::LinComb;
 use mqx_core::Modulus;
 use mqx_ntt::NttPlan;
-use mqx_simd::{Portable, ResidueSoa, SimdEngine};
+use mqx_simd::{Lanes, OneLimb, Portable, ResidueSoa, SimdEngine, TwoLimbs};
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
@@ -127,6 +128,17 @@ pub trait Backend: Send + Sync {
 
     /// `y[i] ← a·x[i] + y[i] mod q` with broadcast scalar `a`.
     fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus);
+
+    /// `out[j] = (k + Σ_t c_t · x_t[j]) mod q` for every `j`, over
+    /// rows of `u128` words and constant Shoup multipliers
+    /// ([`mqx_blas::lincomb`]): the one kernel under the RNS boundary.
+    /// Rows may hold any word, reduced or not; the result is canonical.
+    /// A modulus below `2^62` runs one 64-bit limb per lane, any other
+    /// two.
+    ///
+    /// Panics on the kernel's misuse: a row that is not `out.len()`
+    /// words long, or an offset at or above `q`.
+    fn lincomb(&self, m: &Modulus, comb: &LinComb<'_>, out: &mut [u128]);
 
     /// Cyclic polynomial product through the *fused lazy pipeline*, the
     /// one polymul path a backend serves: forward(a), forward(b),
@@ -214,6 +226,14 @@ impl<E: SimdEngine> Backend for EngineBackend<E> {
 
     fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus) {
         mqx_blas::simd::axpy::<E>(a, x, y, m);
+    }
+
+    fn lincomb(&self, m: &Modulus, comb: &LinComb<'_>, out: &mut [u128]) {
+        if m.value() < <OneLimb as Lanes<E>>::BOUND {
+            mqx_blas::lincomb::<E, OneLimb>(m, comb, out);
+        } else {
+            mqx_blas::lincomb::<E, TwoLimbs>(m, comb, out);
+        }
     }
 
     fn polymul_cyclic_fused(

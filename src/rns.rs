@@ -12,12 +12,15 @@
 //! channel, all dispatched to the one backend the builder resolves, and
 //! recombines channel results by Garner's algorithm.
 //!
-//! Everything per coefficient is word arithmetic over constants
-//! precomputed once per basis width: CRT decomposition is a dot product
-//! of a coefficient's limbs with `2^(64j) mod q_i`, the Garner
-//! mixed-radix digits come from a table of `(q_0 ⋯ q_{j−1}) mod q_i`
-//! Shoup multipliers, a basis extension folds those digits onto the
-//! fresh prime, and the join hands them to
+//! Everything per coefficient runs one backend kernel,
+//! [`Backend::lincomb`]: `out[j] = (k + Σ_t c_t · x_t[j]) mod q`,
+//! lane-parallel across the coefficients `j`, with Shoup multipliers
+//! precomputed once per basis width. CRT decomposition combines the
+//! coefficients' 64-bit limb planes with `2^(64t) mod q_c`; the Garner
+//! mixed-radix digits are computed one digit row at a time, each from
+//! its channel's residues and the digit rows before it; a basis
+//! extension folds those digit rows onto the fresh prime; a rescale is
+//! two calls. The join hands each coefficient's digits to
 //! [`CrtContext::assemble`] — the one place a wide integer is written.
 //! [`mqx_bignum::crt`]'s `BigUint` routines are the oracle the tests
 //! pin this to, not the request path.
@@ -57,10 +60,13 @@ use crate::plan_cache::{self, PlanCache};
 use crate::ring::{BackendChoice, Ring};
 use mqx_bignum::crt::CrtContext;
 use mqx_bignum::BigUint;
+use mqx_blas::LinComb;
 use mqx_core::{primes, Modulus, ShoupMul};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::iter;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default channel width for generated bases: 62-bit NTT primes.
 ///
@@ -198,8 +204,14 @@ impl RnsRingBuilder {
 /// [`RingOp::Rescale`] drops from the end. Cached per width in the ring
 /// ([`PlanCache`] discipline: keyed, built once, shared by every
 /// request — pay the inversions at setup, never per coefficient).
-/// Every table a per-coefficient loop reads is word-sized ([`Modulus`],
-/// [`ShoupMul`]), for any channel width [`Modulus`] accepts.
+///
+/// Every boundary step over the width is one [`Backend::lincomb`] call
+/// per channel and [`BLOCK`] of coefficients (two for a rescale) over
+/// these tables, for any channel
+/// width [`Modulus`] accepts: one 64-bit limb per lane for a channel
+/// below `2^62`, two otherwise. Each [`ShoupMul`] serves both lane
+/// widths: the one-limb Shoup constant is the `hi` limb of its stored
+/// two-limb one.
 struct WidthCtx {
     /// Barrett contexts for the width's primes, in channel order.
     mods: Vec<Modulus>,
@@ -211,21 +223,22 @@ struct WidthCtx {
     /// `h = ⌊q_last / 2⌋` for rescaling *from* this width (0 when the
     /// width has no channel to drop).
     half: u128,
-    /// `h mod q_i` for every surviving channel `i < m − 1`.
-    half_mod: Vec<u128>,
-    /// `(q_last mod q_i)⁻¹ mod q_i` for every surviving channel.
-    q_inv: Vec<ShoupMul>,
-    /// `fold[c][j] = (m_0 ⋯ m_{j−1}) mod m_c` — the word-level table
-    /// both Garner steps read. Digit `c` of this basis subtracts
-    /// `Σ_{j<c} v_j · fold[c][j]`; a basis extension *into* channel `c`
-    /// of this width folds a width-`w ≤ c` source's digits against the
-    /// first `w` entries, which only involve primes before `c`.
+    /// A rescale's multipliers and offset for every surviving channel
+    /// `i < m − 1`, with `u_i = (q_last mod m_i)⁻¹ mod m_i`:
+    /// `[u_i, −u_i]` and `h · u_i mod m_i`.
+    rescale: Vec<([ShoupMul; 2], u128)>,
+    /// `fold[c][j] = p_j = (m_0 ⋯ m_{j−1}) mod m_c` — the multipliers of
+    /// a basis extension *into* channel `c` of this width from the
+    /// digits of a width-`w ≤ c` source, `Σ_{j<w} p_j · v_j` (entries
+    /// `j < w` only involve primes before `c`).
     fold: Vec<Vec<ShoupMul>>,
-    /// Garner constants: `inv[i] = fold[i][i]⁻¹ mod m_i`.
-    inv: Vec<ShoupMul>,
-    /// `radix[c][j] = 2^(64j) mod m_c`, one entry per limb of a
-    /// coefficient below the product: CRT decomposition is the dot
-    /// product of a coefficient's limbs with row `c`.
+    /// `garner[i] = [1, −p_0, …, −p_{i−1}] · p_i⁻¹ mod m_i`, with `p_j`
+    /// taken mod `m_i` as in `fold`: Garner digit `i` is
+    /// `v_i = garner[i][0] · r_i + Σ_{j<i} garner[i][j + 1] · v_j`.
+    garner: Vec<Vec<ShoupMul>>,
+    /// `radix[c][t] = 2^(64t) mod m_c`, one entry per limb of a
+    /// coefficient below the product: CRT decomposition combines the
+    /// coefficients' limb planes with row `c`.
     radix: Vec<Vec<ShoupMul>>,
 }
 
@@ -238,32 +251,34 @@ impl WidthCtx {
             .map(|&q| Modulus::new(q).map_err(Error::from))
             .collect::<Result<Vec<_>, _>>()?;
         let m = moduli.len();
-        let (half, half_mod, q_inv) = if m >= 2 {
-            let q_last = moduli[m - 1];
-            let half = q_last / 2;
-            let survivors = &mods[..m - 1];
-            let half_mod = survivors.iter().map(|md| md.reduce(half)).collect();
-            let q_inv = survivors
-                .iter()
-                .map(|md| ShoupMul::new(md.inv_mod(q_last).expect(COPRIME), md))
-                .collect();
-            (half, half_mod, q_inv)
-        } else {
-            (0, Vec::new(), Vec::new())
-        };
+        let q_last = moduli[m - 1];
+        let half = if m >= 2 { q_last / 2 } else { 0 };
+        let rescale = mods[..m - 1]
+            .iter()
+            .map(|md| {
+                let u = md.inv_mod(q_last).expect(COPRIME);
+                let pair = [u, md.sub_mod(0, u)].map(|w| ShoupMul::new(w, md));
+                (pair, md.mul_mod(md.reduce(half), u))
+            })
+            .collect();
         let shoup_row = |md: &Modulus, row: Vec<u128>| -> Vec<ShoupMul> {
             row.into_iter().map(|w| ShoupMul::new(w, md)).collect()
         };
-        let fold: Vec<Vec<ShoupMul>> = mods
+        let prefixes: Vec<Vec<u128>> = mods.iter().map(|md| crt.prefixes_mod(md.value())).collect();
+        let fold = mods
             .iter()
-            .map(|md| shoup_row(md, crt.prefixes_mod(md.value())))
+            .zip(&prefixes)
+            .map(|(md, p)| shoup_row(md, p.clone()))
             .collect();
-        let inv = mods
+        let garner = mods
             .iter()
-            .zip(&fold)
+            .zip(&prefixes)
             .enumerate()
-            .map(|(i, (md, row))| {
-                ShoupMul::new(md.inv_mod(row[i].multiplier()).expect(COPRIME), md)
+            .map(|(i, (md, p))| {
+                let inv = md.inv_mod(p[i]).expect(COPRIME);
+                let negated = p[..i].iter().map(|&p| md.sub_mod(0, p));
+                let row = iter::once(1).chain(negated).map(|w| md.mul_mod(w, inv));
+                shoup_row(md, row.collect())
             })
             .collect();
         let limbs = crt.product().limbs().len();
@@ -271,7 +286,7 @@ impl WidthCtx {
             .iter()
             .map(|md| {
                 let step = md.reduce(1 << 64);
-                let powers = std::iter::successors(Some(1), |&w| Some(md.mul_mod(w, step)));
+                let powers = iter::successors(Some(1), |&w| Some(md.mul_mod(w, step)));
                 shoup_row(md, powers.take(limbs).collect())
             })
             .collect();
@@ -279,87 +294,144 @@ impl WidthCtx {
             mods,
             crt,
             half,
-            half_mod,
-            q_inv,
+            rescale,
             fold,
-            inv,
+            garner,
             radix,
         })
     }
 
-    /// The Garner mixed-radix digits of coefficient `index` of a
-    /// channel-major residue matrix over this basis:
-    /// `v_i = (r_i − Σ_{j<i} v_j·fold[i][j]) · inv_i mod m_i`, so that
-    /// `x = Σ v_i · (m_0 ⋯ m_{i−1})` with every `v_i < m_i`. Residues
-    /// at or above their modulus alias their reduction.
-    fn digits_at(&self, channels: &[Vec<u128>], index: usize, digits: &mut [u128]) {
-        debug_assert!(channels.len() == self.mods.len() && digits.len() == self.mods.len());
-        for (i, (m, channel)) in self.mods.iter().zip(channels).enumerate() {
-            let r = reduce_word(m, channel[index]);
-            let known = dot_mod(m, &self.fold[i][..i], digits[..i].iter().copied());
-            digits[i] = self.inv[i].mul(m.sub_mod(r, known));
-            debug_assert!(digits[i] < m.value(), "Garner digit {i} outside [0, m_i)");
+    /// CRT decomposition of coefficients below the product,
+    /// channel-major: channel `c` is `Σ_t limb_t · 2^(64t) mod m_c` over
+    /// the coefficients' limb planes, laid out one block at a time.
+    fn split(&self, backend: &dyn Backend, coeffs: &[BigUint]) -> Vec<Vec<u128>> {
+        let n = coeffs.len();
+        let limbs = self.radix[0].len();
+        let mut channels: Vec<Vec<u128>> = self.mods.iter().map(|_| vec![0; n]).collect();
+        let mut planes = vec![0_u128; limbs * BLOCK.min(n)];
+        for range in blocks(n) {
+            let b = range.len();
+            // Plane t holds limb t of every coefficient of the block.
+            let planes = &mut planes[..limbs * b];
+            planes.fill(0);
+            for (j, x) in coeffs[range.clone()].iter().enumerate() {
+                debug_assert!(x < self.crt.product());
+                for (t, &limb) in x.limbs().iter().enumerate() {
+                    planes[t * b + j] = u128::from(limb);
+                }
+            }
+            let (lead, rows) = planes.split_at(b);
+            for ((m, radix), residues) in self.mods.iter().zip(&self.radix).zip(&mut channels) {
+                let comb = LinComb {
+                    coeffs: radix,
+                    lead,
+                    rows,
+                    offset: 0,
+                };
+                backend.lincomb(m, &comb, &mut residues[range.clone()]);
+            }
+        }
+        channels
+    }
+
+    /// The Garner mixed-radix digits of coefficients `range` of a
+    /// channel-major residue matrix over this basis, digit-major: row `i`
+    /// of `digits` holds `v_i = (r_i − Σ_{j<i} v_j · p_j) · p_i⁻¹ mod m_i`
+    /// for every coefficient of the range, so that
+    /// `x = Σ v_i · (m_0 ⋯ m_{i−1})` with every `v_i < m_i`. Residues at
+    /// or above their modulus alias their reduction.
+    fn digits(
+        &self,
+        backend: &dyn Backend,
+        channels: &[Vec<u128>],
+        range: Range<usize>,
+        digits: &mut [u128],
+    ) {
+        debug_assert_eq!(channels.len(), self.mods.len());
+        let b = range.len();
+        for (i, (m, residues)) in self.mods.iter().zip(channels).enumerate() {
+            let (known, rest) = digits.split_at_mut(i * b);
+            let comb = LinComb {
+                coeffs: &self.garner[i],
+                lead: &residues[range.clone()],
+                rows: known,
+                offset: 0,
+            };
+            backend.lincomb(m, &comb, &mut rest[..b]);
         }
     }
 
-    /// `x mod m_c` for channel `c` of this basis, from the mixed-radix
-    /// digits of `x` over a narrower source basis (a prefix of this one
-    /// ending before `c`): the basis-extension fold
-    /// `Σ v_j · fold[c][j] mod m_c`.
-    fn fold_onto(&self, channel: usize, digits: &[u128]) -> u128 {
-        debug_assert!(
-            digits.len() <= channel,
-            "source basis must end before the target"
-        );
-        let row = &self.fold[channel][..digits.len()];
-        dot_mod(&self.mods[channel], row, digits.iter().copied())
-    }
-
-    /// `x mod m_c` for a coefficient `x` below the product: the dot
-    /// product of its limbs with `2^(64j) mod m_c`.
-    fn residue(&self, channel: usize, x: &BigUint) -> u128 {
-        debug_assert!(x < self.crt.product());
-        let limbs = x.limbs().iter().map(|&l| u128::from(l));
-        dot_mod(&self.mods[channel], &self.radix[channel], limbs)
-    }
-}
-
-/// `x mod m` for a word that is almost always already reduced (a residue
-/// of this channel, or of a neighbouring prime of the same width): the
-/// 128-bit division runs only when it has to.
-#[inline]
-fn reduce_word(m: &Modulus, x: u128) -> u128 {
-    if x < m.value() {
-        x
-    } else {
-        m.reduce(x)
-    }
-}
-
-/// `Σ xs[j] · row[j] mod m` — the one word-level kernel under CRT
-/// decomposition (limbs against powers of `2^64`), the Garner recurrence
-/// and the basis-extension fold (digits against prefix products).
-/// [`ShoupMul::mul_lazy`] takes any `u128` — a digit of another channel,
-/// a raw limb — so no input is reduced before its multiply; the running
-/// sum stays in `[0, 2q)` and is reduced once at the end.
-#[inline]
-fn dot_mod(m: &Modulus, row: &[ShoupMul], xs: impl Iterator<Item = u128>) -> u128 {
-    let q = m.value();
-    let sum = row.iter().zip(xs).fold(0_u128, |acc, (w, x)| {
-        // Both below 2q ≤ 2^125: the sum cannot wrap.
-        let t = acc + w.mul_lazy(x);
-        debug_assert!(t < 4 * q, "lazy sum outside [0, 4q)");
-        if t >= 2 * q {
-            t - 2 * q
-        } else {
-            t
+    /// Channel `c` of this basis for the coefficients of `a`, residues
+    /// over `src`, a narrower basis (a prefix of this one ending at or
+    /// before `c`): per block, the Garner digits over `src` folded onto
+    /// `m_c`, `Σ_j p_j · v_j mod m_c`.
+    fn extend_onto(
+        &self,
+        src: &WidthCtx,
+        backend: &dyn Backend,
+        channel: usize,
+        a: &[Vec<u128>],
+        out: &mut [u128],
+    ) {
+        let width = src.mods.len();
+        debug_assert!(width <= channel, "source basis must end before the target");
+        let mut digits = vec![0_u128; width * BLOCK.min(out.len())];
+        for range in blocks(out.len()) {
+            let b = range.len();
+            let digits = &mut digits[..width * b];
+            src.digits(backend, a, range.clone(), digits);
+            let (lead, rows) = digits.split_at(b);
+            let comb = LinComb {
+                coeffs: &self.fold[channel][..width],
+                lead,
+                rows,
+                offset: 0,
+            };
+            backend.lincomb(&self.mods[channel], &comb, &mut out[range]);
         }
-    });
-    if sum >= q {
-        sum - q
-    } else {
-        sum
     }
+
+    /// Surviving channel `c` of a rescale from this width,
+    /// `round(x / q_last) mod m_c`: with `v = (a_last + h) mod q_last`
+    /// (from the last channel alone), `round(x / q_last) = (x + h − v) /
+    /// q_last`, so the channel is `(a_c + h − v) · q_last⁻¹ mod m_c`.
+    fn rescale(&self, backend: &dyn Backend, channel: usize, a: &[Vec<u128>], out: &mut [u128]) {
+        let last = self.mods.len() - 1;
+        debug_assert!(channel < last);
+        let (coeffs, offset) = &self.rescale[channel];
+        let mut v = [0_u128; BLOCK];
+        for range in blocks(out.len()) {
+            let v = &mut v[..range.len()];
+            let round = LinComb {
+                // p_0 = 1.
+                coeffs: &self.fold[last][..1],
+                lead: &a[last][range.clone()],
+                rows: &[],
+                offset: self.half,
+            };
+            backend.lincomb(&self.mods[last], &round, v);
+            let divide = LinComb {
+                coeffs,
+                lead: &a[channel][range.clone()],
+                rows: v,
+                offset: *offset,
+            };
+            backend.lincomb(&self.mods[channel], &divide, &mut out[range]);
+        }
+    }
+}
+
+/// Coefficients per boundary block: a block's digit rows or limb planes
+/// take `BLOCK · 16` bytes each (4 KiB), so they stay in the first-level
+/// cache and a call's buffers do not grow with `n`.
+const BLOCK: usize = 256;
+
+/// `0..n` in consecutive ranges of [`BLOCK`] coefficients (the last one
+/// shorter).
+fn blocks(n: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n)
+        .step_by(BLOCK)
+        .map(move |start| start..n.min(start + BLOCK))
 }
 
 /// A sharded multi-modulus polynomial ring `ℤ_Q[x]/(xⁿ ± 1)` with
@@ -450,6 +522,11 @@ impl RnsRing {
         self.rings.iter().all(Ring::supports_negacyclic)
     }
 
+    /// The backend every channel, and every boundary kernel, runs on.
+    fn backend(&self) -> &dyn Backend {
+        self.rings[0].backend()
+    }
+
     fn check_len(&self, got: usize) -> Result<(), Error> {
         if got == self.n {
             Ok(())
@@ -476,11 +553,7 @@ impl RnsRing {
         if let Some(index) = coeffs.iter().position(|c| c >= ctx.crt.product()) {
             return Err(Error::CoefficientOutOfRange { index });
         }
-        // Channel-major: one output vector per channel, no
-        // per-coefficient allocation on this serial boundary path.
-        Ok((0..self.channels())
-            .map(|channel| coeffs.iter().map(|c| ctx.residue(channel, c)).collect())
-            .collect())
+        Ok(ctx.split(self.backend(), coeffs))
     }
 
     /// Recombines per-channel residue vectors (channel-major, as
@@ -493,7 +566,7 @@ impl RnsRing {
     /// [`Error::LengthMismatch`] when any channel vector is not
     /// `n`-long.
     pub fn recombine(&self, channels: &[Vec<u128>]) -> Result<Vec<BigUint>, Error> {
-        recombine_with(&self.native, channels, self.n)
+        recombine_with(&self.native, self.backend(), channels, self.n)
     }
 
     /// Negacyclic product in `ℤ_Q[x]/(xⁿ + 1)` — the RLWE workhorse
@@ -593,19 +666,20 @@ impl RnsRing {
     /// cached. Warmed at submit so graph validation errors surface
     /// before any work item runs.
     fn width_ctx(&self, width: usize) -> Result<Arc<WidthCtx>, Error> {
-        if let Some(ctx) = self
-            .widths
-            .lock()
-            .expect("width cache poisoned")
-            .get(&width)
-        {
+        if let Some(ctx) = self.widths().get(&width) {
             return Ok(Arc::clone(ctx));
         }
         // Build outside the lock (the prime search is the slow part);
         // racing builders produce identical contexts, first insert wins.
         let ctx = Arc::new(WidthCtx::new(&self.width_moduli(width)?)?);
-        let mut cache = self.widths.lock().expect("width cache poisoned");
-        Ok(Arc::clone(cache.entry(width).or_insert(ctx)))
+        Ok(Arc::clone(self.widths().entry(width).or_insert(ctx)))
+    }
+
+    /// The width cache. Nothing that can panic runs under the lock (a
+    /// lookup, or one insert of a finished context), so a poisoned lock
+    /// still holds a valid map.
+    fn widths(&self) -> MutexGuard<'_, HashMap<usize, Arc<WidthCtx>>> {
+        self.widths.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// How many channels `op` produces from `width`-channel operands,
@@ -651,9 +725,14 @@ impl RnsRing {
 }
 
 /// Garner recombination of channel-major residues against an arbitrary
-/// basis context (the ring's own, or an op's output basis): word-level
-/// digits, then one limb-vector assembly per coefficient.
-fn recombine_with(ctx: &WidthCtx, channels: &[Vec<u128>], n: usize) -> Result<Vec<BigUint>, Error> {
+/// basis context (the ring's own, or an op's output basis): the digit
+/// rows on `backend`, then one limb-vector assembly per coefficient.
+fn recombine_with(
+    ctx: &WidthCtx,
+    backend: &dyn Backend,
+    channels: &[Vec<u128>],
+    n: usize,
+) -> Result<Vec<BigUint>, Error> {
     if channels.len() != ctx.mods.len() {
         return Err(Error::ChannelCountMismatch {
             expected: ctx.mods.len(),
@@ -668,13 +747,22 @@ fn recombine_with(ctx: &WidthCtx, channels: &[Vec<u128>], n: usize) -> Result<Ve
             });
         }
     }
-    let mut digits = vec![0_u128; channels.len()];
-    Ok((0..n)
-        .map(|j| {
-            ctx.digits_at(channels, j, &mut digits);
-            ctx.crt.assemble(&digits)
-        })
-        .collect())
+    let m = channels.len();
+    let mut digits = vec![0_u128; m * BLOCK.min(n)];
+    let mut column = vec![0_u128; m];
+    let mut coeffs = Vec::with_capacity(n);
+    for range in blocks(n) {
+        let b = range.len();
+        let digits = &mut digits[..m * b];
+        ctx.digits(backend, channels, range, digits);
+        coeffs.extend((0..b).map(|j| {
+            for (d, row) in column.iter_mut().zip(digits.chunks_exact(b)) {
+                *d = row[j];
+            }
+            ctx.crt.assemble(&column)
+        }));
+    }
+    Ok(coeffs)
 }
 
 /// An [`RnsRing`] exposes its residue channels directly: `split` is CRT
@@ -796,18 +884,11 @@ impl crate::PolyRing for RnsRing {
                 }
             }
             RingOp::Rescale => {
-                // out = round(x / q_last) mod q_i, entirely word-level:
-                // with v = (x + h) mod q_last (computable from the last
-                // channel alone), round(x / q_last) = (x + h − v)/q_last,
-                // so out_i = (a_i + h − v) · q_last⁻¹ mod q_i.
+                // out = round(x / q_last) mod q_i, from channel i and the
+                // last channel alone.
+                out.resize(n, 0);
                 let ctx = self.width_ctx(width)?;
-                let (m_last, m_i) = (&ctx.mods[width - 1], &ctx.mods[channel]);
-                let (h_i, q_inv) = (ctx.half_mod[channel], &ctx.q_inv[channel]);
-                out.extend(a[channel].iter().zip(&a[width - 1]).map(|(&a_i, &a_last)| {
-                    let v = m_last.add_mod(a_last, ctx.half);
-                    let t = m_i.sub_mod(m_i.add_mod(a_i, h_i), reduce_word(m_i, v));
-                    q_inv.mul(t)
-                }));
+                ctx.rescale(self.backend(), channel, a, out);
                 Ok(())
             }
             // Channels inside the source basis pass through unchanged.
@@ -816,17 +897,13 @@ impl crate::PolyRing for RnsRing {
                 Ok(())
             }
             RingOp::BasisExtend { .. } => {
-                // A fresh channel: fold the Garner mixed-radix digits of
-                // each coefficient over the source-width basis against
-                // the target channel's precomputed `prefix mod p` table
-                // — word arithmetic only, one digit buffer per call.
+                // A fresh channel: the Garner digits over the source-width
+                // basis, folded onto the fresh prime block by block — one
+                // digit buffer per call.
                 let src = self.width_ctx(width)?;
+                out.resize(n, 0);
                 let tgt = self.width_ctx(outputs)?;
-                let mut digits = vec![0_u128; width];
-                out.extend((0..n).map(|j| {
-                    src.digits_at(a, j, &mut digits);
-                    tgt.fold_onto(channel, &digits)
-                }));
+                tgt.extend_onto(&src, self.backend(), channel, a, out);
                 Ok(())
             }
         }
@@ -838,7 +915,7 @@ impl crate::PolyRing for RnsRing {
         channels: Vec<Vec<u128>>,
     ) -> Result<crate::Coefficients, Error> {
         let ctx = self.width_ctx(width)?;
-        recombine_with(&ctx, &channels, self.n).map(crate::Coefficients::Big)
+        recombine_with(&ctx, self.backend(), &channels, self.n).map(crate::Coefficients::Big)
     }
 }
 
@@ -965,34 +1042,67 @@ mod tests {
     }
 
     /// Every value of a small basis through the word path and the
-    /// `BigUint` oracle: digits, assembly, decomposition, and the fold
-    /// onto `fresh` (coprime to the basis).
+    /// `BigUint` oracle, on every registry backend, in one call per
+    /// step: digits, assembly, decomposition, the fold onto `fresh`
+    /// (coprime to the basis) and the rescale that drops the last prime.
     fn pin_word_crt_to_oracle(basis: [u128; 3], fresh: u128) {
         let ctx = WidthCtx::new(&basis).unwrap();
         let mut extended = basis.to_vec();
         extended.push(fresh);
         let tgt = WidthCtx::new(&extended).unwrap();
-        let mut digits = [0_u128; 3];
-        let mut cases = 0_u64;
+        let mut columns = Vec::new();
         for r0 in 0..basis[0] {
             for r1 in 0..basis[1] {
                 for r2 in 0..basis[2] {
-                    let residues = [r0, r1, r2];
-                    let channels = residues.map(|r| vec![r]);
-                    ctx.digits_at(&channels, 0, &mut digits);
-                    assert_eq!(digits[..], ctx.crt.digits(&residues), "{residues:?}");
-                    let x = ctx.crt.assemble(&digits);
-                    assert_eq!(x, ctx.crt.recombine(&residues), "{residues:?}");
-                    let split: Vec<u128> = (0..3).map(|c| ctx.residue(c, &x)).collect();
-                    assert_eq!(split, ctx.crt.to_residues(&x), "{x}");
-                    assert_eq!(split, residues, "{x}");
-                    let folded = BigUint::from(tgt.fold_onto(3, &digits));
-                    assert_eq!(folded, &x % &BigUint::from(fresh), "{x} mod {fresh}");
-                    cases += 1;
+                    columns.push([r0, r1, r2]);
                 }
             }
         }
-        assert_eq!(BigUint::from(cases), *ctx.crt.product(), "every value once");
+        let n = columns.len();
+        assert_eq!(
+            BigUint::from(n as u64),
+            *ctx.crt.product(),
+            "every value once"
+        );
+        let channels: Vec<Vec<u128>> = (0..3)
+            .map(|c| columns.iter().map(|r| r[c]).collect())
+            .collect();
+        let xs: Vec<BigUint> = columns.iter().map(|r| ctx.crt.recombine(r)).collect();
+        let (q_last, half) = (BigUint::from(basis[2]), BigUint::from(basis[2] / 2));
+        for b in backend::available() {
+            let mut digits = vec![0; 3 * n];
+            ctx.digits(&*b, &channels, 0..n, &mut digits);
+            for (j, (residues, x)) in columns.iter().zip(&xs).enumerate() {
+                let column: Vec<u128> = (0..3).map(|i| digits[i * n + j]).collect();
+                assert_eq!(
+                    column,
+                    ctx.crt.digits(residues),
+                    "{} {residues:?}",
+                    b.name()
+                );
+                assert_eq!(ctx.crt.assemble(&column), *x, "{} {residues:?}", b.name());
+            }
+            assert_eq!(ctx.split(&*b, &xs), channels, "{}", b.name());
+            let mut folded = vec![0; n];
+            tgt.extend_onto(&ctx, &*b, 3, &channels, &mut folded);
+            for (x, &r) in xs.iter().zip(&folded) {
+                assert_eq!(
+                    BigUint::from(r),
+                    x % &BigUint::from(fresh),
+                    "{} {x}",
+                    b.name()
+                );
+            }
+            for (c, &m_c) in basis[..2].iter().enumerate() {
+                let mut out = vec![0; n];
+                ctx.rescale(&*b, c, &channels, &mut out);
+                let m_c = BigUint::from(m_c);
+                for (x, &r) in xs.iter().zip(&out) {
+                    let rounded = &(x + &half) / &q_last;
+                    assert_eq!(BigUint::from(r), &rounded % &m_c, "{} {x}", b.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -159,6 +159,25 @@ fn rns_scaling_covers_widening_moduli() {
     );
     assert!(w.wide_ns > 0.0 && w.rns_channels_ns > 0.0 && w.wide_over_rns > 0.0);
     assert!(!w.backend.is_empty());
+    // The boundary column: every step timed per coefficient at the
+    // served size, and the kernel at both lane widths.
+    let b = &w.boundary;
+    assert_eq!((b.n, b.channels), (2048, 3));
+    for ns in [
+        b.split_ns_per_coeff,
+        b.extend_ns_per_coeff,
+        b.rescale_ns_per_coeff,
+        b.join_ns_per_coeff,
+        b.one_limb_kernel_ns_per_coeff,
+        b.two_limb_kernel_ns_per_coeff,
+    ] {
+        assert!(ns > 0.0, "{b:?}");
+    }
+    assert!(!b.backend.is_empty() && !b.kernel_engine.is_empty());
+    assert_eq!(
+        b.regression,
+        b.kernel_speedup < mqx_bench::experiments::rns::BOUNDARY_ONE_LIMB_MIN_SPEEDUP
+    );
     // Structural only: wall-clock scaling is too noisy under the
     // parallel test runner; the release-mode `rns` binary is the
     // quantitative check.

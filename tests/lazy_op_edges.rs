@@ -11,16 +11,20 @@
 //! this sweep is the net under both: a wrong constant or a fold against
 //! the wrong bound shows up as one lane that disagrees. The transposed
 //! inverse's Harvey butterfly, composed from those ops, is swept over
-//! every `[0, 4q)` input pair the same way, at both lane widths.
+//! every `[0, 4q)` input pair the same way, at both lane widths. So is
+//! the RNS boundary's linear-combination kernel (`mqx::blas::lincomb`),
+//! against the scalar `ShoupMul`.
 
+use mqx::blas::{lincomb, LinComb};
 use mqx::core::shoup::{self, ShoupCtx};
-use mqx::core::{primes, Modulus};
+use mqx::core::{primes, Modulus, ShoupMul};
 use mqx::simd::profiles::McpFunctional;
 use mqx::simd::{
     add_unreduced, add_unreduced_word, addmod, addmod_lazy, addmod_lazy_word, mulmod_karatsuba,
     mulmod_schoolbook, mulmod_shoup_lazy, mulmod_shoup_lazy_word, mulmod_word, reduce_2q_to_q,
     reduce_2q_to_q_word, reduce_4q_to_2q, reduce_4q_to_2q_word, submod, submod_lazy,
-    submod_lazy_word, Mqx, Portable, ResidueSoa, SimdEngine, VDword, VModulus,
+    submod_lazy_word, Lanes, Mqx, OneLimb, Portable, ResidueSoa, SimdEngine, TwoLimbs, VDword,
+    VModulus,
 };
 
 /// Every op of the sweep, with its input domain (as a multiple of `q`
@@ -396,10 +400,73 @@ fn butterflies<E: SimdEngine>() {
     }
 }
 
+/// `lincomb` at lane width `L` on `E` against the scalar `ShoupMul`,
+/// for combinations of one to three rows: every multiplier of
+/// `{0, 1, q − 1}` on every row, both offset ends, and rows holding every
+/// tuple of `words` — odd lengths, so each call ends in a partial
+/// vector.
+fn check_lincomb<E: SimdEngine, L: Lanes<E>>(q: u128, words: &[u128]) {
+    let m = Modulus::new(q).unwrap();
+    let multipliers = [0, 1, q - 1].map(|w| ShoupMul::new(w, &m));
+    for rows in 1..=3_u32 {
+        let tuples = words.len().pow(rows);
+        let n = 2 * tuples + 1;
+        // Row t, coefficient j: digit t of j's tuple index in base |words|.
+        let word = |t: u32, j: usize| words[(j % tuples) / words.len().pow(t) % words.len()];
+        let lead: Vec<u128> = (0..n).map(|j| word(0, j)).collect();
+        let block: Vec<u128> = (1..rows)
+            .flat_map(|t| (0..n).map(move |j| word(t, j)))
+            .collect();
+        for pick in 0..3_usize.pow(rows) {
+            let coeffs: Vec<ShoupMul> = (0..rows)
+                .map(|t| multipliers[pick / 3_usize.pow(t) % 3])
+                .collect();
+            for offset in [0, q - 1] {
+                let comb = LinComb {
+                    coeffs: &coeffs,
+                    lead: &lead,
+                    rows: &block,
+                    offset,
+                };
+                let mut out = vec![u128::MAX; n];
+                lincomb::<E, L>(&m, &comb, &mut out);
+                for (j, &got) in out.iter().enumerate() {
+                    let want = (0..rows).fold(offset, |acc, t| {
+                        m.add_mod(acc, coeffs[t as usize].mul(word(t, j) % q))
+                    });
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} q={q:#x} rows={rows} j={j} of {n} coeffs={:?} offset={offset:#x}",
+                        E::NAME,
+                        coeffs.iter().map(ShoupMul::multiplier).collect::<Vec<_>>(),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The boundary kernel at both lane widths: one limb for every modulus
+/// below `2^62` (the tiny primes, the `RnsRing::auto(3, 2048)` primes
+/// and `Q62`), two limbs for those and `Q124`. Rows hold 0, `q − 1`,
+/// `2^64 − 1` (a limb of a split's limb plane) and `u128::MAX` (a word
+/// a one-limb load must reduce before it enters a lane).
+fn lincomb_edges<E: SimdEngine>() {
+    let small = [17_u128, 97, 257].into_iter().chain(word_primes());
+    for q in small.clone() {
+        check_lincomb::<E, OneLimb>(q, &[0, q - 1, u128::from(u64::MAX), u128::MAX]);
+    }
+    for q in small.chain([primes::Q124]) {
+        check_lincomb::<E, TwoLimbs>(q, &[0, q - 1, u128::from(u64::MAX), u128::MAX]);
+    }
+}
+
 fn sweep<E: SimdEngine>() {
     exhaustive::<E>();
     boundary::<E>();
     butterflies::<E>();
+    lincomb_edges::<E>();
 }
 
 #[test]

@@ -14,6 +14,7 @@
 
 use mqx::backend::{self, Backend, Tier};
 use mqx::bignum::BigUint;
+use mqx::blas::LinComb;
 use mqx::core::{primes, Modulus};
 use mqx::ntt::{debug_assert_domain_soa, polymul, NttError, NttPlan};
 use mqx::simd::ResidueSoa;
@@ -234,6 +235,10 @@ impl Backend for ElementwiseOnly {
         self.0.axpy(a, x, y, m);
     }
 
+    fn lincomb(&self, m: &Modulus, comb: &LinComb<'_>, out: &mut [u128]) {
+        self.0.lincomb(m, comb, out);
+    }
+
     fn polymul_cyclic_fused(
         &self,
         plan: &NttPlan,
@@ -329,6 +334,10 @@ impl Backend for PanicsOnce {
 
     fn axpy(&self, a: u128, x: &ResidueSoa, y: &mut ResidueSoa, m: &Modulus) {
         self.inner.axpy(a, x, y, m);
+    }
+
+    fn lincomb(&self, m: &Modulus, comb: &LinComb<'_>, out: &mut [u128]) {
+        self.inner.lincomb(m, comb, out);
     }
 
     fn polymul_cyclic_fused(

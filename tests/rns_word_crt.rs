@@ -6,7 +6,9 @@
 //! wide (a 124-bit channel next to 62- and 30-bit ones, and the
 //! generated 62-bit chains) and the coefficients sit on the boundaries:
 //! limb edges, the moduli and their neighbours, `Q − 1`, and residues
-//! handed in unreduced.
+//! handed in unreduced. The served size, `RnsRing::auto(3, 2048)`, and a
+//! ring shorter than one vector run split, join, extension and rescale
+//! against the oracle too.
 
 use mqx::bignum::crt::CrtContext;
 use mqx::bignum::BigUint;
@@ -186,4 +188,53 @@ fn rescaled_then_extended_chain_reads_the_narrower_widths_tables() {
     }
     narrow.push(third);
     assert_eq!(ring.join_at(3, narrow).unwrap(), Coefficients::Big(rounded));
+}
+
+/// The boundary at the served size, `RnsRing::auto(3, 2048)` (many whole
+/// vectors), and at n = 4, shorter than one vector of any engine (a
+/// partial vector only): split, join, the fresh `BasisExtend` channel
+/// and `Rescale`, each against the `BigUint` oracle, bit for bit.
+#[test]
+fn boundary_matches_the_oracle_at_the_served_size_and_below_one_vector() {
+    for n in [4, 2048] {
+        let ring = RnsRing::auto(3, n).unwrap();
+        let oracle = CrtContext::new(ring.moduli()).unwrap();
+        let q = ring.product_modulus();
+        let mut rng = StdRng::seed_from_u64(0xB0DA + n as u64);
+        let mut xs: Vec<BigUint> = (0..n).map(|_| BigUint::random_below(&mut rng, q)).collect();
+        xs[0] = BigUint::zero();
+        xs[n - 1] = q - &BigUint::one();
+
+        let channels = ring.to_residues(&xs).unwrap();
+        for (j, x) in xs.iter().enumerate() {
+            assert_eq!(
+                column(&channels, j),
+                oracle.to_residues(x),
+                "n={n}: split of {x}"
+            );
+        }
+        assert_eq!(ring.recombine(&channels).unwrap(), xs, "n={n}: join");
+
+        let p = BigUint::from(ring.extended_moduli(1).unwrap()[3]);
+        let mut fresh = Vec::new();
+        ring.channel_apply_at_into(&EXTEND, 3, 3, &channels, None, &mut fresh)
+            .unwrap();
+        assert_eq!(fresh.len(), n);
+        for (x, &r) in xs.iter().zip(&fresh) {
+            assert_eq!(BigUint::from(r), x % &p, "n={n}: {x} mod {p}");
+        }
+
+        let q_last = BigUint::from(ring.moduli()[2]);
+        let half = BigUint::from(ring.moduli()[2] / 2);
+        for c in 0..2 {
+            let mut out = Vec::new();
+            ring.channel_apply_at_into(&RingOp::Rescale, 3, c, &channels, None, &mut out)
+                .unwrap();
+            let m_c = BigUint::from(ring.moduli()[c]);
+            for (x, &r) in xs.iter().zip(&out) {
+                let rounded = &(x + &half) / &q_last;
+                assert_eq!(BigUint::from(r), &rounded % &m_c, "n={n}: rescale of {x}");
+            }
+        }
+    }
 }
