@@ -28,7 +28,7 @@ use mqx::bignum::BigUint;
 use mqx::blas::{lincomb, LinComb};
 use mqx::core::{primes, Modulus, ShoupMul};
 use mqx::simd::{OneLimb, Portable, SimdEngine, TwoLimbs};
-use mqx::{plan_cache, Coefficients, PolyRing, Ring, RingOp, RnsRing};
+use mqx::{plan_cache, Coefficients, PolyOp, PolyRing, Ring, RingOp, RnsRing};
 use mqx_json::impl_to_json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,17 +174,19 @@ pub fn run(quick: bool) -> RnsReport {
     for &k in &ks {
         let ring = RnsRing::auto(k, n).expect("62-bit prime chain exists");
         let mut rng = StdRng::seed_from_u64(0x8A515 + k as u64);
-        let coeffs = |rng: &mut StdRng| -> Vec<BigUint> {
+        let coeffs = |rng: &mut StdRng| -> Coefficients {
             (0..n)
                 .map(|_| BigUint::random_below(rng, ring.product_modulus()))
-                .collect()
+                .collect::<Vec<_>>()
+                .into()
         };
         let a = coeffs(&mut rng);
         let b = coeffs(&mut rng);
         let backend = ring.backend_names()[0].to_string();
         let modulus_bits = ring.product_modulus().bits();
         let ns = time_ntt(quick, || {
-            std::hint::black_box(ring.polymul_negacyclic(&a, &b).expect("reduced inputs"));
+            let product = ring.apply(&RingOp::Polymul(PolyOp::Negacyclic), &a, Some(&b));
+            std::hint::black_box(product.expect("reduced inputs"));
         });
         rows.push(RnsRow {
             channels: k,

@@ -1,20 +1,24 @@
 //! The public-surface listing behind `mqx_lint --api`: one sorted line
 //! per `pub` item declared in the facade's `src/` outside
 //! `#[cfg(test)]`, plus one per method (and associated type or const)
-//! of a `pub trait`, each qualified by its type or trait:
+//! of a `pub trait`, each qualified by its type or trait. A function is
+//! listed with its signature through its return type:
 //!
 //! ```text
-//! crate::executor: fn RingExecutor::submit
-//! crate::poly: fn PolyRing::apply
+//! crate::poly: fn PolyRing::join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error>
 //! crate: use executor::{AdmissionStats, Canceller}
 //! ```
 //!
 //! Inherent `impl` blocks qualify their `pub` items by the type; trait
 //! impls add nothing (their methods are the trait's); the `pub` fields
 //! of a `pub struct` are listed as `field`s. Restricted visibility
-//! (`pub(crate)`, `pub(super)`) is not public. The listing is
+//! (`pub(crate)`, `pub(super)`) is not public. Signatures are rendered
+//! from tokens, so line breaks, indentation and trailing commas do not
+//! show; lifetimes and numeric literals are not tokens (see
+//! [`lexer`]) and do not show either. The listing is
 //! committed as `api.txt`, and CI diffs the two, so every change to the
-//! surface shows up in review.
+//! surface — a changed parameter or return type included — shows up in
+//! review.
 
 use crate::lexer::{self, Token};
 use crate::rules::is_cfg_test_attr;
@@ -152,7 +156,11 @@ impl<'a> Surface<'a> {
                 let (open, close) = self.body(i, end);
                 self.fields(open, close, name);
             }
-            "fn" | "struct" | "enum" | "union" | "type" | "const" | "static" | "mod" if listed => {
+            "fn" if listed => {
+                let signature = self.render(i + 1, self.signature_end(i + 1, end));
+                self.emit(kind, scope, &signature);
+            }
+            "struct" | "enum" | "union" | "type" | "const" | "static" | "mod" if listed => {
                 self.emit(kind, scope, name);
             }
             _ => {}
@@ -239,6 +247,21 @@ impl<'a> Surface<'a> {
         end
     }
 
+    /// The end of a function signature starting at `i`: its body's `{`,
+    /// the `;` of a bodyless declaration, or its `where` clause.
+    fn signature_end(&self, i: usize, end: usize) -> usize {
+        let mut depth = 0_usize;
+        for j in i..end {
+            match self.text(j) {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "{" | ";" | "where" if depth == 0 => return j,
+                _ => {}
+            }
+        }
+        end
+    }
+
     /// One past the bracket group opening at `i` (`(`, `[` or `{`).
     fn group_end(&self, i: usize) -> usize {
         let mut depth = 0_usize;
@@ -276,21 +299,35 @@ impl<'a> Surface<'a> {
         self.tokens.len()
     }
 
-    /// Tokens `[i, end)` as source text: words spaced, commas followed
-    /// by a space, everything else joined.
+    /// Tokens `[i, end)` as source text, whatever the layout: words
+    /// spaced (and a word from a following `[`), a space after commas
+    /// and type colons, spaces around `->`, `+` and `=`, everything else
+    /// joined. Trailing commas are dropped, and so are the comma and the
+    /// empty `<>` an elided lifetime leaves.
     fn render(&self, i: usize, end: usize) -> String {
         let mut text = String::new();
         for j in i..end {
             let token = &self.tokens[j];
-            if token.text == "," && self.text(j + 1) == "}" {
-                continue;
-            }
-            if j > i && token.is_ident() && self.tokens[j - 1].is_ident() {
-                text.push(' ');
-            }
-            text.push_str(&token.text);
-            if token.text == "," {
-                text.push(' ');
+            let (prev, next) = (self.text(j.wrapping_sub(1)), self.text(j + 1));
+            match token.text.as_str() {
+                "," if matches!(next, "}" | ")" | "]" | ">") || prev == "<" => {}
+                "," => text.push_str(", "),
+                ":" if prev != ":" && next != ":" => text.push_str(": "),
+                "-" if next == ">" => text.push_str(" -> "),
+                "<" if next == ">" => {}
+                ">" if matches!(prev, "-" | "<") => {}
+                "+" | "=" => {
+                    text.push(' ');
+                    text.push_str(&token.text);
+                    text.push(' ');
+                }
+                word => {
+                    let after_word = j > i && self.tokens[j - 1].is_ident();
+                    if after_word && (token.is_ident() || word == "[") {
+                        text.push(' ');
+                    }
+                    text.push_str(word);
+                }
             }
         }
         text
@@ -318,6 +355,15 @@ mod tests {
             pub(crate) fn hidden(&self) {}
             fn private(&self) -> [u8; 2] { [0; 2] }
             pub const ALL: [u8; 2] = [1, 2];
+            pub fn spread<T: Copy>(
+                &mut self,
+                xs: &'a [u128],
+            ) -> Result<Vec<T>, Error>
+            where
+                T: Default,
+            {
+                todo!()
+            }
         }
         impl<F: Fn() -> u8> std::fmt::Debug for Pool<'_> {
             fn fmt(&self) {}
@@ -349,10 +395,11 @@ mod tests {
             "crate::pool: enum Kind",
             "crate::pool: field Pool::depth",
             "crate::pool: field Pool::workers",
-            "crate::pool: fn Pool::new",
-            "crate::pool: fn Ring::size",
-            "crate::pool: fn Ring::twice",
-            "crate::pool: fn raw",
+            "crate::pool: fn Pool::new() -> Self",
+            "crate::pool: fn Pool::spread<T: Copy>(&mut self, xs: &[u128]) -> Result<Vec<T>, Error>",
+            "crate::pool: fn Ring::size(&self) -> usize",
+            "crate::pool: fn Ring::twice(&self) -> usize",
+            "crate::pool: fn raw()",
             "crate::pool: struct Pool",
             "crate::pool: trait Ring",
             "crate::pool: type Alias",
@@ -360,6 +407,22 @@ mod tests {
             "crate::pool: use inner::{A, B}",
         ];
         assert_eq!(lines, expected);
+
+        // A re-typed parameter is a different line; a re-wrapped
+        // signature is the same one.
+        let retyped = SOURCE.replace("xs: &'a [u128]", "xs: &'a [u64]");
+        let changed: Vec<String> = file_surface("crate::pool", &retyped)
+            .into_iter()
+            .filter(|line| !lines.contains(line))
+            .collect();
+        assert_eq!(
+            changed,
+            ["crate::pool: fn Pool::spread<T: Copy>(&mut self, xs: &[u64]) -> Result<Vec<T>, Error>"]
+        );
+        let rewrapped = SOURCE.replace("fn size(&self)", "fn size(\n &self,\n )");
+        let mut relisted = file_surface("crate::pool", &rewrapped);
+        relisted.sort();
+        assert_eq!(relisted, expected);
     }
 
     #[test]
@@ -376,8 +439,9 @@ mod tests {
     fn the_facade_surface_lists_its_front_door() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let lines = api_surface(&crate::find_root(here)).expect("walk succeeds");
-        assert!(lines.contains(&"crate::executor: fn RingExecutor::submit".to_owned()));
-        assert!(lines.contains(&"crate::poly: fn PolyRing::apply".to_owned()));
+        let listed = |prefix: &str| lines.iter().any(|line| line.starts_with(prefix));
+        assert!(listed("crate::executor: fn RingExecutor::submit(&self, "));
+        assert!(listed("crate::poly: fn PolyRing::apply(&self, "));
         let mut sorted = lines.clone();
         sorted.sort();
         assert_eq!(lines, sorted);

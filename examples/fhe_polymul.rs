@@ -8,7 +8,8 @@
 //! directly: they shard it into word-sized coprime RNS channels (the
 //! "double-CRT" representation) and run one NTT per channel — exactly
 //! what [`RnsRing`] does, with every channel dispatched through the
-//! runtime backend registry and executed on its own thread.
+//! runtime backend registry; a [`RingExecutor`] runs the channels as
+//! separate work items.
 //!
 //! ```sh
 //! cargo run --release --example fhe_polymul
@@ -25,8 +26,14 @@ use std::time::Instant;
 /// A toy RLWE "ciphertext": two polynomials (c0, c1) with big-integer
 /// coefficients reduced below the product modulus Q.
 struct Ciphertext {
-    c0: Vec<BigUint>,
-    c1: Vec<BigUint>,
+    c0: Coefficients,
+    c1: Coefficients,
+}
+
+/// The big-integer coefficients an [`RnsRing`] consumes and returns.
+fn bigs(c: &Coefficients) -> &[BigUint] {
+    c.as_bigs()
+        .expect("an RnsRing's coefficients are big integers")
 }
 
 fn random_poly(n: usize, q: &BigUint, seed: &mut u64) -> Vec<BigUint> {
@@ -70,37 +77,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q = ring.product_modulus().clone();
     let mut seed = 0x5EED_CAFE_u64;
     let ct_a = Ciphertext {
-        c0: random_poly(n, &q, &mut seed),
-        c1: random_poly(n, &q, &mut seed),
+        c0: random_poly(n, &q, &mut seed).into(),
+        c1: random_poly(n, &q, &mut seed).into(),
     };
     let ct_b = Ciphertext {
-        c0: random_poly(n, &q, &mut seed),
-        c1: random_poly(n, &q, &mut seed),
+        c0: random_poly(n, &q, &mut seed).into(),
+        c1: random_poly(n, &q, &mut seed).into(),
     };
 
     // Tensor product of two degree-1 ciphertexts: (d0, d1, d2) =
     // (a0·b0, a0·b1 + a1·b0, a1·b1) — four negacyclic products, each
     // sharded across the residue channels, plus one coefficient-wise
     // addition modulo Q.
+    let nega = RingOp::Polymul(PolyOp::Negacyclic);
     let t0 = Instant::now();
-    let d0 = ring.polymul_negacyclic(&ct_a.c0, &ct_b.c0)?;
-    let a0b1 = ring.polymul_negacyclic(&ct_a.c0, &ct_b.c1)?;
-    let a1b0 = ring.polymul_negacyclic(&ct_a.c1, &ct_b.c0)?;
-    let d1: Vec<BigUint> = a0b1
-        .iter()
-        .zip(&a1b0)
-        .map(|(x, y)| x.add_mod(y, &q))
-        .collect();
-    let d2 = ring.polymul_negacyclic(&ct_a.c1, &ct_b.c1)?;
+    let d0 = ring.apply(&nega, &ct_a.c0, Some(&ct_b.c0))?;
+    let a0b1 = ring.apply(&nega, &ct_a.c0, Some(&ct_b.c1))?;
+    let a1b0 = ring.apply(&nega, &ct_a.c1, Some(&ct_b.c0))?;
+    let d1 = ring.apply(&RingOp::Add, &a0b1, Some(&a1b0))?;
+    let d2 = ring.apply(&nega, &ct_a.c1, Some(&ct_b.c1))?;
     let elapsed = t0.elapsed();
 
     println!(
         "\nciphertext tensor at n = {n} over the {}-bit modulus: {elapsed:?}",
         q.bits()
     );
-    println!("  d0[0] = {}", d0[0]);
-    println!("  d1[0] = {}", d1[0]);
-    println!("  d2[0] = {}", d2[0]);
+    println!("  d0[0] = {}", bigs(&d0)[0]);
+    println!("  d1[0] = {}", bigs(&d1)[0]);
+    println!("  d2[0] = {}", bigs(&d2)[0]);
 
     // --- Ciphertext pipeline: polymul → rescale → add ------------------
     // After a multiplication the ciphertext's scale has grown by one
@@ -112,18 +116,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // chain — and after the rescale the caller must open a ring over
     // the reduced basis by hand to keep the add width-correct.
     let t0 = Instant::now();
-    let product = ring.apply(
-        &RingOp::Polymul(PolyOp::Negacyclic),
-        &Coefficients::Big(ct_a.c0.clone()),
-        Some(&Coefficients::Big(ct_b.c0.clone())),
-    )?;
+    let product = ring.apply(&nega, &ct_a.c0, Some(&ct_b.c0))?;
     let rescaled = ring.apply(&RingOp::Rescale, &product, None)?;
     let reduced = RnsRing::builder(n)
         .moduli(&ring.moduli()[..ring.channels() - 1])
         .build()?;
     let combined = reduced.apply(&RingOp::Add, &rescaled, Some(&rescaled))?;
     let chain_elapsed = t0.elapsed();
-    assert_eq!(product, Coefficients::Big(d0.clone()));
+    assert_eq!(product, d0);
     let q_last = *ring.moduli().last().expect("non-empty basis");
     println!(
         "\npipeline polymul → rescale → add at n = {n}: {chain_elapsed:?} \
@@ -133,7 +133,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // Rescale is divide-and-round in residue arithmetic: pin the first
     // coefficient against the big-integer definition.
-    let (expected, _) = (&d0[0] + &BigUint::from(q_last / 2)).div_rem(&BigUint::from(q_last));
+    let (expected, _) =
+        (&bigs(&d0)[0] + &BigUint::from(q_last / 2)).div_rem(&BigUint::from(q_last));
     if let Coefficients::Big(rescaled) = &rescaled {
         assert_eq!(rescaled[0], expected);
         println!(
@@ -161,13 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graphed = pool
         .submit(
             &dyn_ring,
-            RingRequest::graph(
-                graph,
-                vec![
-                    Coefficients::Big(ct_a.c0.clone()),
-                    Coefficients::Big(ct_b.c0.clone()),
-                ],
-            ),
+            RingRequest::graph(graph, vec![ct_a.c0.clone(), ct_b.c0.clone()]),
         )?
         .wait()?;
     let graph_elapsed = t0.elapsed();
@@ -185,22 +180,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // product modulus on a smaller instance (no NTT code shared).
     let small = 256;
     let small_ring = RnsRing::builder(small).moduli(ring.moduli()).build()?;
-    let f = &ct_a.c0[..small];
-    let g = &ct_b.c0[..small];
-    let fast = small_ring.polymul_negacyclic(f, g)?;
+    let f = &bigs(&ct_a.c0)[..small];
+    let g = &bigs(&ct_b.c0)[..small];
+    let fast = small_ring.apply(&nega, &f.to_vec().into(), Some(&g.to_vec().into()))?;
     let slow = mqx::ntt::polymul::schoolbook_negacyclic_big(f, g, &q);
-    assert_eq!(fast, slow);
+    assert_eq!(bigs(&fast), slow);
     println!("\nsharded product ≡ big-integer schoolbook at n = {small}: ok");
 
     // The residue-domain view: an FHE runtime keeps operands
     // decomposed and only recombines at the boundary.
-    let residues = ring.to_residues(&ct_a.c0)?;
+    let residues = ring.split(&ct_a.c0)?;
     println!(
         "residue decomposition: {} channels × {} word-sized residues",
         residues.len(),
         residues[0].len()
     );
-    assert_eq!(ring.recombine(&residues)?, ct_a.c0);
+    assert_eq!(ring.join_at(ring.channels(), residues)?, ct_a.c0);
 
     // The plan cache paid the O(n log n) table build once per distinct
     // (channel modulus, n); opening another ring over the same geometry

@@ -14,7 +14,12 @@
 //!    the polymul inner shape — on **every backend** in the registry
 //!    (the detected hardware tiers), using the same §5.1 measurement
 //!    loop ([`median_ns`]) the benchmark harness uses for its tier
-//!    sweeps;
+//!    sweeps. The burst runs on a plan over the 62-bit prime
+//!    [`Q62`](mqx_core::primes::Q62): the canonical `forward_ntt` and
+//!    `vmul` are two-limb kernels whatever the modulus, so the ranking
+//!    is the one a 124-bit plan gives, and a cold process finds a root
+//!    of unity for `Q62` in well under a millisecond (factoring
+//!    `Q124 − 1` takes several);
 //! 2. the backends are ranked by measured
 //!    [`Measurement::ns_per_butterfly`], cheapest first;
 //! 3. the result is memoized process-wide behind
@@ -146,8 +151,8 @@ pub fn median_ns(total: usize, keep: usize, mut f: impl FnMut()) -> f64 {
 /// the memoized [`calibration`](super::calibration) instead; this entry
 /// point is for tests that need a fresh pass.
 pub fn run() -> Calibration {
-    let m = Modulus::new_prime(primes::Q124).expect("Q124 is prime");
-    let plan = NttPlan::new(&m, CALIBRATION_N).expect("Q124 supports the calibration size");
+    let m = Modulus::new_prime(primes::Q62).expect("Q62 is prime");
+    let plan = NttPlan::new(&m, CALIBRATION_N).expect("Q62 supports the calibration size");
     let xs = burst_residues(m.value(), 0xCA11_B8A7E);
     let ys = burst_residues(m.value(), 0x5E1EC7);
     let butterflies = (CALIBRATION_N / 2) as f64 * f64::from(CALIBRATION_N.trailing_zeros());

@@ -1417,11 +1417,13 @@ pub(crate) mod tests {
         let b: Vec<BigUint> = (0..N as u64)
             .map(|i| &BigUint::from(i * i + 7) % &q)
             .collect();
-        let expected = ring.polymul_negacyclic(&a, &b).unwrap();
+        let (a, b) = (Coefficients::Big(a), Coefficients::Big(b));
+        let expected = ring.apply(&RingOp::Polymul(PolyOp::Negacyclic), &a, Some(&b));
+        let expected = expected.unwrap().into_bigs().unwrap();
 
         let dyn_ring: Arc<dyn PolyRing> = ring;
         let pool = RingExecutor::new(3).unwrap();
-        let request = RingRequest::polymul(PolyOp::Negacyclic, a.into(), b.into());
+        let request = RingRequest::polymul(PolyOp::Negacyclic, a, b);
         let handles = vec![pool.submit(&dyn_ring, request).unwrap()];
         let out = block_on(crate::frontdoor::join_all(handles));
         let product = out[0].as_ref().unwrap();

@@ -11,10 +11,10 @@
 //! thread-per-core servers drive those futures with; any waker-driven
 //! runtime can drive them too.
 //!
-//! [`FrontDoor`], [`FrontDoorBuilder`] and [`AsyncRequestHandle`] are
-//! aliases of [`RingExecutor`], [`RingExecutorBuilder`] and
-//! [`RequestHandle`], kept so code written against the front door
-//! compiles unchanged.
+//! [`FrontDoor`] and [`AsyncRequestHandle`] are aliases of
+//! [`RingExecutor`] and [`RequestHandle`], kept so code written against
+//! the front door compiles unchanged; `FrontDoor::builder` returns a
+//! [`RingExecutorBuilder`](crate::RingExecutorBuilder).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -57,15 +57,12 @@ pub use crate::executor::{AdmissionStats, DEFAULT_QUEUE_DEPTH};
 /// assert_eq!(block_on(async { 2 + 2 }), 4);
 /// ```
 pub use crate::executor::block_on;
-use crate::executor::{RequestHandle, RingExecutor, RingExecutorBuilder};
+use crate::executor::{RequestHandle, RingExecutor};
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
 /// The admission-controlled pool under its front-door name.
-pub type FrontDoor = RingExecutor;
-
-/// [`RingExecutorBuilder`] under its front-door name.
 ///
 /// ```
 /// use mqx::frontdoor::FrontDoor;
@@ -74,7 +71,7 @@ pub type FrontDoor = RingExecutor;
 /// assert_eq!(door.queue_depth_limit(), 256);
 /// # Ok::<(), mqx::Error>(())
 /// ```
-pub type FrontDoorBuilder = RingExecutorBuilder;
+pub type FrontDoor = RingExecutor;
 
 /// The one request handle under its front-door name: a
 /// [`RequestHandle`] is already a [`Future`].

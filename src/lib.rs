@@ -51,8 +51,7 @@
 //!   [`RequestHandle::wait`] blocks on (std wakers only;
 //!   [`frontdoor::block_on`] and [`frontdoor::join_all`] ship in-tree,
 //!   with the former front-door names as aliases);
-//! * [`plan_cache`] — the keyed (optionally capacity-bounded) NTT-plan
-//!   cache behind every ring open.
+//! * [`plan_cache`] — the keyed NTT-plan cache behind every ring open.
 //!
 //! Rings are immutable, shareable handles: every hot-path method takes
 //! `&self` (per-call scratch comes from an internal free list), so

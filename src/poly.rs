@@ -228,12 +228,13 @@ pub trait PolyRing: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`Error::UnsupportedOp`] for ops the ring cannot execute at
-    /// `width` channels, [`Error::OperandCountMismatch`] when `b` does
-    /// not match the op's arity, [`Error::ChannelCountMismatch`] for an
-    /// operand that is not `width` channels wide,
-    /// [`Error::ChannelOutOfRange`] for a bad channel index, plus the
-    /// per-channel kernel errors.
+    /// In this order: [`Error::UnsupportedOp`] for ops the ring cannot
+    /// execute at `width` channels, [`Error::OperandCountMismatch`] when
+    /// `b` does not match the op's arity, [`Error::ChannelCountMismatch`]
+    /// for an operand that is not `width` channels wide,
+    /// [`Error::ChannelOutOfRange`] for a bad channel index,
+    /// [`Error::LengthMismatch`] / [`Error::OperandLengthMismatch`] for
+    /// channels of unequal length, plus the per-channel kernel errors.
     fn channel_apply_at_into(
         &self,
         op: &RingOp,
@@ -353,6 +354,58 @@ pub trait PolyRing: Send + Sync {
 
 /// One operand's residues, channel-major: `width` vectors of `n`.
 type Split = Vec<Vec<u128>>;
+
+/// The contract of [`PolyRing::channel_apply_at_into`], checked once
+/// for every ring before any kernel runs. The ring first decides whether
+/// it runs `op` at `width` and how many channels that yields
+/// (`outputs`); this checks the rest, in order: the op's arity, each
+/// operand's channel count against `width`, the channel index against
+/// `outputs`, and equal channel lengths. Returns `b`, empty for a unary
+/// op, which never reads it.
+pub(crate) fn check_channel_call<'b>(
+    op: &RingOp,
+    width: usize,
+    outputs: usize,
+    channel: usize,
+    a: &[Vec<u128>],
+    b: Option<&'b [Vec<u128>]>,
+) -> Result<&'b [Vec<u128>], Error> {
+    let got = 1 + usize::from(b.is_some());
+    if got != op.arity() {
+        return Err(Error::OperandCountMismatch {
+            op: op.name(),
+            expected: op.arity(),
+            got,
+        });
+    }
+    if let Some(wrong) = [Some(a), b]
+        .into_iter()
+        .flatten()
+        .find(|s| s.len() != width)
+    {
+        return Err(Error::ChannelCountMismatch {
+            expected: width,
+            got: wrong.len(),
+        });
+    }
+    if channel >= outputs {
+        return Err(Error::ChannelOutOfRange {
+            channel,
+            channels: outputs,
+        });
+    }
+    let n = a.first().map_or(0, Vec::len);
+    if let Some(bad) = a.iter().find(|ch| ch.len() != n) {
+        return Err(Error::LengthMismatch {
+            expected: n,
+            got: bad.len(),
+        });
+    }
+    if let Some(bad) = b.and_then(|b| b.iter().find(|ch| ch.len() != n)) {
+        return Err(Error::OperandLengthMismatch { a: n, b: bad.len() });
+    }
+    Ok(b.unwrap_or_default())
+}
 
 /// The submit-time half of every evaluation, shared by the sequential
 /// walk below (borrowed operands) and the executor (owned ones): check
@@ -568,6 +621,28 @@ mod tests {
                 channels: 2
             }
         ));
+    }
+
+    #[test]
+    fn operands_one_channel_too_wide_are_rejected() {
+        let word = Ring::auto(primes::Q124, N).unwrap();
+        let rns = RnsRing::auto(2, N).unwrap();
+        let x = poly(N, primes::Q62, 4);
+        let rings: [(&dyn PolyRing, usize); 2] = [(&word, 1), (&rns, 2)];
+        for (ring, width) in rings {
+            let wide = vec![x.clone(); width + 1];
+            for op in [RingOp::Add, RingOp::Polymul(PolyOp::Cyclic)] {
+                let err = ring
+                    .channel_apply_at(&op, width, 0, &wide, Some(&wide))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, Error::ChannelCountMismatch { expected, got }
+                        if expected == width && got == width + 1),
+                    "{} at width {width}: {err:?}",
+                    op.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -414,7 +414,9 @@ impl Ring {
     /// ring's own modulus, or — for an RNS extension channel — a fresh
     /// prime of the same width, served by this ring's backend and
     /// scratch. The operands must be `n` long, because the pooled
-    /// buffers they are staged in keep the ring's geometry.
+    /// buffers they are staged in keep the ring's geometry; `b` is as
+    /// long as `a` in every call (both callers ran
+    /// [`check_channel_call`](crate::poly::check_channel_call)).
     pub(crate) fn add_sub_into(
         &self,
         m: &Modulus,
@@ -423,12 +425,6 @@ impl Ring {
         b: &[u128],
         out: &mut Vec<u128>,
     ) -> Result<(), Error> {
-        if a.len() != b.len() {
-            return Err(Error::OperandLengthMismatch {
-                a: a.len(),
-                b: b.len(),
-            });
-        }
         self.check_len(a.len())?;
         self.scratch.with(|ScratchSet { a: sa, b: sb, tmp }| {
             sa.copy_from_u128s(a);
@@ -504,27 +500,10 @@ impl crate::PolyRing for Ring {
                 reason: "a single-modulus ring has no RNS channel structure to drop or extend",
             });
         }
-        if channel != 0 {
-            return Err(Error::ChannelOutOfRange {
-                channel,
-                channels: 1,
-            });
-        }
-        let b = b.ok_or(Error::OperandCountMismatch {
-            op: op.name(),
-            expected: 2,
-            got: 1,
-        })?;
-        let (ra, rb) = a
-            .first()
-            .zip(b.first())
-            .ok_or(Error::ChannelCountMismatch {
-                expected: 1,
-                got: 0,
-            })?;
+        let b = crate::poly::check_channel_call(op, 1, 1, channel, a, b)?;
         match op {
-            RingOp::Polymul(poly) => self.polymul_into(*poly, ra, rb, out),
-            _ => self.add_sub_into(&self.modulus, matches!(op, RingOp::Sub), ra, rb, out),
+            RingOp::Polymul(poly) => self.polymul_into(*poly, &a[0], &b[0], out),
+            _ => self.add_sub_into(&self.modulus, matches!(op, RingOp::Sub), &a[0], &b[0], out),
         }
     }
 

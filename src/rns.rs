@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use mqx::bignum::BigUint;
-//! use mqx::{core::primes, RnsRing};
+//! use mqx::{core::primes, Coefficients, PolyOp, PolyRing, RingOp, RnsRing};
 //!
 //! // Two word-sized channels stand in for a ~92-bit modulus.
 //! let ring = RnsRing::builder(64)
@@ -46,10 +46,15 @@
 //! assert_eq!(ring.channels(), 2);
 //! assert!(ring.product_modulus().bits() > 64);
 //!
-//! let f: Vec<BigUint> = (0..64_u64).map(BigUint::from).collect();
-//! let g: Vec<BigUint> = (0..64_u64).map(|i| BigUint::from(i * i)).collect();
-//! let product = ring.polymul_negacyclic(&f, &g)?;
+//! let f = Coefficients::Big((0..64_u64).map(BigUint::from).collect());
+//! let g = Coefficients::Big((0..64_u64).map(|i| BigUint::from(i * i)).collect());
+//! let product = ring.apply(&RingOp::Polymul(PolyOp::Negacyclic), &f, Some(&g))?;
 //! assert_eq!(product.len(), 64);
+//!
+//! // The boundary on its own: two residue channels, one Garner join.
+//! let residues = ring.split(&f)?;
+//! assert_eq!(residues.len(), 2);
+//! assert_eq!(ring.join_at(2, residues)?, f);
 //! # Ok::<(), mqx::Error>(())
 //! ```
 
@@ -57,11 +62,13 @@ use crate::backend::Backend;
 use crate::error::Error;
 use crate::ops::RingOp;
 use crate::plan_cache::{self, PlanCache};
+use crate::poly::{self, Coefficients, PolyRing};
 use crate::ring::{BackendChoice, Ring};
 use mqx_bignum::crt::CrtContext;
 use mqx_bignum::BigUint;
 use mqx_blas::LinComb;
 use mqx_core::{primes, Modulus, ShoupMul};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::iter;
@@ -94,7 +101,7 @@ enum BasisChoice {
 /// Configures and builds an [`RnsRing`] ([`RnsRing::builder`]).
 ///
 /// ```
-/// use mqx::RnsRing;
+/// use mqx::{PolyRing, RnsRing};
 ///
 /// // A 3-channel basis of generated 62-bit NTT primes, pinned to the
 /// // portable tier on every channel.
@@ -486,16 +493,6 @@ impl RnsRing {
         }
     }
 
-    /// The number of residue channels `k`.
-    pub fn channels(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// The transform size `n`.
-    pub fn size(&self) -> usize {
-        self.n
-    }
-
     /// The channel moduli, in channel order.
     pub fn moduli(&self) -> &[u128] {
         self.native.crt.moduli()
@@ -516,107 +513,9 @@ impl RnsRing {
         self.rings.iter().map(|r| r.backend().name()).collect()
     }
 
-    /// Whether every channel field has a `2n`-th root of unity (the
-    /// requirement for [`RnsRing::polymul_negacyclic`]).
-    pub fn supports_negacyclic(&self) -> bool {
-        self.rings.iter().all(Ring::supports_negacyclic)
-    }
-
     /// The backend every channel, and every boundary kernel, runs on.
     fn backend(&self) -> &dyn Backend {
         self.rings[0].backend()
-    }
-
-    fn check_len(&self, got: usize) -> Result<(), Error> {
-        if got == self.n {
-            Ok(())
-        } else {
-            Err(Error::LengthMismatch {
-                expected: self.n,
-                got,
-            })
-        }
-    }
-
-    /// Decomposes a coefficient slice into per-channel residue vectors
-    /// (channel-major: `k` vectors of `n` residues).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::LengthMismatch`] for a slice of the wrong length;
-    /// [`Error::CoefficientOutOfRange`] for any coefficient at or above
-    /// [`RnsRing::product_modulus`] (callers reduce first, so aliasing
-    /// can never silently change a value).
-    pub fn to_residues(&self, coeffs: &[BigUint]) -> Result<Vec<Vec<u128>>, Error> {
-        self.check_len(coeffs.len())?;
-        let ctx = &self.native;
-        if let Some(index) = coeffs.iter().position(|c| c >= ctx.crt.product()) {
-            return Err(Error::CoefficientOutOfRange { index });
-        }
-        Ok(ctx.split(self.backend(), coeffs))
-    }
-
-    /// Recombines per-channel residue vectors (channel-major, as
-    /// produced by [`RnsRing::to_residues`]) into coefficients in
-    /// `[0, Q)` by Garner's algorithm.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ChannelCountMismatch`] when `channels.len() != k`;
-    /// [`Error::LengthMismatch`] when any channel vector is not
-    /// `n`-long.
-    pub fn recombine(&self, channels: &[Vec<u128>]) -> Result<Vec<BigUint>, Error> {
-        recombine_with(&self.native, self.backend(), channels, self.n)
-    }
-
-    /// Negacyclic product in `ℤ_Q[x]/(xⁿ + 1)` — the RLWE workhorse
-    /// over a modulus wider than the machine word. Coefficients must be
-    /// reduced below [`RnsRing::product_modulus`]; the result is
-    /// reduced likewise. Takes `&self`: safe to call concurrently on a
-    /// shared ring.
-    ///
-    /// This one-shot path runs the channels one after another on the
-    /// calling thread. To run them in parallel, submit the product to a
-    /// [`RingExecutor`](crate::RingExecutor), which fans
-    /// `channels × batch` out as work-stealing items on threads started
-    /// once.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NoNegacyclicSupport`] if any channel field lacks a
-    /// `2n`-th root of unity (check [`RnsRing::supports_negacyclic`]),
-    /// plus the [`RnsRing::to_residues`] validation errors.
-    pub fn polymul_negacyclic(&self, a: &[BigUint], b: &[BigUint]) -> Result<Vec<BigUint>, Error> {
-        self.polymul_big(a, b, true)
-    }
-
-    /// Cyclic product in `ℤ_Q[x]/(xⁿ − 1)`, sharded per channel like
-    /// [`RnsRing::polymul_negacyclic`] (and equally thread-safe).
-    pub fn polymul_cyclic(&self, a: &[BigUint], b: &[BigUint]) -> Result<Vec<BigUint>, Error> {
-        self.polymul_big(a, b, false)
-    }
-
-    fn polymul_big(
-        &self,
-        a: &[BigUint],
-        b: &[BigUint],
-        negacyclic: bool,
-    ) -> Result<Vec<BigUint>, Error> {
-        let a_channels = self.to_residues(a)?;
-        let b_channels = self.to_residues(b)?;
-        let per_channel = self
-            .rings
-            .iter()
-            .zip(a_channels.iter().zip(&b_channels))
-            .map(|(ring, (ra, rb))| {
-                if negacyclic {
-                    ring.polymul_negacyclic(ra, rb)
-                } else {
-                    ring.polymul_cyclic(ra, rb)
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.recombine(&per_channel)
     }
 
     /// The first `count` fresh NTT primes of the ring's deterministic
@@ -724,54 +623,13 @@ impl RnsRing {
     }
 }
 
-/// Garner recombination of channel-major residues against an arbitrary
-/// basis context (the ring's own, or an op's output basis): the digit
-/// rows on `backend`, then one limb-vector assembly per coefficient.
-fn recombine_with(
-    ctx: &WidthCtx,
-    backend: &dyn Backend,
-    channels: &[Vec<u128>],
-    n: usize,
-) -> Result<Vec<BigUint>, Error> {
-    if channels.len() != ctx.mods.len() {
-        return Err(Error::ChannelCountMismatch {
-            expected: ctx.mods.len(),
-            got: channels.len(),
-        });
-    }
-    for channel in channels {
-        if channel.len() != n {
-            return Err(Error::LengthMismatch {
-                expected: n,
-                got: channel.len(),
-            });
-        }
-    }
-    let m = channels.len();
-    let mut digits = vec![0_u128; m * BLOCK.min(n)];
-    let mut column = vec![0_u128; m];
-    let mut coeffs = Vec::with_capacity(n);
-    for range in blocks(n) {
-        let b = range.len();
-        let digits = &mut digits[..m * b];
-        ctx.digits(backend, channels, range, digits);
-        coeffs.extend((0..b).map(|j| {
-            for (d, row) in column.iter_mut().zip(digits.chunks_exact(b)) {
-                *d = row[j];
-            }
-            ctx.crt.assemble(&column)
-        }));
-    }
-    Ok(coeffs)
-}
-
-/// An [`RnsRing`] exposes its residue channels directly: `split` is CRT
-/// decomposition, `join_at` is Garner recombination, and each output
+/// An [`RnsRing`] is reached through its residue channels: `split` is
+/// CRT decomposition, `join_at` is Garner recombination, and each output
 /// channel of an op is an independent word-sized work item — the
 /// decomposition [`RingExecutor`](crate::RingExecutor) schedules. The
 /// native width `k` is one width among the others: the basis-changing
 /// ops and the join read the same per-width constants at every width.
-impl crate::PolyRing for RnsRing {
+impl PolyRing for RnsRing {
     fn size(&self) -> usize {
         self.n
     }
@@ -788,15 +646,25 @@ impl crate::PolyRing for RnsRing {
         self.rings.len()
     }
 
-    fn split_cow(
-        &self,
-        coeffs: std::borrow::Cow<'_, crate::Coefficients>,
-    ) -> Result<Vec<Vec<u128>>, Error> {
+    /// CRT decomposition. Coefficients at or above
+    /// [`RnsRing::product_modulus`] are rejected with
+    /// [`Error::CoefficientOutOfRange`] (callers reduce first, so
+    /// aliasing can never silently change a value).
+    fn split_cow(&self, coeffs: Cow<'_, Coefficients>) -> Result<Vec<Vec<u128>>, Error> {
         let bigs = coeffs.as_bigs().ok_or(Error::CoefficientKind {
             expected: "big",
             got: coeffs.kind(),
         })?;
-        self.to_residues(bigs)
+        if bigs.len() != self.n {
+            return Err(Error::LengthMismatch {
+                expected: self.n,
+                got: bigs.len(),
+            });
+        }
+        if let Some(index) = bigs.iter().position(|c| c >= self.product_modulus()) {
+            return Err(Error::CoefficientOutOfRange { index });
+        }
+        Ok(self.native.split(self.backend(), bigs))
     }
 
     fn op_output_channels_at(&self, op: &RingOp, width: usize) -> Result<usize, Error> {
@@ -820,47 +688,10 @@ impl crate::PolyRing for RnsRing {
         b: Option<&[Vec<u128>]>,
         out: &mut Vec<u128>,
     ) -> Result<(), Error> {
-        // Everything the arms below index by is checked here, once:
-        // the width, the arity, both operand splits against the width,
-        // and the output channel.
+        // Everything the arms below index by is checked here, once.
         let outputs = self.output_width(op, width)?;
-        let got = 1 + usize::from(b.is_some());
-        if got != op.arity() {
-            return Err(Error::OperandCountMismatch {
-                op: op.name(),
-                expected: op.arity(),
-                got,
-            });
-        }
-        if let Some(short) = [Some(a), b]
-            .into_iter()
-            .flatten()
-            .find(|s| s.len() != width)
-        {
-            return Err(Error::ChannelCountMismatch {
-                expected: width,
-                got: short.len(),
-            });
-        }
-        if channel >= outputs {
-            return Err(Error::ChannelOutOfRange {
-                channel,
-                channels: outputs,
-            });
-        }
+        let b = poly::check_channel_call(op, width, outputs, channel, a, b)?;
         let n = a[0].len();
-        if let Some(bad) = a.iter().find(|ch| ch.len() != n) {
-            return Err(Error::LengthMismatch {
-                expected: n,
-                got: bad.len(),
-            });
-        }
-        if let Some(bad) = b.and_then(|b| b.iter().find(|ch| ch.len() != n)) {
-            return Err(Error::OperandLengthMismatch { a: n, b: bad.len() });
-        }
-        // A binary op's `b` passed the same checks as `a`; unary ops
-        // never read it.
-        let b = b.unwrap_or_default();
         out.clear();
         match op {
             RingOp::Polymul(p) => {
@@ -909,13 +740,40 @@ impl crate::PolyRing for RnsRing {
         }
     }
 
-    fn join_at(
-        &self,
-        width: usize,
-        channels: Vec<Vec<u128>>,
-    ) -> Result<crate::Coefficients, Error> {
+    /// Garner recombination over the width's basis: the digit rows on
+    /// the ring's backend, then one limb-vector assembly per
+    /// coefficient. Every channel must be `n` long
+    /// ([`Error::LengthMismatch`]).
+    fn join_at(&self, width: usize, channels: Vec<Vec<u128>>) -> Result<Coefficients, Error> {
         let ctx = self.width_ctx(width)?;
-        recombine_with(&ctx, self.backend(), &channels, self.n).map(crate::Coefficients::Big)
+        if channels.len() != width {
+            return Err(Error::ChannelCountMismatch {
+                expected: width,
+                got: channels.len(),
+            });
+        }
+        let n = self.n;
+        if let Some(bad) = channels.iter().find(|ch| ch.len() != n) {
+            return Err(Error::LengthMismatch {
+                expected: n,
+                got: bad.len(),
+            });
+        }
+        let mut digits = vec![0_u128; width * BLOCK.min(n)];
+        let mut column = vec![0_u128; width];
+        let mut coeffs = Vec::with_capacity(n);
+        for range in blocks(n) {
+            let b = range.len();
+            let digits = &mut digits[..width * b];
+            ctx.digits(self.backend(), &channels, range, digits);
+            coeffs.extend((0..b).map(|j| {
+                for (d, row) in column.iter_mut().zip(digits.chunks_exact(b)) {
+                    *d = row[j];
+                }
+                ctx.crt.assemble(&column)
+            }));
+        }
+        Ok(Coefficients::Big(coeffs))
     }
 }
 
@@ -929,6 +787,7 @@ mod tests {
     use rand::SeedableRng;
 
     const N: usize = 64;
+    const NEGACYCLIC: RingOp = RingOp::Polymul(crate::PolyOp::Negacyclic);
 
     fn ring_over(moduli: &[u128]) -> Result<RnsRing, Error> {
         RnsRing::builder(N).moduli(moduli).build()
@@ -945,9 +804,10 @@ mod tests {
     fn residue_roundtrip_is_identity() {
         let ring = ring_over(&[primes::Q62, primes::Q30, primes::Q14]).unwrap();
         let xs = coeffs(&ring, 0xC0FFEE);
-        let channels = ring.to_residues(&xs).unwrap();
+        let xs = Coefficients::Big(xs);
+        let channels = ring.split(&xs).unwrap();
         assert_eq!(channels.len(), 3);
-        assert_eq!(ring.recombine(&channels).unwrap(), xs);
+        assert_eq!(ring.join_at(3, channels).unwrap(), xs);
     }
 
     #[test]
@@ -958,7 +818,8 @@ mod tests {
         let b = coeffs(&ring, 2);
         let expected =
             mqx_ntt::polymul::schoolbook_negacyclic_big(&a, &b, &ring.product_modulus().clone());
-        assert_eq!(ring.polymul_negacyclic(&a, &b).unwrap(), expected);
+        let product = ring.apply(&NEGACYCLIC, &a.into(), Some(&b.into()));
+        assert_eq!(product.unwrap(), Coefficients::Big(expected));
     }
 
     #[test]
@@ -1018,7 +879,8 @@ mod tests {
         a[7] = ring.product_modulus().clone();
         let b = coeffs(&ring, 4);
         assert!(matches!(
-            ring.polymul_negacyclic(&a, &b).unwrap_err(),
+            ring.apply(&NEGACYCLIC, &a.into(), Some(&b.into()))
+                .unwrap_err(),
             Error::CoefficientOutOfRange { index: 7 }
         ));
     }
@@ -1027,13 +889,13 @@ mod tests {
     fn length_mismatches_are_rejected() {
         let ring = ring_over(&[primes::Q62, primes::Q30]).unwrap();
         let a = coeffs(&ring, 5);
-        let short = a[..N - 1].to_vec();
+        let short = Coefficients::Big(a[..N - 1].to_vec());
         assert!(matches!(
-            ring.polymul_cyclic(&a, &short).unwrap_err(),
+            ring.split(&short).unwrap_err(),
             Error::LengthMismatch { got, .. } if got == N - 1
         ));
         assert!(matches!(
-            ring.recombine(&[vec![0; N]]).unwrap_err(),
+            ring.join_at(2, vec![vec![0; N]]).unwrap_err(),
             Error::ChannelCountMismatch {
                 expected: 2,
                 got: 1

@@ -11,7 +11,7 @@
 
 use mqx::backend::{self, calibrate};
 use mqx::core::primes;
-use mqx::{Error, Ring, RnsRing};
+use mqx::{Coefficients, Error, PolyOp, PolyRing, Ring, RingOp, RnsRing};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serializes the tests that read or write `MQX_BACKEND`.
@@ -175,8 +175,10 @@ fn rns_auto_channels_follow_the_calibrated_assignment() {
     let b: Vec<mqx::bignum::BigUint> = (0..64_u64)
         .map(|i| &mqx::bignum::BigUint::from(i * 7 + 1) % &q)
         .collect();
+    let (a, b) = (Coefficients::Big(a), Coefficients::Big(b));
+    let op = RingOp::Polymul(PolyOp::Negacyclic);
     assert_eq!(
-        ring.polymul_negacyclic(&a, &b).unwrap(),
-        portable.polymul_negacyclic(&a, &b).unwrap()
+        ring.apply(&op, &a, Some(&b)).unwrap(),
+        portable.apply(&op, &a, Some(&b)).unwrap()
     );
 }

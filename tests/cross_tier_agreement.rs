@@ -16,7 +16,7 @@ use mqx::baseline::gmp::{GmpNtt, GmpRing};
 use mqx::core::{nt, primes, Modulus};
 use mqx::ntt::{naive, polymul, NttPlan};
 use mqx::simd::ResidueSoa;
-use mqx::Ring;
+use mqx::{Coefficients, PolyOp, PolyRing, Ring, RingOp};
 
 const N: usize = 256;
 
@@ -441,7 +441,9 @@ fn two_field_crt_consistency() {
         let mut b = vec![BigUint::zero(); N];
         a[0] = &BigUint::from(a_scalar) % &product_q;
         b[0] = &BigUint::from(b_scalar) % &product_q;
-        let out = ring.polymul_cyclic(&a, &b).unwrap();
+        let cyclic = RingOp::Polymul(PolyOp::Cyclic);
+        let out = ring.apply(&cyclic, &a.into(), Some(&b.into())).unwrap();
+        let out = out.into_bigs().unwrap();
         assert_eq!(out[0], &BigUint::from(exact) % &product_q, "{basis:?}");
         assert!(out[1..].iter().all(BigUint::is_zero));
 
@@ -449,8 +451,10 @@ fn two_field_crt_consistency() {
         let coeffs: Vec<BigUint> = (0..N as u64)
             .map(|i| &BigUint::from(exact.wrapping_mul(u128::from(i * 2 + 1))) % &product_q)
             .collect();
-        let channels = ring.to_residues(&coeffs).unwrap();
+        let coeffs = Coefficients::Big(coeffs);
+        let channels = ring.split(&coeffs).unwrap();
         assert_eq!(channels.len(), basis.len());
-        assert_eq!(ring.recombine(&channels).unwrap(), coeffs, "{basis:?}");
+        let joined = ring.join_at(basis.len(), channels).unwrap();
+        assert_eq!(joined, coeffs, "{basis:?}");
     }
 }

@@ -11,7 +11,7 @@ use mqx::bignum::BigUint;
 use mqx::core::{primes, Modulus};
 use mqx::ntt::polymul::{schoolbook_cyclic_big, schoolbook_negacyclic_big};
 use mqx::plan_cache::PlanCache;
-use mqx::{backend, Error, PolyRing, RingOp, RnsRing};
+use mqx::{backend, Error, PolyOp, PolyRing, RingOp, RnsRing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -30,6 +30,20 @@ fn random_coeffs(bound: &BigUint, n: usize, seed: u64) -> Vec<BigUint> {
         .collect()
 }
 
+/// `a · b` through [`PolyRing::apply`], as big-integer coefficients.
+fn polymul(
+    ring: &RnsRing,
+    op: PolyOp,
+    a: &[BigUint],
+    b: &[BigUint],
+) -> Result<Vec<BigUint>, Error> {
+    let (a, b) = (a.to_vec().into(), b.to_vec().into());
+    let product = ring.apply(&RingOp::Polymul(op), &a, Some(&b))?;
+    Ok(product
+        .into_bigs()
+        .expect("an RnsRing joins to big coefficients"))
+}
+
 #[test]
 fn polymul_is_bit_identical_to_product_modulus_reference() {
     let basis = basis();
@@ -41,12 +55,12 @@ fn polymul_is_bit_identical_to_product_modulus_reference() {
         let b = random_coeffs(&q, N, 0xB0 + k as u64);
 
         assert_eq!(
-            ring.polymul_negacyclic(&a, &b).unwrap(),
+            polymul(&ring, PolyOp::Negacyclic, &a, &b).unwrap(),
             schoolbook_negacyclic_big(&a, &b, &q),
             "negacyclic k = {k}"
         );
         assert_eq!(
-            ring.polymul_cyclic(&a, &b).unwrap(),
+            polymul(&ring, PolyOp::Cyclic, &a, &b).unwrap(),
             schoolbook_cyclic_big(&a, &b, &q),
             "cyclic k = {k}"
         );
@@ -66,7 +80,7 @@ fn single_channel_rns_matches_plain_ring_exactly() {
     let a_words: Vec<u128> = a.iter().map(|x| x.to_u128().unwrap()).collect();
     let b_words: Vec<u128> = b.iter().map(|x| x.to_u128().unwrap()).collect();
 
-    let rns_out = rns.polymul_negacyclic(&a, &b).unwrap();
+    let rns_out = polymul(&rns, PolyOp::Negacyclic, &a, &b).unwrap();
     let ring_out = ring.polymul_negacyclic(&a_words, &b_words).unwrap();
     assert_eq!(
         rns_out
@@ -93,7 +107,7 @@ fn every_consumable_backend_agrees_through_the_rns_layer() {
         let q = ring.product_modulus().clone();
         let xs = random_coeffs(&q, N, 0xD1);
         let ys = random_coeffs(&q, N, 0xD2);
-        let out = ring.polymul_negacyclic(&xs, &ys).unwrap();
+        let out = polymul(&ring, PolyOp::Negacyclic, &xs, &ys).unwrap();
         match &reference {
             None => reference = Some(out),
             Some(expected) => assert_eq!(&out, expected, "{name}"),
@@ -153,7 +167,7 @@ fn every_tier_recombines_bit_identically_to_portable() {
     let q = portable.product_modulus().clone();
     let a = random_coeffs(&q, N, 0xE1);
     let b = random_coeffs(&q, N, 0xE2);
-    let expected = portable.polymul_negacyclic(&a, &b).unwrap();
+    let expected = polymul(&portable, PolyOp::Negacyclic, &a, &b).unwrap();
     for tier in backend::available() {
         let name = tier.name();
         let ring = RnsRing::builder(N)
@@ -162,7 +176,11 @@ fn every_tier_recombines_bit_identically_to_portable() {
             .build()
             .unwrap();
         assert_eq!(ring.backend_names(), [name; 3]);
-        assert_eq!(ring.polymul_negacyclic(&a, &b).unwrap(), expected, "{name}");
+        assert_eq!(
+            polymul(&ring, PolyOp::Negacyclic, &a, &b).unwrap(),
+            expected,
+            "{name}"
+        );
     }
 }
 
@@ -188,7 +206,7 @@ fn rns_layer_agrees_with_double_crt_baseline() {
     let a = random_coeffs(&q, N, 0xF1);
     let b = random_coeffs(&q, N, 0xF2);
     assert_eq!(
-        ring.polymul_cyclic(&a, &b).unwrap(),
+        polymul(&ring, PolyOp::Cyclic, &a, &b).unwrap(),
         baseline.polymul_cyclic(&a, &b),
         "optimized sharded ring vs division-based double-CRT baseline"
     );
@@ -205,7 +223,7 @@ fn unreduced_input_is_rejected_not_aliased() {
     a[3] = q.clone(); // == Q: residues would alias 0
     let b = random_coeffs(&q, N, 0x12);
     assert!(matches!(
-        ring.polymul_negacyclic(&a, &b).unwrap_err(),
+        polymul(&ring, PolyOp::Negacyclic, &a, &b).unwrap_err(),
         Error::CoefficientOutOfRange { index: 3 }
     ));
 }

@@ -68,6 +68,17 @@ fn boundary_coeffs(ring: &RnsRing, seed: u64) -> Vec<BigUint> {
     xs
 }
 
+/// `xs` split into the ring's residue channels.
+fn split(ring: &RnsRing, xs: &[BigUint]) -> Vec<Vec<u128>> {
+    ring.split(&Coefficients::Big(xs.to_vec())).unwrap()
+}
+
+/// `channels` joined at the ring's own width.
+fn join(ring: &RnsRing, channels: &[Vec<u128>]) -> Vec<BigUint> {
+    let joined = ring.join_at(ring.channels(), channels.to_vec()).unwrap();
+    joined.into_bigs().unwrap()
+}
+
 fn column(channels: &[Vec<u128>], j: usize) -> Vec<u128> {
     channels.iter().map(|ch| ch[j]).collect()
 }
@@ -77,15 +88,15 @@ fn split_and_join_match_the_biguint_oracle_at_the_boundaries() {
     for (i, ring) in rings().iter().enumerate() {
         let oracle = CrtContext::new(ring.moduli()).unwrap();
         let xs = boundary_coeffs(ring, 0x5EED + i as u64);
-        let channels = ring.to_residues(&xs).unwrap();
+        let channels = split(ring, &xs);
         assert_eq!(channels.len(), ring.channels());
         for (j, x) in xs.iter().enumerate() {
             let residues = column(&channels, j);
             assert_eq!(residues, oracle.to_residues(x), "split of {x}");
             assert_eq!(oracle.recombine(&residues), *x);
         }
-        assert_eq!(ring.recombine(&channels).unwrap(), xs, "{ring:?}");
-        // The trait's boundary methods are the same two routines.
+        assert_eq!(join(ring, &channels), xs, "{ring:?}");
+        // A second split, and a join of the owned channels, agree.
         let big = Coefficients::Big(xs);
         assert_eq!(ring.split(&big).unwrap(), channels);
         assert_eq!(ring.join_at(ring.channels(), channels).unwrap(), big);
@@ -97,7 +108,7 @@ fn unreduced_residues_alias_exactly_as_the_biguint_path_does() {
     for (i, ring) in rings().iter().enumerate() {
         let oracle = CrtContext::new(ring.moduli()).unwrap();
         let xs = boundary_coeffs(ring, 0xA11A5 + i as u64);
-        let mut channels = ring.to_residues(&xs).unwrap();
+        let mut channels = split(ring, &xs);
         // r, r + m, r + 2m, … up to the top of the word, cycling per
         // coefficient; every fourth one pinned to u128::MAX.
         for (channel, &m) in channels.iter_mut().zip(ring.moduli()) {
@@ -113,7 +124,7 @@ fn unreduced_residues_alias_exactly_as_the_biguint_path_does() {
         let expected: Vec<BigUint> = (0..N)
             .map(|j| oracle.recombine(&column(&channels, j)))
             .collect();
-        assert_eq!(ring.recombine(&channels).unwrap(), expected, "{ring:?}");
+        assert_eq!(join(ring, &channels), expected, "{ring:?}");
 
         // A basis extension reads the same digits: unreduced input folds
         // to the fresh-prime residue of the aliased value.
@@ -133,7 +144,7 @@ fn fresh_channel_is_the_value_mod_the_fresh_prime_and_joins_back() {
     for (i, ring) in rings().iter().enumerate() {
         let k = ring.channels();
         let xs = boundary_coeffs(ring, 0xF01D + i as u64);
-        let mut channels = ring.to_residues(&xs).unwrap();
+        let mut channels = split(ring, &xs);
         let p = ring.extended_moduli(1).unwrap()[k];
         let mut fresh = Vec::new();
         ring.channel_apply_at_into(&EXTEND, k, k, &channels, None, &mut fresh)
@@ -159,7 +170,7 @@ fn rescaled_then_extended_chain_reads_the_narrower_widths_tables() {
     let ring = RnsRing::auto(3, N).unwrap();
     let moduli = ring.moduli().to_vec();
     let xs = boundary_coeffs(&ring, 0x2E5C);
-    let channels = ring.to_residues(&xs).unwrap();
+    let channels = split(&ring, &xs);
 
     let mut narrow = vec![Vec::new(), Vec::new()];
     for (c, out) in narrow.iter_mut().enumerate() {
@@ -205,7 +216,7 @@ fn boundary_matches_the_oracle_at_the_served_size_and_below_one_vector() {
         xs[0] = BigUint::zero();
         xs[n - 1] = q - &BigUint::one();
 
-        let channels = ring.to_residues(&xs).unwrap();
+        let channels = split(&ring, &xs);
         for (j, x) in xs.iter().enumerate() {
             assert_eq!(
                 column(&channels, j),
@@ -213,7 +224,7 @@ fn boundary_matches_the_oracle_at_the_served_size_and_below_one_vector() {
                 "n={n}: split of {x}"
             );
         }
-        assert_eq!(ring.recombine(&channels).unwrap(), xs, "n={n}: join");
+        assert_eq!(join(&ring, &channels), xs, "n={n}: join");
 
         let p = BigUint::from(ring.extended_moduli(1).unwrap()[3]);
         let mut fresh = Vec::new();

@@ -12,12 +12,13 @@ mod common;
 use common::submit_and_join;
 use mqx::bignum::BigUint;
 use mqx::core::primes;
-use mqx::{PolyOp, PolyRing, Ring, RingExecutor, RingOp, RingRequest, RnsRing};
+use mqx::{Coefficients, PolyOp, PolyRing, Ring, RingExecutor, RingOp, RingRequest, RnsRing};
 use std::sync::Arc;
 
 const N: usize = 64;
 const THREADS: usize = 8;
 const ITERS: usize = 24;
+const NEGACYCLIC: RingOp = RingOp::Polymul(PolyOp::Negacyclic);
 
 fn poly(n: usize, q: u128, seed: u64) -> Vec<u128> {
     let mut state = seed;
@@ -75,7 +76,7 @@ fn arc_rns_ring_hammered_from_threads_matches_single_threaded_reference() {
     let ring = Arc::new(RnsRing::auto(2, N).unwrap());
     let q = ring.product_modulus().clone();
 
-    let workloads: Vec<(Vec<BigUint>, Vec<BigUint>, Vec<BigUint>)> = (0..THREADS as u64)
+    let workloads: Vec<(Coefficients, Coefficients, Coefficients)> = (0..THREADS as u64)
         .map(|t| {
             let a: Vec<BigUint> = (0..N as u64)
                 .map(|i| &BigUint::from((i + 1) * (t + 3) * 0x9E37_79B9) % &q)
@@ -83,7 +84,8 @@ fn arc_rns_ring_hammered_from_threads_matches_single_threaded_reference() {
             let b: Vec<BigUint> = (0..N as u64)
                 .map(|i| &BigUint::from((i + 7) * (t + 1) * 0x85EB_CA6B) % &q)
                 .collect();
-            let nega = ring.polymul_negacyclic(&a, &b).unwrap();
+            let (a, b) = (Coefficients::Big(a), Coefficients::Big(b));
+            let nega = ring.apply(&NEGACYCLIC, &a, Some(&b)).unwrap();
             (a, b, nega)
         })
         .collect();
@@ -93,7 +95,7 @@ fn arc_rns_ring_hammered_from_threads_matches_single_threaded_reference() {
             let ring = Arc::clone(&ring);
             scope.spawn(move || {
                 for _ in 0..ITERS / 2 {
-                    assert_eq!(&ring.polymul_negacyclic(a, b).unwrap(), nega);
+                    assert_eq!(&ring.apply(&NEGACYCLIC, a, Some(b)).unwrap(), nega);
                 }
             });
         }
